@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench attacks demo experiments boot-full examples trace golden-check audit bench-obs bench-batch bench-mempath bench-smp bench-fleet bench-host smp-determinism fleet-determinism fleet-trace-determinism parallel-check mc-smoke mc-determinism clean
+.PHONY: all build test vet race bench attacks demo experiments boot-full examples trace golden-check audit bench-obs bench-batch bench-mempath bench-smp bench-fleet bench-host smp-determinism parallel-check mc-smoke mc-determinism clean
 
 all: vet test
 
@@ -84,33 +84,11 @@ bench-smp:
 # Regenerate the committed multi-CVM fleet measurement (BENCH_fleet.json):
 # attested VeilS-Channel sessions over the simulated fabric plus local
 # VeilS-Log tenants. Every value is virtual cycles from fixed seeds; the
-# merged per-machine Chrome trace is pinned by its sha256 in the file.
+# merged Chrome trace, Prometheus page and causal view are pinned by their
+# sha256 in the file. Their determinism across runs and GOMAXPROCS is
+# asserted by internal/bench.TestFleetDeterministic.
 bench-fleet:
 	$(GO) run ./cmd/veil-bench -experiment fleet -json BENCH_fleet.json
-
-# The fleet determinism gate: the multi-machine stepper runs one goroutine
-# per CVM, so the claim under test is that host parallelism cannot leak
-# into results — different GOMAXPROCS, byte-identical JSON (including the
-# merged-trace digest), and -compare agrees the gated values match.
-fleet-determinism:
-	GOMAXPROCS=1 $(GO) run ./cmd/veil-bench -experiment fleet -json /tmp/veil-fleet-a.json
-	$(GO) run ./cmd/veil-bench -experiment fleet -json /tmp/veil-fleet-b.json
-	cmp /tmp/veil-fleet-a.json /tmp/veil-fleet-b.json
-	$(GO) run ./cmd/veil-bench -compare /tmp/veil-fleet-a.json /tmp/veil-fleet-b.json
-
-# The fleet-trace determinism gate (obs v4): the merged Chrome trace, the
-# cross-machine causal view and the machine-labeled fleet summary must be
-# byte-identical across GOMAXPROCS settings, and the evidence correlator
-# must survive the race detector.
-fleet-trace-determinism:
-	mkdir -p /tmp/veil-ftd-a /tmp/veil-ftd-b
-	$(GO) build -o /tmp/veil-ftd-sim ./cmd/veil-sim
-	cd /tmp/veil-ftd-a && GOMAXPROCS=1 /tmp/veil-ftd-sim -fleet 3 -trace fleet-trace.json -causal fleet-causal.json -metrics > metrics.txt
-	cd /tmp/veil-ftd-b && /tmp/veil-ftd-sim -fleet 3 -trace fleet-trace.json -causal fleet-causal.json -metrics > metrics.txt
-	cmp /tmp/veil-ftd-a/fleet-trace.json /tmp/veil-ftd-b/fleet-trace.json
-	cmp /tmp/veil-ftd-a/fleet-causal.json /tmp/veil-ftd-b/fleet-causal.json
-	cmp /tmp/veil-ftd-a/metrics.txt /tmp/veil-ftd-b/metrics.txt
-	$(GO) test -race -run 'Fleet|Correlate|TraceRef|PerLink' ./internal/obs ./internal/fabric
 
 # The SMP determinism gate: two identically-seeded runs of the scheduler
 # experiment must produce byte-identical JSON.

@@ -16,11 +16,9 @@ import (
 	"veil/internal/core"
 	"veil/internal/cvm"
 	"veil/internal/fabric"
-	"veil/internal/kernel"
 	"veil/internal/obs"
 	"veil/internal/sched"
 	"veil/internal/services/chn"
-	"veil/internal/snp"
 )
 
 const (
@@ -208,48 +206,8 @@ func runFleet(n int, mem uint64, traceOut, causalOut string, metrics, auditOn bo
 		fmt.Printf("Auditors: %d machines, %d violations\n", len(auditors), violations)
 	}
 
-	if traceOut != "" {
-		fh, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		werr := obs.WriteFleetChromeTrace(fh, recs, obs.ChromeOptions{
-			ProcessName:          "veil-sim",
-			CyclesPerMicrosecond: float64(snp.SimClockHz) / 1e6,
-			SyscallName:          func(no uint64) string { return kernel.SysNo(no).Name() },
-		})
-		if cerr := fh.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("Merged fleet trace written to %s (one Chrome process per machine)\n", traceOut)
-	}
-	if causalOut != "" {
-		fh, err := os.Create(causalOut)
-		if err != nil {
-			return err
-		}
-		werr := obs.WriteFleetCausalTrace(fh, recs)
-		if cerr := fh.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		reqs, edges, err := obs.FleetCriticalPaths(recs)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Fleet causal view written to %s (%d cross-machine traces, %d wire edges, %d unmatched)\n",
-			causalOut, len(reqs), len(edges.Edges), edges.UnmatchedRx+edges.UnmatchedTx)
-	}
-	if metrics {
-		fmt.Println()
-		if err := obs.WriteFleetSummary(os.Stdout, recs); err != nil {
-			return err
-		}
+	if err := exportRun(os.Stdout, recs, traceOut, causalOut, metrics); err != nil {
+		return err
 	}
 
 	fmt.Println("veil-sim: fleet ring demonstrated")

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -50,11 +51,10 @@ func main() {
 	}
 
 	if *fleet > 0 {
-		// Fleet mode swaps the single-CVM demo for the multi-machine ring
-		// and the fleet-merged exporters: -trace writes the merged Chrome
-		// timeline, -causal the cross-machine request forest, -metrics the
-		// machine-labeled Prometheus summary. Post-mortems and flame graphs
-		// stay single-machine.
+		// Fleet mode swaps the single-CVM demo for the multi-machine ring;
+		// -trace, -causal and -metrics export every machine's recorder
+		// through the same writers a single CVM uses. Post-mortems and
+		// flame graphs stay single-machine.
 		if *pmOut != "" || *flameOut != "" {
 			log.Fatal("veil-sim: -fleet does not support -postmortem/-flame")
 		}
@@ -84,39 +84,14 @@ func main() {
 		// and CI runs `veil-sim -audit` exactly to catch that.
 		violated = a.Violations() > 0
 	}
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, rec); err != nil {
-			log.Fatalf("veil-sim: %v", err)
-		}
-		fmt.Printf("Trace timeline written to %s (%d events, %d dropped) — open in Perfetto or chrome://tracing\n",
-			*traceOut, rec.Len(), rec.Dropped())
-	}
-	if *causalOut != "" {
-		f, err := os.Create(*causalOut)
-		if err != nil {
-			log.Fatalf("veil-sim: %v", err)
-		}
-		if err := obs.WriteCausalTrace(f, rec); err != nil {
-			log.Fatalf("veil-sim: causal trace: %v", err)
-		}
-		f.Close()
-		forest := obs.BuildCausalForest(rec.Events())
-		fmt.Printf("Causal forest written to %s (%d roots, %d requests)\n",
-			*causalOut, len(forest.Roots), len(obs.CriticalPaths(forest)))
-	}
 	if *pmOut != "" {
 		pm := c.M.PostMortem()
 		if pm == nil {
 			fmt.Println("No post-mortem was frozen during this run")
 		} else {
-			f, err := os.Create(*pmOut)
-			if err != nil {
-				log.Fatalf("veil-sim: %v", err)
-			}
-			if err := pm.WriteJSON(f); err != nil {
+			if err := writeFile(*pmOut, pm.WriteJSON); err != nil {
 				log.Fatalf("veil-sim: post-mortem: %v", err)
 			}
-			f.Close()
 			fmt.Printf("Post-mortem (%q, %d events) written to %s — inspect with veil-postmortem\n",
 				pm.Reason, len(pm.Events), *pmOut)
 		}
@@ -127,9 +102,8 @@ func main() {
 		}
 		fmt.Printf("Flame graph written to %s (virtual cycles; render with flamegraph.pl or speedscope)\n", *flameOut)
 	}
-	if *metrics {
-		fmt.Println()
-		obs.WritePrometheus(os.Stdout, rec)
+	if err := exportRun(os.Stdout, []*obs.Recorder{rec}, *traceOut, *causalOut, *metrics); err != nil {
+		log.Fatalf("veil-sim: %v", err)
 	}
 	if violated {
 		stopProfile() // os.Exit skips the deferred stop
@@ -137,19 +111,77 @@ func main() {
 	}
 }
 
-// writeFlame exports the recorder's causal forest as folded stacks whose
-// sample counts are virtual self-cycles, with syscall numbers and service
-// ids resolved to names.
-func writeFlame(path string, rec *obs.Recorder) error {
+// exportRun writes the exports a run asked for, over one recorder per
+// machine (a single CVM is a fleet of one): traceOut gets the Chrome
+// timeline, causalOut the causal request view, and with metrics the
+// Prometheus page goes to out. Every write and close error is returned.
+func exportRun(out io.Writer, recs []*obs.Recorder, traceOut, causalOut string, metrics bool) error {
+	if traceOut != "" {
+		err := writeFile(traceOut, func(w io.Writer) error {
+			return obs.WriteChromeTrace(w, obs.ChromeOptions{
+				ProcessName:          "veil-sim",
+				CyclesPerMicrosecond: float64(snp.SimClockHz) / 1e6,
+				SyscallName:          func(n uint64) string { return kernel.SysNo(n).Name() },
+			}, recs...)
+		})
+		if err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		events, dropped := 0, uint64(0)
+		for _, r := range recs {
+			events += r.Len()
+			dropped += r.Dropped()
+		}
+		fmt.Printf("Trace timeline written to %s (%d machines, %d events, %d dropped) — open in Perfetto or chrome://tracing\n",
+			traceOut, len(recs), events, dropped)
+	}
+	if causalOut != "" {
+		err := writeFile(causalOut, func(w io.Writer) error { return obs.WriteCausalTrace(w, recs...) })
+		if err != nil {
+			return fmt.Errorf("causal view: %w", err)
+		}
+		reqs, edges, err := obs.FleetCriticalPaths(recs)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("Causal view written to %s (%d cross-machine traces, %d wire edges, %d unmatched)\n",
+			causalOut, len(reqs), len(edges.Edges), edges.UnmatchedRx+edges.UnmatchedTx)
+	}
+	if metrics {
+		if _, err := fmt.Fprintln(out); err != nil {
+			return fmt.Errorf("metrics: %w", err)
+		}
+		if err := obs.WritePrometheus(out, recs...); err != nil {
+			return fmt.Errorf("metrics: %w", err)
+		}
+	}
+	return nil
+}
+
+// writeFile creates path, hands it to write and closes it, returning the
+// first error of the three.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return obs.WriteFlamegraph(f, rec, obs.FlamegraphOptions{
-		Root:        "veil-sim",
-		ServiceName: serviceName,
-		SyscallName: func(n uint64) string { return kernel.SysNo(n).Name() },
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeFlame exports the recorder's causal forest as folded stacks whose
+// sample counts are virtual self-cycles, with syscall numbers and service
+// ids resolved to names.
+func writeFlame(path string, rec *obs.Recorder) error {
+	return writeFile(path, func(w io.Writer) error {
+		return obs.WriteFlamegraph(w, rec, obs.FlamegraphOptions{
+			Root:        "veil-sim",
+			ServiceName: serviceName,
+			SyscallName: func(n uint64) string { return kernel.SysNo(n).Name() },
+		})
 	})
 }
 
@@ -160,22 +192,6 @@ func serviceName(svc uint64) string {
 		return names[svc]
 	}
 	return fmt.Sprintf("svc%d", svc)
-}
-
-// writeTrace exports the recorder as Chrome trace_event JSON, with
-// timestamps on the simulated 1.9 GHz clock and syscall numbers resolved
-// to names.
-func writeTrace(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return obs.WriteChromeTrace(f, rec, obs.ChromeOptions{
-		ProcessName:          "veil-sim",
-		CyclesPerMicrosecond: float64(snp.SimClockHz) / 1e6,
-		SyscallName:          func(n uint64) string { return kernel.SysNo(n).Name() },
-	})
 }
 
 func run(mem uint64, vcpus int, rec *obs.Recorder, auditOn bool) (*cvm.CVM, *audit.Auditor, error) {

@@ -4,9 +4,10 @@
 // protected-services deployment actually runs. Sessions form a triangle
 // (0→1, 0→2, 1→2); every initiator plays lockstep request/echo rounds, so
 // the message count is fixed and every cycle number is deterministic. The
-// merged per-machine Chrome trace is hashed into the result, which is how
-// CI pins "same seed → byte-identical fleet timeline" across -j and
-// GOMAXPROCS settings.
+// merged per-machine Chrome trace, Prometheus page and causal view are
+// hashed into the result, which is how the tests and the committed golden
+// pin "same seed → byte-identical fleet exports" across -j and GOMAXPROCS
+// settings.
 package bench
 
 import (
@@ -84,14 +85,18 @@ type FleetResult struct {
 	PerMachine []FleetMachineRow
 
 	// MergedTraceSHA256 digests the merged per-machine Chrome trace
-	// (obs.WriteFleetChromeTrace). Byte-determinism of the whole fleet
-	// timeline collapses to equality of this one string.
+	// (obs.WriteChromeTrace over all recorders). Byte-determinism of the
+	// whole fleet timeline collapses to equality of this one string.
 	MergedTraceSHA256 string
 
-	// FleetSummarySHA256 digests the machine-labeled Prometheus fleet
-	// summary (obs.WriteFleetSummary) — pins the telemetry plane the same
-	// way MergedTraceSHA256 pins the timeline.
+	// FleetSummarySHA256 digests the machine-labeled Prometheus page
+	// (obs.WritePrometheus over all recorders) — pins the telemetry plane
+	// the same way MergedTraceSHA256 pins the timeline.
 	FleetSummarySHA256 string
+	// FleetCausalSHA256 digests the fleet's causal view
+	// (obs.WriteCausalTrace over all recorders): per-machine request
+	// forests, wire edges and cross-machine critical paths.
+	FleetCausalSHA256 string
 	// Cross-machine trace plumbing (obs v4): matched NetTx→NetRx edges,
 	// distinct traces seen crossing the wire, and summed wire latency
 	// (WireCycles, charged to no machine — gated by -compare like every
@@ -317,16 +322,22 @@ func Fleet() (FleetResult, error) {
 	r.FairnessJain = sched.JainIndex(busy)
 
 	h := sha256.New()
-	if err := obs.WriteFleetChromeTrace(h, recs, obs.ChromeOptions{CyclesPerMicrosecond: snp.SimClockHz / 1e6}); err != nil {
+	if err := obs.WriteChromeTrace(h, obs.ChromeOptions{CyclesPerMicrosecond: snp.SimClockHz / 1e6}, recs...); err != nil {
 		return r, err
 	}
 	r.MergedTraceSHA256 = hex.EncodeToString(h.Sum(nil))
 
 	hs := sha256.New()
-	if err := obs.WriteFleetSummary(hs, recs); err != nil {
+	if err := obs.WritePrometheus(hs, recs...); err != nil {
 		return r, err
 	}
 	r.FleetSummarySHA256 = hex.EncodeToString(hs.Sum(nil))
+
+	hc := sha256.New()
+	if err := obs.WriteCausalTrace(hc, recs...); err != nil {
+		return r, err
+	}
+	r.FleetCausalSHA256 = hex.EncodeToString(hc.Sum(nil))
 
 	edges, err := obs.BuildFleetEdges(recs)
 	if err != nil {
@@ -370,4 +381,5 @@ func ReportFleet(w io.Writer, r FleetResult) {
 		r.CrossEdges, r.CrossTraces, r.WireCycles, r.UnmatchedRx)
 	fmt.Fprintf(w, "  merged trace sha256 %s\n", r.MergedTraceSHA256)
 	fmt.Fprintf(w, "  fleet summary sha256 %s\n", r.FleetSummarySHA256)
+	fmt.Fprintf(w, "  fleet causal sha256 %s\n", r.FleetCausalSHA256)
 }

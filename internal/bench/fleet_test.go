@@ -17,8 +17,8 @@ func TestFleetExperiment(t *testing.T) {
 	if r.FairnessJain <= 0 || r.FairnessJain > 1 {
 		t.Fatalf("fairness index %.4f out of (0, 1]", r.FairnessJain)
 	}
-	if r.MergedTraceSHA256 == "" {
-		t.Fatal("no merged trace digest")
+	if r.MergedTraceSHA256 == "" || r.FleetSummarySHA256 == "" || r.FleetCausalSHA256 == "" {
+		t.Fatal("missing export digest")
 	}
 	var idle uint64
 	for _, m := range r.PerMachine {
@@ -34,9 +34,10 @@ func TestFleetExperiment(t *testing.T) {
 	}
 }
 
-// The fleet analogue of TestMeasurementsAreDeterministic: the whole result
-// — cycle counts, fairness, and the merged-trace digest — must be
-// byte-stable across runs and across host parallelism.
+// The fleet analogue of TestMeasurementsAreDeterministic, and the one
+// fleet determinism gate: the whole result — cycle counts, fairness, and
+// the digests of all three exports (Chrome trace, Prometheus page, causal
+// view) — must be byte-stable across runs and across host parallelism.
 func TestFleetDeterministic(t *testing.T) {
 	a, err := Fleet()
 	if err != nil {

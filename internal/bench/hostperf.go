@@ -158,19 +158,26 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// exportOnce renders both text exporters (Prometheus + summary) through
-// the given pair of writer functions.
-func exportOnce(w io.Writer, rec *obs.Recorder, prom, sum func(io.Writer, *obs.Recorder) error) error {
-	if err := prom(w, rec); err != nil {
+// exportPooled / exportReference render both text exporters (Prometheus
+// + summary), through the pooled writers or their fmt-based references.
+func exportPooled(w io.Writer, rec *obs.Recorder) error {
+	if err := obs.WritePrometheus(w, rec); err != nil {
 		return err
 	}
-	return sum(w, rec)
+	return obs.WriteSummary(w, rec)
+}
+
+func exportReference(w io.Writer, rec *obs.Recorder) error {
+	if err := obs.WritePrometheusReference(w, rec); err != nil {
+		return err
+	}
+	return obs.WriteSummaryReference(w, rec)
 }
 
 // hostPerfExport measures the export path on the corpus recorder.
 func hostPerfExport(r *HostPerfResult, rec *obs.Recorder) error {
 	var cw countWriter
-	if err := exportOnce(&cw, rec, obs.WritePrometheus, obs.WriteSummary); err != nil {
+	if err := exportPooled(&cw, rec); err != nil {
 		return err
 	}
 	r.ExportBytes = cw.n
@@ -181,7 +188,7 @@ func hostPerfExport(r *HostPerfResult, rec *obs.Recorder) error {
 	r.HostNsExportLegacy = hostNsPerOp(rounds, func() {
 		var w countWriter
 		for i := 0; i < rounds && err == nil; i++ {
-			err = exportOnce(&w, rec, obs.WritePrometheusReference, obs.WriteSummaryReference)
+			err = exportReference(&w, rec)
 		}
 	})
 	if err != nil {
@@ -190,7 +197,7 @@ func hostPerfExport(r *HostPerfResult, rec *obs.Recorder) error {
 	r.HostNsExportPooled = hostNsPerOp(rounds, func() {
 		var w countWriter
 		for i := 0; i < rounds && err == nil; i++ {
-			err = exportOnce(&w, rec, obs.WritePrometheus, obs.WriteSummary)
+			err = exportPooled(&w, rec)
 		}
 	})
 	if err != nil {
@@ -201,11 +208,11 @@ func hostPerfExport(r *HostPerfResult, rec *obs.Recorder) error {
 	}
 	r.ExportAllocsLegacy = testing.AllocsPerRun(20, func() {
 		var w countWriter
-		_ = exportOnce(&w, rec, obs.WritePrometheusReference, obs.WriteSummaryReference)
+		_ = exportReference(&w, rec)
 	})
 	r.ExportAllocsPooled = testing.AllocsPerRun(20, func() {
 		var w countWriter
-		_ = exportOnce(&w, rec, obs.WritePrometheus, obs.WriteSummary)
+		_ = exportPooled(&w, rec)
 	})
 	return nil
 }

@@ -126,35 +126,85 @@ func countNodes(n *CausalNode) int {
 	return total
 }
 
-// WriteCausalTrace writes the recorder's request trees and their
-// critical-path breakdowns as deterministic JSON: a "requests" array in
-// record order (each with its nested event tree) and the per-request
-// breakdown. Two identical runs produce byte-identical output.
-func WriteCausalTrace(w io.Writer, r *Recorder) error {
-	f := BuildCausalForest(r.Events())
-	paths := CriticalPaths(f)
+// WriteCausalTrace writes the request view of one machine or a fleet as
+// deterministic JSON. "machines" holds, per recorder in slice order, the
+// machine's digest, its request trees in record order and their
+// critical-path breakdowns. The fleet-wide part follows: every matched
+// cross-machine wire edge, the NetRx/NetTx breadcrumbs that failed to
+// join, and the per-trace fleet critical paths with wire time reported as
+// its own component, charged to neither machine (all empty for a single
+// machine). Byte-identical output for identical runs.
+func WriteCausalTrace(w io.Writer, recs ...*Recorder) error {
+	if err := validateFleet(recs); err != nil {
+		return err
+	}
+	ms, release := machineEvents(recs)
+	defer release()
+	edges := buildFleetEdges(ms)
+	reqs := fleetCriticalPaths(ms, edges)
 
 	bw := &errWriter{w: w}
-	bw.printf("{\n  \"orphans\": %d,\n  \"dropped\": %d,\n", f.Orphans, r.Dropped())
-	bw.printf("  \"requests\": [")
+	bw.printf("{\n  \"machines\": [")
+	for i, m := range ms {
+		if i > 0 {
+			bw.printf(",")
+		}
+		writeCausalMachine(bw, recs[i], m.Events)
+	}
+	bw.printf("\n  ],\n  \"unmatched_rx\": %d,\n  \"unmatched_tx\": %d,\n", edges.UnmatchedRx, edges.UnmatchedTx)
+	bw.printf("  \"edges\": [")
+	for i, e := range edges.Edges {
+		if i > 0 {
+			bw.printf(",")
+		}
+		bw.printf("\n    {\"trace\":%d,\"src_machine\":%d,\"src_span\":%d,\"src_ts\":%d,\"dst_machine\":%d,\"dst_span\":%d,\"dst_ts\":%d,\"wire_cycles\":%d}",
+			e.Trace, e.SrcMachine, e.SrcSpan, e.SrcTS, e.DstMachine, e.DstSpan, e.DstTS, e.WireCycles)
+	}
+	bw.printf("\n  ],\n  \"fleet_critical_paths\": [")
+	for i, q := range reqs {
+		if i > 0 {
+			bw.printf(",")
+		}
+		bw.printf("\n    {\"trace\":%d,\"origin_machine\":%d,\"origin_span\":%d,\"hops\":%d,\"wire_cycles\":%d,\"total_cycles\":%d,\"per_machine\":[",
+			q.Trace, q.OriginMachine, q.OriginSpan, q.Hops, q.WireCycles, q.Total)
+		for j, m := range q.Machines {
+			if j > 0 {
+				bw.printf(",")
+			}
+			bw.printf("{\"machine\":%d,\"cycles\":%d}", m, q.MachineCycles[j])
+		}
+		bw.printf("]}")
+	}
+	bw.printf("\n  ]\n}\n")
+	return bw.err
+}
+
+// writeCausalMachine writes one entry of the "machines" array: the
+// digest, the request trees (free-standing instants are not requests) and
+// the per-request critical paths.
+func writeCausalMachine(bw *errWriter, r *Recorder, events []Event) {
+	f := BuildCausalForest(events)
+	bw.printf("\n    {\n      \"machine\": %d,\n      \"events\": %d,\n      \"dropped\": %d,\n      \"orphans\": %d,\n",
+		r.Machine(), len(events), r.Dropped(), f.Orphans)
+	bw.printf("      \"requests\": [")
 	first := true
 	for _, root := range f.Roots {
 		if root.Event.Span == 0 {
-			continue // free-standing instants are not requests
+			continue
 		}
 		if !first {
 			bw.printf(",")
 		}
 		first = false
-		bw.printf("\n    ")
+		bw.printf("\n        ")
 		writeCausalNode(bw, root)
 	}
-	bw.printf("\n  ],\n  \"critical_paths\": [")
-	for i, p := range paths {
+	bw.printf("\n      ],\n      \"critical_paths\": [")
+	for i, p := range CriticalPaths(f) {
 		if i > 0 {
 			bw.printf(",")
 		}
-		bw.printf("\n    {\"root\":%d,\"class\":%s,\"arg1\":%d,\"total_cycles\":%d,\"self_cycles\":%d,\"events\":%d,\"by_class\":[",
+		bw.printf("\n        {\"root\":%d,\"class\":%s,\"arg1\":%d,\"total_cycles\":%d,\"self_cycles\":%d,\"events\":%d,\"by_class\":[",
 			p.Root, strconv.Quote(p.Class.String()), p.Arg1, p.Total, p.Self, p.Events)
 		for j, c := range p.ByClass {
 			if j > 0 {
@@ -165,8 +215,7 @@ func WriteCausalTrace(w io.Writer, r *Recorder) error {
 		}
 		bw.printf("]}")
 	}
-	bw.printf("\n  ]\n}\n")
-	return bw.err
+	bw.printf("\n      ]\n    }")
 }
 
 func writeCausalNode(bw *errWriter, n *CausalNode) {

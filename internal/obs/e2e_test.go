@@ -47,11 +47,11 @@ func runOnce(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	err = obs.WriteChromeTrace(&buf, rec, obs.ChromeOptions{
+	err = obs.WriteChromeTrace(&buf, obs.ChromeOptions{
 		ProcessName:          "veil-test",
 		CyclesPerMicrosecond: float64(snp.SimClockHz) / 1e6,
 		SyscallName:          func(n uint64) string { return kernel.SysNo(n).Name() },
-	})
+	}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

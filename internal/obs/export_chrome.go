@@ -9,7 +9,8 @@ import (
 
 // ChromeOptions configures the Chrome trace_event exporter.
 type ChromeOptions struct {
-	// ProcessName labels the single process track ("veil" if empty).
+	// ProcessName prefixes each machine's process track, which is named
+	// "<ProcessName>/m<id>" ("veil" if empty).
 	ProcessName string
 	// CyclesPerMicrosecond converts virtual cycles to the microsecond
 	// timestamps the trace_event format expects (1000 if zero; pass the
@@ -21,40 +22,20 @@ type ChromeOptions struct {
 	SyscallName func(sysno uint64) string
 }
 
-// WriteChromeTrace writes the recorder's events as Chrome trace_event JSON
-// (the "JSON Array Format" with one object), loadable in chrome://tracing
-// and Perfetto. Events land on one track per VCPU; the recorder's machine
-// id (SetMachine) becomes the process id, so single-machine recorders
-// export pid 0 exactly as before. The output is fully deterministic: two
-// identical simulations export byte-identical files.
-func WriteChromeTrace(w io.Writer, r *Recorder, opts ChromeOptions) error {
-	if opts.ProcessName == "" {
-		opts.ProcessName = "veil"
-	}
-	cpm := opts.CyclesPerMicrosecond
-	if cpm <= 0 {
-		cpm = 1000
-	}
-	bw := &errWriter{w: w}
-	bw.printf("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"producer\":\"%s\",\"dropped_events\":\"%d\"},\"traceEvents\":[\n", opts.ProcessName, r.Dropped())
-	flowID := 0
-	writeChromeProcess(bw, r, opts.ProcessName, cpm, opts.SyscallName, &flowID, true, nil)
-	bw.printf("\n]}\n")
-	return bw.err
-}
-
-// WriteFleetChromeTrace merges the per-machine recorders of a fleet run
-// into one Chrome trace: one process per machine (pid = machine id,
-// process_name "<name>/m<id>"), machines emitted in slice order. Virtual
+// WriteChromeTrace writes the recorders' events as Chrome trace_event
+// JSON (the "JSON Array Format" with one object), loadable in
+// chrome://tracing and Perfetto. Each recorder is one process (pid = its
+// machine id, process_name "<name>/m<id>"), emitted in slice order, with
+// one track per VCPU; a single machine is simply a fleet of one. Virtual
 // time is the shared fleet clock, so cross-CVM exchanges line up on the
 // common timeline, and matched NetTx→NetRx breadcrumbs become
 // cross-process "wire" flow arrows: a request crossing machines renders
-// as one connected flow. Deterministic for a deterministic fleet run.
+// as one connected flow. The output is fully deterministic: two identical
+// runs export byte-identical files.
 //
-// The recorder slice must be a well-formed fleet: non-empty, no nil
-// entries, every recorder tagged via SetMachine, no duplicate machine
-// ids. Anything else errors rather than silently interleaving tracks.
-func WriteFleetChromeTrace(w io.Writer, recs []*Recorder, opts ChromeOptions) error {
+// The recorders must form a well-formed fleet (see validateFleet);
+// anything else errors rather than silently interleaving tracks.
+func WriteChromeTrace(w io.Writer, opts ChromeOptions, recs ...*Recorder) error {
 	if err := validateFleet(recs); err != nil {
 		return err
 	}
@@ -69,13 +50,18 @@ func WriteFleetChromeTrace(w io.Writer, recs []*Recorder, opts ChromeOptions) er
 	for _, r := range recs {
 		dropped += r.Dropped()
 	}
-	wires := fleetTxIndex(recs)
+	// The merge buffers are the largest allocations of an export; they come
+	// from a pool so repeated exports (a bench loop, a dashboard refresh)
+	// reuse grown slices.
+	ms, release := machineEvents(recs)
+	defer release()
+	wires := fleetTxIndex(ms)
 	bw := &errWriter{w: w}
 	bw.printf("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"producer\":\"%s\",\"dropped_events\":\"%d\"},\"traceEvents\":[\n", opts.ProcessName, dropped)
 	flowID := 0
-	for i, r := range recs {
-		name := fmt.Sprintf("%s/m%d", opts.ProcessName, r.Machine())
-		writeChromeProcess(bw, r, name, cpm, opts.SyscallName, &flowID, i == 0, wires)
+	for i, m := range ms {
+		name := fmt.Sprintf("%s/m%d", opts.ProcessName, m.Machine)
+		writeChromeProcess(bw, m, name, cpm, opts.SyscallName, &flowID, i == 0, wires)
 	}
 	bw.printf("\n]}\n")
 	return bw.err
@@ -83,22 +69,12 @@ func WriteFleetChromeTrace(w io.Writer, recs []*Recorder, opts ChromeOptions) er
 
 // writeChromeProcess emits one machine's worth of trace rows: process and
 // thread metadata, every retained event, intra-machine causal flow
-// arrows and — when wires is non-nil (fleet export) — cross-process
-// "wire" arrows from each NetRx back to the NetTx that sent its frame.
-// first suppresses the leading comma of the very first row of the file;
-// flowID is shared across machines so arrow ids stay unique in a merged
-// trace.
-func writeChromeProcess(bw *errWriter, r *Recorder, name string, cpm float64, sysName func(uint64) string, flowID *int, first bool, wires map[[2]uint64]*fleetTxPoint) {
-	pid := r.Machine()
-	// The merge buffer is the largest allocation of an export; draw it from
-	// the pool so repeated exports (a bench loop, a dashboard refresh)
-	// reuse one grown slice.
-	ep := eventMergePool.Get().(*[]Event)
-	events := r.appendEvents((*ep)[:0])
-	defer func() {
-		*ep = events[:0]
-		eventMergePool.Put(ep)
-	}()
+// arrows and cross-process "wire" arrows from each NetRx back to the
+// NetTx that sent its frame. first suppresses the leading comma of the
+// very first row of the file; flowID is shared across machines so arrow
+// ids stay unique in a merged trace.
+func writeChromeProcess(bw *errWriter, m MachineEvents, name string, cpm float64, sysName func(uint64) string, flowID *int, first bool, wires map[[2]uint64]*fleetTxPoint) {
+	pid, events := m.Machine, m.Events
 
 	// One metadata row per observed VCPU, in ascending order, so tracks
 	// are stably named.
@@ -148,7 +124,7 @@ func writeChromeProcess(bw *errWriter, r *Recorder, name string, cpm float64, sy
 		// One cross-process arrow per matched wire hop: the sender's NetTx
 		// breadcrumb → this machine's NetRx, rendering the request as one
 		// connected flow across machine process tracks.
-		if wires != nil && e.Class == ClassNetRx {
+		if e.Class == ClassNetRx {
 			if tx, ok := wires[[2]uint64{e.Arg1, e.Arg2}]; ok && tx.machine != pid {
 				*flowID++
 				bw.printf(",\n{\"ph\":\"s\",\"id\":%d,\"name\":\"wire\",\"cat\":\"veil\",\"pid\":%d,\"tid\":%d,\"ts\":%s}",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -66,7 +67,8 @@ func buildRichRecorder(seed int64, capacity int) *Recorder {
 
 // TestExportDifferential pins the pooled exporters byte-for-byte to their
 // fmt-based reference implementations across seeds, including
-// eviction-heavy recorders.
+// eviction-heavy recorders and merged pages of two and three machines
+// (the last machine's ring overflowing).
 func TestExportDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, capacity := range []int{64, 1 << 12} { // with and without eviction
@@ -93,6 +95,28 @@ func TestExportDifferential(t *testing.T) {
 			if !bytes.Equal(pooled.Bytes(), ref.Bytes()) {
 				t.Fatalf("seed %d cap %d: pooled summary diverged from reference:\n%s",
 					seed, capacity, firstDiff(pooled.Bytes(), ref.Bytes()))
+			}
+		}
+		for _, n := range []int{2, 3} {
+			recs := make([]*Recorder, n)
+			for i := range recs {
+				capacity := 1 << 12
+				if i == n-1 {
+					capacity = 64
+				}
+				recs[i] = buildRichRecorder(seed*10+int64(i), capacity)
+				recs[i].SetMachine(i)
+			}
+			var pooled, ref bytes.Buffer
+			if err := WritePrometheus(&pooled, recs...); err != nil {
+				t.Fatal(err)
+			}
+			if err := WritePrometheusReference(&ref, recs...); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pooled.Bytes(), ref.Bytes()) {
+				t.Fatalf("seed %d, %d machines: pooled Prometheus page diverged from reference:\n%s",
+					seed, n, firstDiff(pooled.Bytes(), ref.Bytes()))
 			}
 		}
 	}
@@ -154,12 +178,23 @@ func TestExportZeroAlloc(t *testing.T) {
 	r := buildRichRecorder(7, 1<<12)
 	r.aux, r.gauges = nil, nil
 	m := r.Metrics()
+	recs, ms := []*Recorder{r}, []*Metrics{m}
 	buf := make([]byte, 0, 64<<10)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendPrometheus(buf[:0], r, m)
+		buf = appendPrometheus(buf[:0], recs, ms)
 	})
 	if allocs != 0 {
 		t.Errorf("appendPrometheus allocates %.1f times per page, want 0", allocs)
+	}
+	// The variadic wrapper must keep its recorder slice and snapshot list
+	// on the stack too.
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := WritePrometheus(io.Discard, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WritePrometheus allocates %.1f times per page, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
 		buf = appendSummary(buf[:0], r, m)

@@ -5,158 +5,187 @@ import (
 	"strconv"
 )
 
-// WritePrometheus writes the metrics registry in the Prometheus text
-// exposition format (version 0.0.4): event counters per class, span
-// duration summaries (p50/p95/p99 over virtual cycles), the per-cost-kind
-// cycle-attribution table, and the trace drop counter. Output order is
-// fixed, so identical runs expose byte-identical pages.
+// WritePrometheus writes the metrics registries of one machine or a
+// fleet in the Prometheus text exposition format (version 0.0.4): event
+// counters per class, span duration summaries (p50/p95/p99 over virtual
+// cycles), service, request and ring latency summaries, the per-cost-kind
+// cycle-attribution table, the producer's aux counters and gauges, and the
+// trace drop counters. A single machine is a fleet of one: every series
+// carries machine="<id>" as its first label, each family lists its
+// machines in slice order, and output order is otherwise fixed, so
+// identical runs expose byte-identical pages.
 //
 // This is the pooled hot path: the page is formatted into reusable
 // scratch by appendPrometheus and written in one call.
 // WritePrometheusReference is the fmt-based reference implementation it
 // is differentially tested against.
-func WritePrometheus(w io.Writer, r *Recorder) error {
-	m := r.Metrics()
+func WritePrometheus(w io.Writer, recs ...*Recorder) error {
+	if err := validateFleet(recs); err != nil {
+		return err
+	}
+	// Fixed-size backing keeps the snapshot list off the heap for the
+	// usual handful of machines.
+	var backing [8]*Metrics
+	ms := backing[:0]
+	for _, r := range recs {
+		ms = append(ms, r.Metrics())
+	}
 	bp := exportScratch.Get().(*[]byte)
-	buf := appendPrometheus((*bp)[:0], r, m)
+	buf := appendPrometheus((*bp)[:0], recs, ms)
 	_, err := w.Write(buf)
 	*bp = buf[:0]
 	exportScratch.Put(bp)
 	return err
 }
 
-// promQuantiles / promSummaryQuantiles are the pre-rendered
-// `,quantile="…"} ` label fragments of the two quantile sets the page
-// uses (span summaries use p95, the latency summaries p90).
+// promQuantile is one pre-rendered `,quantile="…"} ` label fragment.
+// Span summaries use p95, the latency summaries p90.
+type promQuantile struct {
+	frag string
+	q    float64
+}
+
 var (
-	promSpanQuantiles = [3]struct {
-		frag string
-		q    float64
-	}{{`,quantile="0.5"} `, 0.5}, {`,quantile="0.95"} `, 0.95}, {`,quantile="0.99"} `, 0.99}}
-	promLatQuantiles = [3]struct {
-		frag string
-		q    float64
-	}{{`,quantile="0.5"} `, 0.5}, {`,quantile="0.9"} `, 0.9}, {`,quantile="0.99"} `, 0.99}}
+	promSpanQuantiles = [3]promQuantile{{`,quantile="0.5"} `, 0.5}, {`,quantile="0.95"} `, 0.95}, {`,quantile="0.99"} `, 0.99}}
+	promLatQuantiles  = [3]promQuantile{{`,quantile="0.5"} `, 0.5}, {`,quantile="0.9"} `, 0.9}, {`,quantile="0.99"} `, 0.99}}
 )
 
-// appendPrometheus renders the full exposition page into b. It allocates
-// nothing beyond b's own growth (the zero-alloc pin in the tests), which
-// is what lets WritePrometheus run allocation-free from pooled scratch.
-func appendPrometheus(b []byte, r *Recorder, m *Metrics) []byte {
+// appendPrometheus renders the full exposition page into b; ms[i] is
+// recs[i]'s metrics snapshot. It allocates nothing beyond b's own growth
+// (the zero-alloc pin in the tests), which is what lets WritePrometheus
+// run allocation-free from pooled scratch.
+func appendPrometheus(b []byte, recs []*Recorder, ms []*Metrics) []byte {
 	b = append(b, "# HELP veil_events_total Events recorded per class.\n# TYPE veil_events_total counter\n"...)
-	for c := Class(0); c < NumClasses; c++ {
-		b = append(b, "veil_events_total{class="...)
-		b = append(b, classQuoted[c]...)
-		b = append(b, "} "...)
-		b = strconv.AppendUint(b, m.Count(c), 10)
-		b = append(b, '\n')
+	for i, m := range ms {
+		for c := Class(0); c < NumClasses; c++ {
+			b = appendValue(appendClassSeries(b, "veil_events_total", "", recs[i], c), "} ", m.Count(c))
+		}
 	}
 
 	b = append(b, "# HELP veil_span_cycles Span durations in virtual cycles.\n# TYPE veil_span_cycles summary\n"...)
-	for c := Class(0); c < NumClasses; c++ {
-		h := m.SpanHist(c)
-		if h == nil || h.Count() == 0 {
-			continue
+	for i, m := range ms {
+		for c := Class(0); c < NumClasses; c++ {
+			if h := m.SpanHist(c); h != nil && h.Count() > 0 {
+				b = appendSummaryLines(b, &promSpanQuantiles, h, func(b []byte, suffix string) []byte {
+					return appendClassSeries(b, "veil_span_cycles", suffix, recs[i], c)
+				})
+			}
 		}
-		for _, q := range promSpanQuantiles {
-			b = append(b, "veil_span_cycles{class="...)
-			b = append(b, classQuoted[c]...)
-			b = append(b, q.frag...)
-			b = strconv.AppendUint(b, h.Quantile(q.q), 10)
-			b = append(b, '\n')
-		}
-		b = append(b, "veil_span_cycles_sum{class="...)
-		b = append(b, classQuoted[c]...)
-		b = append(b, "} "...)
-		b = strconv.AppendUint(b, h.Sum(), 10)
-		b = append(b, "\nveil_span_cycles_count{class="...)
-		b = append(b, classQuoted[c]...)
-		b = append(b, "} "...)
-		b = strconv.AppendUint(b, h.Count(), 10)
-		b = append(b, '\n')
 	}
 
 	b = append(b, "# HELP veil_service_latency_cycles Protected-service dispatch latency in virtual cycles.\n# TYPE veil_service_latency_cycles summary\n"...)
-	for s := 0; s < MaxServices; s++ {
-		h := m.ServiceHist(s)
-		if h == nil || h.Count() == 0 {
-			continue
+	for i, m := range ms {
+		for s := 0; s < MaxServices; s++ {
+			if h := m.ServiceHist(s); h != nil && h.Count() > 0 {
+				name := m.ServiceName(s)
+				b = appendSummaryLines(b, &promLatQuantiles, h, func(b []byte, suffix string) []byte {
+					b = append(appendSeries(b, "veil_service_latency_cycles", suffix, recs[i]), ",service="...)
+					return appendServiceName(b, name, s)
+				})
+			}
 		}
-		name := m.ServiceName(s)
-		for _, q := range promLatQuantiles {
-			b = append(b, "veil_service_latency_cycles{service="...)
-			b = appendServiceName(b, name, s)
-			b = append(b, q.frag...)
-			b = strconv.AppendUint(b, h.Quantile(q.q), 10)
-			b = append(b, '\n')
-		}
-		b = append(b, "veil_service_latency_cycles_sum{service="...)
-		b = appendServiceName(b, name, s)
-		b = append(b, "} "...)
-		b = strconv.AppendUint(b, h.Sum(), 10)
-		b = append(b, "\nveil_service_latency_cycles_count{service="...)
-		b = appendServiceName(b, name, s)
-		b = append(b, "} "...)
-		b = strconv.AppendUint(b, h.Count(), 10)
-		b = append(b, '\n')
 	}
 
 	b = append(b, "# HELP veil_request_latency_cycles Root-span (per-request) latency per VCPU in virtual cycles.\n# TYPE veil_request_latency_cycles summary\n"...)
-	b = appendVCPUSummary(b, m, "veil_request_latency_cycles", (*Metrics).RequestHist)
+	for i, m := range ms {
+		b = appendVCPUSummary(b, recs[i], m, "veil_request_latency_cycles", (*Metrics).RequestHist)
+	}
 
 	b = append(b, "# HELP veil_ring_latency_cycles Batched-ring submit-to-completion latency per VCPU in virtual cycles.\n# TYPE veil_ring_latency_cycles summary\n"...)
-	b = appendVCPUSummary(b, m, "veil_ring_latency_cycles", (*Metrics).RingLatHist)
+	for i, m := range ms {
+		b = appendVCPUSummary(b, recs[i], m, "veil_ring_latency_cycles", (*Metrics).RingLatHist)
+	}
 
 	b = append(b, "# HELP veil_cycles_total Virtual cycles attributed per cost kind.\n# TYPE veil_cycles_total counter\n"...)
-	for k := 0; k < m.NumKinds() && k < MaxKinds; k++ {
-		b = append(b, "veil_cycles_total{kind="...)
-		b = appendQuoted(b, m.KindName(k))
-		b = append(b, "} "...)
-		b = strconv.AppendUint(b, m.kindCycles[k], 10)
-		b = append(b, '\n')
+	for i, m := range ms {
+		for k := 0; k < m.NumKinds() && k < MaxKinds; k++ {
+			b = append(appendSeries(b, "veil_cycles_total", "", recs[i]), ",kind="...)
+			b = appendValue(appendQuoted(b, m.KindName(k)), "} ", m.kindCycles[k])
+		}
 	}
 
-	if names, values := r.AuxCounters(); len(names) > 0 {
-		b = append(b, "# HELP veil_aux_total Producer-registered auxiliary counters.\n# TYPE veil_aux_total counter\n"...)
+	// The aux families appear once any machine registered a source; each
+	// machine's sources are read exactly once per page.
+	header := false
+	for _, r := range recs {
+		names, values := r.AuxCounters()
+		if len(names) > 0 && !header {
+			b = append(b, "# HELP veil_aux_total Producer-registered auxiliary counters.\n# TYPE veil_aux_total counter\n"...)
+			header = true
+		}
 		for i, n := range names {
 			if i < len(values) {
-				b = append(b, "veil_aux_total{counter="...)
-				b = appendQuoted(b, n)
-				b = append(b, "} "...)
-				b = strconv.AppendUint(b, values[i], 10)
-				b = append(b, '\n')
+				b = append(appendSeries(b, "veil_aux_total", "", r), ",counter="...)
+				b = appendValue(appendQuoted(b, n), "} ", values[i])
 			}
 		}
 	}
 
-	if names, values := r.AuxGauges(); len(names) > 0 {
-		b = append(b, "# HELP veil_aux_gauge Producer-registered derived gauges (rates, ratios).\n# TYPE veil_aux_gauge gauge\n"...)
+	header = false
+	for _, r := range recs {
+		names, values := r.AuxGauges()
+		if len(names) > 0 && !header {
+			b = append(b, "# HELP veil_aux_gauge Producer-registered derived gauges (rates, ratios).\n# TYPE veil_aux_gauge gauge\n"...)
+			header = true
+		}
 		for i, n := range names {
 			if i < len(values) {
-				b = append(b, "veil_aux_gauge{gauge="...)
-				b = appendQuoted(b, n)
-				b = append(b, "} "...)
-				b = strconv.AppendFloat(b, values[i], 'f', 6, 64)
-				b = append(b, '\n')
+				b = append(appendSeries(b, "veil_aux_gauge", "", r), ",gauge="...)
+				b = append(appendQuoted(b, n), "} "...)
+				b = append(strconv.AppendFloat(b, values[i], 'f', 6, 64), '\n')
 			}
 		}
 	}
 
-	b = append(b, "# HELP veil_trace_dropped_total Events evicted from the trace ring.\n# TYPE veil_trace_dropped_total counter\nveil_trace_dropped_total "...)
-	b = strconv.AppendUint(b, r.Dropped(), 10)
-	b = append(b, '\n')
+	b = append(b, "# HELP veil_trace_dropped_total Events evicted from the trace ring.\n# TYPE veil_trace_dropped_total counter\n"...)
+	for _, r := range recs {
+		b = appendValue(appendSeries(b, "veil_trace_dropped_total", "", r), "} ", r.Dropped())
+	}
 
 	b = append(b, "# HELP veil_trace_dropped_by_class_total Events evicted from the trace ring, per class.\n# TYPE veil_trace_dropped_by_class_total counter\n"...)
-	for c := Class(0); c < NumClasses; c++ {
-		if n := m.DroppedByClass(c); n > 0 {
-			b = append(b, "veil_trace_dropped_by_class_total{class="...)
-			b = append(b, classQuoted[c]...)
-			b = append(b, "} "...)
-			b = strconv.AppendUint(b, n, 10)
-			b = append(b, '\n')
+	for i, m := range ms {
+		for c := Class(0); c < NumClasses; c++ {
+			if n := m.DroppedByClass(c); n > 0 {
+				b = appendValue(appendClassSeries(b, "veil_trace_dropped_by_class_total", "", recs[i], c), "} ", n)
+			}
 		}
 	}
 	return b
+}
+
+// appendSeries opens a series line up to its first label:
+// `<metric><suffix>{machine="<id>"`. Other labels follow with a leading
+// comma; appendValue closes the line.
+func appendSeries(b []byte, metric, suffix string, r *Recorder) []byte {
+	b = append(b, metric...)
+	b = append(b, suffix...)
+	b = append(b, `{machine="`...)
+	b = strconv.AppendInt(b, int64(r.Machine()), 10)
+	return append(b, '"')
+}
+
+// appendClassSeries opens a series labeled with the machine and class c.
+func appendClassSeries(b []byte, metric, suffix string, r *Recorder, c Class) []byte {
+	b = append(appendSeries(b, metric, suffix, r), ",class="...)
+	return append(b, classQuoted[c]...)
+}
+
+// appendValue closes a series line: sep (`} ` or a quantile fragment),
+// the value and the newline.
+func appendValue(b []byte, sep string, v uint64) []byte {
+	b = append(b, sep...)
+	return append(strconv.AppendUint(b, v, 10), '\n')
+}
+
+// appendSummaryLines renders one summary: its three quantile lines, then
+// _sum and _count. open appends the series name with the given suffix
+// and every label but the quantile.
+func appendSummaryLines(b []byte, qs *[3]promQuantile, h *Histogram, open func(b []byte, suffix string) []byte) []byte {
+	for _, q := range qs {
+		b = appendValue(open(b, ""), q.frag, h.Quantile(q.q))
+	}
+	b = appendValue(open(b, "_sum"), "} ", h.Sum())
+	return appendValue(open(b, "_count"), "} ", h.Count())
 }
 
 // appendServiceName appends the quoted service label, falling back to the
@@ -172,33 +201,14 @@ func appendServiceName(b []byte, name string, s int) []byte {
 
 // appendVCPUSummary renders one per-VCPU latency summary family (the
 // request and ring sections share the exact same shape).
-func appendVCPUSummary(b []byte, m *Metrics, metric string, hist func(*Metrics, int) *Histogram) []byte {
+func appendVCPUSummary(b []byte, r *Recorder, m *Metrics, metric string, hist func(*Metrics, int) *Histogram) []byte {
 	for v := 0; v < m.VCPUs(); v++ {
-		h := hist(m, v)
-		if h == nil || h.Count() == 0 {
-			continue
+		if h := hist(m, v); h != nil && h.Count() > 0 {
+			b = appendSummaryLines(b, &promLatQuantiles, h, func(b []byte, suffix string) []byte {
+				b = append(appendSeries(b, metric, suffix, r), `,vcpu="`...)
+				return append(strconv.AppendInt(b, int64(v), 10), '"')
+			})
 		}
-		for _, q := range promLatQuantiles {
-			b = append(b, metric...)
-			b = append(b, `{vcpu="`...)
-			b = strconv.AppendInt(b, int64(v), 10)
-			b = append(b, '"')
-			b = append(b, q.frag...)
-			b = strconv.AppendUint(b, h.Quantile(q.q), 10)
-			b = append(b, '\n')
-		}
-		b = append(b, metric...)
-		b = append(b, `_sum{vcpu="`...)
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, `"} `...)
-		b = strconv.AppendUint(b, h.Sum(), 10)
-		b = append(b, '\n')
-		b = append(b, metric...)
-		b = append(b, `_count{vcpu="`...)
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, `"} `...)
-		b = strconv.AppendUint(b, h.Count(), 10)
-		b = append(b, '\n')
 	}
 	return b
 }
@@ -208,124 +218,145 @@ func appendVCPUSummary(b []byte, m *Metrics, metric string, hist func(*Metrics, 
 // pooled WritePrometheus (byte-identical output is asserted in the tests)
 // and as the "legacy export path" baseline the hostperf benchmark measures
 // speedup against.
-func WritePrometheusReference(w io.Writer, r *Recorder) error {
+func WritePrometheusReference(w io.Writer, recs ...*Recorder) error {
+	if err := validateFleet(recs); err != nil {
+		return err
+	}
 	bw := &errWriter{w: w}
-	m := r.metricsRebuild() // the legacy path re-aggregated per exporter
+	ms := make([]*Metrics, len(recs))
+	for i, r := range recs {
+		ms[i] = r.metricsRebuild() // the legacy path re-aggregated per exporter
+	}
+	type quantile struct {
+		label string
+		q     float64
+	}
+	spanQ := []quantile{{"0.5", 0.5}, {"0.95", 0.95}, {"0.99", 0.99}}
+	latQ := []quantile{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}}
 
 	bw.printf("# HELP veil_events_total Events recorded per class.\n")
 	bw.printf("# TYPE veil_events_total counter\n")
-	for c := Class(0); c < NumClasses; c++ {
-		bw.printf("veil_events_total{class=%q} %d\n", c.String(), m.Count(c))
+	for i, m := range ms {
+		for c := Class(0); c < NumClasses; c++ {
+			bw.printf("veil_events_total{machine=\"%d\",class=%q} %d\n", recs[i].Machine(), c.String(), m.Count(c))
+		}
 	}
 
 	bw.printf("# HELP veil_span_cycles Span durations in virtual cycles.\n")
 	bw.printf("# TYPE veil_span_cycles summary\n")
-	for c := Class(0); c < NumClasses; c++ {
-		h := m.SpanHist(c)
-		if h == nil || h.Count() == 0 {
-			continue
+	for i, m := range ms {
+		id := recs[i].Machine()
+		for c := Class(0); c < NumClasses; c++ {
+			h := m.SpanHist(c)
+			if h == nil || h.Count() == 0 {
+				continue
+			}
+			for _, q := range spanQ {
+				bw.printf("veil_span_cycles{machine=\"%d\",class=%q,quantile=%q} %d\n", id, c.String(), q.label, h.Quantile(q.q))
+			}
+			bw.printf("veil_span_cycles_sum{machine=\"%d\",class=%q} %d\n", id, c.String(), h.Sum())
+			bw.printf("veil_span_cycles_count{machine=\"%d\",class=%q} %d\n", id, c.String(), h.Count())
 		}
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.5}, {"0.95", 0.95}, {"0.99", 0.99}} {
-			bw.printf("veil_span_cycles{class=%q,quantile=%q} %d\n", c.String(), q.label, h.Quantile(q.q))
-		}
-		bw.printf("veil_span_cycles_sum{class=%q} %d\n", c.String(), h.Sum())
-		bw.printf("veil_span_cycles_count{class=%q} %d\n", c.String(), h.Count())
 	}
 
 	bw.printf("# HELP veil_service_latency_cycles Protected-service dispatch latency in virtual cycles.\n")
 	bw.printf("# TYPE veil_service_latency_cycles summary\n")
-	for s := 0; s < MaxServices; s++ {
-		h := m.ServiceHist(s)
-		if h == nil || h.Count() == 0 {
-			continue
+	for i, m := range ms {
+		id := recs[i].Machine()
+		for s := 0; s < MaxServices; s++ {
+			h := m.ServiceHist(s)
+			if h == nil || h.Count() == 0 {
+				continue
+			}
+			name := m.ServiceName(s)
+			if name == "" {
+				name = "service-" + strconv.Itoa(s)
+			}
+			for _, q := range latQ {
+				bw.printf("veil_service_latency_cycles{machine=\"%d\",service=%q,quantile=%q} %d\n", id, name, q.label, h.Quantile(q.q))
+			}
+			bw.printf("veil_service_latency_cycles_sum{machine=\"%d\",service=%q} %d\n", id, name, h.Sum())
+			bw.printf("veil_service_latency_cycles_count{machine=\"%d\",service=%q} %d\n", id, name, h.Count())
 		}
-		name := m.ServiceName(s)
-		if name == "" {
-			name = "service-" + strconv.Itoa(s)
-		}
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}} {
-			bw.printf("veil_service_latency_cycles{service=%q,quantile=%q} %d\n", name, q.label, h.Quantile(q.q))
-		}
-		bw.printf("veil_service_latency_cycles_sum{service=%q} %d\n", name, h.Sum())
-		bw.printf("veil_service_latency_cycles_count{service=%q} %d\n", name, h.Count())
 	}
 
-	bw.printf("# HELP veil_request_latency_cycles Root-span (per-request) latency per VCPU in virtual cycles.\n")
-	bw.printf("# TYPE veil_request_latency_cycles summary\n")
-	for v := 0; v < m.VCPUs(); v++ {
-		h := m.RequestHist(v)
-		if h == nil || h.Count() == 0 {
-			continue
-		}
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}} {
-			bw.printf("veil_request_latency_cycles{vcpu=\"%d\",quantile=%q} %d\n", v, q.label, h.Quantile(q.q))
-		}
-		bw.printf("veil_request_latency_cycles_sum{vcpu=\"%d\"} %d\n", v, h.Sum())
-		bw.printf("veil_request_latency_cycles_count{vcpu=\"%d\"} %d\n", v, h.Count())
-	}
-
-	bw.printf("# HELP veil_ring_latency_cycles Batched-ring submit-to-completion latency per VCPU in virtual cycles.\n")
-	bw.printf("# TYPE veil_ring_latency_cycles summary\n")
-	for v := 0; v < m.VCPUs(); v++ {
-		h := m.RingLatHist(v)
-		if h == nil || h.Count() == 0 {
-			continue
-		}
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}} {
-			bw.printf("veil_ring_latency_cycles{vcpu=\"%d\",quantile=%q} %d\n", v, q.label, h.Quantile(q.q))
-		}
-		bw.printf("veil_ring_latency_cycles_sum{vcpu=\"%d\"} %d\n", v, h.Sum())
-		bw.printf("veil_ring_latency_cycles_count{vcpu=\"%d\"} %d\n", v, h.Count())
-	}
-
-	bw.printf("# HELP veil_cycles_total Virtual cycles attributed per cost kind.\n")
-	bw.printf("# TYPE veil_cycles_total counter\n")
-	byKind := m.CyclesByKind()
-	for k := 0; k < m.NumKinds() && k < len(byKind); k++ {
-		bw.printf("veil_cycles_total{kind=%q} %d\n", m.KindName(k), byKind[k])
-	}
-
-	if names, values := r.AuxCounters(); len(names) > 0 {
-		bw.printf("# HELP veil_aux_total Producer-registered auxiliary counters.\n")
-		bw.printf("# TYPE veil_aux_total counter\n")
-		for i, n := range names {
-			if i < len(values) {
-				bw.printf("veil_aux_total{counter=%q} %d\n", n, values[i])
+	for _, fam := range []struct {
+		metric, help string
+		hist         func(*Metrics, int) *Histogram
+	}{
+		{"veil_request_latency_cycles", "Root-span (per-request) latency per VCPU in virtual cycles.", (*Metrics).RequestHist},
+		{"veil_ring_latency_cycles", "Batched-ring submit-to-completion latency per VCPU in virtual cycles.", (*Metrics).RingLatHist},
+	} {
+		bw.printf("# HELP %s %s\n", fam.metric, fam.help)
+		bw.printf("# TYPE %s summary\n", fam.metric)
+		for i, m := range ms {
+			id := recs[i].Machine()
+			for v := 0; v < m.VCPUs(); v++ {
+				h := fam.hist(m, v)
+				if h == nil || h.Count() == 0 {
+					continue
+				}
+				for _, q := range latQ {
+					bw.printf("%s{machine=\"%d\",vcpu=\"%d\",quantile=%q} %d\n", fam.metric, id, v, q.label, h.Quantile(q.q))
+				}
+				bw.printf("%s_sum{machine=\"%d\",vcpu=\"%d\"} %d\n", fam.metric, id, v, h.Sum())
+				bw.printf("%s_count{machine=\"%d\",vcpu=\"%d\"} %d\n", fam.metric, id, v, h.Count())
 			}
 		}
 	}
 
-	if names, values := r.AuxGauges(); len(names) > 0 {
-		bw.printf("# HELP veil_aux_gauge Producer-registered derived gauges (rates, ratios).\n")
-		bw.printf("# TYPE veil_aux_gauge gauge\n")
+	bw.printf("# HELP veil_cycles_total Virtual cycles attributed per cost kind.\n")
+	bw.printf("# TYPE veil_cycles_total counter\n")
+	for i, m := range ms {
+		byKind := m.CyclesByKind()
+		for k := 0; k < m.NumKinds() && k < len(byKind); k++ {
+			bw.printf("veil_cycles_total{machine=\"%d\",kind=%q} %d\n", recs[i].Machine(), m.KindName(k), byKind[k])
+		}
+	}
+
+	header := false
+	for _, r := range recs {
+		names, values := r.AuxCounters()
+		if len(names) > 0 && !header {
+			bw.printf("# HELP veil_aux_total Producer-registered auxiliary counters.\n")
+			bw.printf("# TYPE veil_aux_total counter\n")
+			header = true
+		}
 		for i, n := range names {
 			if i < len(values) {
-				bw.printf("veil_aux_gauge{gauge=%q} %s\n", n, strconv.FormatFloat(values[i], 'f', 6, 64))
+				bw.printf("veil_aux_total{machine=\"%d\",counter=%q} %d\n", r.Machine(), n, values[i])
+			}
+		}
+	}
+
+	header = false
+	for _, r := range recs {
+		names, values := r.AuxGauges()
+		if len(names) > 0 && !header {
+			bw.printf("# HELP veil_aux_gauge Producer-registered derived gauges (rates, ratios).\n")
+			bw.printf("# TYPE veil_aux_gauge gauge\n")
+			header = true
+		}
+		for i, n := range names {
+			if i < len(values) {
+				bw.printf("veil_aux_gauge{machine=\"%d\",gauge=%q} %s\n", r.Machine(), n, strconv.FormatFloat(values[i], 'f', 6, 64))
 			}
 		}
 	}
 
 	bw.printf("# HELP veil_trace_dropped_total Events evicted from the trace ring.\n")
 	bw.printf("# TYPE veil_trace_dropped_total counter\n")
-	bw.printf("veil_trace_dropped_total %d\n", r.Dropped())
+	for _, r := range recs {
+		bw.printf("veil_trace_dropped_total{machine=\"%d\"} %d\n", r.Machine(), r.Dropped())
+	}
 
 	bw.printf("# HELP veil_trace_dropped_by_class_total Events evicted from the trace ring, per class.\n")
 	bw.printf("# TYPE veil_trace_dropped_by_class_total counter\n")
-	for c := Class(0); c < NumClasses; c++ {
-		if n := m.DroppedByClass(c); n > 0 {
-			bw.printf("veil_trace_dropped_by_class_total{class=%q} %d\n", c.String(), n)
+	for i, m := range ms {
+		for c := Class(0); c < NumClasses; c++ {
+			if n := m.DroppedByClass(c); n > 0 {
+				bw.printf("veil_trace_dropped_by_class_total{machine=\"%d\",class=%q} %d\n", recs[i].Machine(), c.String(), n)
+			}
 		}
 	}
 	return bw.err

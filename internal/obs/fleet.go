@@ -3,9 +3,7 @@ package obs
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 )
 
 // Fleet-wide causal analysis (obs v4). Per-machine recorders carry NetTx
@@ -16,29 +14,47 @@ import (
 // on the shared virtual fleet clock — shows up as its own quantity,
 // charged to neither machine.
 
-// validateFleet rejects recorder slices a merged export would mangle:
-// nothing to merge, nil entries, recorders never tagged with a fleet
-// identity, or two recorders claiming the same machine id (which would
-// silently interleave their tracks).
+// validateFleet rejects recorder slices an export would mangle: nothing
+// to export, nil entries, or two recorders claiming the same machine id
+// (which would silently interleave their tracks and series). A recorder
+// never tagged via SetMachine is machine 0, so it collides with a tagged
+// machine 0 exactly like two tagged ones would. Fleets are small, so the
+// duplicate scan is quadratic rather than a map: the check runs on the
+// allocation-free Prometheus path.
 func validateFleet(recs []*Recorder) error {
 	if len(recs) == 0 {
-		return errors.New("obs: fleet export needs at least one recorder")
+		return errors.New("obs: export needs at least one recorder")
 	}
-	seen := make(map[int]bool, len(recs))
 	for i, r := range recs {
 		if r == nil {
-			return fmt.Errorf("obs: fleet recorder %d is nil", i)
+			return fmt.Errorf("obs: recorder %d is nil", i)
 		}
-		if !r.MachineTagged() {
-			return fmt.Errorf("obs: fleet recorder %d was never tagged via SetMachine", i)
-		}
-		if id := r.Machine(); seen[id] {
-			return fmt.Errorf("obs: duplicate machine id %d in fleet export", id)
-		} else {
-			seen[id] = true
+		for _, prev := range recs[:i] {
+			if prev.Machine() == r.Machine() {
+				return fmt.Errorf("obs: duplicate machine id %d in export", r.Machine())
+			}
 		}
 	}
 	return nil
+}
+
+// machineEvents merges each recorder's shards once, into pooled buffers,
+// so one export reads every retained event stream without re-merging it
+// per helper. release hands the buffers back; callers must not keep the
+// event slices past it.
+func machineEvents(recs []*Recorder) (ms []MachineEvents, release func()) {
+	ms = make([]MachineEvents, len(recs))
+	bufs := make([]*[]Event, len(recs))
+	for i, r := range recs {
+		bufs[i] = eventMergePool.Get().(*[]Event)
+		ms[i] = MachineEvents{Machine: r.Machine(), Events: r.appendEvents((*bufs[i])[:0])}
+	}
+	return ms, func() {
+		for i, bp := range bufs {
+			*bp = ms[i].Events[:0]
+			eventMergePool.Put(bp)
+		}
+	}
 }
 
 // FleetEdge is one matched cross-machine hop: a NetTx on the source
@@ -84,12 +100,12 @@ type fleetTxPoint struct {
 // fleetTxIndex collects every NetTx across the fleet keyed by its
 // (trace, ctx-span) pair. Each sender invocation transmits at most one
 // frame, so the pair identifies at most one NetTx fleet-wide.
-func fleetTxIndex(recs []*Recorder) map[[2]uint64]*fleetTxPoint {
+func fleetTxIndex(ms []MachineEvents) map[[2]uint64]*fleetTxPoint {
 	idx := make(map[[2]uint64]*fleetTxPoint)
-	for _, r := range recs {
-		for _, e := range r.Events() {
+	for _, m := range ms {
+		for _, e := range m.Events {
 			if e.Class == ClassNetTx {
-				idx[[2]uint64{e.Arg1, e.Arg2}] = &fleetTxPoint{machine: r.Machine(), ts: e.TS, vcpu: e.VCPU}
+				idx[[2]uint64{e.Arg1, e.Arg2}] = &fleetTxPoint{machine: m.Machine, ts: e.TS, vcpu: e.VCPU}
 			}
 		}
 	}
@@ -103,10 +119,16 @@ func BuildFleetEdges(recs []*Recorder) (*FleetEdges, error) {
 	if err := validateFleet(recs); err != nil {
 		return nil, err
 	}
-	txs := fleetTxIndex(recs)
+	ms, release := machineEvents(recs)
+	defer release()
+	return buildFleetEdges(ms), nil
+}
+
+func buildFleetEdges(ms []MachineEvents) *FleetEdges {
+	txs := fleetTxIndex(ms)
 	out := &FleetEdges{}
-	for _, r := range recs {
-		for _, e := range r.Events() {
+	for _, m := range ms {
+		for _, e := range m.Events {
 			if e.Class != ClassNetRx {
 				continue
 			}
@@ -122,7 +144,7 @@ func BuildFleetEdges(recs []*Recorder) (*FleetEdges, error) {
 				SrcMachine: tx.machine,
 				SrcSpan:    srcSpan,
 				SrcTS:      tx.ts,
-				DstMachine: r.Machine(),
+				DstMachine: m.Machine,
 				DstSpan:    e.Parent,
 				DstTS:      e.TS,
 			}
@@ -137,7 +159,7 @@ func BuildFleetEdges(recs []*Recorder) (*FleetEdges, error) {
 			out.UnmatchedTx++
 		}
 	}
-	return out, nil
+	return out
 }
 
 // FleetRequest is the fleet-wide critical path of one trace: every wire
@@ -164,20 +186,26 @@ type FleetRequest struct {
 // FleetCriticalPaths groups the fleet's matched edges by trace and
 // computes each trace's cross-machine breakdown, ordered by trace ref.
 func FleetCriticalPaths(recs []*Recorder) ([]FleetRequest, *FleetEdges, error) {
-	edges, err := BuildFleetEdges(recs)
-	if err != nil {
+	if err := validateFleet(recs); err != nil {
 		return nil, nil, err
 	}
+	ms, release := machineEvents(recs)
+	defer release()
+	edges := buildFleetEdges(ms)
+	return fleetCriticalPaths(ms, edges), edges, nil
+}
+
+func fleetCriticalPaths(ms []MachineEvents, edges *FleetEdges) []FleetRequest {
 	// Span durations come from each machine's retained span events.
-	durs := make(map[int]map[uint64]uint64, len(recs))
-	for _, r := range recs {
+	durs := make(map[int]map[uint64]uint64, len(ms))
+	for _, m := range ms {
 		d := make(map[uint64]uint64)
-		for _, e := range r.Events() {
+		for _, e := range m.Events {
 			if e.Kind == Span && e.Span != 0 {
 				d[e.Span] = e.Dur
 			}
 		}
-		durs[r.Machine()] = d
+		durs[m.Machine] = d
 	}
 	byTrace := make(map[uint64][]FleetEdge)
 	for _, e := range edges.Edges {
@@ -224,53 +252,5 @@ func FleetCriticalPaths(recs []*Recorder) ([]FleetRequest, *FleetEdges, error) {
 		req.Total += req.WireCycles
 		out = append(out, req)
 	}
-	return out, edges, nil
-}
-
-// WriteFleetCausalTrace writes the fleet's cross-machine request view as
-// deterministic JSON: per-machine forest digests, every matched wire
-// edge, and the per-trace fleet critical paths (wire time reported as its
-// own component, charged to neither machine). Byte-identical output for
-// identical fleet runs.
-func WriteFleetCausalTrace(w io.Writer, recs []*Recorder) error {
-	reqs, edges, err := FleetCriticalPaths(recs)
-	if err != nil {
-		return err
-	}
-	bw := &errWriter{w: w}
-	bw.printf("{\n  \"machines\": [")
-	for i, r := range recs {
-		f := BuildCausalForest(r.Events())
-		if i > 0 {
-			bw.printf(",")
-		}
-		bw.printf("\n    {\"machine\":%d,\"events\":%d,\"dropped\":%d,\"orphans\":%d,\"requests\":%d}",
-			r.Machine(), r.Len(), r.Dropped(), f.Orphans, len(CriticalPaths(f)))
-	}
-	bw.printf("\n  ],\n  \"unmatched_rx\": %d,\n  \"unmatched_tx\": %d,\n", edges.UnmatchedRx, edges.UnmatchedTx)
-	bw.printf("  \"edges\": [")
-	for i, e := range edges.Edges {
-		if i > 0 {
-			bw.printf(",")
-		}
-		bw.printf("\n    {\"trace\":%s,\"src_machine\":%d,\"src_span\":%d,\"src_ts\":%d,\"dst_machine\":%d,\"dst_span\":%d,\"dst_ts\":%d,\"wire_cycles\":%d}",
-			strconv.FormatUint(e.Trace, 10), e.SrcMachine, e.SrcSpan, e.SrcTS, e.DstMachine, e.DstSpan, e.DstTS, e.WireCycles)
-	}
-	bw.printf("\n  ],\n  \"fleet_critical_paths\": [")
-	for i, q := range reqs {
-		if i > 0 {
-			bw.printf(",")
-		}
-		bw.printf("\n    {\"trace\":%s,\"origin_machine\":%d,\"origin_span\":%d,\"hops\":%d,\"wire_cycles\":%d,\"total_cycles\":%d,\"per_machine\":[",
-			strconv.FormatUint(q.Trace, 10), q.OriginMachine, q.OriginSpan, q.Hops, q.WireCycles, q.Total)
-		for j, m := range q.Machines {
-			if j > 0 {
-				bw.printf(",")
-			}
-			bw.printf("{\"machine\":%d,\"cycles\":%d}", m, q.MachineCycles[j])
-		}
-		bw.printf("]}")
-	}
-	bw.printf("\n  ]\n}\n")
-	return bw.err
+	return out
 }

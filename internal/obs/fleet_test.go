@@ -2,13 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// taggedRecorder builds a small recorder already carrying a fleet
-// identity, the precondition every fleet exporter enforces.
+// taggedRecorder builds a small recorder carrying a fleet machine id.
 func taggedRecorder(machine, capacity int) *Recorder {
 	r := NewRecorder(capacity)
 	r.SetMachine(machine)
@@ -40,8 +40,8 @@ func TestTraceRefPacking(t *testing.T) {
 	}
 }
 
-// Satellite: the fleet exporters refuse malformed recorder slices instead
-// of silently interleaving tracks.
+// Every exporter refuses malformed recorder slices instead of silently
+// interleaving tracks.
 func TestFleetExportValidation(t *testing.T) {
 	var buf bytes.Buffer
 	ok := []*Recorder{taggedRecorder(0, 64), taggedRecorder(1, 64)}
@@ -54,17 +54,20 @@ func TestFleetExportValidation(t *testing.T) {
 		{"nil slice", nil, "at least one"},
 		{"empty slice", []*Recorder{}, "at least one"},
 		{"nil entry", []*Recorder{ok[0], nil}, "is nil"},
-		{"untagged", []*Recorder{ok[0], NewRecorder(64)}, "never tagged"},
-		{"duplicate id", []*Recorder{taggedRecorder(2, 64), taggedRecorder(2, 64)}, "duplicate machine id"},
+		// An untagged recorder is machine 0, so it collides with a tagged
+		// machine 0 like any other duplicate.
+		{"untagged beside machine 0", []*Recorder{ok[0], NewRecorder(64)}, "duplicate machine id 0"},
+		{"duplicate id", []*Recorder{taggedRecorder(2, 64), taggedRecorder(2, 64)}, "duplicate machine id 2"},
 	}
 	for _, c := range cases {
 		for _, write := range []struct {
 			name string
 			fn   func() error
 		}{
-			{"chrome", func() error { return WriteFleetChromeTrace(&buf, c.recs, ChromeOptions{}) }},
-			{"summary", func() error { return WriteFleetSummary(&buf, c.recs) }},
-			{"causal", func() error { return WriteFleetCausalTrace(&buf, c.recs) }},
+			{"chrome", func() error { return WriteChromeTrace(&buf, ChromeOptions{}, c.recs...) }},
+			{"prometheus", func() error { return WritePrometheus(&buf, c.recs...) }},
+			{"prometheus reference", func() error { return WritePrometheusReference(&buf, c.recs...) }},
+			{"causal", func() error { return WriteCausalTrace(&buf, c.recs...) }},
 		} {
 			err := write.fn()
 			if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -73,16 +76,8 @@ func TestFleetExportValidation(t *testing.T) {
 		}
 	}
 
-	if err := WriteFleetChromeTrace(&buf, ok, ChromeOptions{}); err != nil {
+	if err := WriteChromeTrace(&buf, ChromeOptions{}, ok...); err != nil {
 		t.Fatalf("well-formed fleet refused: %v", err)
-	}
-	if !NewRecorder(64).MachineTagged() {
-		// Document the contract the validation rests on.
-		if (*Recorder)(nil).MachineTagged() {
-			t.Fatalf("nil recorder claims to be machine-tagged")
-		}
-	} else {
-		t.Fatalf("fresh recorder claims to be machine-tagged")
 	}
 }
 
@@ -191,9 +186,9 @@ func TestCorrelateFleetEvidence(t *testing.T) {
 	}
 }
 
-// Satellite: a machine whose trace ring overflowed still reports exact
-// per-class drop counts after the fleet merge — eviction accounting is
-// per machine and the summary carries it through with a machine label.
+// A machine whose trace ring overflowed still reports exact per-class
+// drop counts after the fleet merge: eviction accounting is per machine
+// and the page carries it through with a machine label.
 func TestFleetSummaryDropByClassSurvivesMerge(t *testing.T) {
 	m0 := taggedRecorder(0, 64)
 	m0.Record(Event{Class: ClassAudit, Kind: Instant, TS: 1, VCPU: 0, VMPL: -1})
@@ -207,25 +202,25 @@ func TestFleetSummaryDropByClassSurvivesMerge(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteFleetSummary(&buf, []*Recorder{m0, m1}); err != nil {
+	if err := WritePrometheus(&buf, m0, m1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	want := `veil_fleet_trace_dropped_by_class_total{machine="1",class="syscall"}`
+	want := `veil_trace_dropped_by_class_total{machine="1",class="syscall"}`
 	if !strings.Contains(out, want) {
-		t.Fatalf("fleet summary lost machine 1's per-class drop counters:\n%s", out)
+		t.Fatalf("fleet page lost machine 1's per-class drop counters:\n%s", out)
 	}
-	if strings.Contains(out, `veil_fleet_trace_dropped_by_class_total{machine="0"`) {
+	if strings.Contains(out, `veil_trace_dropped_by_class_total{machine="0"`) {
 		t.Fatalf("machine 0 dropped nothing but reports per-class drops")
 	}
-	if !strings.Contains(out, `veil_fleet_trace_dropped_total{machine="0"} 0`) {
-		t.Fatalf("per-machine total drop gauge missing for machine 0")
+	if !strings.Contains(out, `veil_trace_dropped_total{machine="0"} 0`) {
+		t.Fatalf("per-machine total drop counter missing for machine 0")
 	}
 
 	// The merged Chrome trace must also survive the overflow, reporting
 	// the summed eviction count in its header.
 	var tr bytes.Buffer
-	if err := WriteFleetChromeTrace(&tr, []*Recorder{m0, m1}, ChromeOptions{}); err != nil {
+	if err := WriteChromeTrace(&tr, ChromeOptions{}, m0, m1); err != nil {
 		t.Fatal(err)
 	}
 	wantHdr := `"dropped_events":"` + strconv.FormatUint(m0.Dropped()+m1.Dropped(), 10) + `"`
@@ -234,17 +229,16 @@ func TestFleetSummaryDropByClassSurvivesMerge(t *testing.T) {
 	}
 }
 
-// Two exports of the same fleet must be byte-identical — the contract the
-// CI determinism gate rests on.
+// Two exports of the same fleet must be byte-identical.
 func TestFleetExportDeterminism(t *testing.T) {
 	recs, _ := fleetFixture()
 	for _, write := range []struct {
 		name string
 		fn   func(*bytes.Buffer) error
 	}{
-		{"chrome", func(b *bytes.Buffer) error { return WriteFleetChromeTrace(b, recs, ChromeOptions{}) }},
-		{"summary", func(b *bytes.Buffer) error { return WriteFleetSummary(b, recs) }},
-		{"causal", func(b *bytes.Buffer) error { return WriteFleetCausalTrace(b, recs) }},
+		{"chrome", func(b *bytes.Buffer) error { return WriteChromeTrace(b, ChromeOptions{}, recs...) }},
+		{"prometheus", func(b *bytes.Buffer) error { return WritePrometheus(b, recs...) }},
+		{"causal", func(b *bytes.Buffer) error { return WriteCausalTrace(b, recs...) }},
 	} {
 		var a, b bytes.Buffer
 		if err := write.fn(&a); err != nil {
@@ -256,5 +250,65 @@ func TestFleetExportDeterminism(t *testing.T) {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatalf("%s export is not deterministic", write.name)
 		}
+	}
+}
+
+// The unified causal view of a fleet: one entry per machine in slice
+// order, with the matched wire edge, both unmatched breadcrumbs and the
+// cross-machine critical path in the fleet-wide part.
+func TestCausalTraceFleetView(t *testing.T) {
+	recs, trace := fleetFixture()
+	var buf bytes.Buffer
+	if err := WriteCausalTrace(&buf, recs...); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Machines []struct {
+			Machine       int               `json:"machine"`
+			Events        int               `json:"events"`
+			Requests      []json.RawMessage `json:"requests"`
+			CriticalPaths []json.RawMessage `json:"critical_paths"`
+		} `json:"machines"`
+		UnmatchedRx int `json:"unmatched_rx"`
+		UnmatchedTx int `json:"unmatched_tx"`
+		Edges       []struct {
+			Trace      uint64 `json:"trace"`
+			WireCycles uint64 `json:"wire_cycles"`
+		} `json:"edges"`
+		FleetCriticalPaths []struct {
+			Trace       uint64 `json:"trace"`
+			TotalCycles uint64 `json:"total_cycles"`
+		} `json:"fleet_critical_paths"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("causal export is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if len(doc.Machines) != 2 || doc.Machines[0].Machine != 0 || doc.Machines[1].Machine != 1 {
+		t.Fatalf("machines = %+v", doc.Machines)
+	}
+	if doc.Machines[0].Events != 3 || len(doc.Machines[0].Requests) != 1 || len(doc.Machines[0].CriticalPaths) != 1 {
+		t.Fatalf("machine 0 entry = %+v", doc.Machines[0])
+	}
+	if doc.UnmatchedRx != 1 || doc.UnmatchedTx != 1 {
+		t.Fatalf("unmatched rx=%d tx=%d, want 1/1", doc.UnmatchedRx, doc.UnmatchedTx)
+	}
+	if len(doc.Edges) != 1 || doc.Edges[0].Trace != trace || doc.Edges[0].WireCycles != 500 {
+		t.Fatalf("edges = %+v", doc.Edges)
+	}
+	if len(doc.FleetCriticalPaths) != 1 || doc.FleetCriticalPaths[0].TotalCycles != 800 {
+		t.Fatalf("fleet critical paths = %+v", doc.FleetCriticalPaths)
+	}
+
+	// A single machine is a fleet of one: the fleet-wide part is empty.
+	buf.Reset()
+	if err := WriteCausalTrace(&buf, recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	doc.Edges, doc.FleetCriticalPaths = nil, nil
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Machines) != 1 || len(doc.Edges) != 0 || len(doc.FleetCriticalPaths) != 0 || doc.UnmatchedRx != 0 || doc.UnmatchedTx != 2 {
+		t.Fatalf("single-machine causal view = %+v", doc)
 	}
 }

@@ -340,15 +340,10 @@ type Recorder struct {
 	snapDirty bool
 
 	// machine identifies which fleet member this recorder belongs to.
-	// Exporters use it as the process dimension (the Chrome trace pid),
-	// so merged fleet traces keep one process track per CVM. Zero for
-	// single-machine runs, which keeps their exports byte-identical.
+	// Exporters use it as the machine dimension (the Chrome trace pid, the
+	// Prometheus machine label), so merged fleet exports keep one process
+	// track and one series set per CVM. Zero for single-machine runs.
 	machine int
-	// machineSet records whether SetMachine was ever called. Fleet
-	// exporters refuse untagged recorders: machine id 0 by default is
-	// indistinguishable from machine id 0 by assignment, and merging an
-	// untagged recorder would silently interleave it with machine 0.
-	machineSet bool
 }
 
 // NewRecorder creates a recorder whose shards each hold capacity events
@@ -638,17 +633,6 @@ func (r *Recorder) SetMachine(id int) {
 		return
 	}
 	r.machine = id
-	r.machineSet = true
-}
-
-// MachineTagged reports whether SetMachine was ever called. Fleet
-// exporters use it to reject recorders that were never assigned a fleet
-// identity. Nil-safe.
-func (r *Recorder) MachineTagged() bool {
-	if r == nil {
-		return false
-	}
-	return r.machineSet
 }
 
 // Machine returns the fleet machine id set by SetMachine (0 — the

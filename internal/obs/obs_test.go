@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -196,10 +198,10 @@ func fixedRecorder() *Recorder {
 func TestChromeExportValidAndDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	opts := ChromeOptions{CyclesPerMicrosecond: 1900, SyscallName: func(n uint64) string { return "open" }}
-	if err := WriteChromeTrace(&a, fixedRecorder(), opts); err != nil {
+	if err := WriteChromeTrace(&a, opts, fixedRecorder()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&b, fixedRecorder(), opts); err != nil {
+	if err := WriteChromeTrace(&b, opts, fixedRecorder()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -240,12 +242,12 @@ func TestChromeExportMachineDimension(t *testing.T) {
 	// Machine 0 is the single-machine default: tagging it must not change
 	// a single byte of the export.
 	var untagged, zero bytes.Buffer
-	if err := WriteChromeTrace(&untagged, fixedRecorder(), opts); err != nil {
+	if err := WriteChromeTrace(&untagged, opts, fixedRecorder()); err != nil {
 		t.Fatal(err)
 	}
 	tagged := fixedRecorder()
 	tagged.SetMachine(0)
-	if err := WriteChromeTrace(&zero, tagged, opts); err != nil {
+	if err := WriteChromeTrace(&zero, opts, tagged); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(untagged.Bytes(), zero.Bytes()) {
@@ -256,7 +258,7 @@ func TestChromeExportMachineDimension(t *testing.T) {
 	other := fixedRecorder()
 	other.SetMachine(2)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, other, opts); err != nil {
+	if err := WriteChromeTrace(&buf, opts, other); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `"pid":0`) {
@@ -277,10 +279,10 @@ func TestFleetChromeTraceMergedDeterministic(t *testing.T) {
 		return recs
 	}
 	var a, b bytes.Buffer
-	if err := WriteFleetChromeTrace(&a, mk(), opts); err != nil {
+	if err := WriteChromeTrace(&a, opts, mk()...); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFleetChromeTrace(&b, mk(), opts); err != nil {
+	if err := WriteChromeTrace(&b, opts, mk()...); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -320,6 +322,105 @@ func TestFleetChromeTraceMergedDeterministic(t *testing.T) {
 	}
 }
 
+// richFleet tags three rich recorders as machines 0..2; machine 2's ring
+// overflows, and a NetTx on machine 0 answered by a NetRx on machine 1
+// gives the merged trace a wire arrow.
+func richFleet() []*Recorder {
+	recs := make([]*Recorder, 3)
+	for i := range recs {
+		capacity := 1 << 12
+		if i == 2 {
+			capacity = 64
+		}
+		recs[i] = buildRichRecorder(int64(10+i), capacity)
+		recs[i].SetMachine(i)
+	}
+	ctx := PackTraceRef(0, 7)
+	recs[0].Record(Event{Class: ClassNetTx, TS: 1 << 40, VMPL: -1, Arg1: ctx, Arg2: ctx})
+	recs[1].Record(Event{Class: ClassNetRx, TS: 1<<40 + 500, VMPL: -1, Arg1: ctx, Arg2: ctx})
+	return recs
+}
+
+// chromeRows splits a Chrome export into its event rows (one per line),
+// dropping the header and footer lines, the cross-machine wire arrows and
+// each flow arrow's id (flow ids number on across a merged export).
+func chromeRows(t *testing.T, opts ChromeOptions, recs ...*Recorder) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, opts, recs...); err != nil {
+		t.Fatal(err)
+	}
+	flowID := regexp.MustCompile(`"id":\d+,`)
+	lines := strings.Split(buf.String(), "\n")
+	var rows []string
+	for _, l := range lines[1 : len(lines)-2] {
+		if strings.Contains(l, `"name":"wire"`) {
+			continue
+		}
+		rows = append(rows, flowID.ReplaceAllString(strings.TrimSuffix(l, ","), `"id":_,`))
+	}
+	return rows
+}
+
+// A machine is a fleet of one: the merged trace's rows for pid i are that
+// machine's own single-recorder export.
+func TestChromeFleetRowsMatchSingleExport(t *testing.T) {
+	opts := ChromeOptions{CyclesPerMicrosecond: 1900}
+	recs := richFleet()
+	merged := chromeRows(t, opts, recs...)
+	for i, r := range recs {
+		pid := fmt.Sprintf(`"pid":%d,`, i)
+		var got []string
+		for _, row := range merged {
+			if strings.Contains(row, pid) {
+				got = append(got, row)
+			}
+		}
+		want := chromeRows(t, opts, r)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("machine %d: merged rows (%d) differ from its single export (%d)", i, len(got), len(want))
+		}
+	}
+}
+
+// The merged Prometheus page restricted to machine="i" is exactly the
+// N=1 page of recs[i], comment lines aside.
+func TestPrometheusFleetLinesMatchSinglePage(t *testing.T) {
+	recs := richFleet()
+	page := func(recs ...*Recorder) []string {
+		var buf bytes.Buffer
+		if err := WritePrometheus(&buf, recs...); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, l := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+			if !strings.HasPrefix(l, "#") {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+	merged := page(recs...)
+	total := 0
+	for i, r := range recs {
+		label := fmt.Sprintf(`{machine="%d"`, i)
+		var got []string
+		for _, l := range merged {
+			if strings.Contains(l, label) {
+				got = append(got, l)
+			}
+		}
+		total += len(got)
+		if want := page(r); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("machine %d: merged lines differ from its N=1 page:\n%s", i,
+				firstDiff([]byte(strings.Join(got, "\n")), []byte(strings.Join(want, "\n"))))
+		}
+	}
+	if total != len(merged) {
+		t.Fatalf("%d of %d merged series carry no known machine label", len(merged)-total, len(merged))
+	}
+}
+
 func TestPrometheusExport(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, fixedRecorder()); err != nil {
@@ -327,11 +428,11 @@ func TestPrometheusExport(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`veil_events_total{class="vmgexit"} 1`,
-		`veil_events_total{class="syscall"} 1`,
-		`veil_span_cycles{class="domain-switch",quantile="0.5"} 7135`,
-		`veil_cycles_total{kind="VMGEXIT"} 3890`,
-		`veil_trace_dropped_total 0`,
+		`veil_events_total{machine="0",class="vmgexit"} 1`,
+		`veil_events_total{machine="0",class="syscall"} 1`,
+		`veil_span_cycles{machine="0",class="domain-switch",quantile="0.5"} 7135`,
+		`veil_cycles_total{machine="0",kind="VMGEXIT"} 3890`,
+		`veil_trace_dropped_total{machine="0"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)

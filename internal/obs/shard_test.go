@@ -136,10 +136,12 @@ func TestAllocMatchesRecord(t *testing.T) {
 func exportAll(t *testing.T, r *Recorder) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r, ChromeOptions{ProcessName: "t", CyclesPerMicrosecond: 1900}); err != nil {
+	if err := WriteChromeTrace(&buf, ChromeOptions{ProcessName: "t", CyclesPerMicrosecond: 1900}, r); err != nil {
 		t.Fatalf("chrome: %v", err)
 	}
-	WritePrometheus(&buf, r)
+	if err := WritePrometheus(&buf, r); err != nil {
+		t.Fatalf("prometheus: %v", err)
+	}
 	WriteSummary(&buf, r)
 	if err := WriteFlamegraph(&buf, r, FlamegraphOptions{}); err != nil {
 		t.Fatalf("flamegraph: %v", err)
