@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -102,16 +103,23 @@ func TestRegionSetRemove(t *testing.T) {
 	}
 }
 
-// Property: Sanitize(p, n) errors iff some protected byte lies in [p, p+n).
+// Property: Sanitize(p, n) errors iff some protected byte lies in [p, p+n)
+// or the range runs past 2^64.
 func TestRegionSetSanitizeProperty(t *testing.T) {
 	var rs RegionSet
 	_ = rs.Add(100, 200, "a")
 	_ = rs.Add(300, 301, "b")
 	inProtected := func(x uint64) bool { return (x >= 100 && x < 200) || x == 300 }
-	f := func(p uint16, n uint8) bool {
+	f := func(p uint16, n uint8, high bool) bool {
 		ptr, ln := uint64(p), uint64(n)
 		if ln == 0 {
 			ln = 1
+		}
+		if high {
+			// Within 512 bytes of the top: about half these ranges wrap.
+			ptr = math.MaxUint64 - uint64(p%512)
+			wraps := ln > math.MaxUint64-ptr
+			return (rs.Sanitize(ptr, uint64(n)) != nil) == wraps
 		}
 		want := false
 		for x := ptr; x < ptr+ln; x++ {

@@ -7,11 +7,13 @@ package core_test
 // may fail; the CVM must not halt and the dispatcher must keep serving).
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"veil/internal/core"
 	"veil/internal/cvm"
+	"veil/internal/obs"
 	"veil/internal/snp"
 )
 
@@ -90,6 +92,25 @@ func TestMonitorSurvivesHostilePointersInRequests(t *testing.T) {
 		if c.M.Halted() != nil {
 			t.Fatalf("hostile pointer %#x halted the CVM", phys)
 		}
+	}
+}
+
+// A page-state request whose range wraps past 2^64 is refused by the
+// sanitizer with evidence, not passed on to PVALIDATE to fail there.
+func TestPValidateWrappedRangeDenied(t *testing.T) {
+	c := bootVeil(t)
+	const phys = 0xFFFF_FFFF_FFFF_F000
+	if err := c.Stub.PValidate(phys, false); !errors.Is(err, core.ErrDenied) {
+		t.Fatalf("PValidate(%#x) = %v, want ErrDenied", uint64(phys), err)
+	}
+	evidenced := false
+	for _, e := range c.M.FlightTail() {
+		if e.Class == obs.ClassDenied && e.Arg1 == uint64(snp.DeniedSanitize) && e.Arg2 == phys {
+			evidenced = true
+		}
+	}
+	if !evidenced {
+		t.Fatal("no DeniedSanitize evidence for the wrapped range")
 	}
 }
 

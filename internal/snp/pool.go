@@ -53,7 +53,8 @@ func releaseBacking(b *machineBacking) {
 	poolFor(uint64(len(b.rmp))).Put(b)
 }
 
-// Release returns the machine's backing memory to the boot pool. The
+// Release returns the machine's backing memory to the boot pool and drops
+// its other per-boot state (RMP baseline, flight ring, VMSA map). The
 // machine — and anything aliasing its memory: access contexts, span
 // windows, SpanCursors — must not be used afterwards; callers own that
 // lifetime (the bench harness releases only machines whose experiments
@@ -72,4 +73,9 @@ func (m *Machine) Release() {
 	m.tlb = nil
 	m.ptPages = nil
 	m.ptGen = nil
+	// Drop the other per-boot allocations too, so a caller that keeps the
+	// *Machine (a benchmark keeping its rounds) pins only the struct.
+	m.rmpBaseline = nil
+	m.flight = nil
+	m.vmsas = nil
 }

@@ -1,6 +1,11 @@
 package snp
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"veil/internal/obs"
+)
 
 // TestReleaseRecyclesCleanBacking pins the boot pool's safety contract:
 // a released machine's dirtied memory and RMP come back from the pool
@@ -39,6 +44,42 @@ func TestReleaseRecyclesCleanBacking(t *testing.T) {
 	for i, e := range b.rmp {
 		if e != zero {
 			t.Fatalf("recycled RMP not cleared at page %d: %+v", i, e)
+		}
+	}
+}
+
+// TestReleaseDropsPerBootState: a caller that keeps released machines alive
+// (a benchmark keeping its rounds) pins only the Machine structs, not their
+// RMP baselines, flight rings or VMSA maps.
+func TestReleaseDropsPerBootState(t *testing.T) {
+	const (
+		machines = 8
+		pages    = 4096
+	)
+	liveHeap := func() uint64 {
+		// Two cycles: the first moves pooled backings to the victim cache,
+		// the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	kept := make([]*Machine, machines)
+	for i := range kept {
+		m := NewMachine(Config{MemBytes: pages * PageSize, VCPUs: 1})
+		m.SetFlight(obs.NewFlight(0))
+		m.SnapshotRMPBaseline()
+		m.vmsas[0] = &VMSA{}
+		m.Release()
+		kept[i] = m
+	}
+	after := liveHeap()
+	runtime.KeepAlive(kept)
+	if after > before {
+		if per := (after - before) / machines; per > 4<<10 {
+			t.Fatalf("each released machine still pins %d bytes of live heap", per)
 		}
 	}
 }
