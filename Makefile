@@ -67,11 +67,11 @@ bench-mempath:
 	$(GO) run ./cmd/veil-bench -experiment mempath -stable -json BENCH_mempath.json
 
 # Regenerate the committed host-throughput measurement
-# (BENCH_hostperf.json): pooled/batched hot paths vs their exact
-# references, plus the parallel fan-out curve. Pure wall-clock numbers, so
-# the file is machine-shaped and NOT byte-reproducible — regenerate it on
-# a quiet machine and eyeball the speedups (docs/PERFORMANCE.md explains
-# each line); -compare gates it under the loose -host-tol family.
+# (BENCH_hostperf.json): absolute host cost of the export, record and
+# translate hot paths, plus the parallel fan-out curve. Pure wall-clock
+# numbers, so the file is machine-shaped and NOT byte-reproducible —
+# regenerate it on a quiet machine (docs/PERFORMANCE.md explains each
+# line); -compare gates it under the loose -host-tol family.
 bench-host:
 	$(GO) run ./cmd/veil-bench -experiment hostperf -iters 2000 -json BENCH_hostperf.json
 

@@ -236,32 +236,43 @@ var experiments = []experiment{
 	}},
 }
 
-func main() {
-	exp := flag.String("experiment", "all",
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command; it returns the exit status instead of calling
+// os.Exit, so deferred cleanup — the CPU profile's flush above all — runs
+// on every path out.
+func run(args []string) int {
+	fs := flag.NewFlagSet("veil-bench", flag.ContinueOnError)
+	exp := fs.String("experiment", "all",
 		"experiment to run: fig4|fig5|fig6|boot|switch|background|cs1|mempath|monitors|ablation|obs|batch|smp|fleet|hostperf|all")
-	flag.IntVar(&iters, "iters", 10000, "iterations for fig4/switch/cs1 micro-benchmarks")
-	flag.Uint64Var(&memMB, "mem", 2048, "guest memory (MiB) for the boot experiment")
-	jsonOut := flag.String("json", "",
+	fs.IntVar(&iters, "iters", 10000, "iterations for fig4/switch/cs1 micro-benchmarks")
+	fs.Uint64Var(&memMB, "mem", 2048, "guest memory (MiB) for the boot experiment")
+	jsonOut := fs.String("json", "",
 		"emit machine-readable per-experiment results as JSON to this path ('-' = stdout) instead of text reports")
-	auditOn := flag.Bool("audit", false,
+	auditOn := fs.Bool("audit", false,
 		"attach the security-invariant auditor to every experiment CVM and exit 1 on any violation (the clean-workload CI check; charges no virtual cycles, so goldens are unaffected)")
-	jobs := flag.Int("j", 1, "experiments to run in parallel; 0 = one worker per CPU (output order is unaffected)")
-	flag.BoolVar(&stable, "stable", false,
+	jobs := fs.Int("j", 1, "experiments to run in parallel; 0 = one worker per CPU (output order is unaffected)")
+	fs.BoolVar(&stable, "stable", false,
 		"zero host wall-clock fields so two runs of the same build are byte-identical")
-	compare := flag.Bool("compare", false,
+	compare := fs.Bool("compare", false,
 		"compare mode: veil-bench -compare old.json new.json; exit 1 if any *Cycles* value regressed by >10%, any *OverheadPct* grew past -tol, or any *Fairness* index dropped by more than -tol/100")
-	tol := flag.Float64("tol", defaultOverheadTolPP,
+	tol := fs.Float64("tol", defaultOverheadTolPP,
 		"compare mode: absolute percentage-point growth allowed on *OverheadPct* values before failing")
-	hostTol := flag.Float64("host-tol", defaultHostTolPct,
+	hostTol := fs.Float64("host-tol", defaultHostTolPct,
 		"compare mode: relative growth (percent) allowed on pure host-side values (*HostSeconds*, *HostNs*; *Speedup* gates the same bound as a drop) — looser than the cycle gate because host time is noisy even on the thread CPU clock")
-	pprofAddr := flag.String("pprof", "",
+	pprofAddr := fs.String("pprof", "",
 		"serve net/http/pprof on this address (e.g. localhost:6060) while experiments run")
-	cpuProfile := flag.String("cpuprofile", "",
+	cpuProfile := fs.String("cpuprofile", "",
 		"write a pprof CPU profile covering the selected experiments to this path")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *compare {
-		os.Exit(runCompare(flag.Args(), *tol, *hostTol))
+		return runCompare(fs.Args(), *tol, *hostTol)
 	}
 
 	if *pprofAddr != "" {
@@ -271,7 +282,7 @@ func main() {
 		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "veil-bench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer stop()
 	}
@@ -289,7 +300,7 @@ func main() {
 	}
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "veil-bench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		return 2
 	}
 
 	// Run the selection — sequentially, or whole-experiment-at-a-time on a
@@ -347,7 +358,7 @@ func main() {
 	for i, e := range selected {
 		if outs[i].err != nil {
 			fmt.Fprintf(os.Stderr, "veil-bench: %s: %v\n", e.name, outs[i].err)
-			os.Exit(1)
+			return 1
 		}
 		if outs[i].result != nil {
 			results[e.name] = outs[i].result
@@ -362,26 +373,39 @@ func main() {
 		cvms, violations := bench.AuditViolations()
 		fmt.Fprintf(os.Stderr, "veil-bench: auditor: %d CVMs audited, %d violations\n", cvms, violations)
 		if violations > 0 {
-			os.Exit(1)
+			return 1
 		}
 	}
 
 	if !text {
-		var w io.Writer = os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "veil-bench: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
+		if err := writeJSON(*jsonOut, results); err != nil {
 			fmt.Fprintf(os.Stderr, "veil-bench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
+}
+
+// writeJSON writes results as indented JSON to path ('-' = stdout) and
+// returns the first encode or close error, so a truncated or missing
+// artifact never ends in a clean exit.
+func writeJSON(path string, results any) error {
+	if path == "-" {
+		return encodeJSON(os.Stdout, results)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = encodeJSON(f, results)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func encodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"runtime"
@@ -19,31 +18,27 @@ import (
 	"veil/internal/workloads"
 )
 
-// The host-throughput microbenchmark: wall-clock cost of the simulator's
-// three hottest host paths, each measured as its optimized implementation
-// against the exact reference it must stay byte-identical to:
+// The host-throughput microbenchmark: absolute wall-clock cost and
+// allocations of the simulator's three hottest host paths:
 //
-//   - obs export: the pooled append-based Prometheus/summary renderers vs
-//     the fmt-based reference renderers, over the metrics corpus a real
-//     sqlite run records (the obs experiment's workload).
+//   - obs export: the pooled Prometheus/summary renderers over the metrics
+//     corpus a real sqlite run records (the obs experiment's workload).
 //   - obs record: ns and allocations per event on the sharded ring's
 //     steady-state (full-ring, fold-on-evict) hot path.
-//   - memory translate: per-access AccessContext loads vs a SpanCursor
-//     batch sweep over the mempath experiment's page layout.
+//   - memory translate: per-access AccessContext loads over the mempath
+//     experiment's page layout.
 //
 // Plus the parallel fan-out curve: the same fixed bundle of independent
 // simulation tasks timed under 1, 2, 4, … NumCPU workers claiming work
 // from a shared queue — the same scheme veil-bench -j uses — with machine
 // backings drawn from the snp boot pool.
 //
-// Nothing here touches a virtual-cycle output: every optimized path under
-// measurement is host-only by construction, and the differential tests in
-// internal/obs and internal/snp pin the byte-identity this file's speedups
-// rely on.
+// Nothing here touches a virtual-cycle output: every path under
+// measurement is host-only by construction.
 
 // hostPerfRingCap keeps the export corpus's retained rings small enough
-// that the measurement is dominated by rendering (the optimized path)
-// rather than by the Metrics() ring scan both sides share.
+// that the measurement is dominated by rendering rather than by the
+// Metrics() ring scan.
 const hostPerfRingCap = 1 << 10
 
 // HostPerfScalePoint is one point of the fan-out curve.
@@ -62,47 +57,32 @@ type HostPerfResult struct {
 	// Export path (sqlite corpus).
 	ExportEvents       uint64  // events the corpus run recorded
 	ExportBytes        int     // bytes per render (Prometheus + summary)
-	HostNsExportLegacy float64 // ns per render, fmt-based reference
-	HostNsExportPooled float64 // ns per render, pooled append path
-	ExportSpeedup      float64 // legacy / pooled
-	ExportAllocsLegacy float64 // heap allocations per render
-	ExportAllocsPooled float64
+	HostNsExportPooled float64 // ns per render
+	ExportAllocsPooled float64 // heap allocations per render
 
 	// Record path.
 	HostNsPerEvent    float64 // ns per Record, steady state
 	RecordAllocsPerOp float64
 
-	// Memory translate path. Three sweeps load every 64-bit word of the
-	// mempath layout: exact per-access loads, word-wise cursor loads, and
-	// line-batched cursor spans (one lookup per 64-byte line).
+	// Memory translate path: one sweep loads every 64-bit word of the
+	// mempath layout through the exact per-access path.
 	MemAccesses           uint64  // word loads per sweep (deterministic)
 	HostNsPerAccessScalar float64 // per-access AccessContext loads
-	HostNsPerAccessCursor float64 // word-wise SpanCursor loads
-	HostNsPerAccessSpan   float64 // line-batched cursor spans
-	MemSpeedup            float64 // scalar / span
-	CursorAllocsPerOp     float64
 
 	// Parallel fan-out.
 	ScaleTasks int // independent tasks per curve point
 	Scale      []HostPerfScalePoint
 }
 
-// Scrub zeroes every host-dependent field (timings, allocation counts,
-// speedups and the whole machine-shaped scaling curve) so -stable runs are
+// Scrub zeroes every host-dependent field (timings, allocation counts and
+// the whole machine-shaped scaling curve) so -stable runs are
 // byte-comparable across hosts and -j settings.
 func (r *HostPerfResult) Scrub() {
-	r.HostNsExportLegacy = 0
 	r.HostNsExportPooled = 0
-	r.ExportSpeedup = 0
-	r.ExportAllocsLegacy = 0
 	r.ExportAllocsPooled = 0
 	r.HostNsPerEvent = 0
 	r.RecordAllocsPerOp = 0
 	r.HostNsPerAccessScalar = 0
-	r.HostNsPerAccessCursor = 0
-	r.HostNsPerAccessSpan = 0
-	r.MemSpeedup = 0
-	r.CursorAllocsPerOp = 0
 	r.ScaleTasks = 0
 	r.Scale = nil
 }
@@ -158,20 +138,12 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// exportPooled / exportReference render both text exporters (Prometheus
-// + summary), through the pooled writers or their fmt-based references.
+// exportPooled renders both text exporters (Prometheus + summary).
 func exportPooled(w io.Writer, rec *obs.Recorder) error {
 	if err := obs.WritePrometheus(w, rec); err != nil {
 		return err
 	}
 	return obs.WriteSummary(w, rec)
-}
-
-func exportReference(w io.Writer, rec *obs.Recorder) error {
-	if err := obs.WritePrometheusReference(w, rec); err != nil {
-		return err
-	}
-	return obs.WriteSummaryReference(w, rec)
 }
 
 // hostPerfExport measures the export path on the corpus recorder.
@@ -185,15 +157,6 @@ func hostPerfExport(r *HostPerfResult, rec *obs.Recorder) error {
 
 	const rounds = 400
 	var err error
-	r.HostNsExportLegacy = hostNsPerOp(rounds, func() {
-		var w countWriter
-		for i := 0; i < rounds && err == nil; i++ {
-			err = exportReference(&w, rec)
-		}
-	})
-	if err != nil {
-		return err
-	}
 	r.HostNsExportPooled = hostNsPerOp(rounds, func() {
 		var w countWriter
 		for i := 0; i < rounds && err == nil; i++ {
@@ -203,13 +166,6 @@ func hostPerfExport(r *HostPerfResult, rec *obs.Recorder) error {
 	if err != nil {
 		return err
 	}
-	if r.HostNsExportPooled > 0 {
-		r.ExportSpeedup = r.HostNsExportLegacy / r.HostNsExportPooled
-	}
-	r.ExportAllocsLegacy = testing.AllocsPerRun(20, func() {
-		var w countWriter
-		_ = exportReference(&w, rec)
-	})
 	r.ExportAllocsPooled = testing.AllocsPerRun(20, func() {
 		var w countWriter
 		_ = exportPooled(&w, rec)
@@ -236,16 +192,9 @@ func hostPerfRecord(r *HostPerfResult) {
 	r.RecordAllocsPerOp = testing.AllocsPerRun(1000, func() { rec.Record(ev) })
 }
 
-// hostPerfSink keeps the span sweep's loads observable so the compiler
-// cannot eliminate them.
-var hostPerfSink uint64
-
-// hostPerfMem measures the memory-translate path over the mempath layout.
-// Three sweeps consume every 64-bit word of all 512 mapped pages — exact
-// per-access AccessContext loads, word-wise SpanCursor loads, and
-// line-batched cursor spans (one lookup per 64-byte line, the granularity
-// Copy uses) — so the speedups isolate pure lookup amortization on
-// identical data.
+// hostPerfMem measures the memory-translate path over the mempath layout:
+// a sweep loads every 64-bit word of all 512 mapped pages through
+// per-access AccessContext loads.
 func hostPerfMem(r *HostPerfResult) error {
 	b, err := NewMemPathBench()
 	if err != nil {
@@ -256,7 +205,7 @@ func hostPerfMem(r *HostPerfResult) error {
 	perSweep := uint64(memPathPages * (snp.PageSize / 8))
 	r.MemAccesses = perSweep
 
-	scalarSweep := func() error {
+	sweep := func() error {
 		for i := 0; i < memPathPages; i++ {
 			va := memPathVA(i)
 			for off := uint64(0); off < snp.PageSize; off += 8 {
@@ -267,84 +216,20 @@ func hostPerfMem(r *HostPerfResult) error {
 		}
 		return nil
 	}
-	cur := b.ctx.Cursor(snp.AccessRead)
-	cursorSweep := func() error {
-		for i := 0; i < memPathPages; i++ {
-			va := memPathVA(i)
-			for off := uint64(0); off < snp.PageSize; off += 8 {
-				if _, err := cur.ReadU64(va + off); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	var sink uint64
-	spanSweep := func() error {
-		for i := 0; i < memPathPages; i++ {
-			va := memPathVA(i)
-			for off := uint64(0); off < snp.PageSize; off += 64 {
-				mem, err := cur.Span(va+off, 64)
-				if err != nil {
-					return err
-				}
-				for w := 0; w < 64; w += 8 {
-					sink += binary.LittleEndian.Uint64(mem[w:])
-				}
-			}
-		}
-		return nil
-	}
-	// Warm every path (page tables, TLB, cursor fill) outside the window.
-	if err := scalarSweep(); err != nil {
-		return err
-	}
-	if err := cursorSweep(); err != nil {
-		return err
-	}
-	if err := spanSweep(); err != nil {
+	// Warm the page tables and TLB outside the window.
+	if err := sweep(); err != nil {
 		return err
 	}
 	r.HostNsPerAccessScalar = hostNsPerOp(rounds*perSweep, func() {
 		for i := 0; i < rounds && err == nil; i++ {
-			err = scalarSweep()
+			err = sweep()
 		}
 	})
-	if err != nil {
-		return err
-	}
-	r.HostNsPerAccessCursor = hostNsPerOp(rounds*perSweep, func() {
-		for i := 0; i < rounds && err == nil; i++ {
-			err = cursorSweep()
-		}
-	})
-	if err != nil {
-		return err
-	}
-	r.HostNsPerAccessSpan = hostNsPerOp(rounds*perSweep, func() {
-		for i := 0; i < rounds && err == nil; i++ {
-			err = spanSweep()
-		}
-	})
-	if err != nil {
-		return err
-	}
-	hostPerfSink += sink
-	if r.HostNsPerAccessSpan > 0 {
-		r.MemSpeedup = r.HostNsPerAccessScalar / r.HostNsPerAccessSpan
-	}
-	va := memPathVA(0)
-	r.CursorAllocsPerOp = testing.AllocsPerRun(1000, func() {
-		if _, err := cur.ReadU64(va); err != nil {
-			panic(err)
-		}
-	})
-	return nil
+	return err
 }
 
 // hostPerfTask is one unit of the fan-out curve: a small standalone
-// machine (backing drawn from the snp boot pool) swept with the batch
-// cursor. Tasks are fully independent, so ideal scaling is linear.
+// machine (backing drawn from the snp boot pool) swept word by word. Tasks are fully independent, so ideal scaling is linear.
 func hostPerfTask() error {
 	const taskMem = 4 << 20
 	const taskPages = 64
@@ -376,16 +261,14 @@ func hostPerfTask() error {
 		}
 	}
 	ctx := as.Context(snp.CPL0)
-	wcur := ctx.Cursor(snp.AccessWrite)
-	rcur := ctx.Cursor(snp.AccessRead)
 	for round := 0; round < 40; round++ {
 		for i := 0; i < taskPages; i++ {
 			va := memPathBase + uint64(i)*snp.PageSize
 			for off := uint64(0); off < snp.PageSize; off += 64 {
-				if err := wcur.WriteU64(va+off, uint64(round)+off); err != nil {
+				if err := ctx.WriteU64(va+off, uint64(round)+off); err != nil {
 					return err
 				}
-				if _, err := rcur.ReadU64(va + off); err != nil {
+				if _, err := ctx.ReadU64(va + off); err != nil {
 					return err
 				}
 			}

@@ -191,16 +191,14 @@ func pollWaitSlices(m SMPModeResult) uint64 {
 
 // ReportHostPerf prints the host-throughput engine measurement.
 func ReportHostPerf(w io.Writer, r HostPerfResult) {
-	fmt.Fprintf(w, "Host throughput — pooled/batched hot paths vs exact references (sqlite ×%d corpus)\n",
+	fmt.Fprintf(w, "Host throughput — hot-path cost on the host clock (sqlite ×%d corpus)\n",
 		r.Iterations)
-	fmt.Fprintf(w, "  export (%d events, %d B/render): legacy %.0f ns, pooled %.0f ns (%.1fx); allocs %.0f -> %.0f\n",
-		r.ExportEvents, r.ExportBytes, r.HostNsExportLegacy, r.HostNsExportPooled,
-		r.ExportSpeedup, r.ExportAllocsLegacy, r.ExportAllocsPooled)
+	fmt.Fprintf(w, "  export (%d events, %d B/render): %.0f ns, %.0f allocs per render\n",
+		r.ExportEvents, r.ExportBytes, r.HostNsExportPooled, r.ExportAllocsPooled)
 	fmt.Fprintf(w, "  record: %.1f ns/event steady state, %.0f allocs/op\n",
 		r.HostNsPerEvent, r.RecordAllocsPerOp)
-	fmt.Fprintf(w, "  translate (%d word loads/sweep): per-access %.2f ns, cursor %.2f ns, span-batched %.2f ns (%.1fx); cursor allocs %.0f\n",
-		r.MemAccesses, r.HostNsPerAccessScalar, r.HostNsPerAccessCursor,
-		r.HostNsPerAccessSpan, r.MemSpeedup, r.CursorAllocsPerOp)
+	fmt.Fprintf(w, "  translate (%d word loads/sweep): %.2f ns per access\n",
+		r.MemAccesses, r.HostNsPerAccessScalar)
 	if len(r.Scale) > 0 {
 		fmt.Fprintf(w, "  fan-out (%d tasks):", r.ScaleTasks)
 		for _, p := range r.Scale {

@@ -267,15 +267,6 @@ func (mon *Monitor) attestationReport(vcpu int, data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// ChannelPublicKey returns the monitor's X25519 public key (it also rides
-// in every attestation report's report data).
-func (mon *Monitor) ChannelPublicKey() []byte {
-	if mon.kp == nil {
-		return nil
-	}
-	return mon.kp.PublicBytes()
-}
-
 // EstablishUserChannel derives the AES-GCM channel with the remote user.
 func (mon *Monitor) EstablishUserChannel(userPub []byte) error {
 	if mon.kp == nil {

@@ -257,53 +257,3 @@ func (s *OSStub) CallSrvBatch(reqs []Request) ([]Response, error) {
 	}
 	return resps, nil
 }
-
-// AuditEmitBatch sends a group of finalized audit records to VeilS-Log as
-// OpLogAppendBatch requests over the ring: records are packed into as few
-// descriptors as fit, and the whole group commits under one doorbell. It
-// returns how many records VeilS-Log appended.
-func (s *OSStub) AuditEmitBatch(recs [][]byte) (int, error) {
-	if len(recs) == 0 {
-		return 0, nil
-	}
-	var reqs []Request
-	e := &enc{}
-	count := 0
-	flushChunk := func() {
-		if count == 0 {
-			return
-		}
-		hdr := (&enc{}).u32(uint32(count))
-		reqs = append(reqs, Request{Svc: SvcLOG, Op: OpLogAppendBatch, Payload: append(hdr.b, e.b...)})
-		e = &enc{}
-		count = 0
-	}
-	for _, rec := range recs {
-		if len(rec) > RingPayloadMax-8 {
-			rec = rec[:RingPayloadMax-8]
-		}
-		if 4+len(e.b)+4+len(rec) > RingPayloadMax {
-			flushChunk()
-		}
-		e.bytes(rec)
-		count++
-	}
-	flushChunk()
-
-	resps, err := s.CallSrvBatch(reqs)
-	if err != nil {
-		return 0, err
-	}
-	appended := 0
-	for _, r := range resps {
-		if err := statusErr(r); err != nil {
-			return appended, err
-		}
-		d := &dec{b: r.Payload}
-		appended += int(d.u32())
-		if d.err != nil {
-			return appended, d.err
-		}
-	}
-	return appended, nil
-}

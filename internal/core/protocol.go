@@ -43,11 +43,6 @@ const (
 	OpEncPageRestore uint8 = 4
 	// OpEncDestroy tears an enclave down (payload: id u32).
 	OpEncDestroy uint8 = 5
-	// OpEncSyncPermsBatch mirrors several mprotect ranges in one request
-	// (payload: id u32, count u32, then count × (virt u64, len u64,
-	// prot u64)). Response: u32 count of ranges applied. The batched ring
-	// path uses it to sync a whole mapping's pages under one descriptor.
-	OpEncSyncPermsBatch uint8 = 6
 )
 
 // VeilS-Channel operations: attested sessions between the CVMs of a fleet.
@@ -84,8 +79,4 @@ const (
 	OpLogAppend uint8 = 1
 	// OpLogStats returns (count u64, bytes u64, dropped u64).
 	OpLogStats uint8 = 2
-	// OpLogAppendBatch group-commits several records in one request
-	// (payload: count u32, then count × (len u32, bytes)). Response:
-	// appended u32, dropped u32. This is the ring path's group commit.
-	OpLogAppendBatch uint8 = 3
 )

@@ -384,10 +384,6 @@ func bootNative(opts Options, rng io.Reader) (*CVM, error) {
 	return c, nil
 }
 
-// BootRegions returns the measured launch regions (remote users precompute
-// the expected measurement from these).
-func (c *CVM) BootRegions() []hv.LaunchRegion { return c.bootRegions }
-
 // ExpectedMeasurement computes the launch digest a verifier would expect.
 func (c *CVM) ExpectedMeasurement() [32]byte {
 	regions := make([]attest.Region, len(c.bootRegions))
@@ -460,9 +456,6 @@ func (c *CVM) DrainNetFrames() [][]byte {
 	c.netRx = nil
 	return out
 }
-
-// PendingNetFrames returns the receive-queue depth.
-func (c *CVM) PendingNetFrames() int { return len(c.netRx) }
 
 // Tick injects n timer interrupts on VCPU 0.
 func (c *CVM) Tick(n int) error {

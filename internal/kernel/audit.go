@@ -24,22 +24,6 @@ type Audit struct {
 	rules   map[SysNo]bool
 	buf     [][]byte
 	records uint64
-
-	// batch > 0 groups records destined for VeilS-Log: up to batch
-	// finalized records accumulate in pending and cross to the service
-	// together (one ring doorbell instead of one domain switch each).
-	// This relaxes execute-ahead from "before the audited event" to
-	// "within batch audited events" — the documented trade of the batched
-	// mode; the default (0) keeps the paper's per-record behaviour.
-	batch   int
-	pending [][]byte
-}
-
-// BatchHooks is the optional extension of Hooks implemented by OS stubs
-// that can group-commit audit records over the batched service ring. The
-// return value is how many records the service accepted.
-type BatchHooks interface {
-	AuditEmitBatch(recs [][]byte) (int, error)
 }
 
 // NewAudit creates a disabled audit subsystem.
@@ -72,9 +56,6 @@ func (a *Audit) SetRules(rules []SysNo) {
 	a.enabled = len(rules) > 0
 }
 
-// Disable turns auditing off.
-func (a *Audit) Disable() { a.enabled = false }
-
 // Matches reports whether syscall n is audited.
 func (a *Audit) Matches(n SysNo) bool { return a.enabled && a.rules[n] }
 
@@ -88,58 +69,11 @@ func (a *Audit) emitFor(p *Process, n SysNo, detail string) error {
 		a.k.m.Clock().Cycles(), p.PID, p.UID, n.Name(), detail)
 	a.k.m.ObserveAudit(a.k.cfg.VMPL, uint64(len(rec)))
 	if h := a.k.cfg.Hooks; h != nil {
-		if bh, ok := h.(BatchHooks); ok && a.batch > 0 {
-			a.pending = append(a.pending, []byte(rec))
-			if len(a.pending) >= a.batch {
-				return a.flushTo(bh)
-			}
-			return nil
-		}
 		return h.AuditEmit([]byte(rec))
 	}
 	a.buf = append(a.buf, []byte(rec))
 	return nil
 }
-
-// SetBatch sets the group-commit size for hooked audit emission (0 restores
-// the default per-record domain switch). Changing the size does not flush;
-// call Flush for that.
-func (a *Audit) SetBatch(n int) {
-	if n < 0 {
-		n = 0
-	}
-	a.batch = n
-}
-
-// Flush pushes any pending batched records to the service immediately —
-// syscall-exit paths and tests use it to bound the execute-ahead window.
-func (a *Audit) Flush() error {
-	if len(a.pending) == 0 {
-		return nil
-	}
-	bh, ok := a.k.cfg.Hooks.(BatchHooks)
-	if !ok {
-		a.pending = nil
-		return fmt.Errorf("kernel: audit batch pending but hooks cannot batch")
-	}
-	return a.flushTo(bh)
-}
-
-func (a *Audit) flushTo(bh BatchHooks) error {
-	recs := a.pending
-	a.pending = nil
-	n, err := bh.AuditEmitBatch(recs)
-	if err != nil {
-		return err
-	}
-	if n != len(recs) {
-		return fmt.Errorf("kernel: audit batch: %d of %d records accepted", n, len(recs))
-	}
-	return nil
-}
-
-// PendingBatch returns how many records await the next batched commit.
-func (a *Audit) PendingBatch() int { return len(a.pending) }
 
 // Records returns the native in-kernel buffer (empty under Veil, where
 // records live in VeilS-Log's protected store).

@@ -168,17 +168,6 @@ func (k *Kernel) WritePhys(phys uint64, buf []byte) error {
 	})
 }
 
-// WithPhysSpan hands fn a zero-copy, RMP-checked view of [phys, phys+n),
-// which must not cross a page boundary. The span aliases guest memory and
-// must not be retained past fn.
-func (k *Kernel) WithPhysSpan(phys uint64, n int, acc snp.Access, fn func(span []byte) error) error {
-	span, err := k.m.Span(k.cfg.VMPL, snp.CPL0, phys, n, acc)
-	if err != nil {
-		return err
-	}
-	return fn(span)
-}
-
 // physChunks walks [phys, phys+n) one in-page span at a time.
 func (k *Kernel) physChunks(phys uint64, n int, acc snp.Access, fn func(off int, span []byte)) error {
 	for off := 0; off < n; {

@@ -107,12 +107,6 @@ func (p *Process) installFD(f *FD) int {
 	return fd
 }
 
-// FDDesc returns the descriptor object (for tests).
-func (p *Process) FDDesc(fd int) (*FD, bool) {
-	f, ok := p.fds[fd]
-	return f, ok
-}
-
 // Exited reports termination state.
 func (p *Process) Exited() (bool, int) { return p.exited, p.exitCode }
 
@@ -188,12 +182,6 @@ func (p *Process) UnmapRegion(virt uint64) error {
 func (p *Process) RegionFrames(virt uint64) ([]uint64, bool) {
 	f, ok := p.frames[virt]
 	return f, ok
-}
-
-// RegionLen returns the byte length of the region at virt.
-func (p *Process) RegionLen(virt uint64) (uint64, bool) {
-	l, ok := p.regions[virt]
-	return l, ok
 }
 
 // Teardown releases all process resources (called by exit).

@@ -95,14 +95,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// BucketCount returns the count in bucket b.
-func (h *Histogram) BucketCount(b int) uint64 {
-	if b < 0 || b >= numBuckets {
-		return 0
-	}
-	return h.counts[b]
-}
-
 // Quantile returns an upper bound for the q-quantile (0 < q ≤ 1): the
 // inclusive upper edge of the first bucket whose cumulative count reaches
 // q·n, clamped to the observed [min, max] so exact distributions (e.g. a

@@ -617,14 +617,6 @@ func (r *Recorder) Cap() int {
 	return r.shardCap * len(r.shards)
 }
 
-// ShardCap returns the per-shard ring capacity.
-func (r *Recorder) ShardCap() int {
-	if r == nil {
-		return 0
-	}
-	return r.shardCap
-}
-
 // SetMachine tags the recorder with its fleet machine id. Exporters use
 // the tag as the process dimension; BootFleet calls this for every
 // per-machine recorder it is handed. Nil-safe no-op.
@@ -781,18 +773,6 @@ func (r *Recorder) Metrics() *Metrics {
 	m := r.buildMetrics()
 	r.snapshot, r.snapSeq, r.snapDirty = m, r.seq, false
 	return m
-}
-
-// metricsRebuild is Metrics with the memoization bypassed: the snapshot
-// is aggregated from scratch on every call. The fmt reference exporters
-// use it so the "legacy export pipeline" the hostperf benchmark measures
-// keeps the pre-pooling cost model (every exporter re-aggregated),
-// not just its bytes. Nil-safe.
-func (r *Recorder) metricsRebuild() *Metrics {
-	if r == nil {
-		return nil
-	}
-	return r.buildMetrics()
 }
 
 // buildMetrics is the uncached snapshot aggregation.

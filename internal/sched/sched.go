@@ -350,10 +350,6 @@ func (s *Scheduler) Run() (Stats, error) {
 // same snapshot; the fleet stepper reads it after driving Step directly.
 func (s *Scheduler) Stats() Stats { return s.stats() }
 
-// Round returns the current scheduling round (drain due times are measured
-// in rounds; the fleet stepper surfaces it in telemetry).
-func (s *Scheduler) Round() uint64 { return s.round }
-
 // pick selects the next runnable VCPU through the configured Chooser:
 // deterministic given the chooser's state, proportionally fair under the
 // default lottery. Returns nil when nothing is runnable (all blocked or

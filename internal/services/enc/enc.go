@@ -135,8 +135,6 @@ func (s *Service) handle(vcpu int, op uint8, payload []byte) (uint32, []byte) {
 		return s.serveFinalize(payload)
 	case core.OpEncSyncPerms:
 		return s.serveSyncPerms(payload)
-	case core.OpEncSyncPermsBatch:
-		return s.serveSyncPermsBatch(payload)
 	case core.OpEncPageFree:
 		return s.servePageFree(payload)
 	case core.OpEncPageRestore:

@@ -251,37 +251,6 @@ func (s *Service) serveSyncPerms(payload []byte) (uint32, []byte) {
 	return core.StatusOK, nil
 }
 
-// serveSyncPermsBatch handles OpEncSyncPermsBatch (payload: id u32,
-// count u32, then count × (virt u64, len u64, prot u64)): several mirror
-// updates under one request — and, over the ring, one domain switch for
-// the whole set. Ranges apply in order; the first refusal stops the batch
-// and the reply's applied count tells the OS where it stopped.
-func (s *Service) serveSyncPermsBatch(payload []byte) (uint32, []byte) {
-	if len(payload) < 8 {
-		return core.StatusError, nil
-	}
-	id := binary.LittleEndian.Uint32(payload[0:])
-	count := binary.LittleEndian.Uint32(payload[4:])
-	if uint64(len(payload)) != 8+uint64(count)*24 {
-		return core.StatusError, nil
-	}
-	var applied uint32
-	var out [4]byte
-	for i := uint32(0); i < count; i++ {
-		off := 8 + i*24
-		virt := binary.LittleEndian.Uint64(payload[off:])
-		length := binary.LittleEndian.Uint64(payload[off+8:])
-		prot := binary.LittleEndian.Uint64(payload[off+16:])
-		if err := s.SyncPermissions(id, virt, length, prot); err != nil {
-			binary.LittleEndian.PutUint32(out[:], applied)
-			return core.StatusDenied, out[:]
-		}
-		applied++
-	}
-	binary.LittleEndian.PutUint32(out[:], applied)
-	return core.StatusOK, out[:]
-}
-
 // SyncPermissions mirrors an OS permission change for non-enclave memory.
 func (s *Service) SyncPermissions(id uint32, virt, length uint64, prot uint64) error {
 	e, ok := s.Enclave(id)

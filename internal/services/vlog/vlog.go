@@ -68,8 +68,6 @@ func (s *Service) handle(vcpu int, op uint8, payload []byte) (uint32, []byte) {
 			return core.StatusOK, nil
 		}
 		return core.StatusError, nil
-	case core.OpLogAppendBatch:
-		return s.appendBatch(payload)
 	case core.OpLogStats:
 		var out [24]byte
 		binary.LittleEndian.PutUint64(out[0:], s.count)
@@ -78,39 +76,6 @@ func (s *Service) handle(vcpu int, op uint8, payload []byte) (uint32, []byte) {
 		return core.StatusOK, out[:]
 	}
 	return core.StatusError, nil
-}
-
-// appendBatch group-commits the records packed into one ring descriptor
-// (count u32, then count × (len u32, bytes)): every record lands in the
-// store under a single domain switch instead of one switch each. The reply
-// reports how many appended and how many the full store dropped.
-func (s *Service) appendBatch(payload []byte) (uint32, []byte) {
-	if len(payload) < 4 {
-		return core.StatusError, nil
-	}
-	count := binary.LittleEndian.Uint32(payload)
-	off := 4
-	var appended, dropped uint32
-	for i := uint32(0); i < count; i++ {
-		if off+4 > len(payload) {
-			return core.StatusError, nil
-		}
-		n := int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-		if n < 0 || off+n > len(payload) {
-			return core.StatusError, nil
-		}
-		if s.append(payload[off : off+n]) {
-			appended++
-		} else {
-			dropped++
-		}
-		off += n
-	}
-	var out [8]byte
-	binary.LittleEndian.PutUint32(out[0:], appended)
-	binary.LittleEndian.PutUint32(out[4:], dropped)
-	return core.StatusOK, out[:]
 }
 
 // append stores one length-prefixed record. When the store is full the

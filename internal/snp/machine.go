@@ -54,14 +54,9 @@ type Machine struct {
 	// pages the walker has read PTEs from. tlbNoInvalidate is the
 	// deliberately broken test-only mode proving the stale-TLB attack
 	// test has teeth.
-	tlb           []tlbEntry
-	tlbFlushEpoch uint64
-	tlbRMPEpoch   uint64
-	// tlbGen is the coarse invalidation tick SpanCursor revalidates
-	// against: every invalidation on any of the three precise channels
-	// (flush epoch, RMP epoch, per-table-page generation) also bumps it,
-	// so a cursor's cached page+verdict is live iff its snapshot matches.
-	tlbGen          uint64
+	tlb             []tlbEntry
+	tlbFlushEpoch   uint64
+	tlbRMPEpoch     uint64
 	tlbNoInvalidate bool
 	ptPages         []uint64
 	ptGen           []uint32

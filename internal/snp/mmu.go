@@ -213,33 +213,26 @@ func (a AccessContext) translateUncached(virt uint64, acc Access) (uint64, error
 // cached pass is still exact. Fault semantics match the copying path
 // bit-for-bit, with the true faulting virtual address carried through.
 func (a AccessContext) span(virt uint64, n int, acc Access) ([]byte, error) {
-	buf, _, err := a.spanPhys(virt, n, acc)
-	return buf, err
-}
-
-// spanPhys is span plus the resolved physical address, which the batch
-// SpanCursor needs to derive the full backing page from a sub-page access.
-func (a AccessContext) spanPhys(virt uint64, n int, acc Access) ([]byte, uint64, error) {
 	m := a.M
 	phys, e, err := a.translate(virt, acc)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if e != nil && e.rmpEpoch == m.tlbRMPEpoch && e.rmpOK&(1<<uint(acc)) != 0 {
 		if err := m.checkRunning(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if n < 0 || PageOffset(phys)+uint64(n) > PageSize {
-			return nil, 0, fmt.Errorf("snp: physical access %#x+%d crosses a page boundary", phys, n)
+			return nil, fmt.Errorf("snp: physical access %#x+%d crosses a page boundary", phys, n)
 		}
 		if acc == AccessWrite && m.isPTPage(phys>>PageShift) {
 			m.invalidatePTPage(phys >> PageShift)
 		}
-		return m.mem[phys : phys+uint64(n)], phys, nil
+		return m.mem[phys : phys+uint64(n)], nil
 	}
 	buf, err := m.guestAccessPhys(a.VMPL, a.CPL, phys, n, acc, virt)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if e != nil {
 		if e.rmpEpoch != m.tlbRMPEpoch {
@@ -248,7 +241,7 @@ func (a AccessContext) spanPhys(virt uint64, n int, acc Access) ([]byte, uint64,
 		}
 		e.rmpOK |= 1 << uint(acc)
 	}
-	return buf, phys, nil
+	return buf, nil
 }
 
 // WithSpan runs fn over the backing bytes of [virt, virt+n), which must lie

@@ -56,17 +56,13 @@ func releaseBacking(b *machineBacking) {
 // Release returns the machine's backing memory to the boot pool and drops
 // its other per-boot state (RMP baseline, flight ring, VMSA map). The
 // machine — and anything aliasing its memory: access contexts, span
-// windows, SpanCursors — must not be used afterwards; callers own that
+// windows — must not be used afterwards; callers own that
 // lifetime (the bench harness releases only machines whose experiments
 // have fully read their results). Releasing twice is a no-op.
 func (m *Machine) Release() {
 	if m.mem == nil {
 		return
 	}
-	// Invalidate any outstanding SpanCursor: a cursor caches a slice of
-	// m.mem plus a tlbGen snapshot, and the backing may next belong to a
-	// different machine.
-	m.tlbGen++
 	releaseBacking(&machineBacking{mem: m.mem, rmp: m.rmp})
 	m.mem = nil
 	m.rmp = nil

@@ -257,3 +257,32 @@ func FuzzTranslateTLB(f *testing.F) {
 		runTranslateDiff(t, data)
 	})
 }
+
+// TestAccessContextZeroAllocs pins the shipped per-access memory path at
+// zero allocations: TLB-hit ReadU64/WriteU64 with a cached RMP verdict.
+func TestAccessContextZeroAllocs(t *testing.T) {
+	w := buildDiffWorld(t)
+	virt := diffVirt(0, 3)
+	// Warm the translation and both RMP verdicts outside the measurement.
+	if _, err := w.ctx.ReadU64(virt); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ctx.WriteU64(virt+8, 1); err != nil {
+		t.Fatal(err)
+	}
+	hits := w.m.MemStats().TLBHits
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := w.ctx.ReadU64(virt); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.ctx.WriteU64(virt+8, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("per-access path allocates %.1f times per op, want 0", allocs)
+	}
+	if w.m.MemStats().TLBHits == hits {
+		t.Fatal("measured accesses did not hit the TLB")
+	}
+}

@@ -8,6 +8,7 @@ package veil
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -159,6 +160,54 @@ func TestRingInterleaved(t *testing.T) {
 	}
 }
 
+// TestRetiredBatchOpsRefused: the group-commit ops VeilS-Log (op 3) and
+// VeilS-Enc (op 6) once served are gone, so well-formed payloads for them
+// get the unknown-op refusal on both the synchronous and the ring path,
+// and nothing reaches the protected log store.
+func TestRetiredBatchOpsRefused(t *testing.T) {
+	c := bootRing(t, 4600)
+	// VeilS-Log op 3: count u32, then count × (len u32, bytes).
+	var logBatch []byte
+	logBatch = binary.LittleEndian.AppendUint32(logBatch, 2)
+	for _, rec := range []string{"one", "two"} {
+		logBatch = binary.LittleEndian.AppendUint32(logBatch, uint32(len(rec)))
+		logBatch = append(logBatch, rec...)
+	}
+	// VeilS-Enc op 6: id u32, count u32, then count × (virt, len, prot u64).
+	var encBatch []byte
+	encBatch = binary.LittleEndian.AppendUint32(encBatch, 0)
+	encBatch = binary.LittleEndian.AppendUint32(encBatch, 1)
+	for _, v := range []uint64{0x400000, 0x1000, 3} {
+		encBatch = binary.LittleEndian.AppendUint64(encBatch, v)
+	}
+	reqs := []core.Request{
+		{Svc: core.SvcLOG, Op: 3, Payload: logBatch},
+		{Svc: core.SvcENC, Op: 6, Payload: encBatch},
+	}
+	before := c.LOG.Count()
+	for _, req := range reqs {
+		resp, err := c.Stub.CallSrv(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != core.StatusError {
+			t.Fatalf("sync svc %d op %d: status %d, want StatusError", req.Svc, req.Op, resp.Status)
+		}
+	}
+	resps, err := c.Stub.CallSrvBatch(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range resps {
+		if resp.Status != core.StatusError {
+			t.Fatalf("ring svc %d op %d: status %d, want StatusError", reqs[i].Svc, reqs[i].Op, resp.Status)
+		}
+	}
+	if got := c.LOG.Count(); got != before {
+		t.Fatalf("LOG.Count = %d after refused ops, want %d", got, before)
+	}
+}
+
 // FuzzRingProtocol is the differential fuzzer: arbitrary bytes become a
 // request list issued through the synchronous path on one CVM and through
 // CallSrvBatch on an identically seeded second CVM. Responses and the
@@ -172,11 +221,11 @@ func FuzzRingProtocol(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Decode: [op-selector, payload-len, payload...]* — ops cycle over
-		// VeilS-Log's handlers (append, stats, append-batch), payloads are
-		// raw attacker bytes (append-batch therefore sees malformed frames).
+		// VeilS-Log's handlers (append, stats) and the retired op 3, which
+		// must be refused; payloads are raw attacker bytes.
 		var reqs []core.Request
 		for i := 0; i+1 < len(raw) && len(reqs) < 40; {
-			op := []uint8{core.OpLogAppend, core.OpLogStats, core.OpLogAppendBatch}[raw[i]%3]
+			op := []uint8{core.OpLogAppend, core.OpLogStats, 3}[raw[i]%3]
 			n := int(raw[i+1]) % 100
 			i += 2
 			if n > len(raw)-i {
