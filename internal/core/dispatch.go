@@ -250,7 +250,7 @@ func (mon *Monitor) ServiceAttestationReport(vcpu int, data []byte) ([]byte, err
 // context with the given report data. The PSP stamps the requester VMPL
 // from the exiting VMSA — VMPL0 here — never from the request.
 func (mon *Monitor) attestationReport(vcpu int, data []byte) ([]byte, error) {
-	if len(data) > len((&snp.GHCB{}).Payload) {
+	if len(data) > snp.GHCBPayloadSize {
 		return nil, fmt.Errorf("core: report data %d bytes too large", len(data))
 	}
 	g := &snp.GHCB{ExitCode: hv.ExitGuestRequest, SwScratch: uint64(len(data))}

@@ -212,7 +212,10 @@ func (h *Hypervisor) serveGuestRequest(c *vcpu, ghcbPhys uint64, g *snp.GHCB) er
 	if dataLen < 0 || dataLen > len(g.Payload) {
 		return fmt.Errorf("hv: guest request: bad report data length %d", dataLen)
 	}
-	report, err := h.psp.SignReport(h.measurement, v.VMPL, g.Payload[:dataLen])
+	// The signer gets its own copy of the report data, so the exit's GHCB
+	// never escapes VMGEXIT's stack.
+	data := append([]byte(nil), g.Payload[:dataLen]...)
+	report, err := h.psp.SignReport(h.measurement, v.VMPL, data)
 	if err != nil {
 		return fmt.Errorf("hv: PSP: %w", err)
 	}

@@ -381,3 +381,26 @@ func TestReasonStrings(t *testing.T) {
 		t.Fatal("reason strings")
 	}
 }
+
+func TestVMGEXITZeroAlloc(t *testing.T) {
+	h := newHarness(t)
+	// Rebind the OS to a no-op context so the round trip itself is all
+	// that runs.
+	h.hv.BindContext(pgOSVMSA*snp.PageSize, ContextFunc(func(Reason) error { return nil }))
+	g := &snp.GHCB{ExitCode: ExitRegisterVMSA, ExitInfo1: pgOSVMSA * snp.PageSize, ExitInfo2: uint64(tagOS)}
+	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
+		t.Fatal(err)
+	}
+	var sw snp.GHCB
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		sw = snp.GHCB{ExitCode: ExitDomainSwitch, ExitInfo1: uint64(tagOS)}
+		err = h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, &sw)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("domain-switch GuestCall allocates %.1f times, want 0", allocs)
+	}
+}

@@ -129,6 +129,22 @@ func TestThreadGHCBMustBeShared(t *testing.T) {
 	}
 }
 
+func TestThreadGHCBMustBeAligned(t *testing.T) {
+	c := bootVeilSMP(t, 2)
+	prog := ProgramFunc(func(Libc, []string) int { return 0 })
+	host := c.K.Spawn("smp-host")
+	app, err := LaunchEnclave(c, host, prog, EnclaveConfig{RegionPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Inside the enclave's shared GHCB page, but not at its start.
+	ghcb := app.GHCB + 64
+	err = c.ENC.AddThread(app.ID, 1, ghcb, app.Enclave().forThread(1, ghcb))
+	if err == nil {
+		t.Fatal("unaligned thread GHCB accepted")
+	}
+}
+
 func TestThreadsTornDownOnDestroy(t *testing.T) {
 	c := bootVeilSMP(t, 2)
 	prog := ProgramFunc(func(Libc, []string) int { return 0 })

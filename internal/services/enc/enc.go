@@ -198,8 +198,9 @@ func (s *Service) finalize(vcpu int, cr3, base, length, entry, ghcb uint64, fact
 		return nil, errDenied
 	}
 	// The GHCB must be a truly shared page: if the OS hands over a private
-	// page the hypervisor cannot read it and every switch would crash.
-	if ge, err := m.RMPEntryAt(ghcb); err != nil || ge.Assigned {
+	// page the hypervisor cannot read it and every switch would crash; an
+	// unaligned address names no GHCB any exit can use.
+	if ge, err := m.RMPEntryAt(ghcb); err != nil || ge.Assigned || snp.PageOffset(ghcb) != 0 {
 		return nil, errDenied
 	}
 

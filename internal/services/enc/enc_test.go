@@ -139,6 +139,17 @@ func TestFinalizeRejectsPrivateGHCB(t *testing.T) {
 	}
 }
 
+func TestFinalizeRejectsUnalignedGHCB(t *testing.T) {
+	c := bootVeil(t)
+	_, cr3, base, ghcb := prepProcess(t, c, 4)
+	tok := registerToken(c)
+	// A shared page, but no exit can use a GHCB inside it.
+	resp := rawFinalize(t, c, tok, cr3, base, 4*snp.PageSize, base, ghcb+64)
+	if resp.Status != core.StatusDenied {
+		t.Fatalf("unaligned-GHCB finalize status = %d", resp.Status)
+	}
+}
+
 func TestFinalizeRejectsBadGeometry(t *testing.T) {
 	c := bootVeil(t)
 	_, cr3, base, ghcb := prepProcess(t, c, 4)

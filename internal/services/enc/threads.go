@@ -5,6 +5,7 @@ import (
 
 	"veil/internal/core"
 	"veil/internal/hv"
+	"veil/internal/snp"
 )
 
 // Multi-threaded enclaves (§7's future-work design, implemented): the OS
@@ -31,8 +32,9 @@ func (s *Service) AddThread(id uint32, vcpu int, ghcbPhys uint64, ctx hv.Context
 	if _, exists := e.threads[vcpu]; exists {
 		return fmt.Errorf("enc: enclave %d already has a thread on VCPU %d", id, vcpu)
 	}
-	// The per-thread GHCB must be a shared page (same check as finalize).
-	if ge, err := s.mon.Machine().RMPEntryAt(ghcbPhys); err != nil || ge.Assigned {
+	// The per-thread GHCB must be a page-aligned shared page (same check as
+	// finalize).
+	if ge, err := s.mon.Machine().RMPEntryAt(ghcbPhys); err != nil || ge.Assigned || snp.PageOffset(ghcbPhys) != 0 {
 		return errDenied
 	}
 	vmsa, err := s.mon.CreateEnclaveVCPU(vcpu, e.tag, e.clone.CR3(), e.entry, ctx)

@@ -278,51 +278,69 @@ func (m *Machine) rawPage(pi uint64) []byte {
 	return m.mem[base : base+PageSize]
 }
 
-// HVReadPhys models a hypervisor (or device) read. SEV-SNP forbids outside
-// software from reading guest-assigned pages; only shared pages succeed.
-func (m *Machine) HVReadPhys(phys uint64, buf []byte) error {
-	pi, err := m.physRange(phys, len(buf))
+// hostAccessPhys is the hypervisor's (or a device's) view of guest memory:
+// it returns the backing slice for [phys, phys+n), which must lie within one
+// page. SEV-SNP forbids outside software from touching guest-assigned pages,
+// so those are refused; only shared pages succeed. A write to a page the
+// walker has read PTEs from invalidates the translations through it.
+func (m *Machine) hostAccessPhys(phys uint64, n int, a Access) ([]byte, error) {
+	pi, err := m.physRange(phys, n)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if m.rmp[pi].Assigned {
+		if a == AccessWrite {
+			m.ObserveDenied(DeniedHVWrite, PageBase(phys))
+			return nil, fmt.Errorf("snp: hypervisor write to guest-assigned page %#x blocked", PageBase(phys))
+		}
 		// Reads of encrypted guest memory return ciphertext garbage on
 		// real hardware; the model returns an error so tests can assert
 		// the leak did not happen.
 		m.ObserveDenied(DeniedHVRead, PageBase(phys))
-		return fmt.Errorf("snp: hypervisor read of guest-assigned page %#x blocked", PageBase(phys))
+		return nil, fmt.Errorf("snp: hypervisor read of guest-assigned page %#x blocked", PageBase(phys))
 	}
-	copy(buf, m.mem[phys:phys+uint64(len(buf))])
+	if a == AccessWrite && m.isPTPage(pi) {
+		m.invalidatePTPage(pi)
+	}
+	return m.mem[phys : phys+uint64(n)], nil
+}
+
+// HVReadPhys models a hypervisor (or device) read. SEV-SNP forbids outside
+// software from reading guest-assigned pages; only shared pages succeed.
+func (m *Machine) HVReadPhys(phys uint64, buf []byte) error {
+	src, err := m.hostAccessPhys(phys, len(buf), AccessRead)
+	if err != nil {
+		return err
+	}
+	copy(buf, src)
 	return nil
 }
 
 // HVWritePhys models a hypervisor write; writes to guest-assigned pages are
 // blocked (integrity protection) while shared pages succeed.
 func (m *Machine) HVWritePhys(phys uint64, buf []byte) error {
-	pi, err := m.physRange(phys, len(buf))
+	dst, err := m.hostAccessPhys(phys, len(buf), AccessWrite)
 	if err != nil {
 		return err
 	}
-	if m.rmp[pi].Assigned {
-		m.ObserveDenied(DeniedHVWrite, PageBase(phys))
-		return fmt.Errorf("snp: hypervisor write to guest-assigned page %#x blocked", PageBase(phys))
-	}
-	if m.isPTPage(pi) {
-		m.invalidatePTPage(pi)
-	}
-	copy(m.mem[phys:phys+uint64(len(buf))], buf)
+	copy(dst, buf)
 	return nil
 }
 
 // WriteGHCBMSR records the GHCB physical address for a VCPU. The MSR write
 // is privileged: it requires CPL0 (§6.2 discusses why enclaves cannot do
-// this themselves and rely on the OS to set it before scheduling them).
+// this themselves and rely on the OS to set it before scheduling them). The
+// address must be page aligned; anything else raises #GP.
 func (m *Machine) WriteGHCBMSR(vcpuID int, cpl CPL, phys uint64) error {
 	if err := m.checkRunning(); err != nil {
 		return err
 	}
 	if cpl != CPL0 {
 		return &Fault{Kind: FaultGP, CPL: cpl, Why: "wrmsr GHCB requires CPL0"}
+	}
+	if PageOffset(phys) != 0 {
+		// The low 12 bits select the GHCB MSR protocol, not a GHCB page.
+		return &Fault{Kind: FaultGP, CPL: cpl, Why: "wrmsr GHCB address not page aligned"}
 	}
 	if _, err := m.pageIndex(phys); err != nil {
 		return err

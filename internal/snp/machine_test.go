@@ -329,6 +329,40 @@ func TestWriteGHCBMSRRequiresCPL0(t *testing.T) {
 	}
 }
 
+func TestGHCBAccessorsRefuseUnaligned(t *testing.T) {
+	m := testMachine(t, 2, 0) // shared pages: only the alignment can fail
+	const phys = 64
+	var g GHCB
+	if err := m.GuestWriteGHCB(VMPL0, CPL0, phys, &g); err == nil {
+		t.Fatal("GuestWriteGHCB accepted an unaligned GHCB")
+	}
+	if err := m.GuestReadGHCB(VMPL0, CPL0, phys, &g); err == nil {
+		t.Fatal("GuestReadGHCB accepted an unaligned GHCB")
+	}
+	if err := m.HVReadGHCB(phys, &g); err == nil {
+		t.Fatal("HVReadGHCB accepted an unaligned GHCB")
+	}
+	if err := m.HVWriteGHCB(phys, &g); err == nil {
+		t.Fatal("HVWriteGHCB accepted an unaligned GHCB")
+	}
+	if m.Halted() != nil {
+		t.Fatalf("refusal halted the machine: %v", m.Halted())
+	}
+}
+
+func TestWriteGHCBMSRRejectsUnaligned(t *testing.T) {
+	m := testMachine(t, 2, 0)
+	if err := m.WriteGHCBMSR(0, CPL0, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteGHCBMSR(0, CPL0, PageSize+8); !IsGP(err) {
+		t.Fatalf("unaligned wrmsr: err = %v, want #GP", err)
+	}
+	if got, _ := m.ReadGHCBMSR(0); got != PageSize {
+		t.Fatalf("MSR = %#x after refused write, want %#x", got, PageSize)
+	}
+}
+
 func TestFaultErrorStrings(t *testing.T) {
 	f := &Fault{Kind: FaultNPF, VMPL: VMPL3, CPL: CPL0, Access: AccessWrite, Why: "test"}
 	if !strings.Contains(f.Error(), "#NPF") || !strings.Contains(f.Error(), "VMPL3") {
