@@ -1,7 +1,7 @@
 package kernel
 
 import (
-	"fmt"
+	"strconv"
 
 	"veil/internal/snp"
 )
@@ -24,6 +24,9 @@ type Audit struct {
 	rules   map[SysNo]bool
 	buf     [][]byte
 	records uint64
+	// scratch is the one buffer every record is rendered into; it keeps
+	// its grown capacity, so a steady stream of records allocates nothing.
+	scratch []byte
 }
 
 // NewAudit creates a disabled audit subsystem.
@@ -59,20 +62,68 @@ func (a *Audit) SetRules(rules []SysNo) {
 // Matches reports whether syscall n is audited.
 func (a *Audit) Matches(n SysNo) bool { return a.enabled && a.rules[n] }
 
-// emitFor formats and stores one record. This is the audit_log_end hook
+// emitFor renders and stores one record. This is the audit_log_end hook
 // point: under Veil the record goes to VeilS-Log through a domain switch
-// and only then does the syscall proceed (execute-ahead, §6.3).
-func (a *Audit) emitFor(p *Process, n SysNo, detail string) error {
+// and only then does the syscall proceed (execute-ahead, §6.3). detail
+// appends the syscall's fields after the header.
+func (a *Audit) emitFor(p *Process, n SysNo, detail func(b []byte) []byte) error {
 	a.k.m.Clock().Charge(snp.CostCompute, CyclesAuditRecord)
 	a.records++
-	rec := fmt.Sprintf("audit(%d): pid=%d uid=%d syscall=%s %s",
-		a.k.m.Clock().Cycles(), p.PID, p.UID, n.Name(), detail)
+	rec := recBuf(a.scratch[:0]).udec("audit(", a.k.m.Clock().Cycles()).
+		dec("): pid=", p.PID).dec(" uid=", p.UID).str(" syscall=", n.Name())
+	rec = detail(append(rec, ' '))
+	a.scratch = rec
 	a.k.m.ObserveAudit(a.k.cfg.VMPL, uint64(len(rec)))
 	if h := a.k.cfg.Hooks; h != nil {
-		return h.AuditEmit([]byte(rec))
+		return h.AuditEmit(rec)
 	}
-	a.buf = append(a.buf, []byte(rec))
+	a.buf = append(a.buf, append([]byte(nil), rec...))
 	return nil
+}
+
+// recBuf renders record fields by appending. Each method writes key and
+// then the value exactly as the fmt verb in its comment would print it
+// (FuzzAuditAppend holds them to fmt).
+type recBuf []byte
+
+// str appends key and s verbatim (%s).
+func (r recBuf) str(key, s string) recBuf { return append(append(r, key...), s...) }
+
+// quote appends key and s as a Go-quoted string (%q).
+func (r recBuf) quote(key, s string) recBuf { return strconv.AppendQuote(append(r, key...), s) }
+
+// dec appends key and v in decimal (%d).
+func (r recBuf) dec(key string, v int) recBuf { return r.dec64(key, int64(v)) }
+
+// dec64 appends key and v in decimal (%d).
+func (r recBuf) dec64(key string, v int64) recBuf { return strconv.AppendInt(append(r, key...), v, 10) }
+
+// udec appends key and v in decimal (%d).
+func (r recBuf) udec(key string, v uint64) recBuf {
+	return strconv.AppendUint(append(r, key...), v, 10)
+}
+
+// hex appends key and v as 0x-prefixed lowercase hex, -0x… when negative
+// (%#x).
+func (r recBuf) hex(key string, v int64) recBuf {
+	if v < 0 {
+		return strconv.AppendUint(append(append(r, key...), "-0x"...), -uint64(v), 16)
+	}
+	return r.uhex(key, uint64(v))
+}
+
+// uhex appends key and v as 0x-prefixed lowercase hex (%#x).
+func (r recBuf) uhex(key string, v uint64) recBuf {
+	return strconv.AppendUint(append(append(r, key...), "0x"...), v, 16)
+}
+
+// oct appends key and v in octal with a leading 0; zero is plain "0" (%#o).
+func (r recBuf) oct(key string, v uint32) recBuf {
+	r = append(r, key...)
+	if v == 0 {
+		return append(r, '0')
+	}
+	return strconv.AppendUint(append(r, '0'), uint64(v), 8)
 }
 
 // Records returns the native in-kernel buffer (empty under Veil, where
@@ -84,8 +135,12 @@ func (a *Audit) Count() uint64 { return a.records }
 
 // TamperNative is the attack surface of native kaudit: a compromised
 // kernel component can rewrite or drop buffered records at will. It exists
-// to demonstrate, in tests, the exact weakness VeilS-Log closes.
+// to demonstrate, in tests, the exact weakness VeilS-Log closes. It drops
+// the last drop records; a count of zero or less drops nothing.
 func (a *Audit) TamperNative(drop int) {
+	if drop <= 0 {
+		return
+	}
 	if drop >= len(a.buf) {
 		a.buf = nil
 		return

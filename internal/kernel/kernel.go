@@ -39,7 +39,9 @@ type Hooks interface {
 	// lifting its text protection.
 	FreeModule(handle int) error
 	// AuditEmit stores one finalized audit record *before* the audited
-	// event executes (execute-ahead protection, §6.3).
+	// event executes (execute-ahead protection, §6.3). rec is the kernel's
+	// reused render buffer and is valid only during the call: an
+	// implementation must copy whatever it keeps.
 	AuditEmit(rec []byte) error
 }
 

@@ -1,7 +1,7 @@
 package kernel
 
 import (
-	"fmt"
+	"strconv"
 
 	"veil/internal/obs"
 	"veil/internal/snp"
@@ -114,7 +114,7 @@ func (n SysNo) Name() string {
 	if s, ok := sysNames[n]; ok {
 		return s
 	}
-	return fmt.Sprintf("sys_%d", int(n))
+	return "sys_" + strconv.Itoa(int(n))
 }
 
 // IoctlHandler services ioctl requests for a named device node (the Veil
@@ -134,6 +134,9 @@ func (k *Kernel) RegisterDevice(path string, h IoctlHandler) error {
 	return nil
 }
 
+// noDetail is the detail of a syscall whose record carries no fields.
+func noDetail(b []byte) []byte { return b }
+
 // sysFrame is one in-flight syscall: the causal span it opened, the
 // syscall number and its start cycle, consumed by sysret.
 type sysFrame struct {
@@ -144,18 +147,19 @@ type sysFrame struct {
 
 // enter is the common syscall prologue: entry cost, trace, causal span
 // open, and — if the syscall matches the audit ruleset — record emission
-// *before* the event runs (execute-ahead, §6.3). detail is built lazily.
+// *before* the event runs (execute-ahead, §6.3). detail appends the
+// record's syscall fields and runs only when the syscall is audited.
 // Every handler pairs it with `defer k.sysret()`, which records the
 // syscall span and closes it; the pairing holds on the audit-refusal path
 // too, because the handler's defer still runs.
-func (k *Kernel) enter(p *Process, n SysNo, detail func() string) error {
+func (k *Kernel) enter(p *Process, n SysNo, detail func(b []byte) []byte) error {
 	start := k.m.Clock().Cycles()
 	k.m.Clock().Charge(snp.CostSyscall, snp.CyclesSyscall)
 	k.chargeBase(n)
 	ref := k.m.ObserveSyscallEnter(k.cfg.VMPL, uint64(n))
 	k.sysStack = append(k.sysStack, sysFrame{ref: ref, n: n, start: start})
 	if k.audit != nil && k.audit.Matches(n) {
-		return k.audit.emitFor(p, n, detail())
+		return k.audit.emitFor(p, n, detail)
 	}
 	return nil
 }
@@ -185,7 +189,7 @@ func (k *Kernel) chargeCopy(n int) {
 // Open implements open(2).
 func (k *Kernel) Open(p *Process, path string, flags int, mode uint32) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysOpen, func() string { return fmt.Sprintf("path=%q flags=%#x", path, flags) }); err != nil {
+	if err := k.enter(p, SysOpen, func(b []byte) []byte { return recBuf(b).quote("path=", path).hex(" flags=", int64(flags)) }); err != nil {
 		return -1, err
 	}
 	var ino *Inode
@@ -217,7 +221,7 @@ func (k *Kernel) Open(p *Process, path string, flags int, mode uint32) (int, err
 // single namespace; dirfd is accepted for ruleset compatibility).
 func (k *Kernel) Openat(p *Process, dirfd int, path string, flags int, mode uint32) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysOpenat, func() string { return fmt.Sprintf("dirfd=%d path=%q", dirfd, path) }); err != nil {
+	if err := k.enter(p, SysOpenat, func(b []byte) []byte { return recBuf(b).dec("dirfd=", dirfd).quote(" path=", path) }); err != nil {
 		return -1, err
 	}
 	// Reuse open semantics without double audit.
@@ -250,7 +254,7 @@ func (k *Kernel) openNoAudit(p *Process, path string, flags int, mode uint32) (i
 // Creat implements creat(2).
 func (k *Kernel) Creat(p *Process, path string, mode uint32) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysCreat, func() string { return fmt.Sprintf("path=%q", path) }); err != nil {
+	if err := k.enter(p, SysCreat, func(b []byte) []byte { return recBuf(b).quote("path=", path) }); err != nil {
 		return -1, err
 	}
 	return k.openNoAudit(p, path, OCreat|OTrunc|OWronly, mode)
@@ -259,7 +263,7 @@ func (k *Kernel) Creat(p *Process, path string, mode uint32) (int, error) {
 // Close implements close(2).
 func (k *Kernel) Close(p *Process, fd int) error {
 	defer k.sysret()
-	if err := k.enter(p, SysClose, func() string { return fmt.Sprintf("fd=%d", fd) }); err != nil {
+	if err := k.enter(p, SysClose, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return err
 	}
 	f, ok := p.fds[fd]
@@ -279,7 +283,7 @@ func (k *Kernel) Close(p *Process, fd int) error {
 // Read implements read(2).
 func (k *Kernel) Read(p *Process, fd int, buf []byte) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysRead, func() string { return fmt.Sprintf("fd=%d len=%d", fd, len(buf)) }); err != nil {
+	if err := k.enter(p, SysRead, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)) }); err != nil {
 		return -1, err
 	}
 	return k.readNoAudit(p, fd, buf)
@@ -323,7 +327,7 @@ func (k *Kernel) readNoAudit(p *Process, fd int, buf []byte) (int, error) {
 // Write implements write(2).
 func (k *Kernel) Write(p *Process, fd int, buf []byte) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysWrite, func() string { return fmt.Sprintf("fd=%d len=%d", fd, len(buf)) }); err != nil {
+	if err := k.enter(p, SysWrite, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)) }); err != nil {
 		return -1, err
 	}
 	return k.writeNoAudit(p, fd, buf)
@@ -367,7 +371,7 @@ func (k *Kernel) writeNoAudit(p *Process, fd int, buf []byte) (int, error) {
 // Pread implements pread64(2).
 func (k *Kernel) Pread(p *Process, fd int, buf []byte, off int64) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysPread, func() string { return fmt.Sprintf("fd=%d len=%d off=%d", fd, len(buf), off) }); err != nil {
+	if err := k.enter(p, SysPread, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)).dec64(" off=", off) }); err != nil {
 		return -1, err
 	}
 	f, ok := p.fds[fd]
@@ -382,7 +386,7 @@ func (k *Kernel) Pread(p *Process, fd int, buf []byte, off int64) (int, error) {
 // Pwrite implements pwrite64(2).
 func (k *Kernel) Pwrite(p *Process, fd int, buf []byte, off int64) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysPwrite, func() string { return fmt.Sprintf("fd=%d len=%d off=%d", fd, len(buf), off) }); err != nil {
+	if err := k.enter(p, SysPwrite, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)).dec64(" off=", off) }); err != nil {
 		return -1, err
 	}
 	f, ok := p.fds[fd]
@@ -397,7 +401,7 @@ func (k *Kernel) Pwrite(p *Process, fd int, buf []byte, off int64) (int, error) 
 // Lseek implements lseek(2).
 func (k *Kernel) Lseek(p *Process, fd int, off int64, whence int) (int64, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysLseek, func() string { return fmt.Sprintf("fd=%d off=%d whence=%d", fd, off, whence) }); err != nil {
+	if err := k.enter(p, SysLseek, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec64(" off=", off).dec(" whence=", whence) }); err != nil {
 		return -1, err
 	}
 	f, ok := p.fds[fd]
@@ -433,7 +437,7 @@ type FileInfo struct {
 // Stat implements stat(2).
 func (k *Kernel) Stat(p *Process, path string) (FileInfo, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysStat, func() string { return fmt.Sprintf("path=%q", path) }); err != nil {
+	if err := k.enter(p, SysStat, func(b []byte) []byte { return recBuf(b).quote("path=", path) }); err != nil {
 		return FileInfo{}, err
 	}
 	ino, err := k.vfs.Lookup(path)
@@ -446,7 +450,7 @@ func (k *Kernel) Stat(p *Process, path string) (FileInfo, error) {
 // Fstat implements fstat(2).
 func (k *Kernel) Fstat(p *Process, fd int) (FileInfo, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysFstat, func() string { return fmt.Sprintf("fd=%d", fd) }); err != nil {
+	if err := k.enter(p, SysFstat, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return FileInfo{}, err
 	}
 	f, ok := p.fds[fd]
@@ -459,7 +463,7 @@ func (k *Kernel) Fstat(p *Process, fd int) (FileInfo, error) {
 // Truncate implements truncate(2).
 func (k *Kernel) Truncate(p *Process, path string, size int64) error {
 	defer k.sysret()
-	if err := k.enter(p, SysTruncate, func() string { return fmt.Sprintf("path=%q size=%d", path, size) }); err != nil {
+	if err := k.enter(p, SysTruncate, func(b []byte) []byte { return recBuf(b).quote("path=", path).dec64(" size=", size) }); err != nil {
 		return err
 	}
 	return k.vfs.Truncate(path, size)
@@ -468,7 +472,7 @@ func (k *Kernel) Truncate(p *Process, path string, size int64) error {
 // Ftruncate implements ftruncate(2).
 func (k *Kernel) Ftruncate(p *Process, fd int, size int64) error {
 	defer k.sysret()
-	if err := k.enter(p, SysFtruncate, func() string { return fmt.Sprintf("fd=%d size=%d", fd, size) }); err != nil {
+	if err := k.enter(p, SysFtruncate, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec64(" size=", size) }); err != nil {
 		return err
 	}
 	f, ok := p.fds[fd]
@@ -481,7 +485,7 @@ func (k *Kernel) Ftruncate(p *Process, fd int, size int64) error {
 // Unlink implements unlink(2).
 func (k *Kernel) Unlink(p *Process, path string) error {
 	defer k.sysret()
-	if err := k.enter(p, SysUnlink, func() string { return fmt.Sprintf("path=%q", path) }); err != nil {
+	if err := k.enter(p, SysUnlink, func(b []byte) []byte { return recBuf(b).quote("path=", path) }); err != nil {
 		return err
 	}
 	return k.vfs.Remove(path)
@@ -490,7 +494,7 @@ func (k *Kernel) Unlink(p *Process, path string) error {
 // Unlinkat implements unlinkat(2) (single-namespace model).
 func (k *Kernel) Unlinkat(p *Process, dirfd int, path string) error {
 	defer k.sysret()
-	if err := k.enter(p, SysUnlinkat, func() string { return fmt.Sprintf("dirfd=%d path=%q", dirfd, path) }); err != nil {
+	if err := k.enter(p, SysUnlinkat, func(b []byte) []byte { return recBuf(b).dec("dirfd=", dirfd).quote(" path=", path) }); err != nil {
 		return err
 	}
 	return k.vfs.Remove(path)
@@ -499,7 +503,7 @@ func (k *Kernel) Unlinkat(p *Process, dirfd int, path string) error {
 // Rename implements rename(2).
 func (k *Kernel) Rename(p *Process, oldp, newp string) error {
 	defer k.sysret()
-	if err := k.enter(p, SysRename, func() string { return fmt.Sprintf("old=%q new=%q", oldp, newp) }); err != nil {
+	if err := k.enter(p, SysRename, func(b []byte) []byte { return recBuf(b).quote("old=", oldp).quote(" new=", newp) }); err != nil {
 		return err
 	}
 	return k.vfs.Rename(oldp, newp)
@@ -508,7 +512,7 @@ func (k *Kernel) Rename(p *Process, oldp, newp string) error {
 // Mkdir implements mkdir(2).
 func (k *Kernel) Mkdir(p *Process, path string, mode uint32) error {
 	defer k.sysret()
-	if err := k.enter(p, SysMkdir, func() string { return fmt.Sprintf("path=%q", path) }); err != nil {
+	if err := k.enter(p, SysMkdir, func(b []byte) []byte { return recBuf(b).quote("path=", path) }); err != nil {
 		return err
 	}
 	return k.vfs.Mkdir(path, mode)
@@ -517,7 +521,7 @@ func (k *Kernel) Mkdir(p *Process, path string, mode uint32) error {
 // Rmdir implements rmdir(2).
 func (k *Kernel) Rmdir(p *Process, path string) error {
 	defer k.sysret()
-	if err := k.enter(p, SysRmdir, func() string { return fmt.Sprintf("path=%q", path) }); err != nil {
+	if err := k.enter(p, SysRmdir, func(b []byte) []byte { return recBuf(b).quote("path=", path) }); err != nil {
 		return err
 	}
 	ino, err := k.vfs.Lookup(path)
@@ -533,7 +537,7 @@ func (k *Kernel) Rmdir(p *Process, path string) error {
 // Link implements link(2).
 func (k *Kernel) Link(p *Process, oldp, newp string) error {
 	defer k.sysret()
-	if err := k.enter(p, SysLink, func() string { return fmt.Sprintf("old=%q new=%q", oldp, newp) }); err != nil {
+	if err := k.enter(p, SysLink, func(b []byte) []byte { return recBuf(b).quote("old=", oldp).quote(" new=", newp) }); err != nil {
 		return err
 	}
 	return k.vfs.Link(oldp, newp)
@@ -542,7 +546,7 @@ func (k *Kernel) Link(p *Process, oldp, newp string) error {
 // Symlink implements symlink(2).
 func (k *Kernel) Symlink(p *Process, target, newp string) error {
 	defer k.sysret()
-	if err := k.enter(p, SysSymlink, func() string { return fmt.Sprintf("target=%q new=%q", target, newp) }); err != nil {
+	if err := k.enter(p, SysSymlink, func(b []byte) []byte { return recBuf(b).quote("target=", target).quote(" new=", newp) }); err != nil {
 		return err
 	}
 	return k.vfs.Symlink(target, newp)
@@ -551,7 +555,7 @@ func (k *Kernel) Symlink(p *Process, target, newp string) error {
 // Chmod implements chmod(2).
 func (k *Kernel) Chmod(p *Process, path string, mode uint32) error {
 	defer k.sysret()
-	if err := k.enter(p, SysChmod, func() string { return fmt.Sprintf("path=%q mode=%#o", path, mode) }); err != nil {
+	if err := k.enter(p, SysChmod, func(b []byte) []byte { return recBuf(b).quote("path=", path).oct(" mode=", mode) }); err != nil {
 		return err
 	}
 	ino, err := k.vfs.Lookup(path)
@@ -565,7 +569,7 @@ func (k *Kernel) Chmod(p *Process, path string, mode uint32) error {
 // Fchmod implements fchmod(2).
 func (k *Kernel) Fchmod(p *Process, fd int, mode uint32) error {
 	defer k.sysret()
-	if err := k.enter(p, SysFchmod, func() string { return fmt.Sprintf("fd=%d mode=%#o", fd, mode) }); err != nil {
+	if err := k.enter(p, SysFchmod, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).oct(" mode=", mode) }); err != nil {
 		return err
 	}
 	f, ok := p.fds[fd]
@@ -579,7 +583,7 @@ func (k *Kernel) Fchmod(p *Process, fd int, mode uint32) error {
 // Mknod implements mknod(2) (regular files only in the model).
 func (k *Kernel) Mknod(p *Process, path string, mode uint32) error {
 	defer k.sysret()
-	if err := k.enter(p, SysMknod, func() string { return fmt.Sprintf("path=%q", path) }); err != nil {
+	if err := k.enter(p, SysMknod, func(b []byte) []byte { return recBuf(b).quote("path=", path) }); err != nil {
 		return err
 	}
 	_, err := k.vfs.Create(path, mode, true)
@@ -589,7 +593,7 @@ func (k *Kernel) Mknod(p *Process, path string, mode uint32) error {
 // Getdents implements getdents(2), returning child names.
 func (k *Kernel) Getdents(p *Process, fd int) ([]string, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysGetdents, func() string { return fmt.Sprintf("fd=%d", fd) }); err != nil {
+	if err := k.enter(p, SysGetdents, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return nil, err
 	}
 	f, ok := p.fds[fd]
@@ -602,7 +606,7 @@ func (k *Kernel) Getdents(p *Process, fd int) ([]string, error) {
 // Dup implements dup(2).
 func (k *Kernel) Dup(p *Process, fd int) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysDup, func() string { return fmt.Sprintf("fd=%d", fd) }); err != nil {
+	if err := k.enter(p, SysDup, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return -1, err
 	}
 	f, ok := p.fds[fd]
@@ -616,7 +620,7 @@ func (k *Kernel) Dup(p *Process, fd int) (int, error) {
 // Dup2 implements dup2(2).
 func (k *Kernel) Dup2(p *Process, oldfd, newfd int) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysDup2, func() string { return fmt.Sprintf("old=%d new=%d", oldfd, newfd) }); err != nil {
+	if err := k.enter(p, SysDup2, func(b []byte) []byte { return recBuf(b).dec("old=", oldfd).dec(" new=", newfd) }); err != nil {
 		return -1, err
 	}
 	f, ok := p.fds[oldfd]
@@ -634,7 +638,7 @@ func (k *Kernel) Dup2(p *Process, oldfd, newfd int) (int, error) {
 // Dup3 implements dup3(2).
 func (k *Kernel) Dup3(p *Process, oldfd, newfd, flags int) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysDup3, func() string { return fmt.Sprintf("old=%d new=%d", oldfd, newfd) }); err != nil {
+	if err := k.enter(p, SysDup3, func(b []byte) []byte { return recBuf(b).dec("old=", oldfd).dec(" new=", newfd) }); err != nil {
 		return -1, err
 	}
 	if oldfd == newfd {
@@ -655,7 +659,7 @@ func (k *Kernel) Dup3(p *Process, oldfd, newfd, flags int) (int, error) {
 // Pipe2 implements pipe2(2), returning (readFD, writeFD).
 func (k *Kernel) Pipe2(p *Process, flags int) (int, int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysPipe2, func() string { return "pipe2" }); err != nil {
+	if err := k.enter(p, SysPipe2, func(b []byte) []byte { return append(b, "pipe2"...) }); err != nil {
 		return -1, -1, err
 	}
 	q := &byteQueue{}
@@ -670,7 +674,7 @@ func (k *Kernel) Pipe2(p *Process, flags int) (int, int, error) {
 // Sendfile implements sendfile(2) (file → socket/file).
 func (k *Kernel) Sendfile(p *Process, outfd, infd int, count int) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysSendfile, func() string { return fmt.Sprintf("out=%d in=%d n=%d", outfd, infd, count) }); err != nil {
+	if err := k.enter(p, SysSendfile, func(b []byte) []byte { return recBuf(b).dec("out=", outfd).dec(" in=", infd).dec(" n=", count) }); err != nil {
 		return -1, err
 	}
 	in, ok := p.fds[infd]
@@ -695,7 +699,7 @@ func (k *Kernel) Sendfile(p *Process, outfd, infd int, count int) (int, error) {
 // Splice implements a simplified splice(2) between two FDs.
 func (k *Kernel) Splice(p *Process, infd, outfd int, count int) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysSplice, func() string { return fmt.Sprintf("in=%d out=%d n=%d", infd, outfd, count) }); err != nil {
+	if err := k.enter(p, SysSplice, func(b []byte) []byte { return recBuf(b).dec("in=", infd).dec(" out=", outfd).dec(" n=", count) }); err != nil {
 		return -1, err
 	}
 	if in, ok := p.fds[infd]; ok && in.ino != nil {
@@ -735,7 +739,7 @@ func (k *Kernel) Splice(p *Process, infd, outfd int, count int) (int, error) {
 // them into the process page tables with the requested protection.
 func (k *Kernel) Mmap(p *Process, length uint64, prot uint64) (uint64, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysMmap, func() string { return fmt.Sprintf("len=%d prot=%#x", length, prot) }); err != nil {
+	if err := k.enter(p, SysMmap, func(b []byte) []byte { return recBuf(b).udec("len=", length).uhex(" prot=", prot) }); err != nil {
 		return 0, err
 	}
 	if length == 0 {
@@ -753,7 +757,7 @@ func (k *Kernel) Mmap(p *Process, length uint64, prot uint64) (uint64, error) {
 // Munmap implements munmap(2) for a whole region created by Mmap.
 func (k *Kernel) Munmap(p *Process, virt uint64) error {
 	defer k.sysret()
-	if err := k.enter(p, SysMunmap, func() string { return fmt.Sprintf("addr=%#x", virt) }); err != nil {
+	if err := k.enter(p, SysMunmap, func(b []byte) []byte { return recBuf(b).uhex("addr=", virt) }); err != nil {
 		return err
 	}
 	if p.Enclave != nil && p.Enclave.Covers(virt, 1) {
@@ -769,7 +773,7 @@ func (k *Kernel) Munmap(p *Process, virt uint64) error {
 // synchronized into the protected enclave page tables by VeilS-Enc (§6.2).
 func (k *Kernel) Mprotect(p *Process, virt, length uint64, prot uint64) error {
 	defer k.sysret()
-	if err := k.enter(p, SysMprotect, func() string { return fmt.Sprintf("addr=%#x len=%d prot=%#x", virt, length, prot) }); err != nil {
+	if err := k.enter(p, SysMprotect, func(b []byte) []byte { return recBuf(b).uhex("addr=", virt).udec(" len=", length).uhex(" prot=", prot) }); err != nil {
 		return err
 	}
 	if p.Enclave != nil && p.Enclave.Covers(virt, length) {
@@ -798,7 +802,7 @@ func (k *Kernel) Mprotect(p *Process, virt, length uint64, prot uint64) error {
 // Socket implements socket(2).
 func (k *Kernel) Socket(p *Process, domain, typ int) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysSocket, func() string { return fmt.Sprintf("domain=%d type=%d", domain, typ) }); err != nil {
+	if err := k.enter(p, SysSocket, func(b []byte) []byte { return recBuf(b).dec("domain=", domain).dec(" type=", typ) }); err != nil {
 		return -1, err
 	}
 	if domain != AFInet && domain != AFUnix {
@@ -811,7 +815,7 @@ func (k *Kernel) Socket(p *Process, domain, typ int) (int, error) {
 // Bind implements bind(2).
 func (k *Kernel) Bind(p *Process, fd, port int) error {
 	defer k.sysret()
-	if err := k.enter(p, SysBind, func() string { return fmt.Sprintf("fd=%d port=%d", fd, port) }); err != nil {
+	if err := k.enter(p, SysBind, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" port=", port) }); err != nil {
 		return err
 	}
 	f, ok := p.fds[fd]
@@ -824,7 +828,7 @@ func (k *Kernel) Bind(p *Process, fd, port int) error {
 // Listen implements listen(2).
 func (k *Kernel) Listen(p *Process, fd, backlog int) error {
 	defer k.sysret()
-	if err := k.enter(p, SysListen, func() string { return fmt.Sprintf("fd=%d backlog=%d", fd, backlog) }); err != nil {
+	if err := k.enter(p, SysListen, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" backlog=", backlog) }); err != nil {
 		return err
 	}
 	f, ok := p.fds[fd]
@@ -837,7 +841,7 @@ func (k *Kernel) Listen(p *Process, fd, backlog int) error {
 // Connect implements connect(2) to a loopback port.
 func (k *Kernel) Connect(p *Process, fd, port int) error {
 	defer k.sysret()
-	if err := k.enter(p, SysConnect, func() string { return fmt.Sprintf("fd=%d port=%d", fd, port) }); err != nil {
+	if err := k.enter(p, SysConnect, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" port=", port) }); err != nil {
 		return err
 	}
 	f, ok := p.fds[fd]
@@ -850,7 +854,7 @@ func (k *Kernel) Connect(p *Process, fd, port int) error {
 // Accept implements accept(2)/accept4(2).
 func (k *Kernel) Accept(p *Process, fd int) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysAccept, func() string { return fmt.Sprintf("fd=%d", fd) }); err != nil {
+	if err := k.enter(p, SysAccept, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return -1, err
 	}
 	f, ok := p.fds[fd]
@@ -867,7 +871,7 @@ func (k *Kernel) Accept(p *Process, fd int) (int, error) {
 // Sendto implements send/sendto(2).
 func (k *Kernel) Sendto(p *Process, fd int, buf []byte) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysSendto, func() string { return fmt.Sprintf("fd=%d len=%d", fd, len(buf)) }); err != nil {
+	if err := k.enter(p, SysSendto, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)) }); err != nil {
 		return -1, err
 	}
 	f, ok := p.fds[fd]
@@ -882,7 +886,7 @@ func (k *Kernel) Sendto(p *Process, fd int, buf []byte) (int, error) {
 // Recvfrom implements recv/recvfrom(2).
 func (k *Kernel) Recvfrom(p *Process, fd int, buf []byte) (int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysRecvfrom, func() string { return fmt.Sprintf("fd=%d len=%d", fd, len(buf)) }); err != nil {
+	if err := k.enter(p, SysRecvfrom, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)) }); err != nil {
 		return -1, err
 	}
 	f, ok := p.fds[fd]
@@ -897,7 +901,7 @@ func (k *Kernel) Recvfrom(p *Process, fd int, buf []byte) (int, error) {
 // Socketpair implements socketpair(2).
 func (k *Kernel) Socketpair(p *Process, domain, typ int) (int, int, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysSocketpair, func() string { return "socketpair" }); err != nil {
+	if err := k.enter(p, SysSocketpair, func(b []byte) []byte { return append(b, "socketpair"...) }); err != nil {
 		return -1, -1, err
 	}
 	a2b, b2a := &byteQueue{}, &byteQueue{}
@@ -915,21 +919,21 @@ func (k *Kernel) Socketpair(p *Process, domain, typ int) (int, int, error) {
 // Getpid implements getpid(2).
 func (k *Kernel) Getpid(p *Process) int {
 	defer k.sysret()
-	_ = k.enter(p, SysGetpid, func() string { return "" })
+	_ = k.enter(p, SysGetpid, noDetail)
 	return p.PID
 }
 
 // Getuid implements getuid(2).
 func (k *Kernel) Getuid(p *Process) int {
 	defer k.sysret()
-	_ = k.enter(p, SysGetuid, func() string { return "" })
+	_ = k.enter(p, SysGetuid, noDetail)
 	return p.UID
 }
 
 // Setuid implements setuid(2).
 func (k *Kernel) Setuid(p *Process, uid int) error {
 	defer k.sysret()
-	if err := k.enter(p, SysSetuid, func() string { return fmt.Sprintf("uid=%d", uid) }); err != nil {
+	if err := k.enter(p, SysSetuid, func(b []byte) []byte { return recBuf(b).dec("uid=", uid) }); err != nil {
 		return err
 	}
 	p.UID = uid
@@ -940,7 +944,7 @@ func (k *Kernel) Setuid(p *Process, uid int) error {
 // table (descriptor objects are duplicated).
 func (k *Kernel) Fork(p *Process) (*Process, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysFork, func() string { return "" }); err != nil {
+	if err := k.enter(p, SysFork, noDetail); err != nil {
 		return nil, err
 	}
 	child := k.Spawn(p.Name)
@@ -959,7 +963,7 @@ func (k *Kernel) Fork(p *Process) (*Process, error) {
 // Execve implements execve(2) as a process image replacement marker.
 func (k *Kernel) Execve(p *Process, path string, argv []string) error {
 	defer k.sysret()
-	if err := k.enter(p, SysExecve, func() string { return fmt.Sprintf("path=%q argv=%d", path, len(argv)) }); err != nil {
+	if err := k.enter(p, SysExecve, func(b []byte) []byte { return recBuf(b).quote("path=", path).dec(" argv=", len(argv)) }); err != nil {
 		return err
 	}
 	if _, err := k.vfs.Lookup(path); err != nil {
@@ -972,7 +976,7 @@ func (k *Kernel) Execve(p *Process, path string, argv []string) error {
 // Exit implements exit(2).
 func (k *Kernel) Exit(p *Process, code int) error {
 	defer k.sysret()
-	if err := k.enter(p, SysExit, func() string { return fmt.Sprintf("code=%d", code) }); err != nil {
+	if err := k.enter(p, SysExit, func(b []byte) []byte { return recBuf(b).dec("code=", code) }); err != nil {
 		return err
 	}
 	p.exited, p.exitCode = true, code
@@ -982,28 +986,28 @@ func (k *Kernel) Exit(p *Process, code int) error {
 // SchedYield implements sched_yield(2) (context-switch cost only).
 func (k *Kernel) SchedYield(p *Process) {
 	defer k.sysret()
-	_ = k.enter(p, SysSchedYield, func() string { return "" })
+	_ = k.enter(p, SysSchedYield, noDetail)
 	k.m.Clock().Charge(snp.CostContextSwitch, snp.CyclesContextSwitch)
 }
 
 // Nanosleep charges virtual time.
 func (k *Kernel) Nanosleep(p *Process, nanos uint64) {
 	defer k.sysret()
-	_ = k.enter(p, SysNanosleep, func() string { return fmt.Sprintf("ns=%d", nanos) })
+	_ = k.enter(p, SysNanosleep, func(b []byte) []byte { return recBuf(b).udec("ns=", nanos) })
 	k.m.Clock().Charge(snp.CostCompute, nanos*snp.SimClockHz/1_000_000_000)
 }
 
 // Gettime returns the virtual clock in nanoseconds.
 func (k *Kernel) Gettime(p *Process) uint64 {
 	defer k.sysret()
-	_ = k.enter(p, SysGettime, func() string { return "" })
+	_ = k.enter(p, SysGettime, noDetail)
 	return uint64(k.m.Clock().Seconds() * 1e9)
 }
 
 // Ioctl implements ioctl(2), dispatching to registered device handlers.
 func (k *Kernel) Ioctl(p *Process, fd int, req uint64, arg []byte) (uint64, error) {
 	defer k.sysret()
-	if err := k.enter(p, SysIoctl, func() string { return fmt.Sprintf("fd=%d req=%#x", fd, req) }); err != nil {
+	if err := k.enter(p, SysIoctl, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).uhex(" req=", req) }); err != nil {
 		return 0, err
 	}
 	f, ok := p.fds[fd]
