@@ -258,10 +258,6 @@ func (a *AppRuntime) Enclave() *EnclaveRuntime { return a.enclave }
 
 // --- the OCALL server ---
 
-// descriptor accessors through the app's (untrusted, CPL3) view.
-func (a *AppRuntime) du64(off uint64) (uint64, error) { return a.mem.ReadU64(a.sharedVirt + off) }
-func (a *AppRuntime) wu64(off uint64, v uint64) error { return a.mem.WriteU64(a.sharedVirt+off, v) }
-
 func (a *AppRuntime) readStage(off, n uint64) ([]byte, error) {
 	if off < stageOff || off+n > SharedLen {
 		return nil, kernel.ErrInval
@@ -280,41 +276,17 @@ func (a *AppRuntime) writeStage(off uint64, b []byte) error {
 	return a.mem.Write(a.sharedVirt+off, b)
 }
 
-type ocallArg struct{ val, stage, length uint64 }
-
 // ServeOcall handles one redirected syscall: the Dom-UNT entry invoked when
-// the enclave exits for a system call. It unpacks the descriptor, performs
-// the real syscall against the kernel, and stages the results.
+// the enclave exits for a system call. It reads the request frame, performs
+// the real syscall against the kernel, stages the results and writes the
+// reply frame.
 func (a *AppRuntime) ServeOcall(vcpu int) error {
-	sysno, err := a.du64(dSysno)
+	var slots [maxOcallArgs]ocallArg
+	sysno, args, err := a.request(&slots)
 	if err != nil {
 		return err
 	}
-	nargs, err := a.du64(dNArgs)
-	if err != nil {
-		return err
-	}
-	if nargs > maxOcallArgs {
-		return kernel.ErrInval
-	}
-	args := make([]ocallArg, nargs)
-	for i := range args {
-		base := uint64(dArgs + i*24)
-		if args[i].val, err = a.du64(base); err != nil {
-			return err
-		}
-		if args[i].stage, err = a.du64(base + 8); err != nil {
-			return err
-		}
-		if args[i].length, err = a.du64(base + 16); err != nil {
-			return err
-		}
-	}
-	ret, errno := a.dispatch(sysno, args)
-	if err := a.wu64(dRet, ret); err != nil {
-		return err
-	}
-	return a.wu64(dErrno, errno)
+	return a.respond(a.dispatch(sysno, args))
 }
 
 // dispatch maps descriptor syscalls onto kernel operations. Unsupported

@@ -132,24 +132,14 @@ func (b *Batch) Flush() (int, error) {
 	if err := e.write(e.shared+stageOff, blob); err != nil {
 		return 0, err
 	}
-	if err := e.wu64(dSysno, sysBatch); err != nil {
-		return 0, err
-	}
-	if err := e.wu64(dNArgs, 1); err != nil {
-		return 0, err
-	}
-	if err := e.wu64(dArgs, uint64(len(blob))); err != nil {
+	if err := e.submit(sysBatch, 1, []uint64{uint64(len(blob))}); err != nil {
 		return 0, err
 	}
 	e.st.calls += uint64(len(b.calls))
 	if err := e.exitForSyscall(); err != nil {
 		return 0, err
 	}
-	done, err := e.du64(dRet)
-	if err != nil {
-		return 0, err
-	}
-	errno, err := e.du64(dErrno)
+	done, errno, err := e.reply()
 	if err != nil {
 		return 0, err
 	}

@@ -211,6 +211,12 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 	if err := spec.Validate(args); err != nil {
 		return 0, err
 	}
+	// Validate bounds the arity by the spec table; the descriptor's slot
+	// count is checked too, so a longer spec is refused, never overruns
+	// the frame.
+	if len(args) > maxOcallArgs {
+		return 0, fmt.Errorf("sdk: %s takes %d args, the descriptor holds %d", spec.Name, len(args), maxOcallArgs)
+	}
 	if spec.CopyInBytes(args)+spec.CopyOutBytes(args) > stageLimit {
 		return 0, fmt.Errorf("sdk: %s transfers exceed staging capacity", spec.Name)
 	}
@@ -218,8 +224,8 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 	e.c.M.Clock().Charge(snp.CostCompute, CyclesMarshalFixed)
 
 	// Stage buffers and build the descriptor.
-	type slot struct{ val, stage, length uint64 }
-	slots := make([]slot, len(args))
+	var slotBuf [maxOcallArgs]ocallArg
+	slots := slotBuf[:len(args)]
 	off := uint64(stageOff)
 	place := func(n uint64) uint64 {
 		p := off
@@ -230,7 +236,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 		a := args[i]
 		switch as.Kind {
 		case sanitizer.Scalar:
-			slots[i] = slot{val: a.Val}
+			slots[i] = ocallArg{val: a.Val}
 		case sanitizer.Path:
 			n := uint64(len(a.Buf)) + 1 // staged NUL-terminated
 			s := place(n)
@@ -243,12 +249,12 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 			if err := e.view.Mem.Write(e.shared+s+n-1, []byte{0}); err != nil {
 				return 0, err
 			}
-			slots[i] = slot{stage: s, length: n}
+			slots[i] = ocallArg{stage: s, length: n}
 		case sanitizer.Buffer, sanitizer.StructPtr, sanitizer.IOVec:
 			n := uint64(0)
 			switch {
 			case as.Kind == sanitizer.StructPtr && a.Buf == nil:
-				slots[i] = slot{} // NULL pointer
+				slots[i] = ocallArg{} // NULL pointer
 				continue
 			case as.Kind == sanitizer.Buffer && as.LenArg >= 0:
 				n = args[as.LenArg].Val
@@ -276,26 +282,15 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 					return 0, err
 				}
 			}
-			slots[i] = slot{val: a.Val, stage: s, length: n}
+			slots[i] = ocallArg{val: a.Val, stage: s, length: n}
 		}
 	}
-	if err := e.wu64(dSysno, uint64(num)); err != nil {
-		return 0, err
-	}
-	if err := e.wu64(dNArgs, uint64(len(args))); err != nil {
-		return 0, err
-	}
+	var words [maxOcallArgs * 3]uint64
 	for i, s := range slots {
-		base := uint64(dArgs + i*24)
-		if err := e.wu64(base, s.val); err != nil {
-			return 0, err
-		}
-		if err := e.wu64(base+8, s.stage); err != nil {
-			return 0, err
-		}
-		if err := e.wu64(base+16, s.length); err != nil {
-			return 0, err
-		}
+		words[3*i], words[3*i+1], words[3*i+2] = s.val, s.stage, s.length
+	}
+	if err := e.submit(uint64(num), uint64(len(slots)), words[:3*len(slots)]); err != nil {
+		return 0, err
 	}
 
 	// Exit to the untrusted application; it performs the real syscall.
@@ -303,11 +298,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 		return 0, err
 	}
 
-	ret, err := e.du64(dRet)
-	if err != nil {
-		return 0, err
-	}
-	errno, err := e.du64(dErrno)
+	ret, errno, err := e.reply()
 	if err != nil {
 		return 0, err
 	}
@@ -336,8 +327,9 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 				return 0, err
 			}
 		}
-		// IAGO defence: pointer returns must be outside the enclave.
-		if err := spec.CheckRet(ret, e.view.Base, e.view.Length); err != nil {
+		// IAGO defence: pointer returns must be outside the enclave, and
+		// byte counts within the buffer the enclave asked for.
+		if err := spec.CheckRet(ret, args, e.view.Base, e.view.Length); err != nil {
 			e.st.dead = true
 			return 0, err
 		}

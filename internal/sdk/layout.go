@@ -18,7 +18,9 @@ const (
 	maxOcallArgs = 16
 )
 
-// Descriptor field offsets.
+// Descriptor field offsets. The request header {sysno, nargs}, the
+// argument slots and the reply {ret, errno} each cross as one frame; the
+// codec in descriptor.go is their only reader and writer.
 const (
 	dSysno = descOff + 0
 	dNArgs = descOff + 8

@@ -134,19 +134,13 @@ func (a *AppRuntime) servePageIn(virt uint64) uint64 {
 
 // pageIn issues the page-in OCALL from inside the enclave.
 func (e *EnclaveRuntime) pageIn(virt uint64) error {
-	if err := e.wu64(dSysno, sysPageIn); err != nil {
-		return err
-	}
-	if err := e.wu64(dNArgs, 1); err != nil {
-		return err
-	}
-	if err := e.wu64(dArgs, virt); err != nil {
+	if err := e.submit(sysPageIn, 1, []uint64{virt}); err != nil {
 		return err
 	}
 	if err := e.exitForSyscall(); err != nil {
 		return err
 	}
-	errno, err := e.du64(dErrno)
+	_, errno, err := e.reply()
 	if err != nil {
 		return err
 	}

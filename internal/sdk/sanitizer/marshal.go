@@ -143,17 +143,28 @@ func (cs CallSpec) OutArgs() []int {
 	return out
 }
 
-// CheckRet applies the IAGO return check for the call: pointer-returning
-// syscalls must never point into enclave memory, or a dereference would let
-// the OS trick the enclave into reading or clobbering its own secrets
-// ([37] in the paper).
-func (cs CallSpec) CheckRet(ret uint64, enclaveBase, enclaveLen uint64) error {
-	if cs.Ret != RetPointer {
-		return nil
-	}
-	if ret >= enclaveBase && ret < enclaveBase+enclaveLen {
-		return fmt.Errorf("%w: %s returned %#x inside [%#x,%#x)",
-			ErrIago, cs.Name, ret, enclaveBase, enclaveBase+enclaveLen)
+// CheckRet applies the IAGO return check for the call's successful
+// return: pointer-returning syscalls must never point into enclave memory,
+// or a dereference would let the OS trick the enclave into reading or
+// clobbering its own secrets ([37] in the paper); byte-count returns must
+// not exceed the length the enclave passed, or the program would take
+// bytes past its buffer as data (the read-count attack).
+func (cs CallSpec) CheckRet(ret uint64, args []Arg, enclaveBase, enclaveLen uint64) error {
+	switch cs.Ret {
+	case RetPointer:
+		if ret >= enclaveBase && ret < enclaveBase+enclaveLen {
+			return fmt.Errorf("%w: %s returned pointer %#x inside the enclave [%#x,%#x)",
+				ErrIago, cs.Name, ret, enclaveBase, enclaveBase+enclaveLen)
+		}
+	case RetCount:
+		i := cs.countLenArg()
+		if i >= len(args) {
+			return fmt.Errorf("%w: %s length index out of range", ErrBadArgs, cs.Name)
+		}
+		if max := args[i].Val; ret > max {
+			return fmt.Errorf("%w: %s returned %d bytes for a %d-byte request",
+				ErrIago, cs.Name, ret, max)
+		}
 	}
 	return nil
 }

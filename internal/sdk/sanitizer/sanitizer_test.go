@@ -139,19 +139,62 @@ func TestIOVecValidation(t *testing.T) {
 func TestIagoCheck(t *testing.T) {
 	mm, _ := Spec(9) // mmap returns a pointer
 	const base, length = 0x400000, 0x10000
-	if err := mm.CheckRet(base+0x1000, base, length); !errors.Is(err, ErrIago) {
+	if err := mm.CheckRet(base+0x1000, nil, base, length); !errors.Is(err, ErrIago) {
 		t.Fatal("pointer into enclave accepted")
 	}
-	if err := mm.CheckRet(base+length, base, length); err != nil {
+	if err := mm.CheckRet(base+length, nil, base, length); err != nil {
 		t.Fatalf("pointer just past the enclave rejected: %v", err)
 	}
-	if err := mm.CheckRet(0x20000000, base, length); err != nil {
+	if err := mm.CheckRet(0x20000000, nil, base, length); err != nil {
 		t.Fatalf("outside pointer rejected: %v", err)
 	}
 	// Scalar returns never trip the pointer check.
-	rd, _ := Spec(0)
-	if err := rd.CheckRet(base+1, base, length); err != nil {
+	ls, _ := Spec(8) // lseek returns an offset
+	if err := ls.CheckRet(base+1, []Arg{{Val: 3}, {Val: 0}, {Val: 0}}, base, length); err != nil {
 		t.Fatal("scalar return IAGO-checked")
+	}
+}
+
+// TestIagoCountBoundary: a byte-count return may equal the requested
+// length, never exceed it.
+func TestIagoCountBoundary(t *testing.T) {
+	rd, _ := Spec(0) // read(fd, buf, count)
+	const base, length = 0x400000, 0x10000
+	args := []Arg{{Val: 3}, {Buf: make([]byte, 16)}, {Val: 16}}
+	for _, ret := range []uint64{0, 15, 16} {
+		if err := rd.CheckRet(ret, args, base, length); err != nil {
+			t.Fatalf("read returning %d of 16 refused: %v", ret, err)
+		}
+	}
+	for _, ret := range []uint64{17, ^uint64(0)} {
+		if err := rd.CheckRet(ret, args, base, length); !errors.Is(err, ErrIago) {
+			t.Fatalf("read returning %d of 16 = %v, want ErrIago", ret, err)
+		}
+	}
+	// The bound is the count argument, not the buffer's capacity.
+	short := []Arg{{Val: 3}, {Buf: make([]byte, 16)}, {Val: 4}}
+	if err := rd.CheckRet(5, short, base, length); !errors.Is(err, ErrIago) {
+		t.Fatalf("read returning 5 of 4 = %v, want ErrIago", err)
+	}
+}
+
+// TestRetCountCalls pins which calls return a byte count of their
+// length-constrained buffer: every spec with such a buffer except
+// setsockopt, whose return is a status.
+func TestRetCountCalls(t *testing.T) {
+	want := map[string]bool{
+		"read": true, "write": true, "pread64": true, "pwrite64": true,
+		"getdents": true, "getcwd": true, "readlink": true,
+		"sendto": true, "recvfrom": true, "getrandom": true,
+	}
+	for name, num := range Names() {
+		cs, _ := Spec(num)
+		if got := cs.Ret == RetCount; got != want[name] {
+			t.Errorf("%s: RetCount = %v, want %v", name, got, want[name])
+		}
+		if cs.countLenArg() >= 0 && cs.Ret != RetCount && name != "setsockopt" {
+			t.Errorf("%s has a length-constrained buffer but no count return", name)
+		}
 	}
 }
 

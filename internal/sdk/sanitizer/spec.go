@@ -79,11 +79,15 @@ func (k Kind) String() string {
 type Ret int
 
 const (
-	// RetScalar is a count/fd/status: range-checked only.
+	// RetScalar is a file descriptor, offset or status; it is not checked.
 	RetScalar Ret = iota
 	// RetPointer is an address (mmap, brk): it must lie outside the
 	// enclave's virtual range.
 	RetPointer
+	// RetCount is a byte count of the call's length-constrained Buffer
+	// argument (read, write, recvfrom...): it must not exceed the length
+	// the enclave asked for.
+	RetCount
 )
 
 // ArgSpec describes one argument.
@@ -111,7 +115,7 @@ type CallSpec struct {
 var (
 	ErrUnsupported = errors.New("sanitizer: unsupported syscall")
 	ErrBadArgs     = errors.New("sanitizer: argument mismatch")
-	ErrIago        = errors.New("sanitizer: IAGO check failed: OS returned a pointer into the enclave")
+	ErrIago        = errors.New("sanitizer: IAGO check failed")
 )
 
 // Spec returns the call specification for a syscall number.
@@ -175,23 +179,39 @@ func call(num int, name string, ret Ret, args ...ArgSpec) {
 	if _, dup := specs[num]; dup {
 		panic(fmt.Sprintf("sanitizer: duplicate spec %d", num))
 	}
-	specs[num] = CallSpec{Num: num, Name: name, Args: args, Ret: ret}
+	cs := CallSpec{Num: num, Name: name, Args: args, Ret: ret}
+	if ret == RetCount && cs.countLenArg() < 0 {
+		panic(fmt.Sprintf("sanitizer: %s returns a count but has no length-constrained buffer", name))
+	}
+	specs[num] = cs
+}
+
+// countLenArg is the index of the argument bounding the first
+// length-constrained Buffer, the one a RetCount return counts bytes of;
+// -1 if the call has none.
+func (cs CallSpec) countLenArg() int {
+	for _, as := range cs.Args {
+		if as.Kind == Buffer && as.LenArg >= 0 {
+			return as.LenArg
+		}
+	}
+	return -1
 }
 
 var specs = map[int]CallSpec{}
 
 func init() {
 	// File I/O.
-	call(0, "read", RetScalar, scalar("fd"), bufOut("buf", 2), scalar("count"))
-	call(1, "write", RetScalar, scalar("fd"), bufIn("buf", 2), scalar("count"))
+	call(0, "read", RetCount, scalar("fd"), bufOut("buf", 2), scalar("count"))
+	call(1, "write", RetCount, scalar("fd"), bufIn("buf", 2), scalar("count"))
 	call(2, "open", RetScalar, path("pathname"), scalar("flags"), scalar("mode"))
 	call(3, "close", RetScalar, scalar("fd"))
 	call(4, "stat", RetScalar, path("pathname"), structOut("statbuf", sizeStat))
 	call(5, "fstat", RetScalar, scalar("fd"), structOut("statbuf", sizeStat))
 	call(6, "lstat", RetScalar, path("pathname"), structOut("statbuf", sizeStat))
 	call(8, "lseek", RetScalar, scalar("fd"), scalar("offset"), scalar("whence"))
-	call(17, "pread64", RetScalar, scalar("fd"), bufOut("buf", 2), scalar("count"), scalar("offset"))
-	call(18, "pwrite64", RetScalar, scalar("fd"), bufIn("buf", 2), scalar("count"), scalar("offset"))
+	call(17, "pread64", RetCount, scalar("fd"), bufOut("buf", 2), scalar("count"), scalar("offset"))
+	call(18, "pwrite64", RetCount, scalar("fd"), bufIn("buf", 2), scalar("count"), scalar("offset"))
 	call(19, "readv", RetScalar, scalar("fd"), iovec("iov", Out), scalar("iovcnt"))
 	call(20, "writev", RetScalar, scalar("fd"), iovec("iov", In), scalar("iovcnt"))
 	call(21, "access", RetScalar, path("pathname"), scalar("mode"))
@@ -204,8 +224,8 @@ func init() {
 	call(75, "fdatasync", RetScalar, scalar("fd"))
 	call(76, "truncate", RetScalar, path("pathname"), scalar("length"))
 	call(77, "ftruncate", RetScalar, scalar("fd"), scalar("length"))
-	call(78, "getdents", RetScalar, scalar("fd"), bufOut("dirp", 2), scalar("count"))
-	call(79, "getcwd", RetScalar, bufOut("buf", 1), scalar("size"))
+	call(78, "getdents", RetCount, scalar("fd"), bufOut("dirp", 2), scalar("count"))
+	call(79, "getcwd", RetCount, bufOut("buf", 1), scalar("size"))
 	call(80, "chdir", RetScalar, path("pathname"))
 	call(82, "rename", RetScalar, path("oldpath"), path("newpath"))
 	call(83, "mkdir", RetScalar, path("pathname"), scalar("mode"))
@@ -214,7 +234,7 @@ func init() {
 	call(86, "link", RetScalar, path("oldpath"), path("newpath"))
 	call(87, "unlink", RetScalar, path("pathname"))
 	call(88, "symlink", RetScalar, path("target"), path("linkpath"))
-	call(89, "readlink", RetScalar, path("pathname"), bufOut("buf", 2), scalar("bufsiz"))
+	call(89, "readlink", RetCount, path("pathname"), bufOut("buf", 2), scalar("bufsiz"))
 	call(90, "chmod", RetScalar, path("pathname"), scalar("mode"))
 	call(91, "fchmod", RetScalar, scalar("fd"), scalar("mode"))
 	call(133, "mknod", RetScalar, path("pathname"), scalar("mode"), scalar("dev"))
@@ -246,8 +266,8 @@ func init() {
 	call(41, "socket", RetScalar, scalar("domain"), scalar("type"), scalar("protocol"))
 	call(42, "connect", RetScalar, scalar("sockfd"), structIn("addr", sizeSockaddr), scalar("addrlen"))
 	call(43, "accept", RetScalar, scalar("sockfd"), structOut("addr", sizeSockaddr), structOut("addrlen", 4))
-	call(44, "sendto", RetScalar, scalar("sockfd"), bufIn("buf", 2), scalar("len"), scalar("flags"), structIn("dest", sizeSockaddr), scalar("addrlen"))
-	call(45, "recvfrom", RetScalar, scalar("sockfd"), bufOut("buf", 2), scalar("len"), scalar("flags"), structOut("src", sizeSockaddr), structOut("addrlen", 4))
+	call(44, "sendto", RetCount, scalar("sockfd"), bufIn("buf", 2), scalar("len"), scalar("flags"), structIn("dest", sizeSockaddr), scalar("addrlen"))
+	call(45, "recvfrom", RetCount, scalar("sockfd"), bufOut("buf", 2), scalar("len"), scalar("flags"), structOut("src", sizeSockaddr), structOut("addrlen", 4))
 	call(46, "sendmsg", RetScalar, scalar("sockfd"), iovec("msg", In), scalar("flags"))
 	call(47, "recvmsg", RetScalar, scalar("sockfd"), iovec("msg", Out), scalar("flags"))
 	call(48, "shutdown", RetScalar, scalar("sockfd"), scalar("how"))
@@ -286,5 +306,5 @@ func init() {
 	call(117, "setresuid", RetScalar, scalar("ruid"), scalar("euid"), scalar("suid"))
 	call(186, "gettid", RetScalar)
 	call(231, "exit_group", RetScalar, scalar("status"))
-	call(318, "getrandom", RetScalar, bufOut("buf", 1), scalar("buflen"), scalar("flags"))
+	call(318, "getrandom", RetCount, bufOut("buf", 1), scalar("buflen"), scalar("flags"))
 }

@@ -8,6 +8,7 @@ import (
 
 	"veil/internal/cvm"
 	"veil/internal/kernel"
+	"veil/internal/sdk/sanitizer"
 	"veil/internal/snp"
 )
 
@@ -285,6 +286,68 @@ func TestIagoPointerReturnKillsEnclave(t *testing.T) {
 	}
 	if rc != 9 || !sawIago {
 		t.Fatalf("rc=%d sawIago=%v", rc, sawIago)
+	}
+}
+
+// TestIagoReadCountKillsEnclave: a hostile ocall server claims a read
+// returned far more bytes than the enclave asked for. The byte count is an
+// Iago value like a returned pointer: the enclave must die rather than hand
+// the program a length past its buffer.
+func TestIagoReadCountKillsEnclave(t *testing.T) {
+	c := bootVeil(t)
+	var n int
+	var readErr error
+	prog := ProgramFunc(func(lc Libc, args []string) int {
+		n, readErr = lc.Read(0, make([]byte, 16))
+		if readErr != nil {
+			return 9
+		}
+		return 0
+	})
+	a, p := launch(t, c, prog)
+	c.RegisterOcallServer(func(vcpu int) error {
+		mem, _ := p.Mem()
+		if err := mem.WriteU64(a.sharedVirt+dRet, 1<<20); err != nil {
+			return err
+		}
+		return mem.WriteU64(a.sharedVirt+dErrno, 0)
+	})
+	rc, err := a.Enter()
+	if !errors.Is(err, ErrEnclaveDead) {
+		t.Fatalf("enter err = %v, want ErrEnclaveDead (IAGO); read returned n=%d err=%v", err, n, readErr)
+	}
+	if rc != 9 || !errors.Is(readErr, sanitizer.ErrIago) {
+		t.Fatalf("rc=%d read n=%d err=%v, want an ErrIago refusal", rc, n, readErr)
+	}
+}
+
+// TestEnclaveScalarOcallZeroAlloc pins a scalar-only ocall at zero heap
+// allocations end to end: descriptor frame out, the application's serve,
+// and the reply frame back.
+func TestEnclaveScalarOcallZeroAlloc(t *testing.T) {
+	c := bootVeil(t)
+	var allocs float64
+	prog := ProgramFunc(func(lc Libc, args []string) int {
+		fd, err := lc.Open("/tmp/zero-alloc", kernel.OCreat|kernel.ORdwr, 0o600)
+		if err != nil {
+			return 1
+		}
+		if _, err := lc.Lseek(fd, 0, kernel.SeekSet); err != nil {
+			return 2
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			if _, err := lc.Lseek(fd, 0, kernel.SeekSet); err != nil {
+				t.Error(err)
+			}
+		})
+		return 0
+	})
+	a, _ := launch(t, c, prog)
+	if rc, err := a.Enter(); err != nil || rc != 0 {
+		t.Fatalf("rc=%d err=%v", rc, err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Lseek ocall allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -51,7 +51,8 @@ type Machine struct {
 	// Software TLB (see tlb.go): a direct-mapped cache of completed
 	// page-table walks, invalidated by a full-flush epoch, an RMP-verdict
 	// epoch, and per-table-page generations. ptPages is the bitset of
-	// pages the walker has read PTEs from. tlbNoInvalidate is the
+	// pages the walker has read PTEs from; ptWrites counts the generation
+	// bumps across all of them. tlbNoInvalidate is the
 	// deliberately broken test-only mode proving the stale-TLB attack
 	// test has teeth.
 	tlb             []tlbEntry
@@ -60,6 +61,7 @@ type Machine struct {
 	tlbNoInvalidate bool
 	ptPages         []uint64
 	ptGen           []uint32
+	ptWrites        uint64
 	memStats        MemStats
 
 	// rec, when non-nil, receives a typed event for every architectural

@@ -312,14 +312,7 @@ func (m *Machine) AuditTLBVerdicts(max int) (int, []string) {
 		if e.key == (tlbKey{}) || e.flushEpoch != m.tlbFlushEpoch || e.rmpEpoch != m.tlbRMPEpoch || e.rmpOK == 0 {
 			continue
 		}
-		live := true
-		for _, d := range e.deps {
-			if m.ptGen[d.pi] != d.gen {
-				live = false
-				break
-			}
-		}
-		if !live {
+		if !m.tlbDepsCurrent(e) {
 			continue
 		}
 		pi := e.physPage >> PageShift

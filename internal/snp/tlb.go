@@ -20,7 +20,12 @@ package snp
 //   - A software write landing on a live page-table page (one the walker
 //     has read PTEs from) bumps that page's generation: only entries whose
 //     walk traversed the written page die, because each entry records the
-//     four table pages (and generations) its walk read.
+//     four table pages (and generations) its walk read. The same write
+//     bumps the machine-wide ptWrites counter. An entry remembers the
+//     count it was last checked at (ptSeen), so while no table page has
+//     been written a hit is one compare; after a write, the first hit on
+//     each entry rechecks its four generations and, if they all still
+//     match, re-stamps ptSeen and stays live.
 //
 // A stale entry can therefore never survive a permission change, at any
 // layer, while unrelated translations stay hot.
@@ -56,6 +61,7 @@ type tlbDep struct {
 type tlbEntry struct {
 	key        tlbKey
 	flushEpoch uint64 // matches Machine.tlbFlushEpoch while live
+	ptSeen     uint64 // Machine.ptWrites when deps were last found current
 	rmpEpoch   uint64 // epoch rmpOK was established at
 	physPage   uint64
 	eff        uint64 // accumulated PTEWrite|PTEUser across levels
@@ -126,11 +132,27 @@ func (m *Machine) tlbSlot(k tlbKey) *tlbEntry {
 }
 
 // tlbLive reports whether e currently caches k: right key, not flushed, and
-// every table page the walk read still at its walk-time generation.
+// every table page the walk read still at its walk-time generation. While
+// no table page has been written since e was last checked, that is the
+// single ptSeen compare; otherwise the generations are rechecked and a
+// surviving entry is re-stamped.
 func (m *Machine) tlbLive(e *tlbEntry, k tlbKey) bool {
 	if e.key != k || e.flushEpoch != m.tlbFlushEpoch {
 		return false
 	}
+	if e.ptSeen == m.ptWrites {
+		return true
+	}
+	if !m.tlbDepsCurrent(e) {
+		return false
+	}
+	e.ptSeen = m.ptWrites
+	return true
+}
+
+// tlbDepsCurrent reports whether every table page e's walk read is still at
+// its walk-time generation. It reads machine state only.
+func (m *Machine) tlbDepsCurrent(e *tlbEntry) bool {
 	for _, d := range e.deps {
 		if m.ptGen[d.pi] != d.gen {
 			return false
@@ -151,7 +173,7 @@ func (m *Machine) tlbFill(e *tlbEntry, k tlbKey, physPage, eff uint64, effNX boo
 		return false
 	}
 	*e = tlbEntry{
-		key: k, flushEpoch: m.tlbFlushEpoch, rmpEpoch: m.tlbRMPEpoch,
+		key: k, flushEpoch: m.tlbFlushEpoch, ptSeen: m.ptWrites, rmpEpoch: m.tlbRMPEpoch,
 		physPage: physPage, eff: eff, effNX: effNX, deps: deps,
 	}
 	return true
@@ -178,11 +200,14 @@ func (m *Machine) isPTPage(pi uint64) bool {
 }
 
 // invalidatePTPage bumps pi's generation after a software write to a live
-// table page, killing exactly the translations whose walk read it.
+// table page, killing exactly the translations whose walk read it, and the
+// machine-wide ptWrites count that sends every entry's next hit through
+// that check.
 func (m *Machine) invalidatePTPage(pi uint64) {
 	if m.tlbNoInvalidate {
 		return
 	}
 	m.ptGen[pi]++
+	m.ptWrites++
 	m.memStats.TLBPTInvalidation++
 }

@@ -14,7 +14,9 @@ import (
 
 // diffWorld is a machine with two 64-page mapped groups in separate leaf
 // tables (so per-table-page invalidation has more than one target) plus the
-// table pages used to reach them.
+// table pages used to reach them, and a third group reached through a
+// table subtree of its own: a write there changes a table page that no
+// group A or B walk read.
 type diffWorld struct {
 	m     *Machine
 	ctx   AccessContext // VMPL0/CPL0 over cr3
@@ -22,18 +24,23 @@ type diffWorld struct {
 	leafA uint64 // leaf table covering group A (virt 0..64 pages)
 	leafB uint64 // leaf table covering group B (virt 2MiB..+64 pages)
 	l1    uint64 // level-1 table pointing at both leaves
+	leafC uint64 // leaf table covering group C, under cr3's second entry
 }
 
 const (
 	diffGroupPages = 64
 	diffGroupBVirt = uint64(2 << 20) // second 2MiB slot: next leaf table
+	diffGroupCVirt = uint64(1 << 39) // cr3 entry 1: a disjoint subtree
 )
 
 func diffVirt(group, i int) uint64 {
-	if group == 0 {
+	switch group {
+	case 0:
 		return uint64(i) * PageSize
+	case 1:
+		return diffGroupBVirt + uint64(i)*PageSize
 	}
-	return diffGroupBVirt + uint64(i)*PageSize
+	return diffGroupCVirt + uint64(i)*PageSize
 }
 
 func diffPhys(group, i int) uint64 {
@@ -74,11 +81,13 @@ func buildDiffWorld(tb testing.TB) *diffWorld {
 	must(w.ctx.WritePTE(l2, 0, MakePTE(l1, inter)))
 	must(w.ctx.WritePTE(l1, 0, MakePTE(w.leafA, inter)))
 	must(w.ctx.WritePTE(l1, 1, MakePTE(w.leafB, inter)))
-	for g := 0; g < 2; g++ {
-		leaf := w.leafA
-		if g == 1 {
-			leaf = w.leafB
-		}
+	// cr3 → L2c → L1c → leafC shares only the root with groups A and B.
+	l2c, l1c := alloc(), alloc()
+	w.leafC = alloc()
+	must(w.ctx.WritePTE(w.cr3, 1, MakePTE(l2c, inter)))
+	must(w.ctx.WritePTE(l2c, 0, MakePTE(l1c, inter)))
+	must(w.ctx.WritePTE(l1c, 0, MakePTE(w.leafC, inter)))
+	for g, leaf := range []uint64{w.leafA, w.leafB, w.leafC} {
 		for i := 0; i < diffGroupPages; i++ {
 			must(w.ctx.WritePTE(leaf, uint64(i), MakePTE(diffPhys(g, i), inter)))
 		}
@@ -110,13 +119,14 @@ func (w *diffWorld) checkOne(tb testing.TB, virt uint64, cpl CPL, acc Access) {
 	}
 }
 
-// probeVirts are the addresses swept after every mutation: both groups,
-// a hole past each group, and a non-canonical address.
+// probeVirts are the addresses swept after every mutation: all three
+// groups, a hole past groups A and B, and a non-canonical address.
 func diffProbes(r byte) []uint64 {
 	i := int(r) % diffGroupPages
 	return []uint64{
 		diffVirt(0, i),
 		diffVirt(1, diffGroupPages-1-i),
+		diffVirt(2, i),
 		uint64(diffGroupPages+int(r)%8) * PageSize, // unmapped in group A's leaf
 		diffGroupBVirt + uint64(diffGroupPages)*PageSize,
 		1 << VirtBits, // non-canonical
@@ -136,26 +146,11 @@ func (w *diffWorld) step(tb testing.TB, data []byte) int {
 	if g == 1 {
 		leaf = w.leafB
 	}
-	switch op % 6 {
+	switch op % 7 {
 	case 0: // translate at a random ring/access
 		w.checkOne(tb, diffVirt(g, i), CPL(a%2)*3, Access(b%3))
 	case 1: // rewrite a leaf PTE with random permission bits
-		flags := uint64(PTEPresent)
-		if a&1 != 0 {
-			flags |= PTEWrite
-		}
-		if a&2 != 0 {
-			flags |= PTEUser
-		}
-		if a&4 != 0 {
-			flags |= PTENX
-		}
-		if b&1 != 0 {
-			flags &^= PTEPresent // tear the mapping down entirely
-		}
-		if err := w.ctx.WritePTE(leaf, uint64(i), MakePTE(diffPhys(g, i), flags)); err != nil {
-			tb.Fatalf("WritePTE: %v", err)
-		}
+		w.rewriteLeaf(tb, leaf, g, i, a, b)
 	case 2: // re-point or sever an intermediate entry
 		flags := uint64(PTEPresent | PTEWrite | PTEUser)
 		if a&1 != 0 {
@@ -174,6 +169,8 @@ func (w *diffWorld) step(tb testing.TB, data []byte) int {
 		}
 	case 4: // full flush
 		w.m.FlushTLB()
+	case 6: // rewrite a PTE in the disjoint subtree: A and B entries revalidate
+		w.rewriteLeaf(tb, w.leafC, 2, i, a, b)
 	case 5: // VMPL0 data access through the span fast path, cross-checked
 		virt := diffVirt(g, i)
 		if refPhys, refErr := w.ctx.translateUncached(virt, AccessRead); refErr == nil {
@@ -205,6 +202,58 @@ func (w *diffWorld) step(tb testing.TB, data []byte) int {
 		}
 	}
 	return 3
+}
+
+// rewriteLeaf stores group g's PTE i in leaf with permission bits drawn
+// from a and b.
+func (w *diffWorld) rewriteLeaf(tb testing.TB, leaf uint64, g, i int, a, b byte) {
+	tb.Helper()
+	flags := uint64(PTEPresent)
+	if a&1 != 0 {
+		flags |= PTEWrite
+	}
+	if a&2 != 0 {
+		flags |= PTEUser
+	}
+	if a&4 != 0 {
+		flags |= PTENX
+	}
+	if b&1 != 0 {
+		flags &^= PTEPresent // tear the mapping down entirely
+	}
+	if err := w.ctx.WritePTE(leaf, uint64(i), MakePTE(diffPhys(g, i), flags)); err != nil {
+		tb.Fatalf("WritePTE: %v", err)
+	}
+}
+
+// TestTLBHitSurvivesUnrelatedPTWrite: a write to a table page sends every
+// entry's next hit through the generation recheck, but only entries whose
+// walk read that page die.
+func TestTLBHitSurvivesUnrelatedPTWrite(t *testing.T) {
+	w := buildDiffWorld(t)
+	hot, through := diffVirt(0, 3), diffVirt(2, 5)
+	for _, v := range []uint64{hot, through} {
+		if _, err := w.ctx.Translate(v, AccessRead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := w.m.MemStats()
+	if err := w.ctx.WritePTE(w.leafC, 7, MakePTE(diffPhys(2, 7), PTEPresent)); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.m.MemStats().TLBPTInvalidation - before.TLBPTInvalidation; got != 1 {
+		t.Fatalf("leaf C write made %d table-page invalidations, want 1", got)
+	}
+	w.checkOne(t, hot, CPL0, AccessRead)
+	after := w.m.MemStats()
+	if after.TLBHits <= before.TLBHits || after.TLBMisses != before.TLBMisses {
+		t.Fatalf("translation outside the written subtree: hits %d→%d, misses %d→%d; want a hit",
+			before.TLBHits, after.TLBHits, before.TLBMisses, after.TLBMisses)
+	}
+	w.checkOne(t, through, CPL0, AccessRead)
+	if got := w.m.MemStats().TLBMisses - after.TLBMisses; got != 1 {
+		t.Fatalf("translation through the written leaf: %d misses, want 1", got)
+	}
 }
 
 func leU64(b []byte) uint64 {
