@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench attacks demo experiments boot-full examples trace golden-check audit bench-obs bench-batch bench-mempath bench-smp bench-fleet bench-host smp-determinism parallel-check mc-smoke mc-determinism clean
+.PHONY: all build test vet race bench attacks demo experiments boot-full examples trace golden-check audit bench-obs bench-batch bench-mempath bench-smp bench-fleet parallel-check mc-smoke clean
 
 all: vet test
 
@@ -66,18 +66,10 @@ bench-batch:
 bench-mempath:
 	$(GO) run ./cmd/veil-bench -experiment mempath -stable -json BENCH_mempath.json
 
-# Regenerate the committed host-throughput measurement
-# (BENCH_hostperf.json): absolute host cost of the export, record and
-# translate hot paths, plus the parallel fan-out curve. Pure wall-clock
-# numbers, so the file is machine-shaped and NOT byte-reproducible —
-# regenerate it on a quiet machine (docs/PERFORMANCE.md explains each
-# line); -compare gates it under the loose -host-tol family.
-bench-host:
-	$(GO) run ./cmd/veil-bench -experiment hostperf -iters 2000 -json BENCH_hostperf.json
-
 # Regenerate the committed SMP scheduling measurement (BENCH_smp.json):
 # poll-vs-interrupt completion costs and cross-VCPU fairness. Every value is
-# virtual cycles from fixed seeds, so no -stable is needed.
+# virtual cycles from fixed seeds, so no -stable is needed. Its determinism
+# across runs and GOMAXPROCS is asserted by internal/bench.TestSMPDeterministic.
 bench-smp:
 	$(GO) run ./cmd/veil-bench -experiment smp -json BENCH_smp.json
 
@@ -89,13 +81,6 @@ bench-smp:
 # asserted by internal/bench.TestFleetDeterministic.
 bench-fleet:
 	$(GO) run ./cmd/veil-bench -experiment fleet -json BENCH_fleet.json
-
-# The SMP determinism gate: two identically-seeded runs of the scheduler
-# experiment must produce byte-identical JSON.
-smp-determinism:
-	$(GO) run ./cmd/veil-bench -experiment smp -json /tmp/veil-smp-a.json
-	$(GO) run ./cmd/veil-bench -experiment smp -json /tmp/veil-smp-b.json
-	cmp /tmp/veil-smp-a.json /tmp/veil-smp-b.json
 
 # The parallel experiment runner must not change results: shard the full
 # suite across 4 workers and byte-compare against the sequential run.
@@ -116,16 +101,6 @@ mc-smoke:
 	$(GO) run ./cmd/veil-mc -depth 8
 	$(GO) run ./cmd/veil-mc -depth 4 -broken-tlb -expect-violation -ce /tmp/veil-mc-ce.json
 	$(GO) run ./cmd/veil-mc -replay /tmp/veil-mc-ce.json -expect-violation
-
-# The model-check determinism gate: the parallel BFS frontier explorer
-# self-schedules replays across workers, so the claim under test is that
-# worker count cannot leak into exploration statistics — byte-identical
-# -json summaries at 1 and 4 workers, and the sequential DFS order agrees
-# with BFS on the leaf tallies (asserted in internal/mc tests).
-mc-determinism:
-	$(GO) run ./cmd/veil-mc -depth 10 -json -workers 1 > /tmp/veil-mc-w1.json
-	$(GO) run ./cmd/veil-mc -depth 10 -json -workers 4 > /tmp/veil-mc-w4.json
-	cmp /tmp/veil-mc-w1.json /tmp/veil-mc-w4.json
 
 # End-to-end demo of all protected services.
 demo:

@@ -208,32 +208,6 @@ var experiments = []experiment{
 		}
 		return r, nil
 	}},
-	{"hostperf", func(w io.Writer) (any, error) {
-		// Host-throughput engine measurement: wall-clock cost of the three
-		// hottest host paths (obs export, obs record, memory translate), the
-		// pooled/batched implementations against their exact fmt/per-access
-		// references, plus the parallel fan-out scaling curve. Virtual-cycle
-		// outputs are untouched by construction — this experiment reports
-		// host time only.
-		n := iters
-		if n > 2000 {
-			n = 2000 // the export corpus converges quickly; keep "all" fast
-		}
-		r, err := bench.HostPerf(n)
-		if err != nil {
-			return nil, err
-		}
-		if stable {
-			// Everything here except the corpus/workload shape is host
-			// timing (or, for allocs/op, sensitive to concurrent -j
-			// neighbors); -stable zeroes it all so runs byte-compare.
-			r.Scrub()
-		}
-		if text {
-			bench.ReportHostPerf(w, r)
-		}
-		return r, nil
-	}},
 }
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -244,7 +218,7 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet("veil-bench", flag.ContinueOnError)
 	exp := fs.String("experiment", "all",
-		"experiment to run: fig4|fig5|fig6|boot|switch|background|cs1|mempath|monitors|ablation|obs|batch|smp|fleet|hostperf|all")
+		"experiment to run: fig4|fig5|fig6|boot|switch|background|cs1|mempath|monitors|ablation|obs|batch|smp|fleet|all")
 	fs.IntVar(&iters, "iters", 10000, "iterations for fig4/switch/cs1 micro-benchmarks")
 	fs.Uint64Var(&memMB, "mem", 2048, "guest memory (MiB) for the boot experiment")
 	jsonOut := fs.String("json", "",

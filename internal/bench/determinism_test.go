@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"veil/internal/workloads"
@@ -64,4 +66,37 @@ func TestFig4Deterministic(t *testing.T) {
 			t.Fatalf("fig4 row %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// checkDeterministic runs an experiment twice, then once more at
+// GOMAXPROCS=1: every result must be deeply equal, so neither a rerun nor
+// host parallelism can move a committed value.
+func checkDeterministic[R any](t *testing.T, name string, run func() (R, error)) {
+	t.Helper()
+	a, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s runs differ:\n%+v\n%+v", name, a, b)
+	}
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	c, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, c) {
+		t.Fatalf("%s run diverged under GOMAXPROCS=1:\n%+v\n%+v", name, a, c)
+	}
+}
+
+// The SMP determinism gate: every BENCH_smp.json value is virtual cycles
+// from fixed seeds — per-mode costs, per-VCPU latency digests, fairness.
+func TestSMPDeterministic(t *testing.T) {
+	checkDeterministic(t, "SMP", SMP)
 }

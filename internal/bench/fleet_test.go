@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"reflect"
-	"runtime"
-	"testing"
-)
+import "testing"
 
 func TestFleetExperiment(t *testing.T) {
 	r, err := Fleet()
@@ -39,24 +35,5 @@ func TestFleetExperiment(t *testing.T) {
 // the digests of all three exports (Chrome trace, Prometheus page, causal
 // view) — must be byte-stable across runs and across host parallelism.
 func TestFleetDeterministic(t *testing.T) {
-	a, err := Fleet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fleet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fleet runs differ:\n%+v\n%+v", a, b)
-	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	c, err := Fleet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, c) {
-		t.Fatalf("fleet run diverged under GOMAXPROCS=1:\n%+v\n%+v", a, c)
-	}
+	checkDeterministic(t, "fleet", Fleet)
 }

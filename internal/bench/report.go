@@ -189,25 +189,6 @@ func pollWaitSlices(m SMPModeResult) uint64 {
 	return n
 }
 
-// ReportHostPerf prints the host-throughput engine measurement.
-func ReportHostPerf(w io.Writer, r HostPerfResult) {
-	fmt.Fprintf(w, "Host throughput — hot-path cost on the host clock (sqlite ×%d corpus)\n",
-		r.Iterations)
-	fmt.Fprintf(w, "  export (%d events, %d B/render): %.0f ns, %.0f allocs per render\n",
-		r.ExportEvents, r.ExportBytes, r.HostNsExportPooled, r.ExportAllocsPooled)
-	fmt.Fprintf(w, "  record: %.1f ns/event steady state, %.0f allocs/op\n",
-		r.HostNsPerEvent, r.RecordAllocsPerOp)
-	fmt.Fprintf(w, "  translate (%d word loads/sweep): %.2f ns per access\n",
-		r.MemAccesses, r.HostNsPerAccessScalar)
-	if len(r.Scale) > 0 {
-		fmt.Fprintf(w, "  fan-out (%d tasks):", r.ScaleTasks)
-		for _, p := range r.Scale {
-			fmt.Fprintf(w, "  j%d %.3fs (%.2fx)", p.Workers, p.HostSeconds, p.Speedup)
-		}
-		fmt.Fprintf(w, "\n")
-	}
-}
-
 // ReportObsPath prints the observability-stack overhead comparison.
 func ReportObsPath(w io.Writer, r ObsPathResult) {
 	fmt.Fprintf(w, "Observability path — %s ×%d: dark vs tracing vs tracing+auditor\n",

@@ -172,8 +172,9 @@ func TestExportGolden(t *testing.T) {
 
 // TestExportZeroAlloc pins the append-based formatters at zero
 // allocations when given pre-grown scratch — the property the pooled
-// WritePrometheus/WriteSummary fast path relies on. Aux counter sources
-// are omitted: concatenating them allocates by design.
+// WritePrometheus/WriteSummary fast path relies on. The formatter cases
+// omit aux counter sources, since concatenating them allocates by design;
+// the final cases bound the exported writers with the sources in place.
 func TestExportZeroAlloc(t *testing.T) {
 	r := buildRichRecorder(7, 1<<12)
 	r.aux, r.gauges = nil, nil
@@ -201,6 +202,29 @@ func TestExportZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("appendSummary allocates %.1f times per digest, want 0", allocs)
+	}
+
+	// The exported entry points on a recorder as producers register it,
+	// aux counter and gauge sources included.
+	full := buildRichRecorder(7, 1<<12)
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := WriteSummary(io.Discard, full); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WriteSummary allocates %.1f times per digest, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := WritePrometheus(io.Discard, full); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Each aux source returns fresh name/value slices and AuxCounters/
+	// AuxGauges concatenate them: 2 allocations apiece per source, per
+	// page. The bound pins that cost so the rest of the page stays free.
+	if allocs > 8 {
+		t.Errorf("WritePrometheus with aux sources allocates %.1f times per page, want <= 8", allocs)
 	}
 }
 
