@@ -26,15 +26,13 @@ experiments:
 boot-full:
 	$(GO) run ./cmd/veil-bench -experiment boot -mem 2048
 
-# Byte-compare the deterministic fig4/fig5 JSON against the committed
-# goldens (testdata/goldens). Any drift in the virtual-cycle model — e.g.
-# from a memory-path change that was supposed to be behaviour-preserving —
-# fails this target.
+# Byte-compare every deterministic committed result (fig4/fig5 goldens in
+# testdata/goldens, BENCH_batch/mempath/smp/fleet.json) against a fresh
+# run. Any drift in the virtual-cycle model — e.g. from a change that was
+# supposed to be behaviour-preserving — fails this target. It is the
+# tier-1 test cmd/veil-bench.TestCommittedGoldens.
 golden-check:
-	$(GO) run ./cmd/veil-bench -experiment fig4 -iters 500 -json /tmp/veil-golden-fig4.json
-	$(GO) run ./cmd/veil-bench -experiment fig5 -iters 500 -json /tmp/veil-golden-fig5.json
-	cmp testdata/goldens/fig4.json /tmp/veil-golden-fig4.json
-	cmp testdata/goldens/fig5.json /tmp/veil-golden-fig5.json
+	$(GO) test -count=1 -run TestCommittedGoldens ./cmd/veil-bench
 
 # Tables 1 & 2 and the §8.3 validation attacks, executed live.
 attacks:
@@ -57,7 +55,7 @@ bench-obs:
 
 # Regenerate the committed batched-invocation amortization curve
 # (BENCH_batch.json). Fully deterministic with -stable: every value is
-# virtual cycles, so CI can byte-compare and -compare it across builds.
+# virtual cycles, so TestCommittedGoldens byte-compares it.
 bench-batch:
 	$(GO) run ./cmd/veil-bench -experiment batch -stable -json BENCH_batch.json
 

@@ -60,3 +60,18 @@ func TestExportRunWritesEverything(t *testing.T) {
 		t.Fatalf("metrics page missing the syscall counter:\n%s", page.String())
 	}
 }
+
+// The -fleet 3 ring with every export and the auditor on: an honest run
+// with zero auditor violations and both files written.
+func TestRunFleet(t *testing.T) {
+	dir := t.TempDir()
+	trace, causal := filepath.Join(dir, "trace.json"), filepath.Join(dir, "causal.json")
+	if err := runFleet(3, 64<<20, trace, causal, true, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{trace, causal} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s not written: %v", p, err)
+		}
+	}
+}

@@ -68,9 +68,6 @@ const (
 	// OpChnState queries a session (payload: init u32, session u32).
 	// Response: u8 state (0 none, 1 dialing, 2 established).
 	OpChnState uint8 = 5
-	// OpChnStats returns the service counters (6 × u64: dialed,
-	// established, refused, sent, received, dropped).
-	OpChnStats uint8 = 6
 )
 
 // VeilS-Log operations (§6.3).

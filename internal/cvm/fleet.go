@@ -68,6 +68,8 @@ type Fleet struct {
 	// Directory maps machine id → expected launch measurement; it is
 	// provisioned into every member's VeilS-Channel at boot.
 	Directory map[int][32]byte
+	// seed is FleetOptions.Seed; RunEcho derives its schedulers from it.
+	seed int64
 }
 
 // fleetRand is the fleet's deterministic key-material source (the sim-path
@@ -114,7 +116,7 @@ func BootFleet(opts FleetOptions) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{Fab: fab, PSP: psp, Directory: make(map[int][32]byte)}
+	f := &Fleet{Fab: fab, PSP: psp, Directory: make(map[int][32]byte), seed: opts.Seed}
 	for id := 0; id < opts.Machines; id++ {
 		o := opts.Base
 		o.Veil = true

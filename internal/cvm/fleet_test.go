@@ -3,6 +3,7 @@ package cvm
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"veil/internal/core"
@@ -20,153 +21,45 @@ func testFleetOptions(machines int, seed int64) FleetOptions {
 	}
 }
 
-// chnPeer drives one machine's half of a dial → establish → echo exchange
-// as a cooperative sched task: drain the NIC queue, relay every frame to
-// VeilS-Channel, act on the session state, block when idle.
-type chnPeer struct {
-	c    *CVM
-	stub *core.OSStub
-
-	initiator bool
-	self      int
-	peer      int
-	init      int // session initiator id
-	sid       uint32
-	rounds    int // messages this side must receive before finishing
-
-	dialed   bool
-	sent     int
-	received int
-	inbox    []string
-	failed   error
-}
-
-func (p *chnPeer) deliverPending() (bool, error) {
-	frames := p.c.DrainNetFrames()
-	for _, fr := range frames {
-		if err := p.stub.ChnDeliver(fr); err != nil {
-			return false, err
-		}
-	}
-	return len(frames) > 0, nil
-}
-
-func (p *chnPeer) Step(vcpu int) (sched.Status, error) {
-	progressed, err := p.deliverPending()
-	if err != nil {
-		p.failed = err
-		return sched.Done, err
-	}
-	if p.initiator && !p.dialed {
-		sid, err := p.stub.ChnDial(p.peer)
-		if err != nil {
-			return sched.Done, err
-		}
-		p.sid, p.dialed = sid, true
-		return sched.Yield, nil
-	}
-	state, err := p.stub.ChnState(p.init, p.sid)
-	if err != nil {
-		return sched.Done, err
-	}
-	if state != chn.StateEstablished {
-		if progressed {
-			return sched.Yield, nil
-		}
-		return sched.Blocked, nil
-	}
-	// Established: pull everything that decrypted, echo-reply, send our
-	// own payload (initiator leads; responder answers one-for-one).
-	for {
-		msg, ok, err := p.stub.ChnRecv(p.init, p.sid)
-		if err != nil {
-			return sched.Done, err
-		}
-		if !ok {
-			break
-		}
-		p.received++
-		p.inbox = append(p.inbox, string(msg))
-		if !p.initiator {
-			reply := fmt.Sprintf("pong-%d-from-%d", p.received, p.self)
-			if err := p.stub.ChnSend(p.init, p.sid, []byte(reply)); err != nil {
-				return sched.Done, err
-			}
-			p.sent++
-		}
-		progressed = true
-	}
-	if p.initiator && p.sent < p.rounds {
-		msg := fmt.Sprintf("ping-%d-from-%d", p.sent+1, p.self)
-		if err := p.stub.ChnSend(p.init, p.sid, []byte(msg)); err != nil {
-			return sched.Done, err
-		}
-		p.sent++
-		return sched.Yield, nil
-	}
-	if p.received >= p.rounds {
-		return sched.Done, nil
-	}
-	if progressed {
-		return sched.Yield, nil
-	}
-	return sched.Blocked, nil
-}
-
-// runPingPong boots a 2-machine fleet and runs a full dial/establish/echo
-// exchange, returning everything a caller might want to assert on.
-func runPingPong(t *testing.T, seed int64, rounds int) (*Fleet, *chnPeer, *chnPeer, FleetStats) {
+// runPingPong boots a 2-machine fleet and runs one attested echo session
+// from machine 0 to machine 1 for the given rounds.
+func runPingPong(t *testing.T, seed int64, rounds int) (*Fleet, FleetStats) {
 	t.Helper()
 	f, err := BootFleet(testFleetOptions(2, seed))
 	if err != nil {
 		t.Fatalf("BootFleet: %v", err)
 	}
-	a := &chnPeer{
-		c: f.CVMs[0], stub: f.CVMs[0].Stub,
-		initiator: true, self: 0, peer: 1, init: 0, rounds: rounds,
-	}
-	b := &chnPeer{
-		c: f.CVMs[1], stub: f.CVMs[1].Stub,
-		self: 1, peer: 0, init: 0, rounds: rounds,
-	}
-	scheds := []*sched.Scheduler{
-		sched.New(sched.Config{Machine: f.CVMs[0].M, VCPUs: 1, Seed: seed}),
-		sched.New(sched.Config{Machine: f.CVMs[1].M, VCPUs: 1, Seed: seed + 1}),
-	}
-	if err := scheds[0].Add(0, 1, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := scheds[1].Add(0, 1, b); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := f.Run(scheds)
+	stats, err := f.RunEcho(EchoPlan{Sessions: [][2]int{{0, 1}}, Rounds: rounds})
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	return f, a, b, stats
+	return f, stats
 }
 
 func TestFleetAttestedChannelPingPong(t *testing.T) {
 	const rounds = 3
-	f, a, b, stats := runPingPong(t, 11, rounds)
+	f, stats := runPingPong(t, 11, rounds)
 
-	if a.received != rounds || b.received != rounds {
-		t.Fatalf("received: initiator %d, responder %d, want %d each", a.received, b.received, rounds)
-	}
-	if want := "ping-1-from-0"; b.inbox[0] != want {
-		t.Fatalf("responder inbox[0] = %q, want %q", b.inbox[0], want)
-	}
-	if want := "pong-1-from-1"; a.inbox[0] != want {
-		t.Fatalf("initiator inbox[0] = %q, want %q", a.inbox[0], want)
-	}
 	for id, c := range f.CVMs {
 		st := c.CHN.Stats()
+		if st.Received != rounds {
+			t.Fatalf("machine %d received %d messages, want %d", id, st.Received, rounds)
+		}
 		if st.Established != 1 {
 			t.Fatalf("machine %d established %d sessions, want 1", id, st.Established)
 		}
 		if st.Refused != 0 || st.Dropped != 0 {
 			t.Fatalf("machine %d refused=%d dropped=%d on honest run", id, st.Refused, st.Dropped)
 		}
+	}
+	// The retired counters op (6) gets the unknown-op refusal; the host
+	// reads the counters through CHN.Stats.
+	resp, err := f.CVMs[0].Stub.CallSrv(core.Request{Svc: core.SvcCHN, Op: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != core.StatusError {
+		t.Fatalf("VeilS-Channel op 6: status %d, want StatusError", resp.Status)
 	}
 	if stats.Fabric.Delivered == 0 {
 		t.Fatal("no fabric deliveries recorded")
@@ -183,7 +76,7 @@ func TestFleetAttestedChannelPingPong(t *testing.T) {
 
 // fleetFingerprint flattens everything observable about a run into one
 // comparable string.
-func fleetFingerprint(f *Fleet, stats FleetStats, peers ...*chnPeer) string {
+func fleetFingerprint(f *Fleet, stats FleetStats) string {
 	s := fmt.Sprintf("steps=%d idle=%d fabric=%+v\n", stats.Steps, stats.IdleJumps, stats.Fabric)
 	for _, m := range stats.Machines {
 		s += fmt.Sprintf("m%d cycles=%d idle=%d sched=%+v\n", m.ID, m.Cycles, m.IdleCycles, m.Sched)
@@ -191,16 +84,12 @@ func fleetFingerprint(f *Fleet, stats FleetStats, peers ...*chnPeer) string {
 	for id, c := range f.CVMs {
 		s += fmt.Sprintf("m%d chn=%+v attr=%v\n", id, c.CHN.Stats(), c.M.Clock().Attribution().Map())
 	}
-	for _, p := range peers {
-		s += fmt.Sprintf("peer%d inbox=%q\n", p.self, p.inbox)
-	}
 	return s
 }
 
 func TestFleetDeterministicAcrossRunsAndGOMAXPROCS(t *testing.T) {
 	run := func() string {
-		f, a, b, stats := runPingPong(t, 23, 4)
-		return fleetFingerprint(f, stats, a, b)
+		return fleetFingerprint(runPingPong(t, 23, 4))
 	}
 	first := run()
 	second := run()
@@ -212,6 +101,98 @@ func TestFleetDeterministicAcrossRunsAndGOMAXPROCS(t *testing.T) {
 	third := run()
 	if first != third {
 		t.Fatalf("fleet run diverged under GOMAXPROCS=1:\n--- first\n%s--- third\n%s", first, third)
+	}
+}
+
+// Session ids follow each initiator's dial order: a machine's ends are its
+// sessions in plan order, and a session's sid is its index among its
+// initiator's sessions.
+func TestEchoEndsFollowDialOrder(t *testing.T) {
+	type end struct {
+		init, peer int
+		sid        uint32
+		initiator  bool
+	}
+	for _, c := range []struct {
+		name     string
+		sessions [][2]int
+		want     [][]end
+	}{
+		{"triangle", [][2]int{{0, 1}, {0, 2}, {1, 2}}, [][]end{
+			{{0, 1, 0, true}, {0, 2, 1, true}},
+			{{0, 0, 0, false}, {1, 2, 0, true}},
+			{{0, 0, 1, false}, {1, 1, 0, false}},
+		}},
+		{"3-ring", [][2]int{{0, 1}, {1, 2}, {2, 0}}, [][]end{
+			{{0, 1, 0, true}, {2, 2, 0, false}},
+			{{0, 0, 0, false}, {1, 2, 0, true}},
+			{{1, 1, 0, false}, {2, 0, 0, true}},
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ends, err := echoEnds(EchoPlan{Sessions: c.sessions}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m, want := range c.want {
+				var got []end
+				for _, e := range ends[m] {
+					got = append(got, end{e.init, e.peer, e.sid, e.initiator})
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("m%d ends = %v, want %v", m, got, want)
+				}
+			}
+		})
+	}
+	if _, err := echoEnds(EchoPlan{Sessions: [][2]int{{1, 1}}}, 3); err == nil {
+		t.Fatal("a session from a machine to itself was accepted")
+	}
+}
+
+// An initiator whose echo comes back altered fails the run instead of
+// counting the round.
+func TestEchoRejectsWrongReply(t *testing.T) {
+	f, err := BootFleet(testFleetOptions(2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends, err := echoEnds(EchoPlan{Sessions: [][2]int{{0, 1}}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initiator := &echoTask{c: f.CVMs[0], self: 0, ends: ends[0], rounds: 1}
+	resp := f.CVMs[1]
+	liar := sched.TaskFunc(func(int) (sched.Status, error) {
+		for _, fr := range resp.DrainNetFrames() {
+			if err := resp.Stub.ChnDeliver(fr); err != nil {
+				return sched.Done, err
+			}
+		}
+		if state, err := resp.Stub.ChnState(0, 0); err != nil || state != chn.StateEstablished {
+			return sched.Blocked, err
+		}
+		if _, ok, err := resp.Stub.ChnRecv(0, 0); err != nil || !ok {
+			return sched.Blocked, err
+		}
+		return sched.Done, resp.Stub.ChnSend(0, 0, []byte("echo:wrong"))
+	})
+	scheds := []*sched.Scheduler{
+		sched.New(sched.Config{Machine: f.CVMs[0].M, VCPUs: 1, Seed: 1}),
+		sched.New(sched.Config{Machine: f.CVMs[1].M, VCPUs: 1, Seed: 2}),
+	}
+	if err := scheds[0].Add(0, 1, initiator); err != nil {
+		t.Fatal(err)
+	}
+	if err := scheds[1].Add(0, 1, liar); err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Run(scheds)
+	if err == nil || !strings.Contains(err.Error(), `"echo:wrong"`) {
+		t.Fatalf("run with a wrong echo: err = %v, want the echo mismatch", err)
+	}
+	if e := ends[0][0]; e.received != 0 {
+		t.Fatalf("initiator counted %d rounds from a wrong echo", e.received)
 	}
 }
 

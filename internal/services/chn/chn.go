@@ -180,15 +180,6 @@ func (s *Service) handle(vcpu int, op uint8, payload []byte) (uint32, []byte) {
 		return s.serveRecv(payload)
 	case core.OpChnState:
 		return s.serveState(payload)
-	case core.OpChnStats:
-		var out [48]byte
-		binary.LittleEndian.PutUint64(out[0:], s.stats.Dialed)
-		binary.LittleEndian.PutUint64(out[8:], s.stats.Established)
-		binary.LittleEndian.PutUint64(out[16:], s.stats.Refused)
-		binary.LittleEndian.PutUint64(out[24:], s.stats.Sent)
-		binary.LittleEndian.PutUint64(out[32:], s.stats.Received)
-		binary.LittleEndian.PutUint64(out[40:], s.stats.Dropped)
-		return core.StatusOK, out[:]
 	}
 	return core.StatusError, nil
 }
