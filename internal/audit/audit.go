@@ -6,11 +6,12 @@
 // The auditor attaches to a Machine through its audit hook and paces
 // itself by the event stream: cheap "fast" checks run on every domain
 // switch and every FastEvery events, full-state sweeps every SweepEvery
-// events. All checks read machine state only — they charge no virtual
-// cycles and emit no events on success, so an audited clean run produces
-// byte-identical deterministic outputs to an unaudited one. A violation
-// emits a ClassInvariant event, freezes the machine's post-mortem flight
-// dump, and is tallied for the exporters.
+// events, and the one check that reads all guest memory only when Sweep
+// is called at end of run. All checks read machine state only — they
+// charge no virtual cycles and emit no events on success, so an audited
+// clean run produces byte-identical deterministic outputs to an unaudited
+// one. A violation emits a ClassInvariant event, freezes the machine's
+// post-mortem flight dump, and is tallied for the exporters.
 package audit
 
 import (
@@ -45,6 +46,12 @@ const (
 	// the end-to-end form of CheckRMPTLBEpoch: not "was the TLB told to
 	// invalidate" but "is anything cached that the RMP now forbids".
 	CheckTLBVerdicts
+	// CheckUnwrittenZero (end of run): every page the machine's written
+	// bitmap records as never written is all zero. PVALIDATE and the boot
+	// pool skip those pages, so a write that bypassed the bitmap would let
+	// accepted private memory show bytes planted before it was accepted.
+	// The check reads all guest memory, so only Sweep runs it.
+	CheckUnwrittenZero
 
 	// NumChecks is the catalog size.
 	NumChecks
@@ -52,6 +59,7 @@ const (
 
 var checkNames = [NumChecks]string{
 	"rmp-tlb-epoch", "vmsa-unreadable", "rmp-consistency", "tlb-verdicts",
+	"unwritten-zero",
 }
 
 // String returns the check's catalog name.
@@ -162,12 +170,15 @@ func (a *Auditor) runSweeps() {
 	}
 }
 
-// Sweep forces one full pass of every check (fast and sweep) right now.
-// Tools call it at end of run so short workloads that never reach the
-// cadence thresholds still get one complete verdict.
+// Sweep forces one full pass of every check (fast, sweep and end of run)
+// right now. Tools call it at end of run so short workloads that never
+// reach the cadence thresholds still get one complete verdict.
 func (a *Auditor) Sweep() {
 	a.runFast(true)
 	a.runSweeps()
+	if n, d := a.m.AuditUnwrittenZero(a.cfg.MaxDetails); n > 0 {
+		a.report(CheckUnwrittenZero, n, d)
+	}
 }
 
 // report tallies a violating check and emits its ClassInvariant event; the

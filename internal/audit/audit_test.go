@@ -159,12 +159,26 @@ func TestCountersExport(t *testing.T) {
 		"audit-events": true, "audit-fast-runs": true, "audit-sweep-runs": true,
 		"audit-violations": true, "audit-check-rmp-tlb-epoch": true,
 		"audit-check-vmsa-unreadable": true, "audit-check-rmp-consistency": true,
-		"audit-check-tlb-verdicts": true,
+		"audit-check-tlb-verdicts": true, "audit-check-unwritten-zero": true,
 	}
 	for _, n := range names {
 		delete(want, n)
 	}
 	if len(want) != 0 {
 		t.Fatalf("missing counters: %v (got %v)", want, names)
+	}
+}
+
+// TestCatalogIndicesStable: check indices appear in ClassInvariant events
+// and golden post-mortems, so a new check is appended, never inserted.
+func TestCatalogIndicesStable(t *testing.T) {
+	want := []string{"rmp-tlb-epoch", "vmsa-unreadable", "rmp-consistency", "tlb-verdicts", "unwritten-zero"}
+	if int(audit.NumChecks) != len(want) {
+		t.Fatalf("catalog has %d checks, want %d", audit.NumChecks, len(want))
+	}
+	for i, name := range want {
+		if got := audit.Check(i).String(); got != name {
+			t.Fatalf("check %d is %q, want %q", i, got, name)
+		}
 	}
 }

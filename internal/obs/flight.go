@@ -11,16 +11,22 @@ const DefaultFlightCapacity = 512
 // off. It carries no metrics registry and never allocates after
 // construction.
 //
-// A nil *Flight is valid and records nothing.
+// Producers claim a slot with Alloc and fill it in place. The ring never
+// reads the event a claim overwrites: it counts claims in total and per
+// class, and derives the eviction counts from those and the retained
+// events when asked.
+//
+// A nil *Flight is valid for every method except Alloc.
 type Flight struct {
-	buf     []Event
-	next    int
-	full    bool
-	dropped uint64
-	// droppedByClass breaks the evictions down per event class: on a busy
-	// run almost everything rolls out of the 512-slot ring, and the
-	// breakdown says *what* the post-mortem can no longer show.
-	droppedByClass [NumClasses]uint64
+	buf  []Event
+	next int
+	full bool
+	// total counts every claimed slot; byClass breaks the claims down per
+	// event class. On a busy run almost everything rolls out of the
+	// 512-slot ring, and DroppedByClass says *what* the post-mortem can no
+	// longer show.
+	total   uint64
+	byClass [NumClasses]uint64
 }
 
 // NewFlight creates a flight ring holding capacity events
@@ -32,23 +38,21 @@ func NewFlight(capacity int) *Flight {
 	return &Flight{buf: make([]Event, capacity)}
 }
 
-// Record appends one event, evicting the oldest when full. Nil-safe.
-func (f *Flight) Record(e Event) {
-	if f == nil {
-		return
+// Alloc claims the next slot for an event of class c, evicting the oldest
+// when the ring is full, and returns it dirty: the caller must assign
+// every field, with Class equal to c. f must be non-nil.
+func (f *Flight) Alloc(c Class) *Event {
+	f.total++
+	if c < NumClasses {
+		f.byClass[c]++
 	}
-	if f.full {
-		f.dropped++
-		if c := f.buf[f.next].Class; c < NumClasses {
-			f.droppedByClass[c]++
-		}
-	}
-	f.buf[f.next] = e
+	e := &f.buf[f.next]
 	f.next++
 	if f.next == len(f.buf) {
 		f.next = 0
 		f.full = true
 	}
+	return e
 }
 
 // Len returns the number of events currently held.
@@ -75,16 +79,23 @@ func (f *Flight) Dropped() uint64 {
 	if f == nil {
 		return 0
 	}
-	return f.dropped
+	return f.total - uint64(f.Len())
 }
 
-// DroppedByClass returns the per-class eviction counts. Nil-safe
-// (returns zeros).
+// DroppedByClass returns the per-class eviction counts: the claims of
+// each class minus the retained events of that class. Nil-safe (returns
+// zeros).
 func (f *Flight) DroppedByClass() [NumClasses]uint64 {
 	if f == nil {
 		return [NumClasses]uint64{}
 	}
-	return f.droppedByClass
+	out := f.byClass
+	for i := range f.Len() {
+		if c := f.buf[i].Class; c < NumClasses {
+			out[c]--
+		}
+	}
+	return out
 }
 
 // Events returns the retained events, oldest first.

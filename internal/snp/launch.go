@@ -27,6 +27,7 @@ func (m *Machine) LaunchLoad(phys uint64, data []byte) error {
 			hi = uint64(len(data))
 		}
 		copy(m.rawPage(pi), data[lo:hi])
+		m.markWritten(pi)
 	}
 	return nil
 }

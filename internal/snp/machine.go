@@ -40,6 +40,13 @@ type Machine struct {
 	rmp   []RMPEntry
 	vmsas map[uint64]*VMSA // keyed by physical page address
 
+	// written holds one bit per page under one invariant: a page whose
+	// bit is clear is all zero. Every architectural write funnel sets the
+	// bit before handing out the page's bytes; the PVALIDATE scrub zeroes
+	// a written page and clears it. Accepting or recycling an unwritten
+	// page therefore touches none of its bytes.
+	written []uint64
+
 	// ghcbMSR holds the per-VCPU GHCB physical address, written by the
 	// guest via a (privileged) MSR write and read by the hypervisor.
 	ghcbMSR map[int]uint64
@@ -125,10 +132,11 @@ func NewMachine(cfg Config) *Machine {
 		ghcbMSR: make(map[int]uint64),
 	}
 	if b := acquireBacking(pages); b != nil {
-		m.mem, m.rmp = b.mem, b.rmp
+		m.mem, m.rmp, m.written = b.mem, b.rmp, b.written
 	} else {
 		m.mem = make([]byte, cfg.MemBytes)
 		m.rmp = make([]RMPEntry, pages)
+		m.written = make([]uint64, (pages+63)/64)
 	}
 	return m
 }
@@ -213,10 +221,14 @@ func (m *Machine) guestAccessPhys(vmpl VMPL, cpl CPL, phys uint64, n int, a Acce
 		m.Halt(f)
 		return nil, f
 	}
-	if a == AccessWrite && m.isPTPage(pi) {
-		// A software write is landing on a page the walker has read PTEs
-		// from: translations that walked through it may now be stale.
-		m.invalidatePTPage(pi)
+	if a == AccessWrite {
+		m.markWritten(pi)
+		if m.isPTPage(pi) {
+			// A software write is landing on a page the walker has read
+			// PTEs from: translations that walked through it may now be
+			// stale.
+			m.invalidatePTPage(pi)
+		}
 	}
 	return m.mem[phys : phys+uint64(n)], nil
 }
@@ -273,11 +285,33 @@ func (m *Machine) GuestExecCheckPhys(vmpl VMPL, cpl CPL, phys uint64) error {
 }
 
 // rawPage returns the backing bytes of a page without any checks. It is for
-// hardware-internal paths only (page-table walker, launch measurement) and
-// is deliberately unexported.
+// hardware-internal paths only (page-table walker, launch load, accept
+// scrub) and is deliberately unexported. Only LaunchLoad and scrub write
+// through it.
 func (m *Machine) rawPage(pi uint64) []byte {
 	base := pi << PageShift
 	return m.mem[base : base+PageSize]
+}
+
+// markWritten records that page pi may hold non-zero bytes. Every path
+// that hands out writable guest memory calls it first.
+func (m *Machine) markWritten(pi uint64) {
+	m.written[pi>>6] |= 1 << (pi & 63)
+}
+
+// pageWritten reports whether page pi's written bit is set.
+func (m *Machine) pageWritten(pi uint64) bool {
+	return m.written[pi>>6]&(1<<(pi&63)) != 0
+}
+
+// scrub zeroes page pi for the PVALIDATE accept path. An unwritten page is
+// already all zero, so only a written one is cleared (and its bit with it).
+func (m *Machine) scrub(pi uint64) {
+	if !m.pageWritten(pi) {
+		return
+	}
+	clear(m.rawPage(pi))
+	m.written[pi>>6] &^= 1 << (pi & 63)
 }
 
 // hostAccessPhys is the hypervisor's (or a device's) view of guest memory:
@@ -301,8 +335,11 @@ func (m *Machine) hostAccessPhys(phys uint64, n int, a Access) ([]byte, error) {
 		m.ObserveDenied(DeniedHVRead, PageBase(phys))
 		return nil, fmt.Errorf("snp: hypervisor read of guest-assigned page %#x blocked", PageBase(phys))
 	}
-	if a == AccessWrite && m.isPTPage(pi) {
-		m.invalidatePTPage(pi)
+	if a == AccessWrite {
+		m.markWritten(pi)
+		if m.isPTPage(pi) {
+			m.invalidatePTPage(pi)
+		}
 	}
 	return m.mem[phys : phys+uint64(n)], nil
 }

@@ -225,8 +225,12 @@ func (a AccessContext) span(virt uint64, n int, acc Access) ([]byte, error) {
 		if n < 0 || PageOffset(phys)+uint64(n) > PageSize {
 			return nil, fmt.Errorf("snp: physical access %#x+%d crosses a page boundary", phys, n)
 		}
-		if acc == AccessWrite && m.isPTPage(phys>>PageShift) {
-			m.invalidatePTPage(phys >> PageShift)
+		if acc == AccessWrite {
+			pi := phys >> PageShift
+			m.markWritten(pi)
+			if m.isPTPage(pi) {
+				m.invalidatePTPage(pi)
+			}
 		}
 		return m.mem[phys : phys+uint64(n)], nil
 	}

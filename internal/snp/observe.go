@@ -220,31 +220,25 @@ func (m *Machine) emitSpan(class obs.Class, kind obs.EventKind, dur uint64, vmpl
 	if ref.ID == 0 {
 		parent = m.spans.Current()
 	}
-	var ev obs.Event
+	// Fill one slot in place: the recorder's (its shards double as the
+	// flight tail, so there is no second ring write), else the flight
+	// ring's, else a local for the audit hook alone. Both rings hand out
+	// dirty slots, so every Event field is assigned.
+	var local obs.Event
+	e := &local
 	if m.rec != nil {
-		// Zero-copy fast path: fill the ring slot in place (the recorder's
-		// shards double as the flight tail, so no second ring write). Every
-		// Event field must be assigned — Alloc returns the slot dirty.
-		e := m.rec.Alloc(m.obsVCPU)
-		e.TS, e.Dur, e.Arg1, e.Arg2 = m.clock.total, dur, a1, a2
-		e.VCPU, e.VMPL = m.obsVCPU, vmpl
-		e.Class, e.Kind = class, kind
-		e.Span, e.Parent = ref.ID, parent
-		if m.auditHook == nil {
-			return
-		}
-		ev = *e
-	} else {
-		ev = obs.Event{
-			TS: m.clock.total, Dur: dur, Arg1: a1, Arg2: a2,
-			VCPU: m.obsVCPU, VMPL: vmpl, Class: class, Kind: kind,
-			Span: ref.ID, Parent: parent,
-		}
-		m.flight.Record(ev)
+		e = m.rec.Alloc(m.obsVCPU)
+	} else if m.flight != nil {
+		e = m.flight.Alloc(class)
+		e.Seq = 0
 	}
+	e.TS, e.Dur, e.Arg1, e.Arg2 = m.clock.total, dur, a1, a2
+	e.VCPU, e.VMPL = m.obsVCPU, vmpl
+	e.Class, e.Kind = class, kind
+	e.Span, e.Parent = ref.ID, parent
 	if m.auditHook != nil && !m.inAudit {
 		m.inAudit = true
-		m.auditHook(ev)
+		m.auditHook(*e)
 		m.inAudit = false
 	}
 }

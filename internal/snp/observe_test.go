@@ -80,18 +80,28 @@ func TestChargeMirrorsIntoRecorder(t *testing.T) {
 
 // TestNilRecorderMachineZeroAllocs proves the "nil = zero overhead"
 // contract at the machine layer: observing with no recorder attached must
-// not allocate.
+// not allocate, with no sink at all, with the always-on flight ring (slots
+// filled in place) and with only an audit hook (the event built on the
+// stack).
 func TestNilRecorderMachineZeroAllocs(t *testing.T) {
-	m := NewMachine(Config{MemBytes: 4 * PageSize, VCPUs: 1})
-	allocs := testing.AllocsPerRun(1000, func() {
-		m.ObserveVMGEXIT()
-		m.ObserveVMENTER()
-		ref := m.ObserveSyscallEnter(VMPL3, 1)
-		m.ObserveSyscallExit(VMPL3, 1, 0, ref)
-		m.ObserveDomainSwitch(VMPL3, VMPL0, 0)
-		m.Clock().Charge(CostVMGEXIT, 10)
-	})
-	if allocs != 0 {
-		t.Fatalf("nil-recorder observe path allocated %v times per run, want 0", allocs)
+	for _, sinks := range []string{"none", "flight", "audit-hook"} {
+		m := NewMachine(Config{MemBytes: 4 * PageSize, VCPUs: 1})
+		switch sinks {
+		case "flight":
+			m.SetFlight(obs.NewFlight(0))
+		case "audit-hook":
+			m.SetAuditHook(func(obs.Event) {})
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			m.ObserveVMGEXIT()
+			m.ObserveVMENTER()
+			ref := m.ObserveSyscallEnter(VMPL3, 1)
+			m.ObserveSyscallExit(VMPL3, 1, 0, ref)
+			m.ObserveDomainSwitch(VMPL3, VMPL0, 0)
+			m.Clock().Charge(CostVMGEXIT, 10)
+		})
+		if allocs != 0 {
+			t.Fatalf("nil-recorder observe path (sinks: %s) allocated %v times per run, want 0", sinks, allocs)
+		}
 	}
 }

@@ -1,27 +1,33 @@
 package snp
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-// Machine backing pool: the two large per-machine allocations — guest
-// physical memory and the RMP — recycled across boots. Benchmark harnesses
-// boot hundreds of identically-sized machines per run (and, under the
-// veil-bench -j worker pool, several at once); drawing the backing arrays
-// from a pool turns each boot's dominant allocation into a memclr of
-// already-resident pages instead of a fresh multi-megabyte heap grow plus
-// first-touch fault sweep, and takes the matching load off the collector.
+// Machine backing pool: the large per-machine allocations — guest physical
+// memory, the RMP and the written-page bitmap — recycled across boots.
+// Benchmark harnesses boot hundreds of identically-sized machines per run
+// (and, under the veil-bench -j worker pool, several at once); drawing the
+// backing arrays from a pool replaces each boot's dominant allocation and
+// first-touch fault sweep with a clear of just the pages the previous
+// machine wrote, and takes the matching load off the collector.
 //
 // Reuse is invisible to the simulation: a recycled backing is cleared
 // before NewMachine returns, so a pooled machine starts from exactly the
 // all-zero state a fresh one does and every deterministic output is
-// unchanged. The pools are sync.Pools behind a size-keyed registry, so
-// retained memory stays reclaimable by the collector when no machine of
-// that size is booted again.
+// unchanged. The written bitmap is what makes the clear cheap: a page
+// whose bit is clear is already all zero (see Machine.written), so only
+// written pages are zeroed. The pools are sync.Pools behind a size-keyed
+// registry, so retained memory stays reclaimable by the collector when no
+// machine of that size is booted again.
 
-// machineBacking bundles one machine's poolable backing arrays. mem and
-// rmp always describe the same page count.
+// machineBacking bundles one machine's poolable backing arrays. mem, rmp
+// and written always describe the same page count.
 type machineBacking struct {
-	mem []byte
-	rmp []RMPEntry
+	mem     []byte
+	rmp     []RMPEntry
+	written []uint64
 }
 
 // backingPools maps a machine's page count to the *sync.Pool of
@@ -43,7 +49,13 @@ func acquireBacking(pages uint64) *machineBacking {
 	if b == nil {
 		return nil
 	}
-	clear(b.mem)
+	for i, w := range b.written {
+		for ; w != 0; w &= w - 1 {
+			base := (uint64(i)<<6 | uint64(bits.TrailingZeros64(w))) << PageShift
+			clear(b.mem[base : base+PageSize])
+		}
+	}
+	clear(b.written)
 	clear(b.rmp)
 	return b
 }
@@ -63,9 +75,10 @@ func (m *Machine) Release() {
 	if m.mem == nil {
 		return
 	}
-	releaseBacking(&machineBacking{mem: m.mem, rmp: m.rmp})
+	releaseBacking(&machineBacking{mem: m.mem, rmp: m.rmp, written: m.written})
 	m.mem = nil
 	m.rmp = nil
+	m.written = nil
 	m.tlb = nil
 	m.ptPages = nil
 	m.ptGen = nil

@@ -1,6 +1,7 @@
 package snp
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -8,8 +9,11 @@ import (
 )
 
 // TestReleaseRecyclesCleanBacking pins the boot pool's safety contract:
-// a released machine's dirtied memory and RMP come back from the pool
-// fully cleared, so a pooled boot is indistinguishable from a fresh one.
+// a released machine's dirtied memory, RMP and written bitmap come back
+// from the pool fully cleared, so a pooled boot is indistinguishable from
+// a fresh one. Memory is dirtied through the architectural write paths —
+// the hypervisor on shared pages, the guest on its validated page — since
+// those are what the pool's written-page clear relies on.
 func TestReleaseRecyclesCleanBacking(t *testing.T) {
 	const pages = 16
 	m := NewMachine(Config{MemBytes: pages * PageSize, VCPUs: 1})
@@ -19,10 +23,19 @@ func TestReleaseRecyclesCleanBacking(t *testing.T) {
 	if err := m.PValidate(VMPL0, 0, true); err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.mem {
-		m.mem[i] = 0xAB
+	junk := bytes.Repeat([]byte{0xAB}, PageSize)
+	if err := m.GuestWritePhys(VMPL0, CPL0, 0, junk); err != nil {
+		t.Fatal(err)
+	}
+	for p := uint64(1); p < pages; p++ {
+		if err := m.HVWritePhys(p*PageSize, junk); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m.Release()
+	if m.written != nil {
+		t.Fatal("Release left the written bitmap attached")
+	}
 	if m.mem != nil || m.rmp != nil {
 		t.Fatal("Release left backing attached")
 	}
@@ -44,6 +57,11 @@ func TestReleaseRecyclesCleanBacking(t *testing.T) {
 	for i, e := range b.rmp {
 		if e != zero {
 			t.Fatalf("recycled RMP not cleared at page %d: %+v", i, e)
+		}
+	}
+	for i, w := range b.written {
+		if w != 0 {
+			t.Fatalf("recycled written bitmap not cleared at word %d: %#x", i, w)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package snp
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -334,6 +335,32 @@ func (m *Machine) AuditTLBVerdicts(max int) (int, []string) {
 						acc, e.key.vmpl, e.key.cpl, e.physPage, err))
 				}
 			}
+		}
+	}
+	return n, details
+}
+
+// zeroPage is the reference an unwritten page is compared against.
+var zeroPage [PageSize]byte
+
+// AuditUnwrittenZero checks the written-page bitmap's invariant: every page
+// whose written bit is clear is all zero. That is what lets PVALIDATE and
+// the boot pool skip those pages, and so what keeps accepted private memory
+// from showing bytes planted before it was accepted. A violation means a
+// write reached guest memory without passing a write funnel. The check
+// reads every unwritten page, so it belongs at end of run, not on a
+// periodic cadence. At most max details are rendered (0 = unlimited); the
+// returned count is always exact.
+func (m *Machine) AuditUnwrittenZero(max int) (int, []string) {
+	var n int
+	var details []string
+	for pi := uint64(0); pi < uint64(len(m.rmp)); pi++ {
+		if m.pageWritten(pi) || bytes.Equal(m.rawPage(pi), zeroPage[:]) {
+			continue
+		}
+		n++
+		if max <= 0 || len(details) < max {
+			details = append(details, fmt.Sprintf("page %#x holds data but its written bit is clear", pi<<PageShift))
 		}
 	}
 	return n, details

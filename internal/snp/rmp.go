@@ -171,11 +171,13 @@ func (m *Machine) PValidate(callerVMPL VMPL, phys uint64, validate bool) error {
 		// A freshly validated page becomes fully accessible to VMPL0 and
 		// inherits no permissions at lower levels until granted.
 		e.Perms = [NumVMPLs]Perm{VMPL0: PermAll}
-		// Newly accepted memory is touched (and implicitly scrubbed);
-		// this cold touch dominates Veil's boot-time RMPADJUST sweep.
-		clear(m.rawPage(pi))
+		// Newly accepted memory reads as zero. Only a page that was
+		// ever written needs its bytes cleared; the virtual cost of the
+		// cold touch is charged by the boot sweep either way.
+		m.scrub(pi)
 		if m.isPTPage(pi) {
-			// The scrub just rewrote PTE bytes behind the walker's back.
+			// The scrub may just have rewritten PTE bytes behind the
+			// walker's back.
 			m.invalidatePTPage(pi)
 		}
 	} else {
