@@ -81,35 +81,13 @@ func WriteIDCBRequest(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, page uint64, r
 	return nil
 }
 
-// ReadIDCBRequest loads the pending request from an IDCB page.
-func ReadIDCBRequest(m *snp.Machine, vmpl snp.VMPL, page uint64) (Request, error) {
-	hdr, err := m.Span(vmpl, snp.CPL0, page+idcbReqOff, idcbHdrLen, snp.AccessRead)
-	if err != nil {
-		return Request{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	if n > IDCBPayloadMax {
-		return Request{}, fmt.Errorf("core: IDCB request length %d corrupt", n)
-	}
-	req := Request{Svc: hdr[0], Op: hdr[1], Payload: make([]byte, n)}
-	if n > 0 {
-		pay, err := m.Span(vmpl, snp.CPL0, page+idcbReqOff+idcbHdrLen, int(n), snp.AccessRead)
-		if err != nil {
-			return Request{}, err
-		}
-		copy(req.Payload, pay)
-	}
-	return req, nil
-}
-
-// ReadIDCBRequestInto is ReadIDCBRequest with caller-owned payload
-// staging: the payload is copied into stage (grown as needed) and the
-// returned Request's Payload aliases it. The grown buffer is returned for
-// reuse. The monitor's dispatch paths feed it a per-monitor buffer —
-// every registered handler either fully consumes the payload before
-// returning or copies what it retains, so one staging buffer per monitor
-// suffices and the per-request allocation disappears. Callers that may
-// retain the payload must use ReadIDCBRequest.
+// ReadIDCBRequestInto loads the pending request from an IDCB page into
+// caller-owned staging: the payload is copied into stage (grown as
+// needed) and the returned Request's Payload aliases it. The grown buffer
+// is returned for reuse. The monitor's dispatch paths feed it a
+// per-monitor buffer — every registered handler either fully consumes
+// the payload before returning or copies what it retains, so one staging
+// buffer per monitor suffices and the per-request allocation disappears.
 func ReadIDCBRequestInto(m *snp.Machine, vmpl snp.VMPL, page uint64, stage []byte) (Request, []byte, error) {
 	hdr, err := m.Span(vmpl, snp.CPL0, page+idcbReqOff, idcbHdrLen, snp.AccessRead)
 	if err != nil {
@@ -149,25 +127,32 @@ func WriteIDCBResponse(m *snp.Machine, vmpl snp.VMPL, page uint64, resp Response
 	return nil
 }
 
-// ReadIDCBResponse loads the response frame as software at vmpl/cpl.
-func ReadIDCBResponse(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, page uint64) (Response, error) {
+// ReadIDCBResponseInto loads the response frame as software at vmpl/cpl
+// into caller-owned staging, the mirror of ReadIDCBRequestInto: the
+// payload is copied into stage (grown as needed), the returned Response's
+// Payload aliases it, and the grown buffer is returned for reuse.
+func ReadIDCBResponseInto(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, page uint64, stage []byte) (Response, []byte, error) {
 	hdr, err := m.Span(vmpl, cpl, page+idcbRespOff, idcbHdrLen, snp.AccessRead)
 	if err != nil {
-		return Response{}, err
+		return Response{}, stage, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:])
 	if n > IDCBPayloadMax {
-		return Response{}, fmt.Errorf("core: IDCB response length %d corrupt", n)
+		return Response{}, stage, fmt.Errorf("core: IDCB response length %d corrupt", n)
 	}
-	resp := Response{Status: binary.LittleEndian.Uint32(hdr[0:]), Payload: make([]byte, n)}
+	if uint32(cap(stage)) < n {
+		stage = make([]byte, n, IDCBPayloadMax)
+	}
+	stage = stage[:n]
+	resp := Response{Status: binary.LittleEndian.Uint32(hdr[0:]), Payload: stage}
 	if n > 0 {
 		pay, err := m.Span(vmpl, cpl, page+idcbRespOff+idcbHdrLen, int(n), snp.AccessRead)
 		if err != nil {
-			return Response{}, err
+			return Response{}, stage, err
 		}
-		copy(resp.Payload, pay)
+		copy(stage, pay)
 	}
-	return resp, nil
+	return resp, stage, nil
 }
 
 // enc is a tiny append-encoder for request payloads.

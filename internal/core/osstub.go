@@ -35,6 +35,13 @@ type OSStub struct {
 	// fabric (the OS as untrusted NIC driver; see osstub_net.go).
 	netTx func(dst int, frame []byte) error
 
+	// reqEnc encodes every request payload the stub builds and respStage
+	// receives every response payload. WriteIDCBRequest copies the request
+	// into the IDCB and each stub method consumes its response before the
+	// next call, so one buffer of each per stub suffices.
+	reqEnc    enc
+	respStage []byte
+
 	// submitTS remembers the virtual cycle each in-flight slot was
 	// submitted at; Poll reports submit→complete latency from it to the
 	// machine's observability layer. latNext is the first sequence number
@@ -70,7 +77,8 @@ func statusErr(r Response) error {
 // domain switch through the kernel GHCB, and reads the response back
 // (Fig. 3's six steps). The kernel re-points the GHCB MSR at its own GHCB
 // first (it may currently reference a scheduled process's user GHCB) and
-// restores it afterwards.
+// restores it afterwards. The response payload aliases the stub's
+// response stage: it is valid until the stub's next call.
 func (s *OSStub) call(idcb uint64, dom uint64, req Request) (Response, error) {
 	if err := WriteIDCBRequest(s.m, snp.VMPL3, snp.CPL0, idcb, req); err != nil {
 		return Response{}, err
@@ -90,7 +98,8 @@ func (s *OSStub) call(idcb uint64, dom uint64, req Request) (Response, error) {
 	if callErr != nil {
 		return Response{}, callErr
 	}
-	resp, err := ReadIDCBResponse(s.m, snp.VMPL3, snp.CPL0, idcb)
+	resp, stage, err := ReadIDCBResponseInto(s.m, snp.VMPL3, snp.CPL0, idcb, s.respStage)
+	s.respStage = stage
 	if err != nil {
 		return Response{}, err
 	}
@@ -98,14 +107,43 @@ func (s *OSStub) call(idcb uint64, dom uint64, req Request) (Response, error) {
 	return resp, nil
 }
 
-// CallMon issues a request to VeilMon (Dom-MON).
+// CallMon issues a request to VeilMon (Dom-MON). The response payload is
+// the caller's.
 func (s *OSStub) CallMon(req Request) (Response, error) {
+	return owned(s.callMon(req))
+}
+
+// CallSrv issues a request to the protected services (Dom-SRV). The
+// response payload is the caller's.
+func (s *OSStub) CallSrv(req Request) (Response, error) {
+	return owned(s.callSrv(req))
+}
+
+// callMon and callSrv are CallMon and CallSrv for the stub's own methods:
+// the response payload aliases the response stage.
+func (s *OSStub) callMon(req Request) (Response, error) {
 	return s.call(s.lay.MonIDCB(s.vcpu), DomMON, req)
 }
 
-// CallSrv issues a request to the protected services (Dom-SRV).
-func (s *OSStub) CallSrv(req Request) (Response, error) {
+func (s *OSStub) callSrv(req Request) (Response, error) {
 	return s.call(s.lay.SrvIDCB(s.vcpu), DomSRV, req)
+}
+
+// owned copies a staged response payload out for the caller to keep.
+func owned(resp Response, err error) (Response, error) {
+	if err != nil {
+		return Response{}, err
+	}
+	p := make([]byte, len(resp.Payload))
+	copy(p, resp.Payload)
+	resp.Payload = p
+	return resp, nil
+}
+
+// encoder returns the stub's request encoder, emptied.
+func (s *OSStub) encoder() *enc {
+	s.reqEnc.b = s.reqEnc.b[:0]
+	return &s.reqEnc
 }
 
 // PValidate delegates a page-state change (§5.3).
@@ -114,8 +152,8 @@ func (s *OSStub) PValidate(phys uint64, validate bool) error {
 	if validate {
 		v = 1
 	}
-	e := (&enc{}).u64(phys).u8(v)
-	resp, err := s.CallMon(Request{Svc: SvcMon, Op: OpPValidate, Payload: e.b})
+	e := s.encoder().u64(phys).u8(v)
+	resp, err := s.callMon(Request{Svc: SvcMon, Op: OpPValidate, Payload: e.b})
 	if err != nil {
 		return err
 	}
@@ -126,8 +164,8 @@ func (s *OSStub) PValidate(phys uint64, validate bool) error {
 // with VeilMon (wiring for "the code at the VCPU's rip").
 func (s *OSStub) BootAP(vcpuID int, entry hv.Context) error {
 	s.mon.RegisterAPEntry(vcpuID, entry)
-	e := (&enc{}).u32(uint32(vcpuID))
-	resp, err := s.CallMon(Request{Svc: SvcMon, Op: OpBootAP, Payload: e.b})
+	e := s.encoder().u32(uint32(vcpuID))
+	resp, err := s.callMon(Request{Svc: SvcMon, Op: OpBootAP, Payload: e.b})
 	if err != nil {
 		return err
 	}
@@ -143,7 +181,7 @@ func (s *OSStub) LoadModule(image []byte, destFrames []uint64) (int, error) {
 		if end > len(image) {
 			end = len(image)
 		}
-		resp, err := s.CallSrv(Request{Svc: SvcKCI, Op: OpKciStage, Payload: image[off:end]})
+		resp, err := s.callSrv(Request{Svc: SvcKCI, Op: OpKciStage, Payload: image[off:end]})
 		if err != nil {
 			return 0, err
 		}
@@ -151,12 +189,12 @@ func (s *OSStub) LoadModule(image []byte, destFrames []uint64) (int, error) {
 			return 0, err
 		}
 	}
-	e := &enc{}
+	e := s.encoder()
 	e.u32(uint32(len(destFrames)))
 	for _, f := range destFrames {
 		e.u64(f)
 	}
-	resp, err := s.CallSrv(Request{Svc: SvcKCI, Op: OpKciLoad, Payload: e.b})
+	resp, err := s.callSrv(Request{Svc: SvcKCI, Op: OpKciLoad, Payload: e.b})
 	if err != nil {
 		return 0, err
 	}
@@ -173,8 +211,8 @@ func (s *OSStub) LoadModule(image []byte, destFrames []uint64) (int, error) {
 
 // FreeModule unloads a module through VeilS-Kci.
 func (s *OSStub) FreeModule(handle int) error {
-	e := (&enc{}).u32(uint32(handle))
-	resp, err := s.CallSrv(Request{Svc: SvcKCI, Op: OpKciFree, Payload: e.b})
+	e := s.encoder().u32(uint32(handle))
+	resp, err := s.callSrv(Request{Svc: SvcKCI, Op: OpKciFree, Payload: e.b})
 	if err != nil {
 		return err
 	}
@@ -187,7 +225,7 @@ func (s *OSStub) AuditEmit(rec []byte) error {
 	if len(rec) > IDCBPayloadMax {
 		rec = rec[:IDCBPayloadMax]
 	}
-	resp, err := s.CallSrv(Request{Svc: SvcLOG, Op: OpLogAppend, Payload: rec})
+	resp, err := s.callSrv(Request{Svc: SvcLOG, Op: OpLogAppend, Payload: rec})
 	if err != nil {
 		return err
 	}

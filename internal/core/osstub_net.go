@@ -12,7 +12,8 @@ import (
 // plaintext payload. The fleet assembly wires tx to the fabric.
 
 // SetNetSender installs the transmit path (nil disconnects). The fleet
-// stepper points it at the simulated fabric.
+// stepper points it at the simulated fabric. tx must copy any frame it
+// keeps: the stub hands it frames that alias its response stage.
 func (s *OSStub) SetNetSender(tx func(dst int, frame []byte) error) { s.netTx = tx }
 
 // netSend transmits one frame, if a sender is wired.
@@ -26,8 +27,8 @@ func (s *OSStub) netSend(dst int, frame []byte) error {
 // ChnDial asks VeilS-Channel to start a session with a peer machine and
 // transmits the resulting dial frame. It returns the session id.
 func (s *OSStub) ChnDial(peer int) (uint32, error) {
-	e := (&enc{}).u32(uint32(peer))
-	resp, err := s.CallSrv(Request{Svc: SvcCHN, Op: OpChnDial, Payload: e.b})
+	e := s.encoder().u32(uint32(peer))
+	resp, err := s.callSrv(Request{Svc: SvcCHN, Op: OpChnDial, Payload: e.b})
 	if err != nil {
 		return 0, err
 	}
@@ -45,7 +46,7 @@ func (s *OSStub) ChnDial(peer int) (uint32, error) {
 // reply frame the handshake produces. A StatusDenied response surfaces as
 // ErrDenied: the service refused the frame (and left auditor evidence).
 func (s *OSStub) ChnDeliver(frame []byte) error {
-	resp, err := s.CallSrv(Request{Svc: SvcCHN, Op: OpChnDeliver, Payload: frame})
+	resp, err := s.callSrv(Request{Svc: SvcCHN, Op: OpChnDeliver, Payload: frame})
 	if err != nil {
 		return err
 	}
@@ -65,9 +66,9 @@ func (s *OSStub) ChnDeliver(frame []byte) error {
 // ChnSend seals one application message on a session and transmits the
 // data frame. The session is named by its (initiator, id) pair.
 func (s *OSStub) ChnSend(init int, sid uint32, msg []byte) error {
-	e := (&enc{}).u32(uint32(init)).u32(sid)
+	e := s.encoder().u32(uint32(init)).u32(sid)
 	e.b = append(e.b, msg...)
-	resp, err := s.CallSrv(Request{Svc: SvcCHN, Op: OpChnSend, Payload: e.b})
+	resp, err := s.callSrv(Request{Svc: SvcCHN, Op: OpChnSend, Payload: e.b})
 	if err != nil {
 		return err
 	}
@@ -84,8 +85,8 @@ func (s *OSStub) ChnSend(init int, sid uint32, msg []byte) error {
 // ChnRecv pops the next decrypted inbound message of a session, reporting
 // whether one was available.
 func (s *OSStub) ChnRecv(init int, sid uint32) ([]byte, bool, error) {
-	e := (&enc{}).u32(uint32(init)).u32(sid)
-	resp, err := s.CallSrv(Request{Svc: SvcCHN, Op: OpChnRecv, Payload: e.b})
+	e := s.encoder().u32(uint32(init)).u32(sid)
+	resp, err := s.callSrv(Request{Svc: SvcCHN, Op: OpChnRecv, Payload: e.b})
 	if err != nil {
 		return nil, false, err
 	}
@@ -95,14 +96,14 @@ func (s *OSStub) ChnRecv(init int, sid uint32) ([]byte, bool, error) {
 	if len(resp.Payload) == 0 || resp.Payload[0] == 0 {
 		return nil, false, nil
 	}
-	return resp.Payload[1:], true, nil
+	return append([]byte(nil), resp.Payload[1:]...), true, nil
 }
 
 // ChnState queries a session's handshake state (chn.StateNone/Dialing/
 // Established as a raw byte; the chn package owns the named constants).
 func (s *OSStub) ChnState(init int, sid uint32) (uint8, error) {
-	e := (&enc{}).u32(uint32(init)).u32(sid)
-	resp, err := s.CallSrv(Request{Svc: SvcCHN, Op: OpChnState, Payload: e.b})
+	e := s.encoder().u32(uint32(init)).u32(sid)
+	resp, err := s.callSrv(Request{Svc: SvcCHN, Op: OpChnState, Payload: e.b})
 	if err != nil {
 		return 0, err
 	}

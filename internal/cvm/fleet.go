@@ -3,16 +3,13 @@ package cvm
 // Fleet assembly: N Veil CVMs booted against one shared PSP identity,
 // connected by a simulated fabric, and driven in virtual-time lockstep.
 //
-// Each machine is its own deterministic clock domain, confined to its own
-// goroutine: after boot, only that goroutine touches the machine's state,
-// and the stepper talks to it over an unbuffered command channel. Exactly
-// one machine runs at any instant — the channel rendezvous serializes the
-// fleet — so a run is byte-deterministic for a given seed regardless of
-// GOMAXPROCS or host scheduling, and the race detector can certify the
-// confinement (every cross-domain byte passes through a channel's
-// happens-before edge).
+// Each machine is its own deterministic clock domain, and one goroutine —
+// the caller's — steps them all: the stepper calls a machine's scheduler
+// and interrupt path directly, one machine at a time. No machine state is
+// shared with another goroutine, so a run is byte-deterministic for a
+// given seed regardless of GOMAXPROCS or host scheduling.
 //
-// The rendezvous rule is classic conservative discrete-event simulation:
+// The stepping rule is classic conservative discrete-event simulation:
 // every machine exposes a "next event" virtual time — its own clock while
 // it has runnable work, the earliest pending fabric arrival while it is
 // blocked — and the stepper always advances the machine with the lowest
@@ -192,95 +189,52 @@ type FleetStats struct {
 // allows millions).
 const fleetMaxSteps = 1 << 24
 
-// Commands the stepper sends into a machine's goroutine.
-type fleetCmdKind int
-
-const (
-	cmdStep fleetCmdKind = iota
-	cmdDeliver
-	cmdStop
-)
-
-type fleetCmd struct {
-	kind fleetCmdKind
-	// cmdDeliver: frames to push, and the arrival time to advance the
-	// machine's clock to first (0 = no advance).
-	frames  [][]byte
-	advance uint64
-}
-
-type fleetRes struct {
-	status sched.StepResult
-	clock  uint64
-	idle   uint64
-	err    error
-}
-
-// machine phases tracked by the stepper (its view; the machine goroutine
-// holds no phase state).
+// machine phases tracked by the stepper.
 type fleetPhase int
 
 const (
 	phaseRunnable fleetPhase = iota
 	phaseWaiting             // StepAllBlocked: only a fabric delivery can help
 	phaseDone
-	phaseFailed
 )
 
 type fleetDomain struct {
 	id    int
 	c     *CVM
 	sch   *sched.Scheduler
-	cmd   chan fleetCmd
-	res   chan fleetRes
 	phase fleetPhase
+	// clock is the machine's virtual clock as of its last step or
+	// delivery in this run (0 before the first): the stepper orders
+	// machines by what it last observed of them.
 	clock uint64
-	idle  uint64
 }
 
-// loop is the machine goroutine: the only code that touches this machine
-// after Run starts. It executes one command per rendezvous and reports the
-// clock back, giving the stepper a consistent snapshot without sharing.
-func (d *fleetDomain) loop() {
-	for cmd := range d.cmd {
-		var r fleetRes
-		switch cmd.kind {
-		case cmdStep:
-			r.status, r.err = d.sch.Step()
-		case cmdDeliver:
-			d.c.M.Clock().AdvanceTo(cmd.advance, snp.CostIdle)
-			for _, fr := range cmd.frames {
-				d.c.PushNetFrame(fr)
-			}
-			// One completion interrupt per delivery batch (NIC coalescing):
-			// the Dom-UNT handler runs, the scheduler's Wake unblocks the
-			// receive path.
-			r.err = d.c.HV.InjectInterrupt(0)
-		case cmdStop:
-			r.clock = d.c.M.Clock().Cycles()
-			r.idle = d.c.M.Clock().Attribution()[snp.CostIdle]
-			d.res <- r
-			return
-		}
-		r.clock = d.c.M.Clock().Cycles()
-		r.idle = d.c.M.Clock().Attribution()[snp.CostIdle]
-		d.res <- r
+// runStep runs one scheduler step on the machine.
+func (d *fleetDomain) runStep() (sched.StepResult, error) {
+	r, err := d.sch.Step()
+	d.clock = d.c.M.Clock().Cycles()
+	return r, err
+}
+
+// deliver advances the machine's clock to advance (CostIdle; a no-op when
+// the clock is already there), pushes every due frame, and raises one
+// completion interrupt for the batch (NIC coalescing): the Dom-UNT
+// handler runs, the scheduler's Wake unblocks the receive path.
+func (d *fleetDomain) deliver(due []fabric.Message, advance uint64) error {
+	d.c.M.Clock().AdvanceTo(advance, snp.CostIdle)
+	for _, m := range due {
+		d.c.PushNetFrame(m.Payload)
 	}
-}
-
-func (d *fleetDomain) exec(cmd fleetCmd) fleetRes {
-	d.cmd <- cmd
-	r := <-d.res
-	d.clock = r.clock
-	d.idle = r.idle
-	return r
+	err := d.c.HV.InjectInterrupt(0)
+	d.clock = d.c.M.Clock().Cycles()
+	return err
 }
 
 // Run drives every machine to completion in virtual-time lockstep. scheds
 // holds one scheduler per machine (built over that machine's snp.Machine,
 // tasks already added); Run wires each machine's interrupt path to its
-// scheduler's Wake, spawns the confined goroutines, and steps the fleet
-// until all schedulers report done.
+// scheduler's Wake and steps the fleet on the calling goroutine until all
+// schedulers report done.
 func (f *Fleet) Run(scheds []*sched.Scheduler) (FleetStats, error) {
 	if len(scheds) != len(f.CVMs) {
 		return FleetStats{}, fmt.Errorf("cvm: %d schedulers for %d machines", len(scheds), len(f.CVMs))
@@ -289,31 +243,20 @@ func (f *Fleet) Run(scheds []*sched.Scheduler) (FleetStats, error) {
 	for i, c := range f.CVMs {
 		sch := scheds[i]
 		c.OnInterrupt(func(vcpu int) { sch.Wake(vcpu) })
-		domains[i] = &fleetDomain{
-			id: i, c: c, sch: sch,
-			cmd: make(chan fleetCmd),
-			res: make(chan fleetRes),
-		}
-		go domains[i].loop()
+		domains[i] = &fleetDomain{id: i, c: c, sch: sch}
 	}
 	stats, err := f.step(domains)
-	// Always stop the goroutines, success or not; cmdStop snapshots the
-	// final clocks.
 	for _, d := range domains {
-		r := d.exec(fleetCmd{kind: cmdStop})
-		close(d.cmd)
-		d.clock, d.idle = r.clock, r.idle
-	}
-	for _, d := range domains {
+		clk := d.c.M.Clock()
 		stats.Machines = append(stats.Machines, MachineStats{
-			ID: d.id, Cycles: d.clock, IdleCycles: d.idle, Sched: d.sch.Stats(),
+			ID: d.id, Cycles: clk.Cycles(), IdleCycles: clk.CyclesOf(snp.CostIdle), Sched: d.sch.Stats(),
 		})
 	}
 	stats.Fabric = f.Fab.Stats()
 	return stats, err
 }
 
-// step is the rendezvous loop. Phase rules:
+// step is the stepper loop. Phase rules:
 //   - runnable machines advertise their own clock as their next event;
 //   - waiting machines advertise their earliest fabric arrival (nothing
 //     pending → no event: they are unreachable until someone sends);
@@ -357,18 +300,13 @@ func (f *Fleet) step(domains []*fleetDomain) (FleetStats, error) {
 		// Take delivery of everything due at the event time. A waiting
 		// machine jumps its clock to the arrival first (CostIdle).
 		if due := f.Fab.Due(pick.id, pickAt); len(due) > 0 {
-			frames := make([][]byte, len(due))
-			for i, m := range due {
-				frames[i] = m.Payload
-			}
 			advance := uint64(0)
 			if pick.phase == phaseWaiting {
 				advance = pickAt
 				st.IdleJumps++
 			}
-			if r := pick.exec(fleetCmd{kind: cmdDeliver, frames: frames, advance: advance}); r.err != nil {
-				pick.phase = phaseFailed
-				return st, fmt.Errorf("cvm: fleet machine %d delivery: %w", pick.id, r.err)
+			if err := pick.deliver(due, advance); err != nil {
+				return st, fmt.Errorf("cvm: fleet machine %d delivery: %w", pick.id, err)
 			}
 			pick.phase = phaseRunnable
 		} else if pick.phase == phaseWaiting {
@@ -378,12 +316,11 @@ func (f *Fleet) step(domains []*fleetDomain) (FleetStats, error) {
 			continue
 		}
 
-		r := pick.exec(fleetCmd{kind: cmdStep})
-		if r.err != nil {
-			pick.phase = phaseFailed
-			return st, fmt.Errorf("cvm: fleet machine %d: %w", pick.id, r.err)
+		status, err := pick.runStep()
+		if err != nil {
+			return st, fmt.Errorf("cvm: fleet machine %d: %w", pick.id, err)
 		}
-		switch r.status {
+		switch status {
 		case sched.StepDone:
 			pick.phase = phaseDone
 		case sched.StepAllBlocked:

@@ -1,6 +1,7 @@
 package cvm
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -248,5 +249,113 @@ func TestFleetStallDetected(t *testing.T) {
 	_, err = f.Run(scheds)
 	if err == nil {
 		t.Fatal("fleet of blocked machines did not stall out")
+	}
+}
+
+// The echo task polls ChnState and ChnRecv on every step; on an
+// established session with an empty inbox both cost no allocation.
+func TestChnPollAllocFree(t *testing.T) {
+	f, _ := runPingPong(t, 13, 2)
+	st := f.CVMs[0].Stub
+	for _, c := range []struct {
+		name string
+		poll func()
+	}{
+		{"ChnState", func() {
+			if state, err := st.ChnState(0, 0); err != nil || state != chn.StateEstablished {
+				t.Fatalf("ChnState = %d, %v; want established", state, err)
+			}
+		}},
+		{"ChnRecv", func() {
+			if msg, ok, err := st.ChnRecv(0, 0); err != nil || ok {
+				t.Fatalf("ChnRecv = %q, %v, %v; want an empty inbox", msg, ok, err)
+			}
+		}},
+	} {
+		c.poll() // warm the stub's buffers
+		if allocs := testing.AllocsPerRun(100, c.poll); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per poll, want 0", c.name, allocs)
+		}
+	}
+}
+
+// The stepper runs every machine on the caller's goroutine: a task sees
+// exactly the goroutines that existed before Run.
+func TestFleetRunSpawnsNoGoroutines(t *testing.T) {
+	f, err := BootFleet(testFleetOptions(2, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []int
+	scheds := make([]*sched.Scheduler, 2)
+	for i := range scheds {
+		steps := 0
+		scheds[i] = sched.New(sched.Config{Machine: f.CVMs[i].M, VCPUs: 1, Seed: int64(i)})
+		task := sched.TaskFunc(func(int) (sched.Status, error) {
+			seen = append(seen, runtime.NumGoroutine())
+			if steps++; steps == 3 {
+				return sched.Done, nil
+			}
+			return sched.Yield, nil
+		})
+		if err := scheds[i].Add(0, 1, task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	if _, err := f.Run(scheds); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 6 {
+		t.Fatalf("tasks stepped %d times, want 6", len(seen))
+	}
+	for i, n := range seen {
+		if n != before {
+			t.Fatalf("step %d saw %d goroutines, want the %d that existed before Run", i, n, before)
+		}
+	}
+}
+
+// A task error stops the run with an error that wraps it and names the
+// machine; the stats still hold every machine's final clock, and the
+// fleet stays usable for the next run.
+func TestFleetRunErrorNamesMachine(t *testing.T) {
+	f, err := BootFleet(testFleetOptions(2, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("task failed on purpose")
+	scheds := make([]*sched.Scheduler, 2)
+	for i := range scheds {
+		id, steps := i, 0
+		scheds[i] = sched.New(sched.Config{Machine: f.CVMs[i].M, VCPUs: 1, Seed: int64(i)})
+		task := sched.TaskFunc(func(int) (sched.Status, error) {
+			steps++
+			switch {
+			case id == 1 && steps == 3:
+				return sched.Done, boom
+			case steps == 5:
+				return sched.Done, nil
+			}
+			return sched.Yield, nil
+		})
+		if err := scheds[i].Add(0, 1, task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := f.Run(scheds)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "fleet machine 1") {
+		t.Fatalf("Run err = %v, want the task error naming fleet machine 1", err)
+	}
+	if len(stats.Machines) != 2 {
+		t.Fatalf("stats cover %d machines, want 2", len(stats.Machines))
+	}
+	for _, m := range stats.Machines {
+		if want := f.CVMs[m.ID].M.Clock().Cycles(); m.Cycles != want {
+			t.Fatalf("machine %d stats cycles %d, clock %d", m.ID, m.Cycles, want)
+		}
+	}
+	if _, err := f.RunEcho(EchoPlan{Sessions: [][2]int{{0, 1}}, Rounds: 2}); err != nil {
+		t.Fatalf("echo run after a failed run: %v", err)
 	}
 }

@@ -237,7 +237,10 @@ func (f *Fabric) Due(dst int, now uint64) []Message {
 	if cut == 0 {
 		return nil
 	}
-	out := append([]Message(nil), q[:cut]...)
+	// The batch shares the queue's array without copying: the queue keeps
+	// only q[cut:], so no later enqueue writes below cut, and the batch's
+	// capacity ends at cut, so a caller's append cannot reach the queue.
+	out := q[:cut:cut]
 	f.queues[dst] = q[cut:]
 	f.stats.Delivered += uint64(cut)
 	for _, m := range out {

@@ -70,6 +70,38 @@ func TestPayloadCopiedOnSend(t *testing.T) {
 	}
 }
 
+// A batch returned by Due shares the queue's array; later sends, injects
+// (one landing at the queue's front) and pops must leave it unchanged, and
+// appending to it must not reach the queue.
+func TestDueBatchStable(t *testing.T) {
+	f := mustNew(t, Config{Machines: 2, Seed: 1, Default: LinkModel{BaseLatency: 10}})
+	for i, at := range []uint64{0, 5, 20, 30} {
+		if err := f.Send(0, 1, []byte{byte('a' + i)}, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := f.Due(1, 15)
+	if len(batch) != 2 {
+		t.Fatalf("Due = %d frames, want 2", len(batch))
+	}
+	want := fmt.Sprint(batch)
+	_ = append(batch, Message{Dst: 1, Payload: []byte("appended")})
+	f.Inject(Message{Src: 0, Dst: 1, Payload: []byte("front"), Arrive: 16})
+	for at := uint64(0); at < 4; at++ {
+		if err := f.Send(0, 1, []byte("late"), 40+at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := f.Due(1, 35)
+	if len(next) != 2 || string(next[0].Payload) != "front" {
+		t.Fatalf("second Due = %v, want front, c", next)
+	}
+	f.Due(1, 1<<62)
+	if got := fmt.Sprint(batch); got != want {
+		t.Fatalf("popped batch changed under later traffic:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestSendValidation(t *testing.T) {
 	f := mustNew(t, Config{Machines: 2, Seed: 1})
 	if err := f.Send(0, 0, nil, 0); err == nil {

@@ -531,7 +531,7 @@ func (s *Service) serveRecv(payload []byte) (uint32, []byte) {
 		return core.StatusError, nil
 	}
 	if len(sess.inbox) == 0 {
-		return core.StatusOK, []byte{0}
+		return core.StatusOK, replyEmpty
 	}
 	msg := sess.inbox[0]
 	sess.inbox = sess.inbox[1:]
@@ -547,10 +547,22 @@ func (s *Service) serveState(payload []byte) (uint32, []byte) {
 	sid := binary.LittleEndian.Uint32(payload[4:])
 	sess, ok := s.sessions[sessKey(init, sid)]
 	if !ok {
-		return core.StatusOK, []byte{StateNone}
+		return core.StatusOK, replyState[StateNone]
 	}
-	return core.StatusOK, []byte{sess.state}
+	return core.StatusOK, replyState[sess.state]
 }
+
+// Read-only one-byte replies for the polling ops. Returning them shared is
+// safe because the monitor copies every response into the IDCB or the
+// ring before the next request runs.
+var (
+	replyEmpty = []byte{0}
+	replyState = [...][]byte{
+		StateNone:        {StateNone},
+		StateDialing:     {StateDialing},
+		StateEstablished: {StateEstablished},
+	}
+)
 
 // reportData packs (session public key, transcript hash) into the 64-byte
 // ReportData layout both sides verify.
