@@ -34,6 +34,9 @@ type OSStub struct {
 	// netTx, when set, transmits VeilS-Channel frames onto the fleet
 	// fabric (the OS as untrusted NIC driver; see osstub_net.go).
 	netTx func(dst int, frame []byte) error
+	// chn is the machine's VeilS-Channel session view (see osstub_net.go),
+	// shared by every stub of the machine after ShareChnView.
+	chn *chnView
 
 	// reqEnc encodes every request payload the stub builds and respStage
 	// receives every response payload. WriteIDCBRequest copies the request
@@ -55,7 +58,7 @@ type OSStub struct {
 
 // NewOSStub creates the kernel-side stub for one VCPU.
 func NewOSStub(mon *Monitor, vcpu int) *OSStub {
-	return &OSStub{m: mon.m, hyp: mon.hv, lay: mon.lay, vcpu: vcpu, mon: mon}
+	return &OSStub{m: mon.m, hyp: mon.hv, lay: mon.lay, vcpu: vcpu, mon: mon, chn: newChnView()}
 }
 
 // ErrDenied is returned when VeilMon's sanitizer refuses an OS request

@@ -51,12 +51,15 @@ const (
 // handshake and data frame it hands in is verified inside Dom-SRV.
 const (
 	// OpChnDial starts a session to a peer machine (payload: peer u32).
-	// Response: session id u32, then the dial frame to transmit.
+	// Response: the ChnEventDialing event header (event u8, init u32,
+	// session u32), then the dial frame to transmit.
 	OpChnDial uint8 = 1
 	// OpChnDeliver hands the service one frame received from the fabric
-	// (payload: raw frame). Response: u8 has-reply; when 1, dst u32 and
-	// the reply frame to transmit. StatusDenied means the frame was
-	// refused (bad report, replay, unknown peer) — with auditor evidence.
+	// (payload: raw frame). Response: the event header (event u8, init
+	// u32, session u32) naming what the frame changed, then u8 has-reply;
+	// when 1, dst u32 and the reply frame to transmit. StatusDenied (no
+	// body) means the frame was refused (bad report, replay, unknown
+	// peer) — with auditor evidence — and changed nothing.
 	OpChnDeliver uint8 = 2
 	// OpChnSend seals one application message for an established session
 	// (payload: init u32, session u32, message bytes). Response: dst u32,
@@ -66,9 +69,37 @@ const (
 	// (payload: init u32, session u32). Response: u8 has-message, bytes.
 	OpChnRecv uint8 = 4
 	// OpChnState queries a session (payload: init u32, session u32).
-	// Response: u8 state (0 none, 1 dialing, 2 established).
+	// Response: u8 state (ChnStateNone, ChnStateDialing or
+	// ChnStateEstablished).
 	OpChnState uint8 = 5
 )
+
+// VeilS-Channel session states, as OpChnState reports them. Established
+// is terminal: no operation ever moves a session out of it.
+const (
+	ChnStateNone        uint8 = 0
+	ChnStateDialing     uint8 = 1
+	ChnStateEstablished uint8 = 2
+)
+
+// VeilS-Channel events: the first byte of every OK OpChnDial and
+// OpChnDeliver response, followed by the (init u32, session u32) pair the
+// event concerns. They tell the OS nothing it could not infer from the
+// frame's cleartext header and the response status, but they let the
+// stub's session view answer polls without a domain switch.
+const (
+	// ChnEventDialing: a session was created in the Dialing state (a
+	// local dial, or a peer's Dial frame at the responder).
+	ChnEventDialing uint8 = 1
+	// ChnEventEstablished: an Offer or Answer frame completed the
+	// handshake.
+	ChnEventEstablished uint8 = 2
+	// ChnEventQueued: a data frame was opened into the session's inbox.
+	ChnEventQueued uint8 = 3
+)
+
+// ChnEventLen is the wire size of the event header.
+const ChnEventLen = 9
 
 // VeilS-Log operations (§6.3).
 const (

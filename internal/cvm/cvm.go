@@ -220,10 +220,12 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 
 	// The kernel object exists before launch (its code is part of the
 	// boot image); it runs when the monitor switches into Dom-UNT. One
-	// stub per VCPU: each owns its own ring and GHCB.
+	// stub per VCPU: each owns its own ring and GHCB, and all share the
+	// machine's VeilS-Channel session view.
 	c.Stubs = make([]*core.OSStub, opts.VCPUs)
 	for v := range c.Stubs {
 		c.Stubs[v] = core.NewOSStub(mon, v)
+		c.Stubs[v].ShareChnView(c.Stubs[0])
 	}
 	stub := c.Stubs[0]
 	c.Stub = stub

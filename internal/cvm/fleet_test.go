@@ -253,10 +253,12 @@ func TestFleetStallDetected(t *testing.T) {
 }
 
 // The echo task polls ChnState and ChnRecv on every step; on an
-// established session with an empty inbox both cost no allocation.
+// established session with an empty inbox both cost no allocation, and
+// the machine's session view answers both without a domain switch: no
+// VMGEXIT and no virtual cycle.
 func TestChnPollAllocFree(t *testing.T) {
 	f, _ := runPingPong(t, 13, 2)
-	st := f.CVMs[0].Stub
+	st, m := f.CVMs[0].Stub, f.CVMs[0].M
 	for _, c := range []struct {
 		name string
 		poll func()
@@ -275,6 +277,11 @@ func TestChnPollAllocFree(t *testing.T) {
 		c.poll() // warm the stub's buffers
 		if allocs := testing.AllocsPerRun(100, c.poll); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per poll, want 0", c.name, allocs)
+		}
+		exits, cycles := m.Trace().VMGExits, m.Clock().Cycles()
+		c.poll()
+		if d := m.Trace().VMGExits - exits; d != 0 || m.Clock().Cycles() != cycles {
+			t.Errorf("%s took %d VMGEXITs and %d cycles, want neither", c.name, d, m.Clock().Cycles()-cycles)
 		}
 	}
 }

@@ -27,6 +27,15 @@
 // cannot be forged without the peer refusing. NetTx/NetRx breadcrumbs at
 // each send and delivery are what fleet exporters join into cross-machine
 // flows.
+//
+// Every dial and every accepted delivery tells the OS what it changed: its
+// response leads with an event header (core.ChnEventDialing, Established
+// or Queued, plus the session's init and sid). The OS learns nothing it
+// could not infer from the cleartext frame header and the response status,
+// and its kernel stub keeps a session view from these events so that polls
+// cost no domain switch. Two properties keep that view exact: every inbox
+// push is reported in the response that caused it, and Established is
+// terminal — no operation ever moves a session out of it.
 package chn
 
 import (
@@ -51,11 +60,12 @@ const (
 	FrameData   uint8 = 4
 )
 
-// Session states reported by OpChnState.
+// Session states reported by OpChnState (the wire values live in core,
+// next to the op codes).
 const (
-	StateNone        uint8 = 0
-	StateDialing     uint8 = 1
-	StateEstablished uint8 = 2
+	StateNone        = core.ChnStateNone
+	StateDialing     = core.ChnStateDialing
+	StateEstablished = core.ChnStateEstablished
 )
 
 const nonceLen = 16
@@ -127,6 +137,11 @@ type Service struct {
 	sessions map[uint64]*session // key: init<<32 | sid
 	nextSid  uint32
 	stats    Stats
+
+	// evReply holds the response of a delivery that produced no reply
+	// frame. Reusing it is safe for the same reason as replyEmpty: the
+	// monitor copies every response out before the next request runs.
+	evReply [core.ChnEventLen + 1]byte
 }
 
 // New creates the service and registers it with VeilMon. Like every
@@ -280,8 +295,8 @@ func (s *Service) serveDial(payload []byte) (uint32, []byte) {
 		Nonce: sess.nonceA,
 	}
 	s.observeTx(trace, span)
-	out := make([]byte, 4, 4+64)
-	binary.LittleEndian.PutUint32(out, sess.sid)
+	out := make([]byte, core.ChnEventLen, core.ChnEventLen+64)
+	putEvent(out, core.ChnEventDialing, uint32(s.cfg.MachineID), sess.sid)
 	return core.StatusOK, append(out, f.encode()...)
 }
 
@@ -312,10 +327,12 @@ func (s *Service) serveDeliver(vcpu int, payload []byte) (uint32, []byte) {
 
 // deliverDial is the responder's half-open step: admit only directory
 // peers, then mint the report that binds our session key and the
-// transcript, and offer it back.
+// transcript, and offer it back. A Dial claiming this machine as its
+// initiator is a reflection: its session key (init, sid) belongs to this
+// machine's own dials, which must never be overwritten.
 func (s *Service) deliverDial(vcpu int, f *frame) (uint32, []byte) {
 	peer := int(f.Init)
-	if int(f.Resp) != s.cfg.MachineID {
+	if int(f.Resp) != s.cfg.MachineID || peer == s.cfg.MachineID {
 		return s.refuse(peer)
 	}
 	if _, ok := s.directory[peer]; !ok {
@@ -356,7 +373,7 @@ func (s *Service) deliverDial(vcpu int, f *frame) (uint32, []byte) {
 		Nonce: sess.nonceB, Report: report,
 	}
 	s.observeTx(trace, span)
-	return core.StatusOK, encodeReply(peer, reply.encode())
+	return eventReply(core.ChnEventDialing, f.Init, f.Sid, peer, reply.encode())
 }
 
 // deliverOffer is the initiator's verification step: check the responder's
@@ -401,7 +418,7 @@ func (s *Service) deliverOffer(vcpu int, f *frame) (uint32, []byte) {
 		Report: report,
 	}
 	s.observeTx(trace, span)
-	return core.StatusOK, encodeReply(peer, reply.encode())
+	return eventReply(core.ChnEventEstablished, f.Init, f.Sid, peer, reply.encode())
 }
 
 // deliverAnswer is the responder's verification step: the mirror of
@@ -431,7 +448,7 @@ func (s *Service) deliverAnswer(f *frame) (uint32, []byte) {
 	sess.ch = ch
 	sess.state = StateEstablished
 	s.stats.Established++
-	return core.StatusOK, encodeReply(-1, nil)
+	return s.eventOnly(core.ChnEventEstablished, f.Init, f.Sid)
 }
 
 // verifyPeerReport runs the full acceptance policy over a peer's report:
@@ -477,7 +494,7 @@ func (s *Service) deliverData(f *frame) (uint32, []byte) {
 	}
 	sess.inbox = append(sess.inbox, msg)
 	s.stats.Received++
-	return core.StatusOK, encodeReply(-1, nil)
+	return s.eventOnly(core.ChnEventQueued, f.Init, f.Sid)
 }
 
 // serveSend seals one application message for an established session.
@@ -572,16 +589,30 @@ func reportData(pub []byte, ts [32]byte) []byte {
 	return append(out, ts[:]...)
 }
 
-// encodeReply packs an OpChnDeliver response: has-reply flag, destination,
-// frame. dst < 0 means no reply frame.
-func encodeReply(dst int, f []byte) []byte {
-	if dst < 0 || f == nil {
-		return []byte{0}
-	}
-	out := make([]byte, 5, 5+len(f))
-	out[0] = 1
-	binary.LittleEndian.PutUint32(out[1:], uint32(dst))
-	return append(out, f...)
+// putEvent writes the event header every OK dial and delivery response
+// leads with: event u8, init u32, sid u32.
+func putEvent(b []byte, ev uint8, init, sid uint32) {
+	b[0] = ev
+	binary.LittleEndian.PutUint32(b[1:], init)
+	binary.LittleEndian.PutUint32(b[5:], sid)
+}
+
+// eventOnly packs an OpChnDeliver response with no reply frame: the event
+// header and a zero has-reply flag, in the service's scratch array.
+func (s *Service) eventOnly(ev uint8, init, sid uint32) (uint32, []byte) {
+	putEvent(s.evReply[:], ev, init, sid)
+	s.evReply[core.ChnEventLen] = 0
+	return core.StatusOK, s.evReply[:]
+}
+
+// eventReply packs an OpChnDeliver response that carries a handshake
+// reply: the event header, has-reply 1, destination, frame.
+func eventReply(ev uint8, init, sid uint32, dst int, f []byte) (uint32, []byte) {
+	out := make([]byte, core.ChnEventLen+5, core.ChnEventLen+5+len(f))
+	putEvent(out, ev, init, sid)
+	out[core.ChnEventLen] = 1
+	binary.LittleEndian.PutUint32(out[core.ChnEventLen+1:], uint32(dst))
+	return core.StatusOK, append(out, f...)
 }
 
 // frame is the wire format every fabric payload decodes to. Header: kind
