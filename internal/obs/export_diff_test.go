@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the export golden files")
 // load: every class, multiple VCPUs, root and nested spans, service
 // dispatches, ring latencies, cycle attribution, aux counters and gauges,
 // and (with a small capacity) ring eviction. It exercises every branch of
-// both text exporters.
+// the Prometheus exporter.
 func buildRichRecorder(seed int64, capacity int) *Recorder {
 	r := NewRecorder(capacity)
 	r.SetKindNames([]string{"vmexit", "rmp", "crypto", "sched"})
@@ -65,8 +65,8 @@ func buildRichRecorder(seed int64, capacity int) *Recorder {
 	return r
 }
 
-// TestExportDifferential pins the pooled exporters byte-for-byte to their
-// fmt-based reference implementations across seeds, including
+// TestExportDifferential pins the pooled Prometheus exporter byte-for-byte
+// to its fmt-based reference implementation across seeds, including
 // eviction-heavy recorders and merged pages of two and three machines
 // (the last machine's ring overflowing).
 func TestExportDifferential(t *testing.T) {
@@ -82,18 +82,6 @@ func TestExportDifferential(t *testing.T) {
 			}
 			if !bytes.Equal(pooled.Bytes(), ref.Bytes()) {
 				t.Fatalf("seed %d cap %d: pooled Prometheus page diverged from reference:\n%s",
-					seed, capacity, firstDiff(pooled.Bytes(), ref.Bytes()))
-			}
-			pooled.Reset()
-			ref.Reset()
-			if err := WriteSummary(&pooled, r); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteSummaryReference(&ref, r); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(pooled.Bytes(), ref.Bytes()) {
-				t.Fatalf("seed %d cap %d: pooled summary diverged from reference:\n%s",
 					seed, capacity, firstDiff(pooled.Bytes(), ref.Bytes()))
 			}
 		}
@@ -148,10 +136,6 @@ func TestExportGolden(t *testing.T) {
 	if err := WritePrometheus(&got, r); err != nil {
 		t.Fatal(err)
 	}
-	got.WriteString("---\n")
-	if err := WriteSummary(&got, r); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join("testdata", "export.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -170,11 +154,11 @@ func TestExportGolden(t *testing.T) {
 	}
 }
 
-// TestExportZeroAlloc pins the append-based formatters at zero
+// TestExportZeroAlloc pins the append-based Prometheus formatter at zero
 // allocations when given pre-grown scratch — the property the pooled
-// WritePrometheus/WriteSummary fast path relies on. The formatter cases
-// omit aux counter sources, since concatenating them allocates by design;
-// the final cases bound the exported writers with the sources in place.
+// WritePrometheus fast path relies on. The formatter cases omit aux
+// counter sources, since concatenating them allocates by design; the
+// final case bounds the exported writer with the sources in place.
 func TestExportZeroAlloc(t *testing.T) {
 	r := buildRichRecorder(7, 1<<12)
 	r.aux, r.gauges = nil, nil
@@ -197,24 +181,10 @@ func TestExportZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("WritePrometheus allocates %.1f times per page, want 0", allocs)
 	}
-	allocs = testing.AllocsPerRun(100, func() {
-		buf = appendSummary(buf[:0], r, m)
-	})
-	if allocs != 0 {
-		t.Errorf("appendSummary allocates %.1f times per digest, want 0", allocs)
-	}
 
-	// The exported entry points on a recorder as producers register it,
+	// The exported entry point on a recorder as producers register it,
 	// aux counter and gauge sources included.
 	full := buildRichRecorder(7, 1<<12)
-	allocs = testing.AllocsPerRun(100, func() {
-		if err := WriteSummary(io.Discard, full); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("WriteSummary allocates %.1f times per digest, want 0", allocs)
-	}
 	allocs = testing.AllocsPerRun(100, func() {
 		if err := WritePrometheus(io.Discard, full); err != nil {
 			t.Fatal(err)

@@ -2,8 +2,7 @@
 // per-VCPU ring-buffer event tracer plus a metrics registry (monotonic
 // counters, log₂-bucketed latency histograms and a per-cost-kind
 // cycle-attribution table), with exporters for Chrome trace_event JSON,
-// Prometheus text exposition, collapsed flame-graph stacks and a compact
-// human summary.
+// Prometheus text exposition and collapsed flame-graph stacks.
 //
 // The package is deliberately zero-dependency within the repository: it
 // knows nothing about SEV-SNP, VMPLs or the cost model. Producers (the snp
@@ -34,10 +33,7 @@
 // instrumented unconditionally and pay nothing when tracing is off.
 package obs
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // Class is the event taxonomy: one value per kind of architectural or
 // framework event the simulator emits. The taxonomy mirrors the paper's
@@ -279,9 +275,8 @@ func (sh *shard) events(out []Event) []Event {
 	return append(out, sh.buf[:sh.next]...)
 }
 
-// Recorder is the sharded event ring plus its metrics registry. In the
-// default mode it is single-threaded like the machine it instruments; see
-// SetConcurrent for the multi-producer mode the race tests exercise.
+// Recorder is the sharded event ring plus its metrics registry. It has
+// exactly one producer goroutine, like the machine it instruments.
 //
 // A nil *Recorder is valid: Record, Charge and the accessors all no-op.
 type Recorder struct {
@@ -289,16 +284,9 @@ type Recorder struct {
 	shardCap int
 	seq      uint64 // last assigned record sequence number
 
-	// concurrent switches Record to atomic sequence allocation for
-	// multi-goroutine producers (one goroutine per VCPU). The per-shard
-	// state needs no synchronization either way: a shard has exactly one
-	// writer.
-	concurrent bool
-
 	// lastVCPU/lastShard cache the most recent shard lookup: the
 	// simulator steps one VCPU for many events at a time, so the common
-	// Record skips the slice indexing entirely. Disabled in concurrent
-	// mode (the cache itself would be shared state).
+	// Record skips the slice indexing entirely.
 	lastVCPU  int32
 	lastShard *shard
 
@@ -323,7 +311,7 @@ type Recorder struct {
 	// snapshot memoizes the last Metrics build. Aggregating a snapshot
 	// costs a full retained-ring scan plus a per-shard aggregate copy —
 	// tens of microseconds on a warm ring — while the common export burst
-	// (Prometheus page + summary + trace from one quiesced recorder, or a
+	// (Prometheus page + trace from one quiesced recorder, or a
 	// scrape endpoint polled between event bursts) asks for the same
 	// aggregation several times with nothing recorded in between. The
 	// cache is keyed on the sequence counter plus a dirty bit covering
@@ -333,8 +321,6 @@ type Recorder struct {
 	// can move without touching the recorder at all. The recorder never
 	// writes into a snapshot it has handed out, so hits return the cached
 	// pointer itself — snapshots are immutable, possibly shared, views.
-	// Disabled in concurrent mode (the cache itself would be shared
-	// state).
 	snapshot  *Metrics
 	snapSeq   uint64
 	snapDirty bool
@@ -360,24 +346,6 @@ func NewRecorder(capacity int) *Recorder {
 	r.shards = append(r.shards, newShard(capacity))
 	r.lastVCPU, r.lastShard = 0, r.shards[0]
 	return r
-}
-
-// SetConcurrent pre-creates shards for VCPUs 0..vcpus-1 and switches
-// sequence allocation to an atomic counter, making Record safe to call
-// from one goroutine per VCPU simultaneously. Events for VCPUs outside
-// the pre-created range are clamped into it (shard growth cannot be done
-// locklessly). Aggregation reads — Metrics, Events, the exporters — must
-// still happen after the producers quiesce.
-func (r *Recorder) SetConcurrent(vcpus int) {
-	if r == nil {
-		return
-	}
-	for len(r.shards) < vcpus {
-		r.shards = append(r.shards, newShard(r.shardCap))
-	}
-	r.concurrent = true
-	r.lastShard = nil
-	r.snapshot, r.snapDirty = nil, true
 }
 
 // shardOf returns (growing if needed) the shard for VCPU v.
@@ -406,21 +374,9 @@ func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
-	var sh *shard
-	if r.concurrent {
-		e.Seq = atomic.AddUint64(&r.seq, 1)
-		i := int(e.VCPU)
-		if i < 0 {
-			i = 0
-		} else if i >= len(r.shards) {
-			i = len(r.shards) - 1
-		}
-		sh = r.shards[i]
-	} else {
-		r.seq++
-		e.Seq = r.seq
-		sh = r.shardOf(e.VCPU)
-	}
+	r.seq++
+	e.Seq = r.seq
+	sh := r.shardOf(e.VCPU)
 	if sh.full {
 		sh.evicted.fold(&sh.buf[sh.next])
 	}
@@ -440,22 +396,8 @@ func (r *Recorder) Record(e Event) {
 // as Record would. Unlike the other methods Alloc is NOT nil-safe: the
 // producer's own recorder-attached check is the nil gate.
 func (r *Recorder) Alloc(vcpu int32) *Event {
-	var sh *shard
-	var seq uint64
-	if r.concurrent {
-		seq = atomic.AddUint64(&r.seq, 1)
-		i := int(vcpu)
-		if i < 0 {
-			i = 0
-		} else if i >= len(r.shards) {
-			i = len(r.shards) - 1
-		}
-		sh = r.shards[i]
-	} else {
-		r.seq++
-		seq = r.seq
-		sh = r.shardOf(vcpu)
-	}
+	r.seq++
+	sh := r.shardOf(vcpu)
 	if sh.full {
 		sh.evicted.fold(&sh.buf[sh.next])
 	}
@@ -465,7 +407,7 @@ func (r *Recorder) Alloc(vcpu int32) *Event {
 		sh.next = 0
 		sh.full = true
 	}
-	e.Seq = seq
+	e.Seq = r.seq
 	return e
 }
 
@@ -476,16 +418,6 @@ func (r *Recorder) Alloc(vcpu int32) *Event {
 // Nil-safe.
 func (r *Recorder) RecordRingLatency(vcpu int32, cycles uint64) {
 	if r == nil {
-		return
-	}
-	if r.concurrent {
-		i := int(vcpu)
-		if i < 0 {
-			i = 0
-		} else if i >= len(r.shards) {
-			i = len(r.shards) - 1
-		}
-		r.shards[i].ringLat.Observe(cycles)
 		return
 	}
 	r.snapDirty = true // the sequence counter cannot see this mutation
@@ -650,9 +582,6 @@ func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	if r.concurrent {
-		return atomic.LoadUint64(&r.seq)
-	}
 	return r.seq
 }
 
@@ -738,9 +667,6 @@ func (r *Recorder) Tail(n int) []Event {
 func (r *Recorder) Metrics() *Metrics {
 	if r == nil {
 		return nil
-	}
-	if r.concurrent {
-		return r.buildMetrics()
 	}
 	if m := r.snapshot; m != nil && !r.snapDirty && r.snapSeq == r.seq {
 		if r.cycleSrc == nil {

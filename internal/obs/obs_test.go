@@ -445,16 +445,3 @@ func TestPrometheusExport(t *testing.T) {
 		}
 	}
 }
-
-func TestSummaryExport(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSummary(&buf, fixedRecorder()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"vmgexit", "domain-switch", "VMGEXIT"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -1,10 +1,9 @@
 package obs
 
-// The fmt-based reference exporters: the original, unpooled
-// implementations of the Prometheus page and the summary digest. They are
-// the oracles the pooled WritePrometheus and WriteSummary are
-// differentially tested against (byte-identical output on every corpus),
-// and change in lockstep with them.
+// The fmt-based reference exporter: the original, unpooled
+// implementation of the Prometheus page. It is the oracle the pooled
+// WritePrometheus is differentially tested against (byte-identical output
+// on every corpus), and changes in lockstep with it.
 
 import (
 	"io"
@@ -152,87 +151,6 @@ func WritePrometheusReference(w io.Writer, recs ...*Recorder) error {
 			if n := m.DroppedByClass(c); n > 0 {
 				bw.printf("veil_trace_dropped_by_class_total{machine=\"%d\",class=%q} %d\n", recs[i].Machine(), c.String(), n)
 			}
-		}
-	}
-	return bw.err
-}
-
-// WriteSummaryReference is the fmt-based digest writer.
-func WriteSummaryReference(w io.Writer, r *Recorder) error {
-	bw := &errWriter{w: w}
-	m := r.metricsRebuild() // the legacy path re-aggregated per exporter
-
-	bw.printf("observability summary (%d events retained, %d dropped, %d shards)\n", r.Len(), r.Dropped(), r.Shards())
-	if d := r.Dropped(); d > 0 {
-		bw.printf("  WARNING: trace ring overflowed; the oldest %d events were evicted (raise the capacity or trim the workload)\n", d)
-	}
-	bw.printf("  %-18s %12s %12s\n", "event class", "count", "dropped")
-	for c := Class(0); c < NumClasses; c++ {
-		if n := m.Count(c); n > 0 {
-			bw.printf("  %-18s %12d %12d\n", c.String(), n, m.DroppedByClass(c))
-		}
-	}
-
-	header := false
-	for c := Class(0); c < NumClasses; c++ {
-		h := m.SpanHist(c)
-		if h == nil || h.Count() == 0 {
-			continue
-		}
-		if !header {
-			bw.printf("  %-18s %10s %10s %10s %10s %10s\n",
-				"span (cycles)", "count", "mean", "p50", "p95", "p99")
-			header = true
-		}
-		bw.printf("  %-18s %10d %10.0f %10d %10d %10d\n",
-			c.String(), h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99))
-	}
-
-	if h := m.RequestHistAll(); h != nil && h.Count() > 0 {
-		bw.printf("  request latency (root spans, virtual cycles): n=%d p50=%d p90=%d p99=%d\n",
-			h.Count(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99))
-		for v := 0; v < m.VCPUs(); v++ {
-			if hv := m.RequestHist(v); hv != nil && hv.Count() > 0 && m.VCPUs() > 1 {
-				bw.printf("    vcpu %d: n=%d p50=%d p90=%d p99=%d\n",
-					v, hv.Count(), hv.Quantile(0.5), hv.Quantile(0.9), hv.Quantile(0.99))
-			}
-		}
-	}
-	for s := 0; s < MaxServices; s++ {
-		if h := m.ServiceHist(s); h != nil && h.Count() > 0 {
-			name := m.ServiceName(s)
-			if name == "" {
-				name = "service-" + strconv.Itoa(s)
-			}
-			bw.printf("  service %-12s dispatch latency: n=%d p50=%d p90=%d p99=%d\n",
-				name, h.Count(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99))
-		}
-	}
-
-	byKind := m.CyclesByKind()
-	var total uint64
-	for _, v := range byKind {
-		total += v
-	}
-	if total > 0 {
-		bw.printf("  cycle attribution (%d total):\n", total)
-		type row struct {
-			name   string
-			cycles uint64
-		}
-		var rows []row
-		for k := 0; k < m.NumKinds() && k < len(byKind); k++ {
-			if byKind[k] > 0 {
-				rows = append(rows, row{m.KindName(k), byKind[k]})
-			}
-		}
-		for i := 1; i < len(rows); i++ {
-			for j := i; j > 0 && rows[j-1].cycles < rows[j].cycles; j-- {
-				rows[j-1], rows[j] = rows[j], rows[j-1]
-			}
-		}
-		for _, r := range rows {
-			bw.printf("    %-16s %14d  %5.1f%%\n", r.name, r.cycles, 100*float64(r.cycles)/float64(total))
 		}
 	}
 	return bw.err

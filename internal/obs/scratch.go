@@ -3,11 +3,10 @@ package obs
 import (
 	"strconv"
 	"sync"
-	"unicode/utf8"
 )
 
-// Export scratch: the text exporters format into one pooled byte buffer
-// and hand the writer a single Write call. The pool keeps steady-state
+// Export scratch: the Prometheus exporter formats into one pooled byte
+// buffer and hands the writer a single Write call. The pool keeps steady-state
 // exports allocation-free — a scraped /metrics endpoint or a per-round
 // bench export reuses the same grown buffer instead of re-fmt'ing
 // thousands of lines through the reflection path.
@@ -30,45 +29,6 @@ var classQuoted = func() [NumClasses]string {
 	}
 	return out
 }()
-
-// appendPadStr appends s under fmt's %{width}s / %-{width}s rules:
-// space-padded to width counted in runes, right-justified unless left.
-func appendPadStr(b []byte, s string, width int, left bool) []byte {
-	pad := width - utf8.RuneCountInString(s)
-	if !left {
-		for ; pad > 0; pad-- {
-			b = append(b, ' ')
-		}
-	}
-	b = append(b, s...)
-	if left {
-		for ; pad > 0; pad-- {
-			b = append(b, ' ')
-		}
-	}
-	return b
-}
-
-// appendPadUint appends v as %{width}d.
-func appendPadUint(b []byte, v uint64, width int) []byte {
-	var tmp [20]byte
-	s := strconv.AppendUint(tmp[:0], v, 10)
-	for pad := width - len(s); pad > 0; pad-- {
-		b = append(b, ' ')
-	}
-	return append(b, s...)
-}
-
-// appendPadFloat appends v as %{width}.{prec}f (fmt and strconv share the
-// same shortest-round-trip formatter, so the digits agree byte-for-byte).
-func appendPadFloat(b []byte, v float64, width, prec int) []byte {
-	var tmp [40]byte
-	s := strconv.AppendFloat(tmp[:0], v, 'f', prec, 64)
-	for pad := width - len(s); pad > 0; pad-- {
-		b = append(b, ' ')
-	}
-	return append(b, s...)
-}
 
 // appendQuoted appends s under fmt's %q.
 func appendQuoted(b []byte, s string) []byte {

@@ -90,9 +90,6 @@ type Service struct {
 	factories map[uint32]ContextFactory
 	rand      io.Reader
 
-	shares    []*share
-	nextShare uint32
-
 	// sealBuf is the reusable sealed-page scratch of the paging path: one
 	// PageSize+tag image, alive only within a single PageFree/PageRestore
 	// (the returned tag is copied out, never aliased into it).

@@ -322,9 +322,6 @@ func (s *Service) Destroy(id uint32) error {
 	if !ok {
 		return fmt.Errorf("enc: no enclave %d", id)
 	}
-	if err := s.dropSharesFor(id); err != nil {
-		return err
-	}
 	m := s.mon.Machine()
 	for virt, phys := range e.frames {
 		// Scrub before release: enclave secrets never reach the OS.

@@ -185,27 +185,6 @@ func (a AccessContext) Translate(virt uint64, acc Access) (uint64, error) {
 	return phys, err
 }
 
-// translateUncached is the cache-free reference walker: identical rules to
-// Translate, no TLB reads, writes or counters. The differential tests
-// compare the two on every operation.
-func (a AccessContext) translateUncached(virt uint64, acc Access) (uint64, error) {
-	if a.CR3 == 0 {
-		return 0, &Fault{Kind: FaultGP, VMPL: a.VMPL, CPL: a.CPL, Virt: virt, Why: "null CR3"}
-	}
-	if virt>>VirtBits != 0 {
-		return 0, &Fault{Kind: FaultPF, VMPL: a.VMPL, CPL: a.CPL, Access: acc, Virt: virt, Why: "non-canonical address"}
-	}
-	physPage, eff, effNX, _, err := a.walk(virt, acc)
-	if err != nil {
-		return 0, err
-	}
-	phys := physPage | PageOffset(virt)
-	if err := a.permCheck(virt, phys, eff, effNX, acc); err != nil {
-		return 0, err
-	}
-	return phys, nil
-}
-
 // span returns the RMP-checked backing slice for the n bytes at virt, which
 // must lie within one page. On a TLB hit whose RMP verdict for acc is
 // already cached at the current epoch, the slice is handed out without

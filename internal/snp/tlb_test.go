@@ -335,3 +335,24 @@ func TestAccessContextZeroAllocs(t *testing.T) {
 		t.Fatal("measured accesses did not hit the TLB")
 	}
 }
+
+// translateUncached is the cache-free reference walker: identical rules to
+// Translate, no TLB reads, writes or counters. The differential tests
+// compare the two on every operation.
+func (a AccessContext) translateUncached(virt uint64, acc Access) (uint64, error) {
+	if a.CR3 == 0 {
+		return 0, &Fault{Kind: FaultGP, VMPL: a.VMPL, CPL: a.CPL, Virt: virt, Why: "null CR3"}
+	}
+	if virt>>VirtBits != 0 {
+		return 0, &Fault{Kind: FaultPF, VMPL: a.VMPL, CPL: a.CPL, Access: acc, Virt: virt, Why: "non-canonical address"}
+	}
+	physPage, eff, effNX, _, err := a.walk(virt, acc)
+	if err != nil {
+		return 0, err
+	}
+	phys := physPage | PageOffset(virt)
+	if err := a.permCheck(virt, phys, eff, effNX, acc); err != nil {
+		return 0, err
+	}
+	return phys, nil
+}

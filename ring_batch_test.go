@@ -3,7 +3,7 @@ package veil
 // Edge-case and differential tests for the batched service-invocation ring
 // (internal/core/ring.go): wraparound past the 31-slot capacity,
 // backpressure when the ring fills, empty doorbells, interleaved
-// submit/poll orders through the async SDK, and a fuzzer that holds the
+// submit/poll orders on the OS stub, and a fuzzer that holds the
 // batched path request-for-request identical to the synchronous one.
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"veil/internal/core"
 	"veil/internal/cvm"
-	"veil/internal/sdk"
 )
 
 func bootRing(t testing.TB, seed int64) *cvm.CVM {
@@ -121,35 +120,31 @@ func TestRingEmptyDoorbell(t *testing.T) {
 	}
 }
 
-// TestRingInterleaved drives two async futures whose submissions interleave
-// and whose results are consumed out of order — the poll side must be
-// order-independent.
+// TestRingInterleaved submits two requests whose results are consumed out
+// of order — the poll side must be order-independent.
 func TestRingInterleaved(t *testing.T) {
 	c := bootRing(t, 4400)
-	a := sdk.Async(c)
 
-	f1, err := a.Submit(core.Request{Svc: core.SvcLOG, Op: core.OpLogAppend, Payload: []byte("first")})
+	p1, err := c.Stub.SubmitSrv(core.Request{Svc: core.SvcLOG, Op: core.OpLogAppend, Payload: []byte("first")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := a.Submit(core.Request{Svc: core.SvcLOG, Op: core.OpLogStats})
+	p2, err := c.Stub.SubmitSrv(core.Request{Svc: core.SvcLOG, Op: core.OpLogStats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done, err := f2.Done(); done || err != nil {
-		t.Fatalf("f2 before flush: done=%v err=%v", done, err)
+	if _, done, err := c.Stub.Poll(p2); done || err != nil {
+		t.Fatalf("p2 before doorbell: done=%v err=%v", done, err)
+	}
+	if err := c.Stub.Doorbell(); err != nil {
+		t.Fatal(err)
 	}
 	// Consume in reverse submission order.
-	r2, err := f2.Wait()
-	if err != nil || r2.Status != core.StatusOK {
-		t.Fatalf("f2: %+v err=%v", r2, err)
-	}
-	r1, err := f1.Wait()
-	if err != nil || r1.Status != core.StatusOK {
-		t.Fatalf("f1: %+v err=%v", r1, err)
-	}
-	if done, _ := f1.Done(); !done {
-		t.Fatal("f1 not done after Wait")
+	for _, pc := range []core.PendingCall{p2, p1} {
+		r, done, err := c.Stub.Poll(pc)
+		if !done || err != nil || r.Status != core.StatusOK {
+			t.Fatalf("seq %d: done=%v %+v err=%v", pc.Seq, done, r, err)
+		}
 	}
 	recs, err := c.LOG.Records()
 	if err != nil {
