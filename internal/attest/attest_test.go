@@ -251,7 +251,7 @@ func TestChannelAADBindsHeader(t *testing.T) {
 	userCh, _ := user.OpenChannel(mon.PublicBytes(), false)
 
 	hdr := []byte("frame-header: trace ctx")
-	sealed, err := monCh.SealAAD([]byte("payload"), hdr)
+	sealed, err := monCh.SealAAD(nil, []byte("payload"), hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestChannelAADBindsHeader(t *testing.T) {
 	// and the refused open must not advance the replay window.
 	bad := append([]byte(nil), hdr...)
 	bad[0] ^= 0xFF
-	if _, err := userCh.OpenAAD(sealed, bad); err == nil {
+	if _, err := userCh.OpenAAD(nil, sealed, bad); err == nil {
 		t.Fatal("doctored AAD accepted")
 	}
 	if got := userCh.RecvSeq(); got != 0 {
@@ -268,10 +268,10 @@ func TestChannelAADBindsHeader(t *testing.T) {
 	}
 
 	// Omitting the AAD entirely must fail too (nil is a distinct binding).
-	if _, err := userCh.OpenAAD(sealed, nil); err == nil {
+	if _, err := userCh.OpenAAD(nil, sealed, nil); err == nil {
 		t.Fatal("sealed-with-AAD frame opened without AAD")
 	}
-	if got, err := userCh.OpenAAD(sealed, hdr); err != nil || string(got) != "payload" {
+	if got, err := userCh.OpenAAD(nil, sealed, hdr); err != nil || string(got) != "payload" {
 		t.Fatalf("honest AAD open failed after refusals: %v %q", err, got)
 	}
 
@@ -280,7 +280,85 @@ func TestChannelAADBindsHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := userCh.OpenAAD(s2, nil); err != nil || string(got) != "plain" {
+	if got, err := userCh.OpenAAD(nil, s2, nil); err != nil || string(got) != "plain" {
 		t.Fatalf("Seal/OpenAAD(nil) mismatch: %v %q", err, got)
+	}
+}
+
+// SealAAD and OpenAAD append to dst: sealing after a prefix the caller has
+// already written leaves the prefix intact, and the appended bytes are
+// exactly what a fresh Seal produces.
+func TestChannelSealAppendsAfterPrefix(t *testing.T) {
+	mon, _ := NewKeyPair(newDetRand(20))
+	user, _ := NewKeyPair(newDetRand(21))
+	monCh, _ := mon.OpenChannel(user.PublicBytes(), true)
+	userCh, _ := user.OpenChannel(mon.PublicBytes(), false)
+	refMon, _ := mon.OpenChannel(user.PublicBytes(), true)
+
+	hdr := []byte("frame-header")
+	prefix := []byte("peer+header+len:")
+	buf := make([]byte, len(prefix), 256)
+	copy(buf, prefix)
+	out, err := monCh.SealAAD(buf, []byte("payload"), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[:len(prefix)], prefix) {
+		t.Fatalf("sealing clobbered the prefix: %q", out[:len(prefix)])
+	}
+	if &out[0] != &buf[0] {
+		t.Fatal("sealing into a buffer with room reallocated it")
+	}
+	if got, want := len(out)-len(prefix), len("payload")+monCh.Overhead(); got != want {
+		t.Fatalf("sealed %d bytes, want plaintext plus Overhead() = %d", got, want)
+	}
+	ref, err := refMon.SealAAD(nil, []byte("payload"), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[len(prefix):], ref) {
+		t.Fatal("sealing after a prefix produced different ciphertext than a fresh Seal")
+	}
+
+	opened, err := userCh.OpenAAD([]byte("inbox:"), out[len(prefix):], hdr)
+	if err != nil || string(opened) != "inbox:payload" {
+		t.Fatalf("OpenAAD after a prefix = %q, %v", opened, err)
+	}
+}
+
+// A refused OpenAAD into a reused buffer does not advance the receive
+// window, and the next in-order frame still opens into that same buffer.
+func TestChannelRefusedOpenReusesBuffer(t *testing.T) {
+	mon, _ := NewKeyPair(newDetRand(22))
+	user, _ := NewKeyPair(newDetRand(23))
+	monCh, _ := mon.OpenChannel(user.PublicBytes(), true)
+	userCh, _ := user.OpenChannel(mon.PublicBytes(), false)
+
+	hdr := []byte("hdr")
+	first, _ := monCh.SealAAD(nil, []byte("first"), hdr)
+	second, _ := monCh.SealAAD(nil, []byte("second"), hdr)
+	buf := make([]byte, 0, 64)
+
+	if _, err := userCh.OpenAAD(buf, second, hdr); err == nil {
+		t.Fatal("out-of-order frame opened")
+	}
+	tampered := append([]byte(nil), first...)
+	tampered[0] ^= 1
+	if _, err := userCh.OpenAAD(buf, tampered, hdr); err == nil {
+		t.Fatal("tampered frame opened")
+	}
+	if got := userCh.RecvSeq(); got != 0 {
+		t.Fatalf("refused opens moved recvSeq to %d", got)
+	}
+	got, err := userCh.OpenAAD(buf, first, hdr)
+	if err != nil || string(got) != "first" {
+		t.Fatalf("in-order open after refusals = %q, %v", got, err)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("the in-order open did not reuse the buffer")
+	}
+	got, err = userCh.OpenAAD(got[:0], second, hdr)
+	if err != nil || string(got) != "second" || &got[0] != &buf[:1][0] {
+		t.Fatalf("second open into the same buffer = %q, %v", got, err)
 	}
 }

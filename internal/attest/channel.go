@@ -49,7 +49,14 @@ type Channel struct {
 	recvSeq uint64
 	sendDir byte
 	recvDir byte
+	// nonceBuf is the one nonce the channel builds per Seal or Open: GCM
+	// reads it before returning and keeps nothing, so one buffer serves
+	// every message.
+	nonceBuf [gcmNonceSize]byte
 }
+
+// gcmNonceSize is the standard AES-GCM nonce size cipher.NewGCM uses.
+const gcmNonceSize = 12
 
 // channelDirections: the "user" side sends with direction 0, the "monitor"
 // side with direction 1; nonces never collide between directions.
@@ -84,8 +91,10 @@ func (k *KeyPair) OpenChannel(peerPublic []byte, monitorSide bool) (*Channel, er
 	return ch, nil
 }
 
+// nonce lays out (direction, zero padding, little-endian sequence) in the
+// channel's nonce buffer.
 func (c *Channel) nonce(dir byte, seq uint64) []byte {
-	n := make([]byte, c.aead.NonceSize())
+	n := c.nonceBuf[:]
 	n[0] = dir
 	binary.LittleEndian.PutUint64(n[len(n)-8:], seq)
 	return n
@@ -105,18 +114,23 @@ var ErrChannelExhausted = errors.New("attest: channel send counter exhausted")
 // Seal encrypts and authenticates msg with the next send sequence number.
 // It fails — without consuming a sequence number — once the send counter
 // reaches the 2^63 ceiling.
-func (c *Channel) Seal(msg []byte) ([]byte, error) { return c.SealAAD(msg, nil) }
+func (c *Channel) Seal(msg []byte) ([]byte, error) { return c.SealAAD(nil, msg, nil) }
 
-// SealAAD is Seal with additional authenticated data: aad travels in
-// plaintext beside the ciphertext (VeilS-Channel puts the frame header,
-// including fleet trace context, there) but is bound into the GCM tag, so
-// the host can read it and route on it yet cannot alter it without the
-// peer's Open failing.
-func (c *Channel) SealAAD(msg, aad []byte) ([]byte, error) {
+// SealAAD is Seal with additional authenticated data, appending the sealed
+// message to dst and returning the extended slice: a caller that seals into
+// a reused buffer, or after a prefix it has already written, allocates
+// nothing once the buffer has grown. aad travels in plaintext beside the
+// ciphertext (VeilS-Channel puts the frame header, including fleet trace
+// context, there) but is bound into the GCM tag, so the host can read it
+// and route on it yet cannot alter it without the peer's Open failing.
+//
+// dst's spare capacity must not overlap msg, and dst must not overlap aad
+// at all: crypto/cipher panics on either overlap.
+func (c *Channel) SealAAD(dst, msg, aad []byte) ([]byte, error) {
 	if c.sendSeq >= maxSeq {
 		return nil, ErrChannelExhausted
 	}
-	out := c.aead.Seal(nil, c.nonce(c.sendDir, c.sendSeq), msg, aad)
+	out := c.aead.Seal(dst, c.nonce(c.sendDir, c.sendSeq), msg, aad)
 	c.sendSeq++
 	return out, nil
 }
@@ -124,18 +138,26 @@ func (c *Channel) SealAAD(msg, aad []byte) ([]byte, error) {
 // Open authenticates and decrypts the next message from the peer. A
 // replayed, reordered or tampered ciphertext fails authentication and does
 // not advance the window: the next in-order message still opens.
-func (c *Channel) Open(sealed []byte) ([]byte, error) { return c.OpenAAD(sealed, nil) }
+func (c *Channel) Open(sealed []byte) ([]byte, error) { return c.OpenAAD(nil, sealed, nil) }
 
-// OpenAAD is Open with additional authenticated data; it must match the
-// aad the sender sealed with byte for byte, or authentication fails.
-func (c *Channel) OpenAAD(sealed, aad []byte) ([]byte, error) {
-	msg, err := c.aead.Open(nil, c.nonce(c.recvDir, c.recvSeq), sealed, aad)
+// OpenAAD is Open with additional authenticated data, appending the opened
+// message to dst; aad must match the aad the sender sealed with byte for
+// byte, or authentication fails. A refused open returns nil, leaves dst's
+// contents up to len(dst) untouched and does not advance the window, so
+// the caller may open the next frame into the same buffer. The overlap
+// rule is SealAAD's, with sealed in msg's place.
+func (c *Channel) OpenAAD(dst, sealed, aad []byte) ([]byte, error) {
+	msg, err := c.aead.Open(dst, c.nonce(c.recvDir, c.recvSeq), sealed, aad)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrChannel, err)
 	}
 	c.recvSeq++
 	return msg, nil
 }
+
+// Overhead is how many bytes a sealed message is longer than its
+// plaintext: the GCM tag.
+func (c *Channel) Overhead() int { return c.aead.Overhead() }
 
 // SendSeq returns the number of messages sealed so far (tests assert the
 // overflow guard consumes nothing).

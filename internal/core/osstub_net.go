@@ -148,6 +148,10 @@ func (s *OSStub) ChnSend(init int, sid uint32, msg []byte) error {
 // whether one was available. A session the view knows with nothing
 // pending answers "empty" without a domain switch; an unknown session
 // still asks the service, which refuses it if it does not exist.
+//
+// The message aliases the stub's response stage: it is valid until this
+// stub's next call, so a caller that keeps it, or needs it across another
+// stub call, copies it first.
 func (s *OSStub) ChnRecv(init int, sid uint32) ([]byte, bool, error) {
 	k := chnKey(uint32(init), sid)
 	v, known := s.chn.sessions[k]
@@ -173,7 +177,7 @@ func (s *OSStub) ChnRecv(init int, sid uint32) ([]byte, bool, error) {
 		v.pending--
 		s.chn.sessions[k] = v
 	}
-	return append([]byte(nil), resp.Payload[1:]...), true, nil
+	return resp.Payload[1:], true, nil
 }
 
 // ChnState queries a session's handshake state (ChnStateNone, Dialing or

@@ -121,8 +121,11 @@ type CVM struct {
 	// fleet stepper pushes arrivals here (the NIC's DMA ring) and raises a
 	// completion interrupt; the OS drains it and relays each frame to
 	// VeilS-Channel. Frames are ciphertext — queue contents are exactly
-	// what a hostile host could already see on the wire.
-	netRx [][]byte
+	// what a hostile host could already see on the wire. netRxDrained is
+	// the batch the last DrainNetFrames returned; the next drain clears it
+	// and swaps it in as the queue, so the two arrays alternate.
+	netRx        [][]byte
+	netRxDrained [][]byte
 }
 
 // Boot builds and boots a CVM.
@@ -447,15 +450,19 @@ func (c *CVM) StubFor(vcpu int) *core.OSStub {
 
 // PushNetFrame enqueues one received fabric frame on the OS-visible
 // receive queue. The fleet stepper calls it (followed by an interrupt
-// injection) from the machine's own clock domain.
+// injection) from the machine's own clock domain. The queue keeps frame
+// itself, not a copy, until the drain after the one that returns it:
+// fabric payloads never change once sent (fabric.Send).
 func (c *CVM) PushNetFrame(frame []byte) { c.netRx = append(c.netRx, frame) }
 
 // DrainNetFrames pops every queued receive frame in arrival order. The
 // OS-side workload calls it from its interrupt-driven receive path and
-// relays each frame to VeilS-Channel via the stub.
+// relays each frame to VeilS-Channel via the stub. The returned batch is
+// valid until the next drain, which reuses its array for the queue.
 func (c *CVM) DrainNetFrames() [][]byte {
 	out := c.netRx
-	c.netRx = nil
+	clear(c.netRxDrained)
+	c.netRx, c.netRxDrained = c.netRxDrained[:0], out
 	return out
 }
 

@@ -1,6 +1,7 @@
 package cvm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -283,6 +284,65 @@ func TestChnPollAllocFree(t *testing.T) {
 		if d := m.Trace().VMGExits - exits; d != 0 || m.Clock().Cycles() != cycles {
 			t.Errorf("%s took %d VMGEXITs and %d cycles, want neither", c.name, d, m.Clock().Cycles()-cycles)
 		}
+	}
+}
+
+// One sealed message's whole trip allocates nothing in steady state: the
+// sender's ChnSend seals straight into the service's response, the fabric
+// copies the frame into its link slab, the receiver's NIC queue holds it
+// until the drain, ChnDeliver decodes it in place and opens it into a
+// recycled inbox buffer, and ChnRecv hands back the response stage. The
+// fabric's slab and queue growth are amortized well below one allocation
+// per message: AllocsPerRun's integer average absorbs them, so a longer
+// run bounds them on their own.
+func TestChnDataPathAllocFree(t *testing.T) {
+	f, _ := runPingPong(t, 17, 2)
+	a, b := f.CVMs[0], f.CVMs[1]
+	msg := []byte("msg-i0-s0-r3: one sealed echo request")
+	var got []byte
+	trip := func() {
+		if err := a.Stub.ChnSend(0, 0, msg); err != nil {
+			t.Fatalf("ChnSend: %v", err)
+		}
+		at, ok := f.Fab.NextArrival(1)
+		if !ok {
+			t.Fatal("the data frame never reached the fabric")
+		}
+		for _, m := range f.Fab.Due(1, at) {
+			b.PushNetFrame(m.Payload)
+		}
+		for _, fr := range b.DrainNetFrames() {
+			if err := b.Stub.ChnDeliver(fr); err != nil {
+				t.Fatalf("ChnDeliver: %v", err)
+			}
+		}
+		var ok2 bool
+		var err error
+		if got, ok2, err = b.Stub.ChnRecv(0, 0); err != nil || !ok2 {
+			t.Fatalf("ChnRecv = %v, %v; want the message", ok2, err)
+		}
+	}
+	trip() // warm the stage, scratch and inbox buffers
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("received %q, want %q", got, msg)
+	}
+	if allocs := testing.AllocsPerRun(200, trip); allocs != 0 {
+		t.Errorf("one sealed message's trip allocates %.1f times, want 0", allocs)
+	}
+	// One 64-slot queue array per 64 frames and one slab per several
+	// hundred: about 11 objects over 640 trips.
+	const trips = 640
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < trips; i++ {
+		trip()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > trips/32 {
+		t.Errorf("%d trips allocated %d objects, want at most %d", trips, n, trips/32)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("after the measured trips received %q, want %q", got, msg)
 	}
 }
 

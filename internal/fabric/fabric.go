@@ -91,6 +91,38 @@ type link struct {
 	// Delivered and lat are counted at Due time, everything else at Send.
 	stats Stats
 	lat   obs.Histogram
+	// slab is the link's append-only payload arena: Send copies each
+	// payload to its end, and a full slab is replaced, never rewritten, so
+	// a payload stays valid for as long as anything holds it.
+	slab []byte
+}
+
+// slabSize is the size of one payload slab. A payload larger than a slab
+// gets its own buffer.
+const slabSize = 64 << 10
+
+// minQueueCap is the least capacity a destination queue grows to. Due
+// slides a queue forward through its array, so without headroom every
+// enqueue after a pop would reallocate.
+const minQueueCap = 64
+
+// keep copies payload into the link's slab and returns the copy, clipped
+// to its own length so that an append by any holder cannot reach the
+// next payload.
+func (l *link) keep(payload []byte) []byte {
+	n := len(payload)
+	if n == 0 {
+		return nil
+	}
+	if n > slabSize {
+		return append([]byte(nil), payload...)
+	}
+	if cap(l.slab)-len(l.slab) < n {
+		l.slab = make([]byte, 0, slabSize)
+	}
+	at := len(l.slab)
+	l.slab = append(l.slab, payload...)
+	return l.slab[at : at+n : at+n]
 }
 
 // Fabric is the fleet's message network. Not safe for concurrent use: the
@@ -148,7 +180,10 @@ func (f *Fabric) SetInterceptor(fn func(Message) []Message) { f.intercept = fn }
 
 // Send puts one frame on the wire. now is the sender's virtual clock; the
 // frame becomes deliverable once the destination's clock reaches
-// now+latency. The payload is copied — the sender may reuse its buffer.
+// now+latency. The payload is copied — the sender may reuse its buffer —
+// into the link's append-only slab: no slab byte is written twice, so a
+// delivered payload stays valid and unchanged for as long as a receiver
+// or an interceptor holds it.
 func (f *Fabric) Send(src, dst int, payload []byte, now uint64) error {
 	if src < 0 || src >= f.n || dst < 0 || dst >= f.n {
 		return fmt.Errorf("fabric: send %d->%d outside fleet of %d", src, dst, f.n)
@@ -175,7 +210,7 @@ func (f *Fabric) Send(src, dst int, payload []byte, now uint64) error {
 	}
 	m := Message{
 		Src: src, Dst: dst,
-		Payload: append([]byte(nil), payload...),
+		Payload: l.keep(payload),
 		Seq:     f.seq,
 		Sent:    now,
 		Arrive:  now + lat,
@@ -216,6 +251,13 @@ func (f *Fabric) enqueue(m Message) {
 		}
 		return q[i].Seq > m.Seq
 	})
+	if len(q) == cap(q) {
+		// Grow into a fresh array with headroom; popped Due batches
+		// still share the old one.
+		grown := make([]Message, len(q), max(2*len(q), minQueueCap))
+		copy(grown, q)
+		q = grown
+	}
 	q = append(q, Message{})
 	copy(q[i+1:], q[i:])
 	q[i] = m

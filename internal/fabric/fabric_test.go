@@ -70,6 +70,39 @@ func TestPayloadCopiedOnSend(t *testing.T) {
 	}
 }
 
+// Payloads share their link's slab. Across slab rollovers, a payload
+// larger than a slab and appends by whoever holds a payload, every
+// delivered payload keeps exactly the bytes that were sent.
+func TestPayloadsSurviveSlabRollover(t *testing.T) {
+	f := mustNew(t, Config{Machines: 2, Seed: 1, Default: LinkModel{BaseLatency: 1}})
+	var sent, got [][]byte
+	for i := 0; i < 3*slabSize/1000+2; i++ {
+		n := 1000
+		if i == 70 {
+			n = slabSize + 1
+		}
+		p := bytes.Repeat([]byte{byte(i)}, n)
+		if err := f.Send(0, 1, p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, p)
+		for _, m := range f.Due(1, uint64(i)+1) {
+			got = append(got, m.Payload)
+		}
+	}
+	if len(got) != len(sent) {
+		t.Fatalf("delivered %d payloads, want %d", len(got), len(sent))
+	}
+	for _, p := range got {
+		_ = append(p, 0xEE)
+	}
+	for i := range sent {
+		if !bytes.Equal(got[i], sent[i]) {
+			t.Fatalf("payload %d changed after later sends", i)
+		}
+	}
+}
+
 // A batch returned by Due shares the queue's array; later sends, injects
 // (one landing at the queue's front) and pops must leave it unchanged, and
 // appending to it must not reach the queue.

@@ -43,7 +43,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"io"
 
 	"veil/internal/attest"
@@ -109,7 +109,10 @@ type session struct {
 	nonceA    [nonceLen]byte
 	nonceB    [nonceLen]byte
 	ch        *attest.Channel
-	inbox     [][]byte
+	// inbox holds the opened messages in arrival order. Slots past its
+	// length keep the buffers serveRecv drained, for deliverData to open
+	// the next messages into.
+	inbox [][]byte
 
 	// dialTC and offerTC are the trace-context bytes the Dial and Offer
 	// frames carried; both are hashed into the handshake transcript, so a
@@ -142,6 +145,15 @@ type Service struct {
 	// frame. Reusing it is safe for the same reason as replyEmpty: the
 	// monitor copies every response out before the next request runs.
 	evReply [core.ChnEventLen + 1]byte
+	// sendBuf and recvBuf hold the responses of serveSend and serveRecv,
+	// reused on the same grounds as evReply.
+	sendBuf []byte
+	recvBuf []byte
+	// aad is the data-frame header a seal or open binds. It lives apart
+	// from every frame buffer: crypto/cipher refuses additional data that
+	// overlaps the output, and a stack array would escape through the
+	// cipher.AEAD interface.
+	aad [frameHdrLen]byte
 }
 
 // New creates the service and registers it with VeilMon. Like every
@@ -302,8 +314,8 @@ func (s *Service) serveDial(payload []byte) (uint32, []byte) {
 
 // serveDeliver processes one frame the OS pulled off the fabric.
 func (s *Service) serveDeliver(vcpu int, payload []byte) (uint32, []byte) {
-	f, err := decodeFrame(payload)
-	if err != nil {
+	var f frame
+	if err := f.decode(payload); err != nil {
 		return s.refuse(-1)
 	}
 	// The NetRx breadcrumb lands before any handling, under the deliver
@@ -314,13 +326,13 @@ func (s *Service) serveDeliver(vcpu int, payload []byte) (uint32, []byte) {
 	}
 	switch f.Kind {
 	case FrameDial:
-		return s.deliverDial(vcpu, f)
+		return s.deliverDial(vcpu, &f)
 	case FrameOffer:
-		return s.deliverOffer(vcpu, f)
+		return s.deliverOffer(vcpu, &f)
 	case FrameAnswer:
-		return s.deliverAnswer(f)
+		return s.deliverAnswer(&f)
 	case FrameData:
-		return s.deliverData(f)
+		return s.deliverData(&f)
 	}
 	return s.refuse(-1)
 }
@@ -475,16 +487,22 @@ func (s *Service) verifyPeerReport(peer int, raw []byte, ts [32]byte) ([]byte, b
 
 // deliverData opens one sealed application frame. A failed Open — replay,
 // reorder, tamper — is refused without advancing the channel window, so
-// the next in-order frame still opens.
+// the next in-order frame still opens. The message opens into the buffer
+// of a slot serveRecv drained, when the inbox has one past its end.
 func (s *Service) deliverData(f *frame) (uint32, []byte) {
 	sess, ok := s.sessions[sessKey(f.Init, f.Sid)]
 	if !ok || sess.state != StateEstablished {
 		return s.refuse(int(f.Init))
 	}
+	var buf []byte
+	if n := len(sess.inbox); n < cap(sess.inbox) {
+		buf = sess.inbox[:n+1][n][:0]
+	}
 	// The frame header — trace context included — is the AEAD additional
 	// data: a host that rewrites any header byte (or grafts the sealed
 	// body under a doctored header) fails authentication here.
-	msg, err := sess.ch.OpenAAD(f.Sealed, f.headerBytes())
+	f.putHeader(s.aad[:])
+	msg, err := sess.ch.OpenAAD(buf, f.Sealed, s.aad[:])
 	if err != nil {
 		s.stats.Dropped++
 		return s.refuse(sess.peer)
@@ -498,6 +516,9 @@ func (s *Service) deliverData(f *frame) (uint32, []byte) {
 }
 
 // serveSend seals one application message for an established session.
+// Its response — peer u32, then the data frame: header, sealed length,
+// sealed body — is built in sendBuf, and the message is sealed straight
+// into it: byte for byte what frame.encode would produce.
 func (s *Service) serveSend(payload []byte) (uint32, []byte) {
 	if len(payload) < 8 {
 		return core.StatusError, nil
@@ -515,16 +536,18 @@ func (s *Service) serveSend(payload []byte) (uint32, []byte) {
 		Init: init, Resp: respOf(init, sess, s.cfg.MachineID), Sid: sid,
 		Trace: trace, Span: span,
 	}
-	sealed, err := sess.ch.SealAAD(msg, f.headerBytes())
+	f.putHeader(s.aad[:])
+	out := binary.LittleEndian.AppendUint32(s.sendBuf[:0], uint32(sess.peer))
+	out = append(out, s.aad[:]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(msg)+sess.ch.Overhead()))
+	out, err := sess.ch.SealAAD(out, msg, s.aad[:])
 	if err != nil {
 		return core.StatusError, nil
 	}
+	s.sendBuf = out
 	s.stats.Sent++
-	f.Sealed = sealed
 	s.observeTx(trace, span)
-	out := make([]byte, 4, 4+len(sealed)+32)
-	binary.LittleEndian.PutUint32(out, uint32(sess.peer))
-	return core.StatusOK, append(out, f.encode()...)
+	return core.StatusOK, out
 }
 
 // respOf reconstructs the frame's responder field: the session key is
@@ -536,7 +559,10 @@ func respOf(init uint32, sess *session, self int) uint32 {
 	return uint32(self)
 }
 
-// serveRecv pops the next decrypted inbound message, if any.
+// serveRecv pops the next decrypted inbound message, if any, answering
+// from recvBuf. The inbox shifts down rather than re-slicing its front
+// away, and the drained slot moves past its end with its buffer, for the
+// next delivery to open into.
 func (s *Service) serveRecv(payload []byte) (uint32, []byte) {
 	if len(payload) != 8 {
 		return core.StatusError, nil
@@ -551,8 +577,11 @@ func (s *Service) serveRecv(payload []byte) (uint32, []byte) {
 		return core.StatusOK, replyEmpty
 	}
 	msg := sess.inbox[0]
-	sess.inbox = sess.inbox[1:]
-	return core.StatusOK, append([]byte{1}, msg...)
+	s.recvBuf = append(append(s.recvBuf[:0], 1), msg...)
+	n := copy(sess.inbox, sess.inbox[1:])
+	sess.inbox[n] = msg[:0]
+	sess.inbox = sess.inbox[:n]
+	return core.StatusOK, s.recvBuf
 }
 
 // serveState reports a session's handshake state.
@@ -640,23 +669,23 @@ const frameHdrLen = 29
 // it, so the constant is part of the package's public contract.
 const FrameHeaderLen = frameHdrLen
 
-// headerBytes encodes just the fixed header: the prefix of every encoded
-// frame, and the additional authenticated data sealing binds for data
-// frames.
-func (f *frame) headerBytes() []byte {
-	hdr := make([]byte, frameHdrLen)
+// putHeader writes the fixed header into hdr[:frameHdrLen]: the prefix of
+// every encoded frame, and the additional authenticated data sealing binds
+// for data frames.
+func (f *frame) putHeader(hdr []byte) {
 	hdr[0] = f.Kind
 	binary.LittleEndian.PutUint32(hdr[1:], f.Init)
 	binary.LittleEndian.PutUint32(hdr[5:], f.Resp)
 	binary.LittleEndian.PutUint32(hdr[9:], f.Sid)
 	binary.LittleEndian.PutUint64(hdr[13:], f.Trace)
 	binary.LittleEndian.PutUint64(hdr[21:], f.Span)
-	return hdr
 }
 
+// encode builds a frame in a fresh buffer. Handshake frames use it; data
+// frames are built in place by serveSend.
 func (f *frame) encode() []byte {
-	out := make([]byte, 0, frameHdrLen+nonceLen+len(f.Report)+len(f.Sealed)+4)
-	out = append(out, f.headerBytes()...)
+	out := make([]byte, frameHdrLen, frameHdrLen+nonceLen+len(f.Report)+len(f.Sealed)+4)
+	f.putHeader(out)
 	switch f.Kind {
 	case FrameDial:
 		out = append(out, f.Nonce[:]...)
@@ -677,11 +706,18 @@ func appendBytes(out, b []byte) []byte {
 	return append(append(out, n[:]...), b...)
 }
 
-func decodeFrame(b []byte) (*frame, error) {
+// errFrame refuses a fabric payload that is not a well-formed frame.
+var errFrame = errors.New("chn: malformed frame")
+
+// decode parses b into f in place, ignoring trailing bytes. Report and
+// Sealed alias b (capacity-clipped, so an append cannot reach past them):
+// the frame is valid only as long as b is, and a handler reads the fields
+// without keeping them.
+func (f *frame) decode(b []byte) error {
 	if len(b) < frameHdrLen {
-		return nil, fmt.Errorf("chn: frame truncated (%d bytes)", len(b))
+		return errFrame
 	}
-	f := &frame{
+	*f = frame{
 		Kind:  b[0],
 		Init:  binary.LittleEndian.Uint32(b[1:]),
 		Resp:  binary.LittleEndian.Uint32(b[5:]),
@@ -690,44 +726,42 @@ func decodeFrame(b []byte) (*frame, error) {
 		Span:  binary.LittleEndian.Uint64(b[21:]),
 	}
 	rest := b[frameHdrLen:]
-	takeNonce := func() error {
-		if len(rest) < nonceLen {
-			return fmt.Errorf("chn: nonce truncated")
-		}
-		copy(f.Nonce[:], rest)
-		rest = rest[nonceLen:]
-		return nil
-	}
-	takeBytes := func() ([]byte, error) {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("chn: length truncated")
-		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		if n < 0 || n > len(rest) {
-			return nil, fmt.Errorf("chn: field length %d corrupt", n)
-		}
-		v := append([]byte(nil), rest[:n]...)
-		rest = rest[n:]
-		return v, nil
-	}
-	var err error
+	ok := false
 	switch f.Kind {
 	case FrameDial:
-		err = takeNonce()
+		_, ok = takeNonce(&f.Nonce, rest)
 	case FrameOffer:
-		if err = takeNonce(); err == nil {
-			f.Report, err = takeBytes()
+		if rest, ok = takeNonce(&f.Nonce, rest); ok {
+			f.Report, ok = takeBytes(rest)
 		}
 	case FrameAnswer:
-		f.Report, err = takeBytes()
+		f.Report, ok = takeBytes(rest)
 	case FrameData:
-		f.Sealed, err = takeBytes()
-	default:
-		err = fmt.Errorf("chn: unknown frame kind %d", f.Kind)
+		f.Sealed, ok = takeBytes(rest)
 	}
-	if err != nil {
-		return nil, err
+	if !ok {
+		return errFrame
 	}
-	return f, nil
+	return nil
+}
+
+// takeNonce copies a nonce off the front of b and returns the rest.
+func takeNonce(n *[nonceLen]byte, b []byte) ([]byte, bool) {
+	if len(b) < nonceLen {
+		return nil, false
+	}
+	copy(n[:], b)
+	return b[nonceLen:], true
+}
+
+// takeBytes returns the length-prefixed field at the front of b, aliasing b.
+func takeBytes(b []byte) ([]byte, bool) {
+	if len(b) < 4 {
+		return nil, false
+	}
+	n := uint64(binary.LittleEndian.Uint32(b))
+	if n > uint64(len(b)-4) {
+		return nil, false
+	}
+	return b[4 : 4+n : 4+n], true
 }
