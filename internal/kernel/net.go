@@ -36,6 +36,9 @@ type Socket struct {
 	listening    bool
 	backlog      []*conn
 	peer         *conn // established connection, from this side's view
+	// refs counts the descriptors, in every process, that name this
+	// socket: dup'd and fork-copied descriptors share it.
+	refs int
 }
 
 // conn is one direction-pair of byte queues.
@@ -43,6 +46,9 @@ type conn struct {
 	tx, rx *byteQueue
 	closed bool
 	remote *conn
+	// owner is the socket this end was made for; nil while the conn
+	// waits in a listener's backlog and once its queues are recycled.
+	owner *Socket
 }
 
 type byteQueue struct{ buf []byte }
@@ -52,17 +58,81 @@ func (q *byteQueue) write(b []byte) int {
 	return len(b)
 }
 
+// read copies queued bytes into b. A drained queue restarts at the front
+// of its buffer, so a request/response exchange reuses the same capacity.
 func (q *byteQueue) read(b []byte) int {
 	n := copy(b, q.buf)
-	q.buf = q.buf[n:]
+	if n == len(q.buf) {
+		q.buf = q.buf[:0]
+	} else {
+		q.buf = q.buf[n:]
+	}
 	return n
 }
 
 func (q *byteQueue) len() int { return len(q.buf) }
 
+// The recycled-queue pool keeps at most maxFreeQueues queues, each with
+// at most maxFreeQueueCap bytes of capacity; a queue past either bound is
+// left to the garbage collector.
+const (
+	maxFreeQueues   = 64
+	maxFreeQueueCap = 64 << 10
+)
+
 // netStack is the kernel's loopback fabric.
 type netStack struct {
 	listeners map[int]*Socket // port → listening socket
+	// free holds the queues of connections no descriptor can reach any
+	// more, emptied, for the next connection to reuse.
+	free []*byteQueue
+}
+
+// queue returns an empty queue, recycled when the pool has one.
+func (n *netStack) queue() *byteQueue {
+	if k := len(n.free); k > 0 {
+		q := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return q
+	}
+	return &byteQueue{}
+}
+
+// pair builds a connection's two ends over two queues, owned by a and b
+// (nil for an end still in a listener's backlog).
+func (n *netStack) pair(a, b *Socket) (ca, cb *conn) {
+	a2b, b2a := n.queue(), n.queue()
+	ca = &conn{tx: a2b, rx: b2a, owner: a}
+	cb = &conn{tx: b2a, rx: a2b, owner: b}
+	ca.remote, cb.remote = cb, ca
+	return ca, cb
+}
+
+// release drops one descriptor's reference to s. Once no descriptor in
+// any process names either end of s's connection, nothing can reach its
+// queues: they go back to the pool, and both ends are detached so the
+// same queues can never be released twice.
+func (n *netStack) release(s *Socket) {
+	s.refs--
+	c := s.peer
+	if s.refs > 0 || c == nil {
+		return
+	}
+	// The far end must be accepted, unreferenced and still connected
+	// here (a socket that connected again left this connection behind).
+	r := c.remote
+	if r.owner == nil || r.owner.refs > 0 || r.owner.peer != r {
+		return
+	}
+	r.owner.peer, s.peer = nil, nil
+	c.owner, r.owner = nil, nil
+	for _, q := range [2]*byteQueue{c.tx, c.rx} {
+		if len(n.free) < maxFreeQueues && cap(q.buf) <= maxFreeQueueCap {
+			q.buf = q.buf[:0]
+			n.free = append(n.free, q)
+		}
+	}
 }
 
 func (k *Kernel) net() *netStack {
@@ -97,10 +167,7 @@ func (n *netStack) connect(s *Socket, port int) error {
 	if !ok || !l.listening {
 		return ErrRefused
 	}
-	a2b, b2a := &byteQueue{}, &byteQueue{}
-	client := &conn{tx: a2b, rx: b2a}
-	server := &conn{tx: b2a, rx: a2b}
-	client.remote, server.remote = server, client
+	client, server := n.pair(s, nil)
 	s.peer = client
 	l.backlog = append(l.backlog, server)
 	return nil
@@ -114,9 +181,15 @@ func (n *netStack) accept(l *Socket) (*Socket, error) {
 	if len(l.backlog) == 0 {
 		return nil, ErrWouldBlock
 	}
+	// Shift the backlog down rather than re-slicing its front away, so
+	// the next connect appends into the same array.
 	c := l.backlog[0]
-	l.backlog = l.backlog[1:]
-	return &Socket{Domain: l.Domain, Type: l.Type, peer: c}, nil
+	k := copy(l.backlog, l.backlog[1:])
+	l.backlog[k] = nil
+	l.backlog = l.backlog[:k]
+	s := &Socket{Domain: l.Domain, Type: l.Type, peer: c}
+	c.owner = s
+	return s, nil
 }
 
 func (s *Socket) send(b []byte) (int, error) {

@@ -102,9 +102,31 @@ func (p *Process) Mem() (snp.AccessContext, error) {
 // installFD registers an FD object and returns its number.
 func (p *Process) installFD(f *FD) int {
 	fd := p.nextFD
-	p.nextFD++
-	p.fds[fd] = f
+	p.placeFD(fd, f)
 	return fd
+}
+
+// placeFD puts f at descriptor number fd, replacing (without closing)
+// whatever was there, and keeps the socket reference counts in step.
+func (p *Process) placeFD(fd int, f *FD) {
+	if f.sock != nil {
+		f.sock.refs++
+	}
+	p.dropFD(fd)
+	p.fds[fd] = f
+	if fd >= p.nextFD {
+		p.nextFD = fd + 1
+	}
+}
+
+// dropFD removes descriptor fd, releasing its socket reference.
+func (p *Process) dropFD(fd int) {
+	if old, ok := p.fds[fd]; ok {
+		delete(p.fds, fd)
+		if old.sock != nil {
+			p.k.net().release(old.sock)
+		}
+	}
 }
 
 // Exited reports termination state.
@@ -198,7 +220,7 @@ func (p *Process) teardown() error {
 		p.as = nil
 	}
 	for fd := range p.fds {
-		delete(p.fds, fd)
+		p.dropFD(fd)
 	}
 	delete(p.k.procs, p.PID)
 	return nil

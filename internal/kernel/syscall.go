@@ -276,7 +276,7 @@ func (k *Kernel) Close(p *Process, fd int) error {
 	if f.pipe != nil {
 		f.pipe.closed = true
 	}
-	delete(p.fds, fd)
+	p.dropFD(fd)
 	return nil
 }
 
@@ -360,7 +360,10 @@ func (k *Kernel) writeNoAudit(p *Process, fd int, buf []byte) (int, error) {
 		if f.Flags&OAppend != 0 {
 			f.off = f.ino.Size()
 		}
-		n := f.ino.WriteAt(buf, f.off)
+		n, err := f.ino.WriteAt(buf, f.off)
+		if err != nil {
+			return -1, err
+		}
 		f.off += int64(n)
 		k.chargeCopy(n)
 		return n, nil
@@ -393,7 +396,10 @@ func (k *Kernel) Pwrite(p *Process, fd int, buf []byte, off int64) (int, error) 
 	if !ok || f.ino == nil || !f.writable() {
 		return -1, ErrBadFD
 	}
-	n := f.ino.WriteAt(buf, off)
+	n, err := f.ino.WriteAt(buf, off)
+	if err != nil {
+		return -1, err
+	}
 	k.chargeCopy(n)
 	return n, nil
 }
@@ -628,10 +634,7 @@ func (k *Kernel) Dup2(p *Process, oldfd, newfd int) (int, error) {
 		return -1, ErrBadFD
 	}
 	cp := *f
-	p.fds[newfd] = &cp
-	if newfd >= p.nextFD {
-		p.nextFD = newfd + 1
-	}
+	p.placeFD(newfd, &cp)
 	return newfd, nil
 }
 
@@ -649,10 +652,7 @@ func (k *Kernel) Dup3(p *Process, oldfd, newfd, flags int) (int, error) {
 		return -1, ErrBadFD
 	}
 	cp := *f
-	p.fds[newfd] = &cp
-	if newfd >= p.nextFD {
-		p.nextFD = newfd + 1
-	}
+	p.placeFD(newfd, &cp)
 	return newfd, nil
 }
 
@@ -904,12 +904,9 @@ func (k *Kernel) Socketpair(p *Process, domain, typ int) (int, int, error) {
 	if err := k.enter(p, SysSocketpair, func(b []byte) []byte { return append(b, "socketpair"...) }); err != nil {
 		return -1, -1, err
 	}
-	a2b, b2a := &byteQueue{}, &byteQueue{}
-	ca := &conn{tx: a2b, rx: b2a}
-	cb := &conn{tx: b2a, rx: a2b}
-	ca.remote, cb.remote = cb, ca
-	sa := &Socket{Domain: domain, Type: typ, peer: ca}
-	sb := &Socket{Domain: domain, Type: typ, peer: cb}
+	sa := &Socket{Domain: domain, Type: typ}
+	sb := &Socket{Domain: domain, Type: typ}
+	sa.peer, sb.peer = k.net().pair(sa, sb)
 	return p.installFD(&FD{Path: "socket:pair", sock: sa}),
 		p.installFD(&FD{Path: "socket:pair", sock: sb}), nil
 }
@@ -950,10 +947,7 @@ func (k *Kernel) Fork(p *Process) (*Process, error) {
 	child := k.Spawn(p.Name)
 	for fd, f := range p.fds {
 		cp := *f
-		child.fds[fd] = &cp
-		if fd >= child.nextFD {
-			child.nextFD = fd + 1
-		}
+		child.placeFD(fd, &cp)
 	}
 	child.UID = p.UID
 	k.m.Clock().Charge(snp.CostContextSwitch, snp.CyclesContextSwitch)

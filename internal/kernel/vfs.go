@@ -36,7 +36,13 @@ var (
 	ErrInval    = errors.New("invalid argument")
 	ErrBadFD    = errors.New("bad file descriptor")
 	ErrLoop     = errors.New("too many levels of symbolic links")
+	ErrFBig     = errors.New("file too large")
 )
+
+// MaxFileSize bounds one file of the model disk. A write or truncate that
+// would grow a file past it fails with ErrFBig instead of allocating the
+// bytes: the file contents live in host memory.
+const MaxFileSize = 64 << 20
 
 // NewVFS creates an empty filesystem with a root directory and the
 // conventional top-level directories.
@@ -54,40 +60,50 @@ func NewVFS() *VFS {
 	return v
 }
 
-func splitPath(p string) []string {
-	p = path.Clean("/" + p)
-	if p == "/" {
-		return nil
+// cleanAbs returns p as a clean absolute path. An already-clean absolute
+// path comes back as it is, without allocating.
+func cleanAbs(p string) string {
+	if strings.HasPrefix(p, "/") {
+		return path.Clean(p)
 	}
-	return strings.Split(strings.TrimPrefix(p, "/"), "/")
+	return path.Clean("/" + p)
 }
 
 // resolve walks to the inode for p, optionally following a trailing
-// symlink. depth guards against symlink loops.
+// symlink. depth guards against symlink loops. The walk steps through the
+// clean path's components in place; only a symlink builds a new path.
 func (v *VFS) resolve(p string, followLast bool, depth int) (*Inode, error) {
 	if depth > 8 {
 		return nil, fmt.Errorf("%s: %w", p, ErrLoop)
 	}
 	cur := v.root
-	parts := splitPath(p)
-	for i, part := range parts {
+	c := cleanAbs(p)
+	for start := 1; start < len(c); {
+		end := strings.IndexByte(c[start:], '/')
+		last := end < 0
+		if last {
+			end = len(c)
+		} else {
+			end += start
+		}
 		if !cur.Dir {
 			return nil, fmt.Errorf("%s: %w", p, ErrNotDir)
 		}
-		child, ok := cur.Children[part]
+		child, ok := cur.Children[c[start:end]]
 		if !ok {
 			return nil, fmt.Errorf("%s: %w", p, ErrNotExist)
 		}
-		last := i == len(parts)-1
 		if child.Symlink != "" && (!last || followLast) {
+			// c[:start] is the directory holding the link, c[end:] the
+			// components after it.
 			target := child.Symlink
 			if !strings.HasPrefix(target, "/") {
-				target = path.Join("/", path.Join(append(parts[:i:i], target)...))
+				target = path.Join(c[:start], target)
 			}
-			rest := path.Join(parts[i+1:]...)
-			return v.resolve(path.Join(target, rest), followLast, depth+1)
+			return v.resolve(path.Join(target, c[end:]), followLast, depth+1)
 		}
 		cur = child
+		start = end + 1
 	}
 	return cur, nil
 }
@@ -97,11 +113,15 @@ func (v *VFS) Lookup(p string) (*Inode, error) { return v.resolve(p, true, 0) }
 
 // lookupParent returns the parent directory and final name component.
 func (v *VFS) lookupParent(p string) (*Inode, string, error) {
-	parts := splitPath(p)
-	if len(parts) == 0 {
+	c := cleanAbs(p)
+	if c == "/" {
 		return nil, "", fmt.Errorf("%s: %w", p, ErrInval)
 	}
-	dirPath := "/" + strings.Join(parts[:len(parts)-1], "/")
+	slash := strings.LastIndexByte(c, '/')
+	dirPath := c[:slash]
+	if slash == 0 {
+		dirPath = "/"
+	}
 	dir, err := v.resolve(dirPath, true, 0)
 	if err != nil {
 		return nil, "", err
@@ -109,7 +129,7 @@ func (v *VFS) lookupParent(p string) (*Inode, string, error) {
 	if !dir.Dir {
 		return nil, "", fmt.Errorf("%s: %w", dirPath, ErrNotDir)
 	}
-	return dir, parts[len(parts)-1], nil
+	return dir, c[slash+1:], nil
 }
 
 // Create makes a regular file, failing if it exists and excl is set.
@@ -254,6 +274,9 @@ func (i *Inode) Truncate(size int64) error {
 	if size < 0 {
 		return ErrInval
 	}
+	if size > MaxFileSize {
+		return fmt.Errorf("%s: %w", i.Name, ErrFBig)
+	}
 	if int64(len(i.Data)) >= size {
 		i.Data = i.Data[:size]
 		return nil
@@ -270,15 +293,19 @@ func (i *Inode) ReadAt(buf []byte, off int64) int {
 	return copy(buf, i.Data[off:])
 }
 
-// WriteAt writes buf at off, growing the file as needed.
-func (i *Inode) WriteAt(buf []byte, off int64) int {
+// WriteAt writes buf at off, growing the file as needed, up to
+// MaxFileSize.
+func (i *Inode) WriteAt(buf []byte, off int64) (int, error) {
 	if i.Dir || off < 0 {
-		return 0
+		return 0, nil
+	}
+	if off > MaxFileSize-int64(len(buf)) {
+		return 0, fmt.Errorf("%s: %w", i.Name, ErrFBig)
 	}
 	if need := off + int64(len(buf)); need > int64(len(i.Data)) {
 		i.Data = append(i.Data, make([]byte, need-int64(len(i.Data)))...)
 	}
-	return copy(i.Data[off:], buf)
+	return copy(i.Data[off:], buf), nil
 }
 
 // Size returns the file length.

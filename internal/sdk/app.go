@@ -33,6 +33,11 @@ type AppRuntime struct {
 	frames map[uint64]uint64
 	// threadGHCBs tracks per-thread GHCB frames for teardown.
 	threadGHCBs []uint64
+	// stage is the OCALL server's one staging buffer, at most stageLimit
+	// bytes: readStage copies staged bytes into it and the read-style
+	// calls fill it from the kernel. A slice of it is valid only until
+	// the next stage read.
+	stage []byte
 }
 
 var tokenCounter uint32
@@ -258,11 +263,33 @@ func (a *AppRuntime) Enclave() *EnclaveRuntime { return a.enclave }
 
 // --- the OCALL server ---
 
-func (a *AppRuntime) readStage(off, n uint64) ([]byte, error) {
-	if off < stageOff || off+n > SharedLen {
+// inStage reports whether [off, off+n) lies inside the staging area. The
+// bound is written so that no n, however large, can wrap it.
+func inStage(off, n uint64) bool {
+	return off >= stageOff && off <= SharedLen && n <= SharedLen-off
+}
+
+// stageBuf returns n bytes of the server's staging buffer to hold the
+// staged range [off, off+n), or EINVAL if the range leaves the staging
+// area (so n never exceeds stageLimit). The slice is valid only until the
+// next stage read.
+func (a *AppRuntime) stageBuf(off, n uint64) ([]byte, error) {
+	if !inStage(off, n) {
 		return nil, kernel.ErrInval
 	}
-	buf := make([]byte, n)
+	if a.stage == nil {
+		a.stage = make([]byte, stageLimit)
+	}
+	return a.stage[:n], nil
+}
+
+// readStage copies the staged bytes at [off, off+n) into the staging
+// buffer and returns them.
+func (a *AppRuntime) readStage(off, n uint64) ([]byte, error) {
+	buf, err := a.stageBuf(off, n)
+	if err != nil {
+		return nil, err
+	}
 	if err := a.mem.Read(a.sharedVirt+off, buf); err != nil {
 		return nil, err
 	}
@@ -270,10 +297,20 @@ func (a *AppRuntime) readStage(off, n uint64) ([]byte, error) {
 }
 
 func (a *AppRuntime) writeStage(off uint64, b []byte) error {
-	if off < stageOff || off+uint64(len(b)) > SharedLen {
+	if !inStage(off, uint64(len(b))) {
 		return kernel.ErrInval
 	}
 	return a.mem.Write(a.sharedVirt+off, b)
+}
+
+// ocallArity gives, for each call dispatch serves, how many descriptor
+// slots it reads. A request with fewer is refused with EINVAL before any
+// slot is read; numbers not listed fall through to dispatch's ENOSYS.
+var ocallArity = map[uint64]int{
+	sysPageIn: 1, sysBatch: 1,
+	0: 3, 1: 3, 2: 3, 3: 1, 4: 2, 5: 2, 8: 3, 9: 3, 10: 3, 11: 1,
+	17: 4, 18: 4, 24: 0, 39: 0, 41: 2, 42: 2, 43: 1, 44: 3, 45: 3,
+	49: 2, 50: 2, 76: 2, 77: 2, 82: 2, 83: 2, 87: 1, 96: 1,
 }
 
 // ServeOcall handles one redirected syscall: the Dom-UNT entry invoked when
@@ -305,19 +342,19 @@ func (a *AppRuntime) dispatch(sysno uint64, args []ocallArg) (uint64, uint64) {
 		return string(b[:len(b)-1]), true // strip NUL
 	}
 
+	if need, ok := ocallArity[sysno]; ok && len(args) < need {
+		return fail(kernel.ErrInval)
+	}
 	switch sysno {
 	case sysPageIn: // collaborative demand paging (§6.2)
-		if len(args) < 1 {
-			return ^uint64(0), 22
-		}
 		return 0, a.servePageIn(args[0].val)
 	case sysBatch: // exitless batch flush (§10)
-		if len(args) < 1 {
-			return ^uint64(0), 22
-		}
 		return a.serveBatch(args[0].val)
 	case 0: // read
-		buf := make([]byte, args[2].val)
+		buf, err := a.stageBuf(args[1].stage, args[2].val)
+		if err != nil {
+			return fail(err)
+		}
 		n, err := k.Read(p, int(args[0].val), buf)
 		if err != nil {
 			return fail(err)
@@ -366,7 +403,11 @@ func (a *AppRuntime) dispatch(sysno uint64, args []ocallArg) (uint64, uint64) {
 		if err != nil {
 			return fail(err)
 		}
-		sb := make([]byte, args[1].length)
+		sb, err := a.stageBuf(args[1].stage, args[1].length)
+		if err != nil {
+			return fail(err)
+		}
+		clear(sb)
 		if len(sb) >= 24 {
 			binary.LittleEndian.PutUint64(sb[0:], uint64(fi.Size))
 			binary.LittleEndian.PutUint32(sb[8:], fi.Mode)
@@ -402,7 +443,10 @@ func (a *AppRuntime) dispatch(sysno uint64, args []ocallArg) (uint64, uint64) {
 		}
 		return okv(0)
 	case 17: // pread64
-		buf := make([]byte, args[2].val)
+		buf, err := a.stageBuf(args[1].stage, args[2].val)
+		if err != nil {
+			return fail(err)
+		}
 		n, err := k.Pread(p, int(args[0].val), buf, int64(args[3].val))
 		if err != nil {
 			return fail(err)
@@ -459,7 +503,10 @@ func (a *AppRuntime) dispatch(sysno uint64, args []ocallArg) (uint64, uint64) {
 		}
 		return okv(uint64(n))
 	case 45: // recvfrom
-		buf := make([]byte, args[2].val)
+		buf, err := a.stageBuf(args[1].stage, args[2].val)
+		if err != nil {
+			return fail(err)
+		}
 		n, err := k.Recvfrom(p, int(args[0].val), buf)
 		if err != nil {
 			return fail(err)
@@ -527,10 +574,10 @@ func (a *AppRuntime) dispatch(sysno uint64, args []ocallArg) (uint64, uint64) {
 		return okv(0)
 	case 96: // gettimeofday
 		ns := k.Gettime(p)
-		tv := make([]byte, 16)
+		var tv [16]byte
 		binary.LittleEndian.PutUint64(tv[0:], ns/1_000_000_000)
 		binary.LittleEndian.PutUint64(tv[8:], (ns%1_000_000_000)/1000)
-		if err := a.writeStage(args[0].stage, tv); err != nil {
+		if err := a.writeStage(args[0].stage, tv[:]); err != nil {
 			return fail(err)
 		}
 		return okv(0)

@@ -148,7 +148,8 @@ func (b *Batch) Flush() (int, error) {
 	return int(done), errFor(errno)
 }
 
-// serveBatch replays a flushed batch on the application side.
+// serveBatch replays a flushed batch on the application side. The blob,
+// and so every replayed call's data, is the server's staging buffer.
 func (a *AppRuntime) serveBatch(blobLen uint64) (uint64, uint64) {
 	blob, err := a.readStage(stageOff, blobLen)
 	if err != nil {
@@ -212,7 +213,9 @@ func (a *AppRuntime) serveBatch(blobLen uint64) (uint64, uint64) {
 	return done, firstErrno
 }
 
-// replayBatched executes one deferred call against the kernel.
+// replayBatched executes one deferred call against the kernel. Its data
+// slices alias the staging buffer serveBatch holds, so it must never read
+// the stage: a stage read would overwrite the calls still to be replayed.
 func (a *AppRuntime) replayBatched(sysno uint64, args []uint64, data [][]byte) uint64 {
 	k, p := a.C.K, a.P
 	switch sysno {

@@ -308,13 +308,13 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 	}
 	if errno == 0 {
 		// Copy outputs back into enclave memory.
-		for _, i := range spec.OutArgs() {
+		for i, as := range spec.Args {
 			a := args[i]
-			if a.Buf == nil {
+			if !as.CopiesOut() || a.Buf == nil {
 				continue
 			}
 			n := slots[i].length
-			if spec.Args[i].Kind == sanitizer.Buffer && ret < n {
+			if as.Kind == sanitizer.Buffer && ret < n {
 				n = ret // read-style calls fill only ret bytes
 			}
 			if n > uint64(len(a.Buf)) {

@@ -89,15 +89,27 @@ func (cs CallSpec) effectiveLen(i int, args []Arg) int {
 	return 0
 }
 
+// CopiesIn reports whether the argument is deep-copied out of the
+// enclave into shared memory before the call.
+func (as ArgSpec) CopiesIn() bool {
+	return as.Kind == Path ||
+		((as.Kind == Buffer || as.Kind == StructPtr || as.Kind == IOVec) &&
+			(as.Dir == In || as.Dir == InOut))
+}
+
+// CopiesOut reports whether the argument is copied back into the enclave
+// after the call.
+func (as ArgSpec) CopiesOut() bool {
+	return (as.Kind == Buffer || as.Kind == StructPtr || as.Kind == IOVec) &&
+		(as.Dir == Out || as.Dir == InOut)
+}
+
 // CopyInBytes is the number of bytes that must be deep-copied out of the
 // enclave into shared memory before the call.
 func (cs CallSpec) CopyInBytes(args []Arg) int {
 	total := 0
 	for i, as := range cs.Args {
-		crosses := as.Kind == Path ||
-			((as.Kind == Buffer || as.Kind == StructPtr || as.Kind == IOVec) &&
-				(as.Dir == In || as.Dir == InOut))
-		if crosses {
+		if as.CopiesIn() {
 			total += cs.effectiveLen(i, args)
 		}
 	}
@@ -109,38 +121,11 @@ func (cs CallSpec) CopyInBytes(args []Arg) int {
 func (cs CallSpec) CopyOutBytes(args []Arg) int {
 	total := 0
 	for i, as := range cs.Args {
-		if as.Kind == Path {
-			continue
-		}
-		if as.Dir == Out || as.Dir == InOut {
+		if as.CopiesOut() {
 			total += cs.effectiveLen(i, args)
 		}
 	}
 	return total
-}
-
-// InArgs returns the indices of arguments copied out of the enclave.
-func (cs CallSpec) InArgs() []int {
-	var out []int
-	for i, as := range cs.Args {
-		if as.Kind == Path || ((as.Kind == Buffer || as.Kind == StructPtr || as.Kind == IOVec) &&
-			(as.Dir == In || as.Dir == InOut)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// OutArgs returns the indices of arguments copied back into the enclave.
-func (cs CallSpec) OutArgs() []int {
-	var out []int
-	for i, as := range cs.Args {
-		if as.Kind != Path && (as.Dir == Out || as.Dir == InOut) &&
-			(as.Kind == Buffer || as.Kind == StructPtr || as.Kind == IOVec) {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // CheckRet applies the IAGO return check for the call's successful

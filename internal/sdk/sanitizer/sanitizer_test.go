@@ -66,11 +66,13 @@ func TestReadSpecDirections(t *testing.T) {
 	if cs.CopyOutBytes(args) != 100 {
 		t.Fatalf("CopyOutBytes = %d", cs.CopyOutBytes(args))
 	}
-	if in := cs.InArgs(); len(in) != 0 {
-		t.Fatalf("InArgs = %v", in)
-	}
-	if out := cs.OutArgs(); len(out) != 1 || out[0] != 1 {
-		t.Fatalf("OutArgs = %v", out)
+	for i, as := range cs.Args {
+		if as.CopiesIn() {
+			t.Fatalf("read arg %d (%s) copies in", i, as.Name)
+		}
+		if got, want := as.CopiesOut(), i == 1; got != want {
+			t.Fatalf("read arg %d (%s) CopiesOut = %v, want %v", i, as.Name, got, want)
+		}
 	}
 }
 

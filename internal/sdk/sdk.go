@@ -193,6 +193,7 @@ var errnoTable = []struct {
 	{20, kernel.ErrNotDir},
 	{21, kernel.ErrIsDir},
 	{22, kernel.ErrInval},
+	{27, kernel.ErrFBig},
 	{32, kernel.ErrClosed},
 	{39, kernel.ErrNotEmpty},
 	{40, kernel.ErrLoop},
