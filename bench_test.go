@@ -73,7 +73,7 @@ func BenchmarkModuleLoad(b *testing.B) {
 // Table 3 parameters; paper band: 3.3–7.1×).
 func BenchmarkFig4Syscalls(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig4(2000)
+		rows, _, err := bench.Fig4Attr(2000)
 		if err != nil {
 			b.Fatal(err)
 		}

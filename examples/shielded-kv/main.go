@@ -2,6 +2,8 @@
 // enclave. The OS hosts and schedules it — and serves its redirected
 // syscalls — but can neither read its memory nor tamper with its layout.
 // The remote user verifies the enclave measurement before trusting it.
+// Between two entries the OS evicts the page holding the table, and the
+// enclave's next touch pages it back in (§6.2 demand paging).
 //
 //	go run ./examples/shielded-kv
 package main
@@ -11,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log"
+	"sort"
 	"strings"
 
 	"veil/internal/core"
@@ -20,11 +23,21 @@ import (
 	"veil/internal/snp"
 )
 
-// kvProgram is the enclave: it keeps its table in enclave memory and
-// persists an (encrypted-at-the-paper-level-by-VMPL) snapshot through the
-// redirected syscall interface.
+// tablePage is the enclave page that holds the table between entries: the
+// first page of the region's upper half, above the image.
+func tablePage(base, length uint64) uint64 { return base + length/2 }
+
+// kvProgram is the enclave: it keeps its table in enclave memory, where it
+// survives from one entry to the next, and persists an
+// (encrypted-at-the-paper-level-by-VMPL) snapshot through the redirected
+// syscall interface.
 func kvProgram(lc sdk.Libc, args []string) int {
-	table := map[string]string{}
+	er := lc.(*sdk.EnclaveRuntime)
+	page := tablePage(er.View().Base, er.View().Length)
+	table, err := loadTable(er, page)
+	if err != nil {
+		return -1
+	}
 	for _, op := range args {
 		switch {
 		case strings.HasPrefix(op, "put:"):
@@ -33,6 +46,9 @@ func kvProgram(lc sdk.Libc, args []string) int {
 		case strings.HasPrefix(op, "get:"):
 			lc.Print(fmt.Sprintf("%s=%s\n", op[4:], table[op[4:]]))
 		}
+	}
+	if err := storeTable(er, page, table); err != nil {
+		return -1
 	}
 	// Persist a snapshot via the untrusted OS (contents chosen by the
 	// enclave; a real deployment would seal them first).
@@ -45,6 +61,50 @@ func kvProgram(lc sdk.Libc, args []string) int {
 	}
 	lc.Close(f)
 	return len(table)
+}
+
+// storeTable writes the table to enclave memory at page as a u32 length
+// and sorted "key=value\n" lines.
+func storeTable(er *sdk.EnclaveRuntime, page uint64, table map[string]string) error {
+	keys := make([]string, 0, len(table))
+	for k := range table {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var body []byte
+	for _, k := range keys {
+		body = append(body, k+"="+table[k]+"\n"...)
+	}
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	if len(buf)+len(body) > snp.PageSize {
+		return fmt.Errorf("table outgrew its page")
+	}
+	return er.WriteMem(page, append(buf, body...))
+}
+
+// loadTable reads the table storeTable left at page. A page the enclave
+// never wrote is zero, which reads as an empty table. If the OS evicted
+// the page, ReadMem pages it back in first.
+func loadTable(er *sdk.EnclaveRuntime, page uint64) (map[string]string, error) {
+	var n [4]byte
+	if err := er.ReadMem(page, n[:]); err != nil {
+		return nil, err
+	}
+	size := binary.LittleEndian.Uint32(n[:])
+	if size > snp.PageSize-4 {
+		return nil, fmt.Errorf("table length %d overruns its page", size)
+	}
+	body := make([]byte, size)
+	if err := er.ReadMem(page+4, body); err != nil {
+		return nil, err
+	}
+	table := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
+		if k, v, ok := strings.Cut(line, "="); ok {
+			table[k] = v
+		}
+	}
+	return table, nil
 }
 
 func main() {
@@ -92,6 +152,20 @@ func main() {
 	}
 	fmt.Printf("enclave stored %d entries (%d exits for redirected syscalls)\n",
 		n, app.Enclave().Exits())
+
+	// Memory pressure: the OS evicts the page holding the table. VeilS-Enc
+	// seals it first, so the swap file holds only ciphertext.
+	view := app.Enclave().View()
+	if err := app.EvictPage(tablePage(view.Base, view.Length)); err != nil {
+		log.Fatal(err)
+	}
+	exits := app.Enclave().Exits()
+	n, err = app.Enter("put:carol=3", "get:bob")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("after eviction the enclave paged its table back in and holds %d entries (%d exits)\n",
+		n, app.Enclave().Exits()-exits)
 
 	// The OS can see the snapshot the enclave chose to write out...
 	snap, _ := c.K.VFS().Lookup("/data/kv.snapshot")

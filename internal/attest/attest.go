@@ -102,9 +102,10 @@ type Region struct {
 	Data []byte
 }
 
-// MeasureRegions computes a launch-style measurement over (address, data)
-// pairs; it matches the hypervisor's launch digest so that users can
-// precompute the expected value from the boot image they built (§5.1).
+// MeasureRegions computes the launch digest over (address, data) pairs: the
+// SHA-256 of each region's little-endian address followed by its contents.
+// hv.Launch records it for the boot image, and users precompute the
+// expected value from the boot image they built (§5.1).
 func MeasureRegions(regions []Region) [32]byte {
 	h := sha256.New()
 	for _, r := range regions {

@@ -193,7 +193,7 @@ func TestChannelOutOfOrderRejectedWithoutWindowAdvance(t *testing.T) {
 	if _, err := userCh.Open(second); err == nil {
 		t.Fatal("out-of-order ciphertext accepted")
 	}
-	if got := userCh.RecvSeq(); got != 0 {
+	if got := userCh.recvSeq; got != 0 {
 		t.Fatalf("failed Open advanced recvSeq to %d", got)
 	}
 	// ...so the true next message still opens, and then the deferred one.
@@ -219,7 +219,7 @@ func TestChannelReplayDoesNotAdvanceWindow(t *testing.T) {
 	if _, err := userCh.Open(s1); err == nil {
 		t.Fatal("replay accepted")
 	}
-	if got := userCh.RecvSeq(); got != 1 {
+	if got := userCh.recvSeq; got != 1 {
 		t.Fatalf("replayed Open moved recvSeq to %d", got)
 	}
 	if got, err := userCh.Open(s2); err != nil || string(got) != "two" {
@@ -239,7 +239,7 @@ func TestChannelSendCounterOverflowGuard(t *testing.T) {
 	if _, err := monCh.Seal([]byte("past")); !errors.Is(err, ErrChannelExhausted) {
 		t.Fatalf("seal past 2^63 returned %v, want ErrChannelExhausted", err)
 	}
-	if got := monCh.SendSeq(); got != maxSeq {
+	if got := monCh.sendSeq; got != maxSeq {
 		t.Fatalf("refused Seal consumed a sequence number: %d", got)
 	}
 }
@@ -263,7 +263,7 @@ func TestChannelAADBindsHeader(t *testing.T) {
 	if _, err := userCh.OpenAAD(nil, sealed, bad); err == nil {
 		t.Fatal("doctored AAD accepted")
 	}
-	if got := userCh.RecvSeq(); got != 0 {
+	if got := userCh.recvSeq; got != 0 {
 		t.Fatalf("refused OpenAAD moved recvSeq to %d", got)
 	}
 
@@ -347,7 +347,7 @@ func TestChannelRefusedOpenReusesBuffer(t *testing.T) {
 	if _, err := userCh.OpenAAD(buf, tampered, hdr); err == nil {
 		t.Fatal("tampered frame opened")
 	}
-	if got := userCh.RecvSeq(); got != 0 {
+	if got := userCh.recvSeq; got != 0 {
 		t.Fatalf("refused opens moved recvSeq to %d", got)
 	}
 	got, err := userCh.OpenAAD(buf, first, hdr)

@@ -158,11 +158,3 @@ func (c *Channel) OpenAAD(dst, sealed, aad []byte) ([]byte, error) {
 // Overhead is how many bytes a sealed message is longer than its
 // plaintext: the GCM tag.
 func (c *Channel) Overhead() int { return c.aead.Overhead() }
-
-// SendSeq returns the number of messages sealed so far (tests assert the
-// overflow guard consumes nothing).
-func (c *Channel) SendSeq() uint64 { return c.sendSeq }
-
-// RecvSeq returns the number of messages successfully opened so far (tests
-// assert failed Opens do not advance the window).
-func (c *Channel) RecvSeq() uint64 { return c.recvSeq }

@@ -32,7 +32,7 @@ func TestDomainSwitchMatchesPaper(t *testing.T) {
 }
 
 func TestFig4RatiosInPaperBand(t *testing.T) {
-	rows, err := Fig4(300)
+	rows, _, err := Fig4Attr(300)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,8 @@ import (
 	"unsafe"
 )
 
-// CLOCK_PROCESS_CPUTIME_ID / CLOCK_THREAD_CPUTIME_ID, nanosecond
-// resolution.
-const (
-	clockProcessCPUTimeID = 2
-	clockThreadCPUTimeID  = 3
-)
+// CLOCK_THREAD_CPUTIME_ID, nanosecond resolution.
+const clockThreadCPUTimeID = 3
 
 func cpuClock(id uintptr) float64 {
 	var ts syscall.Timespec
@@ -22,16 +18,12 @@ func cpuClock(id uintptr) float64 {
 	return float64(ts.Sec) + float64(ts.Nsec)/1e9
 }
 
-// hostSeconds returns the process's accumulated CPU seconds. The obs
-// overhead percentages are ratios of ~tens of milliseconds, and on a
-// co-tenant CI host wall clock charges the measured side for its
-// neighbours' load; CPU time does not, which is what makes the regression
-// gate on those percentages meaningful.
-func hostSeconds() float64 { return cpuClock(clockProcessCPUTimeID) }
-
 // threadSeconds returns the calling OS thread's accumulated CPU seconds.
 // Callers must hold runtime.LockOSThread so both samples of a window read
-// the same thread. This is the tightest clock available: unlike process
-// CPU time it excludes the runtime's background GC workers, whose cycles
-// would otherwise land on whichever measured side tripped a collection.
+// the same thread. The obs overhead percentages are ratios of ~tens of
+// milliseconds, and on a co-tenant CI host wall clock charges the measured
+// side for its neighbours' load; CPU time does not, which is what makes the
+// regression gate on those percentages meaningful. Unlike process CPU time
+// it also excludes the runtime's background GC workers, whose cycles would
+// otherwise land on whichever measured side tripped a collection.
 func threadSeconds() float64 { return cpuClock(clockThreadCPUTimeID) }

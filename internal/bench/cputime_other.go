@@ -2,10 +2,7 @@
 
 package bench
 
-// hostSeconds falls back to wall clock where per-process CPU time is not
-// wired up; the overhead percentages are then best-effort.
-func hostSeconds() float64 { return wallSeconds() }
-
-// threadSeconds falls back to wall clock (see cputime_linux.go for the
-// real implementation and the locking contract).
+// threadSeconds falls back to wall clock where per-thread CPU time is not
+// wired up; the overhead percentages are then best-effort (see
+// cputime_linux.go for the real implementation and the locking contract).
 func threadSeconds() float64 { return wallSeconds() }

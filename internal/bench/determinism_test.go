@@ -53,11 +53,11 @@ func TestSwitchCostDeterministic(t *testing.T) {
 }
 
 func TestFig4Deterministic(t *testing.T) {
-	a, err := Fig4(100)
+	a, _, err := Fig4Attr(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig4(100)
+	b, _, err := Fig4Attr(100)
 	if err != nil {
 		t.Fatal(err)
 	}

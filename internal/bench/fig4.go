@@ -168,16 +168,11 @@ func measureSyscalls(c *cvm.CVM, lc sdk.Libc, iters int, out map[string]uint64) 
 	return nil
 }
 
-// Fig4 regenerates Fig. 4 (enclave system call redirection cost, Table 3
-// parameters) with `iters` iterations per call (the paper uses 10,000).
-func Fig4(iters int) ([]Fig4Row, error) {
-	rows, _, err := Fig4Attr(iters)
-	return rows, err
-}
-
-// Fig4Attr is Fig4 plus the per-CostKind cycle attribution of the enclave
-// side of the experiment (everything measured inside app.Enter), sourced
-// from the enclave CVM's obs metrics registry.
+// Fig4Attr regenerates Fig. 4 (enclave system call redirection cost, Table 3
+// parameters) with `iters` iterations per call (the paper uses 10,000), plus
+// the per-CostKind cycle attribution of the enclave side of the experiment
+// (everything measured inside app.Enter), sourced from the enclave CVM's obs
+// metrics registry.
 func Fig4Attr(iters int) ([]Fig4Row, snp.Attribution, error) {
 	if iters <= 0 {
 		iters = 10000

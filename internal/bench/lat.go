@@ -7,7 +7,7 @@ import (
 	"veil/internal/obs"
 )
 
-// wallSeconds is the wall-clock fallback behind hostSeconds.
+// wallSeconds is the wall-clock fallback behind threadSeconds.
 func wallSeconds() float64 { return float64(time.Now().UnixNano()) / 1e9 }
 
 // median returns the middle value of xs (mean of the middle two for even

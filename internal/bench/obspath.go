@@ -46,8 +46,8 @@ const obsRingCap = 1 << 13
 
 // ObsPathResult captures the three runs. The cycle counts are
 // deterministic; the host-seconds fields (and the derived percentages)
-// are the only host-time values — process CPU seconds where available
-// (see hostSeconds), so co-tenant load does not masquerade as overhead.
+// are the only host-time values — thread CPU seconds where available
+// (see threadSeconds), so co-tenant load does not masquerade as overhead.
 type ObsPathResult struct {
 	Workload   string
 	Iterations int

@@ -46,13 +46,6 @@ func TestDefaultLayoutTooSmall(t *testing.T) {
 	}
 }
 
-func TestDomainVMPLMapping(t *testing.T) {
-	if DomainVMPL(DomMON) != snp.VMPL0 || DomainVMPL(DomSRV) != snp.VMPL1 ||
-		DomainVMPL(DomENC) != snp.VMPL2 || DomainVMPL(DomUNT) != snp.VMPL3 {
-		t.Fatal("domain→VMPL mapping")
-	}
-}
-
 func TestRegionSetSanitize(t *testing.T) {
 	var rs RegionSet
 	if err := rs.Add(0x1000, 0x3000, "mon"); err != nil {
@@ -98,8 +91,8 @@ func TestRegionSetRemove(t *testing.T) {
 	if err := rs.Sanitize(0x5000, 1); err == nil {
 		t.Fatal("remaining region unprotected")
 	}
-	if rs.Len() != 1 {
-		t.Fatalf("Len = %d", rs.Len())
+	if len(rs.regions) != 1 {
+		t.Fatalf("Len = %d", len(rs.regions))
 	}
 }
 

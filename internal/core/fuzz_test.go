@@ -59,3 +59,24 @@ func FuzzDecoder(f *testing.F) {
 		}
 	})
 }
+
+// bytes appends a u32 length and then v: a length-prefixed field, the
+// shape FuzzDecoder feeds the decoder's bounds checks.
+func (e *enc) bytes(v []byte) *enc {
+	e.u32(uint32(len(v)))
+	e.b = append(e.b, v...)
+	return e
+}
+
+// bytes reads a u32 length and then that many bytes, failing instead of
+// reading past the buffer whatever the length claims.
+func (d *dec) bytes() []byte {
+	n := int(d.u32())
+	if d.err != nil || n < 0 || d.off+n > len(d.b) {
+		d.fail()
+		return nil
+	}
+	v := d.b[d.off : d.off+n]
+	d.off += n
+	return v
+}

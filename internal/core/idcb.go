@@ -174,12 +174,6 @@ func (e *enc) u32(v uint32) *enc {
 
 func (e *enc) u8(v uint8) *enc { e.b = append(e.b, v); return e }
 
-func (e *enc) bytes(v []byte) *enc {
-	e.u32(uint32(len(v)))
-	e.b = append(e.b, v...)
-	return e
-}
-
 // dec is the matching decoder; it latches the first error.
 type dec struct {
 	b   []byte
@@ -214,17 +208,6 @@ func (d *dec) u8() uint8 {
 	}
 	v := d.b[d.off]
 	d.off++
-	return v
-}
-
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
 	return v
 }
 

@@ -16,11 +16,6 @@ const (
 	DomUNT = 3 // VMPL3 + CPL0/3: the operating system and its processes
 )
 
-// DomainVMPL maps a domain to its backing privilege level.
-func DomainVMPL(dom uint64) snp.VMPL {
-	return snp.VMPL(dom & 3)
-}
-
 // Layout fixes where everything lives in guest physical memory. The boot
 // image (monitor + services + kernel stub) occupies the front; the monitor
 // heap holds all trusted state (replica VMSAs, enclave page tables, the log

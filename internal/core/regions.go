@@ -119,6 +119,3 @@ func (rs *RegionSet) Sanitize(ptr, n uint64) error {
 	}
 	return nil
 }
-
-// Len reports how many regions are registered.
-func (rs *RegionSet) Len() int { return len(rs.regions) }

@@ -132,8 +132,8 @@ func driveRegionSets(t *testing.T, script []byte) {
 				t.Fatalf("Sanitize(%#x,%d) disagrees with Overlaps", ptr, n)
 			}
 		}
-		if got.Len() != len(want.regions) {
-			t.Fatalf("Len = %d, reference %d", got.Len(), len(want.regions))
+		if len(got.regions) != len(want.regions) {
+			t.Fatalf("Len = %d, reference %d", len(got.regions), len(want.regions))
 		}
 	}
 }

@@ -103,14 +103,11 @@ type CVM struct {
 	// TextLo/TextHi bound the synthetic kernel text VeilS-Kci protects.
 	TextLo, TextHi uint64
 
-	bootRegions []hv.LaunchRegion
+	bootRegions []attest.Region
 	// ocallByVCPU tracks the active OCALL server per VCPU (the SDK swaps
 	// it around each enclave entry, so concurrent enclaves never steal
-	// each other's redirected syscalls); ocallOverride, when set, takes
-	// precedence on every VCPU (attack tests use it to play a hostile
-	// application stub).
-	ocallByVCPU   map[int]func(vcpu int) error
-	ocallOverride func(vcpu int) error
+	// each other's redirected syscalls).
+	ocallByVCPU map[int]func(vcpu int) error
 
 	// intrNotify, when set, runs inside the Dom-UNT interrupt handler
 	// after the handler cost is charged — the SMP scheduler hangs its
@@ -240,8 +237,8 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 		VCPUs:        opts.VCPUs,
 		PreValidated: true,
 		Hooks:        stub,
-		// Dom-UNT entries on APs dispatch enclave OCALLs too, so
-		// multi-threaded enclaves can run on any VCPU (§7).
+		// Dom-UNT entries on APs take their interrupts and dispatch to
+		// the VCPU's OCALL server, as on the boot VCPU.
 		APService: func(vcpu int, dflt hv.Context) hv.Context {
 			return hv.ContextFunc(func(r hv.Reason) error {
 				switch r {
@@ -284,7 +281,7 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 		return c.KCI.Activate(text, data)
 	})
 
-	c.bootRegions = []hv.LaunchRegion{{Phys: lay.MonImage, Data: monitorImage(pub)}}
+	c.bootRegions = []attest.Region{{Phys: lay.MonImage, Data: monitorImage(pub)}}
 	boot := snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0, CPL: snp.CPL0}
 	if err := hyp.Launch(c.bootRegions, lay.BootVMSA, boot, core.DomMON, mon.BootContext()); err != nil {
 		return nil, fmt.Errorf("cvm: veil launch: %w", err)
@@ -377,7 +374,7 @@ func bootNative(opts Options, rng io.Reader) (*CVM, error) {
 	c.K = k
 	k.Modules().SetSigningKey(pub)
 
-	c.bootRegions = []hv.LaunchRegion{{Phys: imagePhys, Data: monitorImage(pub)}}
+	c.bootRegions = []attest.Region{{Phys: imagePhys, Data: monitorImage(pub)}}
 	boot := snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0, CPL: snp.CPL0}
 	if err := hyp.Launch(c.bootRegions, bootVMSA, boot, core.DomUNT, bootCtx); err != nil {
 		return nil, fmt.Errorf("cvm: native launch: %w", err)
@@ -391,18 +388,11 @@ func bootNative(opts Options, rng io.Reader) (*CVM, error) {
 
 // ExpectedMeasurement computes the launch digest a verifier would expect.
 func (c *CVM) ExpectedMeasurement() [32]byte {
-	regions := make([]attest.Region, len(c.bootRegions))
-	for i, r := range c.bootRegions {
-		regions[i] = attest.Region{Phys: r.Phys, Data: r.Data}
-	}
-	return attest.MeasureRegions(regions)
+	return attest.MeasureRegions(c.bootRegions)
 }
 
 // dispatchOcall routes a Dom-UNT service entry to the right application.
 func (c *CVM) dispatchOcall(vcpu int) error {
-	if c.ocallOverride != nil {
-		return c.ocallOverride(vcpu)
-	}
 	if c.ocallByVCPU != nil {
 		if fn := c.ocallByVCPU[vcpu]; fn != nil {
 			return fn(vcpu)
@@ -410,11 +400,6 @@ func (c *CVM) dispatchOcall(vcpu int) error {
 	}
 	return nil
 }
-
-// RegisterOcallServer installs a global Dom-UNT service entry that takes
-// precedence over per-VCPU servers (tests use it to model hostile
-// application stubs).
-func (c *CVM) RegisterOcallServer(fn func(vcpu int) error) { c.ocallOverride = fn }
 
 // SwapOcallServer installs the active OCALL server for one VCPU and
 // returns the previous one; the SDK brackets every enclave entry with it
@@ -464,16 +449,6 @@ func (c *CVM) DrainNetFrames() [][]byte {
 	clear(c.netRxDrained)
 	c.netRx, c.netRxDrained = c.netRxDrained[:0], out
 	return out
-}
-
-// Tick injects n timer interrupts on VCPU 0.
-func (c *CVM) Tick(n int) error {
-	for i := 0; i < n; i++ {
-		if err := c.HV.InjectInterrupt(0); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Veil reports whether this CVM runs the Veil framework.

@@ -154,14 +154,6 @@ func BootFleet(opts FleetOptions) (*Fleet, error) {
 	return f, nil
 }
 
-// Machine returns fleet member id (nil when out of range).
-func (f *Fleet) Machine(id int) *CVM {
-	if id < 0 || id >= len(f.CVMs) {
-		return nil
-	}
-	return f.CVMs[id]
-}
-
 // MachineStats is one machine's share of a fleet run.
 type MachineStats struct {
 	ID int

@@ -12,6 +12,7 @@ import (
 	"veil/internal/fabric"
 	"veil/internal/sched"
 	"veil/internal/services/chn"
+	"veil/internal/snp"
 )
 
 func testFleetOptions(machines int, seed int64) FleetOptions {
@@ -84,7 +85,7 @@ func fleetFingerprint(f *Fleet, stats FleetStats) string {
 		s += fmt.Sprintf("m%d cycles=%d idle=%d sched=%+v\n", m.ID, m.Cycles, m.IdleCycles, m.Sched)
 	}
 	for id, c := range f.CVMs {
-		s += fmt.Sprintf("m%d chn=%+v attr=%v\n", id, c.CHN.Stats(), c.M.Clock().Attribution().Map())
+		s += fmt.Sprintf("m%d chn=%+v attr=%v\n", id, c.CHN.Stats(), c.M.Clock().AttributionSince(snp.Clock{}).Map())
 	}
 	return s
 }

@@ -230,14 +230,6 @@ func (f *Fabric) Send(src, dst int, payload []byte, now uint64) error {
 	return nil
 }
 
-// Inject places an arbitrary frame directly on a destination queue — the
-// host forging traffic without any guest having sent it. Attack suites
-// only.
-func (f *Fabric) Inject(m Message) {
-	f.stats.Injected++
-	f.enqueue(m)
-}
-
 func (f *Fabric) enqueue(m Message) {
 	if m.Dst < 0 || m.Dst >= f.n {
 		return
@@ -307,23 +299,6 @@ func (f *Fabric) NextArrival(dst int) (uint64, bool) {
 		return 0, false
 	}
 	return f.queues[dst][0].Arrive, true
-}
-
-// Pending returns how many frames are queued for dst.
-func (f *Fabric) Pending(dst int) int {
-	if dst < 0 || dst >= f.n {
-		return 0
-	}
-	return len(f.queues[dst])
-}
-
-// InFlight returns the total queued frame count across all destinations.
-func (f *Fabric) InFlight() int {
-	total := 0
-	for _, q := range f.queues {
-		total += len(q)
-	}
-	return total
 }
 
 // Stats returns the fabric counters.

@@ -360,3 +360,27 @@ func TestPerLinkStatsAndAuxSources(t *testing.T) {
 		}
 	}
 }
+
+// Inject places an arbitrary frame directly on a destination queue: the
+// host forging traffic without any guest having sent it.
+func (f *Fabric) Inject(m Message) {
+	f.stats.Injected++
+	f.enqueue(m)
+}
+
+// Pending returns how many frames are queued for dst.
+func (f *Fabric) Pending(dst int) int {
+	if dst < 0 || dst >= f.n {
+		return 0
+	}
+	return len(f.queues[dst])
+}
+
+// InFlight returns the total queued frame count across all destinations.
+func (f *Fabric) InFlight() int {
+	total := 0
+	for _, q := range f.queues {
+		total += len(q)
+	}
+	return total
+}

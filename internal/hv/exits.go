@@ -321,13 +321,3 @@ func (h *Hypervisor) AttemptVMSATamper(vmsaPhys uint64) error {
 	evil := make([]byte, 8) // would-be rip overwrite
 	return h.m.HVWritePhys(vmsaPhys, evil)
 }
-
-// AttemptMemoryRead is the classic direct attack: the host reads guest
-// memory. Blocked for assigned pages.
-func (h *Hypervisor) AttemptMemoryRead(phys uint64, n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if err := h.m.HVReadPhys(phys, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}

@@ -213,9 +213,3 @@ func New(m *snp.Machine, psp AttestationSigner) *Hypervisor {
 		ghcbPolicy: make(map[uint64]map[DomainTag]bool),
 	}
 }
-
-// Machine returns the underlying machine (the host owns the hardware).
-func (h *Hypervisor) Machine() *snp.Machine { return h.m }
-
-// Measurement returns the launch digest recorded at Launch.
-func (h *Hypervisor) Measurement() [32]byte { return h.measurement }

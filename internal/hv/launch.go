@@ -1,42 +1,29 @@
 package hv
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 
+	"veil/internal/attest"
 	"veil/internal/snp"
 )
 
-// LaunchRegion is one measured piece of the CVM boot image: data placed at
-// a fixed guest-physical address before the guest runs.
-type LaunchRegion struct {
-	Phys uint64
-	Data []byte
-}
-
-// Launch boots the CVM: it loads and measures the boot-image regions (the
-// SHA-256 over addresses and contents is the launch digest later attested
-// to remote users, §5.1), creates the boot VCPU's VMSA — which the
-// architecture pins at VMPL0, so under Veil the entry context is VeilMon,
-// not the kernel — and synchronously runs the boot context.
+// Launch boots the CVM: it loads the boot-image regions and records their
+// attest.MeasureRegions digest, the one later attested to remote users
+// (§5.1); creates the boot VCPU's VMSA — which the architecture pins at
+// VMPL0, so under Veil the entry context is VeilMon, not the kernel — and
+// synchronously runs the boot context.
 //
 // bootTag registers the boot context for subsequent domain switches.
-func (h *Hypervisor) Launch(regions []LaunchRegion, bootVMSAPhys uint64, boot snp.VMSA, bootTag DomainTag, ctx Context) error {
+func (h *Hypervisor) Launch(regions []attest.Region, bootVMSAPhys uint64, boot snp.VMSA, bootTag DomainTag, ctx Context) error {
 	if h.launched {
 		return fmt.Errorf("hv: CVM already launched")
 	}
-	hash := sha256.New()
 	for _, r := range regions {
-		var addr [8]byte
-		binary.LittleEndian.PutUint64(addr[:], r.Phys)
-		hash.Write(addr[:])
-		hash.Write(r.Data)
 		if err := h.m.LaunchLoad(r.Phys, r.Data); err != nil {
 			return fmt.Errorf("hv: launch load at %#x: %w", r.Phys, err)
 		}
 	}
-	copy(h.measurement[:], hash.Sum(nil))
+	h.measurement = attest.MeasureRegions(regions)
 
 	boot.VMPL = snp.VMPL0
 	if err := h.m.HVCreateBootVMSA(bootVMSAPhys, boot); err != nil {

@@ -46,14 +46,5 @@ type pipeEnd struct {
 	closed   bool
 }
 
-// Inode returns the backing inode for a file FD (nil otherwise).
-func (f *FD) Inode() *Inode { return f.ino }
-
-// Socket returns the backing socket for a socket FD (nil otherwise).
-func (f *FD) Socket() *Socket { return f.sock }
-
-// Offset returns the current file offset.
-func (f *FD) Offset() int64 { return f.off }
-
 func (f *FD) readable() bool { return f.Flags&0x3 != OWronly }
 func (f *FD) writable() bool { return f.Flags&0x3 != ORdonly }

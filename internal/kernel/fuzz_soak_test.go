@@ -87,19 +87,19 @@ func TestRandomSyscallSoak(t *testing.T) {
 		case 13:
 			k.SchedYield(p)
 		}
-		if k.Machine().Halted() != nil {
-			t.Fatalf("step %d: machine halted: %v", step, k.Machine().Halted())
+		if k.m.Halted() != nil {
+			t.Fatalf("step %d: machine halted: %v", step, k.m.Halted())
 		}
 	}
 
 	// Teardown must succeed and release everything the soak acquired.
-	free := k.alloc.FreePages()
+	free := freeFrames(k)
 	for _, p := range procs {
 		if err := k.Exit(p, 0); err != nil {
 			t.Fatalf("exit: %v", err)
 		}
 	}
-	if k.alloc.FreePages() < free {
+	if freeFrames(k) < free {
 		t.Fatal("soak leaked frames past exit")
 	}
 }

@@ -127,15 +127,6 @@ func New(m *snp.Machine, hyp *hv.Hypervisor, cfg Config) (*Kernel, error) {
 	return k, nil
 }
 
-// Machine returns the underlying machine.
-func (k *Kernel) Machine() *snp.Machine { return k.m }
-
-// Hypervisor returns the host interface.
-func (k *Kernel) Hypervisor() *hv.Hypervisor { return k.hv }
-
-// VMPL returns the privilege level the kernel executes at.
-func (k *Kernel) VMPL() snp.VMPL { return k.cfg.VMPL }
-
 // VFS returns the filesystem (tests and workload setup use it directly).
 func (k *Kernel) VFS() *VFS { return k.vfs }
 
@@ -275,9 +266,6 @@ func (k *Kernel) bootAP(id int) error {
 	g := &snp.GHCB{ExitCode: hv.ExitStartVCPU, ExitInfo1: frame}
 	return k.guestCall(0, g)
 }
-
-// APsOnline reports how many application processors completed boot.
-func (k *Kernel) APsOnline() int { return k.apOnline }
 
 // AllocFrame allocates one physical frame, accepting (validating) it first
 // if needed. Acceptance is the delegated path under Veil. A frame that was

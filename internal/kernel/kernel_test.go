@@ -51,8 +51,8 @@ func newNativeKernel(t *testing.T, vcpus int) *Kernel {
 
 func TestKernelBootAndAPs(t *testing.T) {
 	k := newNativeKernel(t, 4)
-	if k.APsOnline() != 3 {
-		t.Fatalf("APs online = %d, want 3", k.APsOnline())
+	if k.apOnline != 3 {
+		t.Fatalf("APs online = %d, want 3", k.apOnline)
 	}
 	if err := k.Boot(); err == nil {
 		t.Fatal("double boot accepted")
@@ -367,7 +367,7 @@ func TestForkAndExit(t *testing.T) {
 	if err := k.Exit(child, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := k.Process(child.PID); ok {
+	if _, ok := k.procs[child.PID]; ok {
 		t.Fatal("exited process still registered")
 	}
 	// The parent's FD still works.
@@ -376,9 +376,44 @@ func TestForkAndExit(t *testing.T) {
 	}
 }
 
+// freeFrames counts the kernel pool's free frames by taking every one and
+// handing them back in reverse, which restores the pool's order exactly.
+func freeFrames(k *Kernel) int {
+	var taken []uint64
+	for {
+		p, err := k.alloc.Alloc()
+		if err != nil {
+			break
+		}
+		taken = append(taken, p)
+	}
+	for i := len(taken) - 1; i >= 0; i-- {
+		k.alloc.Free(taken[i])
+	}
+	return len(taken)
+}
+
+// TestFailedMmapReturnsItsFrames: an mmap larger than free memory fails,
+// and the frames it took before running out go back to the pool rather
+// than staying mapped and unrecorded, where even exit cannot free them.
+func TestFailedMmapReturnsItsFrames(t *testing.T) {
+	k := newNativeKernel(t, 1)
+	free := freeFrames(k)
+	p := k.Spawn("big")
+	if _, err := k.Mmap(p, uint64(free+1)*snp.PageSize, ProtRead|ProtWrite); err == nil {
+		t.Fatal("mmap larger than free memory succeeded")
+	}
+	if err := k.Exit(p, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := freeFrames(k); got != free {
+		t.Fatalf("leaked frames: %d → %d", free, got)
+	}
+}
+
 func TestExitReleasesMemory(t *testing.T) {
 	k := newNativeKernel(t, 1)
-	free := k.alloc.FreePages()
+	free := freeFrames(k)
 	p := k.Spawn("test")
 	if _, err := k.Mmap(p, 8*snp.PageSize, ProtRead|ProtWrite); err != nil {
 		t.Fatal(err)
@@ -386,7 +421,7 @@ func TestExitReleasesMemory(t *testing.T) {
 	if err := k.Exit(p, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := k.alloc.FreePages(); got != free {
+	if got := freeFrames(k); got != free {
 		t.Fatalf("leaked frames: %d → %d", free, got)
 	}
 }
@@ -545,7 +580,7 @@ func TestNativeModuleLoadExecUnload(t *testing.T) {
 	if err := k.Modules().Unload(lm.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := k.Modules().Loaded(lm.ID); ok {
+	if _, ok := k.mods.loaded[lm.ID]; ok {
 		t.Fatal("module still loaded")
 	}
 }
@@ -559,11 +594,11 @@ func TestNativeModuleBadSignatureRejected(t *testing.T) {
 		t.Fatalf("load = %v, want ErrSignature", err)
 	}
 	// No frames leaked.
-	free := k.alloc.FreePages()
+	free := freeFrames(k)
 	if _, err := k.Modules().Load(image); err == nil {
 		t.Fatal("second load accepted")
 	}
-	if k.alloc.FreePages() != free {
+	if freeFrames(k) != free {
 		t.Fatal("frames leaked on failed load")
 	}
 }
@@ -703,6 +738,9 @@ func TestPhysAllocatorExhaustionAndReuse(t *testing.T) {
 	}
 }
 
+// TestAddressSpaceMapUnmapProtect checks each page-table edit through the
+// walker: a mapped page reaches its frame, a protected one refuses writes,
+// an unmapped one faults.
 func TestAddressSpaceMapUnmapProtect(t *testing.T) {
 	k := newNativeKernel(t, 1)
 	as, err := mm.NewAddressSpace(k.m, snp.VMPL0, k)
@@ -717,26 +755,29 @@ func TestAddressSpaceMapUnmapProtect(t *testing.T) {
 	if err := as.Map(virt, frame, snp.PTEWrite|snp.PTEUser); err != nil {
 		t.Fatal(err)
 	}
-	phys, flags, err := as.Lookup(virt)
-	if err != nil || phys != frame {
-		t.Fatalf("lookup = %#x, %v", phys, err)
+	mem := as.Context(snp.CPL3)
+	if err := mem.Write(virt, []byte("mapped")); err != nil {
+		t.Fatalf("write through the mapping: %v", err)
 	}
-	if flags&snp.PTEWrite == 0 {
-		t.Fatal("write flag missing")
+	got := make([]byte, 6)
+	if err := k.ReadPhys(frame, got); err != nil || string(got) != "mapped" {
+		t.Fatalf("frame holds %q, %v", got, err)
 	}
 	if err := as.Protect(virt, snp.PTEUser); err != nil {
 		t.Fatal(err)
 	}
-	_, flags, _ = as.Lookup(virt)
-	if flags&snp.PTEWrite != 0 {
-		t.Fatal("protect did not clear write flag")
+	if err := mem.Write(virt, []byte("x")); err == nil {
+		t.Fatal("protect did not clear write access")
 	}
-	got, err := as.Unmap(virt)
-	if err != nil || got != frame {
-		t.Fatalf("unmap = %#x, %v", got, err)
+	if err := mem.Read(virt, got); err != nil {
+		t.Fatalf("read after protect: %v", err)
 	}
-	if _, _, err := as.Lookup(virt); err == nil {
-		t.Fatal("lookup after unmap succeeded")
+	unmapped, err := as.Unmap(virt)
+	if err != nil || unmapped != frame {
+		t.Fatalf("unmap = %#x, %v", unmapped, err)
+	}
+	if err := mem.Read(virt, got); err == nil {
+		t.Fatal("read after unmap succeeded")
 	}
 }
 
@@ -793,10 +834,10 @@ func TestSharedFrameReuseAfterFree(t *testing.T) {
 	if g != f {
 		t.Fatalf("allocator returned %#x, want recycled %#x", g, f)
 	}
-	if k.Machine().Halted() != nil {
-		t.Fatalf("machine halted: %v", k.Machine().Halted())
+	if k.m.Halted() != nil {
+		t.Fatalf("machine halted: %v", k.m.Halted())
 	}
-	e, _ := k.Machine().RMPEntryAt(g)
+	e, _ := k.m.RMPEntryAt(g)
 	if !e.Assigned || !e.Validated {
 		t.Fatalf("recycled frame state: %+v", e)
 	}

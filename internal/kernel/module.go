@@ -208,9 +208,3 @@ func (mm *ModuleManager) Unload(id int) error {
 // VeilHandle returns the VeilS-Kci handle for a module loaded through the
 // hook (zero for native loads).
 func (lm *LoadedModule) VeilHandle() int { return lm.veilHandle }
-
-// Loaded returns a module record.
-func (mm *ModuleManager) Loaded(id int) (*LoadedModule, bool) {
-	lm, ok := mm.loaded[id]
-	return lm, ok
-}

@@ -226,14 +226,6 @@ func (n *netStack) close(s *Socket) {
 	}
 }
 
-// Pending reports queued bytes available to read (drivers use it to poll).
-func (s *Socket) Pending() int {
-	if s.peer == nil {
-		return 0
-	}
-	return s.peer.rx.len()
-}
-
 func (s *Socket) String() string {
 	return fmt.Sprintf("socket(domain=%d type=%d port=%d)", s.Domain, s.Type, s.port)
 }

@@ -31,24 +31,3 @@ func (k *Kernel) PlaceProcess(pid int) (int, error) {
 	k.placement[pid] = best
 	return best, nil
 }
-
-// ProcessVCPU reports where a process was placed.
-func (k *Kernel) ProcessVCPU(pid int) (int, bool) {
-	v, ok := k.placement[pid]
-	return v, ok
-}
-
-// UnplaceProcess removes a process from its VCPU (process exit).
-func (k *Kernel) UnplaceProcess(pid int) {
-	if v, ok := k.placement[pid]; ok {
-		k.placeLoad[v]--
-		delete(k.placement, pid)
-	}
-}
-
-// VCPULoads returns a copy of the per-VCPU runnable-process counts.
-func (k *Kernel) VCPULoads() []int {
-	out := make([]int, k.cfg.VCPUs)
-	copy(out, k.placeLoad)
-	return out
-}

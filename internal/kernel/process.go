@@ -72,12 +72,6 @@ func (k *Kernel) Spawn(name string) *Process {
 	return p
 }
 
-// Process returns a live process by PID.
-func (k *Kernel) Process(pid int) (*Process, bool) {
-	p, ok := k.procs[pid]
-	return p, ok
-}
-
 // AddressSpace lazily creates the process page tables.
 func (p *Process) AddressSpace() (*mm.AddressSpace, error) {
 	if p.as == nil {
@@ -129,9 +123,6 @@ func (p *Process) dropFD(fd int) {
 	}
 }
 
-// Exited reports termination state.
-func (p *Process) Exited() (bool, int) { return p.exited, p.exitCode }
-
 // protFlags converts PROT_* bits to PTE flags.
 func protFlags(prot uint64) uint64 {
 	flags := snp.PTEUser
@@ -161,11 +152,19 @@ func (p *Process) MapRegion(virt, length uint64, prot uint64) error {
 	var pages []uint64
 	for off := uint64(0); off < length; off += snp.PageSize {
 		frame, err := p.k.AllocFrame()
-		if err != nil {
-			return err
+		if err == nil {
+			pages = append(pages, frame)
+			err = as.Map(virt+off, frame, protFlags(prot))
 		}
-		pages = append(pages, frame)
-		if err := as.Map(virt+off, frame, protFlags(prot)); err != nil {
+		if err != nil {
+			// Hand back every page this call took, so a failed mmap
+			// leaves the frame pool as it found it.
+			for o := uint64(0); o < off; o += snp.PageSize {
+				as.Unmap(virt + o)
+			}
+			for _, f := range pages {
+				p.k.FreeFrame(f)
+			}
 			return err
 		}
 	}

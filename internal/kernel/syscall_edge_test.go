@@ -127,7 +127,7 @@ func TestExecveForkExitLifecycle(t *testing.T) {
 	if err := k.Exit(child, 3); err != nil {
 		t.Fatal(err)
 	}
-	if exited, code := child.Exited(); !exited || code != 3 {
+	if exited, code := child.exited, child.exitCode; !exited || code != 3 {
 		t.Fatalf("exit state: %v %d", exited, code)
 	}
 }
@@ -218,10 +218,10 @@ func TestSyscallBaseCostsApplied(t *testing.T) {
 func TestMachineTraceCountsSyscalls(t *testing.T) {
 	k := newNativeKernel(t, 1)
 	p := k.Spawn("t")
-	before := k.Machine().Trace().Syscalls
+	before := k.m.Trace().Syscalls
 	k.Getpid(p)
 	k.Getuid(p)
-	if got := k.Machine().Trace().Syscalls - before; got != 2 {
+	if got := k.m.Trace().Syscalls - before; got != 2 {
 		t.Fatalf("syscall trace delta = %d", got)
 	}
 }

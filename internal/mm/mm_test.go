@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -116,7 +117,7 @@ func TestMapLookupProperty(t *testing.T) {
 		used[virt] = true
 		phys := (256 + uint64(frameIdx)%128) * snp.PageSize
 		// phys can repeat across virts here; the AS itself doesn't care.
-		if phys >= m.Config().MemBytes {
+		if phys >= m.NumPages()*snp.PageSize {
 			return true
 		}
 		if err := as.Map(virt, phys, snp.PTEUser); err != nil {
@@ -141,10 +142,10 @@ func TestPhysAllocatorRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalPages() != 4 || a.FreePages() != 4 {
-		t.Fatalf("pages = %d/%d", a.FreePages(), a.TotalPages())
+	if a.TotalPages() != 4 || len(a.free) != 4 {
+		t.Fatalf("pages = %d/%d", len(a.free), a.TotalPages())
 	}
-	lo, hi := a.Range()
+	lo, hi := a.lo, a.hi
 	if lo != snp.PageSize || hi != 5*snp.PageSize {
 		t.Fatal("range mismatch")
 	}
@@ -154,4 +155,20 @@ func TestPhysAllocatorRange(t *testing.T) {
 	if p1 != snp.PageSize || p2 != 2*snp.PageSize {
 		t.Fatalf("order: %#x %#x", p1, p2)
 	}
+}
+
+// Lookup returns (phys, flags) for virt, or an error if unmapped.
+func (as *AddressSpace) Lookup(virt uint64) (uint64, uint64, error) {
+	leaf, err := as.walkTo(virt, false)
+	if err != nil {
+		return 0, 0, err
+	}
+	pte, err := as.ctx.ReadPTE(leaf, ptIndexAt(virt, 0))
+	if err != nil {
+		return 0, 0, err
+	}
+	if pte&snp.PTEPresent == 0 {
+		return 0, 0, fmt.Errorf("mm: virt %#x unmapped", virt)
+	}
+	return snp.PTEAddr(pte), pte &^ snp.PTEAddrMask, nil
 }

@@ -148,22 +148,6 @@ func (as *AddressSpace) Protect(virt uint64, flags uint64) error {
 	return as.ctx.WritePTE(leaf, idx, snp.MakePTE(snp.PTEAddr(pte), flags|snp.PTEPresent))
 }
 
-// Lookup returns (phys, flags) for virt, or an error if unmapped.
-func (as *AddressSpace) Lookup(virt uint64) (uint64, uint64, error) {
-	leaf, err := as.walkTo(virt, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	pte, err := as.ctx.ReadPTE(leaf, ptIndexAt(virt, 0))
-	if err != nil {
-		return 0, 0, err
-	}
-	if pte&snp.PTEPresent == 0 {
-		return 0, 0, fmt.Errorf("mm: virt %#x unmapped", virt)
-	}
-	return snp.PTEAddr(pte), pte &^ snp.PTEAddrMask, nil
-}
-
 // TablePages returns the physical frames holding this tree's tables (root
 // first). VeilS-Enc uses this to protect a cloned tree.
 func (as *AddressSpace) TablePages() []uint64 { return as.tablePages }

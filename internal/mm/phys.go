@@ -53,11 +53,5 @@ func (a *PhysAllocator) Free(p uint64) error {
 	return nil
 }
 
-// FreePages reports how many frames remain.
-func (a *PhysAllocator) FreePages() int { return len(a.free) }
-
 // TotalPages reports the size of the managed range in pages.
 func (a *PhysAllocator) TotalPages() int { return int((a.hi - a.lo) / snp.PageSize) }
-
-// Range returns the managed [lo, hi) byte range.
-func (a *PhysAllocator) Range() (lo, hi uint64) { return a.lo, a.hi }

@@ -39,15 +39,6 @@ type TraceEvidence struct {
 	Legs          []TraceLeg
 }
 
-// Denials returns the total denial count across all legs.
-func (t *TraceEvidence) Denials() int {
-	n := 0
-	for _, l := range t.Legs {
-		n += len(l.Denied)
-	}
-	return n
-}
-
 // Leg returns the leg for one machine, or nil if the machine never
 // observed the trace.
 func (t *TraceEvidence) Leg(machine int) *TraceLeg {

@@ -211,8 +211,8 @@ func TestRequestLatExcludesEnclaveSessions(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatalf("request histogram holds %d observations, want 1 (the round trip only)", h.Count())
 	}
-	if h.Max() != 50 {
-		t.Fatalf("request histogram max = %d, want 50: the enclave session leaked in", h.Max())
+	if h.max != 50 {
+		t.Fatalf("request histogram max = %d, want 50: the enclave session leaked in", h.max)
 	}
 	if got := m.SpanHist(ClassEnclaveEnter).Count(); got != 1 {
 		t.Fatalf("enclave-enter span histogram count = %d, want 1 (sessions keep their own class bucket)", got)

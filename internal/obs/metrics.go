@@ -25,14 +25,6 @@ func bucketOf(v uint64) int {
 	return bits.Len64(v)
 }
 
-// BucketLow returns the smallest value bucket b holds.
-func BucketLow(b int) uint64 {
-	if b <= 0 {
-		return 0
-	}
-	return 1 << (b - 1)
-}
-
 // BucketHigh returns the largest value bucket b holds.
 func BucketHigh(b int) uint64 {
 	if b <= 0 {
@@ -82,10 +74,6 @@ func (h *Histogram) Count() uint64 { return h.n }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Min and Max return the observed extremes (0 when empty).
-func (h *Histogram) Min() uint64 { return h.min }
-func (h *Histogram) Max() uint64 { return h.max }
 
 // Mean returns the arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {
@@ -247,14 +235,6 @@ func (m *Metrics) VCPUs() int {
 		return 0
 	}
 	return len(m.requests)
-}
-
-// Dropped returns the total evicted-event count at snapshot time.
-func (m *Metrics) Dropped() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.dropped
 }
 
 // DroppedByClass returns how many events of class c were evicted.

@@ -290,11 +290,11 @@ type Recorder struct {
 	lastVCPU  int32
 	lastShard *shard
 
-	// kindCycles is the cycle-attribution table fed by Charge. Producers
-	// that already keep their own attribution (the virtual clock does)
-	// should register it with SetCycleSource instead: the snapshot then
-	// reads the producer's table at export time and the per-charge mirror
-	// call disappears from the hot path entirely.
+	// kindCycles is the cycle-attribution table of a recorder with no
+	// cycle source (only tests charge it). Producers that keep their own
+	// attribution (the virtual clock does) register it with
+	// SetCycleSource: the snapshot then reads the producer's table at
+	// export time, with no per-charge mirror call on the hot path.
 	kindCycles [MaxKinds]uint64
 	cycleSrc   func() []uint64
 	kindNames  []string
@@ -365,29 +365,6 @@ func (r *Recorder) shardOf(v int32) *shard {
 	return sh
 }
 
-// Record appends one event to its VCPU's shard, stamping the global
-// sequence number. If the shard ring is full the oldest event is folded
-// into the shard's metrics aggregate and overwritten. Recording on a nil
-// recorder is a no-op; a live Record never allocates (the zero-alloc pin
-// in the tests).
-func (r *Recorder) Record(e Event) {
-	if r == nil {
-		return
-	}
-	r.seq++
-	e.Seq = r.seq
-	sh := r.shardOf(e.VCPU)
-	if sh.full {
-		sh.evicted.fold(&sh.buf[sh.next])
-	}
-	sh.buf[sh.next] = e
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next = 0
-		sh.full = true
-	}
-}
-
 // Alloc claims the next ring slot for an event on the given VCPU and
 // returns it with Seq stamped: the zero-copy fast path for hot producers,
 // who must assign EVERY other field in place (the slot is returned dirty
@@ -424,20 +401,8 @@ func (r *Recorder) RecordRingLatency(vcpu int32, cycles uint64) {
 	r.shardOf(vcpu).ringLat.Observe(cycles)
 }
 
-// Charge adds cycles to the attribution table under the producer-defined
-// cost kind index (see SetKindNames). Nil-safe.
-func (r *Recorder) Charge(kind int, cycles uint64) {
-	if r == nil {
-		return
-	}
-	if kind >= 0 && kind < MaxKinds {
-		r.kindCycles[kind] += cycles
-		r.snapDirty = true // attribution moved without a sequence bump
-	}
-}
-
 // SetCycleSource registers a pull-based cycle-attribution source read at
-// snapshot time (Metrics). When set it replaces the Charge-fed table —
+// snapshot time (Metrics). When set it replaces the recorder's own table —
 // the natural wiring for a producer whose clock already attributes every
 // cycle by kind, since it costs nothing per charge. Nil-safe.
 func (r *Recorder) SetCycleSource(src func() []uint64) {
@@ -541,14 +506,6 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Cap returns the total ring capacity (per-shard capacity × live shards).
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return r.shardCap * len(r.shards)
-}
-
 // SetMachine tags the recorder with its fleet machine id. Exporters use
 // the tag as the process dimension; BootFleet calls this for every
 // per-machine recorder it is handed. Nil-safe no-op.
@@ -596,21 +553,6 @@ func (r *Recorder) Dropped() uint64 {
 		n += sh.evicted.total
 	}
 	return n
-}
-
-// DroppedByClass returns the per-class eviction counts, summed over the
-// shards. Nil-safe (returns zeros).
-func (r *Recorder) DroppedByClass() [NumClasses]uint64 {
-	var out [NumClasses]uint64
-	if r == nil {
-		return out
-	}
-	for _, sh := range r.shards {
-		for c := 0; c < int(NumClasses); c++ {
-			out[c] += sh.evicted.counts[c]
-		}
-	}
-	return out
 }
 
 // Events returns the retained events merged across shards into global

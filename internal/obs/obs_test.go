@@ -96,8 +96,8 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("Quantile(%v) = %d, want 7135", q, got)
 		}
 	}
-	if h.Count() != 100 || h.Sum() != 713500 || h.Min() != 7135 || h.Max() != 7135 {
-		t.Errorf("stats: n=%d sum=%d min=%d max=%d", h.Count(), h.Sum(), h.Min(), h.Max())
+	if h.Count() != 100 || h.Sum() != 713500 || h.min != 7135 || h.max != 7135 {
+		t.Errorf("stats: n=%d sum=%d min=%d max=%d", h.Count(), h.Sum(), h.min, h.max)
 	}
 
 	// A two-mode distribution: 90 cheap (≤100), 10 expensive (=1000).
@@ -444,4 +444,72 @@ func TestPrometheusExport(t *testing.T) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// BucketLow returns the smallest value bucket b holds.
+func BucketLow(b int) uint64 {
+	if b <= 0 {
+		return 0
+	}
+	return 1 << (b - 1)
+}
+
+// Dropped returns the total evicted-event count at snapshot time.
+func (m *Metrics) Dropped() uint64 {
+	if m == nil {
+		return 0
+	}
+	return m.dropped
+}
+
+// Record appends one event to its VCPU's shard, stamping the global
+// sequence number. If the shard ring is full the oldest event is folded
+// into the shard's metrics aggregate and overwritten. Recording on a nil
+// recorder is a no-op; a live Record never allocates (the zero-alloc pin
+// in the tests).
+func (r *Recorder) Record(e Event) {
+	if r == nil {
+		return
+	}
+	r.seq++
+	e.Seq = r.seq
+	sh := r.shardOf(e.VCPU)
+	if sh.full {
+		sh.evicted.fold(&sh.buf[sh.next])
+	}
+	sh.buf[sh.next] = e
+	sh.next++
+	if sh.next == len(sh.buf) {
+		sh.next = 0
+		sh.full = true
+	}
+}
+
+// Charge adds cycles to the attribution table under the producer-defined
+// cost kind index (see SetKindNames). Nil-safe.
+func (r *Recorder) Charge(kind int, cycles uint64) {
+	if r == nil {
+		return
+	}
+	if kind >= 0 && kind < MaxKinds {
+		r.kindCycles[kind] += cycles
+		r.snapDirty = true // attribution moved without a sequence bump
+	}
+}
+
+// Cap returns the total ring capacity (per-shard capacity × live shards).
+func (r *Recorder) Cap() int {
+	if r == nil {
+		return 0
+	}
+	return r.shardCap * len(r.shards)
+}
+
+// Denials returns the total denial count across all legs.
+func (t *TraceEvidence) Denials() int {
+	n := 0
+	for _, l := range t.Legs {
+		n += len(l.Denied)
+	}
+	return n
 }

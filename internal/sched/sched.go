@@ -457,10 +457,6 @@ func (s *Scheduler) stats() Stats {
 	return st
 }
 
-// PendingDrains returns how many deferred drains are queued (tests and the
-// bench harness use it to assert drain-queue behaviour).
-func (s *Scheduler) PendingDrains() int { return len(s.drains) }
-
 // Fingerprint folds the scheduler's logical state into an FNV-1a hash: per
 // VCPU the run state and wake latch, and the drain queue's (vcpu,
 // expectWake, due-delta) entries in post order. Deliberately excluded are

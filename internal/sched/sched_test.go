@@ -186,7 +186,7 @@ func TestDrainAttribution(t *testing.T) {
 				m.Clock().Charge(snp.CostCompute, drainCost)
 				return nil
 			})
-			if s.PendingDrains() != 1 {
+			if len(s.drains) != 1 {
 				t.Fatal("drain not queued")
 			}
 			return Yield, nil

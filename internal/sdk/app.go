@@ -31,8 +31,6 @@ type AppRuntime struct {
 	devFD      int
 	// frames is the OS's virt→frame tracking for demand paging (§6.2).
 	frames map[uint64]uint64
-	// threadGHCBs tracks per-thread GHCB frames for teardown.
-	threadGHCBs []uint64
 	// stage is the OCALL server's one staging buffer, at most stageLimit
 	// bytes: readStage copies staged bytes into it and the read-style
 	// calls fill it from the kernel. A slice of it is valid only until
@@ -135,54 +133,16 @@ func LaunchEnclave(c *cvm.CVM, p *kernel.Process, prog Program, cfg EnclaveConfi
 	return a, nil
 }
 
-// EnclaveThread is one additional enclave thread pinned to a VCPU, with
-// its own per-thread GHCB (§7 multi-threading).
-type EnclaveThread struct {
-	rt   *EnclaveRuntime
-	VCPU int
-	GHCB uint64
-}
-
-// AddThread provisions an enclave thread on another VCPU: the OS shares a
-// per-thread GHCB page and asks VeilS-Enc to mint and synchronize the
-// Dom-ENC VMSA for that VCPU.
-func (a *AppRuntime) AddThread(vcpu int) (*EnclaveThread, error) {
-	if a.enclave == nil {
-		return nil, fmt.Errorf("sdk: no enclave")
-	}
-	ghcb, err := a.C.K.AllocFrame()
-	if err != nil {
-		return nil, err
-	}
-	if err := a.C.K.SharePageWithHost(ghcb); err != nil {
-		return nil, err
-	}
-	th := a.enclave.forThread(vcpu, ghcb)
-	if err := a.C.ENC.AddThread(a.ID, vcpu, ghcb, th); err != nil {
-		return nil, err
-	}
-	a.threadGHCBs = append(a.threadGHCBs, ghcb)
-	return &EnclaveThread{rt: th, VCPU: vcpu, GHCB: ghcb}, nil
-}
-
-// EnterThread runs the enclave program on an additional thread's VCPU.
-func (a *AppRuntime) EnterThread(t *EnclaveThread, args ...string) (int, error) {
-	return a.enter(t.VCPU, t.GHCB, t.rt, args)
-}
-
-// Enter runs the enclave program once with the given arguments and returns
-// its exit code (the ECALL of the SGX model).
+// Enter runs the enclave program once on VCPU 0 with the given arguments
+// and returns its exit code (the ECALL of the SGX model).
 func (a *AppRuntime) Enter(args ...string) (int, error) {
-	return a.enter(0, a.GHCB, a.enclave, args)
-}
-
-func (a *AppRuntime) enter(vcpu int, ghcb uint64, rt *EnclaveRuntime, args []string) (int, error) {
-	if rt == nil {
+	const vcpu = 0
+	if a.enclave == nil {
 		return -1, fmt.Errorf("sdk: no enclave")
 	}
-	// The OS scheduler hook: point the VCPU's GHCB MSR at the thread's
+	// The OS scheduler hook: point the VCPU's GHCB MSR at the enclave's
 	// GHCB before running the enclave-hosting task (§6.2).
-	if err := a.C.K.ScheduleEnclaveGHCB(vcpu, ghcb); err != nil {
+	if err := a.C.K.ScheduleEnclaveGHCB(vcpu, a.GHCB); err != nil {
 		return -1, err
 	}
 	// This application serves redirected syscalls while its enclave runs
@@ -223,7 +183,7 @@ func (a *AppRuntime) enter(vcpu int, ghcb uint64, rt *EnclaveRuntime, args []str
 	start := a.C.M.Clock().Cycles()
 	ref := a.C.M.BeginSpan()
 	g := &snp.GHCB{ExitCode: hv.ExitDomainSwitch, ExitInfo1: a.Tag}
-	err := a.C.HV.GuestCall(vcpu, snp.VMPL3, snp.CPL3, ghcb, g)
+	err := a.C.HV.GuestCall(vcpu, snp.VMPL3, snp.CPL3, a.GHCB, g)
 	a.C.M.ObserveEnclaveEnter(a.Tag, start, ref)
 	if err != nil {
 		return -1, fmt.Errorf("sdk: enclave entry: %w", err)
@@ -240,22 +200,6 @@ func (a *AppRuntime) enter(vcpu int, ghcb uint64, rt *EnclaveRuntime, args []str
 		return int(int64(exit)), ErrEnclaveDead
 	}
 	return int(int64(exit)), nil
-}
-
-// Destroy tears the enclave down through the device and returns every
-// per-thread GHCB frame to the kernel pool.
-func (a *AppRuntime) Destroy() error {
-	arg := make([]byte, 4)
-	binary.LittleEndian.PutUint32(arg, a.ID)
-	_, err := a.C.K.Ioctl(a.P, a.devFD, ReqDestroyEnclave, arg)
-	for _, g := range a.threadGHCBs {
-		if ferr := a.C.K.FreeFrame(g); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	a.threadGHCBs = nil
-	a.enclave = nil
-	return err
 }
 
 // Enclave exposes the trusted runtime (tests and attack drills).

@@ -43,7 +43,7 @@ func (e *EnclaveRuntime) StartBatch() *Batch {
 }
 
 func (b *Batch) add(sysno uint64, args []uint64, data ...[]byte) error {
-	if b.e.st.dead {
+	if b.e.dead {
 		return ErrEnclaveDead
 	}
 	n := 16 + 8*len(args)
@@ -70,37 +70,11 @@ func (b *Batch) Write(fd int, buf []byte) error {
 	return b.add(1, []uint64{uint64(fd), uint64(len(buf))}, buf)
 }
 
-// Pwrite queues pwrite64(2).
-func (b *Batch) Pwrite(fd int, buf []byte, off int64) error {
-	return b.add(18, []uint64{uint64(fd), uint64(len(buf)), uint64(off)}, buf)
-}
-
-// Send queues sendto(2).
-func (b *Batch) Send(fd int, buf []byte) error {
-	return b.add(44, []uint64{uint64(fd), uint64(len(buf))}, buf)
-}
-
-// Unlink queues unlink(2).
-func (b *Batch) Unlink(path string) error {
-	return b.add(87, nil, []byte(path))
-}
-
-// Mkdir queues mkdir(2).
-func (b *Batch) Mkdir(path string, mode uint32) error {
-	return b.add(83, []uint64{uint64(mode)}, []byte(path))
-}
-
-// Print queues a console write.
-func (b *Batch) Print(msg string) error { return b.Write(1, []byte(msg)) }
-
-// Pending reports queued calls.
-func (b *Batch) Pending() int { return len(b.calls) }
-
 // Flush performs one enclave exit carrying every queued call and returns
 // how many the application executed successfully, plus the first error.
 func (b *Batch) Flush() (int, error) {
 	e := b.e
-	if e.st.dead {
+	if e.dead {
 		return 0, ErrEnclaveDead
 	}
 	if len(b.calls) == 0 {
@@ -135,7 +109,7 @@ func (b *Batch) Flush() (int, error) {
 	if err := e.submit(sysBatch, 1, []uint64{uint64(len(blob))}); err != nil {
 		return 0, err
 	}
-	e.st.calls += uint64(len(b.calls))
+	e.calls += uint64(len(b.calls))
 	if err := e.exitForSyscall(); err != nil {
 		return 0, err
 	}

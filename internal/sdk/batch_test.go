@@ -184,3 +184,24 @@ func TestBatchVsSynchronousExitSavings(t *testing.T) {
 	t.Logf("50 writes: synchronous %d cycles, batched %d cycles (%.1fx)",
 		syncCycles, batchCycles, float64(syncCycles)/float64(batchCycles))
 }
+
+// Pwrite queues pwrite64(2).
+func (b *Batch) Pwrite(fd int, buf []byte, off int64) error {
+	return b.add(18, []uint64{uint64(fd), uint64(len(buf)), uint64(off)}, buf)
+}
+
+// Unlink queues unlink(2).
+func (b *Batch) Unlink(path string) error {
+	return b.add(87, nil, []byte(path))
+}
+
+// Mkdir queues mkdir(2).
+func (b *Batch) Mkdir(path string, mode uint32) error {
+	return b.add(83, []uint64{uint64(mode)}, []byte(path))
+}
+
+// Print queues a console write.
+func (b *Batch) Print(msg string) error { return b.Write(1, []byte(msg)) }
+
+// Pending reports queued calls.
+func (b *Batch) Pending() int { return len(b.calls) }

@@ -99,7 +99,7 @@ func (st *deviceState) create(p *kernel.Process, arg []byte) (uint64, error) {
 		return 0, err
 	}
 
-	// Provision the per-thread GHCB: convert one kernel frame to a shared
+	// Provision the enclave's GHCB: convert one kernel frame to a shared
 	// page (through the delegated page-state path).
 	ghcb, err := k.AllocFrame()
 	if err != nil {

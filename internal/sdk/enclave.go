@@ -23,60 +23,34 @@ type EnclaveRuntime struct {
 	prog Program
 
 	shared uint64 // shared region base (virtual, same in both table trees)
-	heap   *Heap
 
 	tickEvery uint64
-	// st holds the mutable enclave-wide state, shared by every thread
-	// runtime of the same enclave (§7 multi-threading: one logical
-	// enclave, one VMSA per VCPU).
-	st *encState
-}
-
-// encState is the per-enclave (not per-thread) mutable state.
-type encState struct {
-	exits uint64
-	calls uint64
-	dead  bool
+	exits     uint64
+	calls     uint64
+	dead      bool
 }
 
 var _ hv.Context = (*EnclaveRuntime)(nil)
 var _ Libc = (*EnclaveRuntime)(nil)
 
 func newEnclaveRuntime(c *cvm.CVM, view enc.View, prog Program, shared uint64, tickEvery uint64) *EnclaveRuntime {
-	// The heap occupies the tail half of the enclave region.
-	heapBase := view.Base + view.Length/2
 	return &EnclaveRuntime{
 		c: c, view: view, prog: prog, shared: shared,
-		heap:      NewHeap(heapBase, view.Base+view.Length-heapBase),
 		tickEvery: tickEvery,
-		st:        &encState{},
 	}
-}
-
-// forThread derives a thread runtime for another VCPU: same program, heap,
-// shared region and enclave state, but entering/exiting through the
-// thread's own VMSA and per-thread GHCB (§7).
-func (e *EnclaveRuntime) forThread(vcpu int, ghcb uint64) *EnclaveRuntime {
-	th := *e
-	th.view.VCPU = vcpu
-	th.view.GHCB = ghcb
-	return &th
 }
 
 // View returns the enclave's protected view (tests).
 func (e *EnclaveRuntime) View() enc.View { return e.view }
 
-// Heap returns the in-enclave allocator.
-func (e *EnclaveRuntime) Heap() *Heap { return e.heap }
-
 // Exits returns the number of enclave exits taken so far.
-func (e *EnclaveRuntime) Exits() uint64 { return e.st.exits }
+func (e *EnclaveRuntime) Exits() uint64 { return e.exits }
 
 // Calls returns the number of redirected syscalls marshalled so far.
-func (e *EnclaveRuntime) Calls() uint64 { return e.st.calls }
+func (e *EnclaveRuntime) Calls() uint64 { return e.calls }
 
 // Dead reports whether the enclave was killed.
-func (e *EnclaveRuntime) Dead() bool { return e.st.dead }
+func (e *EnclaveRuntime) Dead() bool { return e.dead }
 
 // Invoke is the Dom-ENC VMSA entry.
 func (e *EnclaveRuntime) Invoke(r hv.Reason) error {
@@ -94,7 +68,7 @@ func (e *EnclaveRuntime) Invoke(r hv.Reason) error {
 		}
 		return e.c.M.Halt(f)
 	}
-	if e.st.dead {
+	if e.dead {
 		_ = e.wu64(eStatus, 1)
 		return nil
 	}
@@ -111,7 +85,7 @@ func (e *EnclaveRuntime) Invoke(r hv.Reason) error {
 	}
 	rc := e.prog.Main(e, args)
 	status := uint64(0)
-	if e.st.dead {
+	if e.dead {
 		status = 1
 	}
 	if err := e.wu64(eStatus, status); err != nil {
@@ -184,9 +158,9 @@ func (e *EnclaveRuntime) wu64(off uint64, v uint64) error {
 // exitForSyscall performs the Dom-ENC → Dom-UNT → Dom-ENC round trip
 // through the user GHCB.
 func (e *EnclaveRuntime) exitForSyscall() error {
-	e.st.exits++
+	e.exits++
 	e.c.ENC.ChargeEnclaveExit()
-	if e.tickEvery > 0 && e.st.exits%e.tickEvery == 0 {
+	if e.tickEvery > 0 && e.exits%e.tickEvery == 0 {
 		if err := e.c.HV.InjectInterrupt(e.view.VCPU); err != nil {
 			return err
 		}
@@ -199,13 +173,13 @@ func (e *EnclaveRuntime) exitForSyscall() error {
 // deep-copy inputs into the staging area, exit to the application, then
 // copy outputs back and apply the IAGO return check.
 func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
-	if e.st.dead {
+	if e.dead {
 		return 0, ErrEnclaveDead
 	}
 	spec, ok := sanitizer.Spec(num)
 	if !ok {
 		// Unsupported syscall: the SDK kills the enclave (§7).
-		e.st.dead = true
+		e.dead = true
 		return 0, sanitizer.ErrUnsupported
 	}
 	if err := spec.Validate(args); err != nil {
@@ -220,7 +194,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 	if spec.CopyInBytes(args)+spec.CopyOutBytes(args) > stageLimit {
 		return 0, fmt.Errorf("sdk: %s transfers exceed staging capacity", spec.Name)
 	}
-	e.st.calls++
+	e.calls++
 	e.c.M.Clock().Charge(snp.CostCompute, CyclesMarshalFixed)
 
 	// Stage buffers and build the descriptor.
@@ -303,7 +277,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 		return 0, err
 	}
 	if errno == 38 { // ENOSYS from the application side
-		e.st.dead = true
+		e.dead = true
 		return 0, sanitizer.ErrUnsupported
 	}
 	if errno == 0 {
@@ -330,7 +304,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 		// IAGO defence: pointer returns must be outside the enclave, and
 		// byte counts within the buffer the enclave asked for.
 		if err := spec.CheckRet(ret, args, e.view.Base, e.view.Length); err != nil {
-			e.st.dead = true
+			e.dead = true
 			return 0, err
 		}
 	}

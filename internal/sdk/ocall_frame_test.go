@@ -22,6 +22,7 @@ func ocallFrames(t *testing.T) string {
 	var heapPage uint64
 	phase := 0
 	var fails []string
+	var record func(vcpu int) error
 	check := func(what string, err error) {
 		if err != nil {
 			fails = append(fails, fmt.Sprintf("%s: %v", what, err))
@@ -29,6 +30,7 @@ func ocallFrames(t *testing.T) string {
 	}
 	prog := ProgramFunc(func(lc Libc, args []string) int {
 		er := lc.(*EnclaveRuntime)
+		c.SwapOcallServer(0, record)
 		if phase == 1 {
 			buf := make([]byte, 16)
 			check("ReadMem after eviction", er.ReadMem(heapPage, buf))
@@ -102,7 +104,7 @@ func ocallFrames(t *testing.T) string {
 	}
 	var out strings.Builder
 	exits := 0
-	c.RegisterOcallServer(func(vcpu int) error {
+	record = func(vcpu int) error {
 		req := make([]byte, dArgs+maxOcallArgs*24)
 		if err := mem.Read(a.sharedVirt, req); err != nil {
 			return err
@@ -117,7 +119,7 @@ func ocallFrames(t *testing.T) string {
 		fmt.Fprintf(&out, "%03d %s %s\n", exits, hex.EncodeToString(req), hex.EncodeToString(rep))
 		exits++
 		return nil
-	})
+	}
 	if rc, err := a.Enter(); err != nil || rc != 0 {
 		t.Fatalf("script: rc=%d err=%v", rc, err)
 	}

@@ -124,19 +124,6 @@ func Spec(num int) (CallSpec, bool) {
 	return cs, ok
 }
 
-// Supported returns the number of specified syscalls.
-func Supported() int { return len(specs) }
-
-// Names returns name→num for every specified call (diagnostics, coverage
-// reports).
-func Names() map[string]int {
-	out := make(map[string]int, len(specs))
-	for n, cs := range specs {
-		out[cs.Name] = n
-	}
-	return out
-}
-
 // scalar is a shorthand arg constructor.
 func scalar(name string) ArgSpec { return ArgSpec{Name: name, Kind: Scalar, LenArg: -1} }
 

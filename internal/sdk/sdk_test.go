@@ -2,6 +2,7 @@ package sdk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -260,9 +261,11 @@ func TestUnsupportedSyscallKillsEnclave(t *testing.T) {
 func TestIagoPointerReturnKillsEnclave(t *testing.T) {
 	c := bootVeil(t)
 	var sawIago bool
+	var hostile func(vcpu int) error
 	prog := ProgramFunc(func(lc Libc, args []string) int {
 		er := lc.(*EnclaveRuntime)
 		// A hostile app stub returns an mmap pointer *inside* the enclave.
+		c.SwapOcallServer(0, hostile)
 		_, err := er.Mmap(snp.PageSize, kernel.ProtRead|kernel.ProtWrite)
 		sawIago = err != nil
 		if sawIago {
@@ -273,13 +276,13 @@ func TestIagoPointerReturnKillsEnclave(t *testing.T) {
 	a, p := launch(t, c, prog)
 	// Subvert the ocall server: always return an enclave address.
 	evil := a.Enclave().View().Base + snp.PageSize
-	c.RegisterOcallServer(func(vcpu int) error {
+	hostile = func(vcpu int) error {
 		mem, _ := p.Mem()
 		if err := mem.WriteU64(a.sharedVirt+dRet, evil); err != nil {
 			return err
 		}
 		return mem.WriteU64(a.sharedVirt+dErrno, 0)
-	})
+	}
 	rc, err := a.Enter()
 	if !errors.Is(err, ErrEnclaveDead) {
 		t.Fatalf("enter err = %v, want ErrEnclaveDead (IAGO)", err)
@@ -297,7 +300,9 @@ func TestIagoReadCountKillsEnclave(t *testing.T) {
 	c := bootVeil(t)
 	var n int
 	var readErr error
+	var hostile func(vcpu int) error
 	prog := ProgramFunc(func(lc Libc, args []string) int {
+		c.SwapOcallServer(0, hostile)
 		n, readErr = lc.Read(0, make([]byte, 16))
 		if readErr != nil {
 			return 9
@@ -305,13 +310,13 @@ func TestIagoReadCountKillsEnclave(t *testing.T) {
 		return 0
 	})
 	a, p := launch(t, c, prog)
-	c.RegisterOcallServer(func(vcpu int) error {
+	hostile = func(vcpu int) error {
 		mem, _ := p.Mem()
 		if err := mem.WriteU64(a.sharedVirt+dRet, 1<<20); err != nil {
 			return err
 		}
 		return mem.WriteU64(a.sharedVirt+dErrno, 0)
-	})
+	}
 	rc, err := a.Enter()
 	if !errors.Is(err, ErrEnclaveDead) {
 		t.Fatalf("enter err = %v, want ErrEnclaveDead (IAGO); read returned n=%d err=%v", err, n, readErr)
@@ -425,60 +430,6 @@ func TestDirectLibcMatchesEnclaveResults(t *testing.T) {
 	}
 }
 
-func TestHeapAllocator(t *testing.T) {
-	h := NewHeap(0x1000, 0x1000)
-	a1, err := h.Alloc(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := h.Alloc(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 == a2 || a1%16 != 0 || a2%16 != 0 {
-		t.Fatalf("allocations %#x %#x", a1, a2)
-	}
-	if err := h.Free(a1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Free(a1); err == nil {
-		t.Fatal("double free accepted")
-	}
-	if err := h.Free(a2); err != nil {
-		t.Fatal(err)
-	}
-	// Full coalescing: the whole heap is one span again.
-	if h.LargestFree() != 0x1000 {
-		t.Fatalf("largest free = %#x after coalesce", h.LargestFree())
-	}
-	if _, err := h.Alloc(0x1001); err == nil {
-		t.Fatal("over-allocation accepted")
-	}
-}
-
-func TestHeapExhaustionAndReuse(t *testing.T) {
-	h := NewHeap(0, 256)
-	var addrs []uint64
-	for {
-		a, err := h.Alloc(16)
-		if err != nil {
-			break
-		}
-		addrs = append(addrs, a)
-	}
-	if len(addrs) != 16 {
-		t.Fatalf("allocated %d blocks", len(addrs))
-	}
-	for _, a := range addrs {
-		if err := h.Free(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Allocated() != 0 {
-		t.Fatal("leak after freeing everything")
-	}
-}
-
 func TestEnclaveMprotectGoesToService(t *testing.T) {
 	c := bootVeil(t)
 	prog := ProgramFunc(func(lc Libc, args []string) int {
@@ -528,4 +479,14 @@ func TestEnclaveLifecycleRecycling(t *testing.T) {
 			t.Fatalf("round %d halted: %v", round, c.M.Halted())
 		}
 	}
+}
+
+// Destroy tears the enclave down through the device, which has VeilS-Enc
+// scrub its pages before the OS gets them back.
+func (a *AppRuntime) Destroy() error {
+	arg := make([]byte, 4)
+	binary.LittleEndian.PutUint32(arg, a.ID)
+	_, err := a.C.K.Ioctl(a.P, a.devFD, ReqDestroyEnclave, arg)
+	a.enclave = nil
+	return err
 }

@@ -72,9 +72,6 @@ type Enclave struct {
 	// key schedule is paid once per enclave, not once per page operation.
 	gcm  cipher.AEAD
 	vmsa uint64
-	// threads maps additional VCPUs to their Dom-ENC VMSAs (§7
-	// multi-threading: one synchronized VMSA per VCPU).
-	threads map[int]uint64
 
 	destroyed bool
 }
@@ -210,9 +207,8 @@ func (s *Service) finalize(vcpu int, cr3, base, length, entry, ghcb uint64, fact
 	e := &Enclave{
 		id: s.next, vcpu: vcpu, base: base, length: length,
 		entry: entry, ghcb: ghcb,
-		frames:  make(map[uint64]uint64),
-		pages:   make(map[uint64]*pageState),
-		threads: make(map[int]uint64),
+		frames: make(map[uint64]uint64),
+		pages:  make(map[uint64]*pageState),
 	}
 	e.tag = 100 + uint64(e.id)
 

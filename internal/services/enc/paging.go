@@ -339,11 +339,6 @@ func (s *Service) Destroy(id uint32) error {
 	if err := s.mon.DestroyEnclaveVCPU(e.vcpu, e.tag); err != nil {
 		return err
 	}
-	for vcpu := range e.threads {
-		if err := s.mon.DestroyEnclaveVCPU(vcpu, e.tag); err != nil {
-			return err
-		}
-	}
 	if err := e.clone.Release(); err != nil {
 		return err
 	}

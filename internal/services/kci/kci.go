@@ -49,7 +49,6 @@ type Service struct {
 	modules map[int]*module
 	next    int
 
-	activated  bool
 	textRanges [][2]uint64 // protected kernel text [lo,hi) phys ranges
 }
 
@@ -287,13 +286,9 @@ func (s *Service) Activate(textRanges, dataRanges [][2]uint64) error {
 			}
 		}
 	}
-	s.activated = true
 	s.textRanges = append(s.textRanges, textRanges...)
 	return nil
 }
-
-// Activated reports whether kernel W⊕X is in force.
-func (s *Service) Activated() bool { return s.activated }
 
 // ModuleTextFrames returns the protected text frames of a loaded module
 // (tests use this to aim attacks).

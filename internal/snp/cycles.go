@@ -223,9 +223,6 @@ func (a Attribution) Map() map[string]uint64 {
 // deterministic.
 func (a Attribution) MarshalJSON() ([]byte, error) { return json.Marshal(a.Map()) }
 
-// Attribution returns the per-kind cycle breakdown accumulated so far.
-func (c *Clock) Attribution() Attribution { return Attribution(c.byKind) }
-
 // AttributionSince returns the per-kind breakdown accumulated since an
 // earlier snapshot.
 func (c *Clock) AttributionSince(prev Clock) Attribution {

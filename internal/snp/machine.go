@@ -141,9 +141,6 @@ func NewMachine(cfg Config) *Machine {
 	return m
 }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // NumPages returns the number of guest physical pages.
 func (m *Machine) NumPages() uint64 { return uint64(len(m.rmp)) }
 
@@ -342,17 +339,6 @@ func (m *Machine) hostAccessPhys(phys uint64, n int, a Access) ([]byte, error) {
 		}
 	}
 	return m.mem[phys : phys+uint64(n)], nil
-}
-
-// HVReadPhys models a hypervisor (or device) read. SEV-SNP forbids outside
-// software from reading guest-assigned pages; only shared pages succeed.
-func (m *Machine) HVReadPhys(phys uint64, buf []byte) error {
-	src, err := m.hostAccessPhys(phys, len(buf), AccessRead)
-	if err != nil {
-		return err
-	}
-	copy(buf, src)
-	return nil
 }
 
 // HVWritePhys models a hypervisor write; writes to guest-assigned pages are

@@ -27,8 +27,8 @@ func TestNewMachineRoundsUpToPages(t *testing.T) {
 	if got := m.NumPages(); got != 2 {
 		t.Fatalf("NumPages = %d, want 2", got)
 	}
-	if m.Config().MemBytes != 2*PageSize {
-		t.Fatalf("MemBytes = %d, want %d", m.Config().MemBytes, 2*PageSize)
+	if m.cfg.MemBytes != 2*PageSize {
+		t.Fatalf("MemBytes = %d, want %d", m.cfg.MemBytes, 2*PageSize)
 	}
 }
 
@@ -429,4 +429,34 @@ func TestDomainSwitchCostSplit(t *testing.T) {
 	if CyclesVMGEXITSave+CyclesVMENTERRestore != CyclesDomainSwitch {
 		t.Fatal("switch halves must sum to the measured 7135 cycles")
 	}
+}
+
+// HVReadPhys models a hypervisor (or device) read. SEV-SNP forbids outside
+// software from reading guest-assigned pages; only shared pages succeed.
+func (m *Machine) HVReadPhys(phys uint64, buf []byte) error {
+	src, err := m.hostAccessPhys(phys, len(buf), AccessRead)
+	if err != nil {
+		return err
+	}
+	copy(buf, src)
+	return nil
+}
+
+// UpdateVMSA mutates a saved instance on behalf of VMPL0 software; lower
+// VMPLs take a #GP.
+func (m *Machine) UpdateVMSA(callerVMPL VMPL, phys uint64, mutate func(*VMSA)) error {
+	if err := m.checkRunning(); err != nil {
+		return err
+	}
+	if callerVMPL != VMPL0 {
+		f := &Fault{Kind: FaultGP, VMPL: callerVMPL, Phys: phys, Why: "VMSA update requires VMPL0"}
+		m.ObserveFault(f)
+		return f
+	}
+	v, err := m.VMSAAt(phys)
+	if err != nil {
+		return err
+	}
+	mutate(v)
+	return nil
 }

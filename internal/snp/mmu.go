@@ -176,15 +176,6 @@ func (a AccessContext) translateTLB(virt uint64, acc Access) (uint64, *tlbEntry,
 	return phys, e, nil
 }
 
-// Translate walks the page tables for virt and returns the physical address,
-// enforcing PTE-level permissions for the context's ring. It does not
-// perform the RMP check (that happens on the actual access) but it does
-// produce the recoverable #PF faults the paging paths rely on.
-func (a AccessContext) Translate(virt uint64, acc Access) (uint64, error) {
-	phys, _, err := a.translate(virt, acc)
-	return phys, err
-}
-
 // span returns the RMP-checked backing slice for the n bytes at virt, which
 // must lie within one page. On a TLB hit whose RMP verdict for acc is
 // already cached at the current epoch, the slice is handed out without

@@ -15,7 +15,7 @@ func buildIdentityMap(t *testing.T, m *Machine, tableBase uint64, pages int, fla
 	alloc := func() uint64 {
 		p := next
 		next += PageSize
-		if p >= m.Config().MemBytes {
+		if p >= m.cfg.MemBytes {
 			t.Fatal("out of table pages")
 		}
 		return p
@@ -284,4 +284,13 @@ func TestRMPAdjustNeverEscalates(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Translate walks the page tables for virt and returns the physical address,
+// enforcing PTE-level permissions for the context's ring. It does not
+// perform the RMP check (that happens on the actual access) but it does
+// produce the recoverable #PF faults the paging paths rely on.
+func (a AccessContext) Translate(virt uint64, acc Access) (uint64, error) {
+	phys, _, err := a.translate(virt, acc)
+	return phys, err
 }

@@ -200,9 +200,6 @@ func (m *Machine) CurrentSpan() uint64 { return m.spans.Current() }
 // originating request context VeilS-Channel propagates across machines.
 func (m *Machine) RootSpan() uint64 { return m.spans.Root() }
 
-// OpenSpans returns the open-span stack, outermost first.
-func (m *Machine) OpenSpans() []uint64 { return m.spans.Open() }
-
 // emit records one instant event under the current span, if a sink is
 // attached.
 func (m *Machine) emit(class obs.Class, kind obs.EventKind, dur uint64, vmpl int16, a1, a2 uint64) {

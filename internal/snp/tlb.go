@@ -10,8 +10,9 @@ package snp
 // translation cache and three invalidation channels, ordered from blunt to
 // precise:
 //
-//   - FlushTLB bumps a machine-wide flush epoch: every cached entry dies.
-//     This is the INVLPG-all/shootdown hammer, exported for software layers.
+//   - A full flush bumps a machine-wide flush epoch: every cached entry
+//     dies. This is the INVLPG-all/shootdown hammer; no shipped layer
+//     issues one, and the tests do through FlushTLB in tlb_test.go.
 //   - RMP mutations (RMPADJUST, PVALIDATE, VMSA create/destroy, hypervisor
 //     page-state changes) bump the RMP epoch: cached *translations* survive
 //     (the guest page tables did not change) but every memoized RMP verdict
@@ -89,18 +90,6 @@ type MemStats struct {
 
 // MemStats returns a snapshot of the memory-path counters.
 func (m *Machine) MemStats() MemStats { return m.memStats }
-
-// FlushTLB invalidates every cached translation by bumping the machine
-// flush epoch. The architectural mutators use the narrower channels below;
-// this is the full hammer, exported so software layers modelling
-// INVLPG-style shootdowns can force a flush.
-func (m *Machine) FlushTLB() {
-	if m.tlbNoInvalidate {
-		return
-	}
-	m.tlbFlushEpoch++
-	m.memStats.TLBFlushes++
-}
 
 // rmpFlushTLB invalidates every cached RMP verdict (translations survive).
 // Every architectural RMP or page-state mutation calls it.

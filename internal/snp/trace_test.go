@@ -103,7 +103,7 @@ func TestClockAttributionSnapshots(t *testing.T) {
 	c.Charge(CostVMENTER, 3245)
 	snap := c.Snapshot()
 	c.Charge(CostVMGEXIT, 3890)
-	a := c.Attribution()
+	a := Attribution(c.byKind)
 	if a[CostVMGEXIT] != 7780 || a.Total() != c.Cycles() {
 		t.Fatalf("Attribution = %v, cycles = %d", a, c.Cycles())
 	}

@@ -110,26 +110,6 @@ func (m *Machine) VMSAAt(phys uint64) (*VMSA, error) {
 	return v, nil
 }
 
-// UpdateVMSA lets VMPL0 software (VeilMon) mutate a saved instance — e.g.
-// setting the entry point and page-table root of a fresh domain replica, or
-// synchronizing an enclave thread's state. Lower VMPLs take a #GP.
-func (m *Machine) UpdateVMSA(callerVMPL VMPL, phys uint64, mutate func(*VMSA)) error {
-	if err := m.checkRunning(); err != nil {
-		return err
-	}
-	if callerVMPL != VMPL0 {
-		f := &Fault{Kind: FaultGP, VMPL: callerVMPL, Phys: phys, Why: "VMSA update requires VMPL0"}
-		m.ObserveFault(f)
-		return f
-	}
-	v, err := m.VMSAAt(phys)
-	if err != nil {
-		return err
-	}
-	mutate(v)
-	return nil
-}
-
 // DestroyVMSA releases a save area (VMPL0 only), returning the page to
 // normal guest-private use.
 func (m *Machine) DestroyVMSA(callerVMPL VMPL, phys uint64) error {
