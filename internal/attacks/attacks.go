@@ -119,8 +119,9 @@ type attack struct {
 	run         func() (bool, string)
 }
 
-// collectEvidence scans the last booted CVM's flight recorder and machine
-// state for traces of the attack that just ran.
+// collectEvidence scans the last booted CVM's flight tail (the recorder's
+// when one shadows the flight ring) and machine state for traces of the
+// attack that just ran.
 func collectEvidence() Evidence {
 	var ev Evidence
 	c := lastBoot
@@ -131,21 +132,19 @@ func collectEvidence() Evidence {
 		lastAuditor.Sweep()
 		ev.AuditViolations = lastAuditor.Violations()
 	}
-	if f := c.M.Flight(); f != nil {
-		seen := make(map[uint64]bool)
-		for _, e := range f.Events() {
-			switch e.Class {
-			case obs.ClassFault:
-				ev.Faults++
-			case obs.ClassDenied:
-				ev.Denied++
-				if !seen[e.Arg1] {
-					seen[e.Arg1] = true
-					ev.DeniedReasons = append(ev.DeniedReasons, snp.DeniedReason(e.Arg1).String())
-				}
-			case obs.ClassInvariant:
-				ev.Invariants++
+	seen := make(map[uint64]bool)
+	for _, e := range c.M.FlightTail() {
+		switch e.Class {
+		case obs.ClassFault:
+			ev.Faults++
+		case obs.ClassDenied:
+			ev.Denied++
+			if !seen[e.Arg1] {
+				seen[e.Arg1] = true
+				ev.DeniedReasons = append(ev.DeniedReasons, snp.DeniedReason(e.Arg1).String())
 			}
+		case obs.ClassInvariant:
+			ev.Invariants++
 		}
 	}
 	ev.Halted = c.M.Halted() != nil

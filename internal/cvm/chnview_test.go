@@ -137,12 +137,12 @@ func TestChnRefusesReflectedDial(t *testing.T) {
 	checkChnView(t, victim.Stub, 1, 0)
 }
 
-// deniedChannelSince reports whether the flight ring holds a
+// deniedChannelSince reports whether the flight tail holds a
 // DeniedChannel event among the events claimed after it had seen
 // `before` claims in total.
-func deniedChannelSince(fl *obs.Flight, before uint64) bool {
-	evs := fl.Events()
-	n := fl.Dropped() + uint64(fl.Len()) - before
+func deniedChannelSince(m *snp.Machine, before uint64) bool {
+	evs := m.FlightTail()
+	n := m.FlightDropped() + uint64(m.FlightTailLen()) - before
 	if n > uint64(len(evs)) {
 		n = uint64(len(evs))
 	}
@@ -226,8 +226,7 @@ func FuzzChnDeliver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, to uint8, frame []byte) {
 		sent = sent[:0]
 		c := fl.CVMs[int(to)%len(fl.CVMs)]
-		flight := c.M.Flight()
-		before := flight.Dropped() + uint64(flight.Len())
+		before := c.M.FlightDropped() + uint64(c.M.FlightTailLen())
 		err := c.Stub.ChnDeliver(frame)
 		switch {
 		case len(frame) > core.IDCBPayloadMax:
@@ -237,7 +236,7 @@ func FuzzChnDeliver(f *testing.F) {
 				t.Fatalf("oversized frame: err = %v, want the IDCB size error", err)
 			}
 		case errors.Is(err, core.ErrDenied):
-			if !deniedChannelSince(flight, before) {
+			if !deniedChannelSince(c.M, before) {
 				t.Fatal("refused frame left no DeniedChannel evidence")
 			}
 		case err != nil:

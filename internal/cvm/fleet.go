@@ -48,10 +48,8 @@ type FleetOptions struct {
 	// options). Veil is forced on; Rand, PSP and Fleet are overwritten per
 	// machine. Base.Recorder is ignored — use Recorders.
 	Base Options
-	// Link is the default fabric link model; Links overrides per directed
-	// (src, dst) pair.
-	Link  fabric.LinkModel
-	Links map[[2]int]fabric.LinkModel
+	// Link is the fabric link model of every directed pair.
+	Link fabric.LinkModel
 	// Recorders, when non-empty, must hold one recorder per machine; each
 	// is attached before launch so traces capture boot.
 	Recorders []*obs.Recorder
@@ -108,7 +106,6 @@ func BootFleet(opts FleetOptions) (*Fleet, error) {
 		Machines: opts.Machines,
 		Seed:     opts.Seed,
 		Default:  opts.Link,
-		Links:    opts.Links,
 	})
 	if err != nil {
 		return nil, err

@@ -1,7 +1,8 @@
 package kernel
 
-// FD is one entry in a process's descriptor table. Exactly one of ino,
-// sock or pipe is set.
+// FD is an open file: what a descriptor names. Exactly one of ino, sock
+// or pipe is set. Dup'd and fork-inherited descriptors name the same FD,
+// so they share its offset, as POSIX's open file description does.
 type FD struct {
 	Path  string
 	Flags int
@@ -10,6 +11,9 @@ type FD struct {
 	off  int64
 	sock *Socket
 	pipe *pipeEnd
+	// refs counts the descriptor slots, in every process, that name this
+	// FD; the last one to go releases it.
+	refs int
 }
 
 // Open flags (Linux numbering for the common subset).

@@ -36,9 +36,6 @@ type Socket struct {
 	listening    bool
 	backlog      []*conn
 	peer         *conn // established connection, from this side's view
-	// refs counts the descriptors, in every process, that name this
-	// socket: dup'd and fork-copied descriptors share it.
-	refs int
 }
 
 // conn is one direction-pair of byte queues.
@@ -46,9 +43,6 @@ type conn struct {
 	tx, rx *byteQueue
 	closed bool
 	remote *conn
-	// owner is the socket this end was made for; nil while the conn
-	// waits in a listener's backlog and once its queues are recycled.
-	owner *Socket
 }
 
 type byteQueue struct{ buf []byte }
@@ -99,34 +93,40 @@ func (n *netStack) queue() *byteQueue {
 	return &byteQueue{}
 }
 
-// pair builds a connection's two ends over two queues, owned by a and b
-// (nil for an end still in a listener's backlog).
-func (n *netStack) pair(a, b *Socket) (ca, cb *conn) {
+// pair builds a connection's two ends over two queues.
+func (n *netStack) pair() (ca, cb *conn) {
 	a2b, b2a := n.queue(), n.queue()
-	ca = &conn{tx: a2b, rx: b2a, owner: a}
-	cb = &conn{tx: b2a, rx: a2b, owner: b}
+	ca = &conn{tx: a2b, rx: b2a}
+	cb = &conn{tx: b2a, rx: a2b}
 	ca.remote, cb.remote = cb, ca
 	return ca, cb
 }
 
-// release drops one descriptor's reference to s. Once no descriptor in
-// any process names either end of s's connection, nothing can reach its
-// queues: they go back to the pool, and both ends are detached so the
-// same queues can never be released twice.
+// release frees what s holds once its last descriptor is gone: a
+// listener leaves the port and closes the ends still in its backlog, and
+// a connected end is closed. s lets go of its connection either way.
 func (n *netStack) release(s *Socket) {
-	s.refs--
-	c := s.peer
-	if s.refs > 0 || c == nil {
+	if s.listening {
+		delete(n.listeners, s.port)
+		for _, c := range s.backlog {
+			n.closeEnd(c)
+		}
+		s.listening, s.backlog = false, nil
+	}
+	if s.peer != nil {
+		n.closeEnd(s.peer)
+		s.peer = nil
+	}
+}
+
+// closeEnd closes one end of a connection; the peer reads EOF. Each end
+// closes once, and the second to close sends the two queues, which no
+// descriptor can reach any more, back to the pool.
+func (n *netStack) closeEnd(c *conn) {
+	c.closed = true
+	if !c.remote.closed {
 		return
 	}
-	// The far end must be accepted, unreferenced and still connected
-	// here (a socket that connected again left this connection behind).
-	r := c.remote
-	if r.owner == nil || r.owner.refs > 0 || r.owner.peer != r {
-		return
-	}
-	r.owner.peer, s.peer = nil, nil
-	c.owner, r.owner = nil, nil
 	for _, q := range [2]*byteQueue{c.tx, c.rx} {
 		if len(n.free) < maxFreeQueues && cap(q.buf) <= maxFreeQueueCap {
 			q.buf = q.buf[:0]
@@ -142,8 +142,11 @@ func (k *Kernel) net() *netStack {
 	return k.netstack
 }
 
-// bindSocket attaches a socket to a port.
+// bind attaches an unbound socket to a port.
 func (n *netStack) bind(s *Socket, port int) error {
+	if s.port != 0 {
+		return ErrInval
+	}
 	if _, busy := n.listeners[port]; busy {
 		return ErrInUse
 	}
@@ -151,9 +154,15 @@ func (n *netStack) bind(s *Socket, port int) error {
 	return nil
 }
 
+// listen registers s as its port's listener. Binding does not reserve a
+// port, so of two sockets bound to one port only the first to listen gets
+// it.
 func (n *netStack) listen(s *Socket) error {
 	if s.port == 0 {
 		return ErrInval
+	}
+	if l, busy := n.listeners[s.port]; busy && l != s {
+		return ErrInUse
 	}
 	s.listening = true
 	n.listeners[s.port] = s
@@ -163,11 +172,14 @@ func (n *netStack) listen(s *Socket) error {
 // connect establishes a loopback connection to a listening port, producing
 // the client-side conn; the server side lands in the listener's backlog.
 func (n *netStack) connect(s *Socket, port int) error {
+	if s.peer != nil || s.listening {
+		return ErrInval
+	}
 	l, ok := n.listeners[port]
 	if !ok || !l.listening {
 		return ErrRefused
 	}
-	client, server := n.pair(s, nil)
+	client, server := n.pair()
 	s.peer = client
 	l.backlog = append(l.backlog, server)
 	return nil
@@ -187,9 +199,7 @@ func (n *netStack) accept(l *Socket) (*Socket, error) {
 	k := copy(l.backlog, l.backlog[1:])
 	l.backlog[k] = nil
 	l.backlog = l.backlog[:k]
-	s := &Socket{Domain: l.Domain, Type: l.Type, peer: c}
-	c.owner = s
-	return s, nil
+	return &Socket{Domain: l.Domain, Type: l.Type, peer: c}, nil
 }
 
 func (s *Socket) send(b []byte) (int, error) {
@@ -213,17 +223,6 @@ func (s *Socket) recv(b []byte) (int, error) {
 		return 0, ErrWouldBlock
 	}
 	return s.peer.rx.read(b), nil
-}
-
-// closeSocket shuts the endpoint down.
-func (n *netStack) close(s *Socket) {
-	if s.listening {
-		delete(n.listeners, s.port)
-		s.listening = false
-	}
-	if s.peer != nil {
-		s.peer.closed = true
-	}
 }
 
 func (s *Socket) String() string {

@@ -85,22 +85,30 @@ func TestRecycledQueuesStayIsolated(t *testing.T) {
 	if _, err := k.Sendto(p, a2, []byte("second")); err != nil {
 		t.Fatal(err)
 	}
-	// The copies share connection 1's socket: the dup'd one reads its own
-	// reply, then the fork-copied one sees the closed peer's EOF.
+	// The copies share connection 1's open files: the dup'd one reads its
+	// own reply. The child still holds the accepted end, so the
+	// fork-copied client end waits for more until the child closes it,
+	// and then reads EOF.
 	if n, err := k.Recvfrom(p, dup, buf); err != nil || string(buf[:n]) != "first-reply" {
 		t.Fatalf("dup'd copy of connection 1 read %q, %v; want its own reply", buf[:n], err)
 	}
+	if n, err := k.Recvfrom(child, c1, buf); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("fork-copied connection 1 read %q, %v while the child holds the peer; want EWOULDBLOCK", buf[:max(n, 0)], err)
+	}
+	if err := k.Close(child, a1); err != nil {
+		t.Fatal(err)
+	}
 	if n, err := k.Recvfrom(child, c1, buf); err != nil || n != 0 {
-		t.Fatalf("fork-copied connection 1 read %q, %v; want EOF", buf[:max(n, 0)], err)
+		t.Fatalf("fork-copied connection 1 read %q, %v after the peer's last close; want EOF", buf[:max(n, 0)], err)
 	}
 
-	// Close every copy of connection 1 (the child inherited the dup'd
+	// Close every copy of the client end (the child inherited the dup'd
 	// one too), some twice: its two queues go back to the pool exactly
 	// once, emptied, and only with the last copy.
 	for i, c := range []struct {
 		proc *Process
 		fd   int
-	}{{p, dup}, {child, c1}, {child, a1}, {child, a1}, {p, dup}, {child, dup}} {
+	}{{p, dup}, {child, c1}, {child, a1}, {p, dup}, {child, dup}} {
 		if len(k.net().free) != 0 {
 			t.Fatalf("queues recycled after only %d closes of connection 1's copies", i)
 		}
@@ -131,11 +139,8 @@ func TestRecycledQueuesStayIsolated(t *testing.T) {
 	// A stale handle on connection 1's sockets is detached from the
 	// queues connection 3 now uses.
 	for _, s := range s1 {
-		if s.peer == nil {
-			continue
-		}
-		if n := s.peer.rx.len(); n != 0 {
-			t.Fatalf("a socket of connection 1 sees %d pending bytes of connection 3", n)
+		if s.peer != nil {
+			t.Fatal("a released socket of connection 1 still holds its connection")
 		}
 	}
 	// Every descriptor of connection 1 is gone; connection 2's ends still

@@ -65,9 +65,9 @@ func (k *Kernel) Spawn(name string) *Process {
 	k.procs[p.PID] = p
 	// Standard descriptors, all backed by the console device.
 	if console, err := k.vfs.Lookup("/dev/console"); err == nil {
-		p.fds[0] = &FD{Path: "/dev/console", Flags: ORdonly, ino: console}
-		p.fds[1] = &FD{Path: "/dev/console", Flags: OWronly | OAppend, ino: console}
-		p.fds[2] = &FD{Path: "/dev/console", Flags: OWronly | OAppend, ino: console}
+		p.placeFD(0, &FD{Path: "/dev/console", Flags: ORdonly, ino: console})
+		p.placeFD(1, &FD{Path: "/dev/console", Flags: OWronly | OAppend, ino: console})
+		p.placeFD(2, &FD{Path: "/dev/console", Flags: OWronly | OAppend, ino: console})
 	}
 	return p
 }
@@ -100,12 +100,9 @@ func (p *Process) installFD(f *FD) int {
 	return fd
 }
 
-// placeFD puts f at descriptor number fd, replacing (without closing)
-// whatever was there, and keeps the socket reference counts in step.
+// placeFD puts f at descriptor number fd, dropping whatever was there.
 func (p *Process) placeFD(fd int, f *FD) {
-	if f.sock != nil {
-		f.sock.refs++
-	}
+	f.refs++
 	p.dropFD(fd)
 	p.fds[fd] = f
 	if fd >= p.nextFD {
@@ -113,13 +110,24 @@ func (p *Process) placeFD(fd int, f *FD) {
 	}
 }
 
-// dropFD removes descriptor fd, releasing its socket reference.
+// dropFD removes descriptor fd. It is the one path by which a descriptor
+// goes (close, dup2 over an open slot, exit), and the last descriptor
+// naming an FD releases it: a socket goes to the network stack, a pipe
+// end is marked closed so its peer sees EOF or EPIPE.
 func (p *Process) dropFD(fd int) {
-	if old, ok := p.fds[fd]; ok {
-		delete(p.fds, fd)
-		if old.sock != nil {
-			p.k.net().release(old.sock)
-		}
+	f, ok := p.fds[fd]
+	if !ok {
+		return
+	}
+	delete(p.fds, fd)
+	if f.refs--; f.refs > 0 {
+		return
+	}
+	switch {
+	case f.sock != nil:
+		p.k.net().release(f.sock)
+	case f.pipe != nil:
+		f.pipe.closed = true
 	}
 }
 

@@ -266,15 +266,8 @@ func (k *Kernel) Close(p *Process, fd int) error {
 	if err := k.enter(p, SysClose, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return err
 	}
-	f, ok := p.fds[fd]
-	if !ok {
+	if _, ok := p.fds[fd]; !ok {
 		return ErrBadFD
-	}
-	if f.sock != nil {
-		k.net().close(f.sock)
-	}
-	if f.pipe != nil {
-		f.pipe.closed = true
 	}
 	p.dropFD(fd)
 	return nil
@@ -619,8 +612,7 @@ func (k *Kernel) Dup(p *Process, fd int) (int, error) {
 	if !ok {
 		return -1, ErrBadFD
 	}
-	cp := *f
-	return p.installFD(&cp), nil
+	return p.installFD(f), nil
 }
 
 // Dup2 implements dup2(2).
@@ -633,8 +625,7 @@ func (k *Kernel) Dup2(p *Process, oldfd, newfd int) (int, error) {
 	if !ok {
 		return -1, ErrBadFD
 	}
-	cp := *f
-	p.placeFD(newfd, &cp)
+	p.placeFD(newfd, f)
 	return newfd, nil
 }
 
@@ -651,8 +642,7 @@ func (k *Kernel) Dup3(p *Process, oldfd, newfd, flags int) (int, error) {
 	if !ok {
 		return -1, ErrBadFD
 	}
-	cp := *f
-	p.placeFD(newfd, &cp)
+	p.placeFD(newfd, f)
 	return newfd, nil
 }
 
@@ -906,7 +896,7 @@ func (k *Kernel) Socketpair(p *Process, domain, typ int) (int, int, error) {
 	}
 	sa := &Socket{Domain: domain, Type: typ}
 	sb := &Socket{Domain: domain, Type: typ}
-	sa.peer, sb.peer = k.net().pair(sa, sb)
+	sa.peer, sb.peer = k.net().pair()
 	return p.installFD(&FD{Path: "socket:pair", sock: sa}),
 		p.installFD(&FD{Path: "socket:pair", sock: sb}), nil
 }
@@ -938,7 +928,7 @@ func (k *Kernel) Setuid(p *Process, uid int) error {
 }
 
 // Fork implements fork(2): the child shares no memory but inherits the FD
-// table (descriptor objects are duplicated).
+// table, each descriptor naming the parent's open file.
 func (k *Kernel) Fork(p *Process) (*Process, error) {
 	defer k.sysret()
 	if err := k.enter(p, SysFork, noDetail); err != nil {
@@ -946,8 +936,7 @@ func (k *Kernel) Fork(p *Process) (*Process, error) {
 	}
 	child := k.Spawn(p.Name)
 	for fd, f := range p.fds {
-		cp := *f
-		child.placeFD(fd, &cp)
+		child.placeFD(fd, f)
 	}
 	child.UID = p.UID
 	k.m.Clock().Charge(snp.CostContextSwitch, snp.CyclesContextSwitch)

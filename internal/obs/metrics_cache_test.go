@@ -13,6 +13,8 @@ import (
 func TestMetricsSnapshotCache(t *testing.T) {
 	r := NewRecorder(64)
 	r.SetKindNames([]string{"k0", "k1"})
+	src := []uint64{0, 0, 0}
+	r.SetCycleSource(func() []uint64 { return src })
 	for i := 0; i < 10; i++ {
 		r.Record(Event{TS: uint64(100 + i), Dur: 5, Kind: Span, Class: ClassSyscall, Span: uint64(i + 1)})
 	}
@@ -27,9 +29,9 @@ func TestMetricsSnapshotCache(t *testing.T) {
 		t.Fatal("cached snapshot differs from an uncached rebuild")
 	}
 
-	// Charge moves attribution without recording an event; a cache hit
-	// must still see it, and the earlier snapshot must not.
-	r.Charge(1, 777)
+	// The cycle source moves attribution without recording an event; a
+	// cache hit must still see it, and the earlier snapshot must not.
+	src[1] = 777
 	if got := r.Metrics().CyclesByKind()[1]; got != 777 {
 		t.Fatalf("cache hit returned stale attribution: kind 1 = %d, want 777", got)
 	}
@@ -53,12 +55,7 @@ func TestMetricsSnapshotCache(t *testing.T) {
 		t.Fatalf("earlier snapshot mutated: audit count = %d, want 0", got)
 	}
 
-	// A registered cycle source is re-read on every call, hit or miss.
-	src := []uint64{0, 0, 5}
-	r.SetCycleSource(func() []uint64 { return src })
-	if got := r.Metrics().CyclesByKind()[2]; got != 5 {
-		t.Fatalf("cycle source not overlaid: kind 2 = %d, want 5", got)
-	}
+	// The cycle source is re-read on every call, hit or miss.
 	src[2] = 6
 	if got := r.Metrics().CyclesByKind()[2]; got != 6 {
 		t.Fatalf("cycle source stale on cache hit: kind 2 = %d, want 6", got)

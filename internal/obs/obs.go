@@ -278,7 +278,7 @@ func (sh *shard) events(out []Event) []Event {
 // Recorder is the sharded event ring plus its metrics registry. It has
 // exactly one producer goroutine, like the machine it instruments.
 //
-// A nil *Recorder is valid: Record, Charge and the accessors all no-op.
+// A nil *Recorder is valid: Record and the accessors all no-op.
 type Recorder struct {
 	shards   []*shard
 	shardCap int
@@ -290,15 +290,12 @@ type Recorder struct {
 	lastVCPU  int32
 	lastShard *shard
 
-	// kindCycles is the cycle-attribution table of a recorder with no
-	// cycle source (only tests charge it). Producers that keep their own
-	// attribution (the virtual clock does) register it with
-	// SetCycleSource: the snapshot then reads the producer's table at
-	// export time, with no per-charge mirror call on the hot path.
-	kindCycles [MaxKinds]uint64
-	cycleSrc   func() []uint64
-	kindNames  []string
-	svcNames   []string
+	// cycleSrc is the producer's cycle-attribution table (the virtual
+	// clock's, wired by SetCycleSource), read at export time with no
+	// per-charge mirror call on the hot path. It reads empty until set.
+	cycleSrc  func() []uint64
+	kindNames []string
+	svcNames  []string
 
 	// aux holds pull-based sources of producer-owned named counters (e.g.
 	// the snp machine's TLB statistics, the invariant auditor's check
@@ -316,11 +313,11 @@ type Recorder struct {
 	// aggregation several times with nothing recorded in between. The
 	// cache is keyed on the sequence counter plus a dirty bit covering
 	// every mutation the counter cannot see (ring-latency observations,
-	// Charge, the name/source setters, shard reconfiguration); a
-	// registered cycle source is re-checked on each hit since its values
-	// can move without touching the recorder at all. The recorder never
-	// writes into a snapshot it has handed out, so hits return the cached
-	// pointer itself — snapshots are immutable, possibly shared, views.
+	// the name/source setters, shard reconfiguration); the cycle source
+	// is re-checked on each hit since its values can move without
+	// touching the recorder at all. The recorder never writes into a
+	// snapshot it has handed out, so hits return the cached pointer
+	// itself — snapshots are immutable, possibly shared, views.
 	snapshot  *Metrics
 	snapSeq   uint64
 	snapDirty bool
@@ -342,7 +339,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Recorder{shardCap: capacity}
+	r := &Recorder{shardCap: capacity, cycleSrc: noCycles}
 	r.shards = append(r.shards, newShard(capacity))
 	r.lastVCPU, r.lastShard = 0, r.shards[0]
 	return r
@@ -401,10 +398,13 @@ func (r *Recorder) RecordRingLatency(vcpu int32, cycles uint64) {
 	r.shardOf(vcpu).ringLat.Observe(cycles)
 }
 
-// SetCycleSource registers a pull-based cycle-attribution source read at
-// snapshot time (Metrics). When set it replaces the recorder's own table —
-// the natural wiring for a producer whose clock already attributes every
-// cycle by kind, since it costs nothing per charge. Nil-safe.
+// noCycles is the cycle source of a recorder no producer has wired.
+func noCycles() []uint64 { return nil }
+
+// SetCycleSource registers the pull-based cycle-attribution source read at
+// snapshot time (Metrics) — the natural wiring for a producer whose clock
+// already attributes every cycle by kind, since it costs nothing per
+// charge. Nil-safe.
 func (r *Recorder) SetCycleSource(src func() []uint64) {
 	if r == nil {
 		return
@@ -611,9 +611,6 @@ func (r *Recorder) Metrics() *Metrics {
 		return nil
 	}
 	if m := r.snapshot; m != nil && !r.snapDirty && r.snapSeq == r.seq {
-		if r.cycleSrc == nil {
-			return m
-		}
 		// A cycle source can advance without any recorder call (the
 		// virtual clock charging cycles that record no event). Re-read
 		// it: if nothing moved the cached view is still exact, otherwise
@@ -646,15 +643,12 @@ func (r *Recorder) Metrics() *Metrics {
 // buildMetrics is the uncached snapshot aggregation.
 func (r *Recorder) buildMetrics() *Metrics {
 	m := &Metrics{
-		kindCycles: r.kindCycles,
-		kindNames:  r.kindNames,
-		svcNames:   r.svcNames,
-		requests:   make([]Histogram, len(r.shards)),
-		ringLat:    make([]Histogram, len(r.shards)),
+		kindNames: r.kindNames,
+		svcNames:  r.svcNames,
+		requests:  make([]Histogram, len(r.shards)),
+		ringLat:   make([]Histogram, len(r.shards)),
 	}
-	if r.cycleSrc != nil {
-		copy(m.kindCycles[:], r.cycleSrc())
-	}
+	copy(m.kindCycles[:], r.cycleSrc())
 	for i, sh := range r.shards {
 		agg := sh.evicted // copy, then fold retained events on top
 		if sh.full {

@@ -127,7 +127,6 @@ func TestNilRecorderZeroAllocs(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Record(Event{Class: ClassVMGEXIT, TS: 1})
-		r.Charge(0, 100)
 		_ = r.Len()
 		_ = r.Dropped()
 		_ = r.Metrics().Count(ClassVMGEXIT)
@@ -147,7 +146,6 @@ func TestLiveRecorderZeroAllocsOnRecord(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Record(ev)
-		r.Charge(1, 42)
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path Record allocated %v times per run, want 0", allocs)
@@ -195,9 +193,7 @@ func fixedRecorder() *Recorder {
 	r.Record(Event{Class: ClassSyscall, Kind: Instant, TS: 9000, VCPU: 1, VMPL: 3, Arg1: 2})
 	r.Record(Event{Class: ClassRMPAdjust, Kind: Instant, TS: 9500, VCPU: 1, VMPL: 0, Arg1: 0x4000, Arg2: 1<<8 | 0x7})
 	r.Record(Event{Class: ClassAudit, Kind: Instant, TS: 9900, VCPU: 1, VMPL: 1, Arg1: 120})
-	r.Charge(0, 3890)
-	r.Charge(1, 3245)
-	r.Charge(2, 300)
+	r.SetCycleSource(func() []uint64 { return []uint64{3890, 3245, 300} })
 	return r
 }
 
@@ -482,18 +478,6 @@ func (r *Recorder) Record(e Event) {
 	if sh.next == len(sh.buf) {
 		sh.next = 0
 		sh.full = true
-	}
-}
-
-// Charge adds cycles to the attribution table under the producer-defined
-// cost kind index (see SetKindNames). Nil-safe.
-func (r *Recorder) Charge(kind int, cycles uint64) {
-	if r == nil {
-		return
-	}
-	if kind >= 0 && kind < MaxKinds {
-		r.kindCycles[kind] += cycles
-		r.snapDirty = true // attribution moved without a sequence bump
 	}
 }
 

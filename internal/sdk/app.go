@@ -49,11 +49,6 @@ type EnclaveConfig struct {
 	// stack); like the paper's prototype, every page is mapped at
 	// initialization.
 	RegionPages uint64
-	// EntryOffset is the program entry within the region.
-	EntryOffset uint64
-	// TickEveryExits injects a timer interrupt after every N enclave
-	// exits (0 = no timer model).
-	TickEveryExits uint64
 }
 
 // LaunchEnclave installs prog as an enclave in process p and returns the
@@ -97,7 +92,7 @@ func LaunchEnclave(c *cvm.CVM, p *kernel.Process, prog Program, cfg EnclaveConfi
 	// finalization with the protected view.
 	token := atomic.AddUint32(&tokenCounter, 1)
 	c.ENC.RegisterContext(token, func(view enc.View) hv.Context {
-		er := newEnclaveRuntime(c, view, prog, sharedVirt, cfg.TickEveryExits)
+		er := newEnclaveRuntime(c, view, prog, sharedVirt)
 		a.enclave = er
 		return er
 	})
@@ -113,7 +108,7 @@ func LaunchEnclave(c *cvm.CVM, p *kernel.Process, prog Program, cfg EnclaveConfi
 	le.PutUint64(arg[4:], imgVirt)
 	le.PutUint64(arg[12:], uint64(len(cfg.Image)))
 	le.PutUint64(arg[20:], cfg.RegionPages)
-	le.PutUint64(arg[28:], cfg.EntryOffset)
+	le.PutUint64(arg[28:], 0) // entry offset: the program starts at the region base
 	if _, err := c.K.Ioctl(p, fd, ReqCreateEnclave, arg); err != nil {
 		return nil, fmt.Errorf("sdk: enclave create ioctl: %w", err)
 	}

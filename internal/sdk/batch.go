@@ -8,10 +8,10 @@ import (
 // Exitless system-call batching: §10 of the paper proposes minimizing
 // synchronous enclave exits by batching system calls (after FlexSC). This
 // implements the design as an opt-in SDK mode: side-effect-only syscalls
-// (writes, sends, file-namespace updates) queue inside the enclave and a
-// single exit flushes the whole batch to the application, which replays it
-// against the kernel. Results are deferred: Flush reports how many calls
-// succeeded and the first error.
+// (writes) queue inside the enclave and a single exit flushes the whole
+// batch to the application, which replays it against the kernel; any
+// other entry replays as ENOSYS. Results are deferred: Flush reports how
+// many calls succeeded and the first error.
 //
 // Only calls whose results the program does not need inline are batchable —
 // the same restriction real exitless designs carry.
@@ -199,28 +199,6 @@ func (a *AppRuntime) replayBatched(sysno uint64, args []uint64, data [][]byte) u
 		}
 		_, err := k.Write(p, int(args[0]), data[0])
 		return errnoFor(err)
-	case 18: // pwrite(fd, buf, off)
-		if len(args) < 3 || len(data) < 1 {
-			return 22
-		}
-		_, err := k.Pwrite(p, int(args[0]), data[0], int64(args[2]))
-		return errnoFor(err)
-	case 44: // sendto(fd, buf)
-		if len(args) < 1 || len(data) < 1 {
-			return 22
-		}
-		_, err := k.Sendto(p, int(args[0]), data[0])
-		return errnoFor(err)
-	case 87: // unlink(path)
-		if len(data) < 1 {
-			return 22
-		}
-		return errnoFor(k.Unlink(p, string(data[0])))
-	case 83: // mkdir(path, mode)
-		if len(args) < 1 || len(data) < 1 {
-			return 22
-		}
-		return errnoFor(k.Mkdir(p, string(data[0]), uint32(args[0])))
 	}
 	return 38 // ENOSYS
 }

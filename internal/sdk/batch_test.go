@@ -56,25 +56,30 @@ func TestBatchMixedOperations(t *testing.T) {
 	c := bootVeil(t)
 	prog := ProgramFunc(func(lc Libc, args []string) int {
 		er := lc.(*EnclaveRuntime)
-		fd, err := er.Open("/tmp/mix.db", kernel.OCreat|kernel.ORdwr, 0o644)
+		db, err := er.Open("/tmp/mix.db", kernel.OCreat|kernel.ORdwr, 0o644)
+		if err != nil {
+			return 1
+		}
+		idx, err := er.Open("/tmp/mix.idx", kernel.OCreat|kernel.ORdwr, 0o644)
 		if err != nil {
 			return 1
 		}
 		b := er.StartBatch()
-		b.Mkdir("/tmp/batchdir", 0o755)
-		b.Pwrite(fd, []byte("HDR!"), 0)
-		b.Pwrite(fd, []byte("tail"), 8)
+		b.Write(db, []byte("HDR!"))
+		b.Write(idx, []byte("index"))
+		b.Write(db, []byte("tail"))
 		b.Print("batched hello\n")
 		n, err := b.Flush()
 		if err != nil || n != 4 {
 			return 2
 		}
-		// Verify through normal (synchronous) calls.
-		buf := make([]byte, 4)
-		if _, err := er.Pread(fd, buf, 0); err != nil || string(buf) != "HDR!" {
+		// Verify through normal (synchronous) calls: each descriptor got
+		// its writes, in queue order.
+		buf := make([]byte, 8)
+		if _, err := er.Pread(db, buf, 0); err != nil || string(buf) != "HDR!tail" {
 			return 3
 		}
-		if _, err := er.Stat("/tmp/batchdir"); err != nil {
+		if _, err := er.Pread(idx, buf[:5], 0); err != nil || string(buf[:5]) != "index" {
 			return 4
 		}
 		return 0
@@ -91,8 +96,8 @@ func TestBatchReportsDeferredErrors(t *testing.T) {
 	prog := ProgramFunc(func(lc Libc, args []string) int {
 		er := lc.(*EnclaveRuntime)
 		b := er.StartBatch()
-		b.Write(99, []byte("x")) // bad fd
-		b.Unlink("/no/such")     // missing
+		b.Write(99, []byte("x"))           // bad fd
+		b.add(87, nil, []byte("/no/such")) // unlink: replays as ENOSYS
 		fd, _ := er.Open("/tmp/ok", kernel.OCreat|kernel.OWronly, 0o644)
 		b.Write(fd, []byte("good"))
 		n, err := b.Flush()
@@ -183,21 +188,6 @@ func TestBatchVsSynchronousExitSavings(t *testing.T) {
 	}
 	t.Logf("50 writes: synchronous %d cycles, batched %d cycles (%.1fx)",
 		syncCycles, batchCycles, float64(syncCycles)/float64(batchCycles))
-}
-
-// Pwrite queues pwrite64(2).
-func (b *Batch) Pwrite(fd int, buf []byte, off int64) error {
-	return b.add(18, []uint64{uint64(fd), uint64(len(buf)), uint64(off)}, buf)
-}
-
-// Unlink queues unlink(2).
-func (b *Batch) Unlink(path string) error {
-	return b.add(87, nil, []byte(path))
-}
-
-// Mkdir queues mkdir(2).
-func (b *Batch) Mkdir(path string, mode uint32) error {
-	return b.add(83, []uint64{uint64(mode)}, []byte(path))
 }
 
 // Print queues a console write.

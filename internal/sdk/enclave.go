@@ -24,20 +24,16 @@ type EnclaveRuntime struct {
 
 	shared uint64 // shared region base (virtual, same in both table trees)
 
-	tickEvery uint64
-	exits     uint64
-	calls     uint64
-	dead      bool
+	exits uint64
+	calls uint64
+	dead  bool
 }
 
 var _ hv.Context = (*EnclaveRuntime)(nil)
 var _ Libc = (*EnclaveRuntime)(nil)
 
-func newEnclaveRuntime(c *cvm.CVM, view enc.View, prog Program, shared uint64, tickEvery uint64) *EnclaveRuntime {
-	return &EnclaveRuntime{
-		c: c, view: view, prog: prog, shared: shared,
-		tickEvery: tickEvery,
-	}
+func newEnclaveRuntime(c *cvm.CVM, view enc.View, prog Program, shared uint64) *EnclaveRuntime {
+	return &EnclaveRuntime{c: c, view: view, prog: prog, shared: shared}
 }
 
 // View returns the enclave's protected view (tests).
@@ -160,11 +156,6 @@ func (e *EnclaveRuntime) wu64(off uint64, v uint64) error {
 func (e *EnclaveRuntime) exitForSyscall() error {
 	e.exits++
 	e.c.ENC.ChargeEnclaveExit()
-	if e.tickEvery > 0 && e.exits%e.tickEvery == 0 {
-		if err := e.c.HV.InjectInterrupt(e.view.VCPU); err != nil {
-			return err
-		}
-	}
 	g := &snp.GHCB{ExitCode: hv.ExitDomainSwitch, ExitInfo1: core.DomUNT}
 	return e.c.HV.GuestCall(e.view.VCPU, snp.VMPL2, snp.CPL3, e.view.GHCB, g)
 }

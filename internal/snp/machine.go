@@ -56,14 +56,13 @@ type Machine struct {
 	halted *Fault
 
 	// Software TLB (see tlb.go): a direct-mapped cache of completed
-	// page-table walks, invalidated by a full-flush epoch, an RMP-verdict
-	// epoch, and per-table-page generations. ptPages is the bitset of
+	// page-table walks, invalidated by an RMP-verdict epoch and
+	// per-table-page generations. ptPages is the bitset of
 	// pages the walker has read PTEs from; ptWrites counts the generation
 	// bumps across all of them. tlbNoInvalidate is the
 	// deliberately broken test-only mode proving the stale-TLB attack
 	// test has teeth.
 	tlb             []tlbEntry
-	tlbFlushEpoch   uint64
 	tlbRMPEpoch     uint64
 	tlbNoInvalidate bool
 	ptPages         []uint64

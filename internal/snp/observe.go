@@ -43,12 +43,6 @@ func (m *Machine) SetRecorder(r *obs.Recorder) {
 // Flight* accessors read the recorder's tail instead.
 func (m *Machine) SetFlight(f *obs.Flight) { m.flight = f }
 
-// Flight returns the attached flight ring (nil when detached). Consumers
-// that want the post-mortem event tail should use FlightTail and the
-// FlightDropped* accessors, which also work when a recorder shadows the
-// ring.
-func (m *Machine) Flight() *obs.Flight { return m.flight }
-
 // flightTailCap returns how many trailing events the post-mortem keeps.
 func (m *Machine) flightTailCap() int {
 	if m.flight != nil {

@@ -310,7 +310,7 @@ func (m *Machine) AuditTLBVerdicts(max int) (int, []string) {
 	var details []string
 	for i := range m.tlb {
 		e := &m.tlb[i]
-		if e.key == (tlbKey{}) || e.flushEpoch != m.tlbFlushEpoch || e.rmpEpoch != m.tlbRMPEpoch || e.rmpOK == 0 {
+		if e.key == (tlbKey{}) || e.rmpEpoch != m.tlbRMPEpoch || e.rmpOK == 0 {
 			continue
 		}
 		if !m.tlbDepsCurrent(e) {

@@ -7,12 +7,9 @@ package snp
 // or the tables change; a stale translation that survives an RMPADJUST is a
 // known attack surface of the SNP interface. The model reproduces that
 // structure — and gets its host speed from it — with a direct-mapped
-// translation cache and three invalidation channels, ordered from blunt to
+// translation cache and two invalidation channels, ordered from blunt to
 // precise:
 //
-//   - A full flush bumps a machine-wide flush epoch: every cached entry
-//     dies. This is the INVLPG-all/shootdown hammer; no shipped layer
-//     issues one, and the tests do through FlushTLB in tlb_test.go.
 //   - RMP mutations (RMPADJUST, PVALIDATE, VMSA create/destroy, hypervisor
 //     page-state changes) bump the RMP epoch: cached *translations* survive
 //     (the guest page tables did not change) but every memoized RMP verdict
@@ -60,15 +57,14 @@ type tlbDep struct {
 // permission bits, the pages the walk depends on, and the per-access RMP
 // verdict mask.
 type tlbEntry struct {
-	key        tlbKey
-	flushEpoch uint64 // matches Machine.tlbFlushEpoch while live
-	ptSeen     uint64 // Machine.ptWrites when deps were last found current
-	rmpEpoch   uint64 // epoch rmpOK was established at
-	physPage   uint64
-	eff        uint64 // accumulated PTEWrite|PTEUser across levels
-	deps       [PTLevels]tlbDep
-	effNX      bool
-	rmpOK      uint8 // bitmask by Access: checkGuestAccess passed at rmpEpoch
+	key      tlbKey
+	ptSeen   uint64 // Machine.ptWrites when deps were last found current
+	rmpEpoch uint64 // epoch rmpOK was established at
+	physPage uint64
+	eff      uint64 // accumulated PTEWrite|PTEUser across levels
+	deps     [PTLevels]tlbDep
+	effNX    bool
+	rmpOK    uint8 // bitmask by Access: checkGuestAccess passed at rmpEpoch
 }
 
 // MemStats are host-side counters over the memory path: software-TLB
@@ -76,7 +72,7 @@ type tlbEntry struct {
 type MemStats struct {
 	TLBHits           uint64 // translations served from the cache
 	TLBMisses         uint64 // translations that ran the 4-level walk
-	TLBFlushes        uint64 // full flushes (FlushTLB epoch bumps)
+	TLBFlushes        uint64 // always 0 (no layer flushes it all); kept for the exports' shape
 	TLBRMPFlushes     uint64 // RMP-verdict invalidations (RMP/page-state changes)
 	TLBPTInvalidation uint64 // precise per-table-page invalidations
 	SpanReads         uint64 // zero-copy read spans handed out
@@ -120,13 +116,13 @@ func (m *Machine) tlbSlot(k tlbKey) *tlbEntry {
 	return &m.tlb[idx]
 }
 
-// tlbLive reports whether e currently caches k: right key, not flushed, and
-// every table page the walk read still at its walk-time generation. While
+// tlbLive reports whether e currently caches k: right key, and every table
+// page the walk read still at its walk-time generation. While
 // no table page has been written since e was last checked, that is the
 // single ptSeen compare; otherwise the generations are rechecked and a
 // surviving entry is re-stamped.
 func (m *Machine) tlbLive(e *tlbEntry, k tlbKey) bool {
-	if e.key != k || e.flushEpoch != m.tlbFlushEpoch {
+	if e.key != k {
 		return false
 	}
 	if e.ptSeen == m.ptWrites {
@@ -162,7 +158,7 @@ func (m *Machine) tlbFill(e *tlbEntry, k tlbKey, physPage, eff uint64, effNX boo
 		return false
 	}
 	*e = tlbEntry{
-		key: k, flushEpoch: m.tlbFlushEpoch, ptSeen: m.ptWrites, rmpEpoch: m.tlbRMPEpoch,
+		key: k, ptSeen: m.ptWrites, rmpEpoch: m.tlbRMPEpoch,
 		physPage: physPage, eff: eff, effNX: effNX, deps: deps,
 	}
 	return true

@@ -357,13 +357,11 @@ func (a AccessContext) translateUncached(virt uint64, acc Access) (uint64, error
 	return phys, nil
 }
 
-// FlushTLB invalidates every cached translation by bumping the machine
-// flush epoch: the full hammer beside the architectural mutators' narrower
-// channels.
+// FlushTLB invalidates every cached translation by dropping the cache:
+// the full hammer beside the architectural mutators' narrower channels.
 func (m *Machine) FlushTLB() {
 	if m.tlbNoInvalidate {
 		return
 	}
-	m.tlbFlushEpoch++
-	m.memStats.TLBFlushes++
+	m.tlb = nil
 }
