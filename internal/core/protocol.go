@@ -47,8 +47,10 @@ const (
 
 // VeilS-Channel operations: attested sessions between the CVMs of a fleet.
 // The OS is the network driver — it relays sealed frames between the
-// service and the fabric but can neither read nor forge them; every
-// handshake and data frame it hands in is verified inside Dom-SRV.
+// service and the fabric, never holds a session key and cannot forge or
+// replay a frame; every handshake and data frame it hands in is verified
+// inside Dom-SRV. It does receive the opened messages of the sessions it
+// terminates, in the responses to the data frames it delivers.
 const (
 	// OpChnDial starts a session to a peer machine (payload: peer u32).
 	// Response: the ChnEventDialing event header (event u8, init u32,
@@ -56,18 +58,16 @@ const (
 	OpChnDial uint8 = 1
 	// OpChnDeliver hands the service one frame received from the fabric
 	// (payload: raw frame). Response: the event header (event u8, init
-	// u32, session u32) naming what the frame changed, then u8 has-reply;
-	// when 1, dst u32 and the reply frame to transmit. StatusDenied (no
-	// body) means the frame was refused (bad report, replay, unknown
-	// peer) — with auditor evidence — and changed nothing.
+	// u32, session u32) naming what the frame changed. A ChnEventQueued
+	// header is followed by the opened message; any other by u8
+	// has-reply and, when 1, dst u32 and the reply frame to transmit.
+	// StatusDenied (no body) means the frame was refused (bad report,
+	// replay, unknown peer) — with auditor evidence — and changed nothing.
 	OpChnDeliver uint8 = 2
 	// OpChnSend seals one application message for an established session
 	// (payload: init u32, session u32, message bytes). Response: dst u32,
 	// then the sealed data frame to transmit.
 	OpChnSend uint8 = 3
-	// OpChnRecv pops the next decrypted inbound message of a session
-	// (payload: init u32, session u32). Response: u8 has-message, bytes.
-	OpChnRecv uint8 = 4
 	// OpChnState queries a session (payload: init u32, session u32).
 	// Response: u8 state (ChnStateNone, ChnStateDialing or
 	// ChnStateEstablished).
@@ -84,9 +84,10 @@ const (
 
 // VeilS-Channel events: the first byte of every OK OpChnDial and
 // OpChnDeliver response, followed by the (init u32, session u32) pair the
-// event concerns. They tell the OS nothing it could not infer from the
-// frame's cleartext header and the response status, but they let the
-// stub's session view answer polls without a domain switch.
+// event concerns. Beyond the messages a Queued event carries, they tell
+// the OS nothing it could not infer from the frame's cleartext header and
+// the response status, but they let the stub's session view answer polls
+// and receives without a domain switch.
 const (
 	// ChnEventDialing: a session was created in the Dialing state (a
 	// local dial, or a peer's Dial frame at the responder).
@@ -94,7 +95,8 @@ const (
 	// ChnEventEstablished: an Offer or Answer frame completed the
 	// handshake.
 	ChnEventEstablished uint8 = 2
-	// ChnEventQueued: a data frame was opened into the session's inbox.
+	// ChnEventQueued: a data frame was opened; its message follows the
+	// header, for the OS to queue on the session.
 	ChnEventQueued uint8 = 3
 )
 

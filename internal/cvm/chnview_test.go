@@ -28,10 +28,11 @@ func rawChn(t testing.TB, st *core.OSStub, op uint8, init int, sid uint32) core.
 }
 
 // checkChnView asserts that st's session view agrees with the service on
-// one session: ChnState equals a raw OpChnState, and after draining with
-// ChnRecv a raw OpChnRecv finds the inbox empty (the view never hides a
-// message). A session the service does not know must fail both ways.
-func checkChnView(t testing.TB, st *core.OSStub, init int, sid uint32) {
+// one session: ChnState equals a raw OpChnState, and ChnRecv fails exactly
+// when the service does not hold the session. It drains the session's
+// queue and returns how many messages it held, for the caller's count of
+// messages the OS has taken: the service's Stats.Received must equal it.
+func checkChnView(t testing.TB, st *core.OSStub, init int, sid uint32) uint64 {
 	t.Helper()
 	state, err := st.ChnState(init, sid)
 	if err != nil {
@@ -40,24 +41,20 @@ func checkChnView(t testing.TB, st *core.OSStub, init int, sid uint32) {
 	if raw := rawChn(t, st, core.OpChnState, init, sid); raw.Status != core.StatusOK || !bytes.Equal(raw.Payload, []byte{state}) {
 		t.Fatalf("(init %d, sid %d): view state %d, service says status %d %v", init, sid, state, raw.Status, raw.Payload)
 	}
-	var recvErr error
-	for {
-		var ok bool
-		if _, ok, recvErr = st.ChnRecv(init, sid); recvErr != nil || !ok {
-			break
+	for n := uint64(0); ; n++ {
+		_, ok, err := st.ChnRecv(init, sid)
+		if (err != nil) != (state == core.ChnStateNone) {
+			t.Fatalf("(init %d, sid %d): ChnRecv err %v on a session in state %d", init, sid, err, state)
 		}
-	}
-	raw := rawChn(t, st, core.OpChnRecv, init, sid)
-	if (recvErr != nil) != (raw.Status != core.StatusOK) {
-		t.Fatalf("(init %d, sid %d): ChnRecv err %v, service status %d", init, sid, recvErr, raw.Status)
-	}
-	if raw.Status == core.StatusOK && (len(raw.Payload) == 0 || raw.Payload[0] != 0) {
-		t.Fatalf("(init %d, sid %d): the view reported an empty inbox the service still holds a message in", init, sid)
+		if !ok {
+			return n
+		}
 	}
 }
 
 // After an honest run every machine's view agrees with its service on
-// every session it belongs to.
+// every session it belongs to, and every message the service opened was
+// taken by the echo task: the views hold nothing more.
 func TestChnViewMatchesServiceAfterEcho(t *testing.T) {
 	f, err := BootFleet(testFleetOptions(3, 29))
 	if err != nil {
@@ -72,8 +69,12 @@ func TestChnViewMatchesServiceAfterEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, c := range f.CVMs {
+		taken := uint64(len(ends[id]) * plan.Rounds)
 		for _, e := range ends[id] {
-			checkChnView(t, c.Stub, e.init, e.sid)
+			taken += checkChnView(t, c.Stub, e.init, e.sid)
+		}
+		if got := c.CHN.Stats().Received; got != taken {
+			t.Fatalf("m%d: service opened %d messages, the OS took %d", id, got, taken)
 		}
 	}
 }
@@ -106,7 +107,12 @@ func TestChnViewSharedAcrossVCPUs(t *testing.T) {
 	if err != nil || !ok || string(msg) != "via vcpu 1" {
 		t.Fatalf("ChnRecv on VCPU 0 = %q, %v, %v; want the frame delivered on VCPU 1", msg, ok, err)
 	}
-	checkChnView(t, resp.Stubs[0], 0, 0)
+	if n := checkChnView(t, resp.Stubs[0], 0, 0); n != 0 {
+		t.Fatalf("the view still held %d messages after the receive", n)
+	}
+	if got := resp.CHN.Stats().Received; got != 2 {
+		t.Fatalf("service opened %d messages, want the echo request and this one", got)
+	}
 }
 
 // A Dial frame that names the receiving machine as its own initiator is
@@ -134,7 +140,9 @@ func TestChnRefusesReflectedDial(t *testing.T) {
 	if st := victim.CHN.Stats(); st.Refused != 1 {
 		t.Fatalf("refused = %d, want 1", st.Refused)
 	}
-	checkChnView(t, victim.Stub, 1, 0)
+	if n := checkChnView(t, victim.Stub, 1, 0); n != 0 {
+		t.Fatalf("the reflected dial queued %d messages", n)
+	}
 }
 
 // deniedChannelSince reports whether the flight tail holds a
@@ -156,11 +164,13 @@ func deniedChannelSince(m *snp.Machine, before uint64) bool {
 
 // FuzzChnDeliver feeds arbitrary bytes and mutated real frames to either
 // end of an established session. Whatever arrives, delivery must not
-// panic, every refusal must leave DeniedChannel evidence, and the
-// receiving machine's session view must still agree with its service —
-// on the established session and on the session the frame's header
-// names. One fleet serves every input, so frames that are accepted once
-// (a fresh dial, the first copy of a data frame) are replays afterwards.
+// panic, every refusal must leave DeniedChannel evidence and open
+// nothing, the receiving machine's session view must still agree with its
+// service — on the established session and on the session the frame's
+// header names — and the next in-order data frame must still open. One
+// fleet serves every input, so its seed frames are all replays by the
+// time the fuzzer delivers them; a frame accepted once (a fresh dial) is a
+// replay afterwards.
 func FuzzChnDeliver(f *testing.F) {
 	opts := testFleetOptions(2, 31)
 	opts.Base.FlightCapacity = 1 << 12
@@ -196,14 +206,26 @@ func FuzzChnDeliver(f *testing.F) {
 	if err := b.ChnDeliver(answer); err != nil {
 		f.Fatal(err)
 	}
-	if err := a.ChnSend(0, sid, []byte("request")); err != nil {
-		f.Fatal(err)
+	// send seals msg at from, delivers it to the other machine and takes
+	// it there: the in-order frame every input is followed by.
+	send := func(t testing.TB, from int, msg string) []byte {
+		if err := fl.CVMs[from].Stub.ChnSend(0, sid, []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		fr := last()
+		to := fl.CVMs[1-from].Stub
+		if err := to.ChnDeliver(fr); err != nil {
+			t.Fatalf("in-order frame to m%d: %v", 1-from, err)
+		}
+		if got, ok, err := to.ChnRecv(0, sid); err != nil || !ok || string(got) != msg {
+			t.Fatalf("m%d ChnRecv = %q, %v, %v; want %q", 1-from, got, ok, err, msg)
+		}
+		return fr
 	}
-	toB := last()
-	if err := b.ChnSend(0, sid, []byte("echo:request")); err != nil {
-		f.Fatal(err)
-	}
-	toA := last()
+	toB := send(f, 0, "request")
+	toA := send(f, 1, "echo:request")
+	// taken counts, per machine, the messages the OS has received.
+	taken := [2]uint64{1, 1}
 
 	flip := func(fr []byte, at int) []byte {
 		out := append([]byte(nil), fr...)
@@ -225,8 +247,10 @@ func FuzzChnDeliver(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, to uint8, frame []byte) {
 		sent = sent[:0]
-		c := fl.CVMs[int(to)%len(fl.CVMs)]
+		id := int(to) % len(fl.CVMs)
+		c := fl.CVMs[id]
 		before := c.M.FlightDropped() + uint64(c.M.FlightTailLen())
+		opened := c.CHN.Stats().Received
 		err := c.Stub.ChnDeliver(frame)
 		switch {
 		case len(frame) > core.IDCBPayloadMax:
@@ -239,12 +263,20 @@ func FuzzChnDeliver(f *testing.F) {
 			if !deniedChannelSince(c.M, before) {
 				t.Fatal("refused frame left no DeniedChannel evidence")
 			}
+			if c.CHN.Stats().Received != opened {
+				t.Fatal("a refused frame opened a message")
+			}
 		case err != nil:
 			t.Fatalf("ChnDeliver: %v", err)
 		}
-		checkChnView(t, c.Stub, 0, sid)
+		taken[id] += checkChnView(t, c.Stub, 0, sid)
 		if len(frame) >= chn.FrameHeaderLen {
-			checkChnView(t, c.Stub, int(binary.LittleEndian.Uint32(frame[1:])), binary.LittleEndian.Uint32(frame[9:]))
+			taken[id] += checkChnView(t, c.Stub, int(binary.LittleEndian.Uint32(frame[1:])), binary.LittleEndian.Uint32(frame[9:]))
 		}
+		if got := c.CHN.Stats().Received; got != taken[id] {
+			t.Fatalf("m%d: service opened %d messages, the OS received %d", id, got, taken[id])
+		}
+		send(t, 1-id, "in order")
+		taken[id]++
 	})
 }

@@ -255,7 +255,7 @@ func TestFleetStallDetected(t *testing.T) {
 }
 
 // The echo task polls ChnState and ChnRecv on every step; on an
-// established session with an empty inbox both cost no allocation, and
+// established session with an empty queue both cost no allocation, and
 // the machine's session view answers both without a domain switch: no
 // VMGEXIT and no virtual cycle.
 func TestChnPollAllocFree(t *testing.T) {
@@ -272,7 +272,7 @@ func TestChnPollAllocFree(t *testing.T) {
 		}},
 		{"ChnRecv", func() {
 			if msg, ok, err := st.ChnRecv(0, 0); err != nil || ok {
-				t.Fatalf("ChnRecv = %q, %v, %v; want an empty inbox", msg, ok, err)
+				t.Fatalf("ChnRecv = %q, %v, %v; want an empty queue", msg, ok, err)
 			}
 		}},
 	} {
@@ -291,8 +291,9 @@ func TestChnPollAllocFree(t *testing.T) {
 // One sealed message's whole trip allocates nothing in steady state: the
 // sender's ChnSend seals straight into the service's response, the fabric
 // copies the frame into its link slab, the receiver's NIC queue holds it
-// until the drain, ChnDeliver decodes it in place and opens it into a
-// recycled inbox buffer, and ChnRecv hands back the response stage. The
+// until the drain, ChnDeliver decodes it in place, opens it into the
+// service's response and copies the message into a recycled buffer of the
+// session view's queue, and ChnRecv hands that buffer back. The
 // fabric's slab and queue growth are amortized well below one allocation
 // per message: AllocsPerRun's integer average absorbs them, so a longer
 // run bounds them on their own.
@@ -323,7 +324,7 @@ func TestChnDataPathAllocFree(t *testing.T) {
 			t.Fatalf("ChnRecv = %v, %v; want the message", ok2, err)
 		}
 	}
-	trip() // warm the stage, scratch and inbox buffers
+	trip() // warm the stage, scratch and queue buffers
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("received %q, want %q", got, msg)
 	}

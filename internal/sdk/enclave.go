@@ -170,7 +170,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 	spec, ok := sanitizer.Spec(num)
 	if !ok {
 		// Unsupported syscall: the SDK kills the enclave (§7).
-		e.dead = true
+		e.kill(num)
 		return 0, sanitizer.ErrUnsupported
 	}
 	if err := spec.Validate(args); err != nil {
@@ -268,7 +268,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 		return 0, err
 	}
 	if errno == 38 { // ENOSYS from the application side
-		e.dead = true
+		e.kill(num)
 		return 0, sanitizer.ErrUnsupported
 	}
 	if errno == 0 {
@@ -295,11 +295,18 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 		// IAGO defence: pointer returns must be outside the enclave, and
 		// byte counts within the buffer the enclave asked for.
 		if err := spec.CheckRet(ret, args, e.view.Base, e.view.Length); err != nil {
-			e.dead = true
+			e.kill(num)
 			return 0, err
 		}
 	}
 	return ret, errFor(errno)
+}
+
+// kill marks the enclave dead and leaves the post-mortem its cause: a
+// DeniedIago event naming the syscall that killed it.
+func (e *EnclaveRuntime) kill(num int) {
+	e.dead = true
+	e.c.M.ObserveDenied(snp.DeniedIago, uint64(num))
 }
 
 // --- Libc over the redirection engine ---

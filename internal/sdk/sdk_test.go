@@ -9,6 +9,7 @@ import (
 
 	"veil/internal/cvm"
 	"veil/internal/kernel"
+	"veil/internal/obs"
 	"veil/internal/sdk/sanitizer"
 	"veil/internal/snp"
 )
@@ -256,6 +257,22 @@ func TestUnsupportedSyscallKillsEnclave(t *testing.T) {
 	if _, err := a.Enter(); !errors.Is(err, ErrEnclaveDead) {
 		t.Fatalf("re-enter = %v", err)
 	}
+	checkKillEvidence(t, c.M, 999)
+}
+
+// checkKillEvidence asserts that the flight ring holds exactly one
+// DeniedIago event, naming the syscall that killed the enclave.
+func checkKillEvidence(t *testing.T, m *snp.Machine, num uint64) {
+	t.Helper()
+	var kills []uint64
+	for _, e := range m.FlightTail() {
+		if e.Class == obs.ClassDenied && e.Arg1 == uint64(snp.DeniedIago) {
+			kills = append(kills, e.Arg2)
+		}
+	}
+	if len(kills) != 1 || kills[0] != num {
+		t.Fatalf("DeniedIago events name syscalls %v, want one naming %d", kills, num)
+	}
 }
 
 func TestIagoPointerReturnKillsEnclave(t *testing.T) {
@@ -290,6 +307,7 @@ func TestIagoPointerReturnKillsEnclave(t *testing.T) {
 	if rc != 9 || !sawIago {
 		t.Fatalf("rc=%d sawIago=%v", rc, sawIago)
 	}
+	checkKillEvidence(t, c.M, uint64(kernel.SysMmap))
 }
 
 // TestIagoReadCountKillsEnclave: a hostile ocall server claims a read
@@ -324,6 +342,7 @@ func TestIagoReadCountKillsEnclave(t *testing.T) {
 	if rc != 9 || !errors.Is(readErr, sanitizer.ErrIago) {
 		t.Fatalf("rc=%d read n=%d err=%v, want an ErrIago refusal", rc, n, readErr)
 	}
+	checkKillEvidence(t, c.M, uint64(kernel.SysRead))
 }
 
 // TestEnclaveScalarOcallZeroAlloc pins a scalar-only ocall at zero heap

@@ -15,9 +15,13 @@
 //
 // The untrusted OS is the network driver: it shuttles frames between the
 // service and the fabric exactly as it relays remote-user messages, able
-// to drop traffic but not to read or forge it. Every refusal lands in the
-// machine's observability stream as a DeniedChannel event with the peer id
-// as context, so cross-CVM attacks leave auditor-visible evidence.
+// to drop traffic but not to forge or replay it — it never holds a session
+// key, and every frame it hands in is verified here. It does see the
+// plaintext of the sessions it terminates: an opened message is handed to
+// the OS that asked for the session, as a NIC driver hands a decrypted
+// packet to its stack. Every refusal lands in the machine's observability
+// stream as a DeniedChannel event with the peer id as context, so
+// cross-CVM attacks leave auditor-visible evidence.
 //
 // Since obs v4 every frame header also carries fleet trace context (the
 // originating request's machine-qualified trace and span refs) as
@@ -30,12 +34,14 @@
 //
 // Every dial and every accepted delivery tells the OS what it changed: its
 // response leads with an event header (core.ChnEventDialing, Established
-// or Queued, plus the session's init and sid). The OS learns nothing it
-// could not infer from the cleartext frame header and the response status,
-// and its kernel stub keeps a session view from these events so that polls
-// cost no domain switch. Two properties keep that view exact: every inbox
-// push is reported in the response that caused it, and Established is
-// terminal — no operation ever moves a session out of it.
+// or Queued, plus the session's init and sid), and a Queued event carries
+// the opened message itself. The OS learns nothing it could not infer from
+// the cleartext frame header and the response status, beyond the message
+// it is the recipient of, and its kernel stub keeps a session view from
+// these events so that polls and receives cost no domain switch. Two
+// properties keep that view exact: every session is created by a response
+// that reports it, and Established is terminal — no operation ever moves a
+// session out of it.
 package chn
 
 import (
@@ -109,10 +115,6 @@ type session struct {
 	nonceA    [nonceLen]byte
 	nonceB    [nonceLen]byte
 	ch        *attest.Channel
-	// inbox holds the opened messages in arrival order. Slots past its
-	// length keep the buffers serveRecv drained, for deliverData to open
-	// the next messages into.
-	inbox [][]byte
 
 	// dialTC and offerTC are the trace-context bytes the Dial and Offer
 	// frames carried; both are hashed into the handshake transcript, so a
@@ -142,13 +144,12 @@ type Service struct {
 	stats    Stats
 
 	// evReply holds the response of a delivery that produced no reply
-	// frame. Reusing it is safe for the same reason as replyEmpty: the
+	// frame. Reusing it is safe for the same reason as replyState: the
 	// monitor copies every response out before the next request runs.
 	evReply [core.ChnEventLen + 1]byte
-	// sendBuf and recvBuf hold the responses of serveSend and serveRecv,
-	// reused on the same grounds as evReply.
-	sendBuf []byte
-	recvBuf []byte
+	// msgBuf holds the responses of serveSend and deliverData, which seal
+	// and open messages straight into it; reused on the same grounds.
+	msgBuf []byte
 	// aad is the data-frame header a seal or open binds. It lives apart
 	// from every frame buffer: crypto/cipher refuses additional data that
 	// overlaps the output, and a stack array would escape through the
@@ -203,8 +204,6 @@ func (s *Service) handle(vcpu int, op uint8, payload []byte) (uint32, []byte) {
 		return s.serveDeliver(vcpu, payload)
 	case core.OpChnSend:
 		return s.serveSend(payload)
-	case core.OpChnRecv:
-		return s.serveRecv(payload)
 	case core.OpChnState:
 		return s.serveState(payload)
 	}
@@ -307,8 +306,7 @@ func (s *Service) serveDial(payload []byte) (uint32, []byte) {
 		Nonce: sess.nonceA,
 	}
 	s.observeTx(trace, span)
-	out := make([]byte, core.ChnEventLen, core.ChnEventLen+64)
-	putEvent(out, core.ChnEventDialing, uint32(s.cfg.MachineID), sess.sid)
+	out := appendEvent(make([]byte, 0, core.ChnEventLen+64), core.ChnEventDialing, uint32(s.cfg.MachineID), sess.sid)
 	return core.StatusOK, append(out, f.encode()...)
 }
 
@@ -485,39 +483,36 @@ func (s *Service) verifyPeerReport(peer int, raw []byte, ts [32]byte) ([]byte, b
 	return rep.ReportData[:32], true
 }
 
-// deliverData opens one sealed application frame. A failed Open — replay,
-// reorder, tamper — is refused without advancing the channel window, so
-// the next in-order frame still opens. The message opens into the buffer
-// of a slot serveRecv drained, when the inbox has one past its end.
+// deliverData opens one sealed application frame straight into its
+// response: the Queued event header, then the message. A failed Open —
+// replay, reorder, tamper — is refused without advancing the channel
+// window, so the next in-order frame still opens.
 func (s *Service) deliverData(f *frame) (uint32, []byte) {
 	sess, ok := s.sessions[sessKey(f.Init, f.Sid)]
 	if !ok || sess.state != StateEstablished {
 		return s.refuse(int(f.Init))
 	}
-	var buf []byte
-	if n := len(sess.inbox); n < cap(sess.inbox) {
-		buf = sess.inbox[:n+1][n][:0]
-	}
+	out := appendEvent(s.msgBuf[:0], core.ChnEventQueued, f.Init, f.Sid)
 	// The frame header — trace context included — is the AEAD additional
 	// data: a host that rewrites any header byte (or grafts the sealed
 	// body under a doctored header) fails authentication here.
 	f.putHeader(s.aad[:])
-	msg, err := sess.ch.OpenAAD(buf, f.Sealed, s.aad[:])
+	out, err := sess.ch.OpenAAD(out, f.Sealed, s.aad[:])
 	if err != nil {
 		s.stats.Dropped++
 		return s.refuse(sess.peer)
 	}
+	s.msgBuf = out
 	if f.Trace != 0 {
 		sess.lastRxTrace = f.Trace
 	}
-	sess.inbox = append(sess.inbox, msg)
 	s.stats.Received++
-	return s.eventOnly(core.ChnEventQueued, f.Init, f.Sid)
+	return core.StatusOK, out
 }
 
 // serveSend seals one application message for an established session.
 // Its response — peer u32, then the data frame: header, sealed length,
-// sealed body — is built in sendBuf, and the message is sealed straight
+// sealed body — is built in msgBuf, and the message is sealed straight
 // into it: byte for byte what frame.encode would produce.
 func (s *Service) serveSend(payload []byte) (uint32, []byte) {
 	if len(payload) < 8 {
@@ -537,14 +532,14 @@ func (s *Service) serveSend(payload []byte) (uint32, []byte) {
 		Trace: trace, Span: span,
 	}
 	f.putHeader(s.aad[:])
-	out := binary.LittleEndian.AppendUint32(s.sendBuf[:0], uint32(sess.peer))
+	out := binary.LittleEndian.AppendUint32(s.msgBuf[:0], uint32(sess.peer))
 	out = append(out, s.aad[:]...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(msg)+sess.ch.Overhead()))
 	out, err := sess.ch.SealAAD(out, msg, s.aad[:])
 	if err != nil {
 		return core.StatusError, nil
 	}
-	s.sendBuf = out
+	s.msgBuf = out
 	s.stats.Sent++
 	s.observeTx(trace, span)
 	return core.StatusOK, out
@@ -557,31 +552,6 @@ func respOf(init uint32, sess *session, self int) uint32 {
 		return uint32(sess.peer)
 	}
 	return uint32(self)
-}
-
-// serveRecv pops the next decrypted inbound message, if any, answering
-// from recvBuf. The inbox shifts down rather than re-slicing its front
-// away, and the drained slot moves past its end with its buffer, for the
-// next delivery to open into.
-func (s *Service) serveRecv(payload []byte) (uint32, []byte) {
-	if len(payload) != 8 {
-		return core.StatusError, nil
-	}
-	init := binary.LittleEndian.Uint32(payload)
-	sid := binary.LittleEndian.Uint32(payload[4:])
-	sess, ok := s.sessions[sessKey(init, sid)]
-	if !ok {
-		return core.StatusError, nil
-	}
-	if len(sess.inbox) == 0 {
-		return core.StatusOK, replyEmpty
-	}
-	msg := sess.inbox[0]
-	s.recvBuf = append(append(s.recvBuf[:0], 1), msg...)
-	n := copy(sess.inbox, sess.inbox[1:])
-	sess.inbox[n] = msg[:0]
-	sess.inbox = sess.inbox[:n]
-	return core.StatusOK, s.recvBuf
 }
 
 // serveState reports a session's handshake state.
@@ -598,17 +568,14 @@ func (s *Service) serveState(payload []byte) (uint32, []byte) {
 	return core.StatusOK, replyState[sess.state]
 }
 
-// Read-only one-byte replies for the polling ops. Returning them shared is
-// safe because the monitor copies every response into the IDCB or the
-// ring before the next request runs.
-var (
-	replyEmpty = []byte{0}
-	replyState = [...][]byte{
-		StateNone:        {StateNone},
-		StateDialing:     {StateDialing},
-		StateEstablished: {StateEstablished},
-	}
-)
+// Read-only one-byte replies for OpChnState. Returning them shared is safe
+// because the monitor copies every response into the IDCB or the ring
+// before the next request runs.
+var replyState = [...][]byte{
+	StateNone:        {StateNone},
+	StateDialing:     {StateDialing},
+	StateEstablished: {StateEstablished},
+}
 
 // reportData packs (session public key, transcript hash) into the 64-byte
 // ReportData layout both sides verify.
@@ -618,29 +585,24 @@ func reportData(pub []byte, ts [32]byte) []byte {
 	return append(out, ts[:]...)
 }
 
-// putEvent writes the event header every OK dial and delivery response
+// appendEvent appends the event header every OK dial and delivery response
 // leads with: event u8, init u32, sid u32.
-func putEvent(b []byte, ev uint8, init, sid uint32) {
-	b[0] = ev
-	binary.LittleEndian.PutUint32(b[1:], init)
-	binary.LittleEndian.PutUint32(b[5:], sid)
+func appendEvent(b []byte, ev uint8, init, sid uint32) []byte {
+	b = binary.LittleEndian.AppendUint32(append(b, ev), init)
+	return binary.LittleEndian.AppendUint32(b, sid)
 }
 
 // eventOnly packs an OpChnDeliver response with no reply frame: the event
 // header and a zero has-reply flag, in the service's scratch array.
 func (s *Service) eventOnly(ev uint8, init, sid uint32) (uint32, []byte) {
-	putEvent(s.evReply[:], ev, init, sid)
-	s.evReply[core.ChnEventLen] = 0
-	return core.StatusOK, s.evReply[:]
+	return core.StatusOK, append(appendEvent(s.evReply[:0], ev, init, sid), 0)
 }
 
 // eventReply packs an OpChnDeliver response that carries a handshake
 // reply: the event header, has-reply 1, destination, frame.
 func eventReply(ev uint8, init, sid uint32, dst int, f []byte) (uint32, []byte) {
-	out := make([]byte, core.ChnEventLen+5, core.ChnEventLen+5+len(f))
-	putEvent(out, ev, init, sid)
-	out[core.ChnEventLen] = 1
-	binary.LittleEndian.PutUint32(out[core.ChnEventLen+1:], uint32(dst))
+	out := appendEvent(make([]byte, 0, core.ChnEventLen+5+len(f)), ev, init, sid)
+	out = binary.LittleEndian.AppendUint32(append(out, 1), uint32(dst))
 	return core.StatusOK, append(out, f...)
 }
 

@@ -231,9 +231,9 @@ func newTestService(t *testing.T, id int) *Service {
 
 // The data frame serveSend builds in place is byte for byte what
 // frame.encode makes of the same frame, its sealed body is what a fresh
-// channel seals under the frame header, and it opens on the peer. Several
-// messages of different sizes go through the same send buffer and the
-// same inbox slots.
+// channel seals under the frame header, and it opens on the peer into the
+// delivery response. Several messages of different sizes go through the
+// same send and response buffers.
 func TestSendFrameMatchesEncode(t *testing.T) {
 	a, b := newTestService(t, 0), newTestService(t, 1)
 	ka, _ := attest.NewKeyPair(nil)
@@ -270,33 +270,23 @@ func TestSendFrameMatchesEncode(t *testing.T) {
 		frames = append(frames, append([]byte(nil), out[4:]...))
 	}
 
-	// Deliver two, drain both, then the rest one at a time: the later
-	// messages open into the slots the first drains left behind.
-	recv := func(want []byte) {
-		t.Helper()
-		status, out := b.serveRecv(key)
-		if status != core.StatusOK || len(out) == 0 || out[0] != 1 || !bytes.Equal(out[1:], want) {
-			t.Fatalf("serveRecv = %d %q, want %q", status, out, want)
+	// Each delivery answers with the Queued event for the session and
+	// then the opened message, built in the same response buffer every
+	// time. A replayed frame is refused and opens nothing, and the next
+	// in-order frame still opens.
+	for i, fr := range frames {
+		status, out := b.serveDeliver(0, fr)
+		want := appendEvent(nil, core.ChnEventQueued, init, sid)
+		if status != core.StatusOK || !bytes.Equal(out, append(want, msgs[i]...)) {
+			t.Fatalf("serveDeliver(frame %d) = %d %q, want the Queued event and %q", i, status, out, msgs[i])
+		}
+		if i == 1 {
+			if status, out := b.serveDeliver(0, frames[0]); status != core.StatusDenied || out != nil {
+				t.Fatalf("replayed frame 0 answered %d %q, want a refusal", status, out)
+			}
 		}
 	}
-	deliver := func(fr []byte) {
-		t.Helper()
-		if status, _ := b.serveDeliver(0, fr); status != core.StatusOK {
-			t.Fatalf("serveDeliver: status %d", status)
-		}
-	}
-	deliver(frames[0])
-	deliver(frames[1])
-	recv(msgs[0])
-	recv(msgs[1])
-	for i := 2; i < len(msgs); i++ {
-		deliver(frames[i])
-		recv(msgs[i])
-	}
-	if status, out := b.serveRecv(key); status != core.StatusOK || !bytes.Equal(out, []byte{0}) {
-		t.Fatalf("drained inbox answered %d %v, want empty", status, out)
-	}
-	if st := b.Stats(); st.Received != uint64(len(msgs)) || st.Refused != 0 {
+	if st := b.Stats(); st.Received != uint64(len(msgs)) || st.Refused != 1 || st.Dropped != 1 {
 		t.Fatalf("peer stats %+v", st)
 	}
 }

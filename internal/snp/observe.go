@@ -389,6 +389,12 @@ const (
 	// frame that failed authenticated decryption (fabric-level replay,
 	// reorder or tamper). Context = the peer machine id.
 	DeniedChannel
+	// DeniedIago: the SDK killed an enclave rather than act on what the
+	// host returned — a syscall result that failed the Iago check (a
+	// pointer into the enclave, a byte count past the caller's buffer) —
+	// or on a syscall it cannot shield (no specification, or ENOSYS from
+	// the host). Context = the syscall number.
+	DeniedIago
 )
 
 var deniedReasonNames = [...]string{
@@ -401,6 +407,7 @@ var deniedReasonNames = [...]string{
 	DeniedRing:      "ring",
 	DeniedIntrRoute: "intr-route",
 	DeniedChannel:   "channel",
+	DeniedIago:      "iago",
 }
 
 // String returns the refusal class's catalog name, so attack evidence and
