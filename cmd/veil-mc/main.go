@@ -7,7 +7,7 @@
 // Usage:
 //
 //	veil-mc                          # explore the default 2-VCPU config
-//	veil-mc -depth 10 -order dfs     # deeper, sequential depth-first
+//	veil-mc -depth 10 -workers 1     # deeper, one replay at a time
 //	veil-mc -json                    # machine-readable summary (deterministic)
 //	veil-mc -broken-tlb -expect-violation -ce ce.json
 //	                                 # teeth: the seeded TLB bug must be caught
@@ -37,8 +37,7 @@ func main() {
 	latency := flag.Int("latency", d.DrainLatency, "drain pickup latency in scheduler rounds")
 	seed := flag.Int64("seed", d.Seed, "boot key-material seed")
 	maxSteps := flag.Int("max-steps", d.MaxSteps, "per-path scheduler round budget")
-	order := flag.String("order", string(d.Order), "exploration order: bfs|dfs")
-	workers := flag.Int("workers", 0, "parallel replay workers for bfs (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallel replay workers (0 = GOMAXPROCS)")
 	maxReplays := flag.Uint64("max-replays", 0, "truncate exploration after N replays (0 = unbounded)")
 	brokenTLB := flag.Bool("broken-tlb", false, "boot with TLB invalidation suppressed (known-bad teeth mutation)")
 	noRMP := flag.Bool("no-rmp-inject", false, "disable the hostile RMPADJUST choice point")
@@ -60,7 +59,7 @@ func main() {
 		Depth: *depth, DrainLatency: *latency, Seed: *seed, MaxSteps: *maxSteps,
 		MemBytes: d.MemBytes, LogPages: d.LogPages,
 		RMPInject: !*noRMP, IntrModes: !*noIntr, BrokenTLB: *brokenTLB,
-		Order: mc.Order(*order), Workers: *workers,
+		Workers: *workers,
 		NoDedup: *noDedup, MaxReplays: *maxReplays,
 	}
 	sum, err := mc.Explore(cfg)
@@ -114,8 +113,8 @@ func main() {
 
 func printSummary(sum mc.Summary) {
 	c := sum.Config
-	fmt.Printf("veil-mc: %d VCPUs × %d procs, %d×%d ops, depth %d, order %s\n",
-		c.VCPUs, c.Procs, c.Batches, c.BatchSize, c.Depth, c.Order)
+	fmt.Printf("veil-mc: %d VCPUs × %d procs, %d×%d ops, depth %d\n",
+		c.VCPUs, c.Procs, c.Batches, c.BatchSize, c.Depth)
 	fmt.Printf("  choice points: sched-pick")
 	if c.IntrModes {
 		fmt.Printf(" × intr-mode")

@@ -3,7 +3,6 @@ package veil_test
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"veil/internal/core"
 	"veil/internal/cvm"
@@ -12,15 +11,6 @@ import (
 	"veil/internal/snp"
 )
 
-type exampleRand struct{ r *rand.Rand }
-
-func (d exampleRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 // Example boots a Veil CVM, attests it, runs a shielded program and shows
 // the enforcement is real. It doubles as executable documentation for the
 // three public entry points: cvm.Boot, core.NewRemoteUser, and
@@ -28,7 +18,7 @@ func (d exampleRand) Read(p []byte) (int, error) {
 func Example() {
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: exampleRand{r: rand.New(rand.NewSource(1))},
+		Rand: cvm.SeededRand(1),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -36,7 +26,7 @@ func Example() {
 	fmt.Println("veil CVM booted")
 
 	user, err := core.NewRemoteUser(c.PSP.PublicKey(), c.ExpectedMeasurement(),
-		exampleRand{r: rand.New(rand.NewSource(2))})
+		cvm.SeededRand(2))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package attacks
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"veil/internal/audit"
@@ -74,15 +73,6 @@ type Result struct {
 	Evidence    Evidence
 }
 
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 var seedCounter int64 = 9_000
 
 // lastBoot/lastAuditor track the most recent freshVeil CVM so execute can
@@ -101,7 +91,7 @@ func freshVeil() (*cvm.CVM, error) {
 	seedCounter++
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: detRand{r: rand.New(rand.NewSource(seedCounter))},
+		Rand: cvm.SeededRand(seedCounter),
 	})
 	lastBoot, lastAuditor = c, nil
 	if err == nil && auditing {
@@ -181,7 +171,7 @@ func Framework() []Result {
 				// the measurement of the image they built.
 				var wrong [32]byte
 				wrong[0] = 0xEE
-				user, err := core.NewRemoteUser(c.PSP.PublicKey(), wrong, detRand{r: rand.New(rand.NewSource(7))})
+				user, err := core.NewRemoteUser(c.PSP.PublicKey(), wrong, cvm.SeededRand(7))
 				if err != nil {
 					return false, err.Error()
 				}

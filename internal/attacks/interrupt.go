@@ -11,7 +11,6 @@ package attacks
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"veil/internal/audit"
 	"veil/internal/core"
@@ -27,7 +26,7 @@ func freshVeilSMP(vcpus int) (*cvm.CVM, error) {
 	seedCounter++
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: vcpus, Veil: true, LogPages: 8,
-		Rand: detRand{r: rand.New(rand.NewSource(seedCounter))},
+		Rand: cvm.SeededRand(seedCounter),
 	})
 	lastBoot, lastAuditor = c, nil
 	if err == nil && auditing {
@@ -36,44 +35,17 @@ func freshVeilSMP(vcpus int) (*cvm.CVM, error) {
 	return c, err
 }
 
-// blockOnCompletion drives one victim task through the scheduler: submit a
-// request with ring IRQs enabled, post the doorbell asynchronously, block
-// in WaitIntr until the completion interrupt arrives. Under honest relay it
-// returns nil; under hostile delivery the scheduler's verdict comes back.
-func blockOnCompletion(c *cvm.CVM, vcpus, victim int) error {
+// blockOnCompletion drives one victim ring tenant through the scheduler:
+// one append with ring IRQs enabled, the doorbell posted asynchronously,
+// then a block in WaitIntr until the completion interrupt arrives. Under
+// honest relay it returns nil; under hostile delivery the scheduler's
+// verdict comes back.
+func blockOnCompletion(c *cvm.CVM, vcpus int) error {
 	// DrainLatency > 1 so the victim is already blocked in WaitIntr when
 	// the drain fires — the window where the completion interrupt is the
 	// only thing that can wake it.
 	s := sched.New(sched.Config{Machine: c.M, VCPUs: vcpus, Seed: seedCounter, DrainLatency: 3})
-	c.OnInterrupt(s.Wake)
-	st := c.StubFor(victim)
-	st.SetDispatcher(s)
-	if err := st.EnableRingIRQ(true); err != nil {
-		return err
-	}
-	var pc core.PendingCall
-	submitted := false
-	if err := s.Add(victim, 1, sched.TaskFunc(func(vcpu int) (sched.Status, error) {
-		if !submitted {
-			submitted = true
-			var err error
-			pc, err = st.SubmitSrv(core.Request{Svc: core.SvcLOG, Op: core.OpLogAppend, Payload: []byte("victim append")})
-			if err != nil {
-				return sched.Yield, err
-			}
-			if err := st.DoorbellAsync(); err != nil {
-				return sched.Yield, err
-			}
-			return sched.Yield, nil
-		}
-		if _, err := st.WaitIntr(pc); err != nil {
-			if errors.Is(err, core.ErrWouldBlock) {
-				return sched.Blocked, nil
-			}
-			return sched.Yield, err
-		}
-		return sched.Done, nil
-	})); err != nil {
+	if _, err := c.AddRingTenants(s, cvm.RingPlan{Name: "victim", Procs: 1, Batches: 1, BatchSize: 1, Intr: true}); err != nil {
 		return err
 	}
 	_, err := s.Run()
@@ -115,7 +87,7 @@ func Interrupts() []Result {
 					return false, err.Error()
 				}
 				c.HV.SetInterruptRelay(hv.MisrouteVCPU, core.DomUNT)
-				rerr := blockOnCompletion(c, 2, 0)
+				rerr := blockOnCompletion(c, 2)
 				return errors.Is(rerr, sched.ErrLostWakeup) && c.M.Halted() == nil,
 					fmt.Sprintf("%v", rerr)
 			},
@@ -129,7 +101,7 @@ func Interrupts() []Result {
 					return false, err.Error()
 				}
 				c.HV.SetInterruptRelay(hv.DropInterrupt, core.DomUNT)
-				rerr := blockOnCompletion(c, 1, 0)
+				rerr := blockOnCompletion(c, 1)
 				return errors.Is(rerr, sched.ErrLostWakeup) && c.M.Halted() == nil,
 					fmt.Sprintf("%v", rerr)
 			},

@@ -1,100 +1,33 @@
 package audit_test
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"veil/internal/audit"
-	"veil/internal/core"
 	"veil/internal/cvm"
 	"veil/internal/sched"
 	"veil/internal/snp"
 )
 
-// ringTask is one VCPU's SMP workload: batched VeilS-Log submissions on
-// the interrupt completion channel — the multi-VCPU traffic the paper's
-// invariants must survive (privilege-domain switches, ring drains and
-// interrupt relays interleaving across VCPUs).
-type ringTask struct {
-	st      *core.OSStub
-	batches int
-	size    int
-	pending []core.PendingCall
-	done    int
-	ops     uint64
-}
-
-func (t *ringTask) Step(vcpu int) (sched.Status, error) {
-	if len(t.pending) == 0 {
-		if t.done >= t.batches {
-			return sched.Done, nil
-		}
-		for j := 0; j < t.size; j++ {
-			pc, err := t.st.SubmitSrv(core.Request{
-				Svc: core.SvcLOG, Op: core.OpLogAppend,
-				Payload: []byte(fmt.Sprintf("audit-smp v%d b%d op%d", vcpu, t.done, j)),
-			})
-			if err != nil {
-				return sched.Yield, err
-			}
-			t.pending = append(t.pending, pc)
-		}
-		if err := t.st.DoorbellAsync(); err != nil {
-			return sched.Yield, err
-		}
-		return sched.Yield, nil
-	}
-	if _, err := t.st.WaitIntr(t.pending[len(t.pending)-1]); err != nil {
-		if errors.Is(err, core.ErrWouldBlock) {
-			return sched.Blocked, nil
-		}
-		return sched.Yield, err
-	}
-	for _, pc := range t.pending {
-		r, ok, err := t.st.Poll(pc)
-		if err != nil || !ok || r.Status != core.StatusOK {
-			return sched.Yield, fmt.Errorf("seq %d: ok=%v status=%v err=%v", pc.Seq, ok, r.Status, err)
-		}
-		t.ops++
-	}
-	t.pending = t.pending[:0]
-	t.done++
-	return sched.Yield, nil
-}
-
 // smpWorkload boots a vcpus-wide Veil CVM with a frequent-cadence auditor
-// attached and drives one ring submitter per VCPU through the scheduler.
-func smpWorkload(t *testing.T, vcpus int, seed int64) (*cvm.CVM, *audit.Auditor, *sched.Scheduler, []*ringTask) {
+// attached and drives one ring tenant per VCPU through the scheduler on
+// the interrupt completion channel.
+func smpWorkload(t *testing.T, vcpus int, seed int64) (*cvm.CVM, *audit.Auditor, *sched.Scheduler, []*cvm.RingTask) {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: vcpus, Veil: true, LogPages: 16,
-		Rand: rng(seed),
+		Rand: cvm.SeededRand(seed),
 	})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
 	a := audit.Attach(c.M, audit.Config{FastEvery: 16, SweepEvery: 64})
 	s := sched.New(sched.Config{Machine: c.M, VCPUs: vcpus, Seed: seed, DrainLatency: 2})
-	c.OnInterrupt(s.Wake)
-
-	tasks := make([]*ringTask, vcpus)
-	for i := 0; i < vcpus; i++ {
-		p := c.K.Spawn(fmt.Sprintf("audit-smp-%d", i))
-		v, err := c.K.PlaceProcess(p.PID)
-		if err != nil {
-			t.Fatalf("place: %v", err)
-		}
-		st := c.StubFor(v)
-		st.SetDispatcher(s)
-		if err := st.EnableRingIRQ(true); err != nil {
-			t.Fatalf("ring irq: %v", err)
-		}
-		tasks[v] = &ringTask{st: st, batches: 2, size: 4}
-		if err := s.Add(v, 1, tasks[v]); err != nil {
-			t.Fatalf("add: %v", err)
-		}
+	tasks, err := c.AddRingTenants(s, cvm.RingPlan{Name: "audit-smp", Procs: vcpus, Batches: 2, BatchSize: 4, Intr: true})
+	if err != nil {
+		t.Fatalf("ring tenants: %v", err)
 	}
 	return c, a, s, tasks
 }
@@ -121,7 +54,7 @@ func TestInvariantsHoldUnderSMPWorkloads(t *testing.T) {
 			}
 			var ops uint64
 			for _, tk := range tasks {
-				ops += tk.ops
+				ops += tk.Ops()
 			}
 			if want := uint64(vcpus * 2 * 4); ops != want {
 				t.Fatalf("completed %d ops, want %d", ops, want)

@@ -1,8 +1,6 @@
 package audit_test
 
 import (
-	"io"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -14,22 +12,11 @@ import (
 	"veil/internal/snp"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
-func rng(seed int64) io.Reader { return detRand{r: rand.New(rand.NewSource(seed))} }
-
 func bootVeil(t *testing.T, seed int64, rec *obs.Recorder) *cvm.CVM {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: rng(seed), Recorder: rec,
+		Rand: cvm.SeededRand(seed), Recorder: rec,
 	})
 	if err != nil {
 		t.Fatalf("boot: %v", err)

@@ -6,8 +6,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"math/rand"
 	"sync"
 
 	"veil/internal/audit"
@@ -18,18 +16,6 @@ import (
 	"veil/internal/snp"
 	"veil/internal/workloads"
 )
-
-// detRand is the deterministic key source for benchmark CVMs.
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
-func rng(seed int64) io.Reader { return detRand{r: rand.New(rand.NewSource(seed))} }
 
 // benchMem is the machine size used for workload benches (small enough to
 // sweep quickly, large enough for every workload).
@@ -132,7 +118,7 @@ func bootFor(mode Mode, seed int64) (*cvm.CVM, error) {
 		MemBytes: benchMem,
 		VCPUs:    1,
 		LogPages: 2048, // 8 MiB store: enough for every bench run
-		Rand:     rng(seed),
+		Rand:     cvm.SeededRand(seed),
 		Recorder: obs.NewRecorder(benchRingCap),
 	}
 	switch mode {

@@ -30,7 +30,7 @@ func BootInit(memBytes uint64) (BootResult, error) {
 	if memBytes == 0 {
 		memBytes = 2 << 30
 	}
-	nat, err := cvm.Boot(cvm.Options{MemBytes: memBytes, VCPUs: 4, Veil: false, Rand: rng(51)})
+	nat, err := cvm.Boot(cvm.Options{MemBytes: memBytes, VCPUs: 4, Veil: false, Rand: cvm.SeededRand(51)})
 	if err != nil {
 		return BootResult{}, err
 	}
@@ -38,7 +38,7 @@ func BootInit(memBytes uint64) (BootResult, error) {
 	// baseline does by charging the kernel's deferred acceptance as it
 	// would occur across first use of memory. We measure boot as-is: the
 	// delta below is Veil's *additional* work, the paper's metric.
-	veil, err := cvm.Boot(cvm.Options{MemBytes: memBytes, VCPUs: 4, Veil: true, LogPages: 1024, Rand: rng(52)})
+	veil, err := cvm.Boot(cvm.Options{MemBytes: memBytes, VCPUs: 4, Veil: true, LogPages: 1024, Rand: cvm.SeededRand(52)})
 	if err != nil {
 		return BootResult{}, err
 	}
@@ -189,7 +189,7 @@ func CS1Module(n int) (CS1Result, error) {
 
 	measure := func(veilMode bool, seed int64) (load, unload uint64, image []byte, err error) {
 		c, err := cvm.Boot(cvm.Options{
-			MemBytes: benchMem, VCPUs: 1, Veil: veilMode, LogPages: 8, Rand: rng(seed),
+			MemBytes: benchMem, VCPUs: 1, Veil: veilMode, LogPages: 8, Rand: cvm.SeededRand(seed),
 		})
 		if err != nil {
 			return 0, 0, nil, err

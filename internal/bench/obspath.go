@@ -110,7 +110,7 @@ func obsPathRun(w workloads.Workload, seed int64, mode obsMode) (obsPathSide, er
 		VCPUs:    1,
 		Veil:     true,
 		LogPages: 2048,
-		Rand:     rng(seed),
+		Rand:     cvm.SeededRand(seed),
 		NoFlight: mode == obsDark,
 	}
 	if mode != obsDark {

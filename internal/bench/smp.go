@@ -1,5 +1,5 @@
-// The SMP scheduling experiment: the same batched VeilS-Log append
-// workload driven on several VCPUs at once through the deterministic
+// The SMP scheduling experiment: the cvm ring tenant's batched VeilS-Log
+// append workload driven on several VCPUs at once through the deterministic
 // scheduler, comparing the two completion channels — spinning on PollSpin
 // (each wait slice burns busy-poll cycles) versus blocking in WaitIntr and
 // being woken by the relayed completion interrupt (a blocked VCPU burns
@@ -13,10 +13,8 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 
-	"veil/internal/core"
 	"veil/internal/cvm"
 	"veil/internal/obs"
 	"veil/internal/sched"
@@ -26,9 +24,6 @@ const (
 	smpVCPUs     = 4
 	smpBatches   = 6  // batches per VCPU
 	smpBatchSize = 16 // submissions per batch (≤ RingSlots)
-	// smpPollSpins is the busy-wait length of one poll slice: 250 checks
-	// of the completion head at CyclesRingPoll each.
-	smpPollSpins = 250
 	// Drain pickup latency (scheduler rounds) for the two regimes.
 	smpBusyLatency = 1
 	smpIdleLatency = 10
@@ -101,74 +96,6 @@ type SMPResult struct {
 	SingleVCPU SMPCompare
 }
 
-// smpTask drives one VCPU's workload: submit a batch, ring the doorbell
-// asynchronously, wait for completion (spinning or blocking), collect,
-// repeat. It is a cooperative state machine stepped by the scheduler.
-type smpTask struct {
-	st      *core.OSStub
-	intr    bool
-	pending []core.PendingCall
-	done    int
-	ops     uint64
-	waits   uint64
-}
-
-func (t *smpTask) Step(vcpu int) (sched.Status, error) {
-	if len(t.pending) == 0 {
-		if t.done >= smpBatches {
-			return sched.Done, nil
-		}
-		for j := 0; j < smpBatchSize; j++ {
-			payload := []byte(fmt.Sprintf("smp v%d b%d op%d", vcpu, t.done, j))
-			pc, err := t.st.SubmitSrv(core.Request{Svc: core.SvcLOG, Op: core.OpLogAppend, Payload: payload})
-			if err != nil {
-				return sched.Yield, err
-			}
-			t.pending = append(t.pending, pc)
-		}
-		if err := t.st.DoorbellAsync(); err != nil {
-			return sched.Yield, err
-		}
-		return sched.Yield, nil
-	}
-
-	last := t.pending[len(t.pending)-1]
-	if t.intr {
-		if _, err := t.st.WaitIntr(last); err != nil {
-			if errors.Is(err, core.ErrWouldBlock) {
-				return sched.Blocked, nil
-			}
-			return sched.Yield, err
-		}
-	} else {
-		_, ok, err := t.st.PollSpin(last, smpPollSpins)
-		if err != nil {
-			return sched.Yield, err
-		}
-		if !ok {
-			t.waits++
-			return sched.Yield, nil
-		}
-	}
-
-	for _, pc := range t.pending {
-		r, ok, err := t.st.Poll(pc)
-		if err != nil {
-			return sched.Yield, err
-		}
-		if !ok {
-			return sched.Yield, fmt.Errorf("bench: seq %d incomplete after batch drain", pc.Seq)
-		}
-		if r.Status != core.StatusOK {
-			return sched.Yield, fmt.Errorf("bench: seq %d status %d", pc.Seq, r.Status)
-		}
-		t.ops++
-	}
-	t.pending = t.pending[:0]
-	t.done++
-	return sched.Yield, nil
-}
-
 // smpRun boots a fresh Veil CVM with the given VCPU count and drives the
 // workload through the scheduler in the given mode and latency regime.
 func smpRun(vcpus int, intr bool, latency int, seed int64) (SMPModeResult, error) {
@@ -178,7 +105,7 @@ func smpRun(vcpus int, intr bool, latency int, seed int64) (SMPModeResult, error
 		VCPUs:    vcpus,
 		Veil:     true,
 		LogPages: 2048,
-		Rand:     rng(seed),
+		Rand:     cvm.SeededRand(seed),
 		Recorder: rec,
 	})
 	if err != nil {
@@ -186,26 +113,11 @@ func smpRun(vcpus int, intr bool, latency int, seed int64) (SMPModeResult, error
 	}
 	s := sched.New(sched.Config{Machine: c.M, VCPUs: vcpus, Seed: seed, DrainLatency: latency})
 	s.RegisterGauges(rec)
-	c.OnInterrupt(s.Wake)
-
-	tasks := make([]*smpTask, vcpus)
-	for i := 0; i < vcpus; i++ {
-		// Kernel-side placement decides which VCPU each submitter runs on;
-		// with one process per VCPU the least-loaded rule is a bijection.
-		p := c.K.Spawn(fmt.Sprintf("smp-worker-%d", i))
-		v, err := c.K.PlaceProcess(p.PID)
-		if err != nil {
-			return SMPModeResult{}, err
-		}
-		st := c.StubFor(v)
-		st.SetDispatcher(s)
-		if err := st.EnableRingIRQ(intr); err != nil {
-			return SMPModeResult{}, err
-		}
-		tasks[v] = &smpTask{st: st, intr: intr}
-		if err := s.Add(v, 1, tasks[v]); err != nil {
-			return SMPModeResult{}, err
-		}
+	tasks, err := c.AddRingTenants(s, cvm.RingPlan{
+		Name: "smp", Procs: vcpus, Batches: smpBatches, BatchSize: smpBatchSize, Intr: intr,
+	})
+	if err != nil {
+		return SMPModeResult{}, err
 	}
 
 	start := c.M.Clock().Cycles()
@@ -233,13 +145,13 @@ func smpRun(vcpus int, intr bool, latency int, seed int64) (SMPModeResult, error
 	charged := make([]uint64, vcpus)
 	for i, vs := range stats.PerVCPU {
 		r.PerVCPU[i] = SMPVCPURow{
-			VCPU: i, Ops: tasks[i].ops,
+			VCPU: i, Ops: tasks[i].Ops(),
 			Slices: vs.Slices, SliceCycles: vs.SliceCycles,
 			Drains: vs.Drains, DrainCycles: vs.DrainCycles,
-			Wakeups: vs.Wakeups, WaitSlices: tasks[i].waits,
+			Wakeups: vs.Wakeups, WaitSlices: tasks[i].WaitSlices(),
 			RingLat: latSummary(met.RingLatHist(i)),
 		}
-		r.Ops += tasks[i].ops
+		r.Ops += tasks[i].Ops()
 		charged[i] = vs.SliceCycles + vs.DrainCycles
 	}
 	if r.Ops != uint64(vcpus*smpBatches*smpBatchSize) {
@@ -290,7 +202,7 @@ func smpCompare(vcpus, latency int, seed int64) (SMPCompare, error) {
 func SMP() (SMPResult, error) {
 	r := SMPResult{
 		VCPUs: smpVCPUs, Batches: smpBatches, BatchSize: smpBatchSize,
-		PollSpins: smpPollSpins, BusyLatency: smpBusyLatency, IdleLatency: smpIdleLatency,
+		PollSpins: cvm.RingPollSpins, BusyLatency: smpBusyLatency, IdleLatency: smpIdleLatency,
 	}
 	var err error
 	if r.Busy, err = smpCompare(smpVCPUs, smpBusyLatency, 8800); err != nil {

@@ -17,20 +17,11 @@ import (
 	"veil/internal/snp"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 func bootVeil(t *testing.T) *cvm.CVM {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: detRand{r: rand.New(rand.NewSource(61))},
+		Rand: cvm.SeededRand(61),
 	})
 	if err != nil {
 		t.Fatal(err)

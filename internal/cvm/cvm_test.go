@@ -3,7 +3,6 @@ package cvm
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -13,15 +12,6 @@ import (
 	"veil/internal/vmod"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 func bootVeilCVM(t *testing.T, vcpus int) *CVM {
 	t.Helper()
 	c, err := Boot(Options{
@@ -29,7 +19,7 @@ func bootVeilCVM(t *testing.T, vcpus int) *CVM {
 		VCPUs:    vcpus,
 		Veil:     true,
 		LogPages: 16,
-		Rand:     detRand{r: rand.New(rand.NewSource(1))},
+		Rand:     SeededRand(1),
 	})
 	if err != nil {
 		t.Fatalf("veil boot: %v", err)
@@ -43,7 +33,7 @@ func bootNativeCVM(t *testing.T, vcpus int) *CVM {
 		MemBytes: 24 << 20,
 		VCPUs:    vcpus,
 		Veil:     false,
-		Rand:     detRand{r: rand.New(rand.NewSource(2))},
+		Rand:     SeededRand(2),
 	})
 	if err != nil {
 		t.Fatalf("native boot: %v", err)
@@ -112,7 +102,7 @@ func TestVeilBootCostStructure(t *testing.T) {
 func TestRemoteAttestationAndChannel(t *testing.T) {
 	c := bootVeilCVM(t, 1)
 	user, err := core.NewRemoteUser(c.PSP.PublicKey(), c.ExpectedMeasurement(),
-		detRand{r: rand.New(rand.NewSource(3))})
+		SeededRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +122,7 @@ func TestRemoteAttestationAndChannel(t *testing.T) {
 func TestAttestationRejectsWrongMeasurement(t *testing.T) {
 	c := bootVeilCVM(t, 1)
 	var wrong [32]byte // attacker booted a different image
-	user, err := core.NewRemoteUser(c.PSP.PublicKey(), wrong, detRand{r: rand.New(rand.NewSource(4))})
+	user, err := core.NewRemoteUser(c.PSP.PublicKey(), wrong, SeededRand(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,23 +67,26 @@ type Fleet struct {
 	seed int64
 }
 
-// fleetRand is the fleet's deterministic key-material source (the sim-path
-// stand-in for crypto/rand.Reader; same construction the bench harness
-// uses).
-type fleetRand struct{ r *rand.Rand }
+// seededRand is SeededRand's reader.
+type seededRand struct{ r *rand.Rand }
 
-func (d fleetRand) Read(p []byte) (int, error) {
+func (d seededRand) Read(p []byte) (int, error) {
 	for i := range p {
 		p[i] = byte(d.r.Intn(256))
 	}
 	return len(p), nil
 }
 
+// SeededRand is the deterministic key-material source, the simulator's
+// stand-in for crypto/rand.Reader: a math/rand source drawing one
+// Intn(256) per byte, so the same seed yields the same keys.
+func SeededRand(seed int64) io.Reader { return seededRand{r: rand.New(rand.NewSource(seed))} }
+
 // machineRand derives machine id's key reader from the fleet seed; id -1
 // is the shared PSP identity. The multiplier keeps per-machine streams
 // disjoint from the fabric's per-link generators.
 func machineRand(seed int64, id int) io.Reader {
-	return fleetRand{r: rand.New(rand.NewSource(seed*2_654_435_761 + int64(id)))}
+	return SeededRand(seed*2_654_435_761 + int64(id))
 }
 
 // BootFleet boots opts.Machines Veil CVMs, each with its own seeded key

@@ -15,6 +15,11 @@ import (
 	"veil/internal/snp"
 )
 
+// taskFunc adapts a function to the sched.Task interface.
+type taskFunc func(vcpu int) (sched.Status, error)
+
+func (f taskFunc) Step(vcpu int) (sched.Status, error) { return f(vcpu) }
+
 func testFleetOptions(machines int, seed int64) FleetOptions {
 	return FleetOptions{
 		Machines: machines,
@@ -166,7 +171,7 @@ func TestEchoRejectsWrongReply(t *testing.T) {
 	}
 	initiator := &echoTask{c: f.CVMs[0], self: 0, ends: ends[0], rounds: 1}
 	resp := f.CVMs[1]
-	liar := sched.TaskFunc(func(int) (sched.Status, error) {
+	liar := taskFunc(func(int) (sched.Status, error) {
 		for _, fr := range resp.DrainNetFrames() {
 			if err := resp.Stub.ChnDeliver(fr); err != nil {
 				return sched.Done, err
@@ -235,7 +240,7 @@ func TestFleetStallDetected(t *testing.T) {
 	}
 	// Two tasks that block immediately and forever: nothing in flight, so
 	// the stepper must refuse rather than spin.
-	blocker := sched.TaskFunc(func(vcpu int) (sched.Status, error) {
+	blocker := taskFunc(func(vcpu int) (sched.Status, error) {
 		return sched.Blocked, nil
 	})
 	scheds := []*sched.Scheduler{
@@ -360,7 +365,7 @@ func TestFleetRunSpawnsNoGoroutines(t *testing.T) {
 	for i := range scheds {
 		steps := 0
 		scheds[i] = sched.New(sched.Config{Machine: f.CVMs[i].M, VCPUs: 1, Seed: int64(i)})
-		task := sched.TaskFunc(func(int) (sched.Status, error) {
+		task := taskFunc(func(int) (sched.Status, error) {
 			seen = append(seen, runtime.NumGoroutine())
 			if steps++; steps == 3 {
 				return sched.Done, nil
@@ -398,7 +403,7 @@ func TestFleetRunErrorNamesMachine(t *testing.T) {
 	for i := range scheds {
 		id, steps := i, 0
 		scheds[i] = sched.New(sched.Config{Machine: f.CVMs[i].M, VCPUs: 1, Seed: int64(i)})
-		task := sched.TaskFunc(func(int) (sched.Status, error) {
+		task := taskFunc(func(int) (sched.Status, error) {
 			steps++
 			switch {
 			case id == 1 && steps == 3:

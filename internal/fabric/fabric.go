@@ -81,6 +81,8 @@ type Stats struct {
 	Dropped   uint64 // seeded link-model drops
 	Reordered uint64 // seeded reorder penalties applied
 	Injected  uint64 // frames added by the host interceptor beyond 1:1
+	Swallowed uint64 // frames the host interceptor returned none for
+	Discarded uint64 // frames addressed outside the fleet, never queued
 }
 
 type link struct {
@@ -218,7 +220,10 @@ func (f *Fabric) Send(src, dst int, payload []byte, now uint64) error {
 	f.seq++
 	if f.intercept != nil {
 		out := f.intercept(m)
-		if len(out) > 1 {
+		switch {
+		case len(out) == 0:
+			f.stats.Swallowed++
+		case len(out) > 1:
 			f.stats.Injected += uint64(len(out) - 1)
 		}
 		for _, im := range out {
@@ -232,6 +237,7 @@ func (f *Fabric) Send(src, dst int, payload []byte, now uint64) error {
 
 func (f *Fabric) enqueue(m Message) {
 	if m.Dst < 0 || m.Dst >= f.n {
+		f.stats.Discarded++
 		return
 	}
 	q := f.queues[m.Dst]
@@ -305,8 +311,9 @@ func (f *Fabric) NextArrival(dst int) (uint64, bool) {
 func (f *Fabric) Stats() Stats { return f.stats }
 
 // LinkStats returns the counters for the directed link src → dst (zero
-// for out-of-range or self links). Injected is always zero per link: a
-// forged frame has no trustworthy source.
+// for out-of-range or self links). Injected, Swallowed and Discarded are
+// always zero per link: a forged frame has no trustworthy source, so the
+// host's handling is counted in Stats alone.
 func (f *Fabric) LinkStats(src, dst int) Stats {
 	if src < 0 || src >= f.n || dst < 0 || dst >= f.n || src == dst {
 		return Stats{}

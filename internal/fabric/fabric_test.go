@@ -258,8 +258,17 @@ func TestInterceptorSwallowRewriteDuplicate(t *testing.T) {
 	if err := f.Send(0, 1, []byte("gone"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if f.Pending(1) != 0 {
-		t.Fatal("swallowed frame still enqueued")
+	if f.Pending(1) != 0 || f.Stats().Swallowed != 1 {
+		t.Fatalf("swallowed frame: %d enqueued, Swallowed = %d, want 0 and 1", f.Pending(1), f.Stats().Swallowed)
+	}
+
+	// Misaddress: a frame sent outside the fleet is discarded, and counted.
+	f.SetInterceptor(func(m Message) []Message { m.Dst = 7; return []Message{m} })
+	if err := f.Send(0, 1, []byte("astray"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.Pending(1) != 0 || f.Stats().Discarded != 1 {
+		t.Fatalf("misaddressed frame: %d enqueued, Discarded = %d, want 0 and 1", f.Pending(1), f.Stats().Discarded)
 	}
 
 	// Rewrite + duplicate: host tampers and replays in one step.

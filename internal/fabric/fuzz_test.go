@@ -55,8 +55,9 @@ const (
 // Whatever the input: nothing panics; every Due batch is the model's
 // (Arrive, Seq)-ordered prefix; NextArrival is the model queue's head;
 // every delivered payload, and every batch's messages, keep their bytes to
-// the end of the input, across slab rollovers and later sends; and the
-// counters add up against what the harness saw.
+// the end of the input, across slab rollovers and later sends; the
+// counters add up against what the harness saw; and after every operation
+// the fabric's own counters account for every frame.
 func FuzzFabric(f *testing.F) {
 	f.Add([]byte{7, 0, 1, 2, 5, 0, 2, 1, 9, 3, 200, 2, 1, 4, 1})
 	f.Add([]byte{1, 4, 3, 0, 1, 0, 40, 0, 2, 1, 80, 3, 255, 1, 4, 5, 2, 9, 0, 0, 3, 255, 1})
@@ -146,7 +147,21 @@ func FuzzFabric(f *testing.F) {
 
 		var held [][]Message // every Due batch, as returned
 		var heldWant [][]fuzzFrame
-		var sent, dropped, injected, swallowed, discarded, delivered, linkDelivered, linkLat uint64
+		var sent, dropped, injected, delivered, linkDelivered, linkLat uint64
+		// Conservation, from the fabric's own counters: every frame the link
+		// model kept, plus the host's extra frames, is delivered, swallowed
+		// by the host, discarded for a Dst outside the fleet, or still queued.
+		conserved := func() {
+			st := fab.Stats()
+			var queued uint64
+			for _, q := range fab.queues {
+				queued += uint64(len(q))
+			}
+			if kept := st.Sent - st.Dropped; kept+st.Injected != st.Delivered+st.Swallowed+st.Discarded+queued {
+				t.Fatalf("%d kept + %d injected != %d delivered + %d swallowed + %d discarded + %d queued",
+					kept, st.Injected, st.Delivered, st.Swallowed, st.Discarded, queued)
+			}
+		}
 		checkBatch := func(dst int, now uint64) {
 			batch := fab.Due(dst, now)
 			if dst < 0 || dst >= n {
@@ -229,16 +244,10 @@ func FuzzFabric(f *testing.F) {
 				} else if !intercepted {
 					t.Fatal("the interceptor never saw a frame the link model kept")
 				}
-				switch {
-				case len(out) == 0:
-					swallowed++
-				case len(out) > 1:
+				if len(out) > 1 {
 					injected += uint64(len(out) - 1)
 				}
 				for _, m := range out {
-					if m.Dst < 0 || m.Dst >= n {
-						discarded++
-					}
 					enqueue(m)
 				}
 			case 2: // deliver
@@ -261,6 +270,7 @@ func FuzzFabric(f *testing.F) {
 			case 5: // let time pass
 				now += uint64(r.next()) * 100
 			}
+			conserved()
 		}
 		for dst := 0; dst < n; dst++ {
 			checkBatch(dst, math.MaxUint64)
@@ -285,12 +295,7 @@ func FuzzFabric(f *testing.F) {
 			t.Fatalf("stats %+v; the harness sent %d, saw %d dropped, %d injected, %d delivered, the shadow %d reordered",
 				st, sent, dropped, injected, delivered, shadow.Stats().Reordered)
 		}
-		// Conservation: every frame the link model kept is delivered,
-		// swallowed by the host or addressed outside the fleet, once the
-		// host's extra frames are counted in.
-		if kept := sent - dropped; kept+injected != delivered+swallowed+discarded {
-			t.Fatalf("%d kept + %d injected != %d delivered + %d swallowed + %d discarded", kept, injected, delivered, swallowed, discarded)
-		}
+		conserved()
 		var links Stats
 		var lat uint64
 		for s := 0; s < n; s++ {

@@ -16,7 +16,7 @@ import (
 
 // Summary is Explore's result. Deliberately free of wall-clock or host
 // fields: two runs of the same Config produce byte-identical summaries
-// (for BFS, at any worker count), so exploration statistics are replayable
+// (at any worker count), so exploration statistics are replayable
 // claims a CI gate can diff.
 type Summary struct {
 	Config Config `json:"config"`
@@ -59,8 +59,11 @@ func visitKey(hash uint64, remaining int) uint64 {
 }
 
 // Explore enumerates the choice tree of cfg up to cfg.Depth branch points
-// and tallies every path. Exploration stops early once a violating path is
-// found (its generation is still merged completely, so the tallies stay
+// and tallies every path. It goes level by level: the frontier at depth d
+// is replayed by a worker pool and merged canonically, so the tallies are
+// identical for any worker count and the first counterexample found is a
+// shortest one. Exploration stops early once a violating path is found
+// (its generation is still merged completely, so the tallies stay
 // deterministic); the violation comes back minimized and replayable.
 func Explore(cfg Config) (Summary, error) {
 	cfg = cfg.withDefaults()
@@ -117,14 +120,6 @@ func Explore(cfg Config) (Summary, error) {
 		return children
 	}
 
-	replay := func(n node) (*pathRun, error) {
-		r, err := runPath(cfg, n.prefix, false)
-		if err != nil {
-			return nil, fmt.Errorf("mc: replay %v: %w", n.prefix, err)
-		}
-		return r, nil
-	}
-
 	budgetLeft := func(want int) int {
 		if cfg.MaxReplays == 0 {
 			return want
@@ -140,72 +135,41 @@ func Explore(cfg Config) (Summary, error) {
 		return want
 	}
 
-	switch cfg.Order {
-	case OrderDFS:
-		stack := []node{{}}
-		for len(stack) > 0 {
-			if budgetLeft(1) == 0 {
-				break
-			}
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			r, err := replay(n)
-			if err != nil {
-				return sum, err
-			}
-			sum.Replays++
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	frontier := []node{{}}
+	for len(frontier) > 0 {
+		if want := budgetLeft(len(frontier)); want < len(frontier) {
+			frontier = frontier[:want]
+		}
+		if len(frontier) == 0 {
+			break
+		}
+		results, err := expandLevel(cfg, frontier, workers)
+		if err != nil {
+			return sum, err
+		}
+		sum.Replays += uint64(len(frontier))
+		// Canonical merge: walk the frontier in order, single-threaded.
+		// Dedup claims and tallies happen here, so the outcome is
+		// independent of which worker replayed which node when.
+		var next []node
+		for i, n := range frontier {
 			if len(n.prefix) > sum.MaxPrefix {
 				sum.MaxPrefix = len(n.prefix)
 			}
-			tally(r)
+			tally(results[i])
 			if sum.Counterexample != nil {
-				break
+				continue // finish tallying this level, stop branching
 			}
-			children := expand(n, r)
-			// Reverse-push so the earliest branch point's lowest alternative
-			// is explored next (canonical DFS order).
-			for i := len(children) - 1; i >= 0; i-- {
-				stack = append(stack, children[i])
-			}
+			next = append(next, expand(n, results[i])...)
 		}
-
-	default: // OrderBFS
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+		if sum.Counterexample != nil {
+			break
 		}
-		frontier := []node{{}}
-		for len(frontier) > 0 {
-			if want := budgetLeft(len(frontier)); want < len(frontier) {
-				frontier = frontier[:want]
-			}
-			if len(frontier) == 0 {
-				break
-			}
-			results, err := expandLevel(cfg, frontier, workers)
-			if err != nil {
-				return sum, err
-			}
-			sum.Replays += uint64(len(frontier))
-			// Canonical merge: walk the frontier in order, single-threaded.
-			// Dedup claims and tallies happen here, so the outcome is
-			// independent of which worker replayed which node when.
-			var next []node
-			for i, n := range frontier {
-				if len(n.prefix) > sum.MaxPrefix {
-					sum.MaxPrefix = len(n.prefix)
-				}
-				tally(results[i])
-				if sum.Counterexample != nil {
-					continue // finish tallying this level, stop branching
-				}
-				next = append(next, expand(n, results[i])...)
-			}
-			if sum.Counterexample != nil {
-				break
-			}
-			frontier = next
-		}
+		frontier = next
 	}
 
 	if sum.Counterexample != nil {

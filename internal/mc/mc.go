@@ -52,8 +52,9 @@ type Config struct {
 	// (Procs of them, Procs <= VCPUs, default VCPUs).
 	VCPUs int `json:"vcpus"`
 	Procs int `json:"procs"`
-	// Batches × BatchSize is each submitter's workload: batches of ring
-	// submissions with IRQ completions (the lost-wakeup attack surface).
+	// Batches × BatchSize is each submitter's workload: a cvm ring tenant
+	// on the interrupt completion channel (the lost-wakeup attack
+	// surface), the same task the SMP experiment measures.
 	Batches   int `json:"batches"`
 	BatchSize int `json:"batch_size"`
 	// Depth is the branch budget k: the explorer enumerates alternatives
@@ -82,13 +83,11 @@ type Config struct {
 	// teeth test uses to prove the checker can find a violation.
 	BrokenTLB bool `json:"broken_tlb,omitempty"`
 
-	// Order selects the exploration strategy: OrderBFS (level-synchronized
-	// parallel frontier, shortest counterexamples) or OrderDFS (sequential,
-	// memory-light). Workers bounds BFS parallelism (<=0: GOMAXPROCS); it
-	// is an execution knob that cannot affect results, so it is excluded
-	// from JSON — summaries byte-compare across worker counts.
-	Order   Order `json:"order"`
-	Workers int   `json:"-"`
+	// Workers bounds the explorer's parallelism (<=0: GOMAXPROCS; 1 is the
+	// sequential explorer); it is an execution knob that cannot affect
+	// results, so it is excluded from JSON — summaries byte-compare across
+	// worker counts.
+	Workers int `json:"-"`
 	// NoDedup disables visited-state pruning (paranoid mode: the dedup
 	// fingerprint is a 64-bit hash of the logical state, so a collision
 	// could in principle hide a branch).
@@ -97,20 +96,6 @@ type Config struct {
 	// (0 = unbounded). A truncated summary says so.
 	MaxReplays uint64 `json:"max_replays,omitempty"`
 }
-
-// Order is the exploration strategy.
-type Order string
-
-const (
-	// OrderBFS explores the choice tree level by level: the frontier at
-	// depth d is expanded by a parallel worker pool and merged canonically,
-	// so aggregate counts are identical for any worker count, and the
-	// first counterexample found is a shortest one.
-	OrderBFS Order = "bfs"
-	// OrderDFS explores depth-first, sequentially: less peak memory, finds
-	// deep counterexamples earlier, same exhaustiveness.
-	OrderDFS Order = "dfs"
-)
 
 // Defaults is the 2-VCPU, 2-process configuration the ROADMAP item names:
 // two submitters, one interrupt-completed batch each, every adversary
@@ -122,7 +107,6 @@ func Defaults() Config {
 		MemBytes: 24 << 20, LogPages: 8, Seed: 777,
 		MaxSteps:  512,
 		RMPInject: true, IntrModes: true,
-		Order: OrderBFS,
 	}
 }
 
@@ -159,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = d.MaxSteps
-	}
-	if c.Order != OrderDFS {
-		c.Order = OrderBFS
 	}
 	return c
 }

@@ -113,33 +113,6 @@ func TestBFSWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// DFS and BFS enumerate the same bounded tree; at a depth where dedup has
-// nothing to prune the leaf tallies must agree exactly.
-func TestDFSMatchesBFSTallies(t *testing.T) {
-	base := Defaults()
-	base.Depth = 8
-
-	bfs := base
-	bfs.Order = OrderBFS
-	sb, err := Explore(bfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dfs := base
-	dfs.Order = OrderDFS
-	sd, err := Explore(dfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb.DedupHits != 0 || sd.DedupHits != 0 {
-		t.Fatalf("depth 8 expected dedup-free: bfs=%d dfs=%d", sb.DedupHits, sd.DedupHits)
-	}
-	if sb.Replays != sd.Replays || sb.Completed != sd.Completed ||
-		sb.Halted != sd.Halted || sb.Refused != sd.Refused {
-		t.Fatalf("order-dependent tallies: bfs=%+v dfs=%+v", sb, sd)
-	}
-}
-
 // Replaying the same picks twice reproduces the identical path: same
 // choice trace, same outcome, same evidence.
 func TestReplayDeterminism(t *testing.T) {

@@ -1,5 +1,6 @@
 // The model under check: one deterministic Veil CVM driven through the SMP
-// scheduler by Config.Procs ring-submitting tasks, with the adversary's
+// scheduler by Config.Procs ring tenants (cvm.RingPlan on the interrupt
+// completion channel, the one the adversary attacks), with the adversary's
 // choice points wired into the scheduler pick, the hypervisor's interrupt
 // delivery, and a movable RMPADJUST revocation. runPath replays one pick
 // prefix from a cold boot and classifies the outcome.
@@ -8,10 +9,8 @@ package mc
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"veil/internal/audit"
-	"veil/internal/core"
 	"veil/internal/cvm"
 	"veil/internal/hv"
 	"veil/internal/kernel"
@@ -64,18 +63,6 @@ type pathRun struct {
 // path (a non-default pick at a hostile point).
 func (r *pathRun) hostile() bool { return r.hostileIntr || r.injected }
 
-// mcDetRand is the deterministic boot key source: every path boots the
-// byte-identical machine, so state divergence is attributable to choices
-// alone.
-type mcDetRand struct{ r *rand.Rand }
-
-func (d mcDetRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 // mcFrames adapts the kernel's physical allocator to mm.FrameSource for
 // the stale-TLB probe address space.
 type mcFrames struct{ k *kernel.Kernel }
@@ -112,63 +99,6 @@ func warmProbe(c *cvm.CVM) (snp.AccessContext, uint64, error) {
 	return ctx, frame, nil
 }
 
-// mcTask is one VCPU's workload: submit a batch of VeilS-Log appends, ring
-// the doorbell asynchronously, block in WaitIntr for the completion
-// interrupt, collect, repeat. Identical shape to the bench smpTask but
-// always on the interrupt channel — the channel the adversary attacks.
-type mcTask struct {
-	st      *core.OSStub
-	batches int
-	size    int
-	pending []core.PendingCall
-	done    int
-	ops     uint64
-}
-
-func (t *mcTask) Step(vcpu int) (sched.Status, error) {
-	if len(t.pending) == 0 {
-		if t.done >= t.batches {
-			return sched.Done, nil
-		}
-		for j := 0; j < t.size; j++ {
-			payload := []byte(fmt.Sprintf("mc v%d b%d op%d", vcpu, t.done, j))
-			pc, err := t.st.SubmitSrv(core.Request{Svc: core.SvcLOG, Op: core.OpLogAppend, Payload: payload})
-			if err != nil {
-				return sched.Yield, err
-			}
-			t.pending = append(t.pending, pc)
-		}
-		if err := t.st.DoorbellAsync(); err != nil {
-			return sched.Yield, err
-		}
-		return sched.Yield, nil
-	}
-
-	last := t.pending[len(t.pending)-1]
-	if _, err := t.st.WaitIntr(last); err != nil {
-		if errors.Is(err, core.ErrWouldBlock) {
-			return sched.Blocked, nil
-		}
-		return sched.Yield, err
-	}
-	for _, pc := range t.pending {
-		r, ok, err := t.st.Poll(pc)
-		if err != nil {
-			return sched.Yield, err
-		}
-		if !ok {
-			return sched.Yield, fmt.Errorf("mc: seq %d incomplete after batch drain", pc.Seq)
-		}
-		if r.Status != core.StatusOK {
-			return sched.Yield, fmt.Errorf("mc: seq %d status %d", pc.Seq, r.Status)
-		}
-		t.ops++
-	}
-	t.pending = t.pending[:0]
-	t.done++
-	return sched.Yield, nil
-}
-
 // driverChooser routes the scheduler's pick through the choice stream.
 type driverChooser struct{ d *driver }
 
@@ -192,9 +122,11 @@ func runPath(cfg Config, prefix []int, keep bool) (*pathRun, error) {
 	cfg = cfg.withDefaults()
 	run := &pathRun{}
 
+	// Every path boots the byte-identical machine from the seed, so state
+	// divergence is attributable to choices alone.
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: cfg.MemBytes, VCPUs: cfg.VCPUs, Veil: true, LogPages: cfg.LogPages,
-		Rand: mcDetRand{r: rand.New(rand.NewSource(cfg.Seed))},
+		Rand: cvm.SeededRand(cfg.Seed),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mc: boot: %w", err)
@@ -228,7 +160,6 @@ func runPath(cfg Config, prefix []int, keep bool) (*pathRun, error) {
 		Machine: c.M, VCPUs: cfg.VCPUs, Chooser: driverChooser{d: d},
 		DrainLatency: cfg.DrainLatency, MaxRounds: uint64(cfg.MaxSteps) + 16,
 	})
-	c.OnInterrupt(s.Wake)
 	if cfg.IntrModes {
 		c.HV.SetInterruptModeChooser(func(vcpuID int) hv.InterruptMode {
 			pick := d.choose(PointIntrMode, int(hv.NumInterruptModes), intrModeLabel)
@@ -239,25 +170,12 @@ func runPath(cfg Config, prefix []int, keep bool) (*pathRun, error) {
 		})
 	}
 
-	tasks := make([]*mcTask, cfg.VCPUs)
-	for i := 0; i < cfg.Procs; i++ {
-		p := c.K.Spawn(fmt.Sprintf("mc-worker-%d", i))
-		v, err := c.K.PlaceProcess(p.PID)
-		if err != nil {
-			release()
-			return nil, fmt.Errorf("mc: place process: %w", err)
-		}
-		st := c.StubFor(v)
-		st.SetDispatcher(s)
-		if err := st.EnableRingIRQ(true); err != nil {
-			release()
-			return nil, fmt.Errorf("mc: enable ring IRQ: %w", err)
-		}
-		tasks[v] = &mcTask{st: st, batches: cfg.Batches, size: cfg.BatchSize}
-		if err := s.Add(v, 1, tasks[v]); err != nil {
-			release()
-			return nil, fmt.Errorf("mc: add task: %w", err)
-		}
+	tasks, err := c.AddRingTenants(s, cvm.RingPlan{
+		Name: "mc", Procs: cfg.Procs, Batches: cfg.Batches, BatchSize: cfg.BatchSize, Intr: true,
+	})
+	if err != nil {
+		release()
+		return nil, fmt.Errorf("mc: ring tenants: %w", err)
 	}
 
 	// The dedup fingerprint: the scheduler's logical shape, each task's
@@ -273,9 +191,9 @@ func runPath(cfg Config, prefix []int, keep bool) (*pathRun, error) {
 				h = fnvMix(h, ^uint64(0))
 				continue
 			}
-			h = fnvMix(h, uint64(t.done))
-			h = fnvMix(h, uint64(len(t.pending)))
-			h = fnvMix(h, t.ops)
+			h = fnvMix(h, uint64(t.BatchesDone()))
+			h = fnvMix(h, uint64(t.Pending()))
+			h = fnvMix(h, t.Ops())
 		}
 		h = fnvMix(h, c.M.RMPMutations())
 		h = fnvMix(h, c.M.MemStats().TLBRMPFlushes)
@@ -313,7 +231,7 @@ func runPath(cfg Config, prefix []int, keep bool) (*pathRun, error) {
 		auditDelta()
 		for _, t := range tasks {
 			if t != nil {
-				run.ops += t.ops
+				run.ops += t.Ops()
 			}
 		}
 		run.trace, run.hashes = d.trace, d.hashes

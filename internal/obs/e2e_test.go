@@ -2,8 +2,6 @@ package obs_test
 
 import (
 	"bytes"
-	"io"
-	"math/rand"
 	"testing"
 
 	"veil/internal/cvm"
@@ -12,19 +10,6 @@ import (
 	"veil/internal/snp"
 )
 
-// detRand mirrors the bench harness's deterministic key source so two boots
-// are bit-for-bit repeatable.
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
-func rng(seed int64) io.Reader { return detRand{r: rand.New(rand.NewSource(seed))} }
-
 // runOnce boots a small Veil CVM with a recorder attached, performs a fixed
 // bit of kernel work, and returns the Chrome export.
 func runOnce(t *testing.T) []byte {
@@ -32,7 +17,7 @@ func runOnce(t *testing.T) []byte {
 	rec := obs.NewRecorder(1 << 16)
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: rng(7), Recorder: rec,
+		Rand: cvm.SeededRand(7), Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

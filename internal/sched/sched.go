@@ -45,12 +45,6 @@ type Task interface {
 	Step(vcpu int) (Status, error)
 }
 
-// TaskFunc adapts a function to the Task interface.
-type TaskFunc func(vcpu int) (Status, error)
-
-// Step calls f.
-func (f TaskFunc) Step(vcpu int) (Status, error) { return f(vcpu) }
-
 // Slice kinds recorded by ObserveSchedSlice (Arg2).
 const (
 	// SliceTask is one Task.Step slice.

@@ -8,6 +8,12 @@ import (
 	"veil/internal/snp"
 )
 
+// TaskFunc adapts a function to the Task interface.
+type TaskFunc func(vcpu int) (Status, error)
+
+// Step calls f.
+func (f TaskFunc) Step(vcpu int) (Status, error) { return f(vcpu) }
+
 func testMachine(vcpus int) *snp.Machine {
 	return snp.NewMachine(snp.Config{MemBytes: 4 * snp.PageSize, VCPUs: vcpus})
 }

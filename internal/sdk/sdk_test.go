@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"veil/internal/cvm"
@@ -14,15 +13,6 @@ import (
 	"veil/internal/snp"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 func bootVeil(t *testing.T) *cvm.CVM {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
@@ -30,7 +20,7 @@ func bootVeil(t *testing.T) *cvm.CVM {
 		VCPUs:    1,
 		Veil:     true,
 		LogPages: 16,
-		Rand:     detRand{r: rand.New(rand.NewSource(11))},
+		Rand:     cvm.SeededRand(11),
 	})
 	if err != nil {
 		t.Fatalf("boot: %v", err)

@@ -3,7 +3,6 @@ package enc_test
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"testing"
 
 	"veil/internal/core"
@@ -15,20 +14,11 @@ import (
 	"veil/internal/snp"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 func bootVeil(t *testing.T) *cvm.CVM {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 32 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: detRand{r: rand.New(rand.NewSource(21))},
+		Rand: cvm.SeededRand(21),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +349,7 @@ func TestMeasureOverSecureChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	user, err := core.NewRemoteUser(c.PSP.PublicKey(), c.ExpectedMeasurement(),
-		detRand{r: rand.New(rand.NewSource(5))})
+		cvm.SeededRand(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package kci_test
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"testing"
 
 	"veil/internal/core"
@@ -12,20 +11,11 @@ import (
 	"veil/internal/vmod"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 func bootVeil(t *testing.T) *cvm.CVM {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: detRand{r: rand.New(rand.NewSource(41))},
+		Rand: cvm.SeededRand(41),
 	})
 	if err != nil {
 		t.Fatal(err)

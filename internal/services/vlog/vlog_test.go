@@ -3,7 +3,6 @@ package vlog_test
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -13,20 +12,11 @@ import (
 	"veil/internal/snp"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 func bootVeil(t *testing.T, logPages uint64) *cvm.CVM {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: logPages,
-		Rand: detRand{r: rand.New(rand.NewSource(31))},
+		Rand: cvm.SeededRand(31),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +100,7 @@ func TestUserFetchAndClearOverChannel(t *testing.T) {
 	_ = c.Stub.AuditEmit([]byte("beta"))
 
 	user, err := core.NewRemoteUser(c.PSP.PublicKey(), c.ExpectedMeasurement(),
-		detRand{r: rand.New(rand.NewSource(32))})
+		cvm.SeededRand(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +130,7 @@ func TestUserFetchAndClearOverChannel(t *testing.T) {
 func TestOSForgedUserMessageRejected(t *testing.T) {
 	c := bootVeil(t, 4)
 	user, _ := core.NewRemoteUser(c.PSP.PublicKey(), c.ExpectedMeasurement(),
-		detRand{r: rand.New(rand.NewSource(33))})
+		cvm.SeededRand(33))
 	if err := user.Connect(c.Stub); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package workloads_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"veil/internal/cvm"
@@ -9,20 +8,11 @@ import (
 	"veil/internal/workloads"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func (d detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 func bootNative(t *testing.T) *cvm.CVM {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 48 << 20, VCPUs: 1, Veil: false,
-		Rand: detRand{r: rand.New(rand.NewSource(71))},
+		Rand: cvm.SeededRand(71),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +156,7 @@ func TestRegistryComplete(t *testing.T) {
 func TestGZipRunsInEnclaveToo(t *testing.T) {
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 48 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: detRand{r: rand.New(rand.NewSource(72))},
+		Rand: cvm.SeededRand(72),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +187,7 @@ func TestGZipRunsInEnclaveToo(t *testing.T) {
 func TestLighttpdRunsInEnclaveToo(t *testing.T) {
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 48 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: detRand{r: rand.New(rand.NewSource(73))},
+		Rand: cvm.SeededRand(73),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,6 @@ package veil
 import (
 	"bytes"
 	"flag"
-	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,19 +24,6 @@ import (
 
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/goldens from this run")
 
-// goldenDetRand mirrors the bench harness's deterministic key source so two
-// boots are bit-for-bit repeatable.
-type goldenDetRand struct{ r *rand.Rand }
-
-func (d goldenDetRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
-func goldenRNG(seed int64) io.Reader { return goldenDetRand{r: rand.New(rand.NewSource(seed))} }
-
 // causalRun performs a fixed mixed workload — syscalls plus one enclave
 // call, so the forest has both request kinds — and exports the causal
 // trace.
@@ -47,7 +32,7 @@ func causalRun(t *testing.T) []byte {
 	rec := obs.NewRecorder(1 << 16)
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: goldenRNG(11), Recorder: rec,
+		Rand: cvm.SeededRand(11), Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +96,7 @@ func staleTLBPostMortem(t *testing.T) []byte {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: 8,
-		Rand: goldenRNG(13),
+		Rand: cvm.SeededRand(13),
 	})
 	if err != nil {
 		t.Fatal(err)

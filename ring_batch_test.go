@@ -21,7 +21,7 @@ func bootRing(t testing.TB, seed int64) *cvm.CVM {
 	t.Helper()
 	c, err := cvm.Boot(cvm.Options{
 		MemBytes: 24 << 20, VCPUs: 1, Veil: true, LogPages: 32,
-		Rand: goldenRNG(seed),
+		Rand: cvm.SeededRand(seed),
 	})
 	if err != nil {
 		t.Fatal(err)
