@@ -198,7 +198,7 @@ func (mon *Monitor) dispatchSrv(vcpu int) error {
 	start := mon.m.Clock().Cycles()
 	ref := mon.m.BeginSpan()
 	var resp Response
-	if h, ok := mon.services[req.Svc]; ok {
+	if h := mon.services[req.Svc]; h != nil {
 		status, payload := h(vcpu, req.Op, req.Payload)
 		resp = Response{Status: status, Payload: payload}
 	} else {

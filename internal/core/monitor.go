@@ -38,7 +38,7 @@ type Monitor struct {
 	heap     *mm.PhysAllocator
 	regions  RegionSet
 	replicas map[int]map[uint64]uint64 // vcpu → domain tag → VMSA phys
-	services map[uint8]ServiceHandler
+	services [256]ServiceHandler       // indexed by service ID; nil = none
 	onBoot   []func() error
 
 	apEntries map[int]hv.Context
@@ -85,7 +85,6 @@ func NewMonitor(m *snp.Machine, hyp *hv.Hypervisor, cfg Config) (*Monitor, error
 		lay:       cfg.Layout,
 		heap:      heap,
 		replicas:  make(map[int]map[uint64]uint64),
-		services:  make(map[uint8]ServiceHandler),
 		apEntries: make(map[int]hv.Context),
 		untCtx:    cfg.UNTContext,
 		rand:      cfg.Rand,

@@ -30,6 +30,13 @@ type OSStub struct {
 	// queue). irq mirrors the ring header's interrupt-enable flag.
 	disp Dispatcher
 	irq  bool
+	// doorbell is s.Doorbell, bound once: a method value taken per
+	// DoorbellAsync would allocate a closure per batch.
+	doorbell func() error
+	// ghcb is the one GHCB the stub's domain switches and doorbells are
+	// built in (snp.GHCB.Exit): none carries a payload, so nothing needs
+	// zero-filling per exit.
+	ghcb snp.GHCB
 
 	// netTx, when set, transmits VeilS-Channel frames onto the fleet
 	// fabric (the OS as untrusted NIC driver; see osstub_net.go).
@@ -58,7 +65,9 @@ type OSStub struct {
 
 // NewOSStub creates the kernel-side stub for one VCPU.
 func NewOSStub(mon *Monitor, vcpu int) *OSStub {
-	return &OSStub{m: mon.m, hyp: mon.hv, lay: mon.lay, vcpu: vcpu, mon: mon, chn: newChnView()}
+	s := &OSStub{m: mon.m, hyp: mon.hv, lay: mon.lay, vcpu: vcpu, mon: mon, chn: newChnView()}
+	s.doorbell = s.Doorbell
+	return s
 }
 
 // ErrDenied is returned when VeilMon's sanitizer refuses an OS request
@@ -91,7 +100,7 @@ func (s *OSStub) call(idcb uint64, dom uint64, req Request) (Response, error) {
 	if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, s.lay.KernelGHCB(s.vcpu)); err != nil {
 		return Response{}, err
 	}
-	g := &snp.GHCB{ExitCode: hv.ExitDomainSwitch, ExitInfo1: dom}
+	g := s.ghcb.Exit(hv.ExitDomainSwitch, dom)
 	callErr := s.hyp.GuestCall(s.vcpu, snp.VMPL3, snp.CPL0, s.lay.KernelGHCB(s.vcpu), g)
 	if hadMSR && old != s.lay.KernelGHCB(s.vcpu) {
 		if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, old); err != nil && callErr == nil {

@@ -119,7 +119,7 @@ func (s *OSStub) Doorbell() error {
 	if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, s.lay.KernelGHCB(s.vcpu)); err != nil {
 		return err
 	}
-	g := &snp.GHCB{ExitCode: hv.ExitRingDoorbell, ExitInfo1: DomSRV}
+	g := s.ghcb.Exit(hv.ExitRingDoorbell, DomSRV)
 	callErr := s.hyp.GuestCall(s.vcpu, snp.VMPL3, snp.CPL0, s.lay.KernelGHCB(s.vcpu), g)
 	if hadMSR && old != s.lay.KernelGHCB(s.vcpu) {
 		if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, old); err != nil && callErr == nil {
@@ -137,7 +137,7 @@ func (s *OSStub) DoorbellAsync() error {
 	if s.disp == nil {
 		return s.Doorbell()
 	}
-	s.disp.PostDrain(s.vcpu, s.irq, s.Doorbell)
+	s.disp.PostDrain(s.vcpu, s.irq, s.doorbell)
 	return nil
 }
 

@@ -233,7 +233,7 @@ func (mon *Monitor) validateRingDesc(d RingDesc, expectSeq uint32) uint32 {
 	if d.Svc == SvcMon {
 		return StatusDenied // monitor ops never flow through the service ring
 	}
-	if _, ok := mon.services[d.Svc]; !ok {
+	if mon.services[d.Svc] == nil {
 		return StatusError
 	}
 	if d.ReqLen > RingPayloadMax || d.RespCap > RingPayloadMax {

@@ -104,10 +104,10 @@ type CVM struct {
 	TextLo, TextHi uint64
 
 	bootRegions []attest.Region
-	// ocallByVCPU tracks the active OCALL server per VCPU (the SDK swaps
-	// it around each enclave entry, so concurrent enclaves never steal
-	// each other's redirected syscalls).
-	ocallByVCPU map[int]func(vcpu int) error
+	// ocallByVCPU tracks the active OCALL server per VCPU, indexed by
+	// VCPU id (the SDK swaps it around each enclave entry, so concurrent
+	// enclaves never steal each other's redirected syscalls).
+	ocallByVCPU []func(vcpu int) error
 
 	// intrNotify, when set, runs inside the Dom-UNT interrupt handler
 	// after the handler cost is charged — the SMP scheduler hangs its
@@ -187,7 +187,7 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 		return nil, err
 	}
 
-	c := &CVM{M: m, HV: hyp, PSP: psp, Lay: lay, ModulePriv: priv}
+	c := &CVM{M: m, HV: hyp, PSP: psp, Lay: lay, ModulePriv: priv, ocallByVCPU: make([]func(int) error, m.VCPUs())}
 	c.TextLo = lay.KernelMemLo()
 	c.TextHi = c.TextLo + KernelTextPages*snp.PageSize
 
@@ -341,7 +341,7 @@ func bootNative(opts Options, rng io.Reader) (*CVM, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &CVM{M: m, HV: hyp, PSP: psp, ModulePriv: priv}
+	c := &CVM{M: m, HV: hyp, PSP: psp, ModulePriv: priv, ocallByVCPU: make([]func(int) error, m.VCPUs())}
 
 	const bootVMSA = 0
 	ghcbBase := uint64(1 * snp.PageSize)
@@ -393,10 +393,8 @@ func (c *CVM) ExpectedMeasurement() [32]byte {
 
 // dispatchOcall routes a Dom-UNT service entry to the right application.
 func (c *CVM) dispatchOcall(vcpu int) error {
-	if c.ocallByVCPU != nil {
-		if fn := c.ocallByVCPU[vcpu]; fn != nil {
-			return fn(vcpu)
-		}
+	if fn := c.ocallByVCPU[vcpu]; fn != nil {
+		return fn(vcpu)
 	}
 	return nil
 }
@@ -405,9 +403,6 @@ func (c *CVM) dispatchOcall(vcpu int) error {
 // returns the previous one; the SDK brackets every enclave entry with it
 // so syscall redirection always reaches the entering application.
 func (c *CVM) SwapOcallServer(vcpu int, fn func(vcpu int) error) func(vcpu int) error {
-	if c.ocallByVCPU == nil {
-		c.ocallByVCPU = make(map[int]func(vcpu int) error)
-	}
 	prev := c.ocallByVCPU[vcpu]
 	c.ocallByVCPU[vcpu] = fn
 	return prev

@@ -2,7 +2,6 @@ package hv
 
 import (
 	"fmt"
-	"sort"
 
 	"veil/internal/snp"
 )
@@ -28,8 +27,8 @@ func (h *Hypervisor) VMGEXIT(vcpuID int) error {
 	if h.m.Halted() != nil {
 		return snp.ErrHalted
 	}
-	c, ok := h.vcpus[vcpuID]
-	if !ok || !c.started {
+	c := h.running(vcpuID)
+	if c == nil {
 		return fmt.Errorf("hv: VMGEXIT from unknown VCPU %d", vcpuID)
 	}
 	h.m.SetObsVCPU(vcpuID)
@@ -40,12 +39,17 @@ func (h *Hypervisor) VMGEXIT(vcpuID int) error {
 		h.m.ObserveDenied(snp.DeniedGHCB, uint64(vcpuID))
 		return ErrNoGHCB
 	}
-	var g snp.GHCB
-	if err := h.m.HVReadGHCB(ghcbPhys, &g); err != nil {
+	if h.exitDepth == len(h.exitGHCBs) {
+		h.exitGHCBs = append(h.exitGHCBs, new(snp.GHCB))
+	}
+	g := h.exitGHCBs[h.exitDepth]
+	if err := h.m.HVReadGHCB(ghcbPhys, g); err != nil {
 		// The "GHCB" is a guest-private page: the host sees ciphertext.
 		h.m.ObserveDenied(snp.DeniedGHCB, ghcbPhys)
 		return fmt.Errorf("%w: %v", ErrNoGHCB, err)
 	}
+	h.exitDepth++
+	defer func() { h.exitDepth-- }()
 
 	// The round trip is the causal root of everything the exit causes:
 	// domain switches, RMP instructions, service dispatches and faults all
@@ -55,20 +59,20 @@ func (h *Hypervisor) VMGEXIT(vcpuID int) error {
 	var err error
 	switch g.ExitCode {
 	case ExitDomainSwitch:
-		err = h.serveDomainSwitch(c, ghcbPhys, &g, ReasonService)
+		err = h.serveDomainSwitch(c, ghcbPhys, g, ReasonService)
 	case ExitRingDoorbell:
-		err = h.serveDomainSwitch(c, ghcbPhys, &g, ReasonDoorbell)
+		err = h.serveDomainSwitch(c, ghcbPhys, g, ReasonDoorbell)
 	case ExitRegisterVMSA:
-		err = h.serveRegisterVMSA(&g)
+		err = h.serveRegisterVMSA(g)
 		h.chargeEnter()
 	case ExitStartVCPU:
-		err = h.serveStartVCPU(&g)
+		err = h.serveStartVCPU(g)
 		h.chargeEnter()
 	case ExitPageState:
-		err = h.servePageState(ghcbPhys, &g)
+		err = h.servePageState(ghcbPhys, g)
 		h.chargeEnter()
 	case ExitGuestRequest:
-		err = h.serveGuestRequest(c, ghcbPhys, &g)
+		err = h.serveGuestRequest(c, ghcbPhys, g)
 		h.chargeEnter()
 	case ExitIO:
 		// Device I/O is serviced host-side; contents are opaque to the
@@ -95,7 +99,7 @@ func (h *Hypervisor) serveDomainSwitch(c *vcpu, ghcbPhys uint64, g *snp.GHCB, re
 		h.m.ObserveDenied(snp.DeniedPolicy, uint64(tag))
 		return ErrPolicy
 	}
-	b, ok := h.bindings[c.id][tag]
+	b, ok := c.binding(tag)
 	if !ok {
 		return fmt.Errorf("hv: VCPU %d has no domain %d", c.id, tag)
 	}
@@ -142,10 +146,11 @@ func (h *Hypervisor) serveRegisterVMSA(g *snp.GHCB) error {
 	if !ok {
 		return fmt.Errorf("hv: VMSA %#x has no bound context", vmsaPhys)
 	}
-	if h.bindings[v.VCPUID] == nil {
-		h.bindings[v.VCPUID] = make(map[DomainTag]binding)
+	owner := h.vcpuAt(v.VCPUID)
+	if owner == nil {
+		return fmt.Errorf("hv: register VMSA: VMSA %#x names VCPU %d, the machine has %d", vmsaPhys, v.VCPUID, len(h.vcpus))
 	}
-	h.bindings[v.VCPUID][tag] = binding{vmsaPhys: vmsaPhys, ctx: ctx}
+	owner.bind(binding{tag: tag, vmsaPhys: vmsaPhys, ctx: ctx})
 	return nil
 }
 
@@ -161,10 +166,14 @@ func (h *Hypervisor) serveStartVCPU(g *snp.GHCB) error {
 	if !ok {
 		return fmt.Errorf("hv: start VCPU: VMSA %#x has no bound context", vmsaPhys)
 	}
-	if existing, ok := h.vcpus[v.VCPUID]; ok && existing.started {
+	c := h.vcpuAt(v.VCPUID)
+	if c == nil {
+		return fmt.Errorf("hv: start VCPU: VMSA %#x names VCPU %d, the machine has %d", vmsaPhys, v.VCPUID, len(h.vcpus))
+	}
+	if c.started {
 		return fmt.Errorf("hv: VCPU %d already running", v.VCPUID)
 	}
-	h.vcpus[v.VCPUID] = &vcpu{id: v.VCPUID, currentVMSA: vmsaPhys, started: true}
+	c.currentVMSA, c.started = vmsaPhys, true
 	h.m.SetObsVCPU(v.VCPUID)
 	h.chargeEnter()
 	err = ctx.Invoke(ReasonBoot)
@@ -175,6 +184,7 @@ func (h *Hypervisor) serveStartVCPU(g *snp.GHCB) error {
 // servePageState performs page-state changes: assigning pages to the guest
 // or reclaiming shared ones. The reply code lands in SwScratch.
 func (h *Hypervisor) servePageState(ghcbPhys uint64, g *snp.GHCB) error {
+	read := min(g.SwScratch, snp.GHCBPayloadSize) // payload bytes decoded from the page
 	phys := g.ExitInfo1
 	count := g.ExitInfo2 >> 1
 	assign := g.ExitInfo2&1 == 1
@@ -190,6 +200,13 @@ func (h *Hypervisor) servePageState(ghcbPhys uint64, g *snp.GHCB) error {
 		if err != nil {
 			failed++
 		}
+	}
+	// The reply's SwScratch is the failure count, so that many payload
+	// bytes cross back. Past the ones this exit decoded they must be
+	// zero: g is reused across exits, and an earlier exit's bytes must
+	// never reach the page.
+	if sent := min(failed, snp.GHCBPayloadSize); sent > read {
+		clear(g.Payload[read:sent])
 	}
 	g.SwScratch = failed
 	h.m.ObservePageState(phys, count, assign)
@@ -260,8 +277,8 @@ func (h *Hypervisor) InjectInterrupt(vcpuID int) error {
 		// relay below then proceeds normally — just on the wrong VCPU.
 		vcpuID = h.otherStartedVCPU(vcpuID)
 	}
-	c, ok := h.vcpus[vcpuID]
-	if !ok {
+	c := h.running(vcpuID)
+	if c == nil {
 		return fmt.Errorf("hv: interrupt for unknown VCPU %d", vcpuID)
 	}
 	h.m.SetObsVCPU(vcpuID)
@@ -273,7 +290,7 @@ func (h *Hypervisor) InjectInterrupt(vcpuID int) error {
 	var target binding
 	switch {
 	case mode == RelayToUntrusted && h.hasIntrTarget:
-		b, ok := h.bindings[c.id][h.interruptTarget]
+		b, ok := c.binding(h.interruptTarget)
 		if !ok {
 			return fmt.Errorf("hv: no interrupt target domain on VCPU %d", c.id)
 		}
@@ -298,20 +315,15 @@ func (h *Hypervisor) InjectInterrupt(vcpuID int) error {
 }
 
 // otherStartedVCPU returns the lowest-numbered started VCPU other than id,
-// or id itself when it is the only one. The map is never iterated without
-// sorting, so hostile misrouting is as deterministic as honest delivery.
+// or id itself when it is the only one. The VCPUs are walked in id order,
+// so hostile misrouting is as deterministic as honest delivery.
 func (h *Hypervisor) otherStartedVCPU(id int) int {
-	ids := make([]int, 0, len(h.vcpus))
-	for i, c := range h.vcpus {
-		if c.started && i != id {
-			ids = append(ids, i)
+	for i := range h.vcpus {
+		if h.vcpus[i].started && i != id {
+			return i
 		}
 	}
-	if len(ids) == 0 {
-		return id
-	}
-	sort.Ints(ids)
-	return ids[0]
+	return id
 }
 
 // AttemptVMSATamper is the Table 2 hypervisor attack: try to overwrite a

@@ -156,15 +156,42 @@ var ErrNoGHCB = errors.New("hv: VMGEXIT without readable GHCB")
 // on the attempted switch (§6.2).
 var ErrPolicy = errors.New("hv: domain switch violates GHCB policy")
 
+// vcpu is the host's bookkeeping for one VCPU (struct vcpu_svm on a real
+// host). bindings are its switch targets in registration order: a VCPU has
+// a handful (one per privilege domain, plus one per enclave thread placed
+// on it), so a scan finds a tag faster than hashing it.
 type vcpu struct {
 	id          int
 	currentVMSA uint64
 	started     bool
+	bindings    []binding
 }
 
 type binding struct {
+	tag      DomainTag
 	vmsaPhys uint64
 	ctx      Context
+}
+
+// binding returns the VCPU's switch target for tag.
+func (c *vcpu) binding(tag DomainTag) (binding, bool) {
+	for _, b := range c.bindings {
+		if b.tag == tag {
+			return b, true
+		}
+	}
+	return binding{}, false
+}
+
+// bind registers b, replacing an earlier binding of the same tag.
+func (c *vcpu) bind(b binding) {
+	for i := range c.bindings {
+		if c.bindings[i].tag == b.tag {
+			c.bindings[i] = b
+			return
+		}
+	}
+	c.bindings = append(c.bindings, b)
 }
 
 // Hypervisor is the host-side VM monitor for one CVM.
@@ -175,13 +202,21 @@ type Hypervisor struct {
 	measurement [32]byte
 	launched    bool
 
-	vcpus    map[int]*vcpu
-	bindings map[int]map[DomainTag]binding // per VCPU: tag → VMSA+context
-	byVMSA   map[uint64]Context
+	// vcpus is indexed by VCPU id, one entry per machine VCPU, started or
+	// not; an id outside it names no VCPU and every entry point refuses it.
+	vcpus  []vcpu
+	byVMSA map[uint64]Context
 
 	// ghcbPolicy restricts, per GHCB page, which tags may be switched to
 	// through it. Nil entry = unrestricted (kernel GHCBs).
 	ghcbPolicy map[uint64]map[DomainTag]bool
+
+	// exitGHCBs holds one GHCB per VMGEXIT nesting depth (a domain switch
+	// runs its target, which may exit again before the switch returns).
+	// An exit decodes into its depth's GHCB instead of zero-filling a
+	// fresh 2 KiB one; exitDepth is the number of exits in progress.
+	exitGHCBs []*snp.GHCB
+	exitDepth int
 
 	interruptMode   InterruptMode
 	interruptTarget DomainTag
@@ -191,6 +226,23 @@ type Hypervisor struct {
 	// is not obliged to be consistently hostile: the model checker uses
 	// this to enumerate per-delivery delivery choices.
 	intrModeChooser func(vcpuID int) InterruptMode
+}
+
+// vcpuAt returns the VCPU with the given id, or nil if the machine has no
+// such VCPU.
+func (h *Hypervisor) vcpuAt(id int) *vcpu {
+	if id < 0 || id >= len(h.vcpus) {
+		return nil
+	}
+	return &h.vcpus[id]
+}
+
+// running returns the started VCPU with the given id, or nil.
+func (h *Hypervisor) running(id int) *vcpu {
+	if c := h.vcpuAt(id); c != nil && c.started {
+		return c
+	}
+	return nil
 }
 
 // SetInterruptModeChooser installs fn, consulted at every InjectInterrupt
@@ -204,12 +256,15 @@ func (h *Hypervisor) SetInterruptModeChooser(fn func(vcpuID int) InterruptMode) 
 
 // New creates a hypervisor for machine m using psp for report signing.
 func New(m *snp.Machine, psp AttestationSigner) *Hypervisor {
-	return &Hypervisor{
+	h := &Hypervisor{
 		m:          m,
 		psp:        psp,
-		vcpus:      make(map[int]*vcpu),
-		bindings:   make(map[int]map[DomainTag]binding),
+		vcpus:      make([]vcpu, m.VCPUs()),
 		byVMSA:     make(map[uint64]Context),
 		ghcbPolicy: make(map[uint64]map[DomainTag]bool),
 	}
+	for i := range h.vcpus {
+		h.vcpus[i].id = i
+	}
+	return h
 }

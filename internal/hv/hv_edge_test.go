@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -139,5 +140,47 @@ func TestPageStateReclaimPath(t *testing.T) {
 	e, _ := h.m.RMPEntryAt(phys)
 	if e.Assigned {
 		t.Fatal("page still assigned after reclaim")
+	}
+}
+
+// Every entry point that takes a VCPU id refuses one the machine does not
+// have: the MSR write raises #GP, the hypervisor returns an error, and no
+// state is kept for the id.
+func TestOutOfRangeVCPURefused(t *testing.T) {
+	h := newHarness(t)
+	n := h.m.VCPUs()
+	for _, id := range []int{-1, n} {
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"WriteGHCBMSR", func() error {
+				err := h.m.WriteGHCBMSR(id, snp.CPL0, pgMonGHCB*snp.PageSize)
+				if err != nil && !snp.IsGP(err) {
+					t.Errorf("WriteGHCBMSR(%d): %v, want #GP", id, err)
+				}
+				return err
+			}},
+			{"VMGEXIT", func() error { return h.hv.VMGEXIT(id) }},
+			{"InjectInterrupt", func() error { return h.hv.InjectInterrupt(id) }},
+			{"CurrentVMSA", func() error {
+				if _, ok := h.hv.CurrentVMSA(id); ok {
+					return nil
+				}
+				return errors.New("unknown VCPU")
+			}},
+			{"Resume", func() error { return h.hv.Resume(id, pgOSVMSA*snp.PageSize) }},
+		}
+		for _, c := range calls {
+			if err := c.call(); err == nil {
+				t.Errorf("%s(%d) accepted a VCPU the %d-VCPU machine does not have", c.name, id, n)
+			}
+		}
+		if _, ok := h.m.ReadGHCBMSR(id); ok {
+			t.Errorf("ReadGHCBMSR(%d) reports an MSR for a VCPU that does not exist", id)
+		}
+	}
+	if f := h.m.Halted(); f != nil {
+		t.Fatalf("refusals halted the machine: %v", f)
 	}
 }

@@ -1,6 +1,8 @@
 package hv
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -46,7 +48,8 @@ type harness struct {
 func newHarness(t *testing.T) *harness {
 	t.Helper()
 	h := &harness{}
-	h.m = snp.NewMachine(snp.Config{MemBytes: testPages * snp.PageSize, VCPUs: 1})
+	// Two VCPUs: the AP bring-up tests start VCPU 1.
+	h.m = snp.NewMachine(snp.Config{MemBytes: testPages * snp.PageSize, VCPUs: 2})
 	psp, err := attest.NewPSP(detRand{r: rand.New(rand.NewSource(42))})
 	if err != nil {
 		t.Fatal(err)
@@ -400,4 +403,86 @@ func TestVMGEXITZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("domain-switch GuestCall allocates %.1f times, want 0", allocs)
 	}
+}
+
+// TestGHCBExitPageBytes pins what the exits put on the shared page: the
+// header, exactly the payload bytes SwScratch names, and nothing else. A
+// guest request leaves its report (n bytes) and zeros past it; a
+// page-state reply with k failures then writes its header and k zero
+// bytes over the start of that report, and the rest of the page is left
+// as it was. Whatever GHCB the host decodes into, bytes from an earlier
+// exit must never reach the page.
+func TestGHCBExitPageBytes(t *testing.T) {
+	h := newHarness(t)
+	ghcb := uint64(pgMonGHCB * snp.PageSize)
+	raw := func() []byte {
+		t.Helper()
+		buf := make([]byte, snp.PageSize)
+		if err := h.m.GuestReadPhys(snp.VMPL0, snp.CPL0, ghcb, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	checkHeader := func(page []byte, code, info1, info2, scratch uint64) {
+		t.Helper()
+		for i, want := range []uint64{code, info1, info2, scratch} {
+			if got := binary.LittleEndian.Uint64(page[8*i:]); got != want {
+				t.Fatalf("header word %d = %#x, want %#x", i, got, want)
+			}
+		}
+	}
+	const hdr = 32
+
+	g := &snp.GHCB{ExitCode: ExitGuestRequest, SwScratch: 16}
+	copy(g.Payload[:], "report data 0123")
+	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, ghcb, g); err != nil {
+		t.Fatal(err)
+	}
+	n := int(g.SwScratch)
+	report := append([]byte(nil), g.Payload[:n]...)
+	page := raw()
+	checkHeader(page, ExitGuestRequest, 0, 0, uint64(n))
+	if !bytes.Equal(page[hdr:hdr+n], report) {
+		t.Fatal("guest request reply: payload on the page differs from the report")
+	}
+	if !allZero(page[hdr+n:]) {
+		t.Fatal("guest request reply: bytes past the report are not zero")
+	}
+
+	// Assign the free pages after pgDonate once (no failures), then again:
+	// every page fails, and the failure count lands in SwScratch.
+	first, count := uint64(pgDonate*snp.PageSize), uint64(testPages-pgDonate)
+	for _, wantFailed := range []uint64{0, count} {
+		g := &snp.GHCB{ExitCode: ExitPageState, ExitInfo1: first, ExitInfo2: count<<1 | 1}
+		if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, ghcb, g); err != nil {
+			t.Fatal(err)
+		}
+		if g.SwScratch != wantFailed {
+			t.Fatalf("page-state reply: %d failures, want %d", g.SwScratch, wantFailed)
+		}
+	}
+	k := int(count)
+	if k >= n {
+		t.Fatalf("test needs fewer failures (%d) than report bytes (%d)", k, n)
+	}
+	page = raw()
+	checkHeader(page, ExitPageState, first, count<<1|1, count)
+	if !allZero(page[hdr : hdr+k]) {
+		t.Fatalf("page-state reply wrote % x, want %d zero bytes", page[hdr:hdr+k], k)
+	}
+	if !bytes.Equal(page[hdr+k:hdr+n], report[k:]) {
+		t.Fatal("page-state reply touched payload bytes past its failure count")
+	}
+	if !allZero(page[hdr+n:]) {
+		t.Fatal("page-state reply: bytes past the old report are not zero")
+	}
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -84,13 +84,13 @@ func TestMisrouteVCPUWithNoPeerHitsInterruptedDomain(t *testing.T) {
 }
 
 // Misrouting picks its victim deterministically: lowest-numbered other
-// started VCPU, regardless of map iteration order.
+// started VCPU.
 func TestOtherStartedVCPUDeterministic(t *testing.T) {
-	h := &Hypervisor{vcpus: map[int]*vcpu{
-		0: {id: 0, started: true},
-		1: {id: 1, started: true},
-		2: {id: 2, started: false},
-		3: {id: 3, started: true},
+	h := &Hypervisor{vcpus: []vcpu{
+		{id: 0, started: true},
+		{id: 1, started: true},
+		{id: 2, started: false},
+		{id: 3, started: true},
 	}}
 	for i := 0; i < 32; i++ {
 		if got := h.otherStartedVCPU(0); got != 1 {
@@ -103,7 +103,8 @@ func TestOtherStartedVCPUDeterministic(t *testing.T) {
 			t.Fatalf("otherStartedVCPU(2) = %d, want 0", got)
 		}
 	}
-	solo := &Hypervisor{vcpus: map[int]*vcpu{5: {id: 5, started: true}}}
+	solo := &Hypervisor{vcpus: make([]vcpu, 6)}
+	solo.vcpus[5] = vcpu{id: 5, started: true}
 	if got := solo.otherStartedVCPU(5); got != 5 {
 		t.Fatalf("sole VCPU misrouted to %d, want itself", got)
 	}

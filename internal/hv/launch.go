@@ -25,14 +25,18 @@ func (h *Hypervisor) Launch(regions []attest.Region, bootVMSAPhys uint64, boot s
 	}
 	h.measurement = attest.MeasureRegions(regions)
 
+	c := h.vcpuAt(boot.VCPUID)
+	if c == nil {
+		return fmt.Errorf("hv: boot VMSA names VCPU %d, the machine has %d", boot.VCPUID, len(h.vcpus))
+	}
 	boot.VMPL = snp.VMPL0
 	if err := h.m.HVCreateBootVMSA(bootVMSAPhys, boot); err != nil {
 		return fmt.Errorf("hv: boot VMSA: %w", err)
 	}
 	h.launched = true
-	h.vcpus[boot.VCPUID] = &vcpu{id: boot.VCPUID, currentVMSA: bootVMSAPhys, started: true}
+	c.currentVMSA, c.started = bootVMSAPhys, true
 	h.BindContext(bootVMSAPhys, ctx)
-	h.bindings[boot.VCPUID] = map[DomainTag]binding{bootTag: {vmsaPhys: bootVMSAPhys, ctx: ctx}}
+	c.bind(binding{tag: bootTag, vmsaPhys: bootVMSAPhys, ctx: ctx})
 
 	h.m.SetObsVCPU(boot.VCPUID)
 	h.m.Clock().Charge(snp.CostVMENTER, snp.CyclesVMENTERRestore)
@@ -74,8 +78,8 @@ func (h *Hypervisor) SetInterruptRelay(mode InterruptMode, target DomainTag) {
 // CurrentVMSA returns the VMSA the given VCPU is executing (bookkeeping the
 // real host keeps in struct vcpu_svm).
 func (h *Hypervisor) CurrentVMSA(vcpuID int) (uint64, bool) {
-	c, ok := h.vcpus[vcpuID]
-	if !ok {
+	c := h.running(vcpuID)
+	if c == nil {
 		return 0, false
 	}
 	return c.currentVMSA, true
@@ -86,8 +90,8 @@ func (h *Hypervisor) CurrentVMSA(vcpuID int) (uint64, bool) {
 // system's resting context is the OS domain, and attestation requests must
 // reflect the VMPL of whoever is actually running.
 func (h *Hypervisor) Resume(vcpuID int, vmsaPhys uint64) error {
-	c, ok := h.vcpus[vcpuID]
-	if !ok {
+	c := h.running(vcpuID)
+	if c == nil {
 		return fmt.Errorf("hv: resume of unknown VCPU %d", vcpuID)
 	}
 	if _, err := h.m.VMSAAt(vmsaPhys); err != nil {

@@ -21,7 +21,7 @@ const CyclesAuditRecord = 9000
 type Audit struct {
 	k       *Kernel
 	enabled bool
-	rules   map[SysNo]bool
+	rules   [numSysNo]bool // indexed by syscall number
 	buf     [][]byte
 	records uint64
 	// scratch is the one buffer every record is rendered into; it keeps
@@ -31,7 +31,7 @@ type Audit struct {
 
 // NewAudit creates a disabled audit subsystem.
 func NewAudit(k *Kernel) *Audit {
-	return &Audit{k: k, rules: make(map[SysNo]bool)}
+	return &Audit{k: k}
 }
 
 // DefaultRuleset is the syscall ruleset of the paper's CS3 configuration
@@ -50,17 +50,23 @@ func DefaultRuleset() []SysNo {
 	}
 }
 
-// SetRules replaces the ruleset and enables auditing.
+// SetRules replaces the ruleset and enables auditing. A number past the
+// implemented ones names no syscall the kernel can enter, so no rule for
+// it could ever match; it is not stored.
 func (a *Audit) SetRules(rules []SysNo) {
-	a.rules = make(map[SysNo]bool, len(rules))
+	a.rules = [numSysNo]bool{}
 	for _, r := range rules {
-		a.rules[r] = true
+		if r >= 0 && r < numSysNo {
+			a.rules[r] = true
+		}
 	}
 	a.enabled = len(rules) > 0
 }
 
 // Matches reports whether syscall n is audited.
-func (a *Audit) Matches(n SysNo) bool { return a.enabled && a.rules[n] }
+func (a *Audit) Matches(n SysNo) bool {
+	return a.enabled && n >= 0 && n < numSysNo && a.rules[n]
+}
 
 // emitFor renders and stores one record. This is the audit_log_end hook
 // point: under Veil the record goes to VeilS-Log through a domain switch

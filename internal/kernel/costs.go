@@ -9,8 +9,9 @@ import "veil/internal/snp"
 // enclave-redirected versions in the paper's 3.3–7.1× band: one redirected
 // call adds two hypervisor-relayed domain switches (2 × 14270 cycles) plus
 // deep-copy marshalling, so native costs of roughly 4–9k cycles yield
-// exactly that ratio range.
-var sysBaseCost = map[SysNo]uint64{
+// exactly that ratio range. The table is indexed by syscall number; a
+// number without an entry (0) costs defaultBaseCost.
+var sysBaseCost = [numSysNo]uint64{
 	SysOpen: 6500, SysOpenat: 6500, SysCreat: 6500,
 	SysRead: 6500, SysWrite: 6500, SysPread: 6500, SysPwrite: 6500,
 	SysClose: 3000,
@@ -32,13 +33,16 @@ var sysBaseCost = map[SysNo]uint64{
 	SysGettime: 400,
 }
 
+// defaultBaseCost is the base work of a syscall sysBaseCost does not list.
+const defaultBaseCost = 2000
+
 // chargeBase accounts the syscall's base work.
 func (k *Kernel) chargeBase(n SysNo) {
-	if c, ok := sysBaseCost[n]; ok {
-		k.m.Clock().Charge(snp.CostCompute, c)
-	} else {
-		k.m.Clock().Charge(snp.CostCompute, 2000)
+	c := uint64(defaultBaseCost)
+	if n >= 0 && n < numSysNo && sysBaseCost[n] != 0 {
+		c = sysBaseCost[n]
 	}
+	k.m.Clock().Charge(snp.CostCompute, c)
 }
 
 // Burn charges raw application compute on the virtual clock: workloads use

@@ -3,7 +3,11 @@ package kernel
 import (
 	"crypto/ed25519"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"veil/internal/hv"
@@ -787,6 +791,76 @@ func TestSysNoNames(t *testing.T) {
 	}
 	if SysNo(9999).Name() != "sys_9999" {
 		t.Fatal("unknown syscall name")
+	}
+}
+
+// TestSysNoTablesCoverEveryConstant holds the per-syscall arrays to the
+// SysNo constants declared in syscall.go: each has a slot in the tables
+// and a name. Numbers outside the tables keep the defaults (sys_N, the
+// default base cost, never audited) and index nothing.
+func TestSysNoTablesCoverEveryConstant(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "syscall.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := 0
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "SysNo" {
+				continue
+			}
+			for i, name := range vs.Names {
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok {
+					t.Fatalf("%s: value is not a literal", name.Name)
+				}
+				v, err := strconv.Atoi(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := SysNo(v)
+				if n < 0 || n >= numSysNo {
+					t.Errorf("%s = %d has no slot in the [%d] tables", name.Name, v, numSysNo)
+					continue
+				}
+				if sysNames[n] == "" {
+					t.Errorf("%s = %d has no name", name.Name, v)
+				}
+				consts++
+			}
+		}
+	}
+	if consts < 60 {
+		t.Fatalf("found only %d SysNo constants in syscall.go", consts)
+	}
+
+	k := newNativeKernel(t, 1)
+	k.Audit().SetRules([]SysNo{-1, SysOpen, numSysNo, 9999})
+	for _, n := range []SysNo{-1, numSysNo, 9999} {
+		if got, want := n.Name(), "sys_"+strconv.Itoa(int(n)); got != want {
+			t.Errorf("SysNo(%d).Name() = %q, want %q", n, got, want)
+		}
+		if k.Audit().Matches(n) {
+			t.Errorf("SysNo(%d) audited", n)
+		}
+		before := k.m.Clock().Cycles()
+		k.chargeBase(n)
+		if got := k.m.Clock().Cycles() - before; got != defaultBaseCost {
+			t.Errorf("SysNo(%d) base cost %d, want %d", n, got, defaultBaseCost)
+		}
+	}
+	if !k.Audit().Matches(SysOpen) {
+		t.Error("SysOpen not audited")
+	}
+	before := k.m.Clock().Cycles()
+	k.chargeBase(SysPipe) // implemented, but not in sysBaseCost
+	if got := k.m.Clock().Cycles() - before; got != defaultBaseCost {
+		t.Errorf("pipe base cost %d, want the default %d", got, defaultBaseCost)
 	}
 }
 

@@ -73,7 +73,6 @@ const (
 	SysSetreuid   SysNo = 113
 	SysSetresuid  SysNo = 117
 	SysMknod      SysNo = 133
-	SysTruncate64 SysNo = 193 // unused alias slot kept for spec tests
 	SysOpenat     SysNo = 257
 	SysMkdirat    SysNo = 258
 	SysMknodat    SysNo = 259
@@ -82,9 +81,14 @@ const (
 	SysAccept4    SysNo = 288
 	SysDup3       SysNo = 292
 	SysPipe2      SysNo = 293
+
+	// numSysNo bounds the implemented numbers: the per-syscall tables are
+	// arrays of this length, indexed by number.
+	numSysNo = SysPipe2 + 1
 )
 
-var sysNames = map[SysNo]string{
+// sysNames is indexed by syscall number; "" marks a number with no name.
+var sysNames = [numSysNo]string{
 	SysRead: "read", SysWrite: "write", SysOpen: "open", SysClose: "close",
 	SysStat: "stat", SysFstat: "fstat", SysLseek: "lseek", SysMmap: "mmap",
 	SysMprotect: "mprotect", SysMunmap: "munmap", SysBrk: "brk",
@@ -109,10 +113,10 @@ var sysNames = map[SysNo]string{
 	SysDup3: "dup3", SysPipe2: "pipe2",
 }
 
-// Name returns the syscall's Linux name.
+// Name returns the syscall's Linux name, or sys_N for a number without one.
 func (n SysNo) Name() string {
-	if s, ok := sysNames[n]; ok {
-		return s
+	if n >= 0 && n < numSysNo && sysNames[n] != "" {
+		return sysNames[n]
 	}
 	return "sys_" + strconv.Itoa(int(n))
 }

@@ -269,10 +269,14 @@ func (s *Scheduler) Step() (StepResult, error) {
 	}
 	progressed := false
 
-	// Serve every drain that has become eligible, in post order.
+	// Serve every drain that has become eligible, in post order. Popping
+	// shifts the queue down rather than reslicing it, so it keeps its
+	// capacity and PostDrain appends without reallocating.
 	for len(s.drains) > 0 && s.drains[0].due <= s.round {
 		d := s.drains[0]
-		s.drains = s.drains[1:]
+		n := copy(s.drains, s.drains[1:])
+		s.drains[n] = drainReq{}
+		s.drains = s.drains[:n]
 		if err := s.runDrain(d); err != nil {
 			return StepProgress, err
 		}

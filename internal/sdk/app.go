@@ -36,6 +36,9 @@ type AppRuntime struct {
 	// calls fill it from the kernel. A slice of it is valid only until
 	// the next stage read.
 	stage []byte
+	// ghcb is the one GHCB every enclave entry is built in
+	// (snp.GHCB.Exit).
+	ghcb snp.GHCB
 }
 
 var tokenCounter uint32
@@ -177,7 +180,7 @@ func (a *AppRuntime) Enter(args ...string) (int, error) {
 	// enclave's domain tag.
 	start := a.C.M.Clock().Cycles()
 	ref := a.C.M.BeginSpan()
-	g := &snp.GHCB{ExitCode: hv.ExitDomainSwitch, ExitInfo1: a.Tag}
+	g := a.ghcb.Exit(hv.ExitDomainSwitch, a.Tag)
 	err := a.C.HV.GuestCall(vcpu, snp.VMPL3, snp.CPL3, a.GHCB, g)
 	a.C.M.ObserveEnclaveEnter(a.Tag, start, ref)
 	if err != nil {
@@ -242,14 +245,26 @@ func (a *AppRuntime) writeStage(off uint64, b []byte) error {
 	return a.mem.Write(a.sharedVirt+off, b)
 }
 
-// ocallArity gives, for each call dispatch serves, how many descriptor
-// slots it reads. A request with fewer is refused with EINVAL before any
-// slot is read; numbers not listed fall through to dispatch's ENOSYS.
-var ocallArity = map[uint64]int{
-	sysPageIn: 1, sysBatch: 1,
+// ocallArity gives, indexed by syscall number, how many descriptor slots
+// dispatch reads for the call. A request with fewer is refused with
+// EINVAL before any slot is read; a number not listed reads none (it is
+// served without arguments or falls through to dispatch's ENOSYS).
+var ocallArity = [...]int{
 	0: 3, 1: 3, 2: 3, 3: 1, 4: 2, 5: 2, 8: 3, 9: 3, 10: 3, 11: 1,
 	17: 4, 18: 4, 24: 0, 39: 0, 41: 2, 42: 2, 43: 1, 44: 3, 45: 3,
 	49: 2, 50: 2, 76: 2, 77: 2, 82: 2, 83: 2, 87: 1, 96: 1,
+}
+
+// ocallSlots is the number of descriptor slots dispatch reads for sysno:
+// ocallArity's entry, or one for the SDK-private pseudo-syscalls.
+func ocallSlots(sysno uint64) int {
+	switch {
+	case sysno == sysPageIn, sysno == sysBatch:
+		return 1
+	case sysno < uint64(len(ocallArity)):
+		return ocallArity[sysno]
+	}
+	return 0
 }
 
 // ServeOcall handles one redirected syscall: the Dom-UNT entry invoked when
@@ -281,7 +296,7 @@ func (a *AppRuntime) dispatch(sysno uint64, args []ocallArg) (uint64, uint64) {
 		return string(b[:len(b)-1]), true // strip NUL
 	}
 
-	if need, ok := ocallArity[sysno]; ok && len(args) < need {
+	if len(args) < ocallSlots(sysno) {
 		return fail(kernel.ErrInval)
 	}
 	switch sysno {

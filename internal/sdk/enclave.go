@@ -27,6 +27,9 @@ type EnclaveRuntime struct {
 	exits uint64
 	calls uint64
 	dead  bool
+
+	// ghcb is the one GHCB every syscall exit is built in (snp.GHCB.Exit).
+	ghcb snp.GHCB
 }
 
 var _ hv.Context = (*EnclaveRuntime)(nil)
@@ -156,7 +159,7 @@ func (e *EnclaveRuntime) wu64(off uint64, v uint64) error {
 func (e *EnclaveRuntime) exitForSyscall() error {
 	e.exits++
 	e.c.ENC.ChargeEnclaveExit()
-	g := &snp.GHCB{ExitCode: hv.ExitDomainSwitch, ExitInfo1: core.DomUNT}
+	g := e.ghcb.Exit(hv.ExitDomainSwitch, core.DomUNT)
 	return e.c.HV.GuestCall(e.view.VCPU, snp.VMPL2, snp.CPL3, e.view.GHCB, g)
 }
 

@@ -8,8 +8,23 @@ import (
 
 func TestExactly96SyscallsSpecified(t *testing.T) {
 	// The paper's SDK prototype supports 96 system calls (§7).
-	if got := len(specs); got != 96 {
+	got := 0
+	for num, cs := range specs {
+		if cs.Name == "" {
+			continue
+		}
+		got++
+		if cs.Num != num {
+			t.Errorf("%s sits in slot %d, its number is %d", cs.Name, num, cs.Num)
+		}
+	}
+	if got != 96 {
 		t.Fatalf("%d syscalls specified, want 96", got)
+	}
+	for _, num := range []int{-1, 7, len(specs), 999} {
+		if _, ok := Spec(num); ok {
+			t.Errorf("Spec(%d) found a spec", num)
+		}
 	}
 }
 
@@ -256,7 +271,9 @@ func TestKindAndDirStrings(t *testing.T) {
 func Names() map[string]int {
 	out := make(map[string]int, len(specs))
 	for n, cs := range specs {
-		out[cs.Name] = n
+		if cs.Name != "" {
+			out[cs.Name] = n
+		}
 	}
 	return out
 }

@@ -120,8 +120,10 @@ var (
 
 // Spec returns the call specification for a syscall number.
 func Spec(num int) (CallSpec, bool) {
-	cs, ok := specs[num]
-	return cs, ok
+	if num < 0 || num >= len(specs) || specs[num].Name == "" {
+		return CallSpec{}, false
+	}
+	return specs[num], true
 }
 
 // scalar is a shorthand arg constructor.
@@ -161,10 +163,13 @@ const (
 	sizeItimer   = 32
 )
 
-// call registers a spec (init-time helper).
+// call registers a spec (init-time helper), growing the table to num.
 func call(num int, name string, ret Ret, args ...ArgSpec) {
-	if _, dup := specs[num]; dup {
+	if num < len(specs) && specs[num].Name != "" {
 		panic(fmt.Sprintf("sanitizer: duplicate spec %d", num))
+	}
+	if num >= len(specs) {
+		specs = append(specs, make([]CallSpec, num+1-len(specs))...)
 	}
 	cs := CallSpec{Num: num, Name: name, Args: args, Ret: ret}
 	if ret == RetCount && cs.countLenArg() < 0 {
@@ -185,7 +190,9 @@ func (cs CallSpec) countLenArg() int {
 	return -1
 }
 
-var specs = map[int]CallSpec{}
+// specs is indexed by syscall number; an entry with no Name is a number
+// the SDK does not support.
+var specs []CallSpec
 
 func init() {
 	// File I/O.

@@ -47,9 +47,10 @@ type Machine struct {
 	// page therefore touches none of its bytes.
 	written []uint64
 
-	// ghcbMSR holds the per-VCPU GHCB physical address, written by the
-	// guest via a (privileged) MSR write and read by the hypervisor.
-	ghcbMSR map[int]uint64
+	// ghcbMSR holds the per-VCPU GHCB physical address, indexed by VCPU
+	// id, written by the guest via a (privileged) MSR write and read by
+	// the hypervisor. noGHCB marks a VCPU whose MSR was never written.
+	ghcbMSR []uint64
 
 	clock  Clock
 	trace  Trace
@@ -128,7 +129,10 @@ func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		cfg:     cfg,
 		vmsas:   make(map[uint64]*VMSA),
-		ghcbMSR: make(map[int]uint64),
+		ghcbMSR: make([]uint64, cfg.VCPUs),
+	}
+	for i := range m.ghcbMSR {
+		m.ghcbMSR[i] = noGHCB
 	}
 	if b := acquireBacking(pages); b != nil {
 		m.mem, m.rmp, m.written = b.mem, b.rmp, b.written
@@ -351,16 +355,28 @@ func (m *Machine) HVWritePhys(phys uint64, buf []byte) error {
 	return nil
 }
 
+// noGHCB is the MSR value of a VCPU whose GHCB MSR was never written. It is
+// not page aligned, so no MSR write can store it.
+const noGHCB = ^uint64(0)
+
+// VCPUs returns the number of VCPUs the machine has; VCPU ids are
+// [0, VCPUs).
+func (m *Machine) VCPUs() int { return m.cfg.VCPUs }
+
 // WriteGHCBMSR records the GHCB physical address for a VCPU. The MSR write
 // is privileged: it requires CPL0 (§6.2 discusses why enclaves cannot do
 // this themselves and rely on the OS to set it before scheduling them). The
-// address must be page aligned; anything else raises #GP.
+// address must be page aligned, and the VCPU must exist; anything else
+// raises #GP.
 func (m *Machine) WriteGHCBMSR(vcpuID int, cpl CPL, phys uint64) error {
 	if err := m.checkRunning(); err != nil {
 		return err
 	}
 	if cpl != CPL0 {
 		return &Fault{Kind: FaultGP, CPL: cpl, Why: "wrmsr GHCB requires CPL0"}
+	}
+	if vcpuID < 0 || vcpuID >= len(m.ghcbMSR) {
+		return &Fault{Kind: FaultGP, CPL: cpl, Why: "wrmsr GHCB on a VCPU the machine does not have"}
 	}
 	if PageOffset(phys) != 0 {
 		// The low 12 bits select the GHCB MSR protocol, not a GHCB page.
@@ -373,8 +389,11 @@ func (m *Machine) WriteGHCBMSR(vcpuID int, cpl CPL, phys uint64) error {
 	return nil
 }
 
-// ReadGHCBMSR returns the GHCB physical address for a VCPU (hypervisor side).
+// ReadGHCBMSR returns the GHCB physical address for a VCPU (hypervisor
+// side); false if the VCPU does not exist or never wrote its MSR.
 func (m *Machine) ReadGHCBMSR(vcpuID int) (uint64, bool) {
-	p, ok := m.ghcbMSR[vcpuID]
-	return p, ok
+	if vcpuID < 0 || vcpuID >= len(m.ghcbMSR) || m.ghcbMSR[vcpuID] == noGHCB {
+		return 0, false
+	}
+	return m.ghcbMSR[vcpuID], true
 }
