@@ -159,8 +159,8 @@ func (a *AppRuntime) Enter(args ...string) (int, error) {
 		argBytes = append(argBytes, l[:]...)
 		argBytes = append(argBytes, s...)
 	}
-	if len(argBytes) > stageOff-eArgs {
-		return -1, fmt.Errorf("sdk: argv too large")
+	if len(argBytes) > argvMax {
+		return -1, ErrArgvTooLong
 	}
 	if err := a.mem.WriteU64(a.sharedVirt+eCmd, cmdRun); err != nil {
 		return -1, err
@@ -255,6 +255,10 @@ var ocallArity = [...]int{
 	49: 2, 50: 2, 76: 2, 77: 2, 82: 2, 83: 2, 87: 1, 96: 1,
 }
 
+// maxServedSlots is the most slots dispatch reads for any call, the
+// largest ocallSlots value: request decodes no more than that.
+const maxServedSlots = 4
+
 // ocallSlots is the number of descriptor slots dispatch reads for sysno:
 // ocallArity's entry, or one for the SDK-private pseudo-syscalls.
 func ocallSlots(sysno uint64) int {
@@ -272,7 +276,7 @@ func ocallSlots(sysno uint64) int {
 // the real syscall against the kernel, stages the results and writes the
 // reply frame.
 func (a *AppRuntime) ServeOcall(vcpu int) error {
-	var slots [maxOcallArgs]ocallArg
+	var slots [maxServedSlots]ocallArg
 	sysno, args, err := a.request(&slots)
 	if err != nil {
 		return err

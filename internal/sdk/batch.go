@@ -106,7 +106,7 @@ func (b *Batch) Flush() (int, error) {
 	if err := e.write(e.shared+stageOff, blob); err != nil {
 		return 0, err
 	}
-	if err := e.submit(sysBatch, 1, []uint64{uint64(len(blob))}); err != nil {
+	if err := e.submit(sysBatch, []ocallArg{{val: uint64(len(blob))}}, 1); err != nil {
 		return 0, err
 	}
 	e.calls += uint64(len(b.calls))

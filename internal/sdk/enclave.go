@@ -93,10 +93,18 @@ func (e *EnclaveRuntime) Invoke(r hv.Reason) error {
 	return e.wu64(eExit, uint64(int64(rc)))
 }
 
+// readArgs decodes the argv the application serialized into the entry
+// block. Its length word is untrusted: a length past the argv area is
+// refused, with a DeniedSanitize event naming the length, before anything
+// is allocated or read.
 func (e *EnclaveRuntime) readArgs() ([]string, error) {
 	n, err := e.du64(eArgLen)
 	if err != nil || n == 0 {
 		return nil, err
+	}
+	if n > argvMax {
+		e.c.M.ObserveDenied(snp.DeniedSanitize, n)
+		return nil, fmt.Errorf("%w: the entry block claims %d bytes, the argv area holds %d", ErrArgvTooLong, n, argvMax)
 	}
 	raw := make([]byte, n)
 	if err := e.read(e.shared+eArgs, raw); err != nil {
@@ -105,7 +113,9 @@ func (e *EnclaveRuntime) readArgs() ([]string, error) {
 	if len(raw) < 4 {
 		return nil, nil
 	}
-	cnt := binary.LittleEndian.Uint32(raw)
+	// The count word is untrusted too: every entry takes at least its
+	// 4-byte length word, so no more than that many can be there.
+	cnt := min(binary.LittleEndian.Uint32(raw), uint32(len(raw)-4)/4)
 	off := 4
 	out := make([]string, 0, cnt)
 	for i := uint32(0); i < cnt && off+4 <= len(raw); i++ {
@@ -163,6 +173,10 @@ func (e *EnclaveRuntime) exitForSyscall() error {
 	return e.c.HV.GuestCall(e.view.VCPU, snp.VMPL2, snp.CPL3, e.view.GHCB, g)
 }
 
+// Every spec's arguments fit the descriptor's slots: this stops compiling
+// if sanitizer.MaxArgs outgrows maxOcallArgs.
+const _ = uint(maxOcallArgs - sanitizer.MaxArgs)
+
 // call is the redirection engine: validate against the call specification,
 // deep-copy inputs into the staging area, exit to the application, then
 // copy outputs back and apply the IAGO return check.
@@ -179,20 +193,15 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 	if err := spec.Validate(args); err != nil {
 		return 0, err
 	}
-	// Validate bounds the arity by the spec table; the descriptor's slot
-	// count is checked too, so a longer spec is refused, never overruns
-	// the frame.
-	if len(args) > maxOcallArgs {
-		return 0, fmt.Errorf("sdk: %s takes %d args, the descriptor holds %d", spec.Name, len(args), maxOcallArgs)
-	}
 	if spec.CopyInBytes(args)+spec.CopyOutBytes(args) > stageLimit {
 		return 0, fmt.Errorf("sdk: %s transfers exceed staging capacity", spec.Name)
 	}
 	e.calls++
 	e.c.M.Clock().Charge(snp.CostCompute, CyclesMarshalFixed)
 
-	// Stage buffers and build the descriptor.
-	var slotBuf [maxOcallArgs]ocallArg
+	// Stage buffers and build the descriptor. Validate holds args to the
+	// spec's arity, which the spec table bounds by sanitizer.MaxArgs.
+	var slotBuf [sanitizer.MaxArgs]ocallArg
 	slots := slotBuf[:len(args)]
 	off := uint64(stageOff)
 	place := func(n uint64) uint64 {
@@ -253,11 +262,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 			slots[i] = ocallArg{val: a.Val, stage: s, length: n}
 		}
 	}
-	var words [maxOcallArgs * 3]uint64
-	for i, s := range slots {
-		words[3*i], words[3*i+1], words[3*i+2] = s.val, s.stage, s.length
-	}
-	if err := e.submit(uint64(num), uint64(len(slots)), words[:3*len(slots)]); err != nil {
+	if err := e.submit(uint64(num), slots, 3*len(slots)); err != nil {
 		return 0, err
 	}
 

@@ -38,4 +38,8 @@ const (
 	eArgs   = entryOff + 32 // serialized argv bytes
 )
 
+// argvMax bounds the serialized argv: it runs from eArgs to the staging
+// area.
+const argvMax = stageOff - eArgs
+
 const cmdRun = 1

@@ -1,6 +1,7 @@
 package sdk
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -161,6 +162,59 @@ func TestOcallFrameGolden(t *testing.T) {
 		}
 		if g != w {
 			t.Fatalf("ocall frame %d differs from the golden:\n got:  %s\n want: %s", i, g, w)
+		}
+	}
+}
+
+// TestOcallTranslationsPerCall pins the guest translations one redirected
+// call takes, enclave and application together: each of the four frames
+// (request and reply, written on one side and read on the other) is one
+// span, and each staged buffer crossing adds one access per side that
+// touches it. A codec that splits a frame into two accesses again adds a
+// translation per side and fails here.
+func TestOcallTranslationsPerCall(t *testing.T) {
+	c := bootVeil(t)
+	want := []struct {
+		name string
+		n    uint64
+	}{{"Lseek", 4}, {"Pwrite", 6}, {"Open", 7}, {"Read", 6}}
+	got := map[string]uint64{}
+	translations := func() uint64 {
+		ms := c.M.MemStats()
+		return ms.TLBHits + ms.TLBMisses
+	}
+	prog := ProgramFunc(func(lc Libc, _ []string) int {
+		buf := bytes.Repeat([]byte("veil"), 32)
+		fd := -1
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"Open", func() (err error) {
+				fd, err = lc.Open("/tmp/translations", kernel.OCreat|kernel.ORdwr, 0o600)
+				return err
+			}},
+			{"Pwrite", func() error { _, err := lc.Pwrite(fd, buf, 0); return err }},
+			{"Lseek", func() error { _, err := lc.Lseek(fd, 0, kernel.SeekSet); return err }},
+			{"Read", func() error { _, err := lc.Read(fd, buf); return err }},
+		}
+		for _, cl := range calls {
+			before := translations()
+			if err := cl.call(); err != nil {
+				t.Errorf("%s: %v", cl.name, err)
+				return 1
+			}
+			got[cl.name] = translations() - before
+		}
+		return 0
+	})
+	a, _ := launch(t, c, prog)
+	if rc, err := a.Enter(); err != nil || rc != 0 {
+		t.Fatalf("rc=%d err=%v", rc, err)
+	}
+	for _, w := range want {
+		if got[w.name] != w.n {
+			t.Errorf("%s takes %d guest translations, want %d", w.name, got[w.name], w.n)
 		}
 	}
 }

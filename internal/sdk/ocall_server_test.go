@@ -91,7 +91,8 @@ func TestOcallServerRefusesMalformedDescriptor(t *testing.T) {
 // in the table, and both pseudo-syscalls, is refused one slot short and
 // served with exactly its slots without reading past them (a call that
 // reads a slot its entry does not count would index past the arguments).
-// Only a number whose entry reads no slots may be unsupported (ENOSYS).
+// Only a number whose entry reads no slots may be unsupported (ENOSYS),
+// and no entry reads more than maxServedSlots, all that request decodes.
 // The slots stage 1 or 8 zero bytes, so a call gets past its staged path
 // or sockaddr to the slots after it.
 func TestOcallArityCoversEveryCase(t *testing.T) {
@@ -108,6 +109,9 @@ func TestOcallArityCoversEveryCase(t *testing.T) {
 		}
 		for _, sysno := range nums {
 			need := ocallSlots(sysno)
+			if need > maxServedSlots {
+				t.Fatalf("sysno %d reads %d slots, more than maxServedSlots (%d)", sysno, need, maxServedSlots)
+			}
 			if need > 0 {
 				ret, errno, err := serveRaw(t, a, rawDescriptor(sysno, uint64(need-1), slots[:need-1]...), make([]byte, 1024))
 				if err != nil || ret != ^uint64(0) || errno != 22 {

@@ -134,7 +134,7 @@ func (a *AppRuntime) servePageIn(virt uint64) uint64 {
 
 // pageIn issues the page-in OCALL from inside the enclave.
 func (e *EnclaveRuntime) pageIn(virt uint64) error {
-	if err := e.submit(sysPageIn, 1, []uint64{virt}); err != nil {
+	if err := e.submit(sysPageIn, []ocallArg{{val: virt}}, 1); err != nil {
 		return err
 	}
 	if err := e.exitForSyscall(); err != nil {

@@ -216,6 +216,7 @@ func TestRetCountCalls(t *testing.T) {
 }
 
 func TestEverySpecIsInternallyConsistent(t *testing.T) {
+	widest := 0
 	for num := 0; num < 1024; num++ {
 		cs, ok := Spec(num)
 		if !ok {
@@ -224,6 +225,7 @@ func TestEverySpecIsInternallyConsistent(t *testing.T) {
 		if cs.Num != num || cs.Name == "" {
 			t.Fatalf("spec %d malformed: %+v", num, cs)
 		}
+		widest = max(widest, len(cs.Args))
 		for i, as := range cs.Args {
 			if as.Kind == Buffer && as.LenArg >= len(cs.Args) {
 				t.Fatalf("%s arg %d LenArg out of range", cs.Name, i)
@@ -235,6 +237,11 @@ func TestEverySpecIsInternallyConsistent(t *testing.T) {
 				t.Fatalf("%s arg %d struct without size", cs.Name, i)
 			}
 		}
+	}
+	// MaxArgs sizes the SDK's per-call slot buffer: registration keeps
+	// every spec within it, and it is no wider than the widest spec.
+	if widest != MaxArgs {
+		t.Fatalf("the widest spec takes %d args, MaxArgs is %d", widest, MaxArgs)
 	}
 }
 

@@ -163,10 +163,18 @@ const (
 	sizeItimer   = 32
 )
 
+// MaxArgs is the most arguments any spec takes (mmap, sendto, recvfrom,
+// splice): callers size per-argument buffers by it, and call refuses to
+// register a longer spec.
+const MaxArgs = 6
+
 // call registers a spec (init-time helper), growing the table to num.
 func call(num int, name string, ret Ret, args ...ArgSpec) {
 	if num < len(specs) && specs[num].Name != "" {
 		panic(fmt.Sprintf("sanitizer: duplicate spec %d", num))
+	}
+	if len(args) > MaxArgs {
+		panic(fmt.Sprintf("sanitizer: %s takes %d args, more than MaxArgs (%d)", name, len(args), MaxArgs))
 	}
 	if num >= len(specs) {
 		specs = append(specs, make([]CallSpec, num+1-len(specs))...)

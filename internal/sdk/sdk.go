@@ -73,6 +73,11 @@ type Libc interface {
 // unsupported syscall — the SDK's documented behaviour, §7).
 var ErrEnclaveDead = errors.New("sdk: enclave terminated")
 
+// ErrArgvTooLong refuses an argv whose serialized length does not fit the
+// entry block's argv area (argvMax bytes): Enter refuses to write one, and
+// the enclave refuses to read one the untrusted side wrote.
+var ErrArgvTooLong = errors.New("sdk: argv too large")
+
 // DirectLibc is the native backend: straight kernel calls from a process,
 // no enclave. It is the baseline side of Figs. 4 and 5.
 type DirectLibc struct {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"veil/internal/cvm"
+	"veil/internal/hv"
 	"veil/internal/kernel"
 	"veil/internal/obs"
 	"veil/internal/sdk/sanitizer"
@@ -335,33 +336,141 @@ func TestIagoReadCountKillsEnclave(t *testing.T) {
 	checkKillEvidence(t, c.M, uint64(kernel.SysRead))
 }
 
-// TestEnclaveScalarOcallZeroAlloc pins a scalar-only ocall at zero heap
+// TestEnclaveScalarOcallZeroAlloc pins redirected calls at zero heap
 // allocations end to end: descriptor frame out, the application's serve,
-// and the reply frame back.
+// and the reply frame back, for a scalar-only Lseek and for 128-byte
+// Pwrite, Pread and Write calls within the file, whose buffers are staged
+// across the frame.
 func TestEnclaveScalarOcallZeroAlloc(t *testing.T) {
 	c := bootVeil(t)
-	var allocs float64
+	allocs := map[string]float64{}
 	prog := ProgramFunc(func(lc Libc, args []string) int {
 		fd, err := lc.Open("/tmp/zero-alloc", kernel.OCreat|kernel.ORdwr, 0o600)
 		if err != nil {
 			return 1
 		}
-		if _, err := lc.Lseek(fd, 0, kernel.SeekSet); err != nil {
-			return 2
+		buf := bytes.Repeat([]byte("veil"), 32)
+		calls := []struct {
+			name string
+			call func() (int, error)
+		}{
+			{"Lseek", func() (int, error) { n, err := lc.Lseek(fd, 0, kernel.SeekSet); return int(n), err }},
+			{"Pwrite", func() (int, error) { return lc.Pwrite(fd, buf, 0) }},
+			{"Pread", func() (int, error) { return lc.Pread(fd, buf, 0) }},
+			{"Write", func() (int, error) {
+				// Back to the start, so the write stays within the file.
+				if _, err := lc.Lseek(fd, 0, kernel.SeekSet); err != nil {
+					return 0, err
+				}
+				return lc.Write(fd, buf)
+			}},
 		}
-		allocs = testing.AllocsPerRun(200, func() {
-			if _, err := lc.Lseek(fd, 0, kernel.SeekSet); err != nil {
-				t.Error(err)
+		for _, cl := range calls {
+			if _, err := cl.call(); err != nil {
+				t.Errorf("%s: %v", cl.name, err)
+				return 2
 			}
-		})
+			allocs[cl.name] = testing.AllocsPerRun(200, func() {
+				if _, err := cl.call(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
 		return 0
 	})
 	a, _ := launch(t, c, prog)
 	if rc, err := a.Enter(); err != nil || rc != 0 {
 		t.Fatalf("rc=%d err=%v", rc, err)
 	}
-	if allocs != 0 {
-		t.Fatalf("Lseek ocall allocates %.1f times per call, want 0", allocs)
+	for name, n := range allocs {
+		if n != 0 {
+			t.Errorf("%s ocall allocates %.1f times per call, want 0", name, n)
+		}
+	}
+}
+
+// TestHostileArgvLengthRefused: the argv length word in the entry block is
+// the untrusted application's to write. A length past the argv area, huge
+// or one byte over, is refused with ErrArgvTooLong and a DeniedSanitize
+// event naming it, before the enclave allocates or reads anything; the
+// program never runs, the machine keeps running, and an honest Enter
+// afterwards still runs the program.
+func TestHostileArgvLengthRefused(t *testing.T) {
+	for _, n := range []uint64{1 << 50, argvMax + 1} {
+		c := bootVeil(t)
+		runs := 0
+		a, p := launch(t, c, ProgramFunc(func(Libc, []string) int { runs++; return 0 }))
+		mem, err := p.Mem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Enter's own steps, with the hostile length in the entry block.
+		if err := c.K.ScheduleEnclaveGHCB(0, a.GHCB); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.WriteU64(a.sharedVirt+eCmd, cmdRun); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.WriteU64(a.sharedVirt+eArgLen, n); err != nil {
+			t.Fatal(err)
+		}
+		g := a.ghcb.Exit(hv.ExitDomainSwitch, a.Tag)
+		err = c.HV.GuestCall(0, snp.VMPL3, snp.CPL3, a.GHCB, g)
+		if !errors.Is(err, ErrArgvTooLong) {
+			t.Fatalf("argv length %#x: entry err = %v, want ErrArgvTooLong", n, err)
+		}
+		if runs != 0 {
+			t.Fatalf("argv length %#x: the program ran", n)
+		}
+		var denied []uint64
+		for _, e := range c.M.FlightTail() {
+			if e.Class == obs.ClassDenied && e.Arg1 == uint64(snp.DeniedSanitize) {
+				denied = append(denied, e.Arg2)
+			}
+		}
+		if len(denied) != 1 || denied[0] != n {
+			t.Fatalf("argv length %#x: DeniedSanitize events name %#x, want one naming the length", n, denied)
+		}
+		if h := c.M.Halted(); h != nil {
+			t.Fatalf("argv length %#x: machine halted: %v", n, h)
+		}
+		if rc, err := a.Enter("still", "runs"); err != nil || rc != 0 || runs != 1 {
+			t.Fatalf("honest Enter after the refusal: rc=%d err=%v runs=%d", rc, err, runs)
+		}
+	}
+}
+
+// TestHostileArgvCountBounded: the argv count word is untrusted as well.
+// A count of 2^32-1 over an 8-byte argv holding one empty string sizes
+// nothing by the count: the program runs with the one entry that is
+// there.
+func TestHostileArgvCountBounded(t *testing.T) {
+	c := bootVeil(t)
+	var got []string
+	a, p := launch(t, c, ProgramFunc(func(_ Libc, args []string) int { got = args; return 0 }))
+	mem, err := p.Mem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.K.ScheduleEnclaveGHCB(0, a.GHCB); err != nil {
+		t.Fatal(err)
+	}
+	argv := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
+	if err := mem.WriteU64(a.sharedVirt+eCmd, cmdRun); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.WriteU64(a.sharedVirt+eArgLen, uint64(len(argv))); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Write(a.sharedVirt+eArgs, argv); err != nil {
+		t.Fatal(err)
+	}
+	g := a.ghcb.Exit(hv.ExitDomainSwitch, a.Tag)
+	if err := c.HV.GuestCall(0, snp.VMPL3, snp.CPL3, a.GHCB, g); err != nil {
+		t.Fatalf("entry: %v", err)
+	}
+	if len(got) != 1 || got[0] != "" || cap(got) != 1 {
+		t.Fatalf("program got argv %q (cap %d), want one empty string", got, cap(got))
 	}
 }
 

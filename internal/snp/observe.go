@@ -364,7 +364,8 @@ const (
 	// DeniedHVWrite: hypervisor write to a guest-assigned page blocked.
 	DeniedHVWrite
 	// DeniedSanitize: the monitor's sanitizer rejected an OS-supplied
-	// address range (§5.2).
+	// address range (§5.2), or the enclave SDK an argv length the
+	// untrusted application wrote past the entry block's argv area.
 	DeniedSanitize
 	// DeniedPinned: the kernel refused to retype or unmap a region pinned
 	// by a protected service (§7).
