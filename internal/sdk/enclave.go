@@ -220,10 +220,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 			// One charge for the whole staged path, then the bytes land
 			// directly in the staging area — no assembly buffer.
 			e.chargeCopy(int(n))
-			if err := e.view.Mem.Write(e.shared+s, a.Buf); err != nil {
-				return 0, err
-			}
-			if err := e.view.Mem.Write(e.shared+s+n-1, []byte{0}); err != nil {
+			if err := e.stagePath(e.shared+s, a.Buf); err != nil {
 				return 0, err
 			}
 			slots[i] = ocallArg{stage: s, length: n}
@@ -283,7 +280,18 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 		// Copy outputs back into enclave memory.
 		for i, as := range spec.Args {
 			a := args[i]
-			if !as.CopiesOut() || a.Buf == nil {
+			if !as.CopiesOut() {
+				continue
+			}
+			if as.Kind == sanitizer.IOVec {
+				// readv/recvmsg fill their vectors in order: scatter the
+				// first ret staged bytes back.
+				if err := e.scatter(e.shared+slots[i].stage, min(ret, slots[i].length), a.Vec); err != nil {
+					return 0, err
+				}
+				continue
+			}
+			if a.Buf == nil {
 				continue
 			}
 			n := slots[i].length
@@ -308,6 +316,44 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 		}
 	}
 	return ret, errFor(errno)
+}
+
+// stagePath writes path and its NUL terminator at virt in the shared
+// region, one write span per page those len(path)+1 bytes touch.
+func (e *EnclaveRuntime) stagePath(virt uint64, path []byte) error {
+	end := virt + uint64(len(path)) + 1
+	for v := virt; v < end; {
+		chunk := min(end-v, snp.PageSize-snp.PageOffset(v))
+		src := path[min(v-virt, uint64(len(path))):]
+		err := e.view.Mem.WithSpan(v, int(chunk), snp.AccessWrite, func(dst []byte) error {
+			if k := copy(dst, src); k < len(dst) {
+				dst[k] = 0 // the terminator ends the last chunk
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		v += chunk
+	}
+	return nil
+}
+
+// scatter copies the n staged bytes at virt back into vec, filling each
+// vector in order; one copy charge covers them all.
+func (e *EnclaveRuntime) scatter(virt, n uint64, vec [][]byte) error {
+	e.chargeCopy(int(n))
+	for _, v := range vec {
+		if n == 0 {
+			break
+		}
+		k := min(n, uint64(len(v)))
+		if err := e.view.Mem.Read(virt, v[:k]); err != nil {
+			return err
+		}
+		virt, n = virt+k, n-k
+	}
+	return nil
 }
 
 // kill marks the enclave dead and leaves the post-mortem its cause: a

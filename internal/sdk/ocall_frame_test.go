@@ -170,14 +170,15 @@ func TestOcallFrameGolden(t *testing.T) {
 // call takes, enclave and application together: each of the four frames
 // (request and reply, written on one side and read on the other) is one
 // span, and each staged buffer crossing adds one access per side that
-// touches it. A codec that splits a frame into two accesses again adds a
-// translation per side and fails here.
+// touches it; a staged path is one access with its terminator. A codec
+// that splits a frame or a path into two accesses again adds a
+// translation and fails here.
 func TestOcallTranslationsPerCall(t *testing.T) {
 	c := bootVeil(t)
 	want := []struct {
 		name string
 		n    uint64
-	}{{"Lseek", 4}, {"Pwrite", 6}, {"Open", 7}, {"Read", 6}}
+	}{{"Lseek", 4}, {"Pwrite", 6}, {"Open", 6}, {"Read", 6}}
 	got := map[string]uint64{}
 	translations := func() uint64 {
 		ms := c.M.MemStats()

@@ -131,7 +131,7 @@ func FuzzOcallReply(f *testing.F) {
 				t.Fatalf("%s: accepted a return the Iago check refuses: %v", cs.Name, err)
 			}
 		case errors.Is(callErr, sanitizer.ErrIago), errors.Is(callErr, sanitizer.ErrUnsupported):
-		case errno != 0 && callErr.Error() == errFor(errno).Error():
+		case errno != 0 && errors.Is(callErr, errFor(errno)):
 		default:
 			t.Fatalf("%s: untyped refusal %v (ret %#x errno %d)", cs.Name, callErr, ret, errno)
 		}

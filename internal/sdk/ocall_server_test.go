@@ -2,6 +2,7 @@ package sdk
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -156,7 +157,7 @@ func FuzzOcallRequest(f *testing.F) {
 			desc, stage = in[:n], in[n:]
 		}
 		_, errno, err := serveRaw(t, a, desc, stage)
-		if err == nil && errno != 0 && errno != 5 && errno != 38 && errFor(errno).Error() == "sdk: I/O error" {
+		if err == nil && errno != 0 && errno != 5 && errno != 38 && errors.Is(errFor(errno), ErrIO) {
 			t.Fatalf("reply errno %d is not one the SDK maps", errno)
 		}
 		if h := c.M.Halted(); h != nil {

@@ -133,8 +133,23 @@ func (cs CallSpec) CopyOutBytes(args []Arg) int {
 // or a dereference would let the OS trick the enclave into reading or
 // clobbering its own secrets ([37] in the paper); byte-count returns must
 // not exceed the length the enclave passed, or the program would take
-// bytes past its buffer as data (the read-count attack).
+// bytes past its buffer as data (the read-count attack). An iovec call
+// (readv, writev, sendmsg, recvmsg) returns the bytes it moved through
+// its vectors, which must not exceed their total length.
 func (cs CallSpec) CheckRet(ret uint64, args []Arg, enclaveBase, enclaveLen uint64) error {
+	for i, as := range cs.Args {
+		if as.Kind != IOVec || i >= len(args) {
+			continue
+		}
+		total := uint64(0)
+		for _, v := range args[i].Vec {
+			total += uint64(len(v))
+		}
+		if ret > total {
+			return fmt.Errorf("%w: %s returned %d bytes for %d bytes of vectors",
+				ErrIago, cs.Name, ret, total)
+		}
+	}
 	switch cs.Ret {
 	case RetPointer:
 		if ret >= enclaveBase && ret < enclaveBase+enclaveLen {

@@ -220,7 +220,12 @@ func errnoFor(err error) uint64 {
 	return 5 // EIO
 }
 
-// errFor reconstitutes a kernel sentinel error from its code.
+// ErrIO is the error for an errno the SDK does not map to a kernel
+// sentinel (EIO included).
+var ErrIO = errors.New("sdk: I/O error")
+
+// errFor reconstitutes a kernel sentinel error from its code: the listed
+// kernel error, or ErrIO for any other code.
 func errFor(code uint64) error {
 	if code == 0 {
 		return nil
@@ -230,5 +235,5 @@ func errFor(code uint64) error {
 			return e.err
 		}
 	}
-	return errors.New("sdk: I/O error")
+	return ErrIO
 }

@@ -336,6 +336,110 @@ func TestIagoReadCountKillsEnclave(t *testing.T) {
 	checkKillEvidence(t, c.M, uint64(kernel.SysRead))
 }
 
+// TestIovecReplyCopiedBack: a readv the host answers with ret 16 fills
+// both 8-byte vectors, in order, from the staged bytes; a ret past the
+// vectors' 16 bytes, for readv or writev, is an Iago value that kills the
+// enclave with a DeniedIago event naming the call.
+func TestIovecReplyCopiedBack(t *testing.T) {
+	staged := []byte("0123456789abcdef")
+	for _, tc := range []struct {
+		num  int
+		ret  uint64
+		dead bool
+	}{
+		{int(kernel.SysReadv), 16, false},
+		{int(kernel.SysReadv), 17, true},
+		{int(kernel.SysWritev), 17, true},
+	} {
+		c := bootVeil(t)
+		vec := [][]byte{make([]byte, 8), make([]byte, 8)}
+		if tc.num == int(kernel.SysWritev) {
+			vec = [][]byte{[]byte("writev-a"), []byte("writev-b")}
+		}
+		args := []sanitizer.Arg{{Val: 3}, {Vec: vec}, {Val: 2}}
+		var er *EnclaveRuntime
+		var got uint64
+		var callErr error
+		var hostile func(vcpu int) error
+		prog := ProgramFunc(func(lc Libc, _ []string) int {
+			er = lc.(*EnclaveRuntime)
+			c.SwapOcallServer(0, hostile)
+			got, callErr = er.call(tc.num, args)
+			return 0
+		})
+		a, p := launch(t, c, prog)
+		hostile = func(vcpu int) error {
+			mem, _ := p.Mem()
+			if tc.num == int(kernel.SysReadv) {
+				if err := mem.Write(a.sharedVirt+stageOff, staged); err != nil {
+					return err
+				}
+			}
+			if err := mem.WriteU64(a.sharedVirt+dRet, tc.ret); err != nil {
+				return err
+			}
+			return mem.WriteU64(a.sharedVirt+dErrno, 0)
+		}
+		if _, err := a.Enter(); err != nil && !errors.Is(err, ErrEnclaveDead) {
+			t.Fatalf("sys %d ret %d: enter: %v", tc.num, tc.ret, err)
+		}
+		if tc.dead {
+			if !errors.Is(callErr, sanitizer.ErrIago) || !er.Dead() {
+				t.Fatalf("sys %d ret %d: err %v dead %v, want an Iago kill", tc.num, tc.ret, callErr, er.Dead())
+			}
+			checkKillEvidence(t, c.M, uint64(tc.num))
+		} else {
+			if callErr != nil || got != tc.ret {
+				t.Fatalf("sys %d ret %d: returned %d, %v", tc.num, tc.ret, got, callErr)
+			}
+			if string(vec[0]) != "01234567" || string(vec[1]) != "89abcdef" {
+				t.Fatalf("readv vectors %q %q, want the staged bytes in order", vec[0], vec[1])
+			}
+		}
+		c.M.Release()
+	}
+}
+
+// TestStagePathAcrossPages: a staged path lands with its NUL terminator
+// and nothing past it, wherever the page boundary falls: inside the
+// path, right after it (the terminator alone on the next page), or
+// nowhere.
+func TestStagePathAcrossPages(t *testing.T) {
+	c := bootVeil(t)
+	prog := ProgramFunc(func(lc Libc, _ []string) int {
+		e := lc.(*EnclaveRuntime)
+		base := e.shared + snp.PageBase(stageOff) + snp.PageSize
+		for _, tc := range []struct{ off, n uint64 }{
+			{0, 40}, {snp.PageSize - 20, 40}, {snp.PageSize - 40, 40}, {snp.PageSize - 41, 40}, {8, 4096},
+		} {
+			virt := base + tc.off
+			path := bytes.Repeat([]byte{'p'}, int(tc.n))
+			guard := bytes.Repeat([]byte{0xEE}, int(tc.n)+2)
+			if err := e.view.Mem.Write(virt, guard); err != nil {
+				t.Error(err)
+				return 1
+			}
+			if err := e.stagePath(virt, path); err != nil {
+				t.Errorf("off %d n %d: %v", tc.off, tc.n, err)
+				return 1
+			}
+			got := make([]byte, tc.n+2)
+			if err := e.view.Mem.Read(virt, got); err != nil {
+				t.Error(err)
+				return 1
+			}
+			if want := append(append(path, 0), 0xEE); !bytes.Equal(got, want) {
+				t.Errorf("off %d n %d: staged % x..., want the path, a NUL and the untouched guard", tc.off, tc.n, got[max(0, len(got)-4):])
+			}
+		}
+		return 0
+	})
+	a, _ := launch(t, c, prog)
+	if rc, err := a.Enter(); err != nil || rc != 0 {
+		t.Fatalf("rc=%d err=%v", rc, err)
+	}
+}
+
 // TestEnclaveScalarOcallZeroAlloc pins redirected calls at zero heap
 // allocations end to end: descriptor frame out, the application's serve,
 // and the reply frame back, for a scalar-only Lseek and for 128-byte

@@ -177,12 +177,21 @@ func (m *Machine) checkRunning() error {
 	return nil
 }
 
-// pageIndex validates a physical address and returns its page number.
+// pageIndex validates a physical address and returns its page number. Its
+// refusal formats only when read, so pageIndex inlines into its callers.
 func (m *Machine) pageIndex(phys uint64) (uint64, error) {
 	if phys >= m.cfg.MemBytes {
-		return 0, fmt.Errorf("snp: physical address %#x outside guest memory (%d bytes)", phys, m.cfg.MemBytes)
+		return 0, &outsideMemory{phys, m.cfg.MemBytes}
 	}
 	return phys >> PageShift, nil
+}
+
+// outsideMemory is pageIndex's refusal: phys is not below mem, the size
+// of guest memory in bytes.
+type outsideMemory struct{ phys, mem uint64 }
+
+func (e *outsideMemory) Error() string {
+	return fmt.Sprintf("snp: physical address %#x outside guest memory (%d bytes)", e.phys, e.mem)
 }
 
 // PageBase returns the base address of the page containing phys.
@@ -207,30 +216,51 @@ func (m *Machine) physRange(phys uint64, n int) (uint64, error) {
 // guestAccessPhys performs the RMP check for a guest access at the given
 // VMPL/CPL and returns the backing slice on success. A permission violation
 // raises #NPF and halts the machine.
+//
+// Fast-path rule: an access is allowed by one straight-line test (machine
+// running, phys inside guest memory, [phys, phys+n) within phys's page,
+// guestAccessOK), which then marks the page written for a write and returns
+// the slice. Every other case goes to guestAccessFault, out of line, which
+// only explains the refusal; whether an access is allowed is decided by
+// guestAccessOK alone.
 func (m *Machine) guestAccessPhys(vmpl VMPL, cpl CPL, phys uint64, n int, a Access, virt uint64) ([]byte, error) {
+	if m.halted == nil && phys < m.cfg.MemBytes && uint64(n) <= PageSize-PageOffset(phys) &&
+		m.rmp[phys>>PageShift].guestAccessOK(vmpl, cpl, a) {
+		if a == AccessWrite {
+			m.noteWrite(phys >> PageShift)
+		}
+		return m.mem[phys : phys+uint64(n)], nil
+	}
+	return nil, m.guestAccessFault(vmpl, cpl, phys, n, a, virt)
+}
+
+// guestAccessFault builds the error for an access guestAccessPhys refused:
+// ErrHalted, the range error, or the RMP *Fault, which it records and
+// halts the machine on.
+func (m *Machine) guestAccessFault(vmpl VMPL, cpl CPL, phys uint64, n int, a Access, virt uint64) error {
 	if err := m.checkRunning(); err != nil {
-		return nil, err
+		return err
 	}
 	pi, err := m.physRange(phys, n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := m.rmp[pi].checkGuestAccess(vmpl, cpl, a); err != nil {
-		f := err.(*Fault)
-		f.Virt, f.Phys = virt, phys
-		m.Halt(f)
-		return nil, f
+	// guestAccessOK refused, so checkGuestAccess returns a fault
+	// (TestGuestAccessOKMatchesCheck pins the two together).
+	f := m.rmp[pi].checkGuestAccess(vmpl, cpl, a).(*Fault)
+	f.Virt, f.Phys = virt, phys
+	m.Halt(f)
+	return f
+}
+
+// noteWrite records a software write landing on page pi: the page may now
+// hold non-zero bytes, and if the walker has read PTEs from it, the
+// translations that walked through it may be stale.
+func (m *Machine) noteWrite(pi uint64) {
+	m.markWritten(pi)
+	if m.isPTPage(pi) {
+		m.invalidatePTPage(pi)
 	}
-	if a == AccessWrite {
-		m.markWritten(pi)
-		if m.isPTPage(pi) {
-			// A software write is landing on a page the walker has read
-			// PTEs from: translations that walked through it may now be
-			// stale.
-			m.invalidatePTPage(pi)
-		}
-	}
-	return m.mem[phys : phys+uint64(n)], nil
 }
 
 // Span returns the RMP-checked backing slice for the physical range
@@ -242,15 +272,19 @@ func (m *Machine) guestAccessPhys(vmpl VMPL, cpl CPL, phys uint64, n int, a Acce
 // must not be retained across RMP or page-state changes.
 func (m *Machine) Span(vmpl VMPL, cpl CPL, phys uint64, n int, acc Access) ([]byte, error) {
 	buf, err := m.guestAccessPhys(vmpl, cpl, phys, n, acc, 0)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		m.countSpan(acc)
 	}
+	return buf, err
+}
+
+// countSpan counts one zero-copy span handed out for acc.
+func (m *Machine) countSpan(acc Access) {
 	if acc == AccessWrite {
 		m.memStats.SpanWrites++
 	} else {
 		m.memStats.SpanReads++
 	}
-	return buf, nil
 }
 
 // GuestReadPhys reads n bytes at a guest physical address, subject to RMP
@@ -318,30 +352,35 @@ func (m *Machine) scrub(pi uint64) {
 // it returns the backing slice for [phys, phys+n), which must lie within one
 // page. SEV-SNP forbids outside software from touching guest-assigned pages,
 // so those are refused; only shared pages succeed. A write to a page the
-// walker has read PTEs from invalidates the translations through it.
+// walker has read PTEs from invalidates the translations through it. Like
+// guestAccessPhys, an allowed access is one straight-line test and
+// hostAccessFault explains a refusal out of line.
 func (m *Machine) hostAccessPhys(phys uint64, n int, a Access) ([]byte, error) {
-	pi, err := m.physRange(phys, n)
-	if err != nil {
-		return nil, err
-	}
-	if m.rmp[pi].Assigned {
+	if phys < m.cfg.MemBytes && uint64(n) <= PageSize-PageOffset(phys) && !m.rmp[phys>>PageShift].Assigned {
 		if a == AccessWrite {
-			m.ObserveDenied(DeniedHVWrite, PageBase(phys))
-			return nil, fmt.Errorf("snp: hypervisor write to guest-assigned page %#x blocked", PageBase(phys))
+			m.noteWrite(phys >> PageShift)
 		}
-		// Reads of encrypted guest memory return ciphertext garbage on
-		// real hardware; the model returns an error so tests can assert
-		// the leak did not happen.
-		m.ObserveDenied(DeniedHVRead, PageBase(phys))
-		return nil, fmt.Errorf("snp: hypervisor read of guest-assigned page %#x blocked", PageBase(phys))
+		return m.mem[phys : phys+uint64(n)], nil
+	}
+	return nil, m.hostAccessFault(phys, n, a)
+}
+
+// hostAccessFault builds the error for an access hostAccessPhys refused:
+// the range error, or the refusal of a guest-assigned page, which it
+// records as a denial.
+func (m *Machine) hostAccessFault(phys uint64, n int, a Access) error {
+	if _, err := m.physRange(phys, n); err != nil {
+		return err
 	}
 	if a == AccessWrite {
-		m.markWritten(pi)
-		if m.isPTPage(pi) {
-			m.invalidatePTPage(pi)
-		}
+		m.ObserveDenied(DeniedHVWrite, PageBase(phys))
+		return fmt.Errorf("snp: hypervisor write to guest-assigned page %#x blocked", PageBase(phys))
 	}
-	return m.mem[phys : phys+uint64(n)], nil
+	// Reads of encrypted guest memory return ciphertext garbage on real
+	// hardware; the model returns an error so tests can assert the leak
+	// did not happen.
+	m.ObserveDenied(DeniedHVRead, PageBase(phys))
+	return fmt.Errorf("snp: hypervisor read of guest-assigned page %#x blocked", PageBase(phys))
 }
 
 // HVWritePhys models a hypervisor write; writes to guest-assigned pages are

@@ -13,7 +13,7 @@ package snp
 //   - RMP mutations (RMPADJUST, PVALIDATE, VMSA create/destroy, hypervisor
 //     page-state changes) bump the RMP epoch: cached *translations* survive
 //     (the guest page tables did not change) but every memoized RMP verdict
-//     dies, so the next access re-runs checkGuestAccess — which is exactly
+//     dies, so the next access re-runs the RMP check — which is exactly
 //     the re-check hardware performs after the required invalidation.
 //   - A software write landing on a live page-table page (one the walker
 //     has read PTEs from) bumps that page's generation: only entries whose
@@ -27,6 +27,17 @@ package snp
 //
 // A stale entry can therefore never survive a permission change, at any
 // layer, while unrelated translations stay hot.
+//
+// Fast-path rule, shared by every memory funnel (AccessContext.span,
+// guestAccessPhys, hostAccessPhys): an access is allowed by one
+// straight-line test, and no refusal is built on that path. The span test
+// is a hit whose ptSeen is current and whose RMP verdict for the access is
+// cached at the current epoch, with ptePermits, a running machine and the
+// bytes inside one page; it counts the hit and returns the slice. Anything
+// else takes the out-of-line path, which translates (counting one hit or
+// miss, never a second), and builds every fault, halt and flight-ring event.
+// Whether an access is allowed is decided only by guestAccessOK and
+// ptePermits; checkGuestAccess and permCheck only explain a refusal.
 //
 // The TLB affects host wall-clock only. It charges no virtual cycles and
 // emits no events, so every deterministic simulator output is unchanged;
@@ -64,7 +75,7 @@ type tlbEntry struct {
 	eff      uint64 // accumulated PTEWrite|PTEUser across levels
 	deps     [PTLevels]tlbDep
 	effNX    bool
-	rmpOK    uint8 // bitmask by Access: checkGuestAccess passed at rmpEpoch
+	rmpOK    uint8 // bitmask by Access: the RMP check passed at rmpEpoch
 }
 
 // MemStats are host-side counters over the memory path: software-TLB

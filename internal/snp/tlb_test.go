@@ -336,6 +336,39 @@ func TestAccessContextZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPhysFunnelsZeroAllocs pins the physical and host funnels at zero
+// allocations per allowed access: Span reads and writes, a guest GHCB
+// store and a hypervisor GHCB load.
+func TestPhysFunnelsZeroAllocs(t *testing.T) {
+	w := buildDiffWorld(t)
+	m := w.m
+	data, ghcb := diffPhys(0, 3), diffPhys(0, 4)
+	if err := m.PValidate(VMPL0, ghcb, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.HVReclaimPage(ghcb); err != nil {
+		t.Fatal(err)
+	}
+	g := new(GHCB).Exit(1, 2)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := m.Span(VMPL0, CPL0, data, 64, AccessRead); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Span(VMPL0, CPL0, data+64, 64, AccessWrite); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.GuestWriteGHCB(VMPL0, CPL0, ghcb, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.HVReadGHCB(ghcb, g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("physical funnels allocate %.1f times per round, want 0", allocs)
+	}
+}
+
 // translateUncached is the cache-free reference walker: identical rules to
 // Translate, no TLB reads, writes or counters. The differential tests
 // compare the two on every operation.
