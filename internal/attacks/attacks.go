@@ -19,6 +19,7 @@ import (
 	"veil/internal/mm"
 	"veil/internal/obs"
 	"veil/internal/sdk"
+	"veil/internal/sdk/sanitizer"
 	"veil/internal/snp"
 )
 
@@ -284,7 +285,8 @@ func launchNopEnclave(c *cvm.CVM) (*sdk.AppRuntime, *kernel.Process, error) {
 	return app, p, err
 }
 
-// Enclave runs the Table 2 attacks.
+// Enclave runs the Table 2 attacks, plus the Iago read-count case: a
+// hostile host's reply the enclave must refuse rather than act on.
 func Enclave() []Result {
 	return execute([]attack{
 		{
@@ -475,6 +477,40 @@ func Enclave() []Result {
 				}
 				xerr := c.M.GuestExecCheckPhys(snp.VMPL2, snp.CPL0, c.TextLo)
 				return snp.IsNPF(xerr), fmt.Sprintf("%v", xerr)
+			},
+		},
+		{
+			name:    "Iago read count (host returns more bytes than asked)",
+			defence: "Enclave killed on ret > count",
+			run: func() (bool, string) {
+				c, err := freshVeil()
+				if err != nil {
+					return false, err.Error()
+				}
+				// The hostile host answers the enclave's 16-byte read with
+				// a byte count of 17, one past the buffer.
+				var app *sdk.AppRuntime
+				hostile := func(int) error { return app.Respond(17, 0) }
+				var readErr error
+				prog := sdk.ProgramFunc(func(lc sdk.Libc, _ []string) int {
+					c.SwapOcallServer(0, hostile)
+					_, readErr = lc.Read(0, make([]byte, 16))
+					return 0
+				})
+				app, err = sdk.LaunchEnclave(c, c.K.Spawn("victim"), prog, sdk.EnclaveConfig{RegionPages: 8})
+				if err != nil {
+					return false, err.Error()
+				}
+				_, eerr := app.Enter()
+				var named []uint64
+				for _, e := range c.M.FlightTail() {
+					if e.Class == obs.ClassDenied && e.Arg1 == uint64(snp.DeniedIago) {
+						named = append(named, e.Arg2)
+					}
+				}
+				return errors.Is(eerr, sdk.ErrEnclaveDead) && errors.Is(readErr, sanitizer.ErrIago) &&
+						len(named) == 1 && named[0] == uint64(kernel.SysRead),
+					fmt.Sprintf("enter: %v; read: %v; iago kills name syscalls %v", eerr, readErr, named)
 			},
 		},
 	})

@@ -20,6 +20,11 @@ type OSStub struct {
 	hyp  *hv.Hypervisor
 	lay  Layout
 	vcpu int
+	// kernelGHCB, ringSub, ringComp and ringPay are this VCPU's kernel
+	// GHCB and ring pages (ringPay indexed by slot), fixed by the layout
+	// and computed once at construction.
+	kernelGHCB, ringSub, ringComp uint64
+	ringPay                       [RingSlots]uint64
 
 	// mon is simulation wiring only: BootAP must hand VeilMon the Go
 	// context that stands in for the code at the new VCPU's entry point.
@@ -65,7 +70,12 @@ type OSStub struct {
 
 // NewOSStub creates the kernel-side stub for one VCPU.
 func NewOSStub(mon *Monitor, vcpu int) *OSStub {
-	s := &OSStub{m: mon.m, hyp: mon.hv, lay: mon.lay, vcpu: vcpu, mon: mon, chn: newChnView()}
+	lay := mon.lay
+	s := &OSStub{m: mon.m, hyp: mon.hv, lay: lay, vcpu: vcpu, mon: mon, chn: newChnView(),
+		kernelGHCB: lay.KernelGHCB(vcpu), ringSub: lay.RingSub(vcpu), ringComp: lay.RingComp(vcpu)}
+	for slot := range s.ringPay {
+		s.ringPay[slot] = lay.RingPayload(vcpu, slot)
+	}
 	s.doorbell = s.Doorbell
 	return s
 }
@@ -97,12 +107,12 @@ func (s *OSStub) call(idcb uint64, dom uint64, req Request) (Response, error) {
 	}
 	s.m.Clock().Charge(snp.CostPageCopy, uint64(len(req.Payload))*snp.CyclesPageCopy4K/snp.PageSize+1)
 	old, hadMSR := s.m.ReadGHCBMSR(s.vcpu)
-	if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, s.lay.KernelGHCB(s.vcpu)); err != nil {
+	if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, s.kernelGHCB); err != nil {
 		return Response{}, err
 	}
 	g := s.ghcb.Exit(hv.ExitDomainSwitch, dom)
-	callErr := s.hyp.GuestCall(s.vcpu, snp.VMPL3, snp.CPL0, s.lay.KernelGHCB(s.vcpu), g)
-	if hadMSR && old != s.lay.KernelGHCB(s.vcpu) {
+	callErr := s.hyp.GuestCall(s.vcpu, snp.VMPL3, snp.CPL0, s.kernelGHCB, g)
+	if hadMSR && old != s.kernelGHCB {
 		if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, old); err != nil && callErr == nil {
 			callErr = err
 		}

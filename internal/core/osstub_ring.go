@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -50,7 +51,7 @@ func (s *OSStub) EnableRingIRQ(on bool) error {
 	if on {
 		v = 1
 	}
-	if err := ringWriteU32(s.m, snp.VMPL3, snp.CPL0, s.lay.RingSub(s.vcpu)+ringIRQOff, v); err != nil {
+	if err := ringWriteU32(s.m, snp.VMPL3, snp.CPL0, s.ringSub+ringIRQOff, v); err != nil {
 		return err
 	}
 	s.irq = on
@@ -66,18 +67,18 @@ type PendingCall struct {
 
 // SubmitSrv posts one service request to this VCPU's submission ring
 // without switching domains. The request payload is copied into the slot's
-// payload page; the descriptor points VeilMon at it. Completion must be
-// collected with Poll after a Doorbell.
+// payload page; the descriptor points VeilMon at it, and it is written
+// together with the new tail through one span over the submission page's
+// [0, slot end). Completion must be collected with Poll after a Doorbell.
 func (s *OSStub) SubmitSrv(req Request) (PendingCall, error) {
 	if len(req.Payload) > RingPayloadMax {
 		return PendingCall{}, fmt.Errorf("core: ring payload %d exceeds %d", len(req.Payload), RingPayloadMax)
 	}
-	sub, comp := s.lay.RingSub(s.vcpu), s.lay.RingComp(s.vcpu)
-	head, err := ringReadU32(s.m, snp.VMPL3, snp.CPL0, comp)
+	head, err := ringReadU32(s.m, snp.VMPL3, snp.CPL0, s.ringComp)
 	if err != nil {
 		return PendingCall{}, err
 	}
-	tail, err := ringReadU32(s.m, snp.VMPL3, snp.CPL0, sub)
+	tail, err := ringReadU32(s.m, snp.VMPL3, snp.CPL0, s.ringSub)
 	if err != nil {
 		return PendingCall{}, err
 	}
@@ -85,8 +86,7 @@ func (s *OSStub) SubmitSrv(req Request) (PendingCall, error) {
 		return PendingCall{}, ErrRingFull
 	}
 
-	slot := int(tail % RingSlots)
-	pay := s.lay.RingPayload(s.vcpu, slot)
+	pay := s.ringPay[tail%RingSlots]
 	if len(req.Payload) > 0 {
 		dst, err := s.m.Span(snp.VMPL3, snp.CPL0, pay, len(req.Payload), snp.AccessWrite)
 		if err != nil {
@@ -101,12 +101,13 @@ func (s *OSStub) SubmitSrv(req Request) (PendingCall, error) {
 		ReqGPA: pay, ReqLen: uint32(len(req.Payload)),
 		RespGPA: pay + RingRespOff, RespCap: RingPayloadMax,
 	}
-	if err := writeRingDesc(s.m, snp.VMPL3, snp.CPL0, sub, d); err != nil {
+	off := ringDescOff(tail)
+	b, err := s.m.Span(snp.VMPL3, snp.CPL0, s.ringSub, off+ringDescLen, snp.AccessWrite)
+	if err != nil {
 		return PendingCall{}, err
 	}
-	if err := ringWriteU32(s.m, snp.VMPL3, snp.CPL0, sub, tail+1); err != nil {
-		return PendingCall{}, err
-	}
+	putRingDesc(b[off:], d)
+	binary.LittleEndian.PutUint32(b, tail+1)
 	s.m.ObserveRingSubmit(snp.VMPL3, uint64(tail), uint64(req.Svc))
 	s.submitTS[tail%RingSlots] = s.m.Clock().Cycles()
 	return PendingCall{Seq: tail, Svc: req.Svc, Op: req.Op}, nil
@@ -116,12 +117,12 @@ func (s *OSStub) SubmitSrv(req Request) (PendingCall, error) {
 // submission. Same GHCB discipline as the synchronous call path.
 func (s *OSStub) Doorbell() error {
 	old, hadMSR := s.m.ReadGHCBMSR(s.vcpu)
-	if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, s.lay.KernelGHCB(s.vcpu)); err != nil {
+	if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, s.kernelGHCB); err != nil {
 		return err
 	}
 	g := s.ghcb.Exit(hv.ExitRingDoorbell, DomSRV)
-	callErr := s.hyp.GuestCall(s.vcpu, snp.VMPL3, snp.CPL0, s.lay.KernelGHCB(s.vcpu), g)
-	if hadMSR && old != s.lay.KernelGHCB(s.vcpu) {
+	callErr := s.hyp.GuestCall(s.vcpu, snp.VMPL3, snp.CPL0, s.kernelGHCB, g)
+	if hadMSR && old != s.kernelGHCB {
 		if err := s.m.WriteGHCBMSR(s.vcpu, snp.CPL0, old); err != nil && callErr == nil {
 			callErr = err
 		}
@@ -170,20 +171,18 @@ func (s *OSStub) PollSpin(pc PendingCall, spins int) (Response, bool, error) {
 // Poll checks one in-flight submission. It returns (response, true) once
 // the completion is published, or (zero, false) while the request is still
 // pending. Polling a completion that RingSlots later completions have
-// already overwritten is a protocol error.
+// already overwritten is a protocol error. The head and the completion
+// slot are read through one span over the completion page's [0, slot end).
 func (s *OSStub) Poll(pc PendingCall) (Response, bool, error) {
-	comp := s.lay.RingComp(s.vcpu)
-	head, err := ringReadU32(s.m, snp.VMPL3, snp.CPL0, comp)
+	off := ringCompOff(pc.Seq)
+	b, err := s.m.Span(snp.VMPL3, snp.CPL0, s.ringComp, off+ringCompLen, snp.AccessRead)
 	if err != nil {
 		return Response{}, false, err
 	}
-	if int32(head-pc.Seq) <= 0 {
+	if head := binary.LittleEndian.Uint32(b); int32(head-pc.Seq) <= 0 {
 		return Response{}, false, nil // head has not passed seq yet (free-running comparison)
 	}
-	c, err := readRingCompletion(s.m, snp.VMPL3, snp.CPL0, comp, pc.Seq)
-	if err != nil {
-		return Response{}, false, err
-	}
+	c := getRingCompletion(b[off:])
 	if c.Seq != pc.Seq {
 		return Response{}, false, fmt.Errorf("core: completion for seq %d overwritten (slot holds %d)", pc.Seq, c.Seq)
 	}
@@ -192,7 +191,7 @@ func (s *OSStub) Poll(pc PendingCall) (Response, bool, error) {
 		if c.Len > RingPayloadMax {
 			return Response{}, false, fmt.Errorf("core: completion length %d corrupt", c.Len)
 		}
-		pay := s.lay.RingPayload(s.vcpu, int(pc.Seq%RingSlots)) + RingRespOff
+		pay := s.ringPay[pc.Seq%RingSlots] + RingRespOff
 		src, err := s.m.Span(snp.VMPL3, snp.CPL0, pay, int(c.Len), snp.AccessRead)
 		if err != nil {
 			return Response{}, false, err

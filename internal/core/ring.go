@@ -29,6 +29,19 @@ import (
 // memory its submitter could not itself access (a confused-deputy attempt)
 // is refused per-slot with StatusDenied; the machine survives and the rest
 // of the batch proceeds.
+//
+// Span rule: each side touches a ring page through one RMP-checked
+// snp.Machine.Span per operation, not one per header word or slot. Submit
+// writes the descriptor and the new tail through one span over the
+// submission page's [0, slot end); Poll reads the head and the completion
+// slot through one span over the completion page's [0, slot end); the
+// drain reads the tail and the IRQ flag through one span and publishes
+// each completion with the new head through one span. The drain takes a
+// fresh span for every descriptor, after its dispatch: a span taken
+// before would miss a halt or an RMP change the service handler caused.
+// Every byte is still reached at the same VMPL, CPL and access, on the
+// same page, at the same point in the protocol; descriptors are decoded
+// into a local RingDesc before validateRingDesc reads them.
 
 const (
 	// RingSlots is the descriptor capacity of one submission ring. 31
@@ -101,13 +114,16 @@ func ringWriteU32(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, phys uint64, v uin
 	return nil
 }
 
-// writeRingDesc stores a descriptor into its slot on the submission page.
-func writeRingDesc(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, subPage uint64, d RingDesc) error {
-	slot := subPage + ringHdrLen + uint64(d.Seq%RingSlots)*ringDescLen
-	b, err := m.Span(vmpl, cpl, slot, ringDescLen, snp.AccessWrite)
-	if err != nil {
-		return err
-	}
+// ringDescOff and ringCompOff return the byte offset of the slot for
+// sequence number seq within its submission or completion page. A span
+// over [0, off+slot length) covers the page's header and that slot.
+func ringDescOff(seq uint32) int { return ringHdrLen + int(seq%RingSlots)*ringDescLen }
+
+func ringCompOff(seq uint32) int { return ringHdrLen + int(seq%RingSlots)*ringCompLen }
+
+// putRingDesc encodes d into a descriptor slot.
+func putRingDesc(b []byte, d RingDesc) {
+	b = b[:ringDescLen]
 	clear(b)
 	binary.LittleEndian.PutUint32(b[0:], d.Seq)
 	b[4] = d.Svc
@@ -117,13 +133,12 @@ func writeRingDesc(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, subPage uint64, d
 	binary.LittleEndian.PutUint32(b[16:], d.ReqLen)
 	binary.LittleEndian.PutUint32(b[20:], d.RespCap)
 	binary.LittleEndian.PutUint64(b[24:], d.RespGPA)
-	return nil
 }
 
-// readRingDesc loads the descriptor in the slot for sequence number seq.
+// readRingDesc loads the descriptor in the slot for sequence number seq
+// through one span over that slot.
 func readRingDesc(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, subPage uint64, seq uint32) (RingDesc, error) {
-	slot := subPage + ringHdrLen + uint64(seq%RingSlots)*ringDescLen
-	b, err := m.Span(vmpl, cpl, slot, ringDescLen, snp.AccessRead)
+	b, err := m.Span(vmpl, cpl, subPage+uint64(ringDescOff(seq)), ringDescLen, snp.AccessRead)
 	if err != nil {
 		return RingDesc{}, err
 	}
@@ -139,33 +154,23 @@ func readRingDesc(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, subPage uint64, se
 	}, nil
 }
 
-// writeRingCompletion stores a completion slot (VeilMon only: the RMP
-// narrows the completion page to read-only below VMPL1).
-func writeRingCompletion(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, compPage uint64, c RingCompletion) error {
-	slot := compPage + ringHdrLen + uint64(c.Seq%RingSlots)*ringCompLen
-	b, err := m.Span(vmpl, cpl, slot, ringCompLen, snp.AccessWrite)
-	if err != nil {
-		return err
-	}
+// putRingCompletion encodes c into a completion slot.
+func putRingCompletion(b []byte, c RingCompletion) {
+	b = b[:ringCompLen]
 	clear(b)
 	binary.LittleEndian.PutUint32(b[0:], c.Seq)
 	binary.LittleEndian.PutUint32(b[4:], c.Status)
 	binary.LittleEndian.PutUint32(b[8:], c.Len)
-	return nil
 }
 
-// readRingCompletion loads the completion slot for sequence number seq.
-func readRingCompletion(m *snp.Machine, vmpl snp.VMPL, cpl snp.CPL, compPage uint64, seq uint32) (RingCompletion, error) {
-	slot := compPage + ringHdrLen + uint64(seq%RingSlots)*ringCompLen
-	b, err := m.Span(vmpl, cpl, slot, ringCompLen, snp.AccessRead)
-	if err != nil {
-		return RingCompletion{}, err
-	}
+// getRingCompletion decodes a completion slot.
+func getRingCompletion(b []byte) RingCompletion {
+	b = b[:ringCompLen]
 	return RingCompletion{
 		Seq:    binary.LittleEndian.Uint32(b[0:]),
 		Status: binary.LittleEndian.Uint32(b[4:]),
 		Len:    binary.LittleEndian.Uint32(b[8:]),
-	}, nil
+	}
 }
 
 // setupRings installs the boot-time RMP policy for the per-VCPU service
@@ -258,25 +263,23 @@ func (mon *Monitor) validateRingDesc(d RingDesc, expectSeq uint32) uint32 {
 // VCPU's submission ring, dispatch the valid ones to their services, and
 // publish completions. Exactly one domain switch covers the whole batch —
 // this is the amortization the batched path exists for.
+// Its spans follow the span rule at the top of this file.
 func (mon *Monitor) drainRing(vcpu int) error {
-	m, lay := mon.m, mon.lay
-	sub, comp := lay.RingSub(vcpu), lay.RingComp(vcpu)
+	m := mon.m
+	sub, comp := mon.lay.RingSub(vcpu), mon.lay.RingComp(vcpu)
 
 	head, err := ringReadU32(m, snp.VMPL1, snp.CPL0, comp)
 	if err != nil {
 		return err
 	}
-	tail, err := ringReadU32(m, snp.VMPL1, snp.CPL0, sub)
+	hdr, err := m.Span(snp.VMPL1, snp.CPL0, sub, ringIRQOff+4, snp.AccessRead)
 	if err != nil {
 		return err
 	}
+	tail, irq := binary.LittleEndian.Uint32(hdr), binary.LittleEndian.Uint32(hdr[ringIRQOff:])
 	pending := tail - head
 	if pending > RingSlots {
 		pending = RingSlots // hostile tail jump: never trust more than capacity
-	}
-	irq, err := ringReadU32(m, snp.VMPL1, snp.CPL0, sub+ringIRQOff)
-	if err != nil {
-		return err
 	}
 
 	drainStart := m.Clock().Cycles()
@@ -301,12 +304,13 @@ func (mon *Monitor) drainRing(vcpu int) error {
 			}
 			drained++
 		}
-		if err := writeRingCompletion(m, snp.VMPL1, snp.CPL0, comp, c); err != nil {
+		off := ringCompOff(seq)
+		b, err := m.Span(snp.VMPL1, snp.CPL0, comp, off+ringCompLen, snp.AccessWrite)
+		if err != nil {
 			return err
 		}
-		if err := ringWriteU32(m, snp.VMPL1, snp.CPL0, comp, seq+1); err != nil {
-			return err
-		}
+		putRingCompletion(b[off:], c)
+		binary.LittleEndian.PutUint32(b, seq+1)
 	}
 	m.ObserveRingDrain(snp.VMPL1, drained, refused, drainStart, drainRef)
 	// Completions are published; raise the interrupt the submitter asked

@@ -281,7 +281,7 @@ func (a *AppRuntime) ServeOcall(vcpu int) error {
 	if err != nil {
 		return err
 	}
-	return a.respond(a.dispatch(sysno, args))
+	return a.Respond(a.dispatch(sysno, args))
 }
 
 // dispatch maps descriptor syscalls onto kernel operations. Unsupported

@@ -82,8 +82,10 @@ func (a *AppRuntime) request(slots *[maxServedSlots]ocallArg) (sysno uint64, arg
 	return sysno, args, nil
 }
 
-// respond encodes the reply frame.
-func (a *AppRuntime) respond(ret, errno uint64) error {
+// Respond encodes the reply frame {ret, errno}. ServeOcall is its honest
+// caller; attack drills call it directly to answer an OCALL the way a
+// hostile host would.
+func (a *AppRuntime) Respond(ret, errno uint64) error {
 	return a.mem.WithSpan(a.sharedVirt+dRet, dErrno+8-dRet, snp.AccessWrite, func(r []byte) error {
 		binary.LittleEndian.PutUint64(r[dRet-dRet:], ret)
 		binary.LittleEndian.PutUint64(r[dErrno-dRet:], errno)
