@@ -274,13 +274,15 @@ func FuzzRingDrain(f *testing.F) {
 // writes the payload, and writes the descriptor with the new tail: 4. A
 // doorbell reads the head, then the tail and IRQ flag through one span;
 // per descriptor it reads the descriptor and the request payload, the
-// VeilS-Log append writes the record's length and bytes, and the
-// completion is published with the new head through one span: 2 + 5k.
+// VeilS-Log append writes the record's length and bytes through one span
+// per store page (one here), and the completion is published with the
+// new head through one span: 2 + 4k.
 // Poll reads the head and the completion slot through one span, plus one
 // for a response payload (an append returns none): 1.
 //
 // The per-field protocol took, for the same cases: submit 5, doorbell
-// k=1 9 and k=4 27 (3 + 6k), poll 2.
+// k=1 9 and k=4 27 (3 + 6k), poll 2. With one span for the append's
+// length and one for its bytes, a doorbell took 2 + 5k: 7 and 22.
 func TestRingSpansPerOp(t *testing.T) {
 	c := bootVeil(t)
 	spans := func() uint64 {
@@ -317,7 +319,7 @@ func TestRingSpansPerOp(t *testing.T) {
 		fn   func() error
 	}{
 		{"submit", 4, submit},
-		{"doorbell k=1", 7, c.Stub.Doorbell},
+		{"doorbell k=1", 6, c.Stub.Doorbell},
 		{"poll", 1, poll},
 		{"submit×4", 16, func() error {
 			for range 4 {
@@ -327,7 +329,7 @@ func TestRingSpansPerOp(t *testing.T) {
 			}
 			return nil
 		}},
-		{"doorbell k=4", 22, c.Stub.Doorbell},
+		{"doorbell k=4", 18, c.Stub.Doorbell},
 	} {
 		if got := measure(tc.fn); got != tc.want {
 			t.Errorf("%s takes %d spans, want %d", tc.name, got, tc.want)

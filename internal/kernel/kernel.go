@@ -79,6 +79,10 @@ type Kernel struct {
 	mods     *ModuleManager
 	netstack *netStack
 	devices  map[string]IoctlHandler
+	// freeFDs holds released FDs, cleared, for the next open file to
+	// reuse (file.go). Its capacity is the bound, set at New, so
+	// releasing an FD never grows it.
+	freeFDs []*FD
 
 	procs   map[int]*Process
 	nextPID int
@@ -121,6 +125,7 @@ func New(m *snp.Machine, hyp *hv.Hypervisor, cfg Config) (*Kernel, error) {
 		vfs:     NewVFS(),
 		procs:   make(map[int]*Process),
 		nextPID: 1,
+		freeFDs: make([]*FD, 0, maxFreeFDs),
 	}
 	k.audit = NewAudit(k)
 	k.mods = NewModuleManager(k)

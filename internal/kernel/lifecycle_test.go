@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"testing"
 
@@ -151,11 +152,15 @@ func TestDupSharesFileOffset(t *testing.T) {
 // process. Along the way and at the end the kernel must hold:
 //   - the registered listeners are exactly the listening sockets some
 //     descriptor names;
-//   - the queue pool never holds a queue twice or a queue with bytes;
+//   - the FD, socket and connection pools never hold an object twice or
+//     one not cleared for reuse, and no pooled object is reachable from a
+//     live descriptor, a listener or a backlog;
+//   - dup2 and dup3 refuse an out-of-range newfd with EBADF and leave the
+//     descriptor table as it was;
 //   - an end whose peer is fully closed or exited reads EOF (a pipe
 //     writer gets EPIPE);
 //   - after every exit, free frames are back at their baseline, and every
-//     connection's queues are back in the pool.
+//     connection is back in the pool, up to its bound.
 func FuzzProcessLifecycle(f *testing.F) {
 	for _, seed := range [][]byte{
 		{5, 0, 6, 0, 7, 0, 5, 0, 8, 1, 9, 0, 15, 2, 16, 3, 17, 1, 17, 2},
@@ -180,7 +185,7 @@ func FuzzProcessLifecycle(f *testing.F) {
 		k := newNativeKernel(t, 1)
 		baseline := freeFrames(k)
 		procs := []*Process{k.Spawn("init")}
-		fresh := 0 // queues the network stack allocated rather than reused
+		fresh := 0 // connections the network stack allocated rather than reused
 		buf := make([]byte, 32)
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i]%18, int(ops[i+1])
@@ -190,6 +195,9 @@ func FuzzProcessLifecycle(f *testing.F) {
 			p := procs[arg%len(procs)]
 			fd := pickFD(p, arg/len(procs))
 			other := pickFD(p, arg/7)
+			if arg%32 == 31 {
+				other = outOfRangeFD[arg/32%len(outOfRangeFD)]
+			}
 			port := 1 + arg%3
 			switch op {
 			case 0:
@@ -224,19 +232,23 @@ func FuzzProcessLifecycle(f *testing.F) {
 			case 7:
 				_ = k.Listen(p, fd, 4)
 			case 8:
-				fresh += newQueues(k, func() bool { return k.Connect(p, fd, port) == nil })
+				fresh += newConns(k, func() bool { return k.Connect(p, fd, port) == nil })
 			case 9:
 				_, _ = k.Accept(p, fd)
 			case 10:
-				fresh += newQueues(k, func() bool { _, _, err := k.Socketpair(p, AFUnix, SockStream); return err == nil })
+				fresh += newConns(k, func() bool { _, _, err := k.Socketpair(p, AFUnix, SockStream); return err == nil })
 			case 11:
 				_, _, _ = k.Pipe2(p, 0)
 			case 12:
 				_, _ = k.Dup(p, fd)
 			case 13:
-				_, _ = k.Dup2(p, fd, other)
+				checkDupRange(t, p, other, func() error { _, err := k.Dup2(p, fd, other); return err })
 			case 14:
-				_, _ = k.Dup3(p, fd, other, 0)
+				if fd == other { // refused with EINVAL before the range check
+					_, _ = k.Dup3(p, fd, other, 0)
+				} else {
+					checkDupRange(t, p, other, func() error { _, err := k.Dup3(p, fd, other, 0); return err })
+				}
 			case 15:
 				_, _ = k.Write(p, fd, buf[:arg%len(buf)])
 			case 16:
@@ -244,7 +256,7 @@ func FuzzProcessLifecycle(f *testing.F) {
 			case 17:
 				_ = k.Close(p, fd)
 			}
-			checkPool(t, k)
+			checkPool(t, k, procs)
 			checkListeners(t, k, procs)
 		}
 
@@ -258,13 +270,13 @@ func FuzzProcessLifecycle(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		checkPool(t, k)
+		checkPool(t, k, nil)
 		checkListeners(t, k, nil)
 		if got := freeFrames(k); got != baseline {
 			t.Fatalf("after every process exited %d frames are free, want %d", got, baseline)
 		}
-		if want := min(fresh, maxFreeQueues); len(k.net().free) != want {
-			t.Fatalf("after every process exited the pool holds %d queues, want %d", len(k.net().free), want)
+		if want := min(fresh, maxFreeConns); len(k.net().free) != want {
+			t.Fatalf("after every process exited the pool holds %d connections, want %d", len(k.net().free), want)
 		}
 	})
 }
@@ -291,14 +303,35 @@ func removeProc(procs []*Process, p *Process) []*Process {
 	return procs
 }
 
-// newQueues runs a call that may open a connection and returns how many
-// queues it allocated rather than took from the pool.
-func newQueues(k *Kernel, call func() bool) int {
+// newConns runs a call that may open a connection and returns 1 if it
+// allocated the connection rather than took it from the pool.
+func newConns(k *Kernel, call func() bool) int {
 	pooled := len(k.net().free)
-	if !call() {
+	if !call() || pooled > 0 {
 		return 0
 	}
-	return 2 - min(pooled, 2)
+	return 1
+}
+
+// outOfRangeFD holds newfd values dup2 and dup3 must refuse.
+var outOfRangeFD = []int{-1, -7, math.MaxInt32 + 1, 1 << 40}
+
+// checkDupRange runs a dup2 or dup3 onto newfd. For an out-of-range
+// newfd it must fail with EBADF and leave p's descriptors and next
+// descriptor number as they were.
+func checkDupRange(t *testing.T, p *Process, newfd int, dup func() error) {
+	t.Helper()
+	if validNewFD(newfd) {
+		_ = dup()
+		return
+	}
+	open, next := len(p.fds), p.nextFD
+	if err := dup(); !errors.Is(err, ErrBadFD) {
+		t.Fatalf("dup onto fd %d returned %v, want EBADF", newfd, err)
+	}
+	if len(p.fds) != open || p.nextFD != next {
+		t.Fatalf("a refused dup onto fd %d changed the descriptor table", newfd)
+	}
 }
 
 // checkListeners fails unless the registered listeners are exactly the

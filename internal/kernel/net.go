@@ -29,7 +29,8 @@ var (
 	ErrClosed       = errors.New("connection closed")
 )
 
-// Socket is one endpoint.
+// Socket is one endpoint. It lives as long as the FD that names it, and
+// release recycles it when that FD's last descriptor goes.
 type Socket struct {
 	Domain, Type int
 	port         int
@@ -38,11 +39,20 @@ type Socket struct {
 	peer         *conn // established connection, from this side's view
 }
 
-// conn is one direction-pair of byte queues.
+// connection is one loopback stream: its two ends and the two queues
+// between them, built, closed and recycled as one object. The ends'
+// pointers into it are set once, when it is built.
+type connection struct {
+	end [2]conn
+	q   [2]byteQueue
+}
+
+// conn is one end of a connection: it sends on tx and receives on rx.
 type conn struct {
 	tx, rx *byteQueue
 	closed bool
 	remote *conn
+	of     *connection
 }
 
 type byteQueue struct{ buf []byte }
@@ -66,78 +76,109 @@ func (q *byteQueue) read(b []byte) int {
 
 func (q *byteQueue) len() int { return len(q.buf) }
 
-// The recycled-queue pool keeps at most maxFreeQueues queues, each with
-// at most maxFreeQueueCap bytes of capacity; a queue past either bound is
-// left to the garbage collector.
+// The recycle pools are bounded. The connection pool keeps at most
+// maxFreeConns connections (64 queues), and a pooled queue keeps at most
+// maxFreeQueueCap bytes of capacity: a larger buffer is left to the
+// garbage collector. The socket pool keeps at most maxFreeSockets sockets
+// and the kernel's FD pool at most maxFreeFDs FDs. Each pool is made with
+// its bound as capacity, so recycling never grows it.
 const (
-	maxFreeQueues   = 64
+	maxFreeConns    = 32
 	maxFreeQueueCap = 64 << 10
+	maxFreeSockets  = 64
+	maxFreeFDs      = 64
 )
+
+// reuse pops the most recently pooled object, or returns nil when the
+// pool is empty.
+func reuse[T any](pool *[]*T) *T {
+	k := len(*pool)
+	if k == 0 {
+		return nil
+	}
+	x := (*pool)[k-1]
+	(*pool)[k-1] = nil
+	*pool = (*pool)[:k-1]
+	return x
+}
 
 // netStack is the kernel's loopback fabric.
 type netStack struct {
 	listeners map[int]*Socket // port → listening socket
-	// free holds the queues of connections no descriptor can reach any
-	// more, emptied, for the next connection to reuse.
-	free []*byteQueue
+	// free holds connections no descriptor can reach any more, both ends
+	// open again and both queues empty, for the next connection to reuse.
+	free []*connection
+	// sockets holds released sockets, cleared, for the next socket.
+	sockets []*Socket
 }
 
-// queue returns an empty queue, recycled when the pool has one.
-func (n *netStack) queue() *byteQueue {
-	if k := len(n.free); k > 0 {
-		q := n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
-		return q
+// socket returns a cleared socket, recycled when the pool has one.
+func (n *netStack) socket() *Socket {
+	if s := reuse(&n.sockets); s != nil {
+		return s
 	}
-	return &byteQueue{}
+	return &Socket{}
 }
 
-// pair builds a connection's two ends over two queues.
+// pair returns the two ends of a new connection, recycled when the pool
+// has one.
 func (n *netStack) pair() (ca, cb *conn) {
-	a2b, b2a := n.queue(), n.queue()
-	ca = &conn{tx: a2b, rx: b2a}
-	cb = &conn{tx: b2a, rx: a2b}
-	ca.remote, cb.remote = cb, ca
-	return ca, cb
+	c := reuse(&n.free)
+	if c == nil {
+		c = &connection{}
+		a, b := &c.end[0], &c.end[1]
+		a.tx, a.rx, a.remote, a.of = &c.q[0], &c.q[1], b, c
+		b.tx, b.rx, b.remote, b.of = &c.q[1], &c.q[0], a, c
+	}
+	return &c.end[0], &c.end[1]
 }
 
-// release frees what s holds once its last descriptor is gone: a
-// listener leaves the port and closes the ends still in its backlog, and
-// a connected end is closed. s lets go of its connection either way.
+// release frees s once its last descriptor is gone: a listener leaves
+// the port and closes the ends still in its backlog, a connected end is
+// closed, and s itself is cleared and kept for reuse.
 func (n *netStack) release(s *Socket) {
 	if s.listening {
 		delete(n.listeners, s.port)
 		for _, c := range s.backlog {
 			n.closeEnd(c)
 		}
-		s.listening, s.backlog = false, nil
 	}
 	if s.peer != nil {
 		n.closeEnd(s.peer)
-		s.peer = nil
+	}
+	*s = Socket{}
+	if len(n.sockets) < maxFreeSockets {
+		n.sockets = append(n.sockets, s)
 	}
 }
 
 // closeEnd closes one end of a connection; the peer reads EOF. Each end
-// closes once, and the second to close sends the two queues, which no
-// descriptor can reach any more, back to the pool.
+// closes once, and the second to close sends the whole connection, which
+// no descriptor can reach any more, back to the pool.
 func (n *netStack) closeEnd(c *conn) {
 	c.closed = true
-	if !c.remote.closed {
+	if !c.remote.closed || len(n.free) >= maxFreeConns {
 		return
 	}
-	for _, q := range [2]*byteQueue{c.tx, c.rx} {
-		if len(n.free) < maxFreeQueues && cap(q.buf) <= maxFreeQueueCap {
+	whole := c.of
+	for i := range whole.q {
+		if q := &whole.q[i]; cap(q.buf) > maxFreeQueueCap {
+			q.buf = nil
+		} else {
 			q.buf = q.buf[:0]
-			n.free = append(n.free, q)
 		}
 	}
+	whole.end[0].closed, whole.end[1].closed = false, false
+	n.free = append(n.free, whole)
 }
 
 func (k *Kernel) net() *netStack {
 	if k.netstack == nil {
-		k.netstack = &netStack{listeners: make(map[int]*Socket)}
+		k.netstack = &netStack{
+			listeners: make(map[int]*Socket),
+			free:      make([]*connection, 0, maxFreeConns),
+			sockets:   make([]*Socket, 0, maxFreeSockets),
+		}
 	}
 	return k.netstack
 }
@@ -185,8 +226,8 @@ func (n *netStack) connect(s *Socket, port int) error {
 	return nil
 }
 
-// accept pops one pending connection as a fresh socket.
-func (n *netStack) accept(l *Socket) (*Socket, error) {
+// accept pops the server end of one pending connection.
+func (n *netStack) accept(l *Socket) (*conn, error) {
 	if !l.listening {
 		return nil, ErrInval
 	}
@@ -199,7 +240,7 @@ func (n *netStack) accept(l *Socket) (*Socket, error) {
 	k := copy(l.backlog, l.backlog[1:])
 	l.backlog[k] = nil
 	l.backlog = l.backlog[:k]
-	return &Socket{Domain: l.Domain, Type: l.Type, peer: c}, nil
+	return c, nil
 }
 
 func (s *Socket) send(b []byte) (int, error) {

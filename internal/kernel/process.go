@@ -112,8 +112,10 @@ func (p *Process) placeFD(fd int, f *FD) {
 
 // dropFD removes descriptor fd. It is the one path by which a descriptor
 // goes (close, dup2 over an open slot, exit), and the last descriptor
-// naming an FD releases it: a socket goes to the network stack, a pipe
-// end is marked closed so its peer sees EOF or EPIPE.
+// naming an FD releases it: a socket goes back to the network stack's
+// pool, and so does a connection once both its ends are closed; a pipe
+// end is marked closed so its peer sees EOF or EPIPE; and the FD itself
+// goes back to the kernel's FD pool.
 func (p *Process) dropFD(fd int) {
 	f, ok := p.fds[fd]
 	if !ok {
@@ -129,6 +131,7 @@ func (p *Process) dropFD(fd int) {
 	case f.pipe != nil:
 		f.pipe.closed = true
 	}
+	p.k.freeFD(f)
 }
 
 // protFlags converts PROT_* bits to PTE flags.

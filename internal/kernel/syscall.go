@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"strconv"
 
 	"veil/internal/obs"
@@ -196,6 +197,22 @@ func (k *Kernel) Open(p *Process, path string, flags int, mode uint32) (int, err
 	if err := k.enter(p, SysOpen, func(b []byte) []byte { return recBuf(b).quote("path=", path).hex(" flags=", int64(flags)) }); err != nil {
 		return -1, err
 	}
+	return k.openNoAudit(p, path, flags, mode)
+}
+
+// Openat implements openat(2) relative to the root (the model keeps a
+// single namespace; dirfd is accepted for ruleset compatibility).
+func (k *Kernel) Openat(p *Process, dirfd int, path string, flags int, mode uint32) (int, error) {
+	defer k.sysret()
+	if err := k.enter(p, SysOpenat, func(b []byte) []byte { return recBuf(b).dec("dirfd=", dirfd).quote(" path=", path) }); err != nil {
+		return -1, err
+	}
+	return k.openNoAudit(p, path, flags, mode)
+}
+
+// openNoAudit is open(2)'s body under open, openat and creat, each of
+// which has emitted its own audit record.
+func (k *Kernel) openNoAudit(p *Process, path string, flags int, mode uint32) (int, error) {
 	var ino *Inode
 	var err error
 	if flags&OCreat != 0 {
@@ -214,41 +231,8 @@ func (k *Kernel) Open(p *Process, path string, flags int, mode uint32) (int, err
 			return -1, err
 		}
 	}
-	f := &FD{Path: path, Flags: flags, ino: ino}
-	if flags&OAppend != 0 {
-		f.off = ino.Size()
-	}
-	return p.installFD(f), nil
-}
-
-// Openat implements openat(2) relative to the root (the model keeps a
-// single namespace; dirfd is accepted for ruleset compatibility).
-func (k *Kernel) Openat(p *Process, dirfd int, path string, flags int, mode uint32) (int, error) {
-	defer k.sysret()
-	if err := k.enter(p, SysOpenat, func(b []byte) []byte { return recBuf(b).dec("dirfd=", dirfd).quote(" path=", path) }); err != nil {
-		return -1, err
-	}
-	// Reuse open semantics without double audit.
-	return k.openNoAudit(p, path, flags, mode)
-}
-
-func (k *Kernel) openNoAudit(p *Process, path string, flags int, mode uint32) (int, error) {
-	var ino *Inode
-	var err error
-	if flags&OCreat != 0 {
-		ino, err = k.vfs.Create(path, mode, flags&OExcl != 0)
-	} else {
-		ino, err = k.vfs.Lookup(path)
-	}
-	if err != nil {
-		return -1, err
-	}
-	if flags&OTrunc != 0 && !ino.Dir {
-		if err := ino.Truncate(0); err != nil {
-			return -1, err
-		}
-	}
-	f := &FD{Path: path, Flags: flags, ino: ino}
+	f := k.newFD()
+	f.Path, f.Flags, f.ino = path, flags, ino
 	if flags&OAppend != 0 {
 		f.off = ino.Size()
 	}
@@ -625,6 +609,9 @@ func (k *Kernel) Dup2(p *Process, oldfd, newfd int) (int, error) {
 	if err := k.enter(p, SysDup2, func(b []byte) []byte { return recBuf(b).dec("old=", oldfd).dec(" new=", newfd) }); err != nil {
 		return -1, err
 	}
+	if !validNewFD(newfd) {
+		return -1, ErrBadFD
+	}
 	f, ok := p.fds[oldfd]
 	if !ok {
 		return -1, ErrBadFD
@@ -632,6 +619,11 @@ func (k *Kernel) Dup2(p *Process, oldfd, newfd int) (int, error) {
 	p.placeFD(newfd, f)
 	return newfd, nil
 }
+
+// validNewFD reports whether dup2 or dup3 may install a descriptor at
+// newfd: like Linux, they refuse a negative or out-of-range number with
+// EBADF.
+func validNewFD(newfd int) bool { return newfd >= 0 && newfd <= math.MaxInt32 }
 
 // Dup3 implements dup3(2).
 func (k *Kernel) Dup3(p *Process, oldfd, newfd, flags int) (int, error) {
@@ -641,6 +633,9 @@ func (k *Kernel) Dup3(p *Process, oldfd, newfd, flags int) (int, error) {
 	}
 	if oldfd == newfd {
 		return -1, ErrInval
+	}
+	if !validNewFD(newfd) {
+		return -1, ErrBadFD
 	}
 	f, ok := p.fds[oldfd]
 	if !ok {
@@ -660,9 +655,10 @@ func (k *Kernel) Pipe2(p *Process, flags int) (int, int, error) {
 	r := &pipeEnd{q: q, readSide: true}
 	w := &pipeEnd{q: q}
 	r.peer, w.peer = w, r
-	rfd := p.installFD(&FD{Path: "pipe:[r]", pipe: r})
-	wfd := p.installFD(&FD{Path: "pipe:[w]", pipe: w, Flags: OWronly})
-	return rfd, wfd, nil
+	rf, wf := k.newFD(), k.newFD()
+	rf.Path, rf.pipe = "pipe:[r]", r
+	wf.Path, wf.pipe, wf.Flags = "pipe:[w]", w, OWronly
+	return p.installFD(rf), p.installFD(wf), nil
 }
 
 // Sendfile implements sendfile(2) (file → socket/file).
@@ -802,8 +798,7 @@ func (k *Kernel) Socket(p *Process, domain, typ int) (int, error) {
 	if domain != AFInet && domain != AFUnix {
 		return -1, ErrInval
 	}
-	s := &Socket{Domain: domain, Type: typ}
-	return p.installFD(&FD{Path: "socket:", sock: s}), nil
+	return p.installFD(k.socketFD("socket:", domain, typ, nil)), nil
 }
 
 // Bind implements bind(2).
@@ -855,11 +850,11 @@ func (k *Kernel) Accept(p *Process, fd int) (int, error) {
 	if !ok || f.sock == nil {
 		return -1, ErrBadFD
 	}
-	s, err := k.net().accept(f.sock)
+	c, err := k.net().accept(f.sock)
 	if err != nil {
 		return -1, err
 	}
-	return p.installFD(&FD{Path: "socket:accepted", sock: s}), nil
+	return p.installFD(k.socketFD("socket:accepted", f.sock.Domain, f.sock.Type, c)), nil
 }
 
 // Sendto implements send/sendto(2).
@@ -898,11 +893,9 @@ func (k *Kernel) Socketpair(p *Process, domain, typ int) (int, int, error) {
 	if err := k.enter(p, SysSocketpair, func(b []byte) []byte { return append(b, "socketpair"...) }); err != nil {
 		return -1, -1, err
 	}
-	sa := &Socket{Domain: domain, Type: typ}
-	sb := &Socket{Domain: domain, Type: typ}
-	sa.peer, sb.peer = k.net().pair()
-	return p.installFD(&FD{Path: "socket:pair", sock: sa}),
-		p.installFD(&FD{Path: "socket:pair", sock: sb}), nil
+	ca, cb := k.net().pair()
+	return p.installFD(k.socketFD("socket:pair", domain, typ, ca)),
+		p.installFD(k.socketFD("socket:pair", domain, typ, cb)), nil
 }
 
 // --- process syscalls ---

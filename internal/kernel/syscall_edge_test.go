@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -223,5 +224,58 @@ func TestMachineTraceCountsSyscalls(t *testing.T) {
 	k.Getuid(p)
 	if got := k.m.Trace().Syscalls - before; got != 2 {
 		t.Fatalf("syscall trace delta = %d", got)
+	}
+}
+
+// TestOpenatAndCreatRefuseDirectories: openat and creat share open's
+// body, so they refuse to open a directory for writing as open does.
+func TestOpenatAndCreatRefuseDirectories(t *testing.T) {
+	k := newNativeKernel(t, 1)
+	p := k.Spawn("t")
+	if err := k.Mkdir(p, "/tmp/www", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	next := p.nextFD
+	if fd, err := k.Openat(p, -100 /* AT_FDCWD */, "/tmp/www", OWronly, 0); !errors.Is(err, ErrIsDir) {
+		t.Fatalf("openat of a directory for writing returned fd %d, %v; want EISDIR", fd, err)
+	}
+	if fd, err := k.Creat(p, "/tmp/www", 0o644); !errors.Is(err, ErrIsDir) {
+		t.Fatalf("creat of a directory returned fd %d, %v; want EISDIR", fd, err)
+	}
+	if p.nextFD != next {
+		t.Fatal("a refused open installed a descriptor")
+	}
+	if _, err := k.Openat(p, -100, "/tmp/www", ORdonly, 0); err != nil {
+		t.Fatalf("openat of a directory for reading: %v", err)
+	}
+}
+
+// TestDupRefusesOutOfRangeNewFD: dup2 and dup3 refuse a negative or
+// out-of-range newfd with EBADF, after the audit record, and leave the
+// descriptor numbering alone.
+func TestDupRefusesOutOfRangeNewFD(t *testing.T) {
+	k := newNativeKernel(t, 1)
+	k.Audit().SetRules([]SysNo{SysDup2, SysDup3})
+	p := k.Spawn("t")
+	for _, newfd := range []int{-1, -7, math.MaxInt32 + 1, 1 << 40} {
+		records := k.Audit().Count()
+		if fd, err := k.Dup2(p, 1, newfd); !errors.Is(err, ErrBadFD) || fd != -1 {
+			t.Fatalf("dup2(1, %d) = %d, %v; want -1, EBADF", newfd, fd, err)
+		}
+		if fd, err := k.Dup3(p, 1, newfd, 0); !errors.Is(err, ErrBadFD) || fd != -1 {
+			t.Fatalf("dup3(1, %d) = %d, %v; want -1, EBADF", newfd, fd, err)
+		}
+		if got := k.Audit().Count() - records; got != 2 {
+			t.Fatalf("refused dups onto %d emitted %d audit records, want 2", newfd, got)
+		}
+	}
+	if fd, err := k.Dup2(p, 1, math.MaxInt32); err != nil || fd != math.MaxInt32 {
+		t.Fatalf("dup2(1, MaxInt32) = %d, %v", fd, err)
+	}
+	if err := k.Close(p, math.MaxInt32); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.fds[-7]; ok {
+		t.Fatal("a negative descriptor was installed")
 	}
 }

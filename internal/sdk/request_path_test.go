@@ -9,7 +9,8 @@ import (
 
 // TestRequestPathZeroAlloc is the request path's allocation gate: on a
 // warmed machine, the data buffers of an enclave's file and socket calls,
-// a kernel path walk and a recycled connection's queues allocate nothing.
+// an enclave's HTTP-style request cycle apart from its staged path, a
+// kernel path walk and a recycled connection's queues allocate nothing.
 func TestRequestPathZeroAlloc(t *testing.T) {
 	const size = 10 << 10
 	payload := bytes.Repeat([]byte("veil"), size/4)
@@ -92,6 +93,94 @@ func TestRequestPathZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("enclave send+recv of %d bytes allocates %.1f times, want 0", size, allocs)
+		}
+	})
+
+	t.Run("enclave accept open read send close", func(t *testing.T) {
+		// The enclave serves one HTTP request per cycle to a native
+		// client, as enc-lighttpd does. The kernel recycles each
+		// request's sockets, connection and open file, so the one
+		// allocation left is the OCALL server's copy of the staged path
+		// into a Go string for Kernel.Open.
+		const port = 47300
+		c := bootVeil(t)
+		k := c.K
+		cli := k.Spawn("ab")
+		srv := k.Spawn("seed")
+		fd, err := k.Open(srv, "/tmp/index.html", kernel.OCreat|kernel.OWronly, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Write(srv, fd, payload); err != nil {
+			t.Fatal(err)
+		}
+		req := []byte("GET /index.html HTTP/1.0\r\n\r\n")
+		resp := make([]byte, 16<<10)
+		var allocs float64
+		a, _ := launch(t, c, ProgramFunc(func(lc Libc, _ []string) int {
+			ls, _ := lc.Socket(kernel.AFInet, kernel.SockStream)
+			if lc.Bind(ls, port) != nil || lc.Listen(ls, 16) != nil {
+				return 1
+			}
+			reqBuf, body := make([]byte, 4096), make([]byte, size)
+			cycle := func() bool {
+				cfd, err := k.Socket(cli, kernel.AFInet, kernel.SockStream)
+				if err != nil || k.Connect(cli, cfd, port) != nil {
+					return false
+				}
+				if _, err := k.Sendto(cli, cfd, req); err != nil {
+					return false
+				}
+				afd, err := lc.Accept(ls)
+				if err != nil {
+					return false
+				}
+				if n, err := lc.Recv(afd, reqBuf); err != nil || n != len(req) {
+					return false
+				}
+				fd, err := lc.Open("/tmp/index.html", kernel.ORdonly, 0)
+				if err != nil {
+					return false
+				}
+				m, err := lc.Read(fd, body)
+				if err != nil || m != size || lc.Close(fd) != nil {
+					return false
+				}
+				if n, err := lc.Send(afd, body[:m]); err != nil || n != m || lc.Close(afd) != nil {
+					return false
+				}
+				got := 0
+				for {
+					n, err := k.Recvfrom(cli, cfd, resp)
+					if err != nil {
+						return false
+					}
+					if n == 0 {
+						break
+					}
+					got += n
+				}
+				return got == size && k.Close(cli, cfd) == nil
+			}
+			for i := 0; i < 2; i++ { // warm-up: fills the kernel's pools
+				if !cycle() {
+					t.Error("warm-up cycle failed")
+					return 2
+				}
+			}
+			ok := true
+			allocs = testing.AllocsPerRun(50, func() { ok = cycle() && ok })
+			if !ok || !bytes.Equal(body, payload) {
+				t.Error("a measured cycle failed")
+				return 3
+			}
+			return 0
+		}))
+		if rc, err := a.Enter(); err != nil || rc != 0 {
+			t.Fatalf("enclave rc=%d err=%v", rc, err)
+		}
+		if allocs > 1 {
+			t.Errorf("an enclave accept/open/read/send/close cycle allocates %.1f times, want at most 1 (the staged path)", allocs)
 		}
 	})
 

@@ -89,10 +89,7 @@ func (s *Service) append(rec []byte) bool {
 	}
 	var lenb [4]byte
 	binary.LittleEndian.PutUint32(lenb[:], uint32(len(rec)))
-	if err := s.storeWrite(s.writeOff, lenb[:]); err != nil {
-		return false
-	}
-	if err := s.storeWrite(s.writeOff+4, rec); err != nil {
+	if err := s.storeWrite(s.writeOff, lenb[:], rec); err != nil {
 		return false
 	}
 	s.writeOff += need
@@ -100,27 +97,27 @@ func (s *Service) append(rec []byte) bool {
 	return true
 }
 
-// storeWrite writes into the store as Dom-SRV software, page by page,
-// appending straight into the RMP-checked frames through write spans.
-func (s *Service) storeWrite(off uint64, data []byte) error {
+// storeWrite writes prefix and then rec at off as one run, as Dom-SRV
+// software, appending straight into the RMP-checked frames: each store
+// page the run touches takes one write span.
+func (s *Service) storeWrite(off uint64, prefix, rec []byte) error {
 	m := s.mon.Machine()
-	for len(data) > 0 {
+	for left := uint64(len(prefix) + len(rec)); left > 0; {
 		page := off / snp.PageSize
 		if page >= uint64(len(s.frames)) {
 			return fmt.Errorf("vlog: write past store end")
 		}
 		po := off % snp.PageSize
-		n := snp.PageSize - po
-		if n > uint64(len(data)) {
-			n = uint64(len(data))
-		}
+		n := min(snp.PageSize-po, left)
 		dst, err := m.Span(snp.VMPL1, snp.CPL0, s.frames[page]+po, int(n), snp.AccessWrite)
 		if err != nil {
 			return err
 		}
-		copy(dst, data[:n])
+		c := copy(dst, prefix)
+		prefix = prefix[c:]
+		rec = rec[copy(dst[c:], rec):]
 		off += n
-		data = data[n:]
+		left -= n
 	}
 	return nil
 }

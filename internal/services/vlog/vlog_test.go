@@ -153,3 +153,47 @@ func TestCapacityReporting(t *testing.T) {
 		t.Fatalf("capacity = %d", c.LOG.Capacity())
 	}
 }
+
+// TestAppendAcrossStorePages appends records whose length prefix and
+// bytes straddle a store page boundary: each reads back whole, and an
+// append takes one write span per store page it touches, so a straddling
+// one takes exactly one more than one inside a page.
+func TestAppendAcrossStorePages(t *testing.T) {
+	c := bootVeil(t, 4)
+	spanWrites := func(rec []byte) uint64 {
+		t.Helper()
+		before := c.M.MemStats().SpanWrites
+		if err := c.Stub.AuditEmit(rec); err != nil {
+			t.Fatal(err)
+		}
+		return c.M.MemStats().SpanWrites - before
+	}
+	var want [][]byte
+	emit := func(n int, b byte) uint64 {
+		rec := bytes.Repeat([]byte{b}, n)
+		want = append(want, rec)
+		return spanWrites(rec)
+	}
+	// 2044 + 2044 + 6 bytes leave the next length prefix at 4094, two
+	// bytes before the first page ends.
+	emit(core.IDCBPayloadMax, 'a')
+	emit(core.IDCBPayloadMax, 'b')
+	inside := emit(4096-2-2*(4+core.IDCBPayloadMax)-4, 'c')
+	straddle := emit(2000, 'd')
+	emit(100, 'e')
+	if straddle != inside+1 {
+		t.Fatalf("an append across a store page boundary takes %d write spans, one inside a page %d; want one more", straddle, inside)
+	}
+	recs, err := c.LOG.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("read back %d records, want %d", len(recs), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(recs[i], want[i]) {
+			t.Fatalf("record %d reads back %d bytes %.8q..., want %d bytes of %q", i, len(recs[i]), recs[i], len(want[i]), want[i][0])
+		}
+	}
+}
