@@ -285,8 +285,9 @@ func launchNopEnclave(c *cvm.CVM) (*sdk.AppRuntime, *kernel.Process, error) {
 	return app, p, err
 }
 
-// Enclave runs the Table 2 attacks, plus the Iago read-count case: a
-// hostile host's reply the enclave must refuse rather than act on.
+// Enclave runs the Table 2 attacks, plus the Iago read-count and
+// descriptor cases: hostile host replies the enclave must refuse rather
+// than act on.
 func Enclave() []Result {
 	return execute([]attack{
 		{
@@ -502,18 +503,55 @@ func Enclave() []Result {
 					return false, err.Error()
 				}
 				_, eerr := app.Enter()
-				var named []uint64
-				for _, e := range c.M.FlightTail() {
-					if e.Class == obs.ClassDenied && e.Arg1 == uint64(snp.DeniedIago) {
-						named = append(named, e.Arg2)
-					}
-				}
+				named := iagoKills(c)
 				return errors.Is(eerr, sdk.ErrEnclaveDead) && errors.Is(readErr, sanitizer.ErrIago) &&
 						len(named) == 1 && named[0] == uint64(kernel.SysRead),
 					fmt.Sprintf("enter: %v; read: %v; iago kills name syscalls %v", eerr, readErr, named)
 			},
 		},
+		{
+			name:    "Iago descriptor (host returns a negative fd)",
+			defence: "Enclave killed on fd outside [0, MaxFD)",
+			run: func() (bool, string) {
+				c, err := freshVeil()
+				if err != nil {
+					return false, err.Error()
+				}
+				// The hostile host answers the enclave's open with
+				// descriptor -1 and errno 0: success with a number the
+				// kernel never hands out.
+				var app *sdk.AppRuntime
+				hostile := func(int) error { return app.Respond(^uint64(0), 0) }
+				var openErr error
+				prog := sdk.ProgramFunc(func(lc sdk.Libc, _ []string) int {
+					c.SwapOcallServer(0, hostile)
+					_, openErr = lc.Open("/tmp/victim", kernel.ORdonly, 0)
+					return 0
+				})
+				app, err = sdk.LaunchEnclave(c, c.K.Spawn("victim"), prog, sdk.EnclaveConfig{RegionPages: 8})
+				if err != nil {
+					return false, err.Error()
+				}
+				_, eerr := app.Enter()
+				named := iagoKills(c)
+				return errors.Is(eerr, sdk.ErrEnclaveDead) && errors.Is(openErr, sanitizer.ErrIago) &&
+						len(named) == 1 && named[0] == uint64(kernel.SysOpen),
+					fmt.Sprintf("enter: %v; open: %v; iago kills name syscalls %v", eerr, openErr, named)
+			},
+		},
 	})
+}
+
+// iagoKills lists the syscalls the DeniedIago events in c's flight ring
+// name, one per enclave the SDK killed on an Iago value.
+func iagoKills(c *cvm.CVM) []uint64 {
+	var named []uint64
+	for _, e := range c.M.FlightTail() {
+		if e.Class == obs.ClassDenied && e.Arg1 == uint64(snp.DeniedIago) {
+			named = append(named, e.Arg2)
+		}
+	}
+	return named
 }
 
 // enterRaw enters the enclave without the scheduler hook (the hook is the

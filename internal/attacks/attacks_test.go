@@ -21,8 +21,8 @@ func TestTable1FrameworkAttacksAllDefended(t *testing.T) {
 
 func TestTable2EnclaveAttacksAllDefended(t *testing.T) {
 	results := Enclave()
-	if len(results) != 10 {
-		t.Fatalf("enclave suite has %d attacks, want 10 (Table 2 and the Iago read count)", len(results))
+	if len(results) != 11 {
+		t.Fatalf("enclave suite has %d attacks, want 11 (Table 2, the Iago read count and descriptor)", len(results))
 	}
 	assertAllDefended(t, results)
 }

@@ -314,7 +314,7 @@ func newConns(k *Kernel, call func() bool) int {
 }
 
 // outOfRangeFD holds newfd values dup2 and dup3 must refuse.
-var outOfRangeFD = []int{-1, -7, math.MaxInt32 + 1, 1 << 40}
+var outOfRangeFD = []int{-1, -7, MaxFD, math.MaxInt32 + 1, 1 << 40}
 
 // checkDupRange runs a dup2 or dup3 onto newfd. For an out-of-range
 // newfd it must fail with EBADF and leave p's descriptors and next

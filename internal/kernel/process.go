@@ -49,8 +49,21 @@ type EnclaveBinding interface {
 	SyncPermissions(virt, length uint64, prot uint64) error
 }
 
-// Spawn creates a new process.
+// Spawn creates a new process whose descriptors 0, 1 and 2 are the
+// console.
 func (k *Kernel) Spawn(name string) *Process {
+	p := k.newProcess(name)
+	if console, err := k.vfs.Lookup("/dev/console"); err == nil {
+		p.placeFD(0, &FD{Path: "/dev/console", Flags: ORdonly, ino: console})
+		p.placeFD(1, &FD{Path: "/dev/console", Flags: OWronly | OAppend, ino: console})
+		p.placeFD(2, &FD{Path: "/dev/console", Flags: OWronly | OAppend, ino: console})
+	}
+	return p
+}
+
+// newProcess creates a process with an empty descriptor table: Spawn
+// gives it the console, Fork its parent's descriptors.
+func (k *Kernel) newProcess(name string) *Process {
 	p := &Process{
 		PID:      k.nextPID,
 		Name:     name,
@@ -63,12 +76,6 @@ func (k *Kernel) Spawn(name string) *Process {
 	}
 	k.nextPID++
 	k.procs[p.PID] = p
-	// Standard descriptors, all backed by the console device.
-	if console, err := k.vfs.Lookup("/dev/console"); err == nil {
-		p.placeFD(0, &FD{Path: "/dev/console", Flags: ORdonly, ino: console})
-		p.placeFD(1, &FD{Path: "/dev/console", Flags: OWronly | OAppend, ino: console})
-		p.placeFD(2, &FD{Path: "/dev/console", Flags: OWronly | OAppend, ino: console})
-	}
 	return p
 }
 
@@ -91,6 +98,22 @@ func (p *Process) Mem() (snp.AccessContext, error) {
 		return snp.AccessContext{}, err
 	}
 	return as.Context(snp.CPL3), nil
+}
+
+// MaxFD bounds descriptor numbers: a process holds descriptors 0 to
+// MaxFD-1. It is Linux's default fs.nr_open, the ceiling on RLIMIT_NOFILE,
+// and the bound the enclave SDK's Iago check holds a returned descriptor
+// to.
+const MaxFD = 1 << 20
+
+// fdRoom refuses with EMFILE unless n more descriptors fit below MaxFD.
+// Every call that installs a new descriptor asks it before it builds
+// anything, so installFD never hands out a number at or past MaxFD.
+func (p *Process) fdRoom(n int) error {
+	if p.nextFD > MaxFD-n {
+		return ErrMFile
+	}
+	return nil
 }
 
 // installFD registers an FD object and returns its number.

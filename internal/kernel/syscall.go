@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"math"
 	"strconv"
 
 	"veil/internal/obs"
@@ -213,6 +212,9 @@ func (k *Kernel) Openat(p *Process, dirfd int, path string, flags int, mode uint
 // openNoAudit is open(2)'s body under open, openat and creat, each of
 // which has emitted its own audit record.
 func (k *Kernel) openNoAudit(p *Process, path string, flags int, mode uint32) (int, error) {
+	if err := p.fdRoom(1); err != nil {
+		return -1, err
+	}
 	var ino *Inode
 	var err error
 	if flags&OCreat != 0 {
@@ -600,6 +602,9 @@ func (k *Kernel) Dup(p *Process, fd int) (int, error) {
 	if !ok {
 		return -1, ErrBadFD
 	}
+	if err := p.fdRoom(1); err != nil {
+		return -1, err
+	}
 	return p.installFD(f), nil
 }
 
@@ -621,9 +626,9 @@ func (k *Kernel) Dup2(p *Process, oldfd, newfd int) (int, error) {
 }
 
 // validNewFD reports whether dup2 or dup3 may install a descriptor at
-// newfd: like Linux, they refuse a negative or out-of-range number with
-// EBADF.
-func validNewFD(newfd int) bool { return newfd >= 0 && newfd <= math.MaxInt32 }
+// newfd: like Linux, they refuse a negative number or one at or past
+// MaxFD with EBADF.
+func validNewFD(newfd int) bool { return newfd >= 0 && newfd < MaxFD }
 
 // Dup3 implements dup3(2).
 func (k *Kernel) Dup3(p *Process, oldfd, newfd, flags int) (int, error) {
@@ -649,6 +654,9 @@ func (k *Kernel) Dup3(p *Process, oldfd, newfd, flags int) (int, error) {
 func (k *Kernel) Pipe2(p *Process, flags int) (int, int, error) {
 	defer k.sysret()
 	if err := k.enter(p, SysPipe2, func(b []byte) []byte { return append(b, "pipe2"...) }); err != nil {
+		return -1, -1, err
+	}
+	if err := p.fdRoom(2); err != nil {
 		return -1, -1, err
 	}
 	q := &byteQueue{}
@@ -798,6 +806,9 @@ func (k *Kernel) Socket(p *Process, domain, typ int) (int, error) {
 	if domain != AFInet && domain != AFUnix {
 		return -1, ErrInval
 	}
+	if err := p.fdRoom(1); err != nil {
+		return -1, err
+	}
 	return p.installFD(k.socketFD("socket:", domain, typ, nil)), nil
 }
 
@@ -850,6 +861,9 @@ func (k *Kernel) Accept(p *Process, fd int) (int, error) {
 	if !ok || f.sock == nil {
 		return -1, ErrBadFD
 	}
+	if err := p.fdRoom(1); err != nil {
+		return -1, err
+	}
 	c, err := k.net().accept(f.sock)
 	if err != nil {
 		return -1, err
@@ -893,6 +907,9 @@ func (k *Kernel) Socketpair(p *Process, domain, typ int) (int, int, error) {
 	if err := k.enter(p, SysSocketpair, func(b []byte) []byte { return append(b, "socketpair"...) }); err != nil {
 		return -1, -1, err
 	}
+	if err := p.fdRoom(2); err != nil {
+		return -1, -1, err
+	}
 	ca, cb := k.net().pair()
 	return p.installFD(k.socketFD("socket:pair", domain, typ, ca)),
 		p.installFD(k.socketFD("socket:pair", domain, typ, cb)), nil
@@ -931,7 +948,7 @@ func (k *Kernel) Fork(p *Process) (*Process, error) {
 	if err := k.enter(p, SysFork, noDetail); err != nil {
 		return nil, err
 	}
-	child := k.Spawn(p.Name)
+	child := k.newProcess(p.Name)
 	for fd, f := range p.fds {
 		child.placeFD(fd, f)
 	}

@@ -257,7 +257,7 @@ func TestDupRefusesOutOfRangeNewFD(t *testing.T) {
 	k := newNativeKernel(t, 1)
 	k.Audit().SetRules([]SysNo{SysDup2, SysDup3})
 	p := k.Spawn("t")
-	for _, newfd := range []int{-1, -7, math.MaxInt32 + 1, 1 << 40} {
+	for _, newfd := range []int{-1, -7, MaxFD, math.MaxInt32 + 1, 1 << 40} {
 		records := k.Audit().Count()
 		if fd, err := k.Dup2(p, 1, newfd); !errors.Is(err, ErrBadFD) || fd != -1 {
 			t.Fatalf("dup2(1, %d) = %d, %v; want -1, EBADF", newfd, fd, err)
@@ -269,13 +269,111 @@ func TestDupRefusesOutOfRangeNewFD(t *testing.T) {
 			t.Fatalf("refused dups onto %d emitted %d audit records, want 2", newfd, got)
 		}
 	}
-	if fd, err := k.Dup2(p, 1, math.MaxInt32); err != nil || fd != math.MaxInt32 {
-		t.Fatalf("dup2(1, MaxInt32) = %d, %v", fd, err)
+	if fd, err := k.Dup2(p, 1, MaxFD-1); err != nil || fd != MaxFD-1 {
+		t.Fatalf("dup2(1, MaxFD-1) = %d, %v", fd, err)
 	}
-	if err := k.Close(p, math.MaxInt32); err != nil {
+	if err := k.Close(p, MaxFD-1); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := p.fds[-7]; ok {
 		t.Fatal("a negative descriptor was installed")
+	}
+}
+
+// TestDescriptorNumbersStayBelowMaxFD: dup2 may not move the next
+// descriptor number past the int32 range. The highest descriptor a process
+// may hold is MaxFD-1; a dup2 or dup3 at or past MaxFD is EBADF, and once
+// MaxFD-1 is taken every call that installs a new descriptor fails with
+// EMFILE, never handing out a number past it and building nothing.
+func TestDescriptorNumbersStayBelowMaxFD(t *testing.T) {
+	k := newNativeKernel(t, 1)
+	p := k.Spawn("t")
+	for _, newfd := range []int{math.MaxInt32, MaxFD} {
+		if fd, err := k.Dup2(p, 1, newfd); !errors.Is(err, ErrBadFD) {
+			t.Fatalf("dup2(1, %d) = %d, %v; want EBADF", newfd, fd, err)
+		}
+		if fd, err := k.Dup3(p, 1, newfd, 0); !errors.Is(err, ErrBadFD) {
+			t.Fatalf("dup3(1, %d) = %d, %v; want EBADF", newfd, fd, err)
+		}
+	}
+	fd, err := k.Open(p, "/tmp/after-dup2", OCreat|ORdwr, 0o644)
+	if err != nil || fd != 3 {
+		t.Fatalf("open after the refused dups = %d, %v; want fd 3", fd, err)
+	}
+	// A listener with one pending connection, for accept.
+	lfd, err := k.Socket(p, AFInet, SockStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfd, err := k.Socket(p, AFInet, SockStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Bind(p, lfd, 80); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Listen(p, lfd, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Connect(p, cfd, 80); err != nil {
+		t.Fatal(err)
+	}
+	if fd, err := k.Dup2(p, 1, MaxFD-1); err != nil || fd != MaxFD-1 {
+		t.Fatalf("dup2(1, MaxFD-1) = %d, %v", fd, err)
+	}
+	pool := len(k.freeFDs)
+	for name, install := range map[string]func() error{
+		"open":       func() error { _, err := k.Open(p, "/tmp/past-max", OCreat|ORdwr, 0o644); return err },
+		"creat":      func() error { _, err := k.Creat(p, "/tmp/past-max", 0o644); return err },
+		"dup":        func() error { _, err := k.Dup(p, 1); return err },
+		"pipe2":      func() error { _, _, err := k.Pipe2(p, 0); return err },
+		"socket":     func() error { _, err := k.Socket(p, AFInet, SockStream); return err },
+		"socketpair": func() error { _, _, err := k.Socketpair(p, AFUnix, SockStream); return err },
+		"accept":     func() error { _, err := k.Accept(p, lfd); return err },
+	} {
+		if err := install(); !errors.Is(err, ErrMFile) {
+			t.Fatalf("%s with descriptor MaxFD-1 taken = %v, want EMFILE", name, err)
+		}
+	}
+	if _, err := k.Stat(p, "/tmp/past-max"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("a refused open created its file: stat = %v", err)
+	}
+	if got := len(k.freeFDs); got != pool {
+		t.Fatalf("refused installs moved the FD pool from %d to %d", pool, got)
+	}
+	for fd := range p.fds {
+		if fd < 0 || fd >= MaxFD {
+			t.Fatalf("descriptor %d installed", fd)
+		}
+	}
+}
+
+// TestForkCopiesTheDescriptorTable: a forked child holds exactly its
+// parent's descriptors, none the parent has closed, and forking builds no
+// descriptor of its own.
+func TestForkCopiesTheDescriptorTable(t *testing.T) {
+	k := newNativeKernel(t, 1)
+	p := k.Spawn("t")
+	if err := k.Close(p, 0); err != nil {
+		t.Fatal(err)
+	}
+	pool := len(k.freeFDs)
+	child, err := k.Fork(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(k.freeFDs); got != pool {
+		t.Fatalf("fork changed the FD pool from %d to %d", pool, got)
+	}
+	if _, err := k.Read(child, 0, make([]byte, 1)); !errors.Is(err, ErrBadFD) {
+		t.Fatalf("child read(0) after the parent closed fd 0 = %v, want EBADF", err)
+	}
+	if len(child.fds) != len(p.fds) {
+		t.Fatalf("child holds %d descriptors, the parent %d", len(child.fds), len(p.fds))
+	}
+	for fd, f := range p.fds {
+		if child.fds[fd] != f {
+			t.Fatalf("child fd %d is not the parent's", fd)
+		}
 	}
 }

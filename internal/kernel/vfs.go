@@ -37,6 +37,7 @@ var (
 	ErrBadFD    = errors.New("bad file descriptor")
 	ErrLoop     = errors.New("too many levels of symbolic links")
 	ErrFBig     = errors.New("file too large")
+	ErrMFile    = errors.New("too many open files")
 )
 
 // MaxFileSize bounds one file of the model disk. A write or truncate that
@@ -281,7 +282,7 @@ func (i *Inode) Truncate(size int64) error {
 		i.Data = i.Data[:size]
 		return nil
 	}
-	i.Data = append(i.Data, make([]byte, size-int64(len(i.Data)))...)
+	i.grow(size)
 	return nil
 }
 
@@ -303,9 +304,25 @@ func (i *Inode) WriteAt(buf []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("%s: %w", i.Name, ErrFBig)
 	}
 	if need := off + int64(len(buf)); need > int64(len(i.Data)) {
-		i.Data = append(i.Data, make([]byte, need-int64(len(i.Data)))...)
+		i.grow(need)
 	}
 	return copy(i.Data[off:], buf), nil
+}
+
+// grow extends Data to n bytes (at most MaxFileSize), zero past the old
+// length. A reallocation at least doubles the capacity, capped at
+// MaxFileSize, so a file built by small appends is copied about log2(size)
+// times; Data stays one contiguous slice.
+func (i *Inode) grow(n int64) {
+	if n <= int64(cap(i.Data)) {
+		old := len(i.Data)
+		i.Data = i.Data[:n]
+		clear(i.Data[old:])
+		return
+	}
+	d := make([]byte, n, min(max(n, 2*int64(cap(i.Data))), MaxFileSize))
+	copy(d, i.Data)
+	i.Data = d
 }
 
 // Size returns the file length.

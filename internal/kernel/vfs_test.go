@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path"
@@ -177,5 +178,49 @@ func TestFileSizeBounded(t *testing.T) {
 	}
 	if fi, err := k.Stat(p, "/tmp/big"); err != nil || fi.Size != 4 {
 		t.Fatalf("file after refused growth: %+v %v, want its 4 bytes", fi, err)
+	}
+}
+
+// TestFileGrowsGeometrically appends 40,000 128-byte records to one file:
+// the file's backing slice doubles when it grows, so the 5 MB file takes
+// about log2 of its size in allocations, not one per 1.25× step, and reads
+// back byte for byte. A truncate that shrinks and regrows the file reads
+// zeros past the cut, not the bytes that were there.
+func TestFileGrowsGeometrically(t *testing.T) {
+	const records, size = 40_000, 128
+	ino := &Inode{Name: "grow"}
+	want := make([]byte, 0, records*size)
+	rec := make([]byte, size)
+	allocs := testing.AllocsPerRun(1, func() {
+		ino.Data, want = nil, want[:0]
+		for i := range records {
+			for j := range rec {
+				rec[j] = byte(i + j)
+			}
+			if _, err := ino.WriteAt(rec, int64(i*size)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, rec...)
+		}
+	})
+	if allocs > 25 {
+		t.Fatalf("%d appends allocated %v times, want at most 25", records, allocs)
+	}
+	got := make([]byte, records*size)
+	if n := ino.ReadAt(got, 0); n != len(want) || !bytes.Equal(got, want) {
+		t.Fatalf("read back %d bytes, want the %d written", n, len(want))
+	}
+	if err := ino.Truncate(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := ino.Truncate(size); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ino.WriteAt([]byte("z"), 2*size); err != nil {
+		t.Fatal(err)
+	}
+	regrown := ino.Data[10 : 2*size]
+	if !bytes.Equal(regrown, make([]byte, len(regrown))) || ino.Data[2*size] != 'z' {
+		t.Fatalf("regrown file holds stale bytes: % x", regrown[:16])
 	}
 }

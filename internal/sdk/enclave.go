@@ -177,87 +177,86 @@ func (e *EnclaveRuntime) exitForSyscall() error {
 // if sanitizer.MaxArgs outgrows maxOcallArgs.
 const _ = uint(maxOcallArgs - sanitizer.MaxArgs)
 
-// call is the redirection engine: validate against the call specification,
-// deep-copy inputs into the staging area, exit to the application, then
-// copy outputs back and apply the IAGO return check.
+// call is the redirection engine. It runs the call's compiled plan in
+// three passes: validate and size the arguments, stage the inputs in the
+// shared region and exit to the application, then copy the outputs back
+// and apply the IAGO return check.
 func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 	if e.dead {
 		return 0, ErrEnclaveDead
 	}
-	spec, ok := sanitizer.Spec(num)
-	if !ok {
+	plan := sanitizer.PlanFor(num)
+	if plan == nil {
 		// Unsupported syscall: the SDK kills the enclave (§7).
 		e.kill(num)
 		return 0, sanitizer.ErrUnsupported
 	}
-	if err := spec.Validate(args); err != nil {
+	size, err := plan.Size(args)
+	if err != nil {
 		return 0, err
 	}
-	if spec.CopyInBytes(args)+spec.CopyOutBytes(args) > stageLimit {
-		return 0, fmt.Errorf("sdk: %s transfers exceed staging capacity", spec.Name)
+	if size > stageLimit {
+		return 0, fmt.Errorf("sdk: %s transfers exceed staging capacity", plan.Name())
 	}
 	e.calls++
 	e.c.M.Clock().Charge(snp.CostCompute, CyclesMarshalFixed)
 
-	// Stage buffers and build the descriptor. Validate holds args to the
-	// spec's arity, which the spec table bounds by sanitizer.MaxArgs.
+	// Stage buffers and build the descriptor. Size holds args to the
+	// plan's arity, which registration bounds by sanitizer.MaxArgs.
 	var slotBuf [sanitizer.MaxArgs]ocallArg
 	slots := slotBuf[:len(args)]
 	off := uint64(stageOff)
-	place := func(n uint64) uint64 {
-		p := off
-		off = (off + n + 7) &^ 7
-		return p
-	}
-	for i, as := range spec.Args {
-		a := args[i]
-		switch as.Kind {
+	for i := range slots {
+		ap, a := &plan.Args[i], &args[i]
+		var n uint64
+		switch ap.Kind {
 		case sanitizer.Scalar:
-			slots[i] = ocallArg{val: a.Val}
+			slots[i].val = a.Val
+			continue
 		case sanitizer.Path:
-			n := uint64(len(a.Buf)) + 1 // staged NUL-terminated
-			s := place(n)
+			n = uint64(len(a.Buf)) + 1 // staged NUL-terminated
 			// One charge for the whole staged path, then the bytes land
 			// directly in the staging area — no assembly buffer.
 			e.chargeCopy(int(n))
-			if err := e.stagePath(e.shared+s, a.Buf); err != nil {
+			if err := e.stagePath(e.shared+off, a.Buf); err != nil {
 				return 0, err
 			}
-			slots[i] = ocallArg{stage: s, length: n}
-		case sanitizer.Buffer, sanitizer.StructPtr, sanitizer.IOVec:
-			n := uint64(0)
-			switch {
-			case as.Kind == sanitizer.StructPtr && a.Buf == nil:
-				slots[i] = ocallArg{} // NULL pointer
-				continue
-			case as.Kind == sanitizer.Buffer && as.LenArg >= 0:
-				n = args[as.LenArg].Val
-			case as.Kind == sanitizer.IOVec:
-				for _, v := range a.Vec {
-					n += uint64(len(v))
-				}
-			default:
-				n = uint64(len(a.Buf))
+			slots[i] = ocallArg{stage: off, length: n}
+			off = (off + n + 7) &^ 7
+			continue
+		case sanitizer.StructPtr:
+			if a.Buf == nil {
+				continue // NULL pointer: a zero slot
 			}
-			s := place(n)
-			if as.Dir == sanitizer.In || as.Dir == sanitizer.InOut {
-				if as.Kind == sanitizer.IOVec {
-					// Gather the vector straight into the staging area:
-					// one copy charge for the total, no assembly buffer.
-					e.chargeCopy(int(n))
-					seg := e.shared + s
-					for _, v := range a.Vec {
-						if err := e.view.Mem.Write(seg, v); err != nil {
-							return 0, err
-						}
-						seg += uint64(len(v))
-					}
-				} else if err := e.write(e.shared+s, a.Buf[:n]); err != nil {
-					return 0, err
-				}
+			n = uint64(len(a.Buf))
+		case sanitizer.Buffer:
+			n = uint64(len(a.Buf))
+			if ap.LenArg >= 0 {
+				n = args[ap.LenArg].Val
 			}
-			slots[i] = ocallArg{val: a.Val, stage: s, length: n}
+		case sanitizer.IOVec:
+			for _, v := range a.Vec {
+				n += uint64(len(v))
+			}
 		}
+		if ap.In {
+			if ap.Kind == sanitizer.IOVec {
+				// Gather the vector straight into the staging area:
+				// one copy charge for the total, no assembly buffer.
+				e.chargeCopy(int(n))
+				seg := e.shared + off
+				for _, v := range a.Vec {
+					if err := e.view.Mem.Write(seg, v); err != nil {
+						return 0, err
+					}
+					seg += uint64(len(v))
+				}
+			} else if err := e.write(e.shared+off, a.Buf[:n]); err != nil {
+				return 0, err
+			}
+		}
+		slots[i] = ocallArg{val: a.Val, stage: off, length: n}
+		off = (off + n + 7) &^ 7
 	}
 	if err := e.submit(uint64(num), slots, 3*len(slots)); err != nil {
 		return 0, err
@@ -278,12 +277,12 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 	}
 	if errno == 0 {
 		// Copy outputs back into enclave memory.
-		for i, as := range spec.Args {
-			a := args[i]
-			if !as.CopiesOut() {
+		for i := range slots {
+			ap, a := &plan.Args[i], &args[i]
+			if !ap.Out {
 				continue
 			}
-			if as.Kind == sanitizer.IOVec {
+			if ap.Kind == sanitizer.IOVec {
 				// readv/recvmsg fill their vectors in order: scatter the
 				// first ret staged bytes back.
 				if err := e.scatter(e.shared+slots[i].stage, min(ret, slots[i].length), a.Vec); err != nil {
@@ -295,7 +294,7 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 				continue
 			}
 			n := slots[i].length
-			if as.Kind == sanitizer.Buffer && ret < n {
+			if ap.Kind == sanitizer.Buffer && ret < n {
 				n = ret // read-style calls fill only ret bytes
 			}
 			if n > uint64(len(a.Buf)) {
@@ -308,9 +307,10 @@ func (e *EnclaveRuntime) call(num int, args []sanitizer.Arg) (uint64, error) {
 				return 0, err
 			}
 		}
-		// IAGO defence: pointer returns must be outside the enclave, and
-		// byte counts within the buffer the enclave asked for.
-		if err := spec.CheckRet(ret, args, e.view.Base, e.view.Length); err != nil {
+		// IAGO defence: pointer returns must be outside the enclave, byte
+		// counts within the buffer the enclave asked for, descriptors and
+		// offsets in range.
+		if err := plan.CheckRet(ret, args, e.view.Base, e.view.Length); err != nil {
 			e.kill(num)
 			return 0, err
 		}
@@ -365,19 +365,19 @@ func (e *EnclaveRuntime) kill(num int) {
 
 // --- Libc over the redirection engine ---
 
-func s(v uint64) sanitizer.Arg   { return sanitizer.Arg{Val: v} }
-func b(buf []byte) sanitizer.Arg { return sanitizer.Arg{Buf: buf} }
-func bp(p string) sanitizer.Arg  { return sanitizer.Arg{Buf: []byte(p)} }
+// The wrappers build their arguments as keyed literals in place: a
+// helper returning a sanitizer.Arg would zero a 56-byte temporary per
+// argument on top of the argument array itself.
 
 // Open implements Libc.
 func (e *EnclaveRuntime) Open(path string, flags int, mode uint32) (int, error) {
-	ret, err := e.call(2, []sanitizer.Arg{bp(path), s(uint64(flags)), s(uint64(mode))})
+	ret, err := e.call(2, []sanitizer.Arg{{Buf: []byte(path)}, {Val: uint64(flags)}, {Val: uint64(mode)}})
 	return int(int64(ret)), err
 }
 
 // Close implements Libc.
 func (e *EnclaveRuntime) Close(fd int) error {
-	_, err := e.call(3, []sanitizer.Arg{s(uint64(fd))})
+	_, err := e.call(3, []sanitizer.Arg{{Val: uint64(fd)}})
 	return err
 }
 
@@ -406,7 +406,7 @@ func (e *EnclaveRuntime) chunked(buf []byte, fn func(chunk []byte) (int, error))
 // Read implements Libc.
 func (e *EnclaveRuntime) Read(fd int, buf []byte) (int, error) {
 	return e.chunked(buf, func(c []byte) (int, error) {
-		ret, err := e.call(0, []sanitizer.Arg{s(uint64(fd)), b(c), s(uint64(len(c)))})
+		ret, err := e.call(0, []sanitizer.Arg{{Val: uint64(fd)}, {Buf: c}, {Val: uint64(len(c))}})
 		return int(int64(ret)), err
 	})
 }
@@ -414,26 +414,26 @@ func (e *EnclaveRuntime) Read(fd int, buf []byte) (int, error) {
 // Write implements Libc.
 func (e *EnclaveRuntime) Write(fd int, buf []byte) (int, error) {
 	return e.chunked(buf, func(c []byte) (int, error) {
-		ret, err := e.call(1, []sanitizer.Arg{s(uint64(fd)), b(c), s(uint64(len(c)))})
+		ret, err := e.call(1, []sanitizer.Arg{{Val: uint64(fd)}, {Buf: c}, {Val: uint64(len(c))}})
 		return int(int64(ret)), err
 	})
 }
 
 // Pread implements Libc.
 func (e *EnclaveRuntime) Pread(fd int, buf []byte, off int64) (int, error) {
-	ret, err := e.call(17, []sanitizer.Arg{s(uint64(fd)), b(buf), s(uint64(len(buf))), s(uint64(off))})
+	ret, err := e.call(17, []sanitizer.Arg{{Val: uint64(fd)}, {Buf: buf}, {Val: uint64(len(buf))}, {Val: uint64(off)}})
 	return int(int64(ret)), err
 }
 
 // Pwrite implements Libc.
 func (e *EnclaveRuntime) Pwrite(fd int, buf []byte, off int64) (int, error) {
-	ret, err := e.call(18, []sanitizer.Arg{s(uint64(fd)), b(buf), s(uint64(len(buf))), s(uint64(off))})
+	ret, err := e.call(18, []sanitizer.Arg{{Val: uint64(fd)}, {Buf: buf}, {Val: uint64(len(buf))}, {Val: uint64(off)}})
 	return int(int64(ret)), err
 }
 
 // Lseek implements Libc.
 func (e *EnclaveRuntime) Lseek(fd int, off int64, whence int) (int64, error) {
-	ret, err := e.call(8, []sanitizer.Arg{s(uint64(fd)), s(uint64(off)), s(uint64(whence))})
+	ret, err := e.call(8, []sanitizer.Arg{{Val: uint64(fd)}, {Val: uint64(off)}, {Val: uint64(whence)}})
 	return int64(ret), err
 }
 
@@ -449,7 +449,7 @@ func decodeStat(sb []byte) kernel.FileInfo {
 // Stat implements Libc.
 func (e *EnclaveRuntime) Stat(path string) (kernel.FileInfo, error) {
 	sb := make([]byte, 144)
-	_, err := e.call(4, []sanitizer.Arg{bp(path), b(sb)})
+	_, err := e.call(4, []sanitizer.Arg{{Buf: []byte(path)}, {Buf: sb}})
 	if err != nil {
 		return kernel.FileInfo{}, err
 	}
@@ -459,7 +459,7 @@ func (e *EnclaveRuntime) Stat(path string) (kernel.FileInfo, error) {
 // Fstat implements Libc.
 func (e *EnclaveRuntime) Fstat(fd int) (kernel.FileInfo, error) {
 	sb := make([]byte, 144)
-	_, err := e.call(5, []sanitizer.Arg{s(uint64(fd)), b(sb)})
+	_, err := e.call(5, []sanitizer.Arg{{Val: uint64(fd)}, {Buf: sb}})
 	if err != nil {
 		return kernel.FileInfo{}, err
 	}
@@ -468,31 +468,31 @@ func (e *EnclaveRuntime) Fstat(fd int) (kernel.FileInfo, error) {
 
 // Unlink implements Libc.
 func (e *EnclaveRuntime) Unlink(path string) error {
-	_, err := e.call(87, []sanitizer.Arg{bp(path)})
+	_, err := e.call(87, []sanitizer.Arg{{Buf: []byte(path)}})
 	return err
 }
 
 // Rename implements Libc.
 func (e *EnclaveRuntime) Rename(oldp, newp string) error {
-	_, err := e.call(82, []sanitizer.Arg{bp(oldp), bp(newp)})
+	_, err := e.call(82, []sanitizer.Arg{{Buf: []byte(oldp)}, {Buf: []byte(newp)}})
 	return err
 }
 
 // Mkdir implements Libc.
 func (e *EnclaveRuntime) Mkdir(path string, mode uint32) error {
-	_, err := e.call(83, []sanitizer.Arg{bp(path), s(uint64(mode))})
+	_, err := e.call(83, []sanitizer.Arg{{Buf: []byte(path)}, {Val: uint64(mode)}})
 	return err
 }
 
 // Truncate implements Libc.
 func (e *EnclaveRuntime) Truncate(path string, size int64) error {
-	_, err := e.call(76, []sanitizer.Arg{bp(path), s(uint64(size))})
+	_, err := e.call(76, []sanitizer.Arg{{Buf: []byte(path)}, {Val: uint64(size)}})
 	return err
 }
 
 // Ftruncate implements Libc.
 func (e *EnclaveRuntime) Ftruncate(fd int, size int64) error {
-	_, err := e.call(77, []sanitizer.Arg{s(uint64(fd)), s(uint64(size))})
+	_, err := e.call(77, []sanitizer.Arg{{Val: uint64(fd)}, {Val: uint64(size)}})
 	return err
 }
 
@@ -500,12 +500,12 @@ func (e *EnclaveRuntime) Ftruncate(fd int, size int64) error {
 // the enclave): that is the SGX OCALL semantic, and the IAGO check enforces
 // it.
 func (e *EnclaveRuntime) Mmap(length uint64, prot uint64) (uint64, error) {
-	return e.call(9, []sanitizer.Arg{s(0), s(length), s(prot), s(0), s(^uint64(0)), s(0)})
+	return e.call(9, []sanitizer.Arg{{Val: 0}, {Val: length}, {Val: prot}, {Val: 0}, {Val: ^uint64(0)}, {Val: 0}})
 }
 
 // Munmap implements Libc.
 func (e *EnclaveRuntime) Munmap(addr uint64) error {
-	_, err := e.call(11, []sanitizer.Arg{s(addr), s(0)})
+	_, err := e.call(11, []sanitizer.Arg{{Val: addr}, {Val: 0}})
 	return err
 }
 
@@ -516,7 +516,7 @@ func (e *EnclaveRuntime) Mprotect(addr, length uint64, prot uint64) error {
 	if addr >= e.view.Base && addr < e.view.Base+e.view.Length {
 		return e.c.ENC.EnclaveProtect(e.view.ID, addr, length, prot)
 	}
-	_, err := e.call(10, []sanitizer.Arg{s(addr), s(length), s(prot)})
+	_, err := e.call(10, []sanitizer.Arg{{Val: addr}, {Val: length}, {Val: prot}})
 	return err
 }
 
@@ -528,19 +528,19 @@ func sockaddr(port int) []byte {
 
 // Socket implements Libc.
 func (e *EnclaveRuntime) Socket(domain, typ int) (int, error) {
-	ret, err := e.call(41, []sanitizer.Arg{s(uint64(domain)), s(uint64(typ)), s(0)})
+	ret, err := e.call(41, []sanitizer.Arg{{Val: uint64(domain)}, {Val: uint64(typ)}, {Val: 0}})
 	return int(int64(ret)), err
 }
 
 // Bind implements Libc.
 func (e *EnclaveRuntime) Bind(fd, port int) error {
-	_, err := e.call(49, []sanitizer.Arg{s(uint64(fd)), b(sockaddr(port)), s(16)})
+	_, err := e.call(49, []sanitizer.Arg{{Val: uint64(fd)}, {Buf: sockaddr(port)}, {Val: 16}})
 	return err
 }
 
 // Listen implements Libc.
 func (e *EnclaveRuntime) Listen(fd, backlog int) error {
-	_, err := e.call(50, []sanitizer.Arg{s(uint64(fd)), s(uint64(backlog))})
+	_, err := e.call(50, []sanitizer.Arg{{Val: uint64(fd)}, {Val: uint64(backlog)}})
 	return err
 }
 
@@ -548,13 +548,13 @@ func (e *EnclaveRuntime) Listen(fd, backlog int) error {
 func (e *EnclaveRuntime) Accept(fd int) (int, error) {
 	addr := make([]byte, 16)
 	alen := make([]byte, 4)
-	ret, err := e.call(43, []sanitizer.Arg{s(uint64(fd)), b(addr), b(alen)})
+	ret, err := e.call(43, []sanitizer.Arg{{Val: uint64(fd)}, {Buf: addr}, {Buf: alen}})
 	return int(int64(ret)), err
 }
 
 // Connect implements Libc.
 func (e *EnclaveRuntime) Connect(fd, port int) error {
-	_, err := e.call(42, []sanitizer.Arg{s(uint64(fd)), b(sockaddr(port)), s(16)})
+	_, err := e.call(42, []sanitizer.Arg{{Val: uint64(fd)}, {Buf: sockaddr(port)}, {Val: 16}})
 	return err
 }
 
@@ -562,7 +562,7 @@ func (e *EnclaveRuntime) Connect(fd, port int) error {
 func (e *EnclaveRuntime) Send(fd int, buf []byte) (int, error) {
 	return e.chunked(buf, func(c []byte) (int, error) {
 		ret, err := e.call(44, []sanitizer.Arg{
-			s(uint64(fd)), b(c), s(uint64(len(c))), s(0), {Buf: nil}, s(0)})
+			{Val: uint64(fd)}, {Buf: c}, {Val: uint64(len(c))}, {Val: 0}, {Buf: nil}, {Val: 0}})
 		return int(int64(ret)), err
 	})
 }
@@ -572,7 +572,7 @@ func (e *EnclaveRuntime) Recv(fd int, buf []byte) (int, error) {
 	addr := make([]byte, 16)
 	alen := make([]byte, 4)
 	ret, err := e.call(45, []sanitizer.Arg{
-		s(uint64(fd)), b(buf), s(uint64(len(buf))), s(0), b(addr), b(alen)})
+		{Val: uint64(fd)}, {Buf: buf}, {Val: uint64(len(buf))}, {Val: 0}, {Buf: addr}, {Buf: alen}})
 	return int(int64(ret)), err
 }
 

@@ -5,21 +5,30 @@ import (
 	"errors"
 	"testing"
 
+	"veil/internal/kernel"
 	"veil/internal/obs"
 	"veil/internal/sdk/sanitizer"
 	"veil/internal/snp"
 )
 
+// replyCall is one call the sanitizer table specifies: its number, name
+// and compiled plan.
+type replyCall struct {
+	Num  int
+	Name string
+	Plan *sanitizer.Plan
+}
+
 // replySpecs lists every call the sanitizer table specifies, in number
 // order.
-func replySpecs() []sanitizer.CallSpec {
-	var specs []sanitizer.CallSpec
+func replySpecs() []replyCall {
+	var calls []replyCall
 	for num := 0; num < 512; num++ {
-		if cs, ok := sanitizer.Spec(num); ok {
-			specs = append(specs, cs)
+		if p := sanitizer.PlanFor(num); p != nil {
+			calls = append(calls, replyCall{Num: num, Name: p.Name(), Plan: p})
 		}
 	}
-	return specs
+	return calls
 }
 
 // replyGuard is the number of guard bytes past each buffer a fuzzed call
@@ -31,28 +40,28 @@ const replyGuard = 16
 // fixed size for every struct, a path, and a two-vector iovec. Each buffer
 // is the front of a backing slice whose capacity runs on into replyGuard
 // guard bytes, returned in backs.
-func replyArgs(cs sanitizer.CallSpec) (args []sanitizer.Arg, backs [][]byte) {
+func replyArgs(cs replyCall) (args []sanitizer.Arg, backs [][]byte) {
 	buf := func(n int) []byte {
 		back := bytes.Repeat([]byte{0xA5}, n+replyGuard)
 		backs = append(backs, back)
 		return back[:n]
 	}
-	args = make([]sanitizer.Arg, len(cs.Args))
-	for i, as := range cs.Args {
-		switch as.Kind {
+	args = make([]sanitizer.Arg, cs.Plan.NArgs)
+	for i, ap := range cs.Plan.Args[:cs.Plan.NArgs] {
+		switch ap.Kind {
 		case sanitizer.Buffer:
 			n := 16
-			if as.LenArg >= 0 {
-				args[as.LenArg].Val = uint64(n)
+			if ap.LenArg >= 0 {
+				args[ap.LenArg].Val = uint64(n)
 			}
 			args[i].Buf = buf(n)
 		case sanitizer.StructPtr:
-			args[i].Buf = buf(as.FixedSize)
+			args[i].Buf = buf(int(ap.Size))
 		case sanitizer.Path:
 			args[i].Buf = []byte("/tmp/fuzz-reply")
 		case sanitizer.IOVec:
 			args[i].Vec = [][]byte{buf(8), buf(8)}
-			if i+1 < len(cs.Args) {
+			if i+1 < len(args) {
 				args[i+1].Val = 2
 			}
 		}
@@ -68,7 +77,10 @@ func replyArgs(cs sanitizer.CallSpec) (args []sanitizer.Arg, backs [][]byte) {
 // Whatever the reply says, the enclave must not panic or write past the
 // caller's buffers; a refusal must be typed (ErrIago, ErrUnsupported or
 // the errno's errFor error); a success must pass the Iago return check;
-// and the enclave dies exactly when a DeniedIago event names the call.
+// and the enclave dies exactly when a DeniedIago event names the call. A
+// descriptor a call accepts lies in [0, kernel.MaxFD), an lseek offset is
+// not negative, and an errno-0 return outside those ranges kills the
+// enclave.
 func FuzzOcallReply(f *testing.F) {
 	specs := replySpecs()
 	for i := range specs {
@@ -78,6 +90,9 @@ func FuzzOcallReply(f *testing.F) {
 	f.Add(uint16(0), ^uint64(0), uint64(38), []byte(nil))
 	f.Add(uint16(1), ^uint64(0), uint64(2), []byte(nil))
 	f.Add(uint16(2), ^uint64(0), uint64(1<<40), []byte(nil))
+	f.Add(uint16(2), ^uint64(0), uint64(0), []byte(nil))           // open: fd -1
+	f.Add(uint16(2), uint64(kernel.MaxFD), uint64(0), []byte(nil)) // open: fd MaxFD
+	f.Add(uint16(7), uint64(1)<<63, uint64(0), []byte(nil))        // lseek: a negative offset
 	f.Fuzz(func(t *testing.T, pick uint16, ret, errno uint64, out []byte) {
 		cs := specs[int(pick)%len(specs)]
 		args, backs := replyArgs(cs)
@@ -127,10 +142,34 @@ func FuzzOcallReply(f *testing.F) {
 			if got != ret {
 				t.Fatalf("%s: returned %#x, the host said %#x", cs.Name, got, ret)
 			}
-			if err := cs.CheckRet(ret, args, er.View().Base, er.View().Length); err != nil {
+			if err := cs.Plan.CheckRet(ret, args, er.View().Base, er.View().Length); err != nil {
 				t.Fatalf("%s: accepted a return the Iago check refuses: %v", cs.Name, err)
 			}
-		case errors.Is(callErr, sanitizer.ErrIago), errors.Is(callErr, sanitizer.ErrUnsupported):
+			switch cs.Plan.Ret {
+			case sanitizer.RetFD:
+				if fd := int64(got); fd < 0 || fd >= kernel.MaxFD {
+					t.Fatalf("%s: accepted descriptor %d", cs.Name, fd)
+				}
+			case sanitizer.RetOffset:
+				if int64(got) < 0 {
+					t.Fatalf("%s: accepted offset %d", cs.Name, int64(got))
+				}
+			}
+		case errors.Is(callErr, sanitizer.ErrIago):
+			if !er.Dead() {
+				t.Fatalf("%s: Iago refusal %v left the enclave alive", cs.Name, callErr)
+			}
+			switch cs.Plan.Ret {
+			case sanitizer.RetFD:
+				if fd := int64(ret); errno != 0 || (fd >= 0 && fd < kernel.MaxFD) {
+					t.Fatalf("%s: refused descriptor %d (errno %d): %v", cs.Name, fd, errno, callErr)
+				}
+			case sanitizer.RetOffset:
+				if errno != 0 || int64(ret) >= 0 {
+					t.Fatalf("%s: refused offset %d (errno %d): %v", cs.Name, int64(ret), errno, callErr)
+				}
+			}
+		case errors.Is(callErr, sanitizer.ErrUnsupported):
 		case errno != 0 && errors.Is(callErr, errFor(errno)):
 		default:
 			t.Fatalf("%s: untyped refusal %v (ret %#x errno %d)", cs.Name, callErr, ret, errno)

@@ -16,7 +16,7 @@ import (
 )
 
 // Dir is a buffer's copy direction across the enclave boundary.
-type Dir int
+type Dir uint8
 
 const (
 	// In buffers are copied out of the enclave before the call.
@@ -40,7 +40,7 @@ func (d Dir) String() string {
 }
 
 // Kind classifies one argument.
-type Kind int
+type Kind uint8
 
 const (
 	// Scalar is a plain integer (fd, flags, mode, offset...).
@@ -76,10 +76,11 @@ func (k Kind) String() string {
 // Ret classifies the return value, deciding which IAGO check applies (§6.2,
 // §7: "ensuring all pointers returned by the operating system ... belong to
 // memory regions outside the enclave").
-type Ret int
+type Ret uint8
 
 const (
-	// RetScalar is a file descriptor, offset or status; it is not checked.
+	// RetScalar is a status or an identifier the enclave does not use to
+	// address anything; it is not checked.
 	RetScalar Ret = iota
 	// RetPointer is an address (mmap, brk): it must lie outside the
 	// enclave's virtual range.
@@ -88,6 +89,11 @@ const (
 	// argument (read, write, recvfrom...): it must not exceed the length
 	// the enclave asked for.
 	RetCount
+	// RetFD is a new file descriptor (open, socket, accept, dup...): it
+	// must lie in [0, kernel.MaxFD), the numbers a kernel hands out.
+	RetFD
+	// RetOffset is a file offset (lseek): it must be a non-negative int64.
+	RetOffset
 )
 
 // ArgSpec describes one argument.
@@ -117,14 +123,6 @@ var (
 	ErrBadArgs     = errors.New("sanitizer: argument mismatch")
 	ErrIago        = errors.New("sanitizer: IAGO check failed")
 )
-
-// Spec returns the call specification for a syscall number.
-func Spec(num int) (CallSpec, bool) {
-	if num < 0 || num >= len(specs) || specs[num].Name == "" {
-		return CallSpec{}, false
-	}
-	return specs[num], true
-}
 
 // scalar is a shorthand arg constructor.
 func scalar(name string) ArgSpec { return ArgSpec{Name: name, Kind: Scalar, LenArg: -1} }
@@ -168,7 +166,8 @@ const (
 // register a longer spec.
 const MaxArgs = 6
 
-// call registers a spec (init-time helper), growing the table to num.
+// call registers a spec and its compiled plan (init-time helper), growing
+// both tables to num.
 func call(num int, name string, ret Ret, args ...ArgSpec) {
 	if num < len(specs) && specs[num].Name != "" {
 		panic(fmt.Sprintf("sanitizer: duplicate spec %d", num))
@@ -178,48 +177,35 @@ func call(num int, name string, ret Ret, args ...ArgSpec) {
 	}
 	if num >= len(specs) {
 		specs = append(specs, make([]CallSpec, num+1-len(specs))...)
+		plans = append(plans, make([]*Plan, num+1-len(plans))...)
 	}
-	cs := CallSpec{Num: num, Name: name, Args: args, Ret: ret}
-	if ret == RetCount && cs.countLenArg() < 0 {
-		panic(fmt.Sprintf("sanitizer: %s returns a count but has no length-constrained buffer", name))
-	}
-	specs[num] = cs
-}
-
-// countLenArg is the index of the argument bounding the first
-// length-constrained Buffer, the one a RetCount return counts bytes of;
-// -1 if the call has none.
-func (cs CallSpec) countLenArg() int {
-	for _, as := range cs.Args {
-		if as.Kind == Buffer && as.LenArg >= 0 {
-			return as.LenArg
-		}
-	}
-	return -1
+	specs[num] = CallSpec{Num: num, Name: name, Args: args, Ret: ret}
+	plans[num] = compile(&specs[num])
 }
 
 // specs is indexed by syscall number; an entry with no Name is a number
-// the SDK does not support.
+// the SDK does not support. It is the one declaration: plans holds the
+// same calls compiled, and refusals take their names from here.
 var specs []CallSpec
 
 func init() {
 	// File I/O.
 	call(0, "read", RetCount, scalar("fd"), bufOut("buf", 2), scalar("count"))
 	call(1, "write", RetCount, scalar("fd"), bufIn("buf", 2), scalar("count"))
-	call(2, "open", RetScalar, path("pathname"), scalar("flags"), scalar("mode"))
+	call(2, "open", RetFD, path("pathname"), scalar("flags"), scalar("mode"))
 	call(3, "close", RetScalar, scalar("fd"))
 	call(4, "stat", RetScalar, path("pathname"), structOut("statbuf", sizeStat))
 	call(5, "fstat", RetScalar, scalar("fd"), structOut("statbuf", sizeStat))
 	call(6, "lstat", RetScalar, path("pathname"), structOut("statbuf", sizeStat))
-	call(8, "lseek", RetScalar, scalar("fd"), scalar("offset"), scalar("whence"))
+	call(8, "lseek", RetOffset, scalar("fd"), scalar("offset"), scalar("whence"))
 	call(17, "pread64", RetCount, scalar("fd"), bufOut("buf", 2), scalar("count"), scalar("offset"))
 	call(18, "pwrite64", RetCount, scalar("fd"), bufIn("buf", 2), scalar("count"), scalar("offset"))
 	call(19, "readv", RetScalar, scalar("fd"), iovec("iov", Out), scalar("iovcnt"))
 	call(20, "writev", RetScalar, scalar("fd"), iovec("iov", In), scalar("iovcnt"))
 	call(21, "access", RetScalar, path("pathname"), scalar("mode"))
 	call(22, "pipe", RetScalar, structOut("pipefd", 8))
-	call(32, "dup", RetScalar, scalar("oldfd"))
-	call(33, "dup2", RetScalar, scalar("oldfd"), scalar("newfd"))
+	call(32, "dup", RetFD, scalar("oldfd"))
+	call(33, "dup2", RetFD, scalar("oldfd"), scalar("newfd"))
 	call(40, "sendfile", RetScalar, scalar("out_fd"), scalar("in_fd"), structOut("offset", 8), scalar("count"))
 	call(72, "fcntl", RetScalar, scalar("fd"), scalar("cmd"), scalar("arg"))
 	call(74, "fsync", RetScalar, scalar("fd"))
@@ -232,7 +218,7 @@ func init() {
 	call(82, "rename", RetScalar, path("oldpath"), path("newpath"))
 	call(83, "mkdir", RetScalar, path("pathname"), scalar("mode"))
 	call(84, "rmdir", RetScalar, path("pathname"))
-	call(85, "creat", RetScalar, path("pathname"), scalar("mode"))
+	call(85, "creat", RetFD, path("pathname"), scalar("mode"))
 	call(86, "link", RetScalar, path("oldpath"), path("newpath"))
 	call(87, "unlink", RetScalar, path("pathname"))
 	call(88, "symlink", RetScalar, path("target"), path("linkpath"))
@@ -240,12 +226,12 @@ func init() {
 	call(90, "chmod", RetScalar, path("pathname"), scalar("mode"))
 	call(91, "fchmod", RetScalar, scalar("fd"), scalar("mode"))
 	call(133, "mknod", RetScalar, path("pathname"), scalar("mode"), scalar("dev"))
-	call(257, "openat", RetScalar, scalar("dirfd"), path("pathname"), scalar("flags"), scalar("mode"))
+	call(257, "openat", RetFD, scalar("dirfd"), path("pathname"), scalar("flags"), scalar("mode"))
 	call(258, "mkdirat", RetScalar, scalar("dirfd"), path("pathname"), scalar("mode"))
 	call(259, "mknodat", RetScalar, scalar("dirfd"), path("pathname"), scalar("mode"), scalar("dev"))
 	call(263, "unlinkat", RetScalar, scalar("dirfd"), path("pathname"), scalar("flags"))
 	call(275, "splice", RetScalar, scalar("fd_in"), structOut("off_in", 8), scalar("fd_out"), structOut("off_out", 8), scalar("len"), scalar("flags"))
-	call(292, "dup3", RetScalar, scalar("oldfd"), scalar("newfd"), scalar("flags"))
+	call(292, "dup3", RetFD, scalar("oldfd"), scalar("newfd"), scalar("flags"))
 	call(293, "pipe2", RetScalar, structOut("pipefd", 8), scalar("flags"))
 
 	// Memory.
@@ -265,9 +251,9 @@ func init() {
 
 	// Sockets.
 	call(16, "ioctl", RetScalar, scalar("fd"), scalar("request"), structOut("argp", 64))
-	call(41, "socket", RetScalar, scalar("domain"), scalar("type"), scalar("protocol"))
+	call(41, "socket", RetFD, scalar("domain"), scalar("type"), scalar("protocol"))
 	call(42, "connect", RetScalar, scalar("sockfd"), structIn("addr", sizeSockaddr), scalar("addrlen"))
-	call(43, "accept", RetScalar, scalar("sockfd"), structOut("addr", sizeSockaddr), structOut("addrlen", 4))
+	call(43, "accept", RetFD, scalar("sockfd"), structOut("addr", sizeSockaddr), structOut("addrlen", 4))
 	call(44, "sendto", RetCount, scalar("sockfd"), bufIn("buf", 2), scalar("len"), scalar("flags"), structIn("dest", sizeSockaddr), scalar("addrlen"))
 	call(45, "recvfrom", RetCount, scalar("sockfd"), bufOut("buf", 2), scalar("len"), scalar("flags"), structOut("src", sizeSockaddr), structOut("addrlen", 4))
 	call(46, "sendmsg", RetScalar, scalar("sockfd"), iovec("msg", In), scalar("flags"))
@@ -280,7 +266,7 @@ func init() {
 	call(53, "socketpair", RetScalar, scalar("domain"), scalar("type"), scalar("protocol"), structOut("sv", 8))
 	call(54, "setsockopt", RetScalar, scalar("sockfd"), scalar("level"), scalar("optname"), bufIn("optval", 4), scalar("optlen"))
 	call(55, "getsockopt", RetScalar, scalar("sockfd"), scalar("level"), scalar("optname"), structOut("optval", 64), structOut("optlen", 4))
-	call(288, "accept4", RetScalar, scalar("sockfd"), structOut("addr", sizeSockaddr), structOut("addrlen", 4), scalar("flags"))
+	call(288, "accept4", RetFD, scalar("sockfd"), structOut("addr", sizeSockaddr), structOut("addrlen", 4), scalar("flags"))
 
 	// Processes and identity.
 	call(24, "sched_yield", RetScalar)

@@ -198,6 +198,7 @@ var errnoTable = []struct {
 	{20, kernel.ErrNotDir},
 	{21, kernel.ErrIsDir},
 	{22, kernel.ErrInval},
+	{24, kernel.ErrMFile},
 	{27, kernel.ErrFBig},
 	{32, kernel.ErrClosed},
 	{39, kernel.ErrNotEmpty},
