@@ -2,6 +2,7 @@ package hv
 
 import (
 	"fmt"
+	"slices"
 
 	"veil/internal/snp"
 )
@@ -93,7 +94,7 @@ func (h *Hypervisor) VMGEXIT(vcpuID int) error {
 // entry (serve one IDCB request, or drain its doorbell ring).
 func (h *Hypervisor) serveDomainSwitch(c *vcpu, ghcbPhys uint64, g *snp.GHCB, reason Reason) error {
 	tag := DomainTag(g.ExitInfo1)
-	if pol, exists := h.ghcbPolicy[ghcbPhys]; exists && !pol[tag] {
+	if pol, exists := h.ghcbPolicy[ghcbPhys]; exists && !slices.Contains(pol, tag) {
 		// Refusing leaves the guest stuck; the caller observes a crash
 		// (§6.2 "the CVM crashes on an attempted domain switch").
 		h.m.ObserveDenied(snp.DeniedPolicy, uint64(tag))
@@ -105,16 +106,11 @@ func (h *Hypervisor) serveDomainSwitch(c *vcpu, ghcbPhys uint64, g *snp.GHCB, re
 	}
 	caller := c.currentVMSA
 
-	// The from/to privilege levels label the switch span; a missing VMSA
-	// would have failed the binding lookup already, so errors degrade to
-	// VMPL0 rather than aborting the switch.
-	fromVMPL, toVMPL := snp.VMPL0, snp.VMPL0
-	if v, err := h.m.VMSAAt(caller); err == nil {
-		fromVMPL = v.VMPL
-	}
-	if v, err := h.m.VMSAAt(b.vmsaPhys); err == nil {
-		toVMPL = v.VMPL
-	}
+	// The from/to privilege levels label the switch span. They come from
+	// the RMP entries of the two VMSA pages, as the hardware's own record
+	// of what each page runs at; a page that no longer holds a VMSA
+	// labels its side VMPL0 rather than aborting the switch.
+	fromVMPL, toVMPL := h.m.VMSAVMPL(caller), h.m.VMSAVMPL(b.vmsaPhys)
 
 	outStart := h.m.Clock().Cycles() - snp.CyclesVMGEXITSave // span includes the exit half
 	c.currentVMSA = b.vmsaPhys

@@ -208,8 +208,8 @@ type Hypervisor struct {
 	byVMSA map[uint64]Context
 
 	// ghcbPolicy restricts, per GHCB page, which tags may be switched to
-	// through it. Nil entry = unrestricted (kernel GHCBs).
-	ghcbPolicy map[uint64]map[DomainTag]bool
+	// through it. No entry = unrestricted (kernel GHCBs).
+	ghcbPolicy map[uint64][]DomainTag
 
 	// exitGHCBs holds one GHCB per VMGEXIT nesting depth (a domain switch
 	// runs its target, which may exit again before the switch returns).
@@ -261,7 +261,7 @@ func New(m *snp.Machine, psp AttestationSigner) *Hypervisor {
 		psp:        psp,
 		vcpus:      make([]vcpu, m.VCPUs()),
 		byVMSA:     make(map[uint64]Context),
-		ghcbPolicy: make(map[uint64]map[DomainTag]bool),
+		ghcbPolicy: make(map[uint64][]DomainTag),
 	}
 	for i := range h.vcpus {
 		h.vcpus[i].id = i

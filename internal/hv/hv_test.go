@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"veil/internal/attest"
+	"veil/internal/obs"
 	"veil/internal/snp"
 )
 
@@ -485,4 +487,130 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
+}
+
+// switchLabels runs one domain switch from VMPL0 to tag through the GHCB
+// at ghcb and returns the from/to VMPL labels of its two switch spans, out and
+// back, and the policy refusals it emitted.
+func (h *harness) switchLabels(t *testing.T, ghcb uint64, tag DomainTag) (spans [][2]uint64, denied []uint64, err error) {
+	t.Helper()
+	rec := obs.NewRecorder(64)
+	h.m.SetRecorder(rec)
+	defer h.m.SetRecorder(nil)
+	if err := h.m.WriteGHCBMSR(0, snp.CPL0, ghcb); err != nil {
+		t.Fatal(err)
+	}
+	g := &snp.GHCB{ExitCode: ExitDomainSwitch, ExitInfo1: uint64(tag)}
+	err = h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, ghcb, g)
+	for _, e := range rec.Events() {
+		switch {
+		case e.Class == obs.ClassDomainSwitch:
+			spans = append(spans, [2]uint64{e.Arg1, e.Arg2})
+		case e.Class == obs.ClassDenied && e.Arg1 == uint64(snp.DeniedPolicy):
+			denied = append(denied, e.Arg2)
+		}
+	}
+	return spans, denied, err
+}
+
+// TestSwitchLabelsAndGHCBPolicy pins what a domain switch reads on its
+// way: the from/to VMPL labels of its spans, taken from the VMSA pages'
+// RMP entries, for the boot VMSA, an OS replica, an enclave VMSA and a
+// destroyed one (VMPL0, as a page with no VMSA always read), each the
+// label the save area's own VMSA.VMPL gives; and the GHCB policy, which
+// refuses a tag outside it with ErrPolicy and one DeniedPolicy event
+// naming the tag, and leaves a GHCB with no policy unrestricted.
+func TestSwitchLabelsAndGHCBPolicy(t *testing.T) {
+	const tagEnc, tagGone = DomainTag(102), DomainTag(104)
+	h := newHarness(t)
+	mon, osg := uint64(pgMonGHCB*snp.PageSize), uint64(pgOSGHCB*snp.PageSize)
+	// An enclave VMSA at VMPL2, and one that is destroyed after it is
+	// registered.
+	encCalls := 0
+	for _, v := range []struct {
+		pg  uint64
+		tag DomainTag
+	}{{pgDonate, tagEnc}, {pgDonate + 1, tagGone}} {
+		phys := v.pg * snp.PageSize
+		gs := &snp.GHCB{ExitCode: ExitPageState, ExitInfo1: phys, ExitInfo2: 1<<1 | 1}
+		if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, mon, gs); err != nil || gs.SwScratch != 0 {
+			t.Fatalf("assign: %v, %d failed", err, gs.SwScratch)
+		}
+		if err := h.m.PValidate(snp.VMPL0, phys, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL2, CPL: snp.CPL3, Runnable: true}); err != nil {
+			t.Fatal(err)
+		}
+		h.hv.BindContext(phys, ContextFunc(func(Reason) error { encCalls++; return nil }))
+		g := &snp.GHCB{ExitCode: ExitRegisterVMSA, ExitInfo1: phys, ExitInfo2: uint64(v.tag)}
+		if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, mon, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone := uint64((pgDonate + 1) * snp.PageSize)
+	if err := h.m.DestroyVMSA(snp.VMPL0, gone); err != nil {
+		t.Fatal(err)
+	}
+	// label is the rule the switch followed before it read the RMP: the
+	// save area's VMPL, or VMPL0 for a page with none.
+	label := func(phys uint64) uint64 {
+		if v, err := h.m.VMSAAt(phys); err == nil {
+			return uint64(v.VMPL)
+		}
+		return uint64(snp.VMPL0)
+	}
+	boot := uint64(pgBootVMSA * snp.PageSize)
+	for _, c := range []struct {
+		name     string
+		tag      DomainTag
+		target   uint64
+		from, to snp.VMPL
+	}{
+		{"boot VMSA to itself", tagMon, boot, snp.VMPL0, snp.VMPL0},
+		{"boot to the OS replica", tagOS, pgOSVMSA * snp.PageSize, snp.VMPL0, snp.VMPL3},
+		{"boot to an enclave", tagEnc, pgDonate * snp.PageSize, snp.VMPL0, snp.VMPL2},
+		{"boot to a destroyed VMSA", tagGone, gone, snp.VMPL0, snp.VMPL0},
+	} {
+		spans, denied, err := h.switchLabels(t, mon, c.tag)
+		if err != nil || len(denied) != 0 {
+			t.Fatalf("%s: %v, %d refusals", c.name, err, len(denied))
+		}
+		want := [][2]uint64{{uint64(c.from), uint64(c.to)}, {uint64(c.to), uint64(c.from)}}
+		if !slices.Equal(spans, want) {
+			t.Fatalf("%s: span labels %v, want %v", c.name, spans, want)
+		}
+		if old := [2]uint64{label(boot), label(c.target)}; spans[0] != old {
+			t.Fatalf("%s: span labels %v, the save areas say %v", c.name, spans[0], old)
+		}
+	}
+	if encCalls != 2 {
+		t.Fatalf("the enclave contexts ran %d times, want 2", encCalls)
+	}
+
+	// A GHCB with no policy is unrestricted, one with a policy reaches
+	// only its tags; another page's policy does not restrict it.
+	h.hv.SetGHCBPolicy(osg, tagEnc, tagOS)
+	if _, denied, err := h.switchLabels(t, mon, tagEnc); err != nil || len(denied) != 0 {
+		t.Fatalf("switch through an unrestricted GHCB: %v, %d refusals", err, len(denied))
+	}
+	h.hv.SetGHCBPolicy(mon, tagOS)
+	spans, denied, err := h.switchLabels(t, mon, tagEnc)
+	if !errors.Is(err, ErrPolicy) || len(spans) != 0 || !slices.Equal(denied, []uint64{uint64(tagEnc)}) {
+		t.Fatalf("switch outside the policy: %v, %d spans, refusals %v; want ErrPolicy, none, [%d]", err, len(spans), denied, tagEnc)
+	}
+	if _, denied, err := h.switchLabels(t, mon, tagOS); err != nil || len(denied) != 0 {
+		t.Fatalf("switch inside the policy: %v, %d refusals", err, len(denied))
+	}
+	// Setting a page's policy again replaces it.
+	h.hv.SetGHCBPolicy(mon, tagEnc)
+	if _, _, err := h.switchLabels(t, mon, tagOS); !errors.Is(err, ErrPolicy) {
+		t.Fatalf("switch to a tag the new policy dropped: %v, want ErrPolicy", err)
+	}
+	if _, _, err := h.switchLabels(t, mon, tagEnc); err != nil {
+		t.Fatalf("switch to the new policy's tag: %v", err)
+	}
+	if encCalls != 4 {
+		t.Fatalf("the enclave contexts ran %d times, want 4", encCalls)
+	}
 }

@@ -2,6 +2,7 @@ package hv
 
 import (
 	"fmt"
+	"slices"
 
 	"veil/internal/attest"
 	"veil/internal/snp"
@@ -59,11 +60,7 @@ func (h *Hypervisor) BindContext(vmsaPhys uint64, ctx Context) {
 // untrusted, but following this instruction is in the host's own interest
 // (errant switches crash the CVM); hostile deviation is exercised in tests.
 func (h *Hypervisor) SetGHCBPolicy(ghcbPhys uint64, tags ...DomainTag) {
-	set := make(map[DomainTag]bool, len(tags))
-	for _, t := range tags {
-		set[t] = true
-	}
-	h.ghcbPolicy[ghcbPhys] = set
+	h.ghcbPolicy[ghcbPhys] = slices.Clone(tags)
 }
 
 // SetInterruptRelay configures what the hypervisor does with automatic

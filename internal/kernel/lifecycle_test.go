@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"math"
-	"sort"
 	"testing"
 
 	"veil/internal/snp"
@@ -155,8 +154,11 @@ func TestDupSharesFileOffset(t *testing.T) {
 //   - the FD, socket and connection pools never hold an object twice or
 //     one not cleared for reuse, and no pooled object is reachable from a
 //     live descriptor, a listener or a backlog;
-//   - dup2 and dup3 refuse an out-of-range newfd with EBADF and leave the
-//     descriptor table as it was;
+//   - every call's descriptor numbers, EBADF and EMFILE agree with the
+//     reference table of fdtable_ref_test.go (lowest free number first,
+//     at most MaxFD), and after every op each process holds the
+//     reference's descriptors, sharing open files where it does; dup2
+//     and dup3 refuse an out-of-range newfd with EBADF;
 //   - an end whose peer is fully closed or exited reads EOF (a pipe
 //     writer gets EPIPE);
 //   - after every exit, free frames are back at their baseline, and every
@@ -175,6 +177,11 @@ func FuzzProcessLifecycle(f *testing.F) {
 		// Two sockets bound to one port both try to listen: the second
 		// must fail, or it takes the port from the first.
 		{5, 0, 5, 0, 6, 3, 6, 9, 7, 3, 7, 9},
+		// The top slot taken and the table filled: a close frees one
+		// number for open, and pipe2 still finds too few.
+		{19, 3, 4, 0, 18, 15, 17, 0, 4, 0, 11, 0, 17, 200, 11, 0},
+		// A full table forked, then closed lowest first.
+		{18, 15, 1, 0, 17, 0, 17, 1, 12, 1, 2, 1, 10, 0},
 	} {
 		f.Add(seed)
 	}
@@ -183,14 +190,20 @@ func FuzzProcessLifecycle(f *testing.F) {
 			ops = ops[:512]
 		}
 		k := newNativeKernel(t, 1)
+		ref := newRefTables(t)
 		baseline := freeFrames(k)
-		procs := []*Process{k.Spawn("init")}
+		spawn := func(name string) *Process {
+			p := k.Spawn(name)
+			ref.spawn(p)
+			return p
+		}
+		procs := []*Process{spawn("init")}
 		fresh := 0 // connections the network stack allocated rather than reused
 		buf := make([]byte, 32)
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%18, int(ops[i+1])
+			op, arg := ops[i]%20, int(ops[i+1])
 			if len(procs) == 0 {
-				procs = append(procs, k.Spawn("init"))
+				procs = append(procs, spawn("init"))
 			}
 			p := procs[arg%len(procs)]
 			fd := pickFD(p, arg/len(procs))
@@ -202,7 +215,7 @@ func FuzzProcessLifecycle(f *testing.F) {
 			switch op {
 			case 0:
 				if len(procs) < 6 {
-					procs = append(procs, k.Spawn("task"))
+					procs = append(procs, spawn("task"))
 				}
 			case 1:
 				if len(procs) < 6 {
@@ -210,12 +223,14 @@ func FuzzProcessLifecycle(f *testing.F) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					ref.fork(p, child)
 					procs = append(procs, child)
 				}
 			case 2:
 				if err := k.Exit(p, 0); err != nil {
 					t.Fatal(err)
 				}
+				delete(ref.procs, p)
 				procs = removeProc(procs, p)
 			case 3:
 				pages := uint64(arg%4 + 1)
@@ -224,38 +239,77 @@ func FuzzProcessLifecycle(f *testing.F) {
 				}
 				_, _ = k.Mmap(p, pages*snp.PageSize, ProtRead|ProtWrite)
 			case 4:
-				_, _ = k.Open(p, "/tmp/f", OCreat|ORdwr, 0o644)
+				got, err := k.Open(p, "/tmp/f", OCreat|ORdwr, 0o644)
+				ref.install("open", p, []int{got}, err, ref.file(false, true, true))
 			case 5:
-				_, _ = k.Socket(p, AFInet, SockStream)
+				got, err := k.Socket(p, AFInet, SockStream)
+				ref.install("socket", p, []int{got}, err, ref.file(true, true, true))
 			case 6:
-				_ = k.Bind(p, fd, port)
+				ref.use("bind", p, fd, isSock, k.Bind(p, fd, port))
 			case 7:
-				_ = k.Listen(p, fd, 4)
+				ref.use("listen", p, fd, isSock, k.Listen(p, fd, 4))
 			case 8:
-				fresh += newConns(k, func() bool { return k.Connect(p, fd, port) == nil })
+				var err error
+				fresh += newConns(k, func() bool { err = k.Connect(p, fd, port); return err == nil })
+				ref.use("connect", p, fd, isSock, err)
 			case 9:
-				_, _ = k.Accept(p, fd)
-			case 10:
-				fresh += newConns(k, func() bool { _, _, err := k.Socketpair(p, AFUnix, SockStream); return err == nil })
-			case 11:
-				_, _, _ = k.Pipe2(p, 0)
-			case 12:
-				_, _ = k.Dup(p, fd)
-			case 13:
-				checkDupRange(t, p, other, func() error { _, err := k.Dup2(p, fd, other); return err })
-			case 14:
-				if fd == other { // refused with EINVAL before the range check
-					_, _ = k.Dup3(p, fd, other, 0)
-				} else {
-					checkDupRange(t, p, other, func() error { _, err := k.Dup3(p, fd, other, 0); return err })
+				got, err := k.Accept(p, fd)
+				ref.use("accept", p, fd, isSock, err)
+				if ref.usable(p, fd, isSock) {
+					ref.install("accept", p, []int{got}, err, ref.file(true, true, true))
 				}
+			case 10:
+				var a, b int
+				var err error
+				fresh += newConns(k, func() bool { a, b, err = k.Socketpair(p, AFUnix, SockStream); return err == nil })
+				ref.install("socketpair", p, []int{a, b}, err, ref.file(true, true, true), ref.file(true, true, true))
+			case 11:
+				r, w, err := k.Pipe2(p, 0)
+				ref.install("pipe2", p, []int{r, w}, err, ref.file(false, true, false), ref.file(false, false, true))
+			case 12:
+				got, err := k.Dup(p, fd)
+				ref.dup(p, fd, got, err)
+			case 13:
+				got, err := k.Dup2(p, fd, other)
+				ref.dupTo("dup2", p, fd, other, got, err)
+			case 14:
+				got, err := k.Dup3(p, fd, other, 0)
+				if fd == other { // refused with EINVAL before the range check
+					if !errors.Is(err, ErrInval) {
+						t.Fatalf("dup3(%d, %d) = %d, %v; want EINVAL", fd, other, got, err)
+					}
+					break
+				}
+				ref.dupTo("dup3", p, fd, other, got, err)
 			case 15:
-				_, _ = k.Write(p, fd, buf[:arg%len(buf)])
+				_, err := k.Write(p, fd, buf[:arg%len(buf)])
+				ref.use("write", p, fd, canWrite, err)
 			case 16:
-				_, _ = k.Read(p, fd, buf)
+				_, err := k.Read(p, fd, buf)
+				ref.use("read", p, fd, canRead, err)
 			case 17:
-				_ = k.Close(p, fd)
+				ref.close(p, fd, k.Close(p, fd))
+			case 18:
+				// Dup a few times, or (one arg in 16) fill every free slot
+				// with dup2, and dup once more into the full table.
+				if arg%16 == 15 {
+					for newfd := range MaxFD {
+						if _, open := ref.procs[p][newfd]; !open {
+							got, err := k.Dup2(p, fd, newfd)
+							ref.dupTo("dup2", p, fd, newfd, got, err)
+						}
+					}
+				}
+				for range arg%16 + 1 {
+					got, err := k.Dup(p, fd)
+					ref.dup(p, fd, got, err)
+				}
+			case 19:
+				// The top slots: a table that once held them stays usable.
+				got, err := k.Dup2(p, fd, MaxFD-1-arg%4)
+				ref.dupTo("dup2", p, fd, MaxFD-1-arg%4, got, err)
 			}
+			ref.compare(procs)
 			checkPool(t, k, procs)
 			checkListeners(t, k, procs)
 		}
@@ -269,7 +323,9 @@ func FuzzProcessLifecycle(f *testing.F) {
 			if err := k.Exit(procs[i], 0); err != nil {
 				t.Fatal(err)
 			}
+			delete(ref.procs, procs[i])
 		}
+		ref.compare(nil)
 		checkPool(t, k, nil)
 		checkListeners(t, k, nil)
 		if got := freeFrames(k); got != baseline {
@@ -283,15 +339,19 @@ func FuzzProcessLifecycle(f *testing.F) {
 
 // pickFD returns one of p's open descriptors, chosen by i, or -1.
 func pickFD(p *Process, i int) int {
-	fds := make([]int, 0, len(p.fds))
-	for fd := range p.fds {
-		fds = append(fds, fd)
-	}
-	if len(fds) == 0 {
+	if p.nfds == 0 {
 		return -1
 	}
-	sort.Ints(fds)
-	return fds[i%len(fds)]
+	i %= p.nfds
+	for fd, f := range p.fds {
+		if f != nil {
+			if i == 0 {
+				return fd
+			}
+			i--
+		}
+	}
+	return -1
 }
 
 func removeProc(procs []*Process, p *Process) []*Process {
@@ -316,24 +376,6 @@ func newConns(k *Kernel, call func() bool) int {
 // outOfRangeFD holds newfd values dup2 and dup3 must refuse.
 var outOfRangeFD = []int{-1, -7, MaxFD, math.MaxInt32 + 1, 1 << 40}
 
-// checkDupRange runs a dup2 or dup3 onto newfd. For an out-of-range
-// newfd it must fail with EBADF and leave p's descriptors and next
-// descriptor number as they were.
-func checkDupRange(t *testing.T, p *Process, newfd int, dup func() error) {
-	t.Helper()
-	if validNewFD(newfd) {
-		_ = dup()
-		return
-	}
-	open, next := len(p.fds), p.nextFD
-	if err := dup(); !errors.Is(err, ErrBadFD) {
-		t.Fatalf("dup onto fd %d returned %v, want EBADF", newfd, err)
-	}
-	if len(p.fds) != open || p.nextFD != next {
-		t.Fatalf("a refused dup onto fd %d changed the descriptor table", newfd)
-	}
-}
-
 // checkListeners fails unless the registered listeners are exactly the
 // listening sockets that descriptors of the live processes name.
 func checkListeners(t *testing.T, k *Kernel, procs []*Process) {
@@ -341,6 +383,9 @@ func checkListeners(t *testing.T, k *Kernel, procs []*Process) {
 	named := map[*Socket]bool{}
 	for _, p := range procs {
 		for _, f := range p.fds {
+			if f == nil {
+				continue
+			}
 			if s := f.sock; s != nil && s.listening {
 				named[s] = true
 				if k.net().listeners[s.port] != s {
@@ -364,6 +409,9 @@ func checkOrphanedEnds(t *testing.T, k *Kernel, p *Process) {
 	ends := map[*conn]bool{}
 	pipes := map[*pipeEnd]bool{}
 	for _, f := range p.fds {
+		if f == nil {
+			continue
+		}
 		if f.sock != nil {
 			ends[f.sock.peer] = true
 			for _, c := range f.sock.backlog {
@@ -375,6 +423,7 @@ func checkOrphanedEnds(t *testing.T, k *Kernel, p *Process) {
 	buf := make([]byte, 64)
 	for fd, f := range p.fds {
 		switch {
+		case f == nil:
 		case f.sock != nil && f.sock.peer != nil && !ends[f.sock.peer.remote]:
 			n, err := drain(func() (int, error) { return k.Recvfrom(p, fd, buf) })
 			if n != 0 || err != nil {

@@ -43,27 +43,31 @@ func checkPool(t *testing.T, k *Kernel, procs []*Process) {
 		}
 		conns[c] = true
 	}
-	reachable := func(s *Socket, where string) {
-		t.Helper()
+	// reachable runs once per socket descriptor, so it formats where only
+	// to fail.
+	reachable := func(s *Socket, where any) {
 		if socks[s] {
-			t.Fatalf("%s names a pooled socket", where)
+			t.Fatalf("%v names a pooled socket", where)
 		}
 		if s.peer != nil && conns[s.peer.of] {
-			t.Fatalf("%s reaches a pooled connection", where)
+			t.Fatalf("%v reaches a pooled connection", where)
 		}
 		for _, c := range s.backlog {
 			if conns[c.of] {
-				t.Fatalf("the backlog of %s holds a pooled connection", where)
+				t.Fatalf("the backlog of %v holds a pooled connection", where)
 			}
 		}
 	}
 	for _, p := range procs {
 		for fd, f := range p.fds {
+			if f == nil {
+				continue
+			}
 			if fds[f] {
 				t.Fatalf("%v fd %d names a pooled FD", p, fd)
 			}
 			if f.sock != nil {
-				reachable(f.sock, p.String())
+				reachable(f.sock, p)
 			}
 		}
 	}
@@ -85,8 +89,9 @@ func pooled(k *Kernel, set map[*FD]bool) int {
 
 // TestRecycledQueuesStayIsolated closes a connection whose descriptors
 // were dup'd and fork-copied, then opens connections that may reuse its
-// connection and FDs. Every closed descriptor of the first connection
-// fails with EBADF, its objects are recycled only once the last copy is
+// connection, FDs and descriptor numbers. Every closed descriptor of the
+// first connection fails with EBADF, or, once a later connection took its
+// number, reaches only that connection's open file; its objects are recycled only once the last copy is
 // closed, a connection on recycled objects starts empty and reads only
 // its own bytes, and closing ends twice never pools an object twice.
 func TestRecycledQueuesStayIsolated(t *testing.T) {
@@ -206,12 +211,22 @@ func TestRecycledQueuesStayIsolated(t *testing.T) {
 	if _, err := k.Sendto(p, a3, []byte("third")); err != nil {
 		t.Fatal(err)
 	}
-	// Every descriptor of connection 1 is closed, in both processes, and
-	// stays so while connection 3 runs on its objects.
+	// Every descriptor of connection 1 is closed, in both processes.
+	// Descriptor numbers are reused lowest first, so p's numbers of
+	// connection 1 now name connection 2's and 3's ends: a reused number
+	// reaches only the open file of its new connection. The child opened
+	// nothing since, so its numbers stay closed.
+	reused := map[*FD]bool{p.fds[c2]: true, p.fds[a2]: true, p.fds[c3]: true, p.fds[a3]: true}
 	for _, c := range []struct {
 		proc *Process
 		fd   int
 	}{{p, c1}, {p, a1}, {p, dup}, {child, c1}, {child, a1}, {child, dup}} {
+		if f, open := c.proc.lookupFD(c.fd); open {
+			if c.proc != p || !reused[f] {
+				t.Fatalf("%v fd %d of connection 1 still names an open file of its own", c.proc, c.fd)
+			}
+			continue
+		}
 		if n, err := k.Recvfrom(c.proc, c.fd, buf); !errors.Is(err, ErrBadFD) {
 			t.Fatalf("closed fd %d of connection 1 read %q, %v; want EBADF", c.fd, buf[:max(n, 0)], err)
 		}

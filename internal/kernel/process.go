@@ -22,10 +22,13 @@ type Process struct {
 	Name string
 	UID  int
 
-	k        *Kernel
-	as       *mm.AddressSpace
-	fds      map[int]*FD
-	nextFD   int
+	k  *Kernel
+	as *mm.AddressSpace
+	// fds is the descriptor table, indexed by descriptor number: MaxFD
+	// slots, sized when the process is created, nil where no descriptor
+	// is open. nfds counts the open ones.
+	fds      []*FD
+	nfds     int
 	mmapNext uint64
 	frames   map[uint64][]uint64 // virt base → data frames
 	regions  map[uint64]uint64   // virt base → length
@@ -68,8 +71,7 @@ func (k *Kernel) newProcess(name string) *Process {
 		PID:      k.nextPID,
 		Name:     name,
 		k:        k,
-		fds:      make(map[int]*FD),
-		nextFD:   3, // 0,1,2 reserved to mimic stdio
+		fds:      make([]*FD, MaxFD),
 		mmapNext: UserMmapBase,
 		frames:   make(map[uint64][]uint64),
 		regions:  make(map[uint64]uint64),
@@ -101,24 +103,36 @@ func (p *Process) Mem() (snp.AccessContext, error) {
 }
 
 // MaxFD bounds descriptor numbers: a process holds descriptors 0 to
-// MaxFD-1. It is Linux's default fs.nr_open, the ceiling on RLIMIT_NOFILE,
-// and the bound the enclave SDK's Iago check holds a returned descriptor
-// to.
-const MaxFD = 1 << 20
+// MaxFD-1. It is Linux's default soft RLIMIT_NOFILE, and the bound the
+// enclave SDK's Iago check holds a returned descriptor to.
+const MaxFD = 1024
 
-// fdRoom refuses with EMFILE unless n more descriptors fit below MaxFD.
-// Every call that installs a new descriptor asks it before it builds
-// anything, so installFD never hands out a number at or past MaxFD.
+// fdRoom refuses with EMFILE unless n descriptor slots are free. Every
+// call that installs a new descriptor asks it before it builds anything,
+// so installFD always finds a free slot.
 func (p *Process) fdRoom(n int) error {
-	if p.nextFD > MaxFD-n {
+	if p.nfds > MaxFD-n {
 		return ErrMFile
 	}
 	return nil
 }
 
-// installFD registers an FD object and returns its number.
+// lookupFD returns the open file descriptor fd names, if any.
+func (p *Process) lookupFD(fd int) (*FD, bool) {
+	if uint(fd) >= uint(len(p.fds)) {
+		return nil, false
+	}
+	f := p.fds[fd]
+	return f, f != nil
+}
+
+// installFD puts f at the lowest free descriptor number, as POSIX asks of
+// open, socket, accept, dup and pipe, and returns that number.
 func (p *Process) installFD(f *FD) int {
-	fd := p.nextFD
+	fd := 0
+	for p.fds[fd] != nil {
+		fd++
+	}
 	p.placeFD(fd, f)
 	return fd
 }
@@ -128,9 +142,7 @@ func (p *Process) placeFD(fd int, f *FD) {
 	f.refs++
 	p.dropFD(fd)
 	p.fds[fd] = f
-	if fd >= p.nextFD {
-		p.nextFD = fd + 1
-	}
+	p.nfds++
 }
 
 // dropFD removes descriptor fd. It is the one path by which a descriptor
@@ -140,11 +152,12 @@ func (p *Process) placeFD(fd int, f *FD) {
 // end is marked closed so its peer sees EOF or EPIPE; and the FD itself
 // goes back to the kernel's FD pool.
 func (p *Process) dropFD(fd int) {
-	f, ok := p.fds[fd]
-	if !ok {
+	f := p.fds[fd]
+	if f == nil {
 		return
 	}
-	delete(p.fds, fd)
+	p.fds[fd] = nil
+	p.nfds--
 	if f.refs--; f.refs > 0 {
 		return
 	}

@@ -256,7 +256,7 @@ func (k *Kernel) Close(p *Process, fd int) error {
 	if err := k.enter(p, SysClose, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return err
 	}
-	if _, ok := p.fds[fd]; !ok {
+	if _, ok := p.lookupFD(fd); !ok {
 		return ErrBadFD
 	}
 	p.dropFD(fd)
@@ -273,7 +273,7 @@ func (k *Kernel) Read(p *Process, fd int, buf []byte) (int, error) {
 }
 
 func (k *Kernel) readNoAudit(p *Process, fd int, buf []byte) (int, error) {
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok {
 		return -1, ErrBadFD
 	}
@@ -317,7 +317,7 @@ func (k *Kernel) Write(p *Process, fd int, buf []byte) (int, error) {
 }
 
 func (k *Kernel) writeNoAudit(p *Process, fd int, buf []byte) (int, error) {
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok {
 		return -1, ErrBadFD
 	}
@@ -360,7 +360,7 @@ func (k *Kernel) Pread(p *Process, fd int, buf []byte, off int64) (int, error) {
 	if err := k.enter(p, SysPread, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)).dec64(" off=", off) }); err != nil {
 		return -1, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.ino == nil || !f.readable() {
 		return -1, ErrBadFD
 	}
@@ -375,7 +375,7 @@ func (k *Kernel) Pwrite(p *Process, fd int, buf []byte, off int64) (int, error) 
 	if err := k.enter(p, SysPwrite, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)).dec64(" off=", off) }); err != nil {
 		return -1, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.ino == nil || !f.writable() {
 		return -1, ErrBadFD
 	}
@@ -393,7 +393,7 @@ func (k *Kernel) Lseek(p *Process, fd int, off int64, whence int) (int64, error)
 	if err := k.enter(p, SysLseek, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec64(" off=", off).dec(" whence=", whence) }); err != nil {
 		return -1, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.ino == nil {
 		return -1, ErrBadFD
 	}
@@ -442,7 +442,7 @@ func (k *Kernel) Fstat(p *Process, fd int) (FileInfo, error) {
 	if err := k.enter(p, SysFstat, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return FileInfo{}, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.ino == nil {
 		return FileInfo{}, ErrBadFD
 	}
@@ -464,7 +464,7 @@ func (k *Kernel) Ftruncate(p *Process, fd int, size int64) error {
 	if err := k.enter(p, SysFtruncate, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec64(" size=", size) }); err != nil {
 		return err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.ino == nil {
 		return ErrBadFD
 	}
@@ -561,7 +561,7 @@ func (k *Kernel) Fchmod(p *Process, fd int, mode uint32) error {
 	if err := k.enter(p, SysFchmod, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).oct(" mode=", mode) }); err != nil {
 		return err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.ino == nil {
 		return ErrBadFD
 	}
@@ -585,7 +585,7 @@ func (k *Kernel) Getdents(p *Process, fd int) ([]string, error) {
 	if err := k.enter(p, SysGetdents, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return nil, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.ino == nil || !f.ino.Dir {
 		return nil, ErrBadFD
 	}
@@ -598,7 +598,7 @@ func (k *Kernel) Dup(p *Process, fd int) (int, error) {
 	if err := k.enter(p, SysDup, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return -1, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok {
 		return -1, ErrBadFD
 	}
@@ -617,7 +617,7 @@ func (k *Kernel) Dup2(p *Process, oldfd, newfd int) (int, error) {
 	if !validNewFD(newfd) {
 		return -1, ErrBadFD
 	}
-	f, ok := p.fds[oldfd]
+	f, ok := p.lookupFD(oldfd)
 	if !ok {
 		return -1, ErrBadFD
 	}
@@ -642,7 +642,7 @@ func (k *Kernel) Dup3(p *Process, oldfd, newfd, flags int) (int, error) {
 	if !validNewFD(newfd) {
 		return -1, ErrBadFD
 	}
-	f, ok := p.fds[oldfd]
+	f, ok := p.lookupFD(oldfd)
 	if !ok {
 		return -1, ErrBadFD
 	}
@@ -675,7 +675,7 @@ func (k *Kernel) Sendfile(p *Process, outfd, infd int, count int) (int, error) {
 	if err := k.enter(p, SysSendfile, func(b []byte) []byte { return recBuf(b).dec("out=", outfd).dec(" in=", infd).dec(" n=", count) }); err != nil {
 		return -1, err
 	}
-	in, ok := p.fds[infd]
+	in, ok := p.lookupFD(infd)
 	if !ok || in.ino == nil {
 		return -1, ErrBadFD
 	}
@@ -700,7 +700,7 @@ func (k *Kernel) Splice(p *Process, infd, outfd int, count int) (int, error) {
 	if err := k.enter(p, SysSplice, func(b []byte) []byte { return recBuf(b).dec("in=", infd).dec(" out=", outfd).dec(" n=", count) }); err != nil {
 		return -1, err
 	}
-	if in, ok := p.fds[infd]; ok && in.ino != nil {
+	if in, ok := p.lookupFD(infd); ok && in.ino != nil {
 		// File source: splice the inode's backing bytes to the sink with no
 		// staging buffer, mirroring readNoAudit's checks and charge.
 		if !in.readable() {
@@ -818,7 +818,7 @@ func (k *Kernel) Bind(p *Process, fd, port int) error {
 	if err := k.enter(p, SysBind, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" port=", port) }); err != nil {
 		return err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.sock == nil {
 		return ErrBadFD
 	}
@@ -831,7 +831,7 @@ func (k *Kernel) Listen(p *Process, fd, backlog int) error {
 	if err := k.enter(p, SysListen, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" backlog=", backlog) }); err != nil {
 		return err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.sock == nil {
 		return ErrBadFD
 	}
@@ -844,7 +844,7 @@ func (k *Kernel) Connect(p *Process, fd, port int) error {
 	if err := k.enter(p, SysConnect, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" port=", port) }); err != nil {
 		return err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.sock == nil {
 		return ErrBadFD
 	}
@@ -857,7 +857,7 @@ func (k *Kernel) Accept(p *Process, fd int) (int, error) {
 	if err := k.enter(p, SysAccept, func(b []byte) []byte { return recBuf(b).dec("fd=", fd) }); err != nil {
 		return -1, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.sock == nil {
 		return -1, ErrBadFD
 	}
@@ -877,7 +877,7 @@ func (k *Kernel) Sendto(p *Process, fd int, buf []byte) (int, error) {
 	if err := k.enter(p, SysSendto, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)) }); err != nil {
 		return -1, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.sock == nil {
 		return -1, ErrBadFD
 	}
@@ -892,7 +892,7 @@ func (k *Kernel) Recvfrom(p *Process, fd int, buf []byte) (int, error) {
 	if err := k.enter(p, SysRecvfrom, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).dec(" len=", len(buf)) }); err != nil {
 		return -1, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok || f.sock == nil {
 		return -1, ErrBadFD
 	}
@@ -950,7 +950,9 @@ func (k *Kernel) Fork(p *Process) (*Process, error) {
 	}
 	child := k.newProcess(p.Name)
 	for fd, f := range p.fds {
-		child.placeFD(fd, f)
+		if f != nil {
+			child.placeFD(fd, f)
+		}
 	}
 	child.UID = p.UID
 	k.m.Clock().Charge(snp.CostContextSwitch, snp.CyclesContextSwitch)
@@ -1007,7 +1009,7 @@ func (k *Kernel) Ioctl(p *Process, fd int, req uint64, arg []byte) (uint64, erro
 	if err := k.enter(p, SysIoctl, func(b []byte) []byte { return recBuf(b).dec("fd=", fd).uhex(" req=", req) }); err != nil {
 		return 0, err
 	}
-	f, ok := p.fds[fd]
+	f, ok := p.lookupFD(fd)
 	if !ok {
 		return 0, ErrBadFD
 	}

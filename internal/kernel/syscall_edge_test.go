@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -235,14 +236,14 @@ func TestOpenatAndCreatRefuseDirectories(t *testing.T) {
 	if err := k.Mkdir(p, "/tmp/www", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	next := p.nextFD
+	open := p.nfds
 	if fd, err := k.Openat(p, -100 /* AT_FDCWD */, "/tmp/www", OWronly, 0); !errors.Is(err, ErrIsDir) {
 		t.Fatalf("openat of a directory for writing returned fd %d, %v; want EISDIR", fd, err)
 	}
 	if fd, err := k.Creat(p, "/tmp/www", 0o644); !errors.Is(err, ErrIsDir) {
 		t.Fatalf("creat of a directory returned fd %d, %v; want EISDIR", fd, err)
 	}
-	if p.nextFD != next {
+	if p.nfds != open {
 		t.Fatal("a refused open installed a descriptor")
 	}
 	if _, err := k.Openat(p, -100, "/tmp/www", ORdonly, 0); err != nil {
@@ -275,16 +276,16 @@ func TestDupRefusesOutOfRangeNewFD(t *testing.T) {
 	if err := k.Close(p, MaxFD-1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.fds[-7]; ok {
-		t.Fatal("a negative descriptor was installed")
+	if p.nfds != 3 {
+		t.Fatalf("the refused dups left %d descriptors open, want 3", p.nfds)
 	}
 }
 
-// TestDescriptorNumbersStayBelowMaxFD: dup2 may not move the next
-// descriptor number past the int32 range. The highest descriptor a process
-// may hold is MaxFD-1; a dup2 or dup3 at or past MaxFD is EBADF, and once
-// MaxFD-1 is taken every call that installs a new descriptor fails with
-// EMFILE, never handing out a number past it and building nothing.
+// TestDescriptorNumbersStayBelowMaxFD: the highest descriptor a process
+// may hold is MaxFD-1, and dup2 or dup3 at or past MaxFD is EBADF. Once
+// all MaxFD slots are taken every call that installs a new descriptor
+// fails with EMFILE and builds nothing; with one slot free, the calls that
+// install one descriptor take it and those that install two still fail.
 func TestDescriptorNumbersStayBelowMaxFD(t *testing.T) {
 	k := newNativeKernel(t, 1)
 	p := k.Spawn("t")
@@ -321,8 +322,13 @@ func TestDescriptorNumbersStayBelowMaxFD(t *testing.T) {
 	if fd, err := k.Dup2(p, 1, MaxFD-1); err != nil || fd != MaxFD-1 {
 		t.Fatalf("dup2(1, MaxFD-1) = %d, %v", fd, err)
 	}
-	pool := len(k.freeFDs)
-	for name, install := range map[string]func() error{
+	// MaxFD-1 taken is not a full table: dup fills every slot below it.
+	for want := 6; want < MaxFD-1; want++ {
+		if fd, err := k.Dup(p, 1); err != nil || fd != want {
+			t.Fatalf("dup with %d descriptors open = %d, %v; want %d", p.nfds, fd, err, want)
+		}
+	}
+	installs := map[string]func() error{
 		"open":       func() error { _, err := k.Open(p, "/tmp/past-max", OCreat|ORdwr, 0o644); return err },
 		"creat":      func() error { _, err := k.Creat(p, "/tmp/past-max", 0o644); return err },
 		"dup":        func() error { _, err := k.Dup(p, 1); return err },
@@ -330,9 +336,11 @@ func TestDescriptorNumbersStayBelowMaxFD(t *testing.T) {
 		"socket":     func() error { _, err := k.Socket(p, AFInet, SockStream); return err },
 		"socketpair": func() error { _, _, err := k.Socketpair(p, AFUnix, SockStream); return err },
 		"accept":     func() error { _, err := k.Accept(p, lfd); return err },
-	} {
+	}
+	pool := len(k.freeFDs)
+	for name, install := range installs {
 		if err := install(); !errors.Is(err, ErrMFile) {
-			t.Fatalf("%s with descriptor MaxFD-1 taken = %v, want EMFILE", name, err)
+			t.Fatalf("%s with all %d slots taken = %v, want EMFILE", name, MaxFD, err)
 		}
 	}
 	if _, err := k.Stat(p, "/tmp/past-max"); !errors.Is(err, ErrNotExist) {
@@ -341,10 +349,166 @@ func TestDescriptorNumbersStayBelowMaxFD(t *testing.T) {
 	if got := len(k.freeFDs); got != pool {
 		t.Fatalf("refused installs moved the FD pool from %d to %d", pool, got)
 	}
-	for fd := range p.fds {
-		if fd < 0 || fd >= MaxFD {
-			t.Fatalf("descriptor %d installed", fd)
+	// One free slot: two-descriptor calls still fail, and each
+	// one-descriptor call takes the freed number.
+	for _, name := range []string{"pipe2", "socketpair", "open", "creat", "dup", "socket", "accept"} {
+		if err := k.Close(p, 700); err != nil {
+			t.Fatal(err)
 		}
+		err := installs[name]()
+		if name == "pipe2" || name == "socketpair" {
+			if !errors.Is(err, ErrMFile) {
+				t.Fatalf("%s with one slot free = %v, want EMFILE", name, err)
+			}
+			if _, err := k.Dup(p, 1); err != nil {
+				t.Fatal(err)
+			}
+		} else if err != nil {
+			t.Fatalf("%s with slot 700 free = %v", name, err)
+		}
+		if p.nfds != MaxFD || p.fds[700] == nil {
+			t.Fatalf("%s left %d descriptors open and slot 700 %v", name, p.nfds, p.fds[700])
+		}
+	}
+	if got := len(p.fds); got != MaxFD {
+		t.Fatalf("the descriptor table has %d slots, want %d", got, MaxFD)
+	}
+}
+
+// TestClosedMaxFDMinus1LeavesTheTableUsable: a process that once held the
+// highest descriptor number opens again at the lowest free number once
+// it closes it.
+func TestClosedMaxFDMinus1LeavesTheTableUsable(t *testing.T) {
+	k := newNativeKernel(t, 1)
+	p := k.Spawn("t")
+	if fd, err := k.Dup2(p, 1, MaxFD-1); err != nil || fd != MaxFD-1 {
+		t.Fatalf("dup2(1, MaxFD-1) = %d, %v", fd, err)
+	}
+	if err := k.Close(p, MaxFD-1); err != nil {
+		t.Fatal(err)
+	}
+	if fd, err := k.Open(p, "/tmp/after-max", OCreat|ORdwr, 0o644); err != nil || fd != 3 {
+		t.Fatalf("open after closing MaxFD-1 = %d, %v; want 3", fd, err)
+	}
+}
+
+// TestInstallsTakeTheLowestFreeDescriptor drives every call that installs
+// descriptors against a set of the open numbers: each returns the lowest
+// free numbers, EMFILE comes exactly when fewer slots are free than the
+// call installs, and closing any descriptor frees its number for the next
+// call.
+func TestInstallsTakeTheLowestFreeDescriptor(t *testing.T) {
+	k := newNativeKernel(t, 1)
+	p, cli := k.Spawn("t"), k.Spawn("client")
+	open := map[int]bool{0: true, 1: true, 2: true}
+	lfd, err := k.Socket(p, AFInet, SockStream)
+	if err != nil || lfd != 3 {
+		t.Fatalf("socket = %d, %v; want 3", lfd, err)
+	}
+	open[lfd] = true
+	if k.Bind(p, lfd, 80) != nil || k.Listen(p, lfd, MaxFD) != nil {
+		t.Fatal("listen")
+	}
+	one := func(fd int, err error) ([]int, error) { return []int{fd}, err }
+	two := func(a, b int, err error) ([]int, error) { return []int{a, b}, err }
+	installs := []struct {
+		name string
+		n    int
+		call func() ([]int, error)
+	}{
+		{"open", 1, func() ([]int, error) { return one(k.Open(p, "/tmp/a", OCreat|ORdwr, 0o644)) }},
+		{"openat", 1, func() ([]int, error) { return one(k.Openat(p, -100, "/tmp/a", ORdonly, 0)) }},
+		{"creat", 1, func() ([]int, error) { return one(k.Creat(p, "/tmp/b", 0o644)) }},
+		{"socket", 1, func() ([]int, error) { return one(k.Socket(p, AFInet, SockStream)) }},
+		{"accept", 1, func() ([]int, error) {
+			cfd, err := k.Socket(cli, AFInet, SockStream)
+			if err != nil {
+				return nil, err
+			}
+			if err := k.Connect(cli, cfd, 80); err != nil {
+				return nil, err
+			}
+			fds, err := one(k.Accept(p, lfd))
+			if err != nil {
+				_ = k.Close(cli, cfd) // refused: the connection stays queued
+			}
+			return fds, err
+		}},
+		{"dup", 1, func() ([]int, error) { return one(k.Dup(p, 1)) }},
+		{"pipe2", 2, func() ([]int, error) { return two(k.Pipe2(p, 0)) }},
+		{"socketpair", 2, func() ([]int, error) { return two(k.Socketpair(p, AFUnix, SockStream)) }},
+	}
+	// lowest returns the n lowest free numbers, or nil if fewer are free.
+	lowest := func(n int) []int {
+		var fds []int
+		for fd := 0; fd < MaxFD && len(fds) < n; fd++ {
+			if !open[fd] {
+				fds = append(fds, fd)
+			}
+		}
+		if len(fds) < n {
+			return nil
+		}
+		return fds
+	}
+	run := func(i int) {
+		t.Helper()
+		c := installs[i%len(installs)]
+		want := lowest(c.n)
+		got, err := c.call()
+		if want == nil {
+			if !errors.Is(err, ErrMFile) {
+				t.Fatalf("%s with %d slots free = %v, %v; want EMFILE", c.name, MaxFD-len(open), got, err)
+			}
+			return
+		}
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s with %d slots free = %v, %v; want %v", c.name, MaxFD-len(open), got, err, want)
+		}
+		for _, fd := range got {
+			open[fd] = true
+		}
+	}
+	closeFD := func(fd int) {
+		t.Helper()
+		if err := k.Close(p, fd); err != nil {
+			t.Fatalf("close(%d): %v", fd, err)
+		}
+		delete(open, fd)
+	}
+	// Holes below the next number are filled first.
+	for i := 0; i < 16; i++ {
+		run(i)
+	}
+	for _, fd := range []int{0, 2, 9, 5} {
+		closeFD(fd)
+	}
+	i := 0
+	for ; len(open) < MaxFD; i++ {
+		run(i)
+	}
+	if p.nfds != MaxFD {
+		t.Fatalf("the kernel holds %d descriptors, the reference %d", p.nfds, len(open))
+	}
+	for j := range installs {
+		run(j) // every call fails with EMFILE
+	}
+	// Closing any descriptor frees exactly that number.
+	for _, fd := range []int{0, 700, MaxFD - 1, 512, 4} {
+		closeFD(fd)
+		for j := range installs {
+			run(i + j)
+		}
+		if len(open) < MaxFD {
+			t.Fatalf("no call took the freed number %d", fd)
+		}
+	}
+	// Two free numbers, far apart: a two-descriptor call takes both.
+	closeFD(MaxFD - 2)
+	closeFD(1)
+	run(6) // pipe2
+	if !open[1] || !open[MaxFD-2] {
+		t.Fatal("pipe2 did not take both free numbers")
 	}
 }
 
@@ -368,8 +532,8 @@ func TestForkCopiesTheDescriptorTable(t *testing.T) {
 	if _, err := k.Read(child, 0, make([]byte, 1)); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("child read(0) after the parent closed fd 0 = %v, want EBADF", err)
 	}
-	if len(child.fds) != len(p.fds) {
-		t.Fatalf("child holds %d descriptors, the parent %d", len(child.fds), len(p.fds))
+	if child.nfds != p.nfds {
+		t.Fatalf("child holds %d descriptors, the parent %d", child.nfds, p.nfds)
 	}
 	for fd, f := range p.fds {
 		if child.fds[fd] != f {

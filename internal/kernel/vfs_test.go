@@ -104,6 +104,10 @@ var walkSeeds = []string{
 	"/a/b/flink", "/a/b/flink/x", "/dang", "/dang/x", "/loop1", "/loop1/x",
 	"/a/dot", "/a/dot/b", "/a/dot/dot/dot/rel", "/z", "/z/b/c", "a/../../x",
 	"/a/b/c/../../b/./file", "/tmp/", "/dev/console",
+	// Almost-clean paths: relative, doubled or trailing slashes, and "."
+	// and ".." elements next to look-alike names.
+	"a/", "./a", "../a", "/a/.", "/a/..", "/./", "/../a", "a//b", "/...",
+	"/..a", "/.a", "/a.", "/a..", "/a/b/", "///", "/tmp//", "tmp",
 }
 
 // sameWalk fails unless the walk and the reference agree on p: the same

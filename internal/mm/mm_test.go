@@ -2,6 +2,8 @@ package mm
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -171,4 +173,102 @@ func (as *AddressSpace) Lookup(virt uint64) (uint64, uint64, error) {
 		return 0, 0, fmt.Errorf("mm: virt %#x unmapped", virt)
 	}
 	return snp.PTEAddr(pte), pte &^ snp.PTEAddrMask, nil
+}
+
+// refPhysAllocator is the map-keyed allocator the bitmap replaced, kept
+// as the reference for TestPhysAllocatorMatchesReference.
+type refPhysAllocator struct {
+	lo, hi uint64
+	free   []uint64
+	inUse  map[uint64]bool
+}
+
+func newRefPhysAllocator(lo, hi uint64) *refPhysAllocator {
+	a := &refPhysAllocator{lo: lo, hi: hi, inUse: make(map[uint64]bool)}
+	for p := hi - snp.PageSize; ; p -= snp.PageSize {
+		a.free = append(a.free, p)
+		if p == lo {
+			break
+		}
+	}
+	return a
+}
+
+func (a *refPhysAllocator) Alloc() (uint64, error) {
+	if len(a.free) == 0 {
+		return 0, fmt.Errorf("mm: out of physical pages in [%#x,%#x)", a.lo, a.hi)
+	}
+	p := a.free[len(a.free)-1]
+	a.free = a.free[:len(a.free)-1]
+	a.inUse[p] = true
+	return p, nil
+}
+
+func (a *refPhysAllocator) Free(p uint64) error {
+	if !a.inUse[p] {
+		return fmt.Errorf("mm: double free of frame %#x", p)
+	}
+	delete(a.inUse, p)
+	a.free = append(a.free, p)
+	return nil
+}
+
+// TestPhysAllocatorMatchesReference drives the bitmap allocator and the
+// map-keyed reference through the same random Alloc/Free sequences, over
+// ranges whose page counts straddle the bitmap's 64-bit words. Frees mix
+// held frames, double frees, frames below and above the range and
+// unaligned addresses; every result and error text must match.
+func TestPhysAllocatorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, pages := range []uint64{1, 3, 63, 64, 65, 130} {
+		lo := uint64(7 * snp.PageSize)
+		hi := lo + pages*snp.PageSize
+		a, err := NewPhysAllocator(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefPhysAllocator(lo, hi)
+		var held []uint64
+		for step := 0; step < 4000; step++ {
+			var name string
+			var got, want error
+			var gp, wp uint64
+			switch r := rng.Intn(10); {
+			case r < 5:
+				name = "alloc"
+				gp, got = a.Alloc()
+				wp, want = ref.Alloc()
+				if got == nil {
+					held = append(held, gp)
+				}
+			default:
+				var p uint64
+				switch r {
+				case 5, 6: // a held frame, or one freed before
+					if len(held) > 0 {
+						i := rng.Intn(len(held))
+						p = held[i]
+						if r == 5 {
+							held = append(held[:i], held[i+1:]...)
+						}
+					}
+				case 7: // outside the range, below or at and past hi
+					p = []uint64{0, lo - snp.PageSize, hi, hi + 9*snp.PageSize, ^uint64(0) &^ (snp.PageSize - 1)}[rng.Intn(5)]
+				case 8: // unaligned, inside or around the range
+					p = lo + uint64(rng.Int63n(int64(hi-lo)+2*snp.PageSize)) | 1
+				case 9: // any page base of the range
+					p = lo + uint64(rng.Int63n(int64(pages)))*snp.PageSize
+					held = slices.DeleteFunc(held, func(h uint64) bool { return h == p })
+				}
+				name = fmt.Sprintf("free(%#x)", p)
+				got, want = a.Free(p), ref.Free(p)
+			}
+			if gp != wp || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%d pages, step %d: %s = %#x, %v; the reference %#x, %v", pages, step, name, gp, got, wp, want)
+			}
+		}
+		if !slices.Equal(a.free, ref.free) {
+			t.Fatalf("%d pages: free stacks differ", pages)
+		}
+	}
 }

@@ -12,7 +12,9 @@ import (
 type PhysAllocator struct {
 	lo, hi uint64 // [lo, hi) in bytes, page aligned
 	free   []uint64
-	inUse  map[uint64]bool
+	// inUse holds one bit per page of the range, set while the page is
+	// allocated.
+	inUse []uint64
 }
 
 // NewPhysAllocator creates an allocator over [lo, hi). Both bounds must be
@@ -21,7 +23,8 @@ func NewPhysAllocator(lo, hi uint64) (*PhysAllocator, error) {
 	if lo%snp.PageSize != 0 || hi%snp.PageSize != 0 || hi <= lo {
 		return nil, fmt.Errorf("mm: bad allocator range [%#x,%#x)", lo, hi)
 	}
-	a := &PhysAllocator{lo: lo, hi: hi, inUse: make(map[uint64]bool)}
+	pages := (hi - lo) / snp.PageSize
+	a := &PhysAllocator{lo: lo, hi: hi, inUse: make([]uint64, (pages+63)/64)}
 	// Stack the frames so allocation order is deterministic (low → high).
 	for p := hi - snp.PageSize; ; p -= snp.PageSize {
 		a.free = append(a.free, p)
@@ -39,16 +42,19 @@ func (a *PhysAllocator) Alloc() (uint64, error) {
 	}
 	p := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
-	a.inUse[p] = true
+	i := (p - a.lo) / snp.PageSize
+	a.inUse[i/64] |= 1 << (i % 64)
 	return p, nil
 }
 
-// Free returns a frame to the pool.
+// Free returns a frame to the pool. A frame this allocator has not handed
+// out (already freed, outside the range, or not a page base) is refused.
 func (a *PhysAllocator) Free(p uint64) error {
-	if !a.inUse[p] {
+	i := (p - a.lo) / snp.PageSize
+	if p < a.lo || p >= a.hi || p%snp.PageSize != 0 || a.inUse[i/64]&(1<<(i%64)) == 0 {
 		return fmt.Errorf("mm: double free of frame %#x", p)
 	}
-	delete(a.inUse, p)
+	a.inUse[i/64] &^= 1 << (i % 64)
 	a.free = append(a.free, p)
 	return nil
 }

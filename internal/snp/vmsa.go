@@ -110,6 +110,20 @@ func (m *Machine) VMSAAt(phys uint64) (*VMSA, error) {
 	return v, nil
 }
 
+// VMSAVMPL returns the VMPL the VMSA at phys runs at, read from the page's
+// RMP entry: the VMSA bit and the target VMPL CreateVMSA stamped there. A
+// page that holds no VMSA (never created, destroyed, or not a page base)
+// reads as VMPL0. The hypervisor labels domain-switch spans with it.
+func (m *Machine) VMSAVMPL(phys uint64) VMPL {
+	if phys >= m.cfg.MemBytes || PageOffset(phys) != 0 {
+		return VMPL0
+	}
+	if e := &m.rmp[phys>>PageShift]; e.VMSA {
+		return e.VMSATargetVMPL
+	}
+	return VMPL0
+}
+
 // DestroyVMSA releases a save area (VMPL0 only), returning the page to
 // normal guest-private use.
 func (m *Machine) DestroyVMSA(callerVMPL VMPL, phys uint64) error {
