@@ -247,7 +247,8 @@ func Framework() []Result {
 				if err != nil {
 					return false, err.Error()
 				}
-				cerr := c.M.CreateVMSA(snp.VMPL3, f, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0})
+				osCode := snp.ContextFunc(func(snp.Reason) error { return nil })
+				cerr := c.M.CreateVMSA(snp.VMPL3, f, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0}, osCode)
 				return snp.IsGP(cerr), fmt.Sprintf("%v", cerr)
 			},
 		},
@@ -286,10 +287,11 @@ func launchNopEnclave(c *cvm.CVM) (*sdk.AppRuntime, *kernel.Process, error) {
 }
 
 // Enclave runs the Table 2 attacks, plus the Iago read-count and
-// descriptor cases: hostile host replies the enclave must refuse rather
-// than act on.
+// descriptor cases (hostile host replies the enclave must refuse rather
+// than act on) and the VMRUN cases (switches into a page the hardware
+// must refuse to enter).
 func Enclave() []Result {
-	return execute([]attack{
+	return execute(append([]attack{
 		{
 			name:        "Load incorrect binary",
 			defence:     "Enclave attestation",
@@ -539,7 +541,7 @@ func Enclave() []Result {
 					fmt.Sprintf("enter: %v; open: %v; iago kills name syscalls %v", eerr, openErr, named)
 			},
 		},
-	})
+	}, vmrunAttacks()...))
 }
 
 // iagoKills lists the syscalls the DeniedIago events in c's flight ring

@@ -122,14 +122,10 @@ func (mon *Monitor) servePValidate(phys uint64, validate bool) Response {
 }
 
 // serveBootAP is the §5.3 VCPU-boot delegation: create the Dom-UNT VMSA for
-// the new VCPU (only VMPL0 can), replicate the trusted domains onto it
-// (§5.2), and ask the hypervisor to start it.
+// the new VCPU (only VMPL0 can), holding its Dom-UNT context, and ask the
+// hypervisor to start it.
 func (mon *Monitor) serveBootAP(ap int) Response {
 	if ap <= 0 || ap >= mon.lay.VCPUs {
-		return Response{Status: StatusError}
-	}
-	entry, ok := mon.apEntries[ap]
-	if !ok {
 		return Response{Status: StatusError}
 	}
 	if _, exists := mon.replicas[ap][DomUNT]; exists {
@@ -137,7 +133,7 @@ func (mon *Monitor) serveBootAP(ap int) Response {
 	}
 	untVMSA, err := mon.createReplica(ap, DomUNT, snp.VMSA{
 		VMPL: snp.VMPL3, CPL: snp.CPL0,
-	}, entry)
+	}, mon.untCtx(ap))
 	if err != nil {
 		return Response{Status: StatusError}
 	}
@@ -306,7 +302,7 @@ func (mon *Monitor) ChargeServiceSwitch() {
 // VCPU (§6.2): a VMPL2/CPL3 replica whose page-table root is the enclave's
 // protected clone. tag is the per-enclave domain tag. Called by VeilS-Enc
 // (Dom-SRV), so it charges the SRV→MON switch.
-func (mon *Monitor) CreateEnclaveVCPU(vcpu int, tag uint64, cr3 uint64, rip uint64, ctx hv.Context) (uint64, error) {
+func (mon *Monitor) CreateEnclaveVCPU(vcpu int, tag uint64, cr3 uint64, rip uint64, ctx snp.Context) (uint64, error) {
 	mon.ChargeServiceSwitch()
 	return mon.createReplica(vcpu, tag, snp.VMSA{
 		VMPL: snp.VMPL2, CPL: snp.CPL3, CR3: cr3, RIP: rip,

@@ -24,9 +24,9 @@ type Config struct {
 	Layout Layout
 	// Rand provides key material (crypto/rand.Reader if nil).
 	Rand io.Reader
-	// UNTContext returns the Dom-UNT guest context for a VCPU. The first
-	// invocation on VCPU 0 boots the kernel.
-	UNTContext func(vcpu int) hv.Context
+	// UNTContext returns the Dom-UNT guest context for a VCPU (its replica
+	// runs it). The first invocation on VCPU 0 boots the kernel.
+	UNTContext func(vcpu int) snp.Context
 }
 
 // Monitor is VeilMon: the Dom-MON security monitor.
@@ -41,8 +41,7 @@ type Monitor struct {
 	services [256]ServiceHandler       // indexed by service ID; nil = none
 	onBoot   []func() error
 
-	apEntries map[int]hv.Context
-	untCtx    func(int) hv.Context
+	untCtx func(int) snp.Context
 
 	// drainNotify, when set, raises the completion interrupt at the end of
 	// a ring drain whose submission header has the IRQ-enable flag set.
@@ -80,14 +79,13 @@ func NewMonitor(m *snp.Machine, hyp *hv.Hypervisor, cfg Config) (*Monitor, error
 		return nil, err
 	}
 	return &Monitor{
-		m:         m,
-		hv:        hyp,
-		lay:       cfg.Layout,
-		heap:      heap,
-		replicas:  make(map[int]map[uint64]uint64),
-		apEntries: make(map[int]hv.Context),
-		untCtx:    cfg.UNTContext,
-		rand:      cfg.Rand,
+		m:        m,
+		hv:       hyp,
+		lay:      cfg.Layout,
+		heap:     heap,
+		replicas: make(map[int]map[uint64]uint64),
+		untCtx:   cfg.UNTContext,
+		rand:     cfg.Rand,
 	}, nil
 }
 
@@ -169,25 +167,17 @@ func (mon *Monitor) haltOnInterrupt(vmpl snp.VMPL) error {
 	return mon.m.Halt(f)
 }
 
-// BootContext returns the hv context for the launch VCPU: booting VeilMon
-// on first entry and dispatching Dom-MON requests afterwards.
-func (mon *Monitor) BootContext() hv.Context {
-	return hv.ContextFunc(func(r hv.Reason) error {
-		switch r {
-		case hv.ReasonBoot:
-			return mon.boot()
-		case hv.ReasonInterrupt:
-			return mon.haltOnInterrupt(snp.VMPL0)
-		default:
-			return mon.dispatchMon(0)
-		}
-	})
-}
+// BootContext returns the guest context of the launch VCPU's VMSA.
+func (mon *Monitor) BootContext() snp.Context { return mon.monCtx(0) }
 
-// monCtx is the Dom-MON replica context for non-boot VCPUs.
-func (mon *Monitor) monCtx(vcpu int) hv.Context {
-	return hv.ContextFunc(func(r hv.Reason) error {
-		if r == hv.ReasonInterrupt {
+// monCtx is a VCPU's Dom-MON context: a boot entry boots VeilMon (only the
+// launch VCPU's VMSA gets one), other entries serve one Dom-MON request.
+func (mon *Monitor) monCtx(vcpu int) snp.Context {
+	return snp.ContextFunc(func(r snp.Reason) error {
+		switch r {
+		case snp.ReasonBoot:
+			return mon.boot()
+		case snp.ReasonInterrupt:
 			return mon.haltOnInterrupt(snp.VMPL0)
 		}
 		return mon.dispatchMon(vcpu)
@@ -196,12 +186,12 @@ func (mon *Monitor) monCtx(vcpu int) hv.Context {
 
 // srvCtx is the Dom-SRV replica context: one IDCB request per service
 // switch, or a full ring drain per doorbell.
-func (mon *Monitor) srvCtx(vcpu int) hv.Context {
-	return hv.ContextFunc(func(r hv.Reason) error {
+func (mon *Monitor) srvCtx(vcpu int) snp.Context {
+	return snp.ContextFunc(func(r snp.Reason) error {
 		switch r {
-		case hv.ReasonDoorbell:
+		case snp.ReasonDoorbell:
 			return mon.drainRing(vcpu)
-		case hv.ReasonInterrupt:
+		case snp.ReasonInterrupt:
 			return mon.haltOnInterrupt(snp.VMPL1)
 		default:
 			return mon.dispatchSrv(vcpu)
@@ -258,20 +248,20 @@ func (mon *Monitor) boot() error {
 	for vcpu := 0; vcpu < mon.lay.VCPUs; vcpu++ {
 		if vcpu > 0 {
 			if _, err := mon.createReplica(vcpu, DomMON, snp.VMSA{
-				VCPUID: vcpu, VMPL: snp.VMPL0, CPL: snp.CPL0, Runnable: true,
+				VCPUID: vcpu, VMPL: snp.VMPL0, CPL: snp.CPL0,
 			}, mon.monCtx(vcpu)); err != nil {
 				return err
 			}
 		}
 		if _, err := mon.createReplica(vcpu, DomSRV, snp.VMSA{
-			VCPUID: vcpu, VMPL: snp.VMPL1, CPL: snp.CPL0, Runnable: true,
+			VCPUID: vcpu, VMPL: snp.VMPL1, CPL: snp.CPL0,
 		}, mon.srvCtx(vcpu)); err != nil {
 			return err
 		}
 	}
 	// Dom-UNT replica for the boot VCPU (APs get theirs via BootAP).
 	if _, err := mon.createReplica(0, DomUNT, snp.VMSA{
-		VCPUID: 0, VMPL: snp.VMPL3, CPL: snp.CPL0, Runnable: true,
+		VCPUID: 0, VMPL: snp.VMPL3, CPL: snp.CPL0,
 	}, mon.untCtx(0)); err != nil {
 		return err
 	}
@@ -405,22 +395,20 @@ func (mon *Monitor) sweepAndProtect() error {
 }
 
 // createReplica implements the four replica-creation steps of §5.2:
-// allocate a VMSA, initialize the domain's architectural structures, set
-// the entry state, and register the instance with the hypervisor.
-func (mon *Monitor) createReplica(vcpu int, tag uint64, vmsa snp.VMSA, ctx hv.Context) (uint64, error) {
+// allocate a VMSA (holding ctx), initialize the domain's architectural
+// structures, set the entry state, and register it with the hypervisor.
+func (mon *Monitor) createReplica(vcpu int, tag uint64, vmsa snp.VMSA, ctx snp.Context) (uint64, error) {
 	frame, err := mon.heap.Alloc()
 	if err != nil {
 		return 0, err
 	}
 	vmsa.VCPUID = vcpu
-	vmsa.Runnable = true
-	if err := mon.m.CreateVMSA(snp.VMPL0, frame, vmsa); err != nil {
+	if err := mon.m.CreateVMSA(snp.VMPL0, frame, vmsa, ctx); err != nil {
 		return 0, err
 	}
 	mon.m.Clock().Charge(snp.CostCompute, CyclesReplicaInit)
-	mon.hv.BindContext(frame, ctx)
 	g := &snp.GHCB{ExitCode: hv.ExitRegisterVMSA, ExitInfo1: frame, ExitInfo2: tag}
-	if err := mon.hypercall(vcpu0ForRegistration(vcpu), g); err != nil {
+	if err := mon.hypercall(0, g); err != nil { // the monitor registers from VCPU 0
 		return 0, err
 	}
 	if mon.replicas[vcpu] == nil {
@@ -433,18 +421,8 @@ func (mon *Monitor) createReplica(vcpu int, tag uint64, vmsa snp.VMSA, ctx hv.Co
 	return frame, nil
 }
 
-// vcpu0ForRegistration: registration hypercalls are issued from whichever
-// VCPU the monitor currently runs on; during boot that is VCPU 0.
-func vcpu0ForRegistration(int) int { return 0 }
-
 // ReplicaVMSA returns the VMSA page of a (vcpu, domain) replica.
 func (mon *Monitor) ReplicaVMSA(vcpu int, tag uint64) (uint64, bool) {
 	p, ok := mon.replicas[vcpu][tag]
 	return p, ok
-}
-
-// RegisterAPEntry wires the kernel's entry context for a future BootAP
-// delegation (simulation wiring for the code the new VCPU starts in).
-func (mon *Monitor) RegisterAPEntry(vcpu int, ctx hv.Context) {
-	mon.apEntries[vcpu] = ctx
 }

@@ -26,10 +26,6 @@ type OSStub struct {
 	kernelGHCB, ringSub, ringComp uint64
 	ringPay                       [RingSlots]uint64
 
-	// mon is simulation wiring only: BootAP must hand VeilMon the Go
-	// context that stands in for the code at the new VCPU's entry point.
-	mon *Monitor
-
 	// disp, when set, receives doorbells from DoorbellAsync instead of the
 	// ring being drained synchronously (the SMP scheduler's deferred-drain
 	// queue). irq mirrors the ring header's interrupt-enable flag.
@@ -71,7 +67,7 @@ type OSStub struct {
 // NewOSStub creates the kernel-side stub for one VCPU.
 func NewOSStub(mon *Monitor, vcpu int) *OSStub {
 	lay := mon.lay
-	s := &OSStub{m: mon.m, hyp: mon.hv, lay: lay, vcpu: vcpu, mon: mon, chn: newChnView(),
+	s := &OSStub{m: mon.m, hyp: mon.hv, lay: lay, vcpu: vcpu, chn: newChnView(),
 		kernelGHCB: lay.KernelGHCB(vcpu), ringSub: lay.RingSub(vcpu), ringComp: lay.RingComp(vcpu)}
 	for slot := range s.ringPay {
 		s.ringPay[slot] = lay.RingPayload(vcpu, slot)
@@ -182,10 +178,9 @@ func (s *OSStub) PValidate(phys uint64, validate bool) error {
 	return statusErr(resp)
 }
 
-// BootAP delegates VCPU boot (§5.3). The entry context is pre-registered
-// with VeilMon (wiring for "the code at the VCPU's rip").
-func (s *OSStub) BootAP(vcpuID int, entry hv.Context) error {
-	s.mon.RegisterAPEntry(vcpuID, entry)
+// BootAP delegates VCPU boot (§5.3): VeilMon creates the AP's Dom-UNT
+// VMSA, which runs the machine's Dom-UNT context, and starts it.
+func (s *OSStub) BootAP(vcpuID int) error {
 	e := s.encoder().u32(uint32(vcpuID))
 	resp, err := s.callMon(Request{Svc: SvcMon, Op: OpBootAP, Payload: e.b})
 	if err != nil {

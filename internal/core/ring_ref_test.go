@@ -200,17 +200,30 @@ func (mon *Monitor) drainRingRef(vcpu int) error {
 	return nil
 }
 
-// RebindRingDrain re-registers vcpu's Dom-SRV replica with the hypervisor
-// so that a doorbell runs drainRingRef (ref) or drainRing; every other
-// entry is served as before. Both twins of a differential call it, so
-// the registration hypercall costs each the same cycles.
+// RebindRingDrain rebuilds vcpu's Dom-SRV replica on its VMSA page so
+// that a doorbell runs drainRingRef (ref) or drainRing; every other entry
+// is served as before. A VMSA's guest code is fixed at creation, so the
+// replica is destroyed, created again with the new context and
+// re-registered. Both twins of a differential call it, so the rebuild
+// costs each the same cycles.
 func (mon *Monitor) RebindRingDrain(vcpu int, ref bool) error {
 	srv, frame := mon.srvCtx(vcpu), mon.replicas[vcpu][DomSRV]
-	mon.hv.BindContext(frame, hv.ContextFunc(func(r hv.Reason) error {
-		if ref && r == hv.ReasonDoorbell {
+	state, err := mon.m.VMSAAt(frame)
+	if err != nil {
+		return err
+	}
+	saved := *state
+	if err := mon.m.DestroyVMSA(snp.VMPL0, frame); err != nil {
+		return err
+	}
+	ctx := snp.ContextFunc(func(r snp.Reason) error {
+		if ref && r == snp.ReasonDoorbell {
 			return mon.drainRingRef(vcpu)
 		}
 		return srv.Invoke(r)
-	}))
+	})
+	if err := mon.m.CreateVMSA(snp.VMPL0, frame, saved, ctx); err != nil {
+		return err
+	}
 	return mon.hypercall(0, &snp.GHCB{ExitCode: hv.ExitRegisterVMSA, ExitInfo1: frame, ExitInfo2: DomSRV})
 }

@@ -162,7 +162,10 @@ func monitorImage(pub ed25519.PublicKey) []byte {
 	return append(img, pub...)
 }
 
-func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
+// newCVM builds what both boots share: the machine with its flight ring
+// and recorder, the PSP (opts.PSP, or one minted from rng), the hypervisor
+// and the module-signing key pair, whose public half it also returns.
+func newCVM(opts Options, rng io.Reader) (*CVM, ed25519.PublicKey, error) {
 	m := snp.NewMachine(snp.Config{MemBytes: opts.MemBytes, VCPUs: opts.VCPUs})
 	attachFlight(m, opts)
 	if opts.Recorder != nil {
@@ -173,45 +176,34 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 	if psp == nil {
 		var err error
 		if psp, err = attest.NewPSP(rng); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	hyp := hv.New(m, psp)
+	priv, pub, err := moduleKey(rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &CVM{M: m, HV: hv.New(m, psp), PSP: psp, ModulePriv: priv, ocallByVCPU: make([]func(int) error, m.VCPUs())}, pub, nil
+}
 
+func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
+	c, pub, err := newCVM(opts, rng)
+	if err != nil {
+		return nil, err
+	}
+	m, hyp := c.M, c.HV
 	lay, err := core.DefaultLayout(opts.MemBytes, opts.VCPUs, opts.LogPages)
 	if err != nil {
 		return nil, err
 	}
-	priv, pub, err := moduleKey(rng)
-	if err != nil {
-		return nil, err
-	}
-
-	c := &CVM{M: m, HV: hyp, PSP: psp, Lay: lay, ModulePriv: priv, ocallByVCPU: make([]func(int) error, m.VCPUs())}
+	c.Lay = lay
 	c.TextLo = lay.KernelMemLo()
 	c.TextHi = c.TextLo + KernelTextPages*snp.PageSize
 
-	var k *kernel.Kernel
 	mon, err := core.NewMonitor(m, hyp, core.Config{
-		Layout: lay,
-		Rand:   rng,
-		UNTContext: func(vcpu int) hv.Context {
-			booted := false
-			return hv.ContextFunc(func(r hv.Reason) error {
-				switch r {
-				case hv.ReasonInterrupt:
-					m.Clock().Charge(snp.CostCompute, CyclesInterruptHandler)
-					c.notifyInterrupt(vcpu)
-					return nil
-				default:
-					if !booted {
-						booted = true
-						return k.Boot()
-					}
-					return c.dispatchOcall(vcpu)
-				}
-			})
-		},
+		Layout:     lay,
+		Rand:       rng,
+		UNTContext: c.untContext,
 	})
 	if err != nil {
 		return nil, err
@@ -229,7 +221,7 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 	}
 	stub := c.Stubs[0]
 	c.Stub = stub
-	k, err = kernel.New(m, hyp, kernel.Config{
+	k, err := kernel.New(m, hyp, kernel.Config{
 		VMPL:         snp.VMPL3,
 		MemLo:        c.TextHi, // text pages are not general-purpose frames
 		MemHi:        lay.KernelHi,
@@ -237,22 +229,6 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 		VCPUs:        opts.VCPUs,
 		PreValidated: true,
 		Hooks:        stub,
-		// Dom-UNT entries on APs take their interrupts and dispatch to
-		// the VCPU's OCALL server, as on the boot VCPU.
-		APService: func(vcpu int, dflt hv.Context) hv.Context {
-			return hv.ContextFunc(func(r hv.Reason) error {
-				switch r {
-				case hv.ReasonBoot:
-					return dflt.Invoke(r)
-				case hv.ReasonInterrupt:
-					m.Clock().Charge(snp.CostCompute, CyclesInterruptHandler)
-					c.notifyInterrupt(vcpu)
-					return nil
-				default:
-					return c.dispatchOcall(vcpu)
-				}
-			})
-		},
 	})
 	if err != nil {
 		return nil, err
@@ -266,7 +242,7 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 	if opts.Fleet != nil {
 		c.CHN = chn.New(mon, chn.Config{
 			MachineID: opts.Fleet.ID,
-			PSPPub:    psp.PublicKey(),
+			PSPPub:    c.PSP.PublicKey(),
 			Rand:      rng,
 		})
 	}
@@ -326,42 +302,17 @@ func attachFlight(m *snp.Machine, opts Options) {
 }
 
 func bootNative(opts Options, rng io.Reader) (*CVM, error) {
-	m := snp.NewMachine(snp.Config{MemBytes: opts.MemBytes, VCPUs: opts.VCPUs})
-	attachFlight(m, opts)
-	if opts.Recorder != nil {
-		m.SetRecorder(opts.Recorder)
-		opts.Recorder.SetServiceNames(core.ServiceNames())
-	}
-	psp, err := attest.NewPSP(rng)
+	c, pub, err := newCVM(opts, rng)
 	if err != nil {
 		return nil, err
 	}
-	hyp := hv.New(m, psp)
-	priv, pub, err := moduleKey(rng)
-	if err != nil {
-		return nil, err
-	}
-	c := &CVM{M: m, HV: hyp, PSP: psp, ModulePriv: priv, ocallByVCPU: make([]func(int) error, m.VCPUs())}
 
 	const bootVMSA = 0
 	ghcbBase := uint64(1 * snp.PageSize)
 	imagePhys := ghcbBase + uint64(opts.VCPUs)*snp.PageSize
 	memLo := imagePhys + 4*snp.PageSize
 
-	var k *kernel.Kernel
-	bootCtx := hv.ContextFunc(func(r hv.Reason) error {
-		switch r {
-		case hv.ReasonBoot:
-			return k.Boot()
-		case hv.ReasonInterrupt:
-			m.Clock().Charge(snp.CostCompute, CyclesInterruptHandler)
-			c.notifyInterrupt(0)
-			return nil
-		default:
-			return c.dispatchOcall(0)
-		}
-	})
-	k, err = kernel.New(m, hyp, kernel.Config{
+	k, err := kernel.New(c.M, c.HV, kernel.Config{
 		VMPL:     snp.VMPL0,
 		MemLo:    memLo,
 		MemHi:    opts.MemBytes,
@@ -376,10 +327,10 @@ func bootNative(opts Options, rng io.Reader) (*CVM, error) {
 
 	c.bootRegions = []attest.Region{{Phys: imagePhys, Data: monitorImage(pub)}}
 	boot := snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0, CPL: snp.CPL0}
-	if err := hyp.Launch(c.bootRegions, bootVMSA, boot, core.DomUNT, bootCtx); err != nil {
+	if err := c.HV.Launch(c.bootRegions, bootVMSA, boot, core.DomUNT, c.untContext(0)); err != nil {
 		return nil, fmt.Errorf("cvm: native launch: %w", err)
 	}
-	m.SnapshotRMPBaseline()
+	c.M.SnapshotRMPBaseline()
 	if opts.AuditRules != nil {
 		k.Audit().SetRules(opts.AuditRules)
 	}
@@ -389,6 +340,28 @@ func bootNative(opts Options, rng io.Reader) (*CVM, error) {
 // ExpectedMeasurement computes the launch digest a verifier would expect.
 func (c *CVM) ExpectedMeasurement() [32]byte {
 	return attest.MeasureRegions(c.bootRegions)
+}
+
+// untContext is one VCPU's Dom-UNT guest context, Veil and native alike:
+// the kernel boots on VCPU 0's first entry that is not an interrupt,
+// interrupts run the OS handler, an AP's boot entry does nothing, and any
+// other entry goes to the VCPU's OCALL server.
+func (c *CVM) untContext(vcpu int) snp.Context {
+	booted := vcpu != 0
+	return snp.ContextFunc(func(r snp.Reason) error {
+		switch {
+		case r == snp.ReasonInterrupt:
+			c.M.Clock().Charge(snp.CostCompute, CyclesInterruptHandler)
+			c.notifyInterrupt(vcpu)
+			return nil
+		case !booted:
+			booted = true
+			return c.K.Boot()
+		case r == snp.ReasonBoot:
+			return nil
+		}
+		return c.dispatchOcall(vcpu)
+	})
 }
 
 // dispatchOcall routes a Dom-UNT service entry to the right application.

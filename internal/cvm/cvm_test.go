@@ -342,7 +342,7 @@ func TestAttackOSCreatesPrivilegedVCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.M.CreateVMSA(snp.VMPL3, f, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0})
+	err = c.M.CreateVMSA(snp.VMPL3, f, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0}, snp.ContextFunc(func(snp.Reason) error { return nil }))
 	if !snp.IsGP(err) {
 		t.Fatalf("OS VMSA creation = %v, want #GP", err)
 	}

@@ -60,9 +60,9 @@ func (h *Hypervisor) VMGEXIT(vcpuID int) error {
 	var err error
 	switch g.ExitCode {
 	case ExitDomainSwitch:
-		err = h.serveDomainSwitch(c, ghcbPhys, g, ReasonService)
+		err = h.serveDomainSwitch(c, ghcbPhys, g, snp.ReasonService)
 	case ExitRingDoorbell:
-		err = h.serveDomainSwitch(c, ghcbPhys, g, ReasonDoorbell)
+		err = h.serveDomainSwitch(c, ghcbPhys, g, snp.ReasonDoorbell)
 	case ExitRegisterVMSA:
 		err = h.serveRegisterVMSA(g)
 		h.chargeEnter()
@@ -92,7 +92,7 @@ func (h *Hypervisor) VMGEXIT(vcpuID int) error {
 // the caller. Each direction costs one full save/restore pair — the 7135
 // cycles measured in §9.1. reason tells the target what to do with the
 // entry (serve one IDCB request, or drain its doorbell ring).
-func (h *Hypervisor) serveDomainSwitch(c *vcpu, ghcbPhys uint64, g *snp.GHCB, reason Reason) error {
+func (h *Hypervisor) serveDomainSwitch(c *vcpu, ghcbPhys uint64, g *snp.GHCB, reason snp.Reason) error {
 	tag := DomainTag(g.ExitInfo1)
 	if pol, exists := h.ghcbPolicy[ghcbPhys]; exists && !slices.Contains(pol, tag) {
 		// Refusing leaves the guest stuck; the caller observes a crash
@@ -116,7 +116,7 @@ func (h *Hypervisor) serveDomainSwitch(c *vcpu, ghcbPhys uint64, g *snp.GHCB, re
 	c.currentVMSA = b.vmsaPhys
 	h.chargeEnter()
 	h.m.ObserveDomainSwitch(fromVMPL, toVMPL, outStart)
-	err := b.ctx.Invoke(reason)
+	err := h.m.VMRUN(c.id, b.vmsaPhys, reason)
 
 	// Target exits; caller resumes (even on error, so halts propagate
 	// with correct accounting).
@@ -128,51 +128,36 @@ func (h *Hypervisor) serveDomainSwitch(c *vcpu, ghcbPhys uint64, g *snp.GHCB, re
 	return err
 }
 
-// serveRegisterVMSA records a freshly created domain VMSA so later switch
-// requests can find it. The hypervisor learns the owning VCPU from the VMSA
-// it was handed; it keeps no security state here — whether the VMSA exists
-// at all was decided by the RMPADJUST privilege rules inside the guest.
+// serveRegisterVMSA records a freshly created domain VMSA under a tag so
+// later switch requests can name it, on the VCPU the VMSA names. It keeps
+// no security state: the RMPADJUST privilege rules decided whether the
+// VMSA exists, and VMRUN decides what it runs.
 func (h *Hypervisor) serveRegisterVMSA(g *snp.GHCB) error {
 	vmsaPhys, tag := g.ExitInfo1, DomainTag(g.ExitInfo2)
 	v, err := h.m.VMSAAt(vmsaPhys)
 	if err != nil {
 		return fmt.Errorf("hv: register VMSA: %w", err)
 	}
-	ctx, ok := h.byVMSA[vmsaPhys]
-	if !ok {
-		return fmt.Errorf("hv: VMSA %#x has no bound context", vmsaPhys)
-	}
-	owner := h.vcpuAt(v.VCPUID)
-	if owner == nil {
-		return fmt.Errorf("hv: register VMSA: VMSA %#x names VCPU %d, the machine has %d", vmsaPhys, v.VCPUID, len(h.vcpus))
-	}
-	owner.bind(binding{tag: tag, vmsaPhys: vmsaPhys, ctx: ctx})
+	h.vcpus[v.VCPUID].bind(binding{tag: tag, vmsaPhys: vmsaPhys})
 	return nil
 }
 
 // serveStartVCPU begins executing a new VCPU instance (AP boot/hotplug,
-// §5.3): the instance must already have a registered VMSA.
+// §5.3) from the VMSA in ExitInfo1.
 func (h *Hypervisor) serveStartVCPU(g *snp.GHCB) error {
 	vmsaPhys := g.ExitInfo1
 	v, err := h.m.VMSAAt(vmsaPhys)
 	if err != nil {
 		return fmt.Errorf("hv: start VCPU: %w", err)
 	}
-	ctx, ok := h.byVMSA[vmsaPhys]
-	if !ok {
-		return fmt.Errorf("hv: start VCPU: VMSA %#x has no bound context", vmsaPhys)
-	}
-	c := h.vcpuAt(v.VCPUID)
-	if c == nil {
-		return fmt.Errorf("hv: start VCPU: VMSA %#x names VCPU %d, the machine has %d", vmsaPhys, v.VCPUID, len(h.vcpus))
-	}
+	c := &h.vcpus[v.VCPUID]
 	if c.started {
 		return fmt.Errorf("hv: VCPU %d already running", v.VCPUID)
 	}
 	c.currentVMSA, c.started = vmsaPhys, true
 	h.m.SetObsVCPU(v.VCPUID)
 	h.chargeEnter()
-	err = ctx.Invoke(ReasonBoot)
+	err = h.m.VMRUN(c.id, vmsaPhys, snp.ReasonBoot)
 	h.chargeExit()
 	return err
 }
@@ -283,27 +268,19 @@ func (h *Hypervisor) InjectInterrupt(vcpuID int) error {
 	h.chargeExit()
 	interrupted := c.currentVMSA
 
-	var target binding
-	switch {
-	case mode == RelayToUntrusted && h.hasIntrTarget:
+	// Hostile (or unconfigured): force handling in the interrupted context.
+	target := interrupted
+	if mode == RelayToUntrusted && h.hasIntrTarget {
 		b, ok := c.binding(h.interruptTarget)
 		if !ok {
 			return fmt.Errorf("hv: no interrupt target domain on VCPU %d", c.id)
 		}
-		target = b
-	default:
-		// Hostile (or unconfigured): force handling in the interrupted
-		// context.
-		ctx, ok := h.byVMSA[interrupted]
-		if !ok {
-			return fmt.Errorf("hv: interrupted VMSA %#x has no context", interrupted)
-		}
-		target = binding{vmsaPhys: interrupted, ctx: ctx}
+		target = b.vmsaPhys
 	}
 
-	c.currentVMSA = target.vmsaPhys
+	c.currentVMSA = target
 	h.chargeEnter()
-	err := target.ctx.Invoke(ReasonInterrupt)
+	err := h.m.VMRUN(c.id, target, snp.ReasonInterrupt)
 	h.chargeExit()
 	c.currentVMSA = interrupted
 	h.chargeEnter()
@@ -320,6 +297,18 @@ func (h *Hypervisor) otherStartedVCPU(id int) int {
 		}
 	}
 	return id
+}
+
+// AttemptRebind is a hostile host pointing one of a VCPU's domain tags at
+// any page: the tag table is its own. VMRUN refuses the next switch to tag
+// unless the page is a VMSA of that VCPU.
+func (h *Hypervisor) AttemptRebind(vcpuID int, tag DomainTag, vmsaPhys uint64) error {
+	c := h.vcpuAt(vcpuID)
+	if c == nil {
+		return fmt.Errorf("hv: rebind on unknown VCPU %d", vcpuID)
+	}
+	c.bind(binding{tag: tag, vmsaPhys: vmsaPhys})
+	return nil
 }
 
 // AttemptVMSATamper is the Table 2 hypervisor attack: try to overwrite a

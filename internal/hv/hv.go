@@ -5,6 +5,9 @@
 // domain switches (§5.2, Fig. 3), and relaying automatic interrupt exits
 // from enclave domains to the untrusted domain (§6.2).
 //
+// The host holds no guest code: each VCPU keeps a tag → VMSA page table,
+// and snp.Machine.VMRUN decides what a page runs.
+//
 // The hypervisor is *outside* the CVM trust boundary. Its view of guest
 // memory goes through the machine's HV accessors, which enforce SEV-SNP's
 // confidentiality and integrity guarantees; tests drive the hostile modes
@@ -21,52 +24,6 @@ import (
 // to the hypervisor; the Veil framework defines their meaning (the core
 // package uses one tag per privilege domain).
 type DomainTag uint64
-
-// Reason tells a guest context why it was entered.
-type Reason int
-
-const (
-	// ReasonBoot is the first entry of a fresh VCPU instance.
-	ReasonBoot Reason = iota
-	// ReasonService is a hypervisor-relayed domain switch (the target
-	// should consult its IDCB for the request).
-	ReasonService
-	// ReasonInterrupt is an interrupt delivery (only the domain that the
-	// hypervisor chooses to resume sees it; under Veil's instructions that
-	// is Dom-UNT).
-	ReasonInterrupt
-	// ReasonDoorbell is a batched-ring doorbell: the target should drain
-	// its submission ring rather than consult the IDCB.
-	ReasonDoorbell
-)
-
-func (r Reason) String() string {
-	switch r {
-	case ReasonBoot:
-		return "boot"
-	case ReasonService:
-		return "service"
-	case ReasonInterrupt:
-		return "interrupt"
-	case ReasonDoorbell:
-		return "doorbell"
-	}
-	return "reason(?)"
-}
-
-// Context is the guest software bound to one VMSA. Invoke is called after
-// VMENTER; when it returns, the hypervisor performs the switch back to the
-// exiting instance. This call/return structure models the paper's
-// exit/enter pairs while keeping the simulation synchronous.
-type Context interface {
-	Invoke(reason Reason) error
-}
-
-// ContextFunc adapts a function to the Context interface.
-type ContextFunc func(reason Reason) error
-
-// Invoke calls f.
-func (f ContextFunc) Invoke(reason Reason) error { return f(reason) }
 
 // GHCB exit codes understood by this hypervisor (the SW_EXITCODE space).
 const (
@@ -157,9 +114,9 @@ var ErrNoGHCB = errors.New("hv: VMGEXIT without readable GHCB")
 var ErrPolicy = errors.New("hv: domain switch violates GHCB policy")
 
 // vcpu is the host's bookkeeping for one VCPU (struct vcpu_svm on a real
-// host). bindings are its switch targets in registration order: a VCPU has
-// a handful (one per privilege domain, plus one per enclave thread placed
-// on it), so a scan finds a tag faster than hashing it.
+// host). bindings name its switch targets' VMSA pages in registration order:
+// a VCPU has a handful (one per privilege domain, plus one per enclave
+// thread placed on it), so a scan finds a tag faster than hashing it.
 type vcpu struct {
 	id          int
 	currentVMSA uint64
@@ -170,7 +127,6 @@ type vcpu struct {
 type binding struct {
 	tag      DomainTag
 	vmsaPhys uint64
-	ctx      Context
 }
 
 // binding returns the VCPU's switch target for tag.
@@ -204,8 +160,7 @@ type Hypervisor struct {
 
 	// vcpus is indexed by VCPU id, one entry per machine VCPU, started or
 	// not; an id outside it names no VCPU and every entry point refuses it.
-	vcpus  []vcpu
-	byVMSA map[uint64]Context
+	vcpus []vcpu
 
 	// ghcbPolicy restricts, per GHCB page, which tags may be switched to
 	// through it. No entry = unrestricted (kernel GHCBs).
@@ -260,7 +215,6 @@ func New(m *snp.Machine, psp AttestationSigner) *Hypervisor {
 		m:          m,
 		psp:        psp,
 		vcpus:      make([]vcpu, m.VCPUs()),
-		byVMSA:     make(map[uint64]Context),
 		ghcbPolicy: make(map[uint64][]DomainTag),
 	}
 	for i := range h.vcpus {

@@ -18,10 +18,9 @@ func TestStartVCPUDoubleStartRejected(t *testing.T) {
 	if err := h.m.PValidate(snp.VMPL0, phys, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 1, VMPL: snp.VMPL3}); err != nil {
+	if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 1, VMPL: snp.VMPL3}, snp.ContextFunc(func(snp.Reason) error { return nil })); err != nil {
 		t.Fatal(err)
 	}
-	h.hv.BindContext(phys, ContextFunc(func(Reason) error { return nil }))
 	g := &snp.GHCB{ExitCode: ExitStartVCPU, ExitInfo1: phys}
 	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
 		t.Fatal(err)
@@ -67,7 +66,7 @@ func TestGuestRequestBadLength(t *testing.T) {
 func TestGuestRequestWithoutPSP(t *testing.T) {
 	m := snp.NewMachine(snp.Config{MemBytes: 8 * snp.PageSize, VCPUs: 1})
 	hyp := New(m, nil) // no PSP
-	boot := ContextFunc(func(r Reason) error {
+	boot := snp.ContextFunc(func(r snp.Reason) error {
 		return m.WriteGHCBMSR(0, snp.CPL0, 1*snp.PageSize)
 	})
 	if err := hyp.Launch(nil, 0, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0}, 1, boot); err != nil {
@@ -96,13 +95,45 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesAnotherVCPUsVMSA: Resume applies VMRUN's check, so a
+// host cannot rest VCPU 1 on VCPU 0's OS replica. Had it done so, a guest
+// request from VCPU 1 would be signed with that page's VMPL.
+func TestResumeRefusesAnotherVCPUsVMSA(t *testing.T) {
+	h := newHarness(t)
+	phys := uint64(pgDonate) * snp.PageSize
+	gs := &snp.GHCB{ExitCode: ExitPageState, ExitInfo1: phys, ExitInfo2: 1<<1 | 1}
+	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, gs); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.m.PValidate(snp.VMPL0, phys, true); err != nil {
+		t.Fatal(err)
+	}
+	ap := snp.ContextFunc(func(snp.Reason) error { return nil })
+	if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 1, VMPL: snp.VMPL3}, ap); err != nil {
+		t.Fatal(err)
+	}
+	g := &snp.GHCB{ExitCode: ExitStartVCPU, ExitInfo1: phys}
+	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.hv.Resume(1, pgOSVMSA*snp.PageSize); !errors.Is(err, snp.ErrVMRUN) {
+		t.Fatalf("resume of VCPU 1 onto VCPU 0's VMSA: %v, want ErrVMRUN", err)
+	}
+	if cur, _ := h.hv.CurrentVMSA(1); cur != phys {
+		t.Fatalf("VCPU 1 rests on %#x after the refusal, want its own VMSA %#x", cur, phys)
+	}
+	if err := h.hv.Resume(1, phys); err != nil {
+		t.Fatalf("resume onto its own VMSA: %v", err)
+	}
+}
+
 func TestInterruptWithoutTargetHitsCurrent(t *testing.T) {
 	h := newHarness(t)
 	// No relay configuration at all: the interrupted context handles it.
 	if err := h.hv.InjectInterrupt(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.monCalls) != 1 || h.monCalls[0] != ReasonInterrupt {
+	if len(h.monCalls) != 1 || h.monCalls[0] != snp.ReasonInterrupt {
 		t.Fatalf("monitor calls = %v", h.monCalls)
 	}
 }

@@ -40,8 +40,12 @@ type harness struct {
 	hv *Hypervisor
 	// recorded invocations
 	bootRan  bool
-	monCalls []Reason
-	osCalls  []Reason
+	monCalls []snp.Reason
+	osCalls  []snp.Reason
+	// mon and os are what the monitor's (after boot) and the OS replica's
+	// VMSAs run; by default they record the entry. A test that needs
+	// either context to do something else replaces it.
+	mon, os func(snp.Reason) error
 }
 
 // newHarness launches a minimal "Veil-shaped" guest: a VMPL0 boot context
@@ -58,13 +62,14 @@ func newHarness(t *testing.T) *harness {
 	}
 	h.hv = New(h.m, psp)
 
-	monCtx := ContextFunc(func(r Reason) error {
-		if r == ReasonBoot {
+	h.mon = func(r snp.Reason) error { h.monCalls = append(h.monCalls, r); return nil }
+	h.os = func(r snp.Reason) error { h.osCalls = append(h.osCalls, r); return nil }
+	monCtx := snp.ContextFunc(func(r snp.Reason) error {
+		if r == snp.ReasonBoot {
 			h.bootRan = true
 			return h.bootMonitor(t)
 		}
-		h.monCalls = append(h.monCalls, r)
-		return nil
+		return h.mon(r)
 	})
 	image := []attest.Region{{Phys: pgScratch * snp.PageSize, Data: []byte("veilmon image")}}
 	boot := snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0, CPL: snp.CPL0, RIP: 0x100}
@@ -93,15 +98,12 @@ func (h *harness) bootMonitor(t *testing.T) error {
 	if err := m.PValidate(snp.VMPL0, pgOSVMSA*snp.PageSize, true); err != nil {
 		return err
 	}
-	// Create the OS replica at VMPL3 and bind its context.
-	osVMSA := snp.VMSA{VCPUID: 0, VMPL: snp.VMPL3, CPL: snp.CPL0, RIP: 0x200, Runnable: true}
-	if err := m.CreateVMSA(snp.VMPL0, pgOSVMSA*snp.PageSize, osVMSA); err != nil {
+	// Create the OS replica at VMPL3, holding the OS context.
+	osVMSA := snp.VMSA{VCPUID: 0, VMPL: snp.VMPL3, CPL: snp.CPL0, RIP: 0x200}
+	osCtx := snp.ContextFunc(func(r snp.Reason) error { return h.os(r) })
+	if err := m.CreateVMSA(snp.VMPL0, pgOSVMSA*snp.PageSize, osVMSA, osCtx); err != nil {
 		return err
 	}
-	hv.BindContext(pgOSVMSA*snp.PageSize, ContextFunc(func(r Reason) error {
-		h.osCalls = append(h.osCalls, r)
-		return nil
-	}))
 	g = &snp.GHCB{ExitCode: ExitRegisterVMSA, ExitInfo1: pgOSVMSA * snp.PageSize, ExitInfo2: uint64(tagOS)}
 	return hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g)
 }
@@ -127,7 +129,7 @@ func TestLaunchRunsBootAndMeasures(t *testing.T) {
 
 func TestDoubleLaunchRejected(t *testing.T) {
 	h := newHarness(t)
-	err := h.hv.Launch(nil, pgScratch*snp.PageSize, snp.VMSA{}, tagMon, ContextFunc(func(Reason) error { return nil }))
+	err := h.hv.Launch(nil, pgScratch*snp.PageSize, snp.VMSA{}, tagMon, snp.ContextFunc(func(snp.Reason) error { return nil }))
 	if err == nil {
 		t.Fatal("second launch accepted")
 	}
@@ -142,7 +144,7 @@ func TestDomainSwitchRoundTripCostAndTrace(t *testing.T) {
 	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.osCalls) != 1 || h.osCalls[0] != ReasonService {
+	if len(h.osCalls) != 1 || h.osCalls[0] != snp.ReasonService {
 		t.Fatalf("OS context calls: %v", h.osCalls)
 	}
 	d := h.m.Trace().Since(tr)
@@ -160,28 +162,23 @@ func TestDomainSwitchRoundTripCostAndTrace(t *testing.T) {
 
 func TestSwitchDuringSwitchNests(t *testing.T) {
 	h := newHarness(t)
-	// Rebind the OS context so that, when invoked, it switches back into
-	// the monitor (nested service request), like the kernel asking VeilMon
-	// for a PVALIDATE while handling something else.
-	h.hv.BindContext(pgOSVMSA*snp.PageSize, ContextFunc(func(r Reason) error {
+	// The OS context, when invoked, switches back into the monitor (nested
+	// service request), like the kernel asking VeilMon for a PVALIDATE
+	// while handling something else.
+	h.os = func(r snp.Reason) error {
 		h.osCalls = append(h.osCalls, r)
 		if err := h.m.WriteGHCBMSR(0, snp.CPL0, pgOSGHCB*snp.PageSize); err != nil {
 			return err
 		}
 		g := &snp.GHCB{ExitCode: ExitDomainSwitch, ExitInfo1: uint64(tagMon)}
 		return h.hv.GuestCall(0, snp.VMPL3, snp.CPL0, pgOSGHCB*snp.PageSize, g)
-	}))
-	// Re-register binding to pick up the new context.
-	g := &snp.GHCB{ExitCode: ExitRegisterVMSA, ExitInfo1: pgOSVMSA * snp.PageSize, ExitInfo2: uint64(tagOS)}
-	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
-		t.Fatal(err)
 	}
 
-	g = &snp.GHCB{ExitCode: ExitDomainSwitch, ExitInfo1: uint64(tagOS)}
+	g := &snp.GHCB{ExitCode: ExitDomainSwitch, ExitInfo1: uint64(tagOS)}
 	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.monCalls) != 1 || h.monCalls[0] != ReasonService {
+	if len(h.monCalls) != 1 || h.monCalls[0] != snp.ReasonService {
 		t.Fatalf("nested monitor calls: %v", h.monCalls)
 	}
 	cur, _ := h.hv.CurrentVMSA(0)
@@ -224,9 +221,11 @@ func TestUnknownDomainTag(t *testing.T) {
 	}
 }
 
+// TestRegisterVMSARequiresBoundContext: the host can only name a page that
+// holds a VMSA, and a VMSA cannot exist without the guest code it runs, so
+// every registered page runs something the guest put there.
 func TestRegisterVMSARequiresBoundContext(t *testing.T) {
 	h := newHarness(t)
-	// Create a second VMSA but don't bind a context.
 	phys := uint64(pgDonate) * snp.PageSize
 	gs := &snp.GHCB{ExitCode: ExitPageState, ExitInfo1: phys, ExitInfo2: 1<<1 | 1}
 	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, gs); err != nil {
@@ -235,12 +234,12 @@ func TestRegisterVMSARequiresBoundContext(t *testing.T) {
 	if err := h.m.PValidate(snp.VMPL0, phys, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL2}); err != nil {
-		t.Fatal(err)
+	if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL2}, nil); err == nil {
+		t.Fatal("a VMSA with no guest context was created")
 	}
 	g := &snp.GHCB{ExitCode: ExitRegisterVMSA, ExitInfo1: phys, ExitInfo2: 55}
 	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err == nil {
-		t.Fatal("register of unbound VMSA accepted")
+		t.Fatal("register of a page with no VMSA accepted")
 	}
 }
 
@@ -254,14 +253,14 @@ func TestStartVCPURunsBootReason(t *testing.T) {
 	if err := h.m.PValidate(snp.VMPL0, phys, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 1, VMPL: snp.VMPL3, Runnable: true}); err != nil {
+	var apBooted bool
+	ap := snp.ContextFunc(func(r snp.Reason) error {
+		apBooted = r == snp.ReasonBoot
+		return nil
+	})
+	if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 1, VMPL: snp.VMPL3}, ap); err != nil {
 		t.Fatal(err)
 	}
-	var apBooted bool
-	h.hv.BindContext(phys, ContextFunc(func(r Reason) error {
-		apBooted = r == ReasonBoot
-		return nil
-	}))
 	g := &snp.GHCB{ExitCode: ExitStartVCPU, ExitInfo1: phys}
 	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
 		t.Fatal(err)
@@ -317,7 +316,7 @@ func TestInterruptRelayToUntrusted(t *testing.T) {
 	if err := h.hv.InjectInterrupt(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.osCalls) != 1 || h.osCalls[0] != ReasonInterrupt {
+	if len(h.osCalls) != 1 || h.osCalls[0] != snp.ReasonInterrupt {
 		t.Fatalf("OS calls after interrupt: %v", h.osCalls)
 	}
 	// The interrupted (monitor) instance is current again afterwards.
@@ -334,7 +333,7 @@ func TestInterruptRefuseRelayHitsCurrentDomain(t *testing.T) {
 	if err := h.hv.InjectInterrupt(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.monCalls) != 1 || h.monCalls[0] != ReasonInterrupt {
+	if len(h.monCalls) != 1 || h.monCalls[0] != snp.ReasonInterrupt {
 		t.Fatalf("monitor calls: %v", h.monCalls)
 	}
 	if len(h.osCalls) != 0 {
@@ -378,21 +377,11 @@ func TestVMGEXITAfterHaltReturnsErrHalted(t *testing.T) {
 	}
 }
 
-func TestReasonStrings(t *testing.T) {
-	if ReasonBoot.String() != "boot" || ReasonService.String() != "service" || ReasonInterrupt.String() != "interrupt" {
-		t.Fatal("reason strings")
-	}
-}
-
 func TestVMGEXITZeroAlloc(t *testing.T) {
 	h := newHarness(t)
-	// Rebind the OS to a no-op context so the round trip itself is all
-	// that runs.
-	h.hv.BindContext(pgOSVMSA*snp.PageSize, ContextFunc(func(Reason) error { return nil }))
-	g := &snp.GHCB{ExitCode: ExitRegisterVMSA, ExitInfo1: pgOSVMSA * snp.PageSize, ExitInfo2: uint64(tagOS)}
-	if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, pgMonGHCB*snp.PageSize, g); err != nil {
-		t.Fatal(err)
-	}
+	// The OS does nothing when entered, so the round trip itself (exit,
+	// VMRUN's check, entry and back) is all that runs.
+	h.os = func(snp.Reason) error { return nil }
 	var sw snp.GHCB
 	var err error
 	allocs := testing.AllocsPerRun(100, func() {
@@ -491,8 +480,8 @@ func allZero(b []byte) bool {
 
 // switchLabels runs one domain switch from VMPL0 to tag through the GHCB
 // at ghcb and returns the from/to VMPL labels of its two switch spans, out and
-// back, and the policy refusals it emitted.
-func (h *harness) switchLabels(t *testing.T, ghcb uint64, tag DomainTag) (spans [][2]uint64, denied []uint64, err error) {
+// back, and the refusals it emitted, each as its DeniedReason and context.
+func (h *harness) switchLabels(t *testing.T, ghcb uint64, tag DomainTag) (spans, denied [][2]uint64, err error) {
 	t.Helper()
 	rec := obs.NewRecorder(64)
 	h.m.SetRecorder(rec)
@@ -506,8 +495,8 @@ func (h *harness) switchLabels(t *testing.T, ghcb uint64, tag DomainTag) (spans 
 		switch {
 		case e.Class == obs.ClassDomainSwitch:
 			spans = append(spans, [2]uint64{e.Arg1, e.Arg2})
-		case e.Class == obs.ClassDenied && e.Arg1 == uint64(snp.DeniedPolicy):
-			denied = append(denied, e.Arg2)
+		case e.Class == obs.ClassDenied:
+			denied = append(denied, [2]uint64{e.Arg1, e.Arg2})
 		}
 	}
 	return spans, denied, err
@@ -515,22 +504,25 @@ func (h *harness) switchLabels(t *testing.T, ghcb uint64, tag DomainTag) (spans 
 
 // TestSwitchLabelsAndGHCBPolicy pins what a domain switch reads on its
 // way: the from/to VMPL labels of its spans, taken from the VMSA pages'
-// RMP entries, for the boot VMSA, an OS replica, an enclave VMSA and a
-// destroyed one (VMPL0, as a page with no VMSA always read), each the
-// label the save area's own VMSA.VMPL gives; and the GHCB policy, which
-// refuses a tag outside it with ErrPolicy and one DeniedPolicy event
-// naming the tag, and leaves a GHCB with no policy unrestricted.
+// RMP entries, for the boot VMSA, an OS replica and an enclave VMSA, each
+// the label the save area's own VMSA.VMPL gives; that a switch to a
+// destroyed VMSA's tag is refused by VMRUN with one DeniedVMRUN event
+// naming the page, its spans labelled VMPL0 (a page with no VMSA), and runs
+// nothing; and the GHCB policy, which refuses a tag outside it with
+// ErrPolicy and one DeniedPolicy event naming the tag, and leaves a GHCB
+// with no policy unrestricted.
 func TestSwitchLabelsAndGHCBPolicy(t *testing.T) {
 	const tagEnc, tagGone = DomainTag(102), DomainTag(104)
 	h := newHarness(t)
 	mon, osg := uint64(pgMonGHCB*snp.PageSize), uint64(pgOSGHCB*snp.PageSize)
 	// An enclave VMSA at VMPL2, and one that is destroyed after it is
 	// registered.
-	encCalls := 0
+	encCalls, goneCalls := 0, 0
 	for _, v := range []struct {
-		pg  uint64
-		tag DomainTag
-	}{{pgDonate, tagEnc}, {pgDonate + 1, tagGone}} {
+		pg    uint64
+		tag   DomainTag
+		calls *int
+	}{{pgDonate, tagEnc, &encCalls}, {pgDonate + 1, tagGone, &goneCalls}} {
 		phys := v.pg * snp.PageSize
 		gs := &snp.GHCB{ExitCode: ExitPageState, ExitInfo1: phys, ExitInfo2: 1<<1 | 1}
 		if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, mon, gs); err != nil || gs.SwScratch != 0 {
@@ -539,10 +531,11 @@ func TestSwitchLabelsAndGHCBPolicy(t *testing.T) {
 		if err := h.m.PValidate(snp.VMPL0, phys, true); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL2, CPL: snp.CPL3, Runnable: true}); err != nil {
+		calls := v.calls
+		ctx := snp.ContextFunc(func(snp.Reason) error { *calls++; return nil })
+		if err := h.m.CreateVMSA(snp.VMPL0, phys, snp.VMSA{VCPUID: 0, VMPL: snp.VMPL2, CPL: snp.CPL3}, ctx); err != nil {
 			t.Fatal(err)
 		}
-		h.hv.BindContext(phys, ContextFunc(func(Reason) error { encCalls++; return nil }))
 		g := &snp.GHCB{ExitCode: ExitRegisterVMSA, ExitInfo1: phys, ExitInfo2: uint64(v.tag)}
 		if err := h.hv.GuestCall(0, snp.VMPL0, snp.CPL0, mon, g); err != nil {
 			t.Fatal(err)
@@ -566,14 +559,20 @@ func TestSwitchLabelsAndGHCBPolicy(t *testing.T) {
 		tag      DomainTag
 		target   uint64
 		from, to snp.VMPL
+		refused  bool
 	}{
-		{"boot VMSA to itself", tagMon, boot, snp.VMPL0, snp.VMPL0},
-		{"boot to the OS replica", tagOS, pgOSVMSA * snp.PageSize, snp.VMPL0, snp.VMPL3},
-		{"boot to an enclave", tagEnc, pgDonate * snp.PageSize, snp.VMPL0, snp.VMPL2},
-		{"boot to a destroyed VMSA", tagGone, gone, snp.VMPL0, snp.VMPL0},
+		{"boot VMSA to itself", tagMon, boot, snp.VMPL0, snp.VMPL0, false},
+		{"boot to the OS replica", tagOS, pgOSVMSA * snp.PageSize, snp.VMPL0, snp.VMPL3, false},
+		{"boot to an enclave", tagEnc, pgDonate * snp.PageSize, snp.VMPL0, snp.VMPL2, false},
+		{"boot to a destroyed VMSA", tagGone, gone, snp.VMPL0, snp.VMPL0, true},
 	} {
 		spans, denied, err := h.switchLabels(t, mon, c.tag)
-		if err != nil || len(denied) != 0 {
+		if c.refused {
+			want := [][2]uint64{{uint64(snp.DeniedVMRUN), c.target}}
+			if !errors.Is(err, snp.ErrVMRUN) || !slices.Equal(denied, want) {
+				t.Fatalf("%s: %v, refusals %v; want ErrVMRUN, %v", c.name, err, denied, want)
+			}
+		} else if err != nil || len(denied) != 0 {
 			t.Fatalf("%s: %v, %d refusals", c.name, err, len(denied))
 		}
 		want := [][2]uint64{{uint64(c.from), uint64(c.to)}, {uint64(c.to), uint64(c.from)}}
@@ -584,8 +583,8 @@ func TestSwitchLabelsAndGHCBPolicy(t *testing.T) {
 			t.Fatalf("%s: span labels %v, the save areas say %v", c.name, spans[0], old)
 		}
 	}
-	if encCalls != 2 {
-		t.Fatalf("the enclave contexts ran %d times, want 2", encCalls)
+	if encCalls != 1 || goneCalls != 0 {
+		t.Fatalf("the live enclave ran %d times and the destroyed one %d, want 1 and 0", encCalls, goneCalls)
 	}
 
 	// A GHCB with no policy is unrestricted, one with a policy reaches
@@ -596,8 +595,9 @@ func TestSwitchLabelsAndGHCBPolicy(t *testing.T) {
 	}
 	h.hv.SetGHCBPolicy(mon, tagOS)
 	spans, denied, err := h.switchLabels(t, mon, tagEnc)
-	if !errors.Is(err, ErrPolicy) || len(spans) != 0 || !slices.Equal(denied, []uint64{uint64(tagEnc)}) {
-		t.Fatalf("switch outside the policy: %v, %d spans, refusals %v; want ErrPolicy, none, [%d]", err, len(spans), denied, tagEnc)
+	wantDenied := [][2]uint64{{uint64(snp.DeniedPolicy), uint64(tagEnc)}}
+	if !errors.Is(err, ErrPolicy) || len(spans) != 0 || !slices.Equal(denied, wantDenied) {
+		t.Fatalf("switch outside the policy: %v, %d spans, refusals %v; want ErrPolicy, none, %v", err, len(spans), denied, wantDenied)
 	}
 	if _, denied, err := h.switchLabels(t, mon, tagOS); err != nil || len(denied) != 0 {
 		t.Fatalf("switch inside the policy: %v, %d refusals", err, len(denied))
@@ -610,7 +610,7 @@ func TestSwitchLabelsAndGHCBPolicy(t *testing.T) {
 	if _, _, err := h.switchLabels(t, mon, tagEnc); err != nil {
 		t.Fatalf("switch to the new policy's tag: %v", err)
 	}
-	if encCalls != 4 {
-		t.Fatalf("the enclave contexts ran %d times, want 4", encCalls)
+	if encCalls != 3 || goneCalls != 0 {
+		t.Fatalf("the live enclave ran %d times and the destroyed one %d, want 3 and 0", encCalls, goneCalls)
 	}
 }

@@ -18,15 +18,15 @@ import (
 func TestRefuseRelayForcesInterruptedDomainAndHalts(t *testing.T) {
 	h := newHarness(t)
 	const osHandlerVirt = 0x0000_7FFF_FF00_0000
-	h.hv.BindContext(pgBootVMSA*snp.PageSize, ContextFunc(func(r Reason) error {
-		if r != ReasonInterrupt {
+	h.mon = func(r snp.Reason) error {
+		if r != snp.ReasonInterrupt {
 			return nil
 		}
 		f := &snp.Fault{Kind: snp.FaultNPF, VMPL: snp.VMPL0, CPL: snp.CPL0,
 			Access: snp.AccessExec, Virt: osHandlerVirt,
 			Why: "interrupt vector unreachable from interrupted domain (refused relay)"}
 		return h.m.Halt(f)
-	}))
+	}
 	h.hv.SetInterruptRelay(RefuseRelay, tagOS)
 
 	err := h.hv.InjectInterrupt(0)
@@ -75,7 +75,7 @@ func TestMisrouteVCPUWithNoPeerHitsInterruptedDomain(t *testing.T) {
 	if err := h.hv.InjectInterrupt(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.monCalls) != 1 || h.monCalls[0] != ReasonInterrupt {
+	if len(h.monCalls) != 1 || h.monCalls[0] != snp.ReasonInterrupt {
 		t.Fatalf("monitor calls: %v", h.monCalls)
 	}
 	if len(h.osCalls) != 0 {

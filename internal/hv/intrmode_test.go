@@ -1,6 +1,10 @@
 package hv
 
-import "testing"
+import (
+	"testing"
+
+	"veil/internal/snp"
+)
 
 func TestInterruptModeString(t *testing.T) {
 	cases := map[InterruptMode]string{
@@ -42,7 +46,7 @@ func TestInterruptModeChooserPerDelivery(t *testing.T) {
 	if err := h.hv.InjectInterrupt(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.osCalls) != 1 || h.osCalls[0] != ReasonInterrupt {
+	if len(h.osCalls) != 1 || h.osCalls[0] != snp.ReasonInterrupt {
 		t.Fatalf("honest delivery after a dropped one: OS calls %v", h.osCalls)
 	}
 	if deliveries != 2 {

@@ -10,12 +10,12 @@ import (
 
 // Launch boots the CVM: it loads the boot-image regions and records their
 // attest.MeasureRegions digest, the one later attested to remote users
-// (§5.1); creates the boot VCPU's VMSA — which the architecture pins at
-// VMPL0, so under Veil the entry context is VeilMon, not the kernel — and
-// synchronously runs the boot context.
+// (§5.1); creates the boot VCPU's VMSA holding ctx — which the architecture
+// pins at VMPL0, so under Veil the entry context is VeilMon, not the
+// kernel — and synchronously runs it.
 //
-// bootTag registers the boot context for subsequent domain switches.
-func (h *Hypervisor) Launch(regions []attest.Region, bootVMSAPhys uint64, boot snp.VMSA, bootTag DomainTag, ctx Context) error {
+// bootTag names the boot VMSA for subsequent domain switches.
+func (h *Hypervisor) Launch(regions []attest.Region, bootVMSAPhys uint64, boot snp.VMSA, bootTag DomainTag, ctx snp.Context) error {
 	if h.launched {
 		return fmt.Errorf("hv: CVM already launched")
 	}
@@ -26,32 +26,19 @@ func (h *Hypervisor) Launch(regions []attest.Region, bootVMSAPhys uint64, boot s
 	}
 	h.measurement = attest.MeasureRegions(regions)
 
-	c := h.vcpuAt(boot.VCPUID)
-	if c == nil {
-		return fmt.Errorf("hv: boot VMSA names VCPU %d, the machine has %d", boot.VCPUID, len(h.vcpus))
-	}
 	boot.VMPL = snp.VMPL0
-	if err := h.m.HVCreateBootVMSA(bootVMSAPhys, boot); err != nil {
+	if err := h.m.HVCreateBootVMSA(bootVMSAPhys, boot, ctx); err != nil {
 		return fmt.Errorf("hv: boot VMSA: %w", err)
 	}
 	h.launched = true
+	c := &h.vcpus[boot.VCPUID]
 	c.currentVMSA, c.started = bootVMSAPhys, true
-	h.BindContext(bootVMSAPhys, ctx)
-	c.bind(binding{tag: bootTag, vmsaPhys: bootVMSAPhys, ctx: ctx})
+	c.bind(binding{tag: bootTag, vmsaPhys: bootVMSAPhys})
 
 	h.m.SetObsVCPU(boot.VCPUID)
 	h.m.Clock().Charge(snp.CostVMENTER, snp.CyclesVMENTERRestore)
 	h.m.ObserveVMENTER()
-	return ctx.Invoke(ReasonBoot)
-}
-
-// BindContext associates guest software (a Go handler standing in for the
-// code at the VMSA's saved rip) with a VMSA page. This is simulation
-// wiring, not a protocol step: the binding is established by whoever wrote
-// the VMSA — under Veil, only VeilMon can do that (snp.CreateVMSA enforces
-// VMPL0).
-func (h *Hypervisor) BindContext(vmsaPhys uint64, ctx Context) {
-	h.byVMSA[vmsaPhys] = ctx
+	return h.m.VMRUN(boot.VCPUID, bootVMSAPhys, snp.ReasonBoot)
 }
 
 // SetGHCBPolicy restricts the set of domain tags reachable through the GHCB
@@ -85,13 +72,13 @@ func (h *Hypervisor) CurrentVMSA(vcpuID int) (uint64, bool) {
 // Resume marks vmsaPhys as the VCPU's steady-state instance. The simulation
 // uses it after boot completes: nested boot calls have unwound, but the
 // system's resting context is the OS domain, and attestation requests must
-// reflect the VMPL of whoever is actually running.
+// reflect the VMPL of whoever is actually running. VMRUN's check applies.
 func (h *Hypervisor) Resume(vcpuID int, vmsaPhys uint64) error {
 	c := h.running(vcpuID)
 	if c == nil {
 		return fmt.Errorf("hv: resume of unknown VCPU %d", vcpuID)
 	}
-	if _, err := h.m.VMSAAt(vmsaPhys); err != nil {
+	if err := h.m.CheckVMRUN(vcpuID, vmsaPhys); err != nil {
 		return err
 	}
 	c.currentVMSA = vmsaPhys

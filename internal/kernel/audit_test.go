@@ -279,7 +279,7 @@ func newHookedKernel(t *testing.T, hooks *recordingHooks) *Kernel {
 	hyp := hv.New(m, nil)
 	hooks.onPValidate = func(phys uint64, v bool) error { return m.PValidate(snp.VMPL0, phys, v) }
 	var k *Kernel
-	boot := hv.ContextFunc(func(r hv.Reason) error {
+	boot := snp.ContextFunc(func(r snp.Reason) error {
 		var err error
 		k, err = New(m, hyp, Config{
 			VMPL: snp.VMPL0, MemLo: tkMemLo, MemHi: tkMemHi,

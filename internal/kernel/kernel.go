@@ -27,9 +27,9 @@ type Hooks interface {
 	// page is not a trusted region before executing the instruction.
 	PValidate(phys uint64, validate bool) error
 	// BootAP creates and starts a new Dom-UNT VCPU instance for the given
-	// VCPU ID (initial boot or hotplug). VeilMon creates the VMSA and the
-	// trusted-domain replicas for the new VCPU (§5.2).
-	BootAP(vcpuID int, entry hv.Context) error
+	// VCPU ID (initial boot or hotplug). VeilMon creates the VMSA, holding
+	// the platform's Dom-UNT context for that VCPU (§5.2).
+	BootAP(vcpuID int) error
 	// LoadModule verifies, loads, relocates and write-protects a kernel
 	// module whose image the kernel has staged in memory; it returns a
 	// module handle ID (VeilS-Kci, §6.1). The destination frames were
@@ -60,11 +60,6 @@ type Config struct {
 	PreValidated bool
 	// Hooks is the Veil delegation interface (nil ⇒ native).
 	Hooks Hooks
-	// APService optionally wraps application-processor entry contexts so
-	// the platform layer can dispatch Dom-UNT service entries (enclave
-	// OCALLs) on every VCPU, not just the BSP. It receives the default
-	// entry (which counts the AP online) and must delegate boot to it.
-	APService func(vcpu int, dflt hv.Context) hv.Context
 }
 
 // Kernel is the guest operating system instance.
@@ -239,23 +234,17 @@ func (k *Kernel) Boot() error {
 	return nil
 }
 
-// apEntry is the (trivial) AP idle context.
-func apEntry(k *Kernel, id int) hv.Context {
-	return hv.ContextFunc(func(r hv.Reason) error {
-		if r == hv.ReasonBoot {
-			k.apOnline++
-		}
-		return nil
-	})
+// apIdle is the native kernel's (trivial) AP idle context.
+func (k *Kernel) apIdle(r snp.Reason) error {
+	if r == snp.ReasonBoot {
+		k.apOnline++
+	}
+	return nil
 }
 
 func (k *Kernel) bootAP(id int) error {
-	entry := apEntry(k, id)
-	if k.cfg.APService != nil {
-		entry = k.cfg.APService(id, entry)
-	}
 	if k.cfg.Hooks != nil {
-		return k.cfg.Hooks.BootAP(id, entry)
+		return k.cfg.Hooks.BootAP(id)
 	}
 	// Native: the kernel is VMPL0 and does it all itself.
 	frame, err := k.AllocFrame()
@@ -263,11 +252,10 @@ func (k *Kernel) bootAP(id int) error {
 		return err
 	}
 	if err := k.m.CreateVMSA(snp.VMPL0, frame, snp.VMSA{
-		VCPUID: id, VMPL: snp.VMPL0, CPL: snp.CPL0, Runnable: true,
-	}); err != nil {
+		VCPUID: id, VMPL: snp.VMPL0, CPL: snp.CPL0,
+	}, snp.ContextFunc(k.apIdle)); err != nil {
 		return err
 	}
-	k.hv.BindContext(frame, entry)
 	g := &snp.GHCB{ExitCode: hv.ExitStartVCPU, ExitInfo1: frame}
 	return k.guestCall(0, g)
 }

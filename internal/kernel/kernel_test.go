@@ -32,7 +32,7 @@ func newNativeKernel(t *testing.T, vcpus int) *Kernel {
 	m := snp.NewMachine(snp.Config{MemBytes: tkMachine, VCPUs: vcpus})
 	hyp := hv.New(m, nil)
 	var k *Kernel
-	boot := hv.ContextFunc(func(r hv.Reason) error {
+	boot := snp.ContextFunc(func(r snp.Reason) error {
 		var err error
 		k, err = New(m, hyp, Config{
 			VMPL:     snp.VMPL0,
@@ -493,7 +493,7 @@ func TestAuditExecuteAheadOrdering(t *testing.T) {
 			return m.PValidate(snp.VMPL0, phys, v)
 		},
 	}
-	boot := hv.ContextFunc(func(r hv.Reason) error {
+	boot := snp.ContextFunc(func(r snp.Reason) error {
 		var err error
 		k, err = New(m, hyp, Config{
 			VMPL: snp.VMPL0, MemLo: tkMemLo, MemHi: tkMemHi,
@@ -530,7 +530,7 @@ func (h *recordingHooks) PValidate(phys uint64, v bool) error {
 	}
 	return nil
 }
-func (h *recordingHooks) BootAP(id int, entry hv.Context) error { return nil }
+func (h *recordingHooks) BootAP(id int) error { return nil }
 func (h *recordingHooks) LoadModule(image []byte, frames []uint64) (int, error) {
 	return 1, nil
 }

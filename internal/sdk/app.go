@@ -94,7 +94,7 @@ func LaunchEnclave(c *cvm.CVM, p *kernel.Process, prog Program, cfg EnclaveConfi
 	// Wire the trusted runtime: VeilS-Enc invokes the factory during
 	// finalization with the protected view.
 	token := atomic.AddUint32(&tokenCounter, 1)
-	c.ENC.RegisterContext(token, func(view enc.View) hv.Context {
+	c.ENC.RegisterContext(token, func(view enc.View) snp.Context {
 		er := newEnclaveRuntime(c, view, prog, sharedVirt)
 		a.enclave = er
 		return er

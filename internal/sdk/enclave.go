@@ -32,7 +32,7 @@ type EnclaveRuntime struct {
 	ghcb snp.GHCB
 }
 
-var _ hv.Context = (*EnclaveRuntime)(nil)
+var _ snp.Context = (*EnclaveRuntime)(nil)
 var _ Libc = (*EnclaveRuntime)(nil)
 
 func newEnclaveRuntime(c *cvm.CVM, view enc.View, prog Program, shared uint64) *EnclaveRuntime {
@@ -52,8 +52,8 @@ func (e *EnclaveRuntime) Calls() uint64 { return e.calls }
 func (e *EnclaveRuntime) Dead() bool { return e.dead }
 
 // Invoke is the Dom-ENC VMSA entry.
-func (e *EnclaveRuntime) Invoke(r hv.Reason) error {
-	if r == hv.ReasonInterrupt {
+func (e *EnclaveRuntime) Invoke(r snp.Reason) error {
+	if r == snp.ReasonInterrupt {
 		// Hostile hypervisor refused to relay the interrupt to Dom-UNT
 		// (§6.2, Table 2): the OS interrupt handler is unmapped in the
 		// protected tables and the enclave cannot run supervisor code, so

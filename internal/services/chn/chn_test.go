@@ -9,7 +9,6 @@ import (
 
 	"veil/internal/attest"
 	"veil/internal/core"
-	"veil/internal/hv"
 	"veil/internal/snp"
 )
 
@@ -222,7 +221,7 @@ func newTestService(t *testing.T, id int) *Service {
 		t.Fatal(err)
 	}
 	mon, err := core.NewMonitor(snp.NewMachine(snp.Config{MemBytes: mem, VCPUs: 1}), nil,
-		core.Config{Layout: lay, UNTContext: func(int) hv.Context { return nil }})
+		core.Config{Layout: lay, UNTContext: func(int) snp.Context { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ const maxEnclavePages = 1 << 16
 
 // ContextFactory builds the hv context that stands in for the enclave's
 // code (the SDK's trusted runtime); it receives the finalized view.
-type ContextFactory func(View) hv.Context
+type ContextFactory func(View) snp.Context
 
 // View is what the trusted enclave runtime gets to work with.
 type View struct {

@@ -7,7 +7,6 @@ import (
 
 	"veil/internal/core"
 	"veil/internal/cvm"
-	"veil/internal/hv"
 	"veil/internal/kernel"
 	"veil/internal/sdk"
 	"veil/internal/services/enc"
@@ -94,8 +93,8 @@ var regSeq uint32 = 7000
 func registerToken(c *cvm.CVM) uint32 {
 	regSeq++
 	tok := regSeq
-	c.ENC.RegisterContext(tok, func(v enc.View) hv.Context {
-		return hv.ContextFunc(func(hv.Reason) error { return nil })
+	c.ENC.RegisterContext(tok, func(v enc.View) snp.Context {
+		return snp.ContextFunc(func(snp.Reason) error { return nil })
 	})
 	return tok
 }

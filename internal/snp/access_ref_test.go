@@ -370,7 +370,7 @@ func (p *accessPair) step(tb testing.TB, d []byte) {
 			if w.m.rmp[phys>>PageShift].VMSA {
 				return w.m.DestroyVMSA(VMPL0, phys)
 			}
-			return w.m.CreateVMSA(VMPL0, phys, VMSA{VMPL: VMPL(a % 4)})
+			return w.m.CreateVMSA(VMPL0, phys, VMSA{VMPL: VMPL(a % 4)}, nopContext)
 		})
 		p.compareErr(tb, what, gotErr, refErr)
 	case 13: // PTE rewrite through the software write path

@@ -8,7 +8,9 @@
 //     and per-VMPL access permissions;
 //   - the RMPADJUST and PVALIDATE instructions with their privilege rules;
 //   - virtual machine save areas (VMSAs) holding per-VCPU-instance register
-//     state, created at a fixed VMPL for the lifetime of the instance;
+//     state, created at a fixed VMPL for the lifetime of the instance, and
+//     VMRUN, which enters only a VMSA of the entering VCPU and runs the
+//     guest code (a Context) that VMSA holds;
 //   - the guest-hypervisor communication block (GHCB) and its MSR;
 //   - nested page faults (#NPF) which, as on real SNP hardware in the
 //     configurations Veil uses, halt the CVM;

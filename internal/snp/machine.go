@@ -35,10 +35,12 @@ func DefaultConfig() Config {
 // Machine is not safe for concurrent use: the simulation is synchronous and
 // deterministic by design.
 type Machine struct {
-	cfg   Config
-	mem   []byte
-	rmp   []RMPEntry
-	vmsas map[uint64]*VMSA // keyed by physical page address
+	cfg Config
+	mem []byte
+	rmp []RMPEntry
+	// vmsas holds each VCPU's live save areas, a handful per VCPU. A page's
+	// RMP VMSA bit is set exactly when one of them is there.
+	vmsas [][]vmsaSlot
 
 	// written holds one bit per page under one invariant: a page whose
 	// bit is clear is all zero. Every architectural write funnel sets the
@@ -128,7 +130,7 @@ func NewMachine(cfg Config) *Machine {
 	cfg.MemBytes = pages * PageSize
 	m := &Machine{
 		cfg:     cfg,
-		vmsas:   make(map[uint64]*VMSA),
+		vmsas:   make([][]vmsaSlot, cfg.VCPUs),
 		ghcbMSR: make([]uint64, cfg.VCPUs),
 	}
 	for i := range m.ghcbMSR {

@@ -220,12 +220,12 @@ func TestHaltIsSticky(t *testing.T) {
 
 func TestVMSACreationRules(t *testing.T) {
 	m := testMachine(t, 4, 4)
-	state := VMSA{VCPUID: 1, VMPL: VMPL3, CPL: CPL0, RIP: 0x1000}
+	state := VMSA{VCPUID: 0, VMPL: VMPL3, CPL: CPL0, RIP: 0x1000}
 	// Only VMPL0 can create VMSAs (Table 1: "Create VCPU at Dom-MON").
-	if err := m.CreateVMSA(VMPL3, PageSize, state); !IsGP(err) {
+	if err := m.CreateVMSA(VMPL3, PageSize, state, nopContext); !IsGP(err) {
 		t.Fatalf("CreateVMSA at VMPL3: err = %v, want #GP", err)
 	}
-	if err := m.CreateVMSA(VMPL0, PageSize, state); err != nil {
+	if err := m.CreateVMSA(VMPL0, PageSize, state, nopContext); err != nil {
 		t.Fatalf("CreateVMSA at VMPL0: %v", err)
 	}
 	// The VMSA page is now inaccessible to everyone via normal accesses.
@@ -246,7 +246,7 @@ func TestVMSACreationRules(t *testing.T) {
 
 func TestVMSAUpdateRequiresVMPL0(t *testing.T) {
 	m := testMachine(t, 4, 4)
-	if err := m.CreateVMSA(VMPL0, PageSize, VMSA{VCPUID: 0, VMPL: VMPL2}); err != nil {
+	if err := m.CreateVMSA(VMPL0, PageSize, VMSA{VCPUID: 0, VMPL: VMPL2}, nopContext); err != nil {
 		t.Fatal(err)
 	}
 	err := m.UpdateVMSA(VMPL3, PageSize, func(v *VMSA) { v.RIP = 0xdead })
@@ -264,14 +264,14 @@ func TestVMSAUpdateRequiresVMPL0(t *testing.T) {
 
 func TestBootVMSAAlwaysVMPL0(t *testing.T) {
 	m := NewMachine(Config{MemBytes: 4 * PageSize, VCPUs: 1})
-	if err := m.HVCreateBootVMSA(0, VMSA{VMPL: VMPL3}); err == nil {
+	if err := m.HVCreateBootVMSA(0, VMSA{VMPL: VMPL3}, nopContext); err == nil {
 		t.Fatal("boot VMSA at VMPL3 must be rejected")
 	}
-	if err := m.HVCreateBootVMSA(0, VMSA{VMPL: VMPL0, VCPUID: 0}); err != nil {
+	if err := m.HVCreateBootVMSA(0, VMSA{VMPL: VMPL0, VCPUID: 0}, nopContext); err != nil {
 		t.Fatal(err)
 	}
 	v, err := m.VMSAAt(0)
-	if err != nil || !v.Runnable {
+	if err != nil || v.VMPL != VMPL0 {
 		t.Fatalf("boot VMSA = %+v, err = %v", v, err)
 	}
 }

@@ -396,6 +396,9 @@ const (
 	// or on a syscall it cannot shield (no specification, or ENOSYS from
 	// the host). Context = the syscall number.
 	DeniedIago
+	// DeniedVMRUN: VMRUN refused a page the host chose for a VCPU: its RMP
+	// entry is not a VMSA, or the VMSA is another VCPU's. Context = the page.
+	DeniedVMRUN
 )
 
 var deniedReasonNames = [...]string{
@@ -409,6 +412,7 @@ var deniedReasonNames = [...]string{
 	DeniedIntrRoute: "intr-route",
 	DeniedChannel:   "channel",
 	DeniedIago:      "iago",
+	DeniedVMRUN:     "vmrun",
 }
 
 // String returns the refusal class's catalog name, so attack evidence and

@@ -66,7 +66,7 @@ func releaseBacking(b *machineBacking) {
 }
 
 // Release returns the machine's backing memory to the boot pool and drops
-// its other per-boot state (RMP baseline, flight ring, VMSA map). The
+// its other per-boot state (RMP baseline, flight ring, VMSA registry). The
 // machine — and anything aliasing its memory: access contexts, span
 // windows — must not be used afterwards; callers own that
 // lifetime (the bench harness releases only machines whose experiments

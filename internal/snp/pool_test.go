@@ -68,7 +68,7 @@ func TestReleaseRecyclesCleanBacking(t *testing.T) {
 
 // TestReleaseDropsPerBootState: a caller that keeps released machines alive
 // (a benchmark keeping its rounds) pins only the Machine structs, not their
-// RMP baselines, flight rings or VMSA maps.
+// RMP baselines, flight rings or VMSA registries.
 func TestReleaseDropsPerBootState(t *testing.T) {
 	const (
 		machines = 8
@@ -89,7 +89,7 @@ func TestReleaseDropsPerBootState(t *testing.T) {
 		m := NewMachine(Config{MemBytes: pages * PageSize, VCPUs: 1})
 		m.SetFlight(obs.NewFlight(0))
 		m.SnapshotRMPBaseline()
-		m.vmsas[0] = &VMSA{}
+		m.vmsas[0] = append(m.vmsas[0], vmsaSlot{})
 		m.Release()
 		kept[i] = m
 	}

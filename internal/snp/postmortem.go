@@ -197,12 +197,11 @@ func (pm *PostMortem) WriteJSON(w io.Writer) error {
 // VMSAPages returns the physical addresses of all live save-area pages in
 // ascending order.
 func (m *Machine) VMSAPages() []uint64 {
-	if len(m.vmsas) == 0 {
-		return nil
-	}
-	pages := make([]uint64, 0, len(m.vmsas))
-	for p := range m.vmsas {
-		pages = append(pages, p)
+	var pages []uint64
+	for _, slots := range m.vmsas {
+		for _, s := range slots {
+			pages = append(pages, s.phys)
+		}
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	return pages
@@ -221,6 +220,7 @@ func (m *Machine) ValidatedCount() uint64 { return m.validatedCount }
 // model (§3): a validated page must be assigned, and software can never
 // revoke VMPL0's permissions on a validated non-VMSA page. It also
 // recomputes the validated-page count against the incremental counter.
+// A page has the VMSA bit exactly when the machine holds a save area there.
 // At most max violation details are rendered (0 = unlimited); the returned
 // count is always exact.
 func (m *Machine) AuditRMPConsistency(max int) (int, []string) {
@@ -233,6 +233,7 @@ func (m *Machine) AuditRMPConsistency(max int) (int, []string) {
 		}
 	}
 	var validated uint64
+	var vmsaBits int
 	for pi := range m.rmp {
 		e := &m.rmp[pi]
 		base := uint64(pi) << PageShift
@@ -245,12 +246,26 @@ func (m *Machine) AuditRMPConsistency(max int) (int, []string) {
 				report("page %#x validated with VMPL0 perms %s (must be %s)", base, e.Perms[VMPL0], PermAll)
 			}
 		}
-		if e.VMSA && !e.Assigned {
-			report("page %#x is a VMSA on an unassigned page", base)
+		if e.VMSA {
+			vmsaBits++
+			if !e.Assigned {
+				report("page %#x is a VMSA on an unassigned page", base)
+			}
 		}
 	}
 	if validated != m.validatedCount {
 		report("validated-page accounting drifted: RMP holds %d, counter says %d", validated, m.validatedCount)
+	}
+	for vcpu, slots := range m.vmsas {
+		for _, s := range slots {
+			if !m.rmp[s.phys>>PageShift].VMSA {
+				report("VCPU %d holds a VMSA at %#x that the RMP does not mark", vcpu, s.phys)
+			}
+			vmsaBits--
+		}
+	}
+	if vmsaBits != 0 {
+		report("VMSA registry drifted: the RMP marks %d more VMSA pages than the machine holds", vmsaBits)
 	}
 	return n, details
 }
@@ -264,15 +279,13 @@ func (m *Machine) AuditRMPConsistency(max int) (int, []string) {
 // violation has been found.
 func (m *Machine) AuditVMSAUnreadable(max int) (int, []string) {
 	var n int
-	for phys := range m.vmsas {
-		pi := phys >> PageShift
-		if pi >= uint64(len(m.rmp)) {
-			continue
-		}
-		e := &m.rmp[pi]
-		for v := VMPL0; v < NumVMPLs; v++ {
-			if e.guestAccessOK(v, CPL0, AccessRead) {
-				n++
+	for _, slots := range m.vmsas {
+		for _, s := range slots {
+			e := &m.rmp[s.phys>>PageShift]
+			for v := VMPL0; v < NumVMPLs; v++ {
+				if e.guestAccessOK(v, CPL0, AccessRead) {
+					n++
+				}
 			}
 		}
 	}

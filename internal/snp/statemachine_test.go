@@ -122,7 +122,7 @@ func TestVMSALifecycleStateMachine(t *testing.T) {
 		m.halted = nil
 		switch rng.Intn(3) {
 		case 0:
-			err := m.CreateVMSA(VMPL0, 0, VMSA{VCPUID: 0, VMPL: VMPL(rng.Intn(4))})
+			err := m.CreateVMSA(VMPL0, 0, VMSA{VCPUID: 0, VMPL: VMPL(rng.Intn(4))}, nopContext)
 			if (err == nil) != !isVMSA {
 				t.Fatalf("step %d: create err=%v isVMSA=%v", step, err, isVMSA)
 			}
