@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"veil/internal/bench"
+	"veil/internal/obs"
 )
 
 var (
@@ -234,8 +235,6 @@ func run(args []string) int {
 		"compare mode: absolute percentage-point growth allowed on *OverheadPct* values before failing")
 	hostTol := fs.Float64("host-tol", defaultHostTolPct,
 		"compare mode: relative growth (percent) allowed on pure host-side values (*HostSeconds*, *HostNs*; *Speedup* gates the same bound as a drop) — looser than the cycle gate because host time is noisy even on the thread CPU clock")
-	pprofAddr := fs.String("pprof", "",
-		"serve net/http/pprof on this address (e.g. localhost:6060) while experiments run")
 	cpuProfile := fs.String("cpuprofile", "",
 		"write a pprof CPU profile covering the selected experiments to this path")
 	if err := fs.Parse(args); err != nil {
@@ -249,11 +248,8 @@ func run(args []string) int {
 		return runCompare(fs.Args(), *tol, *hostTol)
 	}
 
-	if *pprofAddr != "" {
-		servePprof(*pprofAddr)
-	}
 	if *cpuProfile != "" {
-		stop, err := startCPUProfile(*cpuProfile)
+		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "veil-bench: %v\n", err)
 			return 1

@@ -33,16 +33,12 @@ func main() {
 	auditOn := flag.Bool("audit", false, "attach the security-invariant auditor for the whole run")
 	pmOut := flag.String("postmortem", "", "write the flight-recorder post-mortem (if one was frozen) to this path")
 	flameOut := flag.String("flame", "", "write a virtual-cycle flame graph (Brendan Gregg folded-stacks format) to this path")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (host-CPU profiling, e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the host process to this path")
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		servePprof(*pprofAddr)
-	}
 	stopProfile := func() {}
 	if *cpuProfile != "" {
-		stop, err := startCPUProfile(*cpuProfile)
+		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			log.Fatalf("veil-sim: %v", err)
 		}

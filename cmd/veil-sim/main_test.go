@@ -19,8 +19,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 
 func testRecorders() []*obs.Recorder {
 	rec := obs.NewRecorder(64)
-	e := rec.Alloc(0)
-	*e = obs.Event{Seq: e.Seq, Class: obs.ClassSyscall, Kind: obs.Span, TS: 100, Dur: 40, Span: 1, VMPL: -1}
+	*rec.Alloc(0) = obs.Event{Class: obs.ClassSyscall, Kind: obs.Span, TS: 100, Dur: 40, Span: 1, VMPL: -1}
 	return []*obs.Recorder{rec}
 }
 

@@ -36,12 +36,10 @@ const (
 // median.
 const obsPathReps = 9
 
-// obsRingCap is the per-shard trace-ring capacity for this benchmark:
-// large enough to retain the full event stream of a default run, so the
-// measured window exercises the pure record path (stamp + slot write)
-// with no eviction folding. Overflowing it is not an error — metrics
-// survive eviction — but the overhead number this benchmark gates is the
-// no-eviction hot path.
+// obsRingCap is the trace-ring capacity for this benchmark. A measured
+// run records far more events than the ring holds, so the timed window
+// includes folding evicted events into the aggregate; metrics survive
+// eviction, so the latency digests still cover the whole run.
 const obsRingCap = 1 << 13
 
 // ObsPathResult captures the three runs. The cycle counts are
@@ -67,8 +65,8 @@ type ObsPathResult struct {
 	AuditorOverheadPct float64
 	// Audited-side stack statistics.
 	EventsRecorded uint64 // trace-ring events seen (retained + evicted)
-	RingCapacity   int    // per-shard trace-ring capacity
-	Shards         int    // recorder shards (VCPUs seen)
+	RingCapacity   int    // trace-ring capacity
+	VCPUs          int    // VCPUs the recorder saw
 	FlightRetained int
 	FlightDropped  uint64
 	// FlightDroppedByClass breaks the post-mortem-tail drops down per
@@ -89,7 +87,7 @@ type obsPathSide struct {
 	cycles        uint64
 	seconds       float64
 	events        uint64
-	shards        int
+	vcpus         int
 	flightLen     int
 	flightDropped uint64
 	flightByClass map[string]uint64
@@ -166,9 +164,8 @@ func obsPathRun(w workloads.Workload, seed int64, mode obsMode) (obsPathSide, er
 	}
 	if mode != obsDark {
 		// Everything below runs outside the timed window (seconds is
-		// already captured): Metrics() scans the retained rings.
+		// already captured): Metrics() scans the retained ring.
 		side.events = opts.Recorder.Total()
-		side.shards = opts.Recorder.Shards()
 		side.flightLen = c.M.FlightTailLen()
 		side.flightDropped = c.M.FlightDropped()
 		byClass := c.M.FlightDroppedByClass()
@@ -181,6 +178,7 @@ func obsPathRun(w workloads.Workload, seed int64, mode obsMode) (obsPathSide, er
 			}
 		}
 		met := opts.Recorder.Metrics()
+		side.vcpus = met.VCPUs()
 		side.requestLat = latSummary(met.RequestHistAll())
 		side.syscallLat = latSummary(met.SpanHist(obs.ClassSyscall))
 		for s := 0; s < met.NumServices(); s++ {
@@ -265,7 +263,7 @@ func ObsPath(iters int) (ObsPathResult, error) {
 		AuditorOverheadPct:   median(auditorPct),
 		EventsRecorded:       audited.events,
 		RingCapacity:         obsRingCap,
-		Shards:               audited.shards,
+		VCPUs:                audited.vcpus,
 		FlightRetained:       audited.flightLen,
 		FlightDropped:        audited.flightDropped,
 		FlightDroppedByClass: audited.flightByClass,

@@ -199,8 +199,8 @@ func ReportObsPath(w io.Writer, r ObsPathResult) {
 		r.HostSecondsDark, r.HostSecondsTracing, r.HostSecondsAudited)
 	fmt.Fprintf(w, "  tracing overhead vs dark: %.1f%%; auditor overhead vs tracing: %.1f%% (bound: <15%%)\n",
 		r.TracingOverheadPct, r.AuditorOverheadPct)
-	fmt.Fprintf(w, "  observed: %d events across %d shard(s) (ring cap %d/shard), flight tail %d retained/%d beyond tail\n",
-		r.EventsRecorded, r.Shards, r.RingCapacity, r.FlightRetained, r.FlightDropped)
+	fmt.Fprintf(w, "  observed: %d events across %d VCPU(s) (ring cap %d), flight tail %d retained/%d beyond tail\n",
+		r.EventsRecorded, r.VCPUs, r.RingCapacity, r.FlightRetained, r.FlightDropped)
 	fmt.Fprintf(w, "  auditor: %d fast passes, %d sweeps, %d violations\n",
 		r.AuditFastRuns, r.AuditSweeps, r.AuditViolations)
 	if r.RequestLat.Count > 0 {

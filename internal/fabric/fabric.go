@@ -67,11 +67,8 @@ type Config struct {
 	Machines int
 	// Seed derives every per-link generator.
 	Seed int64
-	// Default is the model for links without an override.
+	// Default is the model every directed link follows.
 	Default LinkModel
-	// Links, when non-nil, overrides the model per directed (src, dst)
-	// pair.
-	Links map[[2]int]LinkModel
 }
 
 // Stats counts fabric-level outcomes.
@@ -86,8 +83,7 @@ type Stats struct {
 }
 
 type link struct {
-	model LinkModel
-	rng   *rand.Rand
+	rng *rand.Rand
 	// stats and lat are the per-directed-link view of the aggregate
 	// counters: what the fleet exporters surface with link labels.
 	// Delivered and lat are counted at Due time, everything else at Send.
@@ -132,6 +128,7 @@ func (l *link) keep(payload []byte) []byte {
 // which is also what keeps the seeded draws deterministic.
 type Fabric struct {
 	n      int
+	model  LinkModel // every directed link's behaviour
 	links  [][]link
 	queues [][]Message // per destination, sorted by (Arrive, Seq)
 	seq    uint64
@@ -145,30 +142,26 @@ type Fabric struct {
 	intercept func(Message) []Message
 }
 
-// New creates a fabric with Machines endpoints and per-link seeded models.
+// New creates a fabric with Machines endpoints; every directed link follows
+// cfg.Default with its own seeded generator.
 func New(cfg Config) (*Fabric, error) {
 	if cfg.Machines < 1 {
 		return nil, fmt.Errorf("fabric: need at least 1 machine, got %d", cfg.Machines)
 	}
 	f := &Fabric{
 		n:      cfg.Machines,
+		model:  cfg.Default,
 		links:  make([][]link, cfg.Machines),
 		queues: make([][]Message, cfg.Machines),
 	}
 	for s := 0; s < cfg.Machines; s++ {
 		f.links[s] = make([]link, cfg.Machines)
 		for d := 0; d < cfg.Machines; d++ {
-			model := cfg.Default
-			if cfg.Links != nil {
-				if m, ok := cfg.Links[[2]int{s, d}]; ok {
-					model = m
-				}
-			}
 			// One generator per directed link, derived from the fleet
 			// seed: link behaviour is independent of traffic on other
 			// links, so adding a flow never perturbs an existing one.
 			seed := cfg.Seed*1_000_003 + int64(s)*65_537 + int64(d)
-			f.links[s][d] = link{model: model, rng: rand.New(rand.NewSource(seed))}
+			f.links[s][d] = link{rng: rand.New(rand.NewSource(seed))}
 		}
 	}
 	return f, nil
@@ -196,17 +189,17 @@ func (f *Fabric) Send(src, dst int, payload []byte, now uint64) error {
 	l := &f.links[src][dst]
 	f.stats.Sent++
 	l.stats.Sent++
-	lat := l.model.BaseLatency
-	if l.model.Jitter > 0 {
-		lat += uint64(l.rng.Int63n(int64(l.model.Jitter) + 1))
+	lat := f.model.BaseLatency
+	if f.model.Jitter > 0 {
+		lat += uint64(l.rng.Int63n(int64(f.model.Jitter) + 1))
 	}
-	if l.model.DropPerMil > 0 && l.rng.Intn(1000) < l.model.DropPerMil {
+	if f.model.DropPerMil > 0 && l.rng.Intn(1000) < f.model.DropPerMil {
 		f.stats.Dropped++
 		l.stats.Dropped++
 		return nil
 	}
-	if l.model.ReorderPerMil > 0 && l.rng.Intn(1000) < l.model.ReorderPerMil {
-		lat += l.model.reorderPenalty()
+	if f.model.ReorderPerMil > 0 && l.rng.Intn(1000) < f.model.ReorderPerMil {
+		lat += f.model.reorderPenalty()
 		f.stats.Reordered++
 		l.stats.Reordered++
 	}

@@ -229,27 +229,6 @@ func TestDropAndReorderModels(t *testing.T) {
 	}
 }
 
-func TestPerLinkOverride(t *testing.T) {
-	f := mustNew(t, Config{
-		Machines: 3,
-		Seed:     1,
-		Default:  LinkModel{BaseLatency: 10},
-		Links:    map[[2]int]LinkModel{{0, 1}: {BaseLatency: 1000}},
-	})
-	if err := f.Send(0, 1, []byte("slow"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(0, 2, []byte("fast"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if ar, _ := f.NextArrival(1); ar != 1000 {
-		t.Fatalf("overridden link arrival = %d, want 1000", ar)
-	}
-	if ar, _ := f.NextArrival(2); ar != 10 {
-		t.Fatalf("default link arrival = %d, want 10", ar)
-	}
-}
-
 func TestInterceptorSwallowRewriteDuplicate(t *testing.T) {
 	f := mustNew(t, Config{Machines: 2, Seed: 1, Default: LinkModel{BaseLatency: 5}})
 

@@ -138,8 +138,7 @@ func WriteCausalTrace(w io.Writer, recs ...*Recorder) error {
 	if err := validateFleet(recs); err != nil {
 		return err
 	}
-	ms, release := machineEvents(recs)
-	defer release()
+	ms := machineEvents(recs)
 	edges := buildFleetEdges(ms)
 	reqs := fleetCriticalPaths(ms, edges)
 

@@ -50,11 +50,7 @@ func WriteChromeTrace(w io.Writer, opts ChromeOptions, recs ...*Recorder) error 
 	for _, r := range recs {
 		dropped += r.Dropped()
 	}
-	// The merge buffers are the largest allocations of an export; they come
-	// from a pool so repeated exports (a bench loop, a dashboard refresh)
-	// reuse grown slices.
-	ms, release := machineEvents(recs)
-	defer release()
+	ms := machineEvents(recs)
 	wires := fleetTxIndex(ms)
 	bw := &errWriter{w: w}
 	bw.printf("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"producer\":\"%s\",\"dropped_events\":\"%d\"},\"traceEvents\":[\n", opts.ProcessName, dropped)

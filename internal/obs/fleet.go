@@ -19,8 +19,7 @@ import (
 // (which would silently interleave their tracks and series). A recorder
 // never tagged via SetMachine is machine 0, so it collides with a tagged
 // machine 0 exactly like two tagged ones would. Fleets are small, so the
-// duplicate scan is quadratic rather than a map: the check runs on the
-// allocation-free Prometheus path.
+// duplicate scan is quadratic rather than a map.
 func validateFleet(recs []*Recorder) error {
 	if len(recs) == 0 {
 		return errors.New("obs: export needs at least one recorder")
@@ -38,23 +37,14 @@ func validateFleet(recs []*Recorder) error {
 	return nil
 }
 
-// machineEvents merges each recorder's shards once, into pooled buffers,
-// so one export reads every retained event stream without re-merging it
-// per helper. release hands the buffers back; callers must not keep the
-// event slices past it.
-func machineEvents(recs []*Recorder) (ms []MachineEvents, release func()) {
-	ms = make([]MachineEvents, len(recs))
-	bufs := make([]*[]Event, len(recs))
+// machineEvents copies each recorder's retained events once, so one
+// export reads every event stream without re-copying it per helper.
+func machineEvents(recs []*Recorder) []MachineEvents {
+	ms := make([]MachineEvents, len(recs))
 	for i, r := range recs {
-		bufs[i] = eventMergePool.Get().(*[]Event)
-		ms[i] = MachineEvents{Machine: r.Machine(), Events: r.appendEvents((*bufs[i])[:0])}
+		ms[i] = MachineEvents{Machine: r.Machine(), Events: r.Events()}
 	}
-	return ms, func() {
-		for i, bp := range bufs {
-			*bp = ms[i].Events[:0]
-			eventMergePool.Put(bp)
-		}
-	}
+	return ms
 }
 
 // FleetEdge is one matched cross-machine hop: a NetTx on the source
@@ -119,8 +109,7 @@ func BuildFleetEdges(recs []*Recorder) (*FleetEdges, error) {
 	if err := validateFleet(recs); err != nil {
 		return nil, err
 	}
-	ms, release := machineEvents(recs)
-	defer release()
+	ms := machineEvents(recs)
 	return buildFleetEdges(ms), nil
 }
 
@@ -189,8 +178,7 @@ func FleetCriticalPaths(recs []*Recorder) ([]FleetRequest, *FleetEdges, error) {
 	if err := validateFleet(recs); err != nil {
 		return nil, nil, err
 	}
-	ms, release := machineEvents(recs)
-	defer release()
+	ms := machineEvents(recs)
 	edges := buildFleetEdges(ms)
 	return fleetCriticalPaths(ms, edges), edges, nil
 }

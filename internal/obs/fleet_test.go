@@ -66,7 +66,6 @@ func TestFleetExportValidation(t *testing.T) {
 		}{
 			{"chrome", func() error { return WriteChromeTrace(&buf, ChromeOptions{}, c.recs...) }},
 			{"prometheus", func() error { return WritePrometheus(&buf, c.recs...) }},
-			{"prometheus reference", func() error { return WritePrometheusReference(&buf, c.recs...) }},
 			{"causal", func() error { return WriteCausalTrace(&buf, c.recs...) }},
 		} {
 			err := write.fn()

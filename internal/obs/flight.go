@@ -1,8 +1,8 @@
 package obs
 
 // DefaultFlightCapacity is the flight-recorder ring size: small enough to
-// stay always-on (~48 B/event ⇒ ~24 KiB), large enough that the dump
-// shows the full request that killed the CVM.
+// stay always-on (64 B/event ⇒ 32 KiB), large enough that the dump shows
+// the full request that killed the CVM.
 const DefaultFlightCapacity = 512
 
 // Flight is the always-on post-mortem ring: a bounded event buffer that
@@ -12,20 +12,16 @@ const DefaultFlightCapacity = 512
 // construction.
 //
 // Producers claim a slot with Alloc and fill it in place. The ring never
-// reads the event a claim overwrites: it counts claims in total and per
-// class, and derives the eviction counts from those and the retained
-// events when asked.
+// reads the event a claim overwrites: it counts claims per class, and
+// derives the eviction counts from those and the retained events when
+// asked.
 //
 // A nil *Flight is valid for every method except Alloc.
 type Flight struct {
-	buf  []Event
-	next int
-	full bool
-	// total counts every claimed slot; byClass breaks the claims down per
-	// event class. On a busy run almost everything rolls out of the
-	// 512-slot ring, and DroppedByClass says *what* the post-mortem can no
-	// longer show.
-	total   uint64
+	ring
+	// byClass breaks the claims down per event class. On a busy run
+	// almost everything rolls out of the 512-slot ring, and
+	// DroppedByClass says *what* the post-mortem can no longer show.
 	byClass [NumClasses]uint64
 }
 
@@ -35,24 +31,17 @@ func NewFlight(capacity int) *Flight {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &Flight{buf: make([]Event, capacity)}
+	return &Flight{ring: newRing(capacity)}
 }
 
 // Alloc claims the next slot for an event of class c, evicting the oldest
 // when the ring is full, and returns it dirty: the caller must assign
 // every field, with Class equal to c. f must be non-nil.
 func (f *Flight) Alloc(c Class) *Event {
-	f.total++
 	if c < NumClasses {
 		f.byClass[c]++
 	}
-	e := &f.buf[f.next]
-	f.next++
-	if f.next == len(f.buf) {
-		f.next = 0
-		f.full = true
-	}
-	return e
+	return f.claim()
 }
 
 // Len returns the number of events currently held.
@@ -60,10 +49,7 @@ func (f *Flight) Len() int {
 	if f == nil {
 		return 0
 	}
-	if f.full {
-		return len(f.buf)
-	}
-	return f.next
+	return f.len()
 }
 
 // Cap returns the ring capacity.
@@ -79,7 +65,7 @@ func (f *Flight) Dropped() uint64 {
 	if f == nil {
 		return 0
 	}
-	return f.total - uint64(f.Len())
+	return f.dropped()
 }
 
 // DroppedByClass returns the per-class eviction counts: the claims of
@@ -90,7 +76,7 @@ func (f *Flight) DroppedByClass() [NumClasses]uint64 {
 		return [NumClasses]uint64{}
 	}
 	out := f.byClass
-	for i := range f.Len() {
+	for i := range f.len() {
 		if c := f.buf[i].Class; c < NumClasses {
 			out[c]--
 		}
@@ -103,9 +89,5 @@ func (f *Flight) Events() []Event {
 	if f == nil {
 		return nil
 	}
-	out := make([]Event, 0, f.Len())
-	if f.full {
-		out = append(out, f.buf[f.next:]...)
-	}
-	return append(out, f.buf[:f.next]...)
+	return f.newest(-1)
 }

@@ -51,7 +51,7 @@ func (h *Histogram) Observe(v uint64) {
 
 // Merge accumulates another histogram into this one (bucket-wise; min and
 // max combine respecting emptiness). Deterministic and order-independent,
-// which is what lets per-shard histograms merge into one snapshot.
+// so per-VCPU histograms merge into one distribution.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.n == 0 {
 		return
@@ -134,26 +134,12 @@ const MaxServices = 8
 // fed by the virtual clock's Charge hook. Build one with
 // Recorder.Metrics(); it does not change as recording continues.
 type Metrics struct {
-	agg            shardAgg
-	dropped        uint64
+	agg            aggregate
 	droppedByClass [NumClasses]uint64
-	requests       []Histogram // per-VCPU root-span latency (index = VCPU)
 	ringLat        []Histogram // per-VCPU ring submit→complete latency
 	kindCycles     [MaxKinds]uint64
 	kindNames      []string
 	svcNames       []string
-}
-
-// clone returns a deep copy: the struct (aggregates, drop counters,
-// attribution table and name-slice headers — names are set-once, so
-// sharing their backing arrays is safe) plus fresh per-VCPU histogram
-// slices. The Recorder's snapshot memoization clones on both store and
-// hit, which is what keeps every returned *Metrics detached.
-func (m *Metrics) clone() *Metrics {
-	c := *m
-	c.requests = append([]Histogram(nil), m.requests...)
-	c.ringLat = append([]Histogram(nil), m.ringLat...)
-	return &c
 }
 
 // Count returns the number of recorded events of class c (retained plus
@@ -202,12 +188,12 @@ func (m *Metrics) NumServices() int {
 
 // RequestHist returns the per-request latency histogram of one VCPU: the
 // durations of its root spans (span open→close of top-level requests).
-// Nil when the registry is nil or the VCPU has no shard.
+// Nil when the registry is nil or the VCPU was never seen.
 func (m *Metrics) RequestHist(vcpu int) *Histogram {
-	if m == nil || vcpu < 0 || vcpu >= len(m.requests) {
+	if m == nil || vcpu < 0 || vcpu >= len(m.agg.vcpuReqs) {
 		return nil
 	}
-	return &m.requests[vcpu]
+	return &m.agg.vcpuReqs[vcpu]
 }
 
 // RequestHistAll returns the root-span latency histogram merged over all
@@ -221,7 +207,7 @@ func (m *Metrics) RequestHistAll() *Histogram {
 
 // RingLatHist returns one VCPU's batched-ring request latency histogram
 // (virtual cycles from SubmitSrv to the completion being observed), fed
-// by Recorder.RecordRingLatency. Nil when the VCPU has no shard.
+// by Recorder.RecordRingLatency. Nil when the VCPU was never seen.
 func (m *Metrics) RingLatHist(vcpu int) *Histogram {
 	if m == nil || vcpu < 0 || vcpu >= len(m.ringLat) {
 		return nil
@@ -229,12 +215,14 @@ func (m *Metrics) RingLatHist(vcpu int) *Histogram {
 	return &m.ringLat[vcpu]
 }
 
-// VCPUs returns the number of shards the snapshot covers.
+// VCPUs returns the number of VCPUs the snapshot covers: the highest
+// VCPU id the recorder saw in Alloc or RecordRingLatency, plus one (at
+// least 1).
 func (m *Metrics) VCPUs() int {
 	if m == nil {
 		return 0
 	}
-	return len(m.requests)
+	return len(m.ringLat)
 }
 
 // DroppedByClass returns how many events of class c were evicted.

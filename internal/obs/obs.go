@@ -1,8 +1,8 @@
-// Package obs is the simulator's observability substrate: a sharded
-// per-VCPU ring-buffer event tracer plus a metrics registry (monotonic
-// counters, log₂-bucketed latency histograms and a per-cost-kind
-// cycle-attribution table), with exporters for Chrome trace_event JSON,
-// Prometheus text exposition and collapsed flame-graph stacks.
+// Package obs is the simulator's observability substrate: a bounded
+// ring-buffer event tracer plus a metrics registry (monotonic counters,
+// log₂-bucketed latency histograms and a per-cost-kind cycle-attribution
+// table), with exporters for Chrome trace_event JSON, Prometheus text
+// exposition and collapsed flame-graph stacks.
 //
 // The package is deliberately zero-dependency within the repository: it
 // knows nothing about SEV-SNP, VMPLs or the cost model. Producers (the snp
@@ -11,29 +11,24 @@
 // cmd/veil-bench, tests) pick the exporter they need. Everything is
 // deterministic: identical simulations produce byte-identical exports.
 //
-// # The v3 record path
+// # The record path
 //
-// Recording is sharded: each VCPU owns a private event ring, and the hot
-// path is a sequence stamp plus one fixed-size slot write — no global
-// ring, no lock, and no per-event metrics folding. Aggregation is
-// deferred: an event's contribution to the counters and histograms is
-// folded in either when the event is evicted from its shard (the ring
-// wrapped) or when Metrics() scans the retained events at export time.
-// Folded plus scanned together always equal exactly what eager per-event
-// aggregation would have produced, so eviction never loses metrics — only
-// raw events.
-//
-// At export, Events() merges the shards back into one virtual-time
-// ordered stream using the per-event sequence number, so every exporter
-// (and every golden file pinned against one) sees the same byte-identical
-// order a single global ring would have produced.
+// A recorder is one ring of fixed-size events shared by every VCPU of its
+// machine, in record order: the simulator steps all VCPUs on one
+// goroutine, so the ring has a single producer and needs no lock. The hot
+// path is one slot write with no per-event metrics folding. Aggregation
+// is deferred: an event's contribution to the counters and histograms is
+// folded in either when the event is evicted (the ring wrapped) or when
+// Metrics() scans the retained events. Folded plus scanned together
+// always equal exactly what eager per-event aggregation would have
+// produced, so eviction never loses metrics — only raw events. The
+// per-VCPU views (request and ring-latency histograms) are indexed by
+// the VCPU id each event carries.
 //
 // A nil *Recorder is a valid recorder that records nothing; every method
 // has a nil fast path that performs no allocation, so the simulator can be
 // instrumented unconditionally and pay nothing when tracing is off.
 package obs
-
-import "sort"
 
 // Class is the event taxonomy: one value per kind of architectural or
 // framework event the simulator emits. The taxonomy mirrors the paper's
@@ -154,14 +149,8 @@ type Event struct {
 	Dur uint64
 	// Arg1, Arg2 carry class-specific payload (see the Class constants).
 	Arg1, Arg2 uint64
-	// Seq is the global record sequence number, stamped by the Recorder
-	// at Record time (1, 2, 3, …). It is the tiebreak key the export-time
-	// shard merge sorts on: the virtual clock is non-decreasing across a
-	// run, so ordering by Seq reproduces the exact record order a single
-	// global ring would have retained.
-	Seq uint64
 	// VCPU is the hardware VCPU the event occurred on; it selects the
-	// recorder shard the event lands in.
+	// per-VCPU request histogram the event feeds.
 	VCPU int32
 	// VMPL is the privilege level of the acting context, or -1 when the
 	// producer does not know it.
@@ -182,28 +171,99 @@ type Event struct {
 // Start returns the span's start timestamp (TS for instants).
 func (e Event) Start() uint64 { return e.TS - e.Dur }
 
-// DefaultCapacity is the per-shard ring size used when NewRecorder is
-// given a non-positive capacity: large enough to hold a full
-// small-machine boot sweep plus a demo run (~72 B/event ⇒ ~19 MiB).
+// DefaultCapacity is the ring size used when NewRecorder is given a
+// non-positive capacity: large enough to hold a full small-machine boot
+// sweep plus a demo run (64 B/event ⇒ 16 MiB).
 const DefaultCapacity = 1 << 18
 
-// shardAgg is the deferred aggregation state of one shard: per-class
+// ring is the bounded event buffer Recorder and Flight are both built
+// on. Producers claim a slot and fill it in place; once the ring has
+// wrapped, each claim overwrites the oldest retained event. The ring
+// counts claims but keeps no other accounting: what an overwritten event
+// was worth is its owner's business.
+type ring struct {
+	buf   []Event
+	next  int // next write position
+	full  bool
+	total uint64 // slots ever claimed (retained + overwritten)
+}
+
+func newRing(capacity int) ring {
+	g := ring{buf: make([]Event, capacity)}
+	// Fault the ring in now, one touch per page: large rings come from the
+	// OS as unmapped zero pages, and taking ~16 first-touch faults per MiB
+	// lazily would land inside whatever window the caller is measuring.
+	for i := 0; i < capacity; i += 64 {
+		g.buf[i].TS = 0
+	}
+	return g
+}
+
+// claim returns the next slot dirty: it still holds whatever event
+// occupied it last time around the ring, so the caller assigns every
+// field.
+func (g *ring) claim() *Event {
+	g.total++
+	e := &g.buf[g.next]
+	g.next++
+	if g.next == len(g.buf) {
+		g.next = 0
+		g.full = true
+	}
+	return e
+}
+
+// len returns the number of retained events.
+func (g *ring) len() int {
+	if g.full {
+		return len(g.buf)
+	}
+	return g.next
+}
+
+// dropped returns how many claimed events were overwritten.
+func (g *ring) dropped() uint64 { return g.total - uint64(g.len()) }
+
+// newest copies out the newest n retained events (all of them when n is
+// negative or exceeds the retained count), oldest first.
+func (g *ring) newest(n int) []Event {
+	if l := g.len(); n < 0 || n > l {
+		n = l
+	}
+	out := make([]Event, n)
+	if start := g.next - n; start >= 0 {
+		copy(out, g.buf[start:g.next])
+	} else {
+		k := copy(out, g.buf[len(g.buf)+start:])
+		copy(out[k:], g.buf[:g.next])
+	}
+	return out
+}
+
+// aggregate is the metrics contribution of a set of events: per-class
 // event counts, per-class span-duration histograms, per-service dispatch
-// latency and the per-request (root span) latency distribution. A shard
-// keeps one shardAgg holding everything evicted from its ring; Metrics()
-// copies it and folds the retained events on top, so the snapshot always
-// covers the full run.
-type shardAgg struct {
-	total    uint64
+// latency and the per-request (root span) latency distribution, overall
+// and per VCPU. A recorder keeps one aggregate holding everything evicted
+// from its ring; Metrics() copies it and folds the retained events on
+// top, so the snapshot always covers the full run.
+type aggregate struct {
 	counts   [NumClasses]uint64
 	spans    [NumClasses]Histogram
 	svc      [MaxServices]Histogram
 	requests Histogram
+	vcpuReqs []Histogram // index = VCPU (negative ids count as VCPU 0)
+}
+
+// vcpuIndex maps an event's VCPU id to its per-VCPU slot.
+func vcpuIndex(v int32) int {
+	if v < 0 {
+		return 0
+	}
+	return int(v)
 }
 
 // fold adds one event's metrics contribution.
-func (a *shardAgg) fold(e *Event) {
-	a.total++
+func (a *aggregate) fold(e *Event) {
 	if e.Class >= NumClasses {
 		return
 	}
@@ -222,73 +282,20 @@ func (a *shardAgg) fold(e *Event) {
 	// counted and bucketed under their own class histogram above.
 	if e.Span != 0 && e.Parent == 0 && e.Class != ClassEnclaveEnter {
 		a.requests.Observe(e.Dur)
+		if v := vcpuIndex(e.VCPU); v < len(a.vcpuReqs) {
+			a.vcpuReqs[v].Observe(e.Dur)
+		}
 	}
 }
 
-// merge accumulates another aggregate into this one.
-func (a *shardAgg) merge(o *shardAgg) {
-	a.total += o.total
-	for c := 0; c < int(NumClasses); c++ {
-		a.counts[c] += o.counts[c]
-		a.spans[c].Merge(&o.spans[c])
-	}
-	for s := 0; s < MaxServices; s++ {
-		a.svc[s].Merge(&o.svc[s])
-	}
-	a.requests.Merge(&o.requests)
-}
-
-// shard is one VCPU's private event ring plus its evicted-event
-// aggregate. Exactly one producer writes a shard at a time (the VCPU the
-// simulator is currently stepping), so no slot is ever contended.
-type shard struct {
-	buf     []Event
-	next    int // next write position
-	full    bool
-	evicted shardAgg  // metrics of events that rolled out of the ring
-	ringLat Histogram // submit→complete ring latency, fed by RecordRingLatency
-}
-
-func newShard(capacity int) *shard {
-	sh := &shard{buf: make([]Event, capacity)}
-	// Fault the ring in now, one touch per page: large rings come from the
-	// OS as unmapped zero pages, and taking ~16 first-touch faults per MiB
-	// lazily would land inside whatever window the caller is measuring.
-	for i := 0; i < capacity; i += 32 {
-		sh.buf[i].TS = 0
-	}
-	return sh
-}
-
-func (sh *shard) len() int {
-	if sh.full {
-		return len(sh.buf)
-	}
-	return sh.next
-}
-
-// events appends the shard's retained events, oldest first, to out.
-func (sh *shard) events(out []Event) []Event {
-	if sh.full {
-		out = append(out, sh.buf[sh.next:]...)
-	}
-	return append(out, sh.buf[:sh.next]...)
-}
-
-// Recorder is the sharded event ring plus its metrics registry. It has
+// Recorder is the bounded event ring plus its metrics registry. It has
 // exactly one producer goroutine, like the machine it instruments.
 //
 // A nil *Recorder is valid: Record and the accessors all no-op.
 type Recorder struct {
-	shards   []*shard
-	shardCap int
-	seq      uint64 // last assigned record sequence number
-
-	// lastVCPU/lastShard cache the most recent shard lookup: the
-	// simulator steps one VCPU for many events at a time, so the common
-	// Record skips the slice indexing entirely.
-	lastVCPU  int32
-	lastShard *shard
+	ring
+	evicted aggregate   // metrics of events that rolled out of the ring
+	ringLat []Histogram // per-VCPU submit→complete latency, fed by RecordRingLatency
 
 	// cycleSrc is the producer's cycle-attribution table (the virtual
 	// clock's, wired by SetCycleSource), read at export time with no
@@ -305,23 +312,6 @@ type Recorder struct {
 	aux    []func() (names []string, values []uint64)
 	gauges []func() (names []string, values []float64)
 
-	// snapshot memoizes the last Metrics build. Aggregating a snapshot
-	// costs a full retained-ring scan plus a per-shard aggregate copy —
-	// tens of microseconds on a warm ring — while the common export burst
-	// (Prometheus page + trace from one quiesced recorder, or a
-	// scrape endpoint polled between event bursts) asks for the same
-	// aggregation several times with nothing recorded in between. The
-	// cache is keyed on the sequence counter plus a dirty bit covering
-	// every mutation the counter cannot see (ring-latency observations,
-	// the name/source setters, shard reconfiguration); the cycle source
-	// is re-checked on each hit since its values can move without
-	// touching the recorder at all. The recorder never writes into a
-	// snapshot it has handed out, so hits return the cached pointer
-	// itself — snapshots are immutable, possibly shared, views.
-	snapshot  *Metrics
-	snapSeq   uint64
-	snapDirty bool
-
 	// machine identifies which fleet member this recorder belongs to.
 	// Exporters use it as the machine dimension (the Chrome trace pid, the
 	// Prometheus machine label), so merged fleet exports keep one process
@@ -329,73 +319,54 @@ type Recorder struct {
 	machine int
 }
 
-// NewRecorder creates a recorder whose shards each hold capacity events
-// (DefaultCapacity if capacity <= 0). Shard 0 exists from the start;
-// further shards appear the first time an event carries their VCPU id.
-// When a shard's ring is full the oldest event is evicted (folded into
-// the shard's aggregate) and the drop counter incremented; metrics are
-// never dropped.
+// NewRecorder creates a recorder whose ring holds capacity events
+// (DefaultCapacity if capacity <= 0). When the ring is full the oldest
+// event is evicted (folded into the recorder's aggregate) and the drop
+// counter incremented; metrics are never dropped.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Recorder{shardCap: capacity, cycleSrc: noCycles}
-	r.shards = append(r.shards, newShard(capacity))
-	r.lastVCPU, r.lastShard = 0, r.shards[0]
+	r := &Recorder{ring: newRing(capacity), cycleSrc: noCycles}
+	r.addVCPU(0)
 	return r
 }
 
-// shardOf returns (growing if needed) the shard for VCPU v.
-func (r *Recorder) shardOf(v int32) *shard {
-	if sh := r.lastShard; sh != nil && v == r.lastVCPU {
-		return sh
+// addVCPU grows the per-VCPU histograms to cover VCPU v.
+func (r *Recorder) addVCPU(v int32) {
+	for vcpuIndex(v) >= len(r.ringLat) {
+		r.ringLat = append(r.ringLat, Histogram{})
+		r.evicted.vcpuReqs = append(r.evicted.vcpuReqs, Histogram{})
 	}
-	i := int(v)
-	if i < 0 {
-		i = 0
-	}
-	for i >= len(r.shards) {
-		r.shards = append(r.shards, newShard(r.shardCap))
-	}
-	sh := r.shards[i]
-	r.lastVCPU, r.lastShard = v, sh
-	return sh
 }
 
-// Alloc claims the next ring slot for an event on the given VCPU and
-// returns it with Seq stamped: the zero-copy fast path for hot producers,
-// who must assign EVERY other field in place (the slot is returned dirty
-// — it still holds whatever event occupied it last time around the ring).
-// The evicted occupant is folded into the shard's aggregate first, exactly
-// as Record would. Unlike the other methods Alloc is NOT nil-safe: the
-// producer's own recorder-attached check is the nil gate.
+// Alloc claims the next ring slot for an event on the given VCPU: the
+// zero-copy fast path for hot producers, who must assign EVERY field in
+// place, with VCPU equal to vcpu (the slot is returned dirty — it still
+// holds whatever event occupied it last time around the ring). The
+// evicted occupant is folded into the recorder's aggregate first. Unlike
+// the other methods Alloc is NOT nil-safe: the producer's own
+// recorder-attached check is the nil gate.
 func (r *Recorder) Alloc(vcpu int32) *Event {
-	r.seq++
-	sh := r.shardOf(vcpu)
-	if sh.full {
-		sh.evicted.fold(&sh.buf[sh.next])
+	if int(vcpu) >= len(r.ringLat) {
+		r.addVCPU(vcpu)
 	}
-	e := &sh.buf[sh.next]
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next = 0
-		sh.full = true
+	if r.full {
+		r.evicted.fold(&r.buf[r.next])
 	}
-	e.Seq = r.seq
-	return e
+	return r.claim()
 }
 
 // RecordRingLatency feeds one batched-ring request latency — virtual
 // cycles from SubmitSrv to the submitter first observing the completion —
-// into the VCPU's shard histogram. It records no event: latency
-// distributions must cover the whole run regardless of ring eviction.
-// Nil-safe.
+// into the VCPU's histogram. It records no event: latency distributions
+// must cover the whole run regardless of ring eviction. Nil-safe.
 func (r *Recorder) RecordRingLatency(vcpu int32, cycles uint64) {
 	if r == nil {
 		return
 	}
-	r.snapDirty = true // the sequence counter cannot see this mutation
-	r.shardOf(vcpu).ringLat.Observe(cycles)
+	r.addVCPU(vcpu)
+	r.ringLat[vcpuIndex(vcpu)].Observe(cycles)
 }
 
 // noCycles is the cycle source of a recorder no producer has wired.
@@ -410,7 +381,6 @@ func (r *Recorder) SetCycleSource(src func() []uint64) {
 		return
 	}
 	r.cycleSrc = src
-	r.snapDirty = true
 }
 
 // SetKindNames installs the display names for the attribution table's cost
@@ -420,7 +390,6 @@ func (r *Recorder) SetKindNames(names []string) {
 		return
 	}
 	r.kindNames = names
-	r.snapDirty = true
 }
 
 // SetServiceNames installs display names for the per-service latency
@@ -430,7 +399,6 @@ func (r *Recorder) SetServiceNames(names []string) {
 		return
 	}
 	r.svcNames = names
-	r.snapDirty = true
 }
 
 // SetAuxCounters resets the counter registry to the single given source
@@ -494,16 +462,12 @@ func (r *Recorder) AuxGauges() (names []string, values []float64) {
 	return names, values
 }
 
-// Len returns the number of events currently retained across all shards.
+// Len returns the number of events currently retained.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := 0
-	for _, sh := range r.shards {
-		n += sh.len()
-	}
-	return n
+	return r.len()
 }
 
 // SetMachine tags the recorder with its fleet machine id. Exporters use
@@ -525,147 +489,64 @@ func (r *Recorder) Machine() int {
 	return r.machine
 }
 
-// Shards returns the number of live shards (VCPUs seen so far).
-func (r *Recorder) Shards() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.shards)
-}
-
 // Total returns how many events have ever been recorded (retained +
-// evicted) — the current value of the sequence counter.
+// evicted).
 func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq
+	return r.total
 }
 
-// Dropped returns how many events were evicted due to ring overflow,
-// summed over the shards.
+// Dropped returns how many events were evicted due to ring overflow.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	var n uint64
-	for _, sh := range r.shards {
-		n += sh.evicted.total
-	}
-	return n
+	return r.dropped()
 }
 
-// Events returns the retained events merged across shards into global
-// record order (ascending Seq — equivalently virtual-time order with the
-// record sequence as tiebreak). The merge is what keeps every exporter
-// byte-identical to the single-ring pipeline it replaced.
+// Events returns a copy of the retained events in record order.
 func (r *Recorder) Events() []Event {
+	return r.Tail(-1)
+}
+
+// Tail returns a copy of the newest n retained events in record order
+// (all of them when n is negative or fewer are retained). For any
+// capacity of at least n the tail is exactly the last n events recorded —
+// the property the flight-recorder shadow relies on.
+func (r *Recorder) Tail(n int) []Event {
 	if r == nil {
 		return nil
 	}
-	return r.appendEvents(make([]Event, 0, r.Len()))
+	return r.newest(n)
 }
 
-// appendEvents is Events with caller-owned storage: the merged stream is
-// appended to out (growing it as needed) and returned. The trace
-// exporters feed it pooled scratch so a full-ring export reuses one
-// buffer instead of reallocating the largest slice of the run each time.
-func (r *Recorder) appendEvents(out []Event) []Event {
-	base := len(out)
-	for _, sh := range r.shards {
-		out = sh.events(out)
-	}
-	if len(r.shards) > 1 {
-		merged := out[base:]
-		sort.Slice(merged, func(i, j int) bool { return merged[i].Seq < merged[j].Seq })
-	}
-	return out
-}
-
-// Tail returns the last n events in global record order (all of them when
-// fewer are retained). Because every shard retains its own newest events,
-// the globally newest n are always present as long as n does not exceed
-// the per-shard capacity — the property the flight-recorder shadow relies
-// on.
-func (r *Recorder) Tail(n int) []Event {
-	evs := r.Events()
-	if n >= 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}
-
-// Metrics computes the registry snapshot: evicted-event aggregates plus a
-// scan over the retained rings, merged across shards. The result is
-// exactly what eager per-event folding would have accumulated — eviction
-// moves an event's contribution, it never loses it. The snapshot is
-// detached: it does not change as further events are recorded.
-//
-// Consecutive calls with no intervening mutation are served from a
-// memoized snapshot (see the snapshot field), so an export burst pays
-// for the ring scan once. Snapshots are immutable views and may be
-// shared between callers: treat everything reached through one —
-// including the histograms — as read-only.
+// Metrics computes the registry snapshot: the evicted-event aggregate
+// plus a scan over the retained ring. The result is exactly what eager
+// per-event folding would have accumulated — eviction moves an event's
+// contribution, it never loses it. The snapshot is detached: it does not
+// change as further events are recorded.
 func (r *Recorder) Metrics() *Metrics {
 	if r == nil {
 		return nil
 	}
-	if m := r.snapshot; m != nil && !r.snapDirty && r.snapSeq == r.seq {
-		// A cycle source can advance without any recorder call (the
-		// virtual clock charging cycles that record no event). Re-read
-		// it: if nothing moved the cached view is still exact, otherwise
-		// refresh just the attribution table on a copy — the ring
-		// aggregation itself is still valid.
-		src := r.cycleSrc()
-		fresh := true
-		for i, v := range src {
-			if i >= MaxKinds {
-				break
-			}
-			if m.kindCycles[i] != v {
-				fresh = false
-				break
-			}
-		}
-		if fresh {
-			return m
-		}
-		c := m.clone()
-		copy(c.kindCycles[:], src)
-		r.snapshot = c
-		return c
-	}
-	m := r.buildMetrics()
-	r.snapshot, r.snapSeq, r.snapDirty = m, r.seq, false
-	return m
-}
-
-// buildMetrics is the uncached snapshot aggregation.
-func (r *Recorder) buildMetrics() *Metrics {
 	m := &Metrics{
-		kindNames: r.kindNames,
-		svcNames:  r.svcNames,
-		requests:  make([]Histogram, len(r.shards)),
-		ringLat:   make([]Histogram, len(r.shards)),
+		agg:            r.evicted,
+		droppedByClass: r.evicted.counts,
+		ringLat:        append([]Histogram(nil), r.ringLat...),
+		kindNames:      r.kindNames,
+		svcNames:       r.svcNames,
 	}
+	m.agg.vcpuReqs = append([]Histogram(nil), r.evicted.vcpuReqs...)
 	copy(m.kindCycles[:], r.cycleSrc())
-	for i, sh := range r.shards {
-		agg := sh.evicted // copy, then fold retained events on top
-		if sh.full {
-			for j := sh.next; j < len(sh.buf); j++ {
-				agg.fold(&sh.buf[j])
-			}
+	if r.full {
+		for i := r.next; i < len(r.buf); i++ {
+			m.agg.fold(&r.buf[i])
 		}
-		for j := 0; j < sh.next; j++ {
-			agg.fold(&sh.buf[j])
-		}
-		m.agg.merge(&agg)
-		for c := 0; c < int(NumClasses); c++ {
-			m.droppedByClass[c] += sh.evicted.counts[c]
-		}
-		m.dropped += sh.evicted.total
-		m.requests[i] = agg.requests
-		m.ringLat[i] = sh.ringLat
+	}
+	for i := 0; i < r.next; i++ {
+		m.agg.fold(&r.buf[i])
 	}
 	return m
 }

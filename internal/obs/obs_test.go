@@ -140,7 +140,7 @@ func TestLiveRecorderZeroAllocsOnRecord(t *testing.T) {
 	r := NewRecorder(1 << 10)
 	ev := Event{Class: ClassSyscall, Kind: Span, TS: 500, Dur: 300, Span: 1, Parent: 2}
 	// Fill the ring first so the measured calls run the steady-state path,
-	// folding each evicted event into the shard aggregate.
+	// folding each evicted event into the recorder's aggregate.
 	for i := 0; i < r.Cap(); i++ {
 		r.Record(ev)
 	}
@@ -450,43 +450,23 @@ func BucketLow(b int) uint64 {
 	return 1 << (b - 1)
 }
 
-// Dropped returns the total evicted-event count at snapshot time.
-func (m *Metrics) Dropped() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.dropped
-}
-
-// Record appends one event to its VCPU's shard, stamping the global
-// sequence number. If the shard ring is full the oldest event is folded
-// into the shard's metrics aggregate and overwritten. Recording on a nil
-// recorder is a no-op; a live Record never allocates (the zero-alloc pin
-// in the tests).
+// Record appends one event through Alloc: if the ring is full the oldest
+// event is folded into the recorder's aggregate and overwritten.
+// Recording on a nil recorder is a no-op; a live Record never allocates
+// (the zero-alloc pin in the tests).
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
-	r.seq++
-	e.Seq = r.seq
-	sh := r.shardOf(e.VCPU)
-	if sh.full {
-		sh.evicted.fold(&sh.buf[sh.next])
-	}
-	sh.buf[sh.next] = e
-	sh.next++
-	if sh.next == len(sh.buf) {
-		sh.next = 0
-		sh.full = true
-	}
+	*r.Alloc(e.VCPU) = e
 }
 
-// Cap returns the total ring capacity (per-shard capacity × live shards).
+// Cap returns the ring capacity.
 func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return r.shardCap * len(r.shards)
+	return len(r.buf)
 }
 
 // Denials returns the total denial count across all legs.

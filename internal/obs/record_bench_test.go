@@ -2,9 +2,10 @@ package obs
 
 import "testing"
 
-// The record-path microbenchmarks behind the obs v3 overhead budget: the
-// tracing tax on `veil-bench -experiment obs` is (events/sec × ns/Record),
-// so shaving nanoseconds here is what moves TracingOverheadPct.
+// The record-path microbenchmarks behind the observability overhead
+// budget: the tracing tax on `veil-bench -experiment obs` is
+// (events/sec × ns/Record), so shaving nanoseconds here is what moves
+// TracingOverheadPct.
 
 func benchEvent(i int) Event {
 	k := Instant
@@ -27,8 +28,8 @@ func BenchmarkRecord(b *testing.B) {
 }
 
 // BenchmarkRecordSingleVCPU is the shape the obs experiment measures: one
-// producer VCPU, so the shard cache hits on every Record and the ring
-// stays L2-resident; steady-state evictions fold into the aggregate.
+// producer VCPU and a ring that stays L2-resident; steady-state evictions
+// fold into the aggregate.
 func BenchmarkRecordSingleVCPU(b *testing.B) {
 	r := NewRecorder(1 << 12)
 	b.ReportAllocs()
@@ -60,7 +61,7 @@ func BenchmarkFlightRecord(b *testing.B) {
 		ev := benchEvent(i)
 		e := f.Alloc(ev.Class)
 		e.TS, e.Dur, e.Arg1, e.Arg2 = ev.TS, ev.Dur, ev.Arg1, ev.Arg2
-		e.Seq, e.VCPU, e.VMPL = 0, ev.VCPU, ev.VMPL
+		e.VCPU, e.VMPL = ev.VCPU, ev.VMPL
 		e.Class, e.Kind = ev.Class, ev.Kind
 		e.Span, e.Parent = 0, 0
 	}

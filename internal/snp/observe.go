@@ -7,11 +7,10 @@ import "veil/internal/obs"
 // helper maintains the legacy Trace counter for its event (so Trace stays a
 // thin compatibility view over the same instrumentation) and, when a sink
 // is attached, records a typed obs event stamped with the virtual cycle
-// clock, the current VCPU, the acting VMPL and — new in obs v2 — the
-// causal span context.
+// clock, the current VCPU, the acting VMPL and the causal span context.
 //
-// Three sinks can be attached independently: the trace Recorder (sharded
-// per-VCPU rings + metrics, veil-sim -trace), the Flight ring (small,
+// Three sinks can be attached independently: the trace Recorder (one
+// bounded ring + metrics, veil-sim -trace), the Flight ring (small,
 // always-on, feeds the post-mortem dump), and the audit hook (the online
 // invariant auditor paces itself off the event stream). With none
 // attached (the default for a bare Machine) every helper is a counter
@@ -19,11 +18,12 @@ import "veil/internal/obs"
 // TestNilRecorderMachineZeroAllocs pins with testing.AllocsPerRun.
 //
 // When a Recorder is attached it shadows the flight ring: the recorder's
-// shards already retain at least the newest DefaultFlightCapacity events
-// per VCPU, so the machine skips the second ring write on the hot path
-// and the Flight* accessors derive the post-mortem tail (and its drop
-// accounting) from the recorder instead. With no recorder the flight
-// ring is fed directly, exactly as before — the always-on cheap path.
+// ring already retains the newest events in record order (exactly the
+// flight tail for any capacity of at least DefaultFlightCapacity), so the
+// machine skips the second ring write on the hot path and the Flight*
+// accessors derive the post-mortem tail (and its drop accounting) from
+// the recorder instead. With no recorder the flight ring is fed
+// directly — the always-on cheap path.
 
 // SetRecorder attaches (or, with nil, detaches) an event recorder. The
 // recorder also receives cycle attribution from the Clock, the cost-kind
@@ -52,7 +52,7 @@ func (m *Machine) flightTailCap() int {
 }
 
 // FlightTail returns the newest flight-recorder events, oldest first:
-// the recorder's merged tail when one is attached (shadow mode), the
+// the recorder's tail when one is attached (shadow mode), the
 // flight ring's contents otherwise.
 func (m *Machine) FlightTail() []obs.Event {
 	if m.rec != nil {
@@ -211,7 +211,7 @@ func (m *Machine) emitSpan(class obs.Class, kind obs.EventKind, dur uint64, vmpl
 	if ref.ID == 0 {
 		parent = m.spans.Current()
 	}
-	// Fill one slot in place: the recorder's (its shards double as the
+	// Fill one slot in place: the recorder's (its ring doubles as the
 	// flight tail, so there is no second ring write), else the flight
 	// ring's, else a local for the audit hook alone. Both rings hand out
 	// dirty slots, so every Event field is assigned.
@@ -221,7 +221,6 @@ func (m *Machine) emitSpan(class obs.Class, kind obs.EventKind, dur uint64, vmpl
 		e = m.rec.Alloc(m.obsVCPU)
 	} else if m.flight != nil {
 		e = m.flight.Alloc(class)
-		e.Seq = 0
 	}
 	e.TS, e.Dur, e.Arg1, e.Arg2 = m.clock.total, dur, a1, a2
 	e.VCPU, e.VMPL = m.obsVCPU, vmpl
