@@ -23,7 +23,8 @@ experiments:
 	$(GO) run ./cmd/veil-bench -experiment all
 
 # The paper's full-scale 2 GiB boot experiment (sweeps 524288 pages; about
-# 0.1 s of host time, since PVALIDATE skips pages nothing wrote).
+# 0.05 s of host time on a 2-vCPU x86-64 host, since PVALIDATE skips pages
+# nothing wrote and the sweep writes only the events the flight ring keeps).
 boot-full:
 	$(GO) run ./cmd/veil-bench -experiment boot -mem 2048
 

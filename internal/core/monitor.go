@@ -323,23 +323,38 @@ func (mon *Monitor) sweepAndProtect() error {
 		}
 		return nil
 	}
+	// The same scan plans the accept runs: one per stretch of pages that
+	// take the same instructions. A page the host assigns is then
+	// assigned and unvalidated, which is what it plans as now.
+	type sweepOp struct{ skip, validated, kernel bool }
+	type stretch struct {
+		lo, hi uint64 // pages [lo, hi)
+		op     sweepOp
+	}
+	var plan []stretch
 	for pg := uint64(0); pg < total; pg++ {
-		if pg >= ghcbLo && pg < ghcbHi {
-			if err := flush(pg); err != nil {
+		op := sweepOp{skip: true} // GHCBs stay shared
+		if pg < ghcbLo || pg >= ghcbHi {
+			e, err := m.RMPEntryAt(pg * snp.PageSize)
+			if err != nil {
 				return err
 			}
-			continue // GHCBs stay shared
-		}
-		e, err := m.RMPEntryAt(pg * snp.PageSize)
-		if err != nil {
-			return err
-		}
-		if !e.Assigned {
-			if !inRun {
-				runStart, inRun = pg, true
+			if !e.Assigned {
+				if !inRun {
+					runStart, inRun = pg, true
+				}
+			} else if err := flush(pg); err != nil {
+				return err
 			}
+			// The boot VMSA page is already protected by hardware.
+			op = sweepOp{skip: e.VMSA, validated: e.Validated, kernel: pg*snp.PageSize >= mon.lay.KernelLo}
 		} else if err := flush(pg); err != nil {
 			return err
+		}
+		if n := len(plan); n > 0 && plan[n-1].op == op {
+			plan[n-1].hi++
+		} else {
+			plan = append(plan, stretch{pg, pg + 1, op})
 		}
 	}
 	if err := flush(total); err != nil {
@@ -347,48 +362,29 @@ func (mon *Monitor) sweepAndProtect() error {
 	}
 
 	// Accept and protect each page.
-	kernelPerms := [3]struct {
-		vmpl snp.VMPL
-		perm snp.Perm
-	}{
+	kernelGrants := [3]snp.Grant{
 		// Services hold full permissions on the OS region: RMPADJUST can
 		// only grant a subset of the caller's own permissions, and
 		// VeilS-Kci/VeilS-Enc manage execute bits for VMPL2/3 from VMPL1.
-		{snp.VMPL1, snp.PermAll},
-		{snp.VMPL2, snp.PermRW | snp.PermUserExec}, // enclaves run user code in OS-region frames
-		{snp.VMPL3, snp.PermAll},                   // the OS owns its region (until KCI narrows it)
+		{Target: snp.VMPL1, Perms: snp.PermAll},
+		{Target: snp.VMPL2, Perms: snp.PermRW | snp.PermUserExec}, // enclaves run user code in OS-region frames
+		{Target: snp.VMPL3, Perms: snp.PermAll},                   // the OS owns its region (until KCI narrows it)
 	}
-	for pg := uint64(0); pg < total; pg++ {
-		if pg >= ghcbLo && pg < ghcbHi {
+	// Monitor image and heap: explicitly no access below VMPL0.
+	monGrants := [3]snp.Grant{{Target: snp.VMPL1}, {Target: snp.VMPL2}, {Target: snp.VMPL3}}
+	for _, st := range plan {
+		if st.op.skip {
 			continue
 		}
-		phys := pg * snp.PageSize
-		e, err := m.RMPEntryAt(phys)
-		if err != nil {
+		run := snp.RMPRun{Caller: snp.VMPL0, Lo: st.lo * snp.PageSize, Hi: st.hi * snp.PageSize, Grants: monGrants[:]}
+		if !st.op.validated {
+			run.Validate, run.Touch = snp.PVAccept, snp.CyclesColdPageTouch
+		}
+		if st.op.kernel {
+			run.Grants = kernelGrants[:]
+		}
+		if err := m.RunRMP(&run); err != nil {
 			return err
-		}
-		if e.VMSA {
-			continue // the boot VMSA page: already protected by hardware
-		}
-		if !e.Validated {
-			if err := m.PValidate(snp.VMPL0, phys, true); err != nil {
-				return err
-			}
-			m.Clock().Charge(snp.CostCompute, snp.CyclesColdPageTouch)
-		}
-		if phys >= mon.lay.KernelLo {
-			for _, kp := range kernelPerms {
-				if err := m.RMPAdjust(snp.VMPL0, phys, kp.vmpl, kp.perm); err != nil {
-					return err
-				}
-			}
-		} else {
-			// Monitor image and heap: explicitly no access below VMPL0.
-			for v := snp.VMPL1; v < snp.NumVMPLs; v++ {
-				if err := m.RMPAdjust(snp.VMPL0, phys, v, snp.PermNone); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	return nil

@@ -47,6 +47,8 @@ func (rs *RegionSet) Add(lo, hi uint64, label string) error {
 // a bad one stay registered, as if added one by one.
 func (rs *RegionSet) AddPages(pages []uint64, label string) error {
 	var err error
+	n := len(rs.regions)
+	rs.regions = slices.Grow(rs.regions, len(pages))
 	for _, p := range pages {
 		if p+snp.PageSize <= p {
 			err = fmt.Errorf("core: bad region [%#x,%#x)", p, p+snp.PageSize)
@@ -54,9 +56,28 @@ func (rs *RegionSet) AddPages(pages []uint64, label string) error {
 		}
 		rs.regions = append(rs.regions, region{lo: p, hi: p + snp.PageSize, label: label})
 	}
-	slices.SortStableFunc(rs.regions, func(a, b region) int { return cmp.Compare(a.lo, b.lo) })
-	rs.maxHi = slices.Grow(rs.maxHi[:0], len(rs.regions))[:len(rs.regions)]
-	rs.rebuildMaxHi(0)
+	add := rs.regions[n:]
+	if byLo := func(a, b region) int { return cmp.Compare(a.lo, b.lo) }; !slices.IsSortedFunc(add, byLo) {
+		slices.SortStableFunc(add, byLo)
+	}
+	// Merge the registered regions starting past the first new one into
+	// the new ones. On equal starts the region registered earlier stays
+	// first, as Add would have placed it. Every write lands at or before
+	// the next new region still to be read.
+	q := n
+	if len(add) > 0 {
+		q = sort.Search(n, func(i int) bool { return rs.regions[i].lo > add[0].lo })
+	}
+	w, a := q, n
+	for _, r := range slices.Clone(rs.regions[q:n]) {
+		for ; a < len(rs.regions) && rs.regions[a].lo < r.lo; a, w = a+1, w+1 {
+			rs.regions[w] = rs.regions[a]
+		}
+		rs.regions[w] = r
+		w++
+	}
+	rs.maxHi = slices.Grow(rs.maxHi, len(rs.regions)-len(rs.maxHi))[:len(rs.regions)]
+	rs.rebuildMaxHi(q)
 	return err
 }
 

@@ -11,7 +11,11 @@ import (
 // (in the core package) for monitor memory — the two never overlap.
 type PhysAllocator struct {
 	lo, hi uint64 // [lo, hi) in bytes, page aligned
-	free   []uint64
+	// fresh is the lowest frame never handed out; frames from it to hi
+	// come next, low to high, once free (the frames returned since, in
+	// return order) is empty.
+	fresh uint64
+	free  []uint64
 	// inUse holds one bit per page of the range, set while the page is
 	// allocated.
 	inUse []uint64
@@ -24,24 +28,22 @@ func NewPhysAllocator(lo, hi uint64) (*PhysAllocator, error) {
 		return nil, fmt.Errorf("mm: bad allocator range [%#x,%#x)", lo, hi)
 	}
 	pages := (hi - lo) / snp.PageSize
-	a := &PhysAllocator{lo: lo, hi: hi, inUse: make([]uint64, (pages+63)/64)}
-	// Stack the frames so allocation order is deterministic (low → high).
-	for p := hi - snp.PageSize; ; p -= snp.PageSize {
-		a.free = append(a.free, p)
-		if p == lo {
-			break
-		}
-	}
-	return a, nil
+	return &PhysAllocator{lo: lo, hi: hi, fresh: lo, inUse: make([]uint64, (pages+63)/64)}, nil
 }
 
 // Alloc returns one free page frame.
 func (a *PhysAllocator) Alloc() (uint64, error) {
-	if len(a.free) == 0 {
+	var p uint64
+	switch {
+	case len(a.free) > 0:
+		p = a.free[len(a.free)-1]
+		a.free = a.free[:len(a.free)-1]
+	case a.fresh < a.hi:
+		p = a.fresh
+		a.fresh += snp.PageSize
+	default:
 		return 0, fmt.Errorf("mm: out of physical pages in [%#x,%#x)", a.lo, a.hi)
 	}
-	p := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
 	i := (p - a.lo) / snp.PageSize
 	a.inUse[i/64] |= 1 << (i % 64)
 	return p, nil

@@ -44,6 +44,18 @@ func (f *Flight) Alloc(c Class) *Event {
 	return f.claim()
 }
 
+// Skip accounts n events of class c that rolled out of the ring before
+// anyone read them, as if each had been claimed with Alloc: they count as
+// claims of c, every retained event is evicted with them, and the ring
+// restarts empty. A producer that knows its next Cap() events overwrite
+// these n uses Skip instead of writing them. f must be non-nil.
+func (f *Flight) Skip(c Class, n uint64) {
+	if c < NumClasses {
+		f.byClass[c] += n
+	}
+	f.skip(n)
+}
+
 // Len returns the number of events currently held.
 func (f *Flight) Len() int {
 	if f == nil {

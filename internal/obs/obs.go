@@ -213,6 +213,15 @@ func (g *ring) claim() *Event {
 	return e
 }
 
+// skip counts n claims whose events the producer never wrote, because
+// later claims overwrite them before anyone could read them. The ring
+// restarts empty: every event it held is as overwritten as the skipped
+// ones, and the claims that follow refill it from the first slot.
+func (g *ring) skip(n uint64) {
+	g.total += n
+	g.next, g.full = 0, false
+}
+
 // len returns the number of retained events.
 func (g *ring) len() int {
 	if g.full {
@@ -355,6 +364,43 @@ func (r *Recorder) Alloc(vcpu int32) *Event {
 		r.evicted.fold(&r.buf[r.next])
 	}
 	return r.claim()
+}
+
+// Skip accounts n instant events of class c that rolled out of the ring
+// before anyone read them, as if each had been claimed with Alloc and
+// then evicted: every retained event is evicted (folded) first, the n
+// instants count in the eviction tallies, and the ring restarts empty. A
+// producer that knows its next Cap() events overwrite these n uses Skip
+// instead of writing them. Like Alloc it is NOT nil-safe.
+func (r *Recorder) Skip(vcpu int32, c Class, n uint64) {
+	if int(vcpu) >= len(r.ringLat) {
+		r.addVCPU(vcpu)
+	}
+	r.foldRetained(&r.evicted)
+	if c < NumClasses {
+		r.evicted.counts[c] += n
+	}
+	r.skip(n)
+}
+
+// foldRetained folds every retained event into a, oldest first.
+func (r *Recorder) foldRetained(a *aggregate) {
+	if r.full {
+		for i := r.next; i < len(r.buf); i++ {
+			a.fold(&r.buf[i])
+		}
+	}
+	for i := 0; i < r.next; i++ {
+		a.fold(&r.buf[i])
+	}
+}
+
+// Cap returns the ring capacity. Nil-safe (zero).
+func (r *Recorder) Cap() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.buf)
 }
 
 // RecordRingLatency feeds one batched-ring request latency — virtual
@@ -540,13 +586,6 @@ func (r *Recorder) Metrics() *Metrics {
 	}
 	m.agg.vcpuReqs = append([]Histogram(nil), r.evicted.vcpuReqs...)
 	copy(m.kindCycles[:], r.cycleSrc())
-	if r.full {
-		for i := r.next; i < len(r.buf); i++ {
-			m.agg.fold(&r.buf[i])
-		}
-	}
-	for i := 0; i < r.next; i++ {
-		m.agg.fold(&r.buf[i])
-	}
+	r.foldRetained(&m.agg)
 	return m
 }

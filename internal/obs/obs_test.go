@@ -461,14 +461,6 @@ func (r *Recorder) Record(e Event) {
 	*r.Alloc(e.VCPU) = e
 }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Denials returns the total denial count across all legs.
 func (t *TraceEvidence) Denials() int {
 	n := 0

@@ -271,19 +271,16 @@ func decRanges(b []byte) ([][2]uint64, []byte, bool) {
 // the kernel's own page tables cannot undo this (§8.2, §8.3 attack 2).
 func (s *Service) Activate(textRanges, dataRanges [][2]uint64) error {
 	m := s.mon.Machine()
+	text := [1]snp.Grant{{Target: snp.VMPL3, Perms: snp.PermRead | snp.PermSupervisorExec}}
+	data := [1]snp.Grant{{Target: snp.VMPL3, Perms: snp.PermRead | snp.PermWrite | snp.PermUserExec}}
 	for _, r := range textRanges {
-		for p := r[0]; p < r[1]; p += snp.PageSize {
-			if err := m.RMPAdjust(snp.VMPL1, p, snp.VMPL3, snp.PermRead|snp.PermSupervisorExec); err != nil {
-				return err
-			}
+		if err := m.RunRMP(&snp.RMPRun{Caller: snp.VMPL1, Lo: r[0], Hi: r[1], Grants: text[:]}); err != nil {
+			return err
 		}
 	}
 	for _, r := range dataRanges {
-		for p := r[0]; p < r[1]; p += snp.PageSize {
-			if err := m.RMPAdjust(snp.VMPL1, p, snp.VMPL3,
-				snp.PermRead|snp.PermWrite|snp.PermUserExec); err != nil {
-				return err
-			}
+		if err := m.RunRMP(&snp.RMPRun{Caller: snp.VMPL1, Lo: r[0], Hi: r[1], Grants: data[:]}); err != nil {
+			return err
 		}
 	}
 	s.textRanges = append(s.textRanges, textRanges...)

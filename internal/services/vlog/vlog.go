@@ -43,16 +43,22 @@ func New(mon *core.Monitor, storePages uint64) *Service {
 // from the monitor heap and are granted to Dom-SRV (VMPL1) read/write —
 // Dom-UNT gets nothing, which is the whole point.
 func (s *Service) init() error {
-	m := s.mon.Machine()
-	for i := uint64(0); i < s.storePages; i++ {
+	s.frames = make([]uint64, 0, s.storePages)
+	var allocErr error
+	for range s.storePages {
 		f, err := s.mon.AllocFrame()
 		if err != nil {
-			return fmt.Errorf("vlog: store allocation: %w", err)
-		}
-		if err := m.RMPAdjust(snp.VMPL0, f, snp.VMPL1, snp.PermRW); err != nil {
-			return err
+			allocErr = fmt.Errorf("vlog: store allocation: %w", err)
+			break
 		}
 		s.frames = append(s.frames, f)
+	}
+	grant := [1]snp.Grant{{Target: snp.VMPL1, Perms: snp.PermRW}}
+	if err := s.mon.Machine().RunRMP(&snp.RMPRun{Caller: snp.VMPL0, Pages: s.frames, Grants: grant[:]}); err != nil {
+		return err
+	}
+	if allocErr != nil {
+		return allocErr
 	}
 	return s.mon.ProtectPages(s.frames, "veils-log-store")
 }

@@ -213,23 +213,106 @@ func (m *Machine) emitSpan(class obs.Class, kind obs.EventKind, dur uint64, vmpl
 	}
 	// Fill one slot in place: the recorder's (its ring doubles as the
 	// flight tail, so there is no second ring write), else the flight
-	// ring's, else a local for the audit hook alone. Both rings hand out
-	// dirty slots, so every Event field is assigned.
-	var local obs.Event
-	e := &local
-	if m.rec != nil {
+	// ring's. Both rings hand out dirty slots, so every Event field is
+	// assigned.
+	var e *obs.Event
+	switch {
+	case m.rec != nil:
 		e = m.rec.Alloc(m.obsVCPU)
-	} else if m.flight != nil {
+	case m.flight != nil:
 		e = m.flight.Alloc(class)
+	default:
+		// The audit hook alone: it takes the event by value.
+		m.runHook(obs.Event{TS: m.clock.total, Dur: dur, Arg1: a1, Arg2: a2,
+			VCPU: m.obsVCPU, VMPL: vmpl, Span: ref.ID, Parent: parent, Class: class, Kind: kind})
+		return
 	}
 	e.TS, e.Dur, e.Arg1, e.Arg2 = m.clock.total, dur, a1, a2
 	e.VCPU, e.VMPL = m.obsVCPU, vmpl
 	e.Class, e.Kind = class, kind
 	e.Span, e.Parent = ref.ID, parent
-	if m.auditHook != nil && !m.inAudit {
-		m.inAudit = true
-		m.auditHook(*e)
-		m.inAudit = false
+	if m.auditHook != nil {
+		m.runHook(*e)
+	}
+}
+
+// runHook hands e to the audit hook unless the hook is already running.
+func (m *Machine) runHook(e obs.Event) {
+	if m.inAudit {
+		return
+	}
+	m.inAudit = true
+	m.auditHook(e)
+	m.inAudit = false
+}
+
+// recordRun records the events of the first done instructions of run r,
+// which began at cycle start, in the attached ring (none: nothing to do).
+// Emitted one by one, all but the ring's last Cap events would be
+// overwritten before anyone could read them: those are only counted, by
+// class, through the ring's Skip, and the rest are written with the
+// timestamps the clock showed as each instruction completed.
+func (m *Machine) recordRun(r *RMPRun, start, done uint64) {
+	if done == 0 || (m.rec == nil && m.flight == nil) {
+		return
+	}
+	capacity := uint64(m.flight.Cap())
+	if m.rec != nil {
+		capacity = uint64(m.rec.Cap())
+	}
+	per := r.perPage()
+	var skip uint64
+	if done > capacity {
+		skip = done - capacity
+	}
+	// Each page costs pageCycles; its grants start grantBase into it.
+	pageCycles := uint64(len(r.Grants)) * CyclesRMPADJUST
+	var grantBase, pv uint64
+	if r.Validate != NoPValidate {
+		grantBase = CyclesPVALIDATE + r.Touch
+		pageCycles += grantBase
+		pv = (skip + per - 1) / per // every page's first instruction
+	}
+	m.skipEvents(obs.ClassPValidate, pv)
+	m.skipEvents(obs.ClassRMPAdjust, skip-pv)
+	parent := m.spans.Current()
+	for j := skip; j < done; j++ {
+		pg, op := j/per, j%per
+		phys := r.page(pg)
+		ts := start + pg*pageCycles
+		class := obs.ClassRMPAdjust
+		var a2 uint64
+		if r.Validate != NoPValidate && op == 0 {
+			class, ts, a2 = obs.ClassPValidate, ts+CyclesPVALIDATE, pvalidateArg(r.Validate == PVAccept)
+		} else {
+			if r.Validate != NoPValidate {
+				op--
+			}
+			g := r.Grants[op]
+			ts += grantBase + (op+1)*CyclesRMPADJUST
+			a2 = rmpAdjustArg(g.Target, g.Perms)
+		}
+		var e *obs.Event // the slot emitSpan would fill
+		if m.rec != nil {
+			e = m.rec.Alloc(m.obsVCPU)
+		} else {
+			e = m.flight.Alloc(class)
+		}
+		*e = obs.Event{TS: ts, Arg1: PageBase(phys), Arg2: a2,
+			VCPU: m.obsVCPU, VMPL: int16(r.Caller), Parent: parent, Class: class, Kind: obs.Instant}
+	}
+}
+
+// skipEvents accounts n instants of class c the attached ring overwrites
+// before anyone reads them.
+func (m *Machine) skipEvents(c obs.Class, n uint64) {
+	if n == 0 {
+		return
+	}
+	if m.rec != nil {
+		m.rec.Skip(m.obsVCPU, c, n)
+	} else {
+		m.flight.Skip(c, n)
 	}
 }
 
@@ -273,21 +356,22 @@ func (m *Machine) ObserveDomainSwitch(from, to VMPL, startCycles uint64) {
 }
 
 // observeRMPAdjust counts one RMPADJUST by caller on the page at phys,
-// setting target's permission vector to perms (machine-internal; the
-// architectural mutators call it after their checks pass).
+// setting target's permission vector to perms (machine-internal; VMSA
+// creation calls it after its checks pass).
 func (m *Machine) observeRMPAdjust(caller, target VMPL, phys uint64, perms Perm) {
 	m.trace.RMPAdjusts++
-	m.emit(obs.ClassRMPAdjust, obs.Instant, 0, int16(caller), PageBase(phys), uint64(target)<<8|uint64(perms))
+	m.emit(obs.ClassRMPAdjust, obs.Instant, 0, int16(caller), PageBase(phys), rmpAdjustArg(target, perms))
 }
 
-// observePValidate counts one PVALIDATE on the page at phys.
-func (m *Machine) observePValidate(caller VMPL, phys uint64, validate bool) {
-	m.trace.PValidates++
-	var v uint64
+// rmpAdjustArg is a ClassRMPAdjust event's Arg2.
+func rmpAdjustArg(target VMPL, perms Perm) uint64 { return uint64(target)<<8 | uint64(perms) }
+
+// pvalidateArg is a ClassPValidate event's Arg2.
+func pvalidateArg(validate bool) uint64 {
 	if validate {
-		v = 1
+		return 1
 	}
-	m.emit(obs.ClassPValidate, obs.Instant, 0, int16(caller), PageBase(phys), v)
+	return 0
 }
 
 // ObserveSyscallEnter counts one guest-kernel syscall entry and opens its

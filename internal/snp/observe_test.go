@@ -92,7 +92,15 @@ func TestNilRecorderMachineZeroAllocs(t *testing.T) {
 		case "audit-hook":
 			m.SetAuditHook(func(obs.Event) {})
 		}
+		if err := m.HVAssignPage(PageSize); err != nil {
+			t.Fatal(err)
+		}
 		allocs := testing.AllocsPerRun(1000, func() {
+			// The per-page instructions are runs of one page.
+			if m.PValidate(VMPL0, PageSize, true) != nil || m.RMPAdjust(VMPL0, PageSize, VMPL1, PermRW) != nil ||
+				m.PValidate(VMPL0, PageSize, false) != nil {
+				t.Fatal("RMP instruction refused")
+			}
 			m.ObserveVMGEXIT()
 			m.ObserveVMENTER()
 			ref := m.ObserveSyscallEnter(VMPL3, 1)

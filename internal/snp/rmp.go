@@ -83,11 +83,34 @@ func (m *Machine) RMPEntryAt(phys uint64) (RMPEntry, error) {
 }
 
 // RMPAdjust models the RMPADJUST instruction: software at callerVMPL sets
-// the permission vector of targetVMPL on the page at phys.
+// the permission vector of targetVMPL on the page at phys. It is a run of
+// one page (see RunRMP).
+func (m *Machine) RMPAdjust(callerVMPL VMPL, phys uint64, targetVMPL VMPL, perms Perm) error {
+	pages := [1]uint64{phys}
+	grants := [1]Grant{{Target: targetVMPL, Perms: perms}}
+	return m.RunRMP(&RMPRun{Caller: callerVMPL, Pages: pages[:], Grants: grants[:]})
+}
+
+// PValidate models the PVALIDATE instruction, which changes a page's
+// validated state. It is a run of one page (see RunRMP).
+func (m *Machine) PValidate(callerVMPL VMPL, phys uint64, validate bool) error {
+	op := PVRescind
+	if validate {
+		op = PVAccept
+	}
+	pages := [1]uint64{phys}
+	return m.RunRMP(&RMPRun{Caller: callerVMPL, Pages: pages[:], Validate: op})
+}
+
+// rmpAdjust executes one RMPADJUST by callerVMPL on the page at phys,
+// page pi of guest memory, setting g.Target's permission vector to
+// g.Perms. It returns a refusal without recording it: RunRMP records a
+// *Fault after the events of the instructions before it.
 //
 // Architectural rules enforced (§3, §5.1):
-//   - targetVMPL must be strictly less privileged than callerVMPL (#GP
-//     otherwise); a VCPU can never raise its own or a peer's privileges.
+//   - the target VMPL must be strictly less privileged than callerVMPL
+//     (#GP otherwise); a VCPU can never raise its own or a peer's
+//     privileges.
 //   - the page must be assigned and validated (#NPF otherwise).
 //   - callerVMPL must itself hold read+write permission on the page; an
 //     OS calling RMPADJUST on a Veil-restricted page therefore takes an
@@ -95,72 +118,51 @@ func (m *Machine) RMPEntryAt(phys uint64) (RMPEntry, error) {
 //   - the caller cannot grant a permission it does not itself hold.
 //
 // A successful call charges CyclesRMPADJUST.
-func (m *Machine) RMPAdjust(callerVMPL VMPL, phys uint64, targetVMPL VMPL, perms Perm) error {
+func (m *Machine) rmpAdjust(callerVMPL VMPL, phys, pi uint64, g Grant) error {
 	if err := m.checkRunning(); err != nil {
 		return err
 	}
-	pi, err := m.pageIndex(phys)
-	if err != nil {
-		return err
-	}
-	if !targetVMPL.Valid() || !callerVMPL.MorePrivilegedThan(targetVMPL) {
-		f := &Fault{Kind: FaultGP, VMPL: callerVMPL, Phys: phys,
-			Why: fmt.Sprintf("RMPADJUST target %s not below caller %s", targetVMPL, callerVMPL)}
-		m.ObserveFault(f)
-		return f
+	if !g.Target.Valid() || !callerVMPL.MorePrivilegedThan(g.Target) {
+		return &Fault{Kind: FaultGP, VMPL: callerVMPL, Phys: phys,
+			Why: fmt.Sprintf("RMPADJUST target %s not below caller %s", g.Target, callerVMPL)}
 	}
 	e := &m.rmp[pi]
 	if e.VMSA {
-		f := &Fault{Kind: FaultNPF, VMPL: callerVMPL, Phys: phys, Access: AccessWrite, Why: "RMPADJUST on in-use VMSA page"}
-		m.Halt(f)
-		return f
+		return &Fault{Kind: FaultNPF, VMPL: callerVMPL, Phys: phys, Access: AccessWrite, Why: "RMPADJUST on in-use VMSA page"}
 	}
 	if !e.Assigned || !e.Validated {
-		f := &Fault{Kind: FaultNPF, VMPL: callerVMPL, Phys: phys, Access: AccessWrite, Why: "RMPADJUST on unassigned/unvalidated page"}
-		m.Halt(f)
-		return f
+		return &Fault{Kind: FaultNPF, VMPL: callerVMPL, Phys: phys, Access: AccessWrite, Why: "RMPADJUST on unassigned/unvalidated page"}
 	}
 	if !e.Perms[callerVMPL].Has(PermRW) {
-		f := &Fault{Kind: FaultNPF, VMPL: callerVMPL, Phys: phys, Access: AccessWrite,
+		return &Fault{Kind: FaultNPF, VMPL: callerVMPL, Phys: phys, Access: AccessWrite,
 			Why: fmt.Sprintf("RMPADJUST caller lacks rw on page (have %s)", e.Perms[callerVMPL])}
-		m.Halt(f)
-		return f
 	}
-	if !e.Perms[callerVMPL].Has(perms) {
-		f := &Fault{Kind: FaultGP, VMPL: callerVMPL, Phys: phys,
-			Why: fmt.Sprintf("RMPADJUST grants %s beyond caller's %s", perms, e.Perms[callerVMPL])}
-		m.ObserveFault(f)
-		return f
+	if !e.Perms[callerVMPL].Has(g.Perms) {
+		return &Fault{Kind: FaultGP, VMPL: callerVMPL, Phys: phys,
+			Why: fmt.Sprintf("RMPADJUST grants %s beyond caller's %s", g.Perms, e.Perms[callerVMPL])}
 	}
-	e.Perms[targetVMPL] = perms
+	e.Perms[g.Target] = g.Perms
 	m.rmpFlushTLB() // hardware requires TLB invalidation after RMPADJUST
 	m.clock.Charge(CostRMPADJUST, CyclesRMPADJUST)
-	m.observeRMPAdjust(callerVMPL, targetVMPL, phys, perms)
+	m.trace.RMPAdjusts++
 	return nil
 }
 
-// PValidate models the PVALIDATE instruction, which changes a page's
-// validated state. It is architecturally restricted to VMPL0 — this is the
-// reason the Veil kernel must delegate page-state changes to VeilMon
-// (§5.3 "Page state change delegation").
-func (m *Machine) PValidate(callerVMPL VMPL, phys uint64, validate bool) error {
+// pvalidate executes one PVALIDATE by callerVMPL on the page at phys and
+// returns a refusal without recording it, like rmpAdjust. PVALIDATE is
+// architecturally restricted to VMPL0 — this is the reason the Veil
+// kernel must delegate page-state changes to VeilMon (§5.3 "Page state
+// change delegation").
+func (m *Machine) pvalidate(callerVMPL VMPL, phys, pi uint64, validate bool) error {
 	if err := m.checkRunning(); err != nil {
 		return err
 	}
-	pi, err := m.pageIndex(phys)
-	if err != nil {
-		return err
-	}
 	if callerVMPL != VMPL0 {
-		f := &Fault{Kind: FaultGP, VMPL: callerVMPL, Phys: phys, Why: "PVALIDATE requires VMPL0"}
-		m.ObserveFault(f)
-		return f
+		return &Fault{Kind: FaultGP, VMPL: callerVMPL, Phys: phys, Why: "PVALIDATE requires VMPL0"}
 	}
 	e := &m.rmp[pi]
 	if !e.Assigned {
-		f := &Fault{Kind: FaultNPF, VMPL: callerVMPL, Phys: phys, Why: "PVALIDATE on unassigned page"}
-		m.Halt(f)
-		return f
+		return &Fault{Kind: FaultNPF, VMPL: callerVMPL, Phys: phys, Why: "PVALIDATE on unassigned page"}
 	}
 	if e.Validated == validate {
 		return fmt.Errorf("snp: PVALIDATE no-op (already validated=%v) at %#x", validate, PageBase(phys))
@@ -186,7 +188,7 @@ func (m *Machine) PValidate(callerVMPL VMPL, phys uint64, validate bool) error {
 	}
 	m.rmpFlushTLB() // validated state feeds every cached RMP verdict
 	m.clock.Charge(CostPVALIDATE, CyclesPVALIDATE)
-	m.observePValidate(callerVMPL, phys, validate)
+	m.trace.PValidates++
 	return nil
 }
 

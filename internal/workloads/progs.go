@@ -278,6 +278,9 @@ func SevenZip(chunks int) Workload {
 				}
 				buf := make([]byte, 16<<10)
 				var compressed bytes.Buffer
+				// One compressor per run: Reset equals a fresh NewWriter
+				// without its megabyte of new state per chunk.
+				fw, _ := flate.NewWriter(&compressed, flate.BestCompression)
 				for i := 0; i < chunks; i++ {
 					in, err := lc.Open("/data/7z-input.bin", kernel.ORdonly, 0)
 					if err != nil {
@@ -286,7 +289,7 @@ func SevenZip(chunks int) Workload {
 					n, _ := lc.Read(in, buf)
 					lc.Close(in)
 					compressed.Reset()
-					fw, _ := flate.NewWriter(&compressed, flate.BestCompression)
+					fw.Reset(&compressed)
 					fw.Write(buf[:n])
 					fw.Close()
 					lc.Burn(sevenZipCyclesPerChunk)
