@@ -59,44 +59,10 @@ func TestCallerGateFlagsAnUncalledFunction(t *testing.T) {
 // A method of a reached type is live when the type implements a reached
 // interface or one of the standard library's, with the method in it.
 func unreached(root, module string) ([]string, error) {
-	l := &loader{
-		root:   root,
-		module: module,
-		fset:   token.NewFileSet(),
-		pkgs:   map[string]*srcPkg{},
-		std:    importer.Default(),
-	}
-	var rootDirs []string
-	for _, pattern := range []string{"cmd/*", "examples/*", "benchmark"} {
-		dirs, err := filepath.Glob(filepath.Join(root, pattern))
-		if err != nil {
-			return nil, err
-		}
-		rootDirs = append(rootDirs, dirs...)
-	}
-	var internal []string
-	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		if names, err := goFiles(path); err != nil || len(names) > 0 {
-			internal = append(internal, path)
-			return err
-		}
-		return nil
-	})
+	l, rootDirs, internal, err := loadModule(root, module)
 	if err != nil {
 		return nil, err
 	}
-	for _, dir := range append(rootDirs, internal...) {
-		if _, err := l.load(l.importPath(dir)); err != nil {
-			return nil, err
-		}
-	}
-
 	w := &walker{
 		loader:  l,
 		reached: map[types.Object]bool{},
@@ -153,6 +119,123 @@ func unreached(root, module string) ([]string, error) {
 	}
 	sort.Strings(dead)
 	return dead, nil
+}
+
+// TestEveryWireOpIsSent fails on any Op* constant of internal/core's
+// protocol.go that no shipped non-test file outside internal/services
+// names: an op only a service handles is a request nothing on the OS side
+// sends, which the function gate cannot see because the handler's switch
+// is reachable.
+func TestEveryWireOpIsSent(t *testing.T) {
+	unsent, err := unsentOps(".", "veil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unsent) > 0 {
+		t.Fatalf("no shipped code outside internal/services sends these ops; give each a sender or retire it:\n  %s",
+			strings.Join(unsent, "\n  "))
+	}
+}
+
+// TestOpGateFlagsAnUnsentOp runs the op gate over the fixture module, whose
+// command sends core.OpSent and whose one service also handles OpUnsent.
+func TestOpGateFlagsAnUnsentOp(t *testing.T) {
+	unsent, err := unsentOps(filepath.Join("testdata", "callers"), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Join("internal", "core", "protocol.go") + ":8 OpUnsent"}
+	if strings.Join(unsent, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("unsent = %q, want %q", unsent, want)
+	}
+}
+
+// unsentOps returns "file:line name" for each Op* constant declared in
+// internal/core/protocol.go of the module at root that no non-test file
+// outside internal/services refers to.
+func unsentOps(root, module string) ([]string, error) {
+	l, _, _, err := loadModule(root, module)
+	if err != nil {
+		return nil, err
+	}
+	core := l.pkgs[module+"/internal/core"]
+	if core == nil {
+		return nil, fmt.Errorf("no package %s/internal/core", module)
+	}
+	ops := map[types.Object]bool{} // op → referenced
+	for ident, obj := range core.info.Defs {
+		if c, ok := obj.(*types.Const); ok && c.Parent() == c.Pkg().Scope() && strings.HasPrefix(c.Name(), "Op") &&
+			filepath.Base(l.fset.Position(ident.Pos()).Filename) == "protocol.go" {
+			ops[obj] = false
+		}
+	}
+	services := module + "/internal/services"
+	for path, p := range l.pkgs {
+		if path == services || strings.HasPrefix(path, services+"/") {
+			continue
+		}
+		for _, obj := range p.info.Uses {
+			if _, ok := ops[obj]; ok {
+				ops[obj] = true
+			}
+		}
+	}
+	var unsent []string
+	for obj, sent := range ops {
+		if sent {
+			continue
+		}
+		pos := l.fset.Position(obj.Pos())
+		rel, err := filepath.Rel(root, pos.Filename)
+		if err != nil {
+			return nil, err
+		}
+		unsent = append(unsent, fmt.Sprintf("%s:%d %s", rel, pos.Line, obj.Name()))
+	}
+	sort.Strings(unsent)
+	return unsent, nil
+}
+
+// loadModule type-checks every non-test package of the module at root: the
+// commands, examples and benchmark (returned as rootDirs) and every
+// package under internal/ (returned as internal).
+func loadModule(root, module string) (l *loader, rootDirs, internal []string, err error) {
+	l = &loader{
+		root:   root,
+		module: module,
+		fset:   token.NewFileSet(),
+		pkgs:   map[string]*srcPkg{},
+		std:    importer.Default(),
+	}
+	for _, pattern := range []string{"cmd/*", "examples/*", "benchmark"} {
+		dirs, err := filepath.Glob(filepath.Join(root, pattern))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		rootDirs = append(rootDirs, dirs...)
+	}
+	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if names, err := goFiles(path); err != nil || len(names) > 0 {
+			internal = append(internal, path)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, dir := range append(rootDirs, internal...) {
+		if _, err := l.load(l.importPath(dir)); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return l, rootDirs, internal, nil
 }
 
 // srcPkg is one package type-checked from its non-test source files.

@@ -575,7 +575,7 @@ func enterRaw(c *cvm.CVM, app *sdk.AppRuntime) (int, error) {
 
 // Validation runs the §8.3 experimental validation attacks.
 func Validation() []Result {
-	return execute([]attack{
+	return execute(append([]attack{
 		{
 			name:    "Map + overwrite protected page-table entries",
 			defence: "Continuous #NPF (CVM halt)",
@@ -607,7 +607,7 @@ func Validation() []Result {
 				return snp.IsNPF(werr) && c.M.Halted() != nil, fmt.Sprintf("%v", werr)
 			},
 		},
-	})
+	}, kciAttacks()...))
 }
 
 // TLB runs the stale-translation attacks against the simulated hardware

@@ -29,8 +29,8 @@ func TestTable2EnclaveAttacksAllDefended(t *testing.T) {
 
 func TestValidationAttacksAllDefended(t *testing.T) {
 	results := Validation()
-	if len(results) != 2 {
-		t.Fatalf("validation suite has %d attacks, want 2 (§8.3)", len(results))
+	if len(results) != 8 {
+		t.Fatalf("validation suite has %d attacks, want 8 (§8.3 and six W⊕X rows)", len(results))
 	}
 	assertAllDefended(t, results)
 }

@@ -52,6 +52,11 @@ const (
 	// accepted private memory show bytes planted before it was accepted.
 	// The check reads all guest memory, so only Sweep runs it.
 	CheckUnwrittenZero
+	// CheckVMPL3WX (sweep): no validated page grants VMPL3 both write and
+	// supervisor execution. Kernel text is VMPL3 read and supervisor-exec,
+	// every other OS page at most read, write and user-exec (§6.1), so
+	// the OS can never write code and then run it as the kernel.
+	CheckVMPL3WX
 
 	// NumChecks is the catalog size.
 	NumChecks
@@ -59,7 +64,7 @@ const (
 
 var checkNames = [NumChecks]string{
 	"rmp-tlb-epoch", "vmsa-unreadable", "rmp-consistency", "tlb-verdicts",
-	"unwritten-zero",
+	"unwritten-zero", "vmpl3-wx",
 }
 
 // String returns the check's catalog name.
@@ -167,6 +172,9 @@ func (a *Auditor) runSweeps() {
 	}
 	if n, d := a.m.AuditTLBVerdicts(a.cfg.MaxDetails); n > 0 {
 		a.report(CheckTLBVerdicts, n, d)
+	}
+	if n, d := a.m.AuditVMPL3WX(a.cfg.MaxDetails); n > 0 {
+		a.report(CheckVMPL3WX, n, d)
 	}
 }
 

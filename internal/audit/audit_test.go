@@ -132,6 +132,32 @@ func TestBrokenTLBInvalidationDetected(t *testing.T) {
 	}
 }
 
+// TestVMPL3WritableKernelCodeDetected: a kernel data page on which VMPL3
+// regains supervisor execution is exactly what kernel W⊕X rules out, so
+// the vmpl3-wx sweep must name it, and only it.
+func TestVMPL3WritableKernelCodeDetected(t *testing.T) {
+	c := bootVeil(t, 13, nil)
+	a := audit.Attach(c.M, audit.Config{})
+	a.Sweep()
+	if a.Violations() != 0 {
+		t.Fatalf("clean boot: %v", a.Details())
+	}
+	frame, err := c.K.AllocFrame()
+	if err != nil {
+		t.Fatalf("alloc frame: %v", err)
+	}
+	if err := c.M.RMPAdjust(snp.VMPL0, frame, snp.VMPL3, snp.PermAll); err != nil {
+		t.Fatalf("rmpadjust: %v", err)
+	}
+	a.Sweep()
+	if got := a.ViolationsBy(audit.CheckVMPL3WX); got != 1 || a.Violations() != 1 {
+		t.Fatalf("vmpl3-wx = %d of %d violations, want 1 of 1: %v", got, a.Violations(), a.Details())
+	}
+	if pm := c.M.PostMortem(); pm == nil || !strings.Contains(pm.Reason, "vmpl3-wx") {
+		t.Fatalf("post-mortem %v does not name vmpl3-wx", pm)
+	}
+}
+
 // TestCountersExport: the aux-counter source exposes the pacing and
 // violation tallies under stable names.
 func TestCountersExport(t *testing.T) {
@@ -147,6 +173,7 @@ func TestCountersExport(t *testing.T) {
 		"audit-violations": true, "audit-check-rmp-tlb-epoch": true,
 		"audit-check-vmsa-unreadable": true, "audit-check-rmp-consistency": true,
 		"audit-check-tlb-verdicts": true, "audit-check-unwritten-zero": true,
+		"audit-check-vmpl3-wx": true,
 	}
 	for _, n := range names {
 		delete(want, n)
@@ -159,7 +186,7 @@ func TestCountersExport(t *testing.T) {
 // TestCatalogIndicesStable: check indices appear in ClassInvariant events
 // and golden post-mortems, so a new check is appended, never inserted.
 func TestCatalogIndicesStable(t *testing.T) {
-	want := []string{"rmp-tlb-epoch", "vmsa-unreadable", "rmp-consistency", "tlb-verdicts", "unwritten-zero"}
+	want := []string{"rmp-tlb-epoch", "vmsa-unreadable", "rmp-consistency", "tlb-verdicts", "unwritten-zero", "vmpl3-wx"}
 	if int(audit.NumChecks) != len(want) {
 		t.Fatalf("catalog has %d checks, want %d", audit.NumChecks, len(want))
 	}

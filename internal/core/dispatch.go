@@ -100,22 +100,12 @@ func (mon *Monitor) servePValidate(phys uint64, validate bool) Response {
 		return Response{Status: StatusError}
 	}
 	if validate {
-		// A freshly validated page starts VMPL0-only; restore the kernel
-		// region's standing grants so the OS can use it.
-		if phys >= mon.lay.KernelLo {
-			grants := []struct {
-				vmpl snp.VMPL
-				perm snp.Perm
-			}{
-				{snp.VMPL1, snp.PermAll},
-				{snp.VMPL2, snp.PermRW | snp.PermUserExec},
-				{snp.VMPL3, snp.PermAll},
-			}
-			for _, g := range grants {
-				if err := mon.m.RMPAdjust(snp.VMPL0, phys, g.vmpl, g.perm); err != nil {
-					return Response{Status: StatusError}
-				}
-			}
+		// A freshly validated page starts VMPL0-only. The sanitizer let
+		// only an unprotected kernel-region page through, which is data:
+		// restore the data grants so the OS can use it.
+		page := [1]uint64{phys}
+		if err := mon.m.RunRMP(&snp.RMPRun{Caller: snp.VMPL0, Pages: page[:], Grants: kernelDataGrants[:]}); err != nil {
+			return Response{Status: StatusError}
 		}
 	}
 	return Response{Status: StatusOK}
@@ -320,13 +310,5 @@ func (mon *Monitor) DestroyEnclaveVCPU(vcpu int, tag uint64) error {
 		return err
 	}
 	delete(mon.replicas[vcpu], tag)
-	mon.regions.Remove("vmsa") // rebuild below
-	for _, doms := range mon.replicas {
-		for _, p := range doms {
-			if err := mon.regions.Add(p, p+snp.PageSize, "vmsa"); err != nil {
-				return err
-			}
-		}
-	}
 	return mon.heap.Free(phys)
 }

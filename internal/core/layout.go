@@ -16,6 +16,25 @@ const (
 	DomUNT = 3 // VMPL3 + CPL0/3: the operating system and its processes
 )
 
+// The kernel region's standing grants (§6.1). VMPL1 holds every
+// permission on the region, so services can grant VMPL2 and VMPL3 subsets
+// of it. Kernel data is KernelDataPerms at VMPL2 (enclaves run user code
+// in OS-region frames) and at VMPL3; kernel and module text is
+// KernelTextPerms at VMPL3. Data is thus never VMPL3
+// supervisor-executable, and text never VMPL3-writable.
+const (
+	KernelDataPerms = snp.PermRW | snp.PermUserExec
+	KernelTextPerms = snp.PermRead | snp.PermSupervisorExec
+)
+
+// kernelDataGrants is the data triple a VMPL0 caller grants a
+// kernel-region page.
+var kernelDataGrants = [3]snp.Grant{
+	{Target: snp.VMPL1, Perms: snp.PermAll},
+	{Target: snp.VMPL2, Perms: KernelDataPerms},
+	{Target: snp.VMPL3, Perms: KernelDataPerms},
+}
+
 // Layout fixes where everything lives in guest physical memory. The boot
 // image (monitor + services + kernel stub) occupies the front; the monitor
 // heap holds all trusted state (replica VMSAs, enclave page tables, the log

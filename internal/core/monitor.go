@@ -136,8 +136,8 @@ func (mon *Monitor) FreeServiceFrame(f uint64) error {
 	return mon.heap.Free(f)
 }
 
-// ProtectPages registers pages in the protected-region set (the sanitizer's
-// deny list) — used for enclave frames, cloned page tables, etc.
+// ProtectPages registers kernel-region pages in the protected-region set
+// (the sanitizer's deny list): enclave frames, kernel and module text.
 func (mon *Monitor) ProtectPages(pages []uint64, label string) error {
 	return mon.regions.AddPages(pages, label)
 }
@@ -145,8 +145,16 @@ func (mon *Monitor) ProtectPages(pages []uint64, label string) error {
 // UnprotectLabel removes all regions with the given label.
 func (mon *Monitor) UnprotectLabel(label string) { mon.regions.Remove(label) }
 
-// Sanitize validates an untrusted pointer range (§8.1).
-func (mon *Monitor) Sanitize(ptr, n uint64) error { return mon.regions.Sanitize(ptr, n) }
+// Sanitize validates an untrusted pointer range (§8.1): it must lie in the
+// kernel region, so it names no VMSA, monitor image or monitor-heap page
+// (the service frames, the log store and cloned page tables included),
+// and touch no protected region there.
+func (mon *Monitor) Sanitize(ptr, n uint64) error {
+	if ptr < mon.lay.KernelLo {
+		return fmt.Errorf("core: untrusted pointer %#x below the kernel region", ptr)
+	}
+	return mon.regions.Sanitize(ptr, n)
+}
 
 // SetDrainNotifier installs (or, with nil, removes) the completion-interrupt
 // hook drainRing fires after publishing a batch whose submitter enabled ring
@@ -231,14 +239,6 @@ func (mon *Monitor) boot() error {
 	}
 	if err := mon.setupRings(); err != nil {
 		return fmt.Errorf("core: ring setup: %w", err)
-	}
-	// Register protected regions: everything the sanitizer must refuse to
-	// dereference on the OS's behalf.
-	if err := mon.regions.Add(mon.lay.BootVMSA, mon.lay.BootVMSA+snp.PageSize, "boot-vmsa"); err != nil {
-		return err
-	}
-	if err := mon.regions.Add(mon.lay.MonImage, mon.lay.MonHeapHi, "veilmon"); err != nil {
-		return err
 	}
 
 	// The boot VMSA already runs Dom-MON on VCPU 0.
@@ -326,7 +326,17 @@ func (mon *Monitor) sweepAndProtect() error {
 	// The same scan plans the accept runs: one per stretch of pages that
 	// take the same instructions. A page the host assigns is then
 	// assigned and unvalidated, which is what it plans as now.
-	type sweepOp struct{ skip, validated, kernel bool }
+	//
+	// The monitor image and heap get no access below VMPL0, and the IDCB
+	// and ring pages the kernel data grants. The rest of the kernel region
+	// is the OS's until VeilS-Kci narrows it to text or data at the end of
+	// boot.
+	monGrants := [3]snp.Grant{{Target: snp.VMPL1}, {Target: snp.VMPL2}, {Target: snp.VMPL3}}
+	osGrants := [3]snp.Grant{kernelDataGrants[0], kernelDataGrants[1], {Target: snp.VMPL3, Perms: snp.PermAll}}
+	type sweepOp struct {
+		skip, validated bool
+		grants          *[3]snp.Grant
+	}
 	type stretch struct {
 		lo, hi uint64 // pages [lo, hi)
 		op     sweepOp
@@ -347,7 +357,13 @@ func (mon *Monitor) sweepAndProtect() error {
 				return err
 			}
 			// The boot VMSA page is already protected by hardware.
-			op = sweepOp{skip: e.VMSA, validated: e.Validated, kernel: pg*snp.PageSize >= mon.lay.KernelLo}
+			op = sweepOp{skip: e.VMSA, validated: e.Validated, grants: &monGrants}
+			switch addr := pg * snp.PageSize; {
+			case addr >= mon.lay.KernelMemLo():
+				op.grants = &osGrants
+			case addr >= mon.lay.KernelLo:
+				op.grants = &kernelDataGrants
+			}
 		} else if err := flush(pg); err != nil {
 			return err
 		}
@@ -362,26 +378,13 @@ func (mon *Monitor) sweepAndProtect() error {
 	}
 
 	// Accept and protect each page.
-	kernelGrants := [3]snp.Grant{
-		// Services hold full permissions on the OS region: RMPADJUST can
-		// only grant a subset of the caller's own permissions, and
-		// VeilS-Kci/VeilS-Enc manage execute bits for VMPL2/3 from VMPL1.
-		{Target: snp.VMPL1, Perms: snp.PermAll},
-		{Target: snp.VMPL2, Perms: snp.PermRW | snp.PermUserExec}, // enclaves run user code in OS-region frames
-		{Target: snp.VMPL3, Perms: snp.PermAll},                   // the OS owns its region (until KCI narrows it)
-	}
-	// Monitor image and heap: explicitly no access below VMPL0.
-	monGrants := [3]snp.Grant{{Target: snp.VMPL1}, {Target: snp.VMPL2}, {Target: snp.VMPL3}}
 	for _, st := range plan {
 		if st.op.skip {
 			continue
 		}
-		run := snp.RMPRun{Caller: snp.VMPL0, Lo: st.lo * snp.PageSize, Hi: st.hi * snp.PageSize, Grants: monGrants[:]}
+		run := snp.RMPRun{Caller: snp.VMPL0, Lo: st.lo * snp.PageSize, Hi: st.hi * snp.PageSize, Grants: st.op.grants[:]}
 		if !st.op.validated {
 			run.Validate, run.Touch = snp.PVAccept, snp.CyclesColdPageTouch
-		}
-		if st.op.kernel {
-			run.Grants = kernelGrants[:]
 		}
 		if err := m.RunRMP(&run); err != nil {
 			return err
@@ -411,9 +414,6 @@ func (mon *Monitor) createReplica(vcpu int, tag uint64, vmsa snp.VMSA, ctx snp.C
 		mon.replicas[vcpu] = make(map[uint64]uint64)
 	}
 	mon.replicas[vcpu][tag] = frame
-	if err := mon.regions.Add(frame, frame+snp.PageSize, "vmsa"); err != nil {
-		return 0, err
-	}
 	return frame, nil
 }
 

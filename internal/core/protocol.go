@@ -17,9 +17,6 @@ const (
 	OpKciLoad uint8 = 2
 	// OpKciFree unloads the module with the handle in the payload (u32).
 	OpKciFree uint8 = 3
-	// OpKciActivate enables kernel W⊕X over the text/data page lists in
-	// the payload.
-	OpKciActivate uint8 = 4
 )
 
 // VeilS-Enc management operations (§6.2). Enclave *execution* flows through

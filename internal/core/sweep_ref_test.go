@@ -93,6 +93,10 @@ func (mon *Monitor) refSweepAndProtect() error {
 		}
 		if phys >= mon.lay.KernelLo {
 			for _, kp := range kernelPerms {
+				// The IDCB and ring pages are kernel data from the start.
+				if kp.vmpl == snp.VMPL3 && phys < mon.lay.KernelMemLo() {
+					kp.perm = snp.PermRW | snp.PermUserExec
+				}
 				if err := m.RMPAdjust(snp.VMPL0, phys, kp.vmpl, kp.perm); err != nil {
 					return err
 				}

@@ -235,9 +235,11 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 	}
 	c.K = k
 
-	// Protected services (part of the measured image).
-	c.KCI = kci.New(mon, pub, k.Modules().SymbolTable())
+	// Protected services (part of the measured image). Their boot hooks
+	// run in this order, so kernel W⊕X activates last, once the sweep has
+	// validated the pages and VeilS-Log has claimed its store.
 	c.LOG = vlog.New(mon, opts.LogPages)
+	c.KCI = kci.New(mon, pub, k.Modules().SymbolTable(), c.TextLo, c.TextHi)
 	c.ENC = enc.New(mon, rng)
 	if opts.Fleet != nil {
 		c.CHN = chn.New(mon, chn.Config{
@@ -247,15 +249,6 @@ func bootVeil(opts Options, rng io.Reader) (*CVM, error) {
 		})
 	}
 	k.Modules().SetSigningKey(pub)
-
-	// Kernel W⊕X activates during monitor boot, once the sweep has
-	// validated the pages: the synthetic text range becomes read+exec,
-	// all remaining kernel memory loses supervisor execution (§6.1).
-	mon.OnBoot(func() error {
-		text := [][2]uint64{{c.TextLo, c.TextHi}}
-		data := [][2]uint64{{c.TextHi, lay.KernelHi}}
-		return c.KCI.Activate(text, data)
-	})
 
 	c.bootRegions = []attest.Region{{Phys: lay.MonImage, Data: monitorImage(pub)}}
 	boot := snp.VMSA{VCPUID: 0, VMPL: snp.VMPL0, CPL: snp.CPL0}

@@ -28,8 +28,9 @@
 // The verdict the explorer checks on every path:
 //
 //   - the audit invariant catalog (rmp-tlb-epoch, vmsa-unreadable,
-//     rmp-consistency, tlb-verdicts) holds after every scheduling round,
-//     and unwritten-zero, which reads all guest memory, at path end;
+//     rmp-consistency, tlb-verdicts, vmpl3-wx) holds after every
+//     scheduling round, and unwritten-zero, which reads all guest memory,
+//     at path end;
 //   - a revoked translation never serves another access (the probe faults);
 //   - on a path where the host delivered honestly, every task completes —
 //     no stall, no halt;

@@ -73,8 +73,8 @@ func TestAddressSpaceSparseMappings(t *testing.T) {
 		}
 	}
 	// Table pages grew beyond the root.
-	if len(as.TablePages()) < 7 {
-		t.Fatalf("expected several table pages, got %d", len(as.TablePages()))
+	if len(as.tablePages) < 7 {
+		t.Fatalf("expected several table pages, got %d", len(as.tablePages))
 	}
 	if err := as.Release(); err != nil {
 		t.Fatal(err)

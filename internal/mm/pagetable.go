@@ -148,10 +148,6 @@ func (as *AddressSpace) Protect(virt uint64, flags uint64) error {
 	return as.ctx.WritePTE(leaf, idx, snp.MakePTE(snp.PTEAddr(pte), flags|snp.PTEPresent))
 }
 
-// TablePages returns the physical frames holding this tree's tables (root
-// first). VeilS-Enc uses this to protect a cloned tree.
-func (as *AddressSpace) TablePages() []uint64 { return as.tablePages }
-
 // Release frees all table frames (mappings' data frames are the caller's
 // responsibility).
 func (as *AddressSpace) Release() error {

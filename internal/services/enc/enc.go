@@ -178,10 +178,9 @@ var errDenied = fmt.Errorf("enc: request denied")
 
 func (s *Service) finalize(vcpu int, cr3, base, length, entry, ghcb uint64, factory ContextFactory) (*Enclave, error) {
 	m := s.mon.Machine()
-	lay := s.mon.Layout()
 
 	// Sanitize the untrusted inputs (§8.1).
-	if cr3 < lay.KernelLo || s.mon.Sanitize(cr3, snp.PageSize) != nil {
+	if s.mon.Sanitize(cr3, snp.PageSize) != nil {
 		return nil, errDenied
 	}
 	if base%snp.PageSize != 0 || length == 0 || length%snp.PageSize != 0 ||
@@ -228,7 +227,7 @@ func (s *Service) finalize(vcpu int, cr3, base, length, entry, ghcb uint64, fact
 			_ = owner
 			return nil, errDenied // overlaps another enclave
 		}
-		if mp.phys < lay.KernelLo || s.mon.Sanitize(mp.phys, snp.PageSize) != nil {
+		if s.mon.Sanitize(mp.phys, snp.PageSize) != nil {
 			return nil, errDenied
 		}
 		e.frames[virt] = mp.phys
@@ -286,17 +285,14 @@ func (s *Service) finalize(vcpu int, cr3, base, length, entry, ghcb uint64, fact
 		return nil, err
 	}
 
-	// Protect everything in the monitor's registry so sanitizers refuse
-	// OS pointers into it.
-	label := fmt.Sprintf("enclave-%d", e.id)
+	// Protect the frames in the monitor's registry so sanitizers refuse
+	// OS pointers into them. The clone's tables are monitor-heap frames,
+	// which the sanitizer refuses anyway.
 	physList := make([]uint64, 0, len(virts))
 	for _, virt := range virts {
 		physList = append(physList, e.frames[virt])
 	}
-	if err := s.mon.ProtectPages(physList, label); err != nil {
-		return nil, err
-	}
-	if err := s.mon.ProtectPages(clone.TablePages(), label); err != nil {
+	if err := s.mon.ProtectPages(physList, fmt.Sprintf("enclave-%d", e.id)); err != nil {
 		return nil, err
 	}
 

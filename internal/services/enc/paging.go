@@ -111,7 +111,7 @@ func (s *Service) PageFree(id uint32, virt uint64) ([]byte, error) {
 	if _, err := e.clone.Unmap(virt); err != nil {
 		return nil, err
 	}
-	if err := m.RMPAdjust(snp.VMPL1, phys, snp.VMPL3, snp.PermRW|snp.PermUserExec); err != nil {
+	if err := m.RMPAdjust(snp.VMPL1, phys, snp.VMPL3, core.KernelDataPerms); err != nil {
 		return nil, err
 	}
 	s.mon.UnprotectLabel(fmt.Sprintf("enclave-%d", id))
@@ -156,10 +156,9 @@ func (s *Service) PageRestore(id uint32, virt, frame uint64, tag []byte) error {
 		return fmt.Errorf("enc: page %#x not evicted", virt)
 	}
 	m := s.mon.Machine()
-	lay := s.mon.Layout()
 
 	// Sanitize the OS-chosen frame (§8.1) and check disjointness.
-	if frame < lay.KernelLo || s.mon.Sanitize(frame, snp.PageSize) != nil {
+	if s.mon.Sanitize(frame, snp.PageSize) != nil {
 		return errDenied
 	}
 	if _, taken := s.allFrames[frame]; taken {
@@ -223,7 +222,6 @@ func (s *Service) reprotect(e *Enclave) error {
 	for _, p := range e.frames {
 		phys = append(phys, p)
 	}
-	phys = append(phys, e.clone.TablePages()...)
 	return s.mon.ProtectPages(phys, label)
 }
 
@@ -330,7 +328,7 @@ func (s *Service) Destroy(id uint32) error {
 			return err
 		}
 		clear(span)
-		if err := m.RMPAdjust(snp.VMPL1, phys, snp.VMPL3, snp.PermRW|snp.PermUserExec); err != nil {
+		if err := m.RMPAdjust(snp.VMPL1, phys, snp.VMPL3, core.KernelDataPerms); err != nil {
 			return err
 		}
 		delete(s.allFrames, phys)

@@ -48,14 +48,13 @@ type Service struct {
 	staging map[int][]byte // per VCPU
 	modules map[int]*module
 	next    int
-
-	textRanges [][2]uint64 // protected kernel text [lo,hi) phys ranges
 }
 
 // New creates the service and registers it with VeilMon. signKey is the
 // module-signing key and symtab the kernel export table, both taken from
-// the measured boot image.
-func New(mon *core.Monitor, signKey ed25519.PublicKey, symtab map[string]uint64) *Service {
+// the measured boot image; [textLo, textHi) is the kernel text, which
+// VeilS-Kci write-protects when monitor boot runs its hook.
+func New(mon *core.Monitor, signKey ed25519.PublicKey, symtab map[string]uint64, textLo, textHi uint64) *Service {
 	snapshot := make(map[string]uint64, len(symtab))
 	for k, v := range symtab {
 		snapshot[k] = v
@@ -69,6 +68,7 @@ func New(mon *core.Monitor, signKey ed25519.PublicKey, symtab map[string]uint64)
 		next:    1,
 	}
 	mon.RegisterService(core.SvcKCI, s.handle)
+	mon.OnBoot(func() error { return s.activate(textLo, textHi) })
 	return s
 }
 
@@ -84,8 +84,6 @@ func (s *Service) handle(vcpu int, op uint8, payload []byte) (uint32, []byte) {
 		return s.serveLoad(vcpu, payload)
 	case core.OpKciFree:
 		return s.serveFree(payload)
-	case core.OpKciActivate:
-		return s.serveActivate(payload)
 	}
 	return core.StatusError, nil
 }
@@ -103,9 +101,9 @@ func (s *Service) serveLoad(vcpu int, payload []byte) (uint32, []byte) {
 		return core.StatusError, nil
 	}
 	// Sanitize the OS-chosen destination frames (§8.1): they must not
-	// alias protected memory.
+	// alias protected memory, kernel and module text included.
 	for _, f := range d {
-		if f < s.mon.Layout().KernelLo || s.mon.Sanitize(f, snp.PageSize) != nil {
+		if s.mon.Sanitize(f, snp.PageSize) != nil {
 			return core.StatusDenied, nil
 		}
 	}
@@ -139,12 +137,15 @@ func (s *Service) serveLoad(vcpu int, payload []byte) (uint32, []byte) {
 	}
 
 	// Write-protect the prepared text at Dom-UNT: readable and
-	// supervisor-executable, never writable.
+	// supervisor-executable, never writable. The text frames join the
+	// protected regions, so no later OS request can name them.
 	for i := 0; i < parsed.TextPages(); i++ {
-		if err := s.mon.Machine().RMPAdjust(snp.VMPL1, d[i], snp.VMPL3,
-			snp.PermRead|snp.PermSupervisorExec); err != nil {
+		if err := s.mon.Machine().RMPAdjust(snp.VMPL1, d[i], snp.VMPL3, core.KernelTextPerms); err != nil {
 			return core.StatusError, nil
 		}
+	}
+	if err := s.mon.ProtectPages(d[:parsed.TextPages()], textLabel(s.next)); err != nil {
+		return core.StatusError, nil
 	}
 
 	m := &module{handle: s.next, name: parsed.Name, frames: d, text: parsed.TextPages()}
@@ -219,73 +220,40 @@ func (s *Service) serveFree(payload []byte) (uint32, []byte) {
 		s.mon.Machine().Clock().Charge(snp.CostPageCopy, snp.CyclesPageCopy4K)
 	}
 	for i := 0; i < m.text; i++ {
-		if err := s.mon.Machine().RMPAdjust(snp.VMPL1, m.frames[i], snp.VMPL3, snp.PermRW|snp.PermUserExec); err != nil {
+		if err := s.mon.Machine().RMPAdjust(snp.VMPL1, m.frames[i], snp.VMPL3, core.KernelDataPerms); err != nil {
 			return core.StatusError, nil
 		}
 	}
+	s.mon.UnprotectLabel(textLabel(h))
 	delete(s.modules, h)
 	return core.StatusOK, nil
 }
 
-// serveActivate enables kernel W⊕X (payload: textCount u32, then [lo,hi)
-// u64 pairs for text ranges, dataCount u32 and pairs for data ranges).
-func (s *Service) serveActivate(payload []byte) (uint32, []byte) {
-	text, rest, ok := decRanges(payload)
-	if !ok {
-		return core.StatusError, nil
-	}
-	data, rest, ok := decRanges(rest)
-	if !ok || len(rest) != 0 {
-		return core.StatusError, nil
-	}
-	if err := s.Activate(text, data); err != nil {
-		return core.StatusError, nil
-	}
-	return core.StatusOK, nil
-}
-
-func decRanges(b []byte) ([][2]uint64, []byte, bool) {
-	if len(b) < 4 {
-		return nil, nil, false
-	}
-	n := int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-	b = b[4:]
-	if n < 0 || len(b) < 16*n {
-		return nil, nil, false
-	}
-	out := make([][2]uint64, n)
-	for i := 0; i < n; i++ {
-		var lo, hi uint64
-		for j := 0; j < 8; j++ {
-			lo |= uint64(b[16*i+j]) << (8 * j)
-			hi |= uint64(b[16*i+8+j]) << (8 * j)
-		}
-		out[i] = [2]uint64{lo, hi}
-	}
-	return out, b[16*n:], true
-}
-
-// Activate enforces W⊕X across the given kernel text and data physical
-// ranges: text pages lose their Dom-UNT write permission, data pages lose
-// supervisor execution (§6.1). Even an attacker who flips NX/WP bits in
-// the kernel's own page tables cannot undo this (§8.2, §8.3 attack 2).
-func (s *Service) Activate(textRanges, dataRanges [][2]uint64) error {
+// activate enforces W⊕X once, from monitor boot: kernel text [lo, hi)
+// loses its Dom-UNT write permission, and the kernel data above it loses
+// supervisor execution (§6.1). The text joins the protected regions, so
+// no OS request can name it afterwards. Even an attacker who flips NX/WP
+// bits in the kernel's own page tables cannot undo this (§8.2, §8.3
+// attack 2).
+func (s *Service) activate(lo, hi uint64) error {
 	m := s.mon.Machine()
-	text := [1]snp.Grant{{Target: snp.VMPL3, Perms: snp.PermRead | snp.PermSupervisorExec}}
-	data := [1]snp.Grant{{Target: snp.VMPL3, Perms: snp.PermRead | snp.PermWrite | snp.PermUserExec}}
-	for _, r := range textRanges {
-		if err := m.RunRMP(&snp.RMPRun{Caller: snp.VMPL1, Lo: r[0], Hi: r[1], Grants: text[:]}); err != nil {
-			return err
-		}
+	text := [1]snp.Grant{{Target: snp.VMPL3, Perms: core.KernelTextPerms}}
+	data := [1]snp.Grant{{Target: snp.VMPL3, Perms: core.KernelDataPerms}}
+	if err := m.RunRMP(&snp.RMPRun{Caller: snp.VMPL1, Lo: lo, Hi: hi, Grants: text[:]}); err != nil {
+		return err
 	}
-	for _, r := range dataRanges {
-		if err := m.RunRMP(&snp.RMPRun{Caller: snp.VMPL1, Lo: r[0], Hi: r[1], Grants: data[:]}); err != nil {
-			return err
-		}
+	if err := m.RunRMP(&snp.RMPRun{Caller: snp.VMPL1, Lo: hi, Hi: s.mon.Layout().KernelHi, Grants: data[:]}); err != nil {
+		return err
 	}
-	s.textRanges = append(s.textRanges, textRanges...)
-	return nil
+	var pages []uint64
+	for p := lo; p < hi; p += snp.PageSize {
+		pages = append(pages, p)
+	}
+	return s.mon.ProtectPages(pages, "kernel-text")
 }
+
+// textLabel names a module's text frames in the protected regions.
+func textLabel(handle int) string { return fmt.Sprintf("module-text-%d", handle) }
 
 // ModuleTextFrames returns the protected text frames of a loaded module
 // (tests use this to aim attacks).

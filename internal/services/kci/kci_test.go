@@ -162,39 +162,39 @@ func TestFreeRestoresKernelAccess(t *testing.T) {
 	}
 }
 
-func TestActivateViaIDCBOp(t *testing.T) {
+// TestTextJoinsProtectedRegions: kernel text is protected from boot, and a
+// module's text frames from load to free, so the sanitizer refuses every
+// OS-chosen address naming them; the module's data frames stay open.
+func TestTextJoinsProtectedRegions(t *testing.T) {
 	c := bootVeil(t)
-	// Pick two fresh kernel frames and flip them text/data via the op.
-	f := allocFrames(t, c, 2)
-	payload := encodeRanges([][2]uint64{{f[0], f[0] + snp.PageSize}}, [][2]uint64{{f[1], f[1] + snp.PageSize}})
-	resp, err := c.Stub.CallSrv(core.Request{Svc: core.SvcKCI, Op: core.OpKciActivate, Payload: payload})
+	if c.Mon.Sanitize(c.TextLo, snp.PageSize) == nil || c.Mon.Sanitize(c.TextHi-snp.PageSize, snp.PageSize) == nil {
+		t.Fatal("sanitizer accepts kernel text")
+	}
+	if c.Mon.Sanitize(c.TextHi, snp.PageSize) != nil {
+		t.Fatal("sanitizer refuses the first kernel data page")
+	}
+	if c.Mon.Sanitize(c.Lay.KernelLo-snp.PageSize, snp.PageSize) == nil {
+		t.Fatal("sanitizer accepts a page below the kernel region")
+	}
+	image, m := signedModule(t, c, "mod6")
+	frames := allocFrames(t, c, m.InstalledSize()/snp.PageSize)
+	resp, err := loadViaStub(t, c, image, frames)
 	if err != nil || resp.Status != core.StatusOK {
-		t.Fatalf("activate: %v %d", err, resp.Status)
+		t.Fatalf("load: %v %d", err, resp.Status)
 	}
-	if err := c.M.GuestExecCheckPhys(snp.VMPL3, snp.CPL0, f[0]); err != nil {
-		t.Fatalf("text exec: %v", err)
+	if c.Mon.Sanitize(frames[0], snp.PageSize) == nil {
+		t.Fatal("sanitizer accepts loaded module text")
 	}
-	if err := c.K.WritePhys(f[1], []byte{1}); err != nil {
-		t.Fatalf("data write: %v", err)
+	if c.Mon.Sanitize(frames[len(frames)-1], snp.PageSize) != nil {
+		t.Fatal("sanitizer refuses module data")
 	}
-}
-
-func encodeRanges(text, data [][2]uint64) []byte {
-	var out []byte
-	put := func(rs [][2]uint64) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(rs)))
-		out = append(out, n[:]...)
-		for _, r := range rs {
-			var b [16]byte
-			binary.LittleEndian.PutUint64(b[0:], r[0])
-			binary.LittleEndian.PutUint64(b[8:], r[1])
-			out = append(out, b[:]...)
-		}
+	resp, err = c.Stub.CallSrv(core.Request{Svc: core.SvcKCI, Op: core.OpKciFree, Payload: resp.Payload})
+	if err != nil || resp.Status != core.StatusOK {
+		t.Fatalf("free: %v %d", err, resp.Status)
 	}
-	put(text)
-	put(data)
-	return out
+	if c.Mon.Sanitize(frames[0], snp.PageSize) != nil {
+		t.Fatal("sanitizer still refuses freed module text")
+	}
 }
 
 func TestStagingOverflowRejected(t *testing.T) {

@@ -57,10 +57,7 @@ func (s *Service) init() error {
 	if err := s.mon.Machine().RunRMP(&snp.RMPRun{Caller: snp.VMPL0, Pages: s.frames, Grants: grant[:]}); err != nil {
 		return err
 	}
-	if allocErr != nil {
-		return allocErr
-	}
-	return s.mon.ProtectPages(s.frames, "veils-log-store")
+	return allocErr
 }
 
 // Capacity returns the store size in bytes.

@@ -270,6 +270,26 @@ func (m *Machine) AuditRMPConsistency(max int) (int, []string) {
 	return n, details
 }
 
+// AuditVMPL3WX finds validated pages on which VMPL3 holds both write and
+// supervisor execution: the OS could then write code and run it as the
+// kernel, which Veil's kernel W⊕X (§6.1) exists to rule out. At most max
+// violation details are rendered (0 = unlimited); the returned count is
+// always exact.
+func (m *Machine) AuditVMPL3WX(max int) (int, []string) {
+	var n int
+	var details []string
+	for pi := range m.rmp {
+		e := &m.rmp[pi]
+		if e.Validated && e.Perms[VMPL3].Has(PermWrite|PermSupervisorExec) {
+			n++
+			if max <= 0 || len(details) < max {
+				details = append(details, fmt.Sprintf("page %#x grants VMPL3 %s", uint64(pi)<<PageShift, e.Perms[VMPL3]))
+			}
+		}
+	}
+	return n, details
+}
+
 // AuditVMSAUnreadable verifies that every live save-area page refuses
 // normal guest loads at every VMPL — the architectural property that keeps
 // saved register state out of reach of less privileged domains (§3, §8.1).

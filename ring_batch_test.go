@@ -15,6 +15,7 @@ import (
 
 	"veil/internal/core"
 	"veil/internal/cvm"
+	"veil/internal/snp"
 )
 
 func bootRing(t testing.TB, seed int64) *cvm.CVM {
@@ -156,9 +157,10 @@ func TestRingInterleaved(t *testing.T) {
 }
 
 // TestRetiredBatchOpsRefused: the group-commit ops VeilS-Log (op 3) and
-// VeilS-Enc (op 6) once served are gone, so well-formed payloads for them
-// get the unknown-op refusal on both the synchronous and the ring path,
-// and nothing reaches the protected log store.
+// VeilS-Enc (op 6) once served are gone, and so is VeilS-Kci's op 4, which
+// re-ran W⊕X activation over OS-chosen ranges. Well-formed payloads for
+// them get the unknown-op refusal on both the synchronous and the ring
+// path; nothing reaches the protected log store and the RMP is unchanged.
 func TestRetiredBatchOpsRefused(t *testing.T) {
 	c := bootRing(t, 4600)
 	// VeilS-Log op 3: count u32, then count × (len u32, bytes).
@@ -175,10 +177,26 @@ func TestRetiredBatchOpsRefused(t *testing.T) {
 	for _, v := range []uint64{0x400000, 0x1000, 3} {
 		encBatch = binary.LittleEndian.AppendUint64(encBatch, v)
 	}
+	// VeilS-Kci op 4: text ranges then data ranges, each a count u32 and
+	// [lo, hi) u64 pairs. One data range over the first kernel text page.
+	var kciActivate []byte
+	kciActivate = binary.LittleEndian.AppendUint32(kciActivate, 0)
+	kciActivate = binary.LittleEndian.AppendUint32(kciActivate, 1)
+	kciActivate = binary.LittleEndian.AppendUint64(kciActivate, c.TextLo)
+	kciActivate = binary.LittleEndian.AppendUint64(kciActivate, c.TextLo+snp.PageSize)
 	reqs := []core.Request{
 		{Svc: core.SvcLOG, Op: 3, Payload: logBatch},
 		{Svc: core.SvcENC, Op: 6, Payload: encBatch},
+		{Svc: core.SvcKCI, Op: 4, Payload: kciActivate},
 	}
+	rmp := func() []snp.RMPEntry {
+		out := make([]snp.RMPEntry, c.M.NumPages())
+		for i := range out {
+			out[i], _ = c.M.RMPEntryAt(uint64(i) * snp.PageSize)
+		}
+		return out
+	}
+	rmpBefore := rmp()
 	before := c.LOG.Count()
 	for _, req := range reqs {
 		resp, err := c.Stub.CallSrv(req)
@@ -200,6 +218,11 @@ func TestRetiredBatchOpsRefused(t *testing.T) {
 	}
 	if got := c.LOG.Count(); got != before {
 		t.Fatalf("LOG.Count = %d after refused ops, want %d", got, before)
+	}
+	for i, e := range rmp() {
+		if e != rmpBefore[i] {
+			t.Fatalf("page %d: RMP %+v after refused ops, want %+v", i, e, rmpBefore[i])
+		}
 	}
 }
 

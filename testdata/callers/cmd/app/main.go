@@ -1,5 +1,9 @@
 package main
 
-import "fixture/internal/lib"
+import (
+	"fixture/internal/core"
+	"fixture/internal/lib"
+	"fixture/internal/services/svc"
+)
 
-func main() { println(lib.Used()) }
+func main() { println(lib.Used(), svc.Handle(core.OpSent)) }
